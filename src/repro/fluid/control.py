@@ -69,6 +69,7 @@ from repro.control import (
     compute_outage_schedule,
     spf_from_topology,
 )
+from repro.net.fabric import EcmpPaths, walk_links
 from repro.net.routing import RoutingError
 from repro.scenario.spec import (
     GuaranteedRequest,
@@ -294,20 +295,11 @@ class _PlanBuilder:
         self._spf_cache: Dict[frozenset, object] = {}
         self._ecmp_base = None
         if spec.ecmp_seed is not None:
-            from repro.net.fabric import EcmpPaths
-
             self._ecmp_base = EcmpPaths.shared(
                 spec.topology, seed=spec.ecmp_seed
             )
 
     # -- path resolution ----------------------------------------------
-    def _links_of(self, nodes: List[str]) -> Tuple[int, ...]:
-        pair_get = self.pair_index.get
-        return tuple(
-            l for l in map(pair_get, zip(nodes, nodes[1:]))
-            if l is not None
-        )
-
     def _resolve(self, down: frozenset, f: int) -> Optional[Tuple[int, ...]]:
         """The flow's link path under ``down``, or None (unreachable).
         Pure in ``(down, f)``; the all-up state returns the base path
@@ -318,12 +310,11 @@ class _PlanBuilder:
         if self._ecmp_base is not None:
             chooser = self._ecmp_base.masked(down)
             try:
-                nodes = chooser.path(
+                return chooser.links(
                     flow.source_host, flow.dest_host, flow.name
                 )
             except RoutingError:
                 return None
-            return self._links_of(nodes)
         spf = self._spf_cache.get(down)
         if spf is None:
             spf = spf_from_topology(self.spec.topology, down)
@@ -334,8 +325,8 @@ class _PlanBuilder:
             mid = spf.path(src_sw, dst_sw)
         except RoutingError:
             return None
-        return self._links_of(
-            [flow.source_host] + mid + [flow.dest_host]
+        return walk_links(
+            [flow.source_host] + mid + [flow.dest_host], self.pair_index
         )
 
     # -- replay --------------------------------------------------------

@@ -169,19 +169,29 @@ class FluidOptions:
 
 
 def _routes_for(spec: ScenarioSpec):
-    """Per-flow node paths: the packet engine's static routes, or the
-    seeded ECMP choice when the spec carries an ``ecmp_seed``."""
+    """``(links_of, pair_index)``: per-flow link-index paths (positions
+    in ``topology.links``) — the packet engine's static routes, or the
+    seeded ECMP choice when the spec carries an ``ecmp_seed`` — and the
+    :func:`~repro.net.fabric.pair_link_index` they resolve through."""
+    from repro.net.fabric import EcmpPaths, pair_link_index, walk_links
     from repro.scenario.generators import topology_routes
 
     if spec.ecmp_seed is not None:
-        from repro.net.fabric import EcmpPaths
-
         chooser = EcmpPaths.shared(spec.topology, seed=spec.ecmp_seed)
-        return lambda flow: chooser.path(
-            flow.source_host, flow.dest_host, flow.name
+        return (
+            lambda flow: chooser.links(
+                flow.source_host, flow.dest_host, flow.name
+            ),
+            chooser.pair_index,
         )
     routing = topology_routes(spec.topology)
-    return lambda flow: routing.path(flow.source_host, flow.dest_host)
+    pair_index = pair_link_index(spec.topology)
+    return (
+        lambda flow: walk_links(
+            routing.path(flow.source_host, flow.dest_host), pair_index
+        ),
+        pair_index,
+    )
 
 
 def _admit(spec: ScenarioSpec, path_links: Dict[str, Tuple[int, ...]],
@@ -331,7 +341,6 @@ class FluidSimulation:
 
         topology = spec.topology
         self.link_names: Tuple[str, ...] = topology.link_names
-        link_index = {name: i for i, name in enumerate(self.link_names)}
         self.caps = [float(link.rate_bps) for link in topology.links]
         # Buffer bound in bits: packets x the rate-weighted mean packet
         # size of the population (the packet engine bounds in packets;
@@ -348,27 +357,14 @@ class FluidSimulation:
         ]
 
         # -- routes ----------------------------------------------------
-        path_of = _routes_for(spec)
-        # Node-pair -> link index, for links whose name follows the
-        # "src->dst" convention the node walks resolve through (other
-        # names never match a walk hop, exactly as before).
-        pair_index = {
-            (link.src, link.dst): link_index[link.name]
-            for link in topology.links
-            if link.name == f"{link.src}->{link.dst}"
-        }
-        pair_get = pair_index.get
+        links_of, pair_index = _routes_for(spec)
         self.paths: List[Tuple[int, ...]] = []
         path_links: Dict[str, Tuple[int, ...]] = {}
         for flow in spec.flows:
             try:
-                nodes = path_of(flow)
+                links = links_of(flow)
             except RoutingError as exc:
                 raise RoutingError(f"flow {flow.name!r}: {exc}") from None
-            links = tuple(
-                l for l in map(pair_get, zip(nodes, nodes[1:]))
-                if l is not None
-            )
             self.paths.append(links)
             path_links[flow.name] = links
 

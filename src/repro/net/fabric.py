@@ -41,7 +41,7 @@ Multipath:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net.routing import RoutingError
 from repro.scenario import paper
@@ -162,18 +162,62 @@ def leaf_spine_topology(
     )
 
 
+def pair_link_index(topology: TopologySpec) -> Dict[Tuple[str, str], int]:
+    """``(src, dst) -> position in topology.links``: the one definition
+    of which walk hop is which link, shared by spec build, the fluid
+    compile and the control plan.
+
+    Only links named by the ``"src->dst"`` convention take part (every
+    plain :class:`LinkSpec` is); a link type that names itself otherwise
+    never matches a walk hop, so walks cross it uncounted — the fluid
+    compile's long-standing behaviour.  Host attachment hops are not
+    links and always fall out as misses.
+    """
+    return {
+        (link.src, link.dst): i
+        for i, link in enumerate(topology.links)
+        if link.name == f"{link.src}->{link.dst}"
+    }
+
+
+def walk_links(
+    nodes: Sequence[str], pair_index: Dict[Tuple[str, str], int]
+) -> Tuple[int, ...]:
+    """The link indices a node walk crosses, through ``pair_index`` —
+    the only walk -> links mapping: :meth:`EcmpPaths.links` and every
+    static or SPF route resolve through it."""
+    return tuple(
+        l for l in map(pair_index.get, zip(nodes, nodes[1:]))
+        if l is not None
+    )
+
+
 class EcmpPaths:
     """Seeded per-flow path choice over the all-shortest-paths DAG.
 
     Works on the same node graph :class:`StaticRouting` sees (directed
-    inter-switch links, bidirectional host attachments).  For each
-    destination a reverse BFS yields hop distances; a flow's path is a
-    walk that, at every node, picks uniformly among the neighbours one
-    hop closer to the destination, drawing from
+    inter-switch links, bidirectional host attachments).  A flow's path
+    is a walk that, at every node, picks uniformly among the neighbours
+    one hop closer to the destination, drawing from
     ``random.Random(f"ecmp:{seed}:{flow}")`` so the choice is a pure
     function of (topology, seed, flow name) — process-stable and
     identical between the fluid engine and any future packet-engine
     flow-hashing front.
+
+    Routing state is kept per destination *gateway* (a host's
+    attachment switch; every host behind it shares the state), filled
+    lazily as walks touch nodes:
+
+    * the next-hop DAG — each node's equal-cost successors in sorted
+      neighbour order, one neighbour scan per (node, gateway);
+    * each node's no-choice continuation: the node and everything after
+      it up to the next branch point (or the gateway), one shared tuple
+      per (node, gateway).
+
+    A walk is then one seed, one draw per branch point and one extend
+    per stretch.  :meth:`path` is that walk as nodes; :meth:`links` is
+    what the engines consume — the same walk as positions in
+    ``topology.links``, memoised per flow.
     """
 
     #: Small FIFO cache behind :meth:`shared`, keyed by the topology
@@ -194,10 +238,10 @@ class EcmpPaths:
 
         Spec generators and the fluid compiler route the same flow
         population over the same topology object moments apart; sharing
-        one instance means the second pass reuses the BFS distance maps,
-        segment memos, and per-flow walks instead of recomputing them.
-        Paths are a pure function of (topology, seed, flow), so a shared
-        instance returns exactly what a fresh one would.
+        one instance means the second pass reuses the per-gateway
+        routing state and the per-flow link paths instead of recomputing
+        them.  Paths are a pure function of (topology, seed, flow), so a
+        shared instance returns exactly what a fresh one would.
         """
         key = (id(topology), int(seed))
         inst = cls._shared.get(key)
@@ -213,8 +257,8 @@ class EcmpPaths:
         removed from the graph.
 
         Link-state views are cached per exact down-set on *this*
-        instance, each with fully independent distance/segment/walk
-        memos — masking never writes into the full-graph memos, and
+        instance, each with fully independent per-gateway and per-flow
+        memos — masking never reads or writes the full-graph memos, and
         ``masked(frozenset())`` is ``self``, so when the last failure
         heals the caller is handed back the original object and its
         original (bit-identical) paths.  Masking a masked view composes
@@ -243,6 +287,9 @@ class EcmpPaths:
         self.seed = int(seed)
         self.exclude_links = frozenset(exclude_links)
         self._masked: Dict[frozenset, "EcmpPaths"] = {}
+        #: Walk hop -> link index, over the *whole* topology: a masked
+        #: view numbers links exactly as its parent does.
+        self.pair_index = pair_link_index(topology)
         adj: Dict[str, List[str]] = {n: [] for n in topology.nodes}
         radj: Dict[str, List[str]] = {n: [] for n in topology.nodes}
 
@@ -259,38 +306,39 @@ class EcmpPaths:
             radj.setdefault(att.host, [])
             edge(att.host, att.switch)
             edge(att.switch, att.host)
+        # Sorted neighbours: the pinned order every draw indexes into.
         self._adj = {n: sorted(set(out)) for n, out in adj.items()}
-        self._radj = {n: sorted(set(out)) for n, out in radj.items()}
-        self._dist_to: Dict[str, Dict[str, int]] = {}
-        # Per-destination memo of each branch point's choice structure
-        # (identical for every flow): each equal-cost next hop extended
-        # through the following no-choice nodes to the next branch point
-        # or the destination, so a walk consumes one dict hit and one
-        # extend per *draw* instead of one per hop.  Plus the full walk
-        # for (src, dst) pairs whose walk never branches (no draw
-        # consumed, so every flow takes the same path).
-        self._segments_to: Dict[str, Dict[str, List[Tuple[str, ...]]]] = {}
-        self._single_path: Dict[Tuple[str, str], List[str]] = {}
+        self._radj = {n: sorted(set(ins)) for n, ins in radj.items()}
+        # Per destination gateway: reverse-BFS hop counts, the lazily
+        # filled next-hop DAG and the continuation memo (see the class
+        # docstring).  Identical for every flow toward that gateway.
+        self._toward: Dict[str, Tuple[
+            Dict[str, int],
+            Dict[str, Tuple[str, ...]],
+            Dict[str, Tuple[str, ...]],
+        ]] = {}
         self._gateway: Dict[str, Optional[str]] = {}
-        # Draw-consuming walks memoized per (src, dst, flow): the walk
-        # is a pure function of that triple, and :meth:`shared` callers
-        # resolve the same population twice (spec build, then the fluid
+        # Link paths memoised per (src, dst, flow): the walk is a pure
+        # function of that triple, and :meth:`shared` callers resolve
+        # the same population twice (spec build, then the fluid
         # compiler).  Grows with the flows routed by this instance.
-        self._flow_path: Dict[Tuple[str, str, str], Tuple[str, ...]] = {}
+        self._flow_links: Dict[Tuple[str, str, str], Tuple[int, ...]] = {}
         # One reusable generator, re-seeded per flow: seeding fully
         # resets the Mersenne state, so draws are identical to a fresh
         # ``random.Random(key)`` without the per-flow allocation.
         self._rng = random.Random()
 
-    def _distances(self, dst: str) -> Dict[str, int]:
-        """Hop count from every node *to* ``dst`` (reverse BFS)."""
-        cached = self._dist_to.get(dst)
-        if cached is not None:
-            return cached
-        if dst not in self._radj:
-            raise RoutingError(f"unknown node {dst!r}")
-        dist = {dst: 0}
-        frontier = [dst]
+    def _routes_toward(self, target: str):
+        """``target``'s ``(distances, successors, continuations)``;
+        the distances (hop count from every node *to* ``target``) come
+        from one reverse BFS, the other two fill as walks need them."""
+        state = self._toward.get(target)
+        if state is not None:
+            return state
+        if target not in self._radj:
+            raise RoutingError(f"unknown node {target!r}")
+        dist = {target: 0}
+        frontier = [target]
         while frontier:
             nxt: List[str] = []
             for node in frontier:
@@ -299,15 +347,15 @@ class EcmpPaths:
                         dist[prev] = dist[node] + 1
                         nxt.append(prev)
             frontier = nxt
-        self._dist_to[dst] = dist
-        return dist
+        state = self._toward[target] = (dist, {}, {})
+        return state
 
     def _gateway_of(self, dst: str) -> Optional[str]:
         """The single node every path into ``dst`` crosses (a host's
         attachment switch), or ``None`` when ``dst`` has several
         in-neighbours.  Routing toward such a ``dst`` is routing toward
         the gateway plus the final attachment hop — all hosts on one
-        switch then share that switch's next-hop memo."""
+        switch then share that switch's routing state."""
         gate = self._gateway.get(dst, False)
         if gate is False:
             ins = self._radj.get(dst)
@@ -319,94 +367,71 @@ class EcmpPaths:
             self._gateway[dst] = gate
         return gate
 
-    def _build_segment(
-        self, here: str, target: str, segs: Dict[str, List[Tuple[str, ...]]]
-    ) -> Optional[List[Tuple[str, ...]]]:
-        """Memoize ``here``'s choice structure toward ``target``: its
-        equal-cost next hops, each extended through every following
-        no-choice node up to the next branch point (or ``target``).
-        Draws are consumed only at branch points, exactly as the
-        uncompressed node-by-node walk would consume them.  Returns
-        ``None`` when ``here`` cannot reach ``target``."""
-        dist = self._distances(target)
-        if here not in dist:
-            return None
-        adj = self._adj
-        max_chain = len(adj)
-        closer = dist[here] - 1
-        options: List[Tuple[str, ...]] = []
-        for n in adj[here]:
-            if dist.get(n) != closer:
-                continue
-            chain = [n]
-            while n != target:
-                adj_n = adj[n]
-                if len(adj_n) == 1:
-                    # Degree-1 detour (an attachment hop): the only
-                    # neighbour is the only way onward.
-                    n = adj_n[0]
-                else:
-                    lvl = dist[n] - 1
-                    nxt = [m for m in adj_n if dist.get(m) == lvl]
-                    if len(nxt) != 1:
-                        break
-                    n = nxt[0]
-                chain.append(n)
-                if len(chain) > max_chain:  # pragma: no cover - guard
-                    raise RoutingError(f"no route from {here} to {target}")
-            options.append(tuple(chain))
-        segs[here] = options
-        return options
+    def _successors(self, here: str, dist, succ) -> Tuple[str, ...]:
+        """Fill ``here``'s entry of one gateway's next-hop DAG: its
+        neighbours one hop closer, in sorted order.  Empty when ``here``
+        cannot reach the gateway."""
+        closer = dist.get(here, 0) - 1
+        found = succ[here] = tuple(
+            [n for n in self._adj[here] if dist.get(n) == closer]
+        )
+        return found
+
+    def _continuation(self, node: str, target: str, dist, succ, cont):
+        """Memoize the no-choice stretch from ``node`` toward
+        ``target``: ``node`` and every following node reached through a
+        single successor, up to the next branch point (or ``target``).
+        Draws are consumed only at branch points, exactly as a
+        node-by-node walk would consume them."""
+        chain = [node]
+        end = node
+        while end != target:
+            options = succ.get(end)
+            if options is None:
+                options = self._successors(end, dist, succ)
+            if len(options) != 1:
+                break
+            end = options[0]
+            chain.append(end)
+        found = cont[node] = tuple(chain)
+        return found
 
     def path(self, src: str, dst: str, flow: str) -> List[str]:
         """The seeded shortest path for ``flow`` from ``src`` to ``dst``."""
-        single = self._single_path.get((src, dst))
-        if single is not None:
-            return list(single)
-        memo = self._flow_path.get((src, dst, flow))
-        if memo is not None:
-            return list(memo)
         target, tail = dst, None
-        gate = self._gateway.get(dst, False)
-        if gate is False:
-            gate = self._gateway_of(dst)
+        gate = self._gateway_of(dst)
         if gate is not None and src != dst:
-            if src == gate:
-                walk = [src, dst]
-                self._single_path[(src, dst)] = walk
-                return list(walk)
             target, tail = gate, dst
-        segs = self._segments_to.setdefault(target, {})
-        segs_get = segs.get
+        dist, succ, cont = self._routes_toward(target)
+        succ_get = succ.get
+        cont_get = cont.get
         adj = self._adj
         draw = None  # lazily seeded: single-path flows take no draw
         here, walk = src, [src]
         max_walk = len(adj)
         while here != target:
-            options = segs_get(here)
+            options = succ_get(here)
             if options is None:
-                adj_here = adj[here]
-                if len(adj_here) == 1:
+                out = adj.get(here)
+                if out is None:
+                    raise RoutingError(f"unknown node {here!r}")
+                if len(out) == 1:
                     # A degree-1 node's only neighbour is its only way
-                    # toward any destination (hosts, notably — memoizing
-                    # those per (dst, host) would grow with the flows).
-                    here = adj_here[0]
+                    # toward any destination (hosts, notably — keeping
+                    # those per (gateway, host) would grow with the
+                    # flows).
+                    here = out[0]
                     walk.append(here)
                     if len(walk) > max_walk:
-                        # Degree-1 ping-pong with an unreachable dst;
-                        # the dist lookup below catches it eagerly.
-                        raise RoutingError(
-                            f"no route from {src} to {dst}"
-                        )
+                        # Degree-1 ping-pong with an unreachable dst.
+                        raise RoutingError(f"no route from {src} to {dst}")
                     continue
-                options = self._build_segment(here, target, segs)
-                if options is None:
-                    raise RoutingError(f"no route from {src} to {dst}")
+                options = self._successors(here, dist, succ)
             count = len(options)
             if count == 1:
-                chain = options[0]
-            elif count == 0:  # pragma: no cover - dist guarantees a hop
-                raise RoutingError(f"no route from {here} to {dst}")
+                step = options[0]
+            elif count == 0:
+                raise RoutingError(f"no route from {src} to {dst}")
             else:
                 if draw is None:
                     rng = self._rng
@@ -414,13 +439,24 @@ class EcmpPaths:
                     # randrange(n) for a positive int is exactly
                     # _randbelow(n); bind the inner draw when present.
                     draw = getattr(rng, "_randbelow", rng.randrange)
-                chain = options[draw(count)]
-            walk.extend(chain)
+                step = options[draw(count)]
+            chain = cont_get(step)
+            if chain is None:
+                chain = self._continuation(step, target, dist, succ, cont)
+            walk += chain
             here = chain[-1]
         if tail is not None:
             walk.append(tail)
-        if draw is None:
-            self._single_path[(src, dst)] = walk
-            return list(walk)
-        self._flow_path[(src, dst, flow)] = tuple(walk)
         return walk
+
+    def links(self, src: str, dst: str, flow: str) -> Tuple[int, ...]:
+        """:meth:`path` as link indices (positions in
+        ``topology.links``, through :func:`walk_links`; attachment hops
+        carry none) — the form the engines consume, memoised per flow."""
+        key = (src, dst, flow)
+        found = self._flow_links.get(key)
+        if found is None:
+            found = self._flow_links[key] = walk_links(
+                self.path(src, dst, flow), self.pair_index
+            )
+        return found

@@ -31,13 +31,14 @@ truth (per-link utilization, queueing, drops) always covers every flow.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.fabric import (
     EcmpPaths,
     fat_tree_topology,
     leaf_spine_topology,
+    pair_link_index,
+    walk_links,
 )
 from repro.net.packet import ServiceClass
 from repro.scenario import paper, registry
@@ -148,59 +149,49 @@ def datacenter_flows(
     if len(hosts) < 2:
         raise ValueError("datacenter topology needs >= 2 hosts")
 
+    # Each flow's route as link indices (positions in topology.links).
     if ecmp_seed is not None:
-        path_of = EcmpPaths.shared(topology, seed=ecmp_seed).path
+        route_of = EcmpPaths.shared(topology, seed=ecmp_seed).links
     else:
         routing = topology_routes(topology)
-        path_of = lambda src, dst, name: routing.path(src, dst)
+        pair_index = pair_link_index(topology)
+        # Static routes are a pure function of (src, dst) — memoize the
+        # resolved link tuple across the population.
+        static_routes: Dict[Tuple[str, str], Tuple[int, ...]] = {}
 
-    link_rates = {link.name: link.rate_bps for link in topology.links}
-    # (src, dst) node pair -> link name: route hops resolve through one
-    # tuple lookup instead of building an "a->b" string per hop (host
-    # attachment hops fall out as misses, exactly as before).
-    pair_name = {
-        (link.src, link.dst): link.name for link in topology.links
-    }
-    # Static routes are a pure function of (src, dst) — memoize the
-    # resolved link list across the population.
-    static_routes: Optional[Dict[Tuple[str, str], List[str]]] = (
-        {} if ecmp_seed is None else None
-    )
-    crossings: Counter = Counter()
-    placements: List[Tuple[str, str, str, int, object, List[str]]] = []
+        def route_of(src, dst, name):
+            route = static_routes.get((src, dst))
+            if route is None:
+                route = static_routes[(src, dst)] = walk_links(
+                    routing.path(src, dst), pair_index
+                )
+            return route
+
+    crossings = [0] * len(topology.links)
+    placements: List[Tuple[str, str, str, int, object, int]] = []
     base_rate_bps = float(paper.AVERAGE_RATE_PPS * packet_size_bits)
     num_hosts = len(hosts)
     randrange = rng.randrange
-    static_get = (
-        static_routes.get if static_routes is not None else None
-    )
-    pair_get = pair_name.get
     place = placements.append
-    count_route = crossings.update
     for i in range(num_flows):
         src = hosts[randrange(num_hosts)]
         dst = hosts[randrange(num_hosts)]
         while dst == src:
             dst = hosts[randrange(num_hosts)]
         name = f"dc-{i}"
-        route = static_get((src, dst)) if static_get is not None else None
-        if route is None:
-            nodes = path_of(src, dst, name)
-            route = [
-                ln for ln in map(pair_get, zip(nodes, nodes[1:]))
-                if ln is not None
-            ]
-            if static_routes is not None:
-                static_routes[(src, dst)] = route
+        route = route_of(src, dst, name)
+        for l in route:
+            crossings[l] += 1
         service = _pick_service(rng, mix)
-        place((name, src, dst, i, service, route))
-        count_route(route)
-    offered: Dict[str, float] = {
-        link: base_rate_bps * count for link, count in crossings.items()
-    }
+        place((name, src, dst, i, service, len(route)))
 
     peak_util = max(
-        (offered[link] / link_rates[link] for link in offered), default=0.0
+        (
+            base_rate_bps * count / link.rate_bps
+            for count, link in zip(crossings, topology.links)
+            if count
+        ),
+        default=0.0,
     )
     if peak_util <= 0:
         raise ValueError("no generated flow crosses an inter-switch link")
@@ -234,7 +225,7 @@ def datacenter_flows(
     datagram = (ServiceClass.DATAGRAM, 0, None)
     flows: List[FlowSpec] = []
     add_flow = flows.append
-    for name, src, dst, i, service, route in placements:
+    for name, src, dst, i, service, hops in placements:
         service_class, priority_class, request = classes.get(
             service, datagram
         )
@@ -249,7 +240,7 @@ def datacenter_flows(
                 priority_class=priority_class,
                 request=request,
                 record=i in recorded,
-                hops=len(route),
+                hops=hops,
             )
         )
     return tuple(flows)
