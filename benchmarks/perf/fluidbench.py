@@ -1,6 +1,6 @@
 """Fluid-engine benchmarks: flows/sec at scale and the packet crossover.
 
-Three measurements feed ``tools/perf_report.py --suite fluid`` (the
+Four measurements feed ``tools/perf_report.py --suite fluid`` (the
 tracked ``BENCH_fluid.json`` trajectory) and the CI fluid perf gate:
 
 * :func:`bench_fluid_scale` — generated fat-tree populations at 10k,
@@ -8,6 +8,13 @@ tracked ``BENCH_fluid.json`` trajectory) and the CI fluid perf gate:
   metric is
   *flow-advances per wall-clock second* (``events_processed`` /
   engine wall), the fluid analogue of the packet engine's events/sec.
+* :func:`bench_congested` — the regime the scale sweep never enters
+  (its populations run at 0.85 load, where the deterministic fluid
+  limit never queues): a 10k-flow fat-tree offered 1.05x its hottest
+  link, and a leaf-spine at 0.95 load under admission with two link
+  outages.  Every epoch there is backlogged, so the kernel serves it
+  through the exact waterfill and the plan compile re-resolves routes;
+  this is where a per-epoch cost that should be per-block shows.
 * :func:`bench_crossover` — one instance small enough for both engines
   (k=4 fat-tree), timed on each.  This is where the fluid engine's
   reason to exist becomes a number: the packet engine's wall scales with
@@ -21,6 +28,8 @@ Run directly for the CI gate::
 
     PYTHONPATH=src python benchmarks/perf/fluidbench.py --quick \\
         --gate BENCH_fluid.json
+    PYTHONPATH=src python benchmarks/perf/fluidbench.py --quick \\
+        --gate BENCH_fluid.json --gate-cell fluid_floor_backlogged_fat_tree
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from typing import Dict
 from repro.fluid import model as _fluid_model
 from repro.fluid.model import FluidOptions
 from repro.scenario import ScenarioRunner, registry
+from repro.scenario.spec import OutageEvent, OutageSpec
 
 
 def _resolved_backend() -> str:
@@ -55,6 +65,26 @@ SCALE_DURATION_SECONDS = 60.0
 #: The gate instance (mid-size: big enough to be numpy-bound, small
 #: enough for a CI smoke step).
 GATE_FLOWS, GATE_K = 10_000, 8
+#: Congested shapes: name -> (family, generator kwargs, outaged links).
+#: Outages are explicit, evenly spaced and ``duration / 36`` long (the
+#: ``fluid_failover`` shape of ``benchmarks/e2e``, on fixed links).
+CONGESTED_SHAPES = {
+    "backlogged_fat_tree": (
+        "gen:fat-tree",
+        dict(k=8, num_flows=10_000, target_utilization=1.05),
+        (),
+    ),
+    "failover_leaf_spine": (
+        "gen:leaf-spine",
+        dict(
+            leaves=16, spines=4, hosts_per_leaf=16, num_flows=8_000,
+            target_utilization=0.95, admission=True, with_requests=True,
+        ),
+        ("L-1->SP-1", "SP-2->L-3"),
+    ),
+}
+#: Each shape's committed floor is the gate cell ``fluid_floor_<shape>``.
+CONGESTED_FLOOR = "fluid_floor_"
 
 
 def _fluid_point(num_flows: int, k: int, duration: float) -> Dict[str, float]:
@@ -63,7 +93,31 @@ def _fluid_point(num_flows: int, k: int, duration: float) -> Dict[str, float]:
         "gen:fat-tree", gen_seed=1, k=k, num_flows=num_flows,
         duration=duration, engine="fluid",
     )
-    build_wall = time.perf_counter() - built
+    point = _run_point(spec, time.perf_counter() - built)
+    point["k"] = k
+    return point
+
+
+def _congested_point(shape: str, duration: float) -> Dict[str, float]:
+    family, kwargs, down = CONGESTED_SHAPES[shape]
+    built = time.perf_counter()
+    spec = registry.build(
+        family, gen_seed=1, duration=duration, engine="fluid", **kwargs
+    )
+    if down:
+        spec = spec.replace(outages=OutageSpec(events=tuple(
+            OutageEvent(
+                link=link, at=duration * (i + 0.5) / len(down),
+                duration=duration / 36.0,
+            )
+            for i, link in enumerate(down)
+        )))
+    point = _run_point(spec, time.perf_counter() - built)
+    point["shape"] = shape
+    return point
+
+
+def _run_point(spec, build_wall: float) -> Dict[str, float]:
     # Benches read aggregates only: skip per-flow delay sample lists
     # (FluidOptions.record_flows) but keep everything else identical to
     # a ScenarioRunner dispatch.
@@ -75,9 +129,8 @@ def _fluid_point(num_flows: int, k: int, duration: float) -> Dict[str, float]:
     run = sim.run().collect()
     total_wall = time.perf_counter() - started
     return {
-        "num_flows": num_flows,
-        "k": k,
-        "duration": duration,
+        "num_flows": len(spec.flows),
+        "duration": float(spec.duration),
         "backend": _resolved_backend(),
         "build_wall_seconds": build_wall,
         "wall_seconds": total_wall,
@@ -95,6 +148,17 @@ def bench_fluid_scale(scale: float = 1.0) -> Dict[str, Dict[str, float]]:
         flows = max(int(num_flows * scale), 1000)
         out[f"flows_{num_flows}"] = _fluid_point(flows, k, duration)
     return out
+
+
+def bench_congested(scale: float = 1.0) -> Dict[str, Dict[str, float]]:
+    """Fluid throughput where every epoch is backlogged (full-size
+    populations at a scaled horizon: the regime, not the size, is the
+    point)."""
+    duration = max(SCALE_DURATION_SECONDS * scale, 5.0)
+    return {
+        shape: _congested_point(shape, duration)
+        for shape in CONGESTED_SHAPES
+    }
 
 
 def bench_crossover(scale: float = 1.0) -> Dict[str, float]:
@@ -144,6 +208,7 @@ def run_all(scale: float = 1.0) -> Dict[str, object]:
     scale = max(scale, 0.01)
     return {
         "scale_sweep": bench_fluid_scale(scale),
+        "congested": bench_congested(scale),
         "crossover": bench_crossover(scale),
     }
 
@@ -151,8 +216,8 @@ def run_all(scale: float = 1.0) -> Dict[str, object]:
 def run_baseline(scale: float = 1.0) -> Dict[str, object]:
     """The frozen reference: packet engine on the crossover instance,
     plus the fluid flows/sec floors (the gate's regression anchors,
-    re-frozen only deliberately) — the CI gate cell at 10k flows and
-    the 1M-flow scale regime's own floor."""
+    re-frozen only deliberately) — the CI gate cell at 10k flows, the
+    1M-flow scale regime's own floor, and the two congested shapes."""
     scale = max(scale, 0.01)
     crossover = bench_crossover(scale)
     duration = max(SCALE_DURATION_SECONDS * scale, 5.0)
@@ -170,6 +235,10 @@ def run_baseline(scale: float = 1.0) -> Dict[str, object]:
         },
         "fluid_floor": gate,
         "fluid_floor_1m": floor_1m,
+        **{
+            CONGESTED_FLOOR + shape: point
+            for shape, point in bench_congested(scale).items()
+        },
     }
 
 
@@ -184,8 +253,9 @@ def _gate(
     """Fail CI when fluid flows/sec regresses >``tolerance`` against the
     committed ``BENCH_fluid.json`` gate point (same container image, so
     a 25% drop is a real regression, not machine noise).  ``cell``
-    selects the committed floor: the default 10k CI cell, or
-    ``fluid_floor_1m`` for the (slow) full-scale leg."""
+    selects the committed floor: the default 10k CI cell,
+    ``fluid_floor_1m`` for the (slow) full-scale leg, or one of the
+    congested shapes (``fluid_floor_<shape>``)."""
     import json
 
     with open(report_path) as handle:
@@ -211,10 +281,15 @@ def _gate(
     threshold = floor * (1.0 - tolerance)
     rate = 0.0
     for _ in range(3):
-        measured = _fluid_point(
-            floor_point["num_flows"], floor_point["k"],
-            floor_point["duration"],
-        )
+        if "shape" in floor_point:
+            measured = _congested_point(
+                floor_point["shape"], floor_point["duration"]
+            )
+        else:
+            measured = _fluid_point(
+                floor_point["num_flows"], floor_point["k"],
+                floor_point["duration"],
+            )
         rate = max(rate, measured["flows_per_sec"])
         if rate >= threshold:
             break
@@ -244,9 +319,13 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--gate-cell", default="fluid_floor",
-        choices=("fluid_floor", "fluid_floor_1m"),
+        choices=(
+            "fluid_floor", "fluid_floor_1m",
+            *(CONGESTED_FLOOR + shape for shape in CONGESTED_SHAPES),
+        ),
         help="committed floor to gate against (fluid_floor_1m re-runs "
-        "the full 1M-flow leg: minutes, not a CI smoke step)",
+        "the full 1M-flow leg: minutes, not a CI smoke step; the "
+        "fluid_floor_<shape> cells re-run a congested shape)",
     )
     args = parser.parse_args(argv)
     scale = 0.125 if args.quick else 1.0

@@ -159,6 +159,7 @@ class FluidControlPlan:
         outages: int,
         restores: int,
         records: List[_Record],
+        path_counts: Tuple[int, int],
     ):
         self.spec = spec
         self.transitions = transitions
@@ -168,6 +169,10 @@ class FluidControlPlan:
         self.restores = restores
         self.recomputes = outages + restores
         self.records = records
+        #: Per (transition, live flow) under a non-empty down-set:
+        #: (paths that are the base path object, paths resolved on the
+        #: masked graph) — ``kernel_stats``'s ``plan_paths_*``.
+        self.path_counts = path_counts
         #: Every distinct state the run visits, base first (handy for
         #: pre-resolving per-state data like the model's weights).
         seen = {id(base_state): base_state}
@@ -300,34 +305,46 @@ class _PlanBuilder:
             )
 
     # -- path resolution ----------------------------------------------
-    def _resolve(self, down: frozenset, f: int) -> Optional[Tuple[int, ...]]:
-        """The flow's link path under ``down``, or None (unreachable).
-        Pure in ``(down, f)``; the all-up state returns the base path
-        object itself."""
+    def _router(self, down: frozenset):
+        """``f -> link path`` under ``down`` (None: unreachable), pure
+        in ``(down, f)``.  The all-up state returns the base path
+        objects themselves; an ECMP link-state view returns them too
+        for every flow whose walk the mask leaves alone
+        (:meth:`~repro.net.fabric.EcmpPaths.masked`), so only flows
+        whose next-hop state changed cost a walk."""
         if not down:
-            return self.base_paths[f]
-        flow = self.flows[f]
+            return self.base_paths.__getitem__
+        flows = self.flows
         if self._ecmp_base is not None:
-            chooser = self._ecmp_base.masked(down)
-            try:
-                return chooser.links(
-                    flow.source_host, flow.dest_host, flow.name
-                )
-            except RoutingError:
-                return None
+            links = self._ecmp_base.masked(down).links
+
+            def route(f: int) -> Optional[Tuple[int, ...]]:
+                flow = flows[f]
+                try:
+                    return links(flow.source_host, flow.dest_host, flow.name)
+                except RoutingError:
+                    return None
+
+            return route
         spf = self._spf_cache.get(down)
         if spf is None:
             spf = spf_from_topology(self.spec.topology, down)
             self._spf_cache[down] = spf
-        src_sw = self._attach[flow.source_host]
-        dst_sw = self._attach[flow.dest_host]
-        try:
-            mid = spf.path(src_sw, dst_sw)
-        except RoutingError:
-            return None
-        return walk_links(
-            [flow.source_host] + mid + [flow.dest_host], self.pair_index
-        )
+        attach, pair_index = self._attach, self.pair_index
+
+        def route(f: int) -> Optional[Tuple[int, ...]]:
+            flow = flows[f]
+            try:
+                mid = spf.path(
+                    attach[flow.source_host], attach[flow.dest_host]
+                )
+            except RoutingError:
+                return None
+            return walk_links(
+                [flow.source_host] + mid + [flow.dest_host], pair_index
+            )
+
+        return route
 
     # -- replay --------------------------------------------------------
     def build(self, plan_cls, transitions) -> "FluidControlPlan":
@@ -346,6 +363,10 @@ class _PlanBuilder:
         torn: set = set()
         cur: List[Optional[Tuple[int, ...]]] = list(self.base_paths)
         outages = restores = 0
+        base_paths = self.base_paths
+        # Under a non-empty down-set: flows resolved, and how many came
+        # back as the base path object itself.
+        resolved = inherited = 0
         raw: List[Tuple[float, PlanState, Dict[int, int]]] = []
 
         for tr in transitions:
@@ -357,6 +378,7 @@ class _PlanBuilder:
                 outages += 1
             dead = self.link_index[tr.link]
             down_key = frozenset(down)
+            route = self._router(down_key)
             flush: Dict[int, int] = {}
             for f in range(F):
                 if f in torn:
@@ -364,7 +386,10 @@ class _PlanBuilder:
                 old = cur[f]
                 if not tr.up and old and dead in old:
                     flush.setdefault(f, dead)
-                new = self._resolve(down_key, f)
+                new = route(f)
+                if down:
+                    inherited += new is base_paths[f]
+                    resolved += 1
                 record = records[f]
                 if f not in self.reserved:
                     # Best-effort: follows the new tables; count moves.
@@ -436,6 +461,7 @@ class _PlanBuilder:
             outages=outages,
             restores=restores,
             records=records,
+            path_counts=(inherited, resolved - inherited),
         )
 
     def _tear(self, f, records, torn, cur, flush, dead) -> None:

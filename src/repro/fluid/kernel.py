@@ -10,15 +10,16 @@ drain (PR 7): whole stretches of simulated time collapse into one
 vectorised step whenever the model can prove the collapsed epochs are
 indistinguishable from stepping them one by one.
 
-Three coordinated mechanisms:
+Four coordinated mechanisms:
 
 * **CSR incidence** (:class:`CsrIncidence`) — the (flow, link) incidence
-  is compiled once per run into int32/float64 arrays: flow-major entry
-  lists (``ef``/``el``, the bincount currency) plus a link-major
-  permutation with row pointers (``lk_entry``/``link_ptr``) so per-link
-  per-epoch loads come out of one ``add.reduceat`` instead of a Python
-  rebuild per call.  Waterfill, backlog updates, and the accumulators
-  all share it.
+  is compiled once per run into flat arrays, indices at the native
+  ``intp`` width so that gathers and bincounts through them convert
+  nothing: flow-major entry lists (``ef``/``el``, the bincount
+  currency) plus a link-major permutation with row pointers
+  (``lk_entry``/``link_ptr``) so per-link per-epoch loads come out of
+  one ``add.reduceat`` instead of a Python rebuild per call.  Waterfill,
+  backlog updates, and the accumulators all share it.
 
 * **Fused multi-epoch blocks** — the on/off phase grid for a block of
   ``K`` epochs is evaluated as one ``(flows, K)`` array; per-link
@@ -31,6 +32,17 @@ Three coordinated mechanisms:
   (reassociation round-off, pinned ≤1e-9 by the property grid).  The
   moment any link would saturate, the kernel falls back to the exact
   single-epoch waterfill for that epoch.
+
+* **Block cursor** — an evaluated block stays on the kernel until its
+  columns are spent (``_take_block``).  A congested or backlogged
+  epoch consumes one column and the next epoch takes the next one; an
+  epoch that needs the full look-ahead again tops the held columns up
+  with only the epochs not yet evaluated.  The grid is column-wise
+  partition-independent bit-for-bit, so every epoch's column is
+  evaluated exactly once per run in every regime (a backlogged run
+  costs one grid column per epoch, like an uncongested one), and the
+  fused prefixes, hence every accumulator fold, are exactly those of
+  re-evaluating a full block at each epoch.
 
 * **Steady-state fast-forward** — when every flow is constant-rate
   (duty >= 1: no on/off transitions) the kernel computes one reference
@@ -110,11 +122,11 @@ class CsrIncidence:
         total = int(counts.sum())
         self.num_flows = F
         self.num_links = num_links
-        self.ef = np.repeat(
-            np.arange(F, dtype=np.int32), counts
-        )
+        # intp, not int32: a gather or bincount through a narrower
+        # index array converts the whole array on every call.
+        self.ef = np.repeat(np.arange(F, dtype=np.intp), counts)
         self.el = np.fromiter(
-            chain.from_iterable(paths), dtype=np.int32, count=total
+            chain.from_iterable(paths), dtype=np.intp, count=total
         )
         el = self.el
         self.flow_ptr = np.zeros(F + 1, dtype=np.int64)
@@ -160,6 +172,20 @@ class CsrIncidence:
         if self.matrix is not None:
             return self.matrix @ per_flow
         return self.link_loads(per_flow)
+
+
+def first_saturated_links(ef, el, sat_entry):
+    """``(flows, links)``: each flow with a saturated entry and the
+    lowest-numbered saturated link on its path.  Entries are flow-major
+    (``ef`` non-decreasing), so the flows' runs among the saturated
+    entries are contiguous and one ``minimum.reduceat`` over them is the
+    exact integer min of a per-entry scatter, without its cost."""
+    idx = np.flatnonzero(sat_entry)
+    flows = ef[idx]
+    first = np.ones(idx.size, dtype=bool)
+    np.not_equal(flows[1:], flows[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return flows[starts], np.minimum.reduceat(el[idx], starts)
 
 
 class FluidKernel:
@@ -235,6 +261,10 @@ class FluidKernel:
         self.rec_weights: List[np.ndarray] = []
         self.events = 0
         self.max_capacity_overuse = 0.0
+        self.stats = sim.kernel_stats
+        # The evaluated-but-unspent phase grid (see ``_take_block``):
+        # (first epoch, arrival columns, no-route shed rows).
+        self._held = (0, np.zeros((F, 0)), np.zeros((0, 0)))
 
         # -- epoch grid (precomputed once) -----------------------------
         # Outage-free runs keep the original uniform-grid arithmetic
@@ -324,7 +354,7 @@ class FluidKernel:
         (``shed``, rows = ``nr_idx``): the source keeps generating, the
         network drops at the first hop.  Called exactly once per
         consumed epoch range, so block re-entry never double-counts."""
-        if shed is None:
+        if not self.nr_idx.size:
             return
         total = shed[:, k0:k1].sum(axis=1)
         idx = self.nr_idx
@@ -426,6 +456,41 @@ class FluidKernel:
             e = self._advance_block(e, min(self._block, end - e))
 
     # -- fused block path ----------------------------------------------
+    def _take_block(self, e0: int, count: int, whole: bool):
+        """The evaluated grid from epoch ``e0`` on, as ``(arrival,
+        shed)`` with column 0 = epoch ``e0``: the held block's unspent
+        columns, topped up to ``count`` epochs when there are none left
+        or the caller needs the ``whole`` look-ahead.  Only columns not
+        yet held are evaluated, so each epoch's column is computed
+        exactly once per run whatever regimes alternate, and
+        ``_on_block`` is column-wise partition-independent, so the
+        values are those of any other blocking.  Blocks are clipped to
+        the span and the next span starts past them, so a held block
+        (and its shed rows) never outlives its view."""
+        g0, arrival, shed = self._held
+        have = max(g0 + arrival.shape[1] - e0, 0)
+        if have and (have >= count or not whole):
+            return arrival[:, e0 - g0:], shed[:, e0 - g0:]
+        if not have:
+            # Spent: free it before the next block's scratch exists.
+            self._held = arrival = shed = None
+        fresh = self._on_block(e0 + have, e0 + count)
+        fresh *= self.peak[:, None]
+        self.stats["grid_columns"] += count - have
+        # Shed flows: no-route arrivals are set aside (ledgered per
+        # consumed epoch by the caller) and torn-down flows generate
+        # nothing; both then carry zero demand through the block.
+        fresh_shed = fresh[self.nr_idx]
+        fresh[self.nr_idx] = 0.0
+        fresh[self.zero_idx] = 0.0
+        if have:
+            fresh = np.concatenate((arrival[:, e0 - g0:], fresh), axis=1)
+            fresh_shed = np.concatenate(
+                (shed[:, e0 - g0:], fresh_shed), axis=1
+            )
+        self._held = (e0, fresh, fresh_shed)
+        return fresh, fresh_shed
+
     def _advance_block(self, e0: int, count: int) -> int:
         """Advance epochs ``[e0, e0+count)``; returns the next epoch.
 
@@ -435,19 +500,11 @@ class FluidKernel:
         the exact single-epoch waterfill.
         """
         e1 = e0 + count
-        arrival = self.peak[:, None] * self._on_block(e0, e1)
-        # Shed flows: no-route arrivals are set aside (ledgered per
-        # consumed epoch below) and torn-down flows generate nothing;
-        # both then carry zero demand through the block.
-        shed = None
-        if self.nr_idx.size:
-            shed = arrival[self.nr_idx].copy()
-            arrival[self.nr_idx] = 0.0
-        if self.zero_idx.size:
-            arrival[self.zero_idx] = 0.0
-        if self.backlog.any():
+        backlogged = bool(self.backlog.any())
+        arrival, shed = self._take_block(e0, count, whole=not backlogged)
+        if backlogged:
             # A queued flow couples epochs; serve this epoch exactly
-            # and re-enter with whatever the block has left.
+            # and come back for the block's next column.
             self._ledger_noroute(shed, 0, 1)
             self._single_epoch(e0, arrival[:, 0])
             return e0 + 1
@@ -500,6 +557,7 @@ class FluidKernel:
                     self.rec_delays.append(zeros)
                     self.rec_weights.append(w[:, k])
         self.events += self.F * K
+        self.stats["epochs_fused"] += K
 
     # -- exact single-epoch fallback -------------------------------------
     def _single_epoch(
@@ -530,7 +588,8 @@ class FluidKernel:
             )
         rate[~self.routed] = demand[~self.routed]
 
-        used = np_.bincount(csr.el, weights=rate[csr.ef], minlength=L)
+        rate_entry = rate[csr.ef]
+        used = np_.bincount(csr.el, weights=rate_entry, minlength=L)
         over = float(np_.max(used / self.caps)) - 1.0 if L else -1.0
         if over > self.max_capacity_overuse:
             self.max_capacity_overuse = over
@@ -570,7 +629,7 @@ class FluidKernel:
         cumwait = np_.cumsum(q_lt, axis=1) / self.caps[:, None]
         cumwait_flat = cumwait.reshape(-1)
 
-        served_entry = rate[csr.ef] * dt
+        served_entry = rate_entry * dt
         served_lt = np_.bincount(
             self.e_lt, weights=served_entry, minlength=L * T
         )
@@ -609,6 +668,7 @@ class FluidKernel:
             self.rec_delays.append(sample[0])
             self.rec_weights.append(sample[1])
         self.events += F
+        self.stats["epochs_single"] += 1
 
         if not capture:
             return None
@@ -669,6 +729,7 @@ class FluidKernel:
                 self.rec_delays.append(delay)
                 self.rec_weights.append(w)
         self.events += self.F * n
+        self.stats["epochs_fast_forwarded"] += n
 
     # -- waterfill -------------------------------------------------------
     def _waterfill(
@@ -680,6 +741,8 @@ class FluidKernel:
         csr = self.csr
         F, L = self.F, self.L
         ef, el = csr.ef, csr.el
+        stats = self.stats
+        stats["waterfill_calls"] += 1
         active = np_.zeros(F, dtype=bool)
         active[members] = (demand[members] > 0) & (weight[members] > 0)
         if not active.any():
@@ -688,6 +751,7 @@ class FluidKernel:
         rounds = 0
         while rounds < max_rounds:
             rounds += 1
+            stats["waterfill_rounds"] += 1
             aw = np_.where(active, weight, 0.0)
             wsum = np_.bincount(el, weights=aw[ef], minlength=L)
             contended = wsum > 0
@@ -707,13 +771,13 @@ class FluidKernel:
                 rate += lam * aw
             used = np_.bincount(el, weights=rate[ef], minlength=L)
             slack[:] = self.caps - used
-            sat_entry = (slack[el] <= self.eps[el]) & active[ef]
+            # Saturation is a per-link fact: test it at link width and
+            # gather the verdict, not both operands, per entry.
+            sat_entry = (slack <= self.eps)[el] & active[ef]
             if sat_entry.any():
-                bn = np_.full(F, L, dtype=np_.int64)
-                np_.minimum.at(bn, ef[sat_entry], el[sat_entry])
-                frozen = bn < L
-                bottleneck[frozen] = bn[frozen]
-                active &= ~frozen
+                frozen, first = first_saturated_links(ef, el, sat_entry)
+                bottleneck[frozen] = first
+                active[frozen] = False
             if not active.any():
                 return
         # Round cap exhausted: final demand-capped proportional fill.

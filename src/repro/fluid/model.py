@@ -66,6 +66,7 @@ import math
 import os
 import random
 import time
+from numbers import Integral, Real
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net.packet import ServiceClass
@@ -95,6 +96,18 @@ TIERED_KINDS = frozenset({"unified", "priority"})
 #: name), so disciplines of one spec see identical arrivals (the
 #: paper's A/B methodology) and reruns are bit-identical.
 _PHASE_SALT = "fluid-phase"
+
+#: Keys of :attr:`FluidSimulation.kernel_stats`: phase-grid columns
+#: evaluated; epochs served in a fused closed-form prefix / through the
+#: exact single-epoch waterfill / replayed by fast-forward; waterfill
+#: invocations and rounds; and, per (link-state transition, flow) of the
+#: control plan, paths that came back as the base path object itself
+#: versus paths resolved on the masked graph.
+KERNEL_STATS = (
+    "grid_columns", "epochs_fused", "epochs_single",
+    "epochs_fast_forwarded", "waterfill_calls", "waterfill_rounds",
+    "plan_paths_inherited", "plan_paths_rewalked",
+)
 
 _EPOCH_ENV = "REPRO_FLUID_EPOCH"
 _BACKEND_ENV = "REPRO_FLUID_BACKEND"
@@ -147,20 +160,65 @@ class FluidOptions:
     fast_forward: bool = True
     fuse_epochs: int = 0
 
+    def __post_init__(self):
+        def require(ok: bool, field: str, expected: str) -> None:
+            if not ok:
+                raise ValueError(
+                    f"FluidOptions.{field} must be {expected}, "
+                    f"got {getattr(self, field)!r}"
+                )
+
+        def positive(value) -> bool:
+            return isinstance(value, Real) and 0.0 < value < math.inf
+
+        require(
+            self.epoch_seconds is None or positive(self.epoch_seconds),
+            "epoch_seconds", "a positive, finite number of seconds",
+        )
+        require(
+            positive(self.target_flow_epochs),
+            "target_flow_epochs", "a positive, finite budget",
+        )
+        require(
+            isinstance(self.max_rounds, Integral) and self.max_rounds >= 1,
+            "max_rounds", "an integer >= 1",
+        )
+        require(
+            self.backend in ("auto", "numpy", "pure"),
+            "backend", "one of auto|numpy|pure",
+        )
+        require(
+            isinstance(self.fuse_epochs, Integral) and self.fuse_epochs >= 0,
+            "fuse_epochs", "an integer >= 0 (0 sizes blocks automatically)",
+        )
+
     @classmethod
     def from_env(cls, **overrides) -> "FluidOptions":
+        origin: Dict[str, str] = {}
         epoch = os.environ.get(_EPOCH_ENV)
         if epoch and "epoch_seconds" not in overrides:
-            overrides["epoch_seconds"] = float(epoch)
+            origin["epoch_seconds"] = f"{_EPOCH_ENV}={epoch!r}"
+            try:
+                overrides["epoch_seconds"] = float(epoch)
+            except ValueError:
+                overrides["epoch_seconds"] = epoch  # rejected below
         backend = os.environ.get(_BACKEND_ENV)
         if backend and "backend" not in overrides:
+            origin["backend"] = f"{_BACKEND_ENV}={backend!r}"
             overrides["backend"] = backend
         ff = os.environ.get(_FF_ENV)
         if ff and "fast_forward" not in overrides:
             overrides["fast_forward"] = ff.strip().lower() not in (
                 "0", "false", "off", "no"
             )
-        return cls(**overrides)
+        try:
+            return cls(**overrides)
+        except ValueError as exc:
+            # Name the variable when the rejected value came from one.
+            for field, source in origin.items():
+                if f"FluidOptions.{field} " in str(exc):
+                    raise ValueError(f"{exc} (from {source})") from None
+            raise
 
 
 # ----------------------------------------------------------------------
@@ -508,6 +566,11 @@ class FluidSimulation:
             else 0
         )
 
+        #: What the engine did, as plain integer counts (not part of
+        #: ``to_dict``/``comparable_dict``): filled by the NumPy kernel
+        #: as it runs, plan entries by the control-plan compile.
+        self.kernel_stats: Dict[str, int] = dict.fromkeys(KERNEL_STATS, 0)
+
         # -- control plane: outage schedule -> link-state epochs -------
         # ``epoch_starts`` stays None on the outage-free path, keeping
         # both backends on their original (bit-identical) uniform grid
@@ -539,6 +602,10 @@ class FluidSimulation:
                 committed=committed,
                 rng=rng,
             )
+            (
+                self.kernel_stats["plan_paths_inherited"],
+                self.kernel_stats["plan_paths_rewalked"],
+            ) = self.control_plan.path_counts
             for state in self.control_plan.states:
                 self._classify_state(state)
             if self.control_plan.boundaries:
@@ -591,10 +658,6 @@ class FluidSimulation:
         choice = self.options.backend
         if choice == "auto":
             return "numpy" if _np is not None else "pure"
-        if choice not in ("numpy", "pure"):
-            raise ValueError(
-                f"unknown fluid backend {choice!r}; expected auto|numpy|pure"
-            )
         if choice == "numpy" and _np is None:
             raise RuntimeError("numpy backend requested but numpy is absent")
         return choice

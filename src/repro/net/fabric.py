@@ -257,12 +257,20 @@ class EcmpPaths:
         removed from the graph.
 
         Link-state views are cached per exact down-set on *this*
-        instance, each with fully independent per-gateway and per-flow
-        memos — masking never reads or writes the full-graph memos, and
+        instance, each with its own per-gateway and per-flow memos —
+        masking never writes the full-graph memos, and
         ``masked(frozenset())`` is ``self``, so when the last failure
         heals the caller is handed back the original object and its
         original (bit-identical) paths.  Masking a masked view composes
         (the down-sets union).
+
+        A view *reads* this instance's memos for one purpose: a flow
+        whose memoised walk here meets the same successor tuple at
+        every node in the masked DAG is the same walk, draw for draw,
+        and the view returns this instance's link tuple by identity
+        instead of re-seeding and re-walking (:meth:`_inherit`).  So
+        resolving a population on a view costs walks only for flows
+        whose next-hop state changed.
         """
         dead = frozenset(down) | self.exclude_links
         if dead == self.exclude_links:
@@ -272,6 +280,7 @@ class EcmpPaths:
             inst = type(self)(
                 self.topology, seed=self.seed, exclude_links=dead
             )
+            inst._parent = self
             if len(self._masked) >= self._masked_cap:
                 del self._masked[next(iter(self._masked))]
             self._masked[dead] = inst
@@ -287,9 +296,14 @@ class EcmpPaths:
         self.seed = int(seed)
         self.exclude_links = frozenset(exclude_links)
         self._masked: Dict[frozenset, "EcmpPaths"] = {}
+        #: Set by :meth:`masked` on the views it creates, with the
+        #: per-(node, gateway) verdicts of :meth:`_inherit`'s test.
+        self._parent: Optional["EcmpPaths"] = None
+        self._same_hops: Dict[Tuple[str, str], bool] = {}
         #: Walk hop -> link index, over the *whole* topology: a masked
         #: view numbers links exactly as its parent does.
         self.pair_index = pair_link_index(topology)
+        self.link_ends = {i: hop for hop, i in self.pair_index.items()}
         adj: Dict[str, List[str]] = {n: [] for n in topology.nodes}
         radj: Dict[str, List[str]] = {n: [] for n in topology.nodes}
 
@@ -452,11 +466,54 @@ class EcmpPaths:
     def links(self, src: str, dst: str, flow: str) -> Tuple[int, ...]:
         """:meth:`path` as link indices (positions in
         ``topology.links``, through :func:`walk_links`; attachment hops
-        carry none) — the form the engines consume, memoised per flow."""
+        carry none) — the form the engines consume, memoised per flow.
+        On a masked view, the parent's tuple itself when the flow's
+        walk is untouched by the mask."""
         key = (src, dst, flow)
         found = self._flow_links.get(key)
         if found is None:
-            found = self._flow_links[key] = walk_links(
-                self.path(src, dst, flow), self.pair_index
-            )
+            if self._parent is not None:
+                found = self._inherit(src, dst, key)
+            if found is None:
+                found = walk_links(
+                    self.path(src, dst, flow), self.pair_index
+                )
+            self._flow_links[key] = found
         return found
+
+    def _inherit(self, src: str, dst: str, key) -> Optional[Tuple[int, ...]]:
+        """The parent's memoised link tuple for ``key``, iff this view
+        would walk the same nodes: a walk is a pure function of (seed,
+        flow, successor tuple at each node visited), so it is enough
+        that every node the parent's walk left through a numbered link
+        has the same successors toward the gateway here.  Anything
+        else — a flow, gateway or node the parent never memoised, a hop
+        the link index does not number, a changed tuple — returns None
+        and the caller walks.  Reads the parent's memos, never writes."""
+        parent = self._parent
+        base = parent._flow_links.get(key)
+        gate = self._gateway_of(dst)
+        known = parent._toward.get(gate)
+        here = self._adj.get(src)
+        if base is None or known is None or here is None or src == dst:
+            return None
+        # A degree-1 source (a host) steps to its only neighbour
+        # without consulting the DAG; the attachment hop has no link.
+        here = here[0] if len(here) == 1 else src
+        same = self._same_hops
+        ends = self.link_ends
+        for link in base:
+            tail, head = ends[link]
+            if tail != here:
+                return None
+            ok = same.get((here, gate))
+            if ok is None:
+                dist, succ, _cont = self._routes_toward(gate)
+                mine = succ.get(here)
+                if mine is None:
+                    mine = self._successors(here, dist, succ)
+                ok = same[(here, gate)] = mine == known[1].get(here)
+            if not ok:
+                return None
+            here = head
+        return base if here == gate else None

@@ -209,6 +209,47 @@ class TestRestoreIdentity:
         assert out_sim.paths == free_sim.paths
 
 
+class TestPlanCompileCost:
+    def test_plan_resolves_only_moved_flows_on_the_masked_graph(self):
+        """``kernel_stats`` splits every (transition under an outage,
+        flow) resolution into base paths handed back by identity and
+        paths resolved on the masked graph: only flows leaving the
+        failed uplink's leaf for another leaf are in the second set."""
+        spec = registry.build(
+            "gen:leaf-spine", gen_seed=1, duration=10.0,
+            with_requests=False, engine="fluid",
+        )
+        spec = dataclasses.replace(
+            spec,
+            outages=OutageSpec(
+                events=(
+                    OutageEvent(link="L-1->SP-1", at=3.0, duration=4.0),
+                )
+            ),
+        )
+        sim = FluidSimulation(spec, spec.disciplines[0])
+        leaf = {a.host: a.switch for a in spec.topology.host_attachments}
+        exposed = [
+            f for f, flow in enumerate(spec.flows)
+            if leaf[flow.source_host] == "L-1"
+            and leaf[flow.dest_host] != "L-1"
+        ]
+        assert 0 < len(exposed) < len(spec.flows) // 2
+        stats = sim.kernel_stats
+        assert stats["plan_paths_rewalked"] == len(exposed)
+        # One transition runs under a non-empty down-set; the restore
+        # is the interned base state and resolves nothing.
+        assert stats["plan_paths_inherited"] == len(spec.flows) - len(exposed)
+        moved = sim.control_plan.boundaries[0].state
+        for f, path in enumerate(moved.paths):
+            assert (path is sim.paths[f]) == (f not in exposed)
+        # The pure backend compiles the same plan, same counts.
+        pure = FluidSimulation(
+            spec, spec.disciplines[0], FluidOptions(backend="pure")
+        )
+        assert pure.kernel_stats == stats
+
+
 class TestPairedDraws:
     """The sampled outage process draws from the named
     ``"outage:process"`` stream, so the compiled schedule pairs across

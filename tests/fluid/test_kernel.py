@@ -14,13 +14,21 @@ Three distinct contracts, tested at three distinct strengths:
   ``events_processed`` and per-epoch sample lists, with the warmup
   crossing (the admission-to-statistics event an elided epoch must not
   straddle) landing exactly on a would-be-skipped epoch boundary.
+* the block cursor: every epoch's phase-grid column evaluated exactly
+  once (``kernel_stats`` counts, never wall clock) in congested,
+  backlogged, mixed and outage-segmented runs, *bitwise* equal to
+  re-evaluating a full block at every epoch.
 """
+
+import dataclasses
+import json
 
 import pytest
 
 from repro.fluid import FluidOptions, FluidSimulation
 from repro.fluid import model as fluid_model
 from repro.scenario import DisciplineSpec, ScenarioBuilder, registry
+from repro.scenario.spec import OutageEvent, OutageSpec, TopologySpec
 
 pytestmark = pytest.mark.skipif(
     fluid_model._np is None, reason="numpy not installed"
@@ -196,6 +204,9 @@ class TestFastForward:
         # reference epoch at each jump landing plus the trailing
         # partial epoch — everything else replays.
         assert computed <= 4
+        assert ff.kernel_stats["epochs_single"] == computed
+        assert ff.kernel_stats["epochs_fast_forwarded"] == 21 - computed
+        assert plain.kernel_stats["epochs_fast_forwarded"] == 0
         self.assert_bitwise_equal(ff, plain)
 
     def test_warmup_exactly_on_epoch_boundary(self, monkeypatch):
@@ -252,6 +263,191 @@ class TestFastForward:
         assert FluidOptions.from_env().fast_forward is False
         monkeypatch.setenv("REPRO_FLUID_FF", "1")
         assert FluidOptions.from_env().fast_forward is True
+
+
+STATE_FIELDS = (
+    "generated_bits", "delivered_bits", "backlog_bits", "dropped_bits",
+    "failure_drop_bits", "no_route_packets", "link_served_bits",
+    "link_drop_packets", "link_wait_num", "link_wait_den",
+    "link_realtime_bits", "link_failure_packets", "flushed_packets",
+    "events_processed", "samples",
+)
+
+
+def assert_bitwise_equal_runs(a, b):
+    for field in STATE_FIELDS:
+        assert getattr(a, field) == getattr(b, field), field
+    assert a.collect().comparable_dict() == b.collect().comparable_dict()
+
+
+def onoff_link_spec(flows, duration=20.0):
+    """``flows`` on/off sources of 85 pps (peak 170) on the 1000 pkt/s
+    single link: 14 keep it backlogged from the first epoch to the
+    last, 10 alternate between congested stretches and drained,
+    closed-form ones."""
+    builder = ScenarioBuilder("cursor").single_link().duration(
+        duration
+    ).seed(1)
+    builder.warmup(2.0)
+    for i in range(flows):
+        builder.add_flow(
+            f"b{i}", "src-host", "dst-host", average_rate_pps=85,
+            record=True,
+        )
+    builder.disciplines(DisciplineSpec.fifo())
+    return builder.build().replace(engine="fluid")
+
+
+def spur_outage_spec():
+    """Four on/off flows overloading the diamond's primary path (always
+    backlogged, rerouted and flushed by the primary's outage) beside
+    one flow on a spur link with no alternative: while the spur is down
+    that flow has no route and its arrivals are the block's shed rows.
+    The spur outage ends off the epoch grid, so a boundary splits an
+    epoch."""
+    topology = TopologySpec.graph(
+        nodes=("S-A", "S-B", "S-C", "S-D", "S-E"),
+        links=[
+            {"src": "S-A", "dst": "S-B"}, {"src": "S-B", "dst": "S-C"},
+            {"src": "S-A", "dst": "S-D"}, {"src": "S-D", "dst": "S-C"},
+            {"src": "S-A", "dst": "S-E"},
+        ],
+        host_attachments=(
+            ("h-src", "S-A"), ("h-dst", "S-C"), ("h-spur", "S-E"),
+        ),
+    )
+    builder = (
+        ScenarioBuilder("cursor-outage").topology(topology)
+        .duration(20.0).warmup(2.0).seed(1).validate()
+    )
+    for i in range(4):
+        builder.add_flow(
+            f"f{i}", "h-src", "h-dst", average_rate_pps=400, record=True
+        )
+    builder.add_flow(
+        "spur", "h-src", "h-spur", average_rate_pps=200, record=True
+    )
+    builder.disciplines(DisciplineSpec.unified(name="CSZ"))
+    return dataclasses.replace(
+        builder.build().replace(engine="fluid"),
+        outages=OutageSpec(events=(
+            OutageEvent(link="S-A->S-B", at=5.0, duration=4.0),
+            OutageEvent(link="S-A->S-E", at=7.0, duration=6.13),
+        )),
+    )
+
+
+def run_cursor(spec, fuse_epochs, reevaluate=False):
+    """One kernel run at ``epoch_seconds=0.05``; ``reevaluate`` drops
+    the held block before every step, which is the block-per-epoch
+    re-evaluation the cursor replaced."""
+    from repro.fluid.kernel import FluidKernel
+
+    sim = FluidSimulation(
+        spec, spec.disciplines[0],
+        FluidOptions(
+            backend="numpy", epoch_seconds=0.05, fuse_epochs=fuse_epochs
+        ),
+    )
+    if not reevaluate:
+        return sim.run()
+
+    class Reevaluating(FluidKernel):
+        def _advance_block(self, e0, count):
+            self._held = FluidKernel(sim)._held
+            return super()._advance_block(e0, count)
+
+    Reevaluating(sim).run()
+    return sim
+
+
+class TestBlockCursor:
+    """Each epoch's grid column is evaluated once, whatever follows."""
+
+    FUSE = (1, 3, 0)  # 0 = automatic block size (64 here)
+
+    def test_backlogged_run_costs_one_column_per_epoch(self):
+        spec = onoff_link_spec(14)
+        runs = [run_cursor(spec, fuse) for fuse in self.FUSE]
+        for sim in runs:
+            stats = sim.kernel_stats
+            assert stats["grid_columns"] == sim.num_epochs == 400
+            # Backlogged throughout: no epoch takes the closed form ...
+            assert stats["epochs_single"] == 400
+            assert stats["epochs_fused"] == 0
+            assert sum(sim.dropped_bits) > 0
+            # ... so no accumulator fold depends on the block size.
+            assert_bitwise_equal_runs(sim, runs[0])
+        stale = run_cursor(spec, 0, reevaluate=True)
+        assert stale.kernel_stats["grid_columns"] > 20 * 400
+        assert_bitwise_equal_runs(stale, runs[0])
+
+    @pytest.mark.parametrize("fuse_epochs", FUSE)
+    def test_mixed_regimes_keep_the_fused_prefixes(self, fuse_epochs):
+        """Congested stretches alternate with drained ones: the cursor
+        tops a partly spent block up instead of starting over, and must
+        land on the very prefixes (hence accumulator folds) that a full
+        block evaluated at every epoch produces."""
+        spec = onoff_link_spec(10)
+        sim = run_cursor(spec, fuse_epochs)
+        stats = sim.kernel_stats
+        assert stats["grid_columns"] == sim.num_epochs == 400
+        assert stats["epochs_fused"] + stats["epochs_single"] == 400
+        assert min(stats["epochs_fused"], stats["epochs_single"]) > 30
+        stale = run_cursor(spec, fuse_epochs, reevaluate=True)
+        assert_bitwise_equal_runs(sim, stale)
+        if fuse_epochs != 1:
+            assert stale.kernel_stats["grid_columns"] > 400
+
+    def test_outage_segments_with_shed_rows(self):
+        spec = spur_outage_spec()
+        runs = [run_cursor(spec, fuse) for fuse in self.FUSE]
+        for sim in runs:
+            assert len(sim.segments) == 5
+            assert any(seg.state.noroute for seg in sim.segments)
+            # The 400 grid epochs plus those a boundary split in two.
+            assert sim.kernel_stats["grid_columns"] == sim.num_epochs > 400
+            assert sim.kernel_stats["epochs_fused"] == 0
+            assert sim.no_route_packets[4] > 0 and sim.flushed_packets > 0
+            assert sim.collect().invariants_clean
+            assert_bitwise_equal_runs(sim, runs[0])
+        assert_bitwise_equal_runs(
+            run_cursor(spec, 0, reevaluate=True), runs[0]
+        )
+
+    def test_kernel_stats_stay_off_the_result(self):
+        sim = run_cursor(onoff_link_spec(14, duration=2.0), 0)
+        stats = sim.kernel_stats
+        assert stats["waterfill_calls"] == stats["epochs_single"] == 40
+        assert stats["waterfill_rounds"] >= stats["waterfill_calls"]
+        assert all(type(value) is int for value in stats.values())
+        payload = json.dumps(sim.collect().to_dict())
+        assert "kernel_stats" not in payload and "grid_columns" not in payload
+
+
+class TestFirstSaturatedLinks:
+    def test_matches_the_minimum_at_scatter(self):
+        """Flows crossing several saturated links (out of index order),
+        one, or none: per flow, the lowest saturated link index — what
+        ``np.minimum.at`` scattered before ``reduceat`` replaced it."""
+        import numpy as np
+
+        from repro.fluid.kernel import CsrIncidence, first_saturated_links
+
+        paths = [
+            (5, 2, 7), (3,), (), (6, 1), (4, 0, 2, 7), (2,), (7, 5),
+        ]
+        L = 8
+        csr = CsrIncidence(paths, L)
+        saturated = np.zeros(L, dtype=bool)
+        saturated[[2, 5, 7]] = True
+        active = np.array([1, 1, 1, 1, 1, 0, 1], dtype=bool)
+        sat_entry = saturated[csr.el] & active[csr.ef]
+        flows, links = first_saturated_links(csr.ef, csr.el, sat_entry)
+        old = np.full(len(paths), L, dtype=np.int64)
+        np.minimum.at(old, csr.ef[sat_entry], csr.el[sat_entry])
+        assert flows.tolist() == np.flatnonzero(old < L).tolist() == [0, 4, 6]
+        assert links.tolist() == old[old < L].tolist() == [2, 2, 5]
 
 
 class TestRecordFlowsSwitch:

@@ -188,11 +188,78 @@ class TestBackends:
         spec = single_link_spec(
             (DisciplineSpec.fifo(),), [("a", 100)], duration=1.0
         )
-        sim = FluidSimulation(
-            spec, spec.disciplines[0], FluidOptions(backend="cuda")
+        # Rejected when the options are built — before any compile.
+        with pytest.raises(ValueError, match="backend.*cuda"):
+            FluidSimulation(
+                spec, spec.disciplines[0], FluidOptions(backend="cuda")
+            )
+
+
+class TestOptionsValidation:
+    """``FluidOptions`` rejects bad values where they are written, by
+    field name — not as 0 epochs with clean invariants, a bare
+    ``ZeroDivisionError`` or a round cap that exhausts every flow."""
+
+    @pytest.mark.parametrize(
+        "field,value,expected",
+        [
+            ("epoch_seconds", -1.0, "a positive, finite number of seconds"),
+            ("epoch_seconds", 0, "a positive, finite number of seconds"),
+            ("epoch_seconds", float("nan"), "positive, finite"),
+            ("epoch_seconds", float("inf"), "positive, finite"),
+            ("target_flow_epochs", 0, "a positive, finite budget"),
+            ("max_rounds", 0, "an integer >= 1"),
+            ("max_rounds", 2.5, "an integer >= 1"),
+            ("fuse_epochs", -5, "an integer >= 0"),
+            ("backend", "cuda", "one of auto|numpy|pure"),
+        ],
+    )
+    def test_bad_values_name_the_field(self, field, value, expected):
+        with pytest.raises(ValueError) as excinfo:
+            FluidOptions(**{field: value})
+        message = str(excinfo.value)
+        assert message.startswith(f"FluidOptions.{field} must be ")
+        assert expected in message and repr(value) in message
+
+    def test_defaults_and_boundary_values_pass(self):
+        FluidOptions()
+        FluidOptions(
+            epoch_seconds=1e-6, max_rounds=1, fuse_epochs=0, backend="pure"
         )
-        with pytest.raises(ValueError, match="cuda"):
-            sim.backend
+
+    @pytest.mark.parametrize(
+        "variable,value,field",
+        [
+            ("REPRO_FLUID_EPOCH", "abc", "epoch_seconds"),
+            ("REPRO_FLUID_EPOCH", "-2", "epoch_seconds"),
+            ("REPRO_FLUID_EPOCH", "0", "epoch_seconds"),
+            ("REPRO_FLUID_BACKEND", "gpu", "backend"),
+        ],
+    )
+    def test_bad_environment_names_the_variable(
+        self, monkeypatch, variable, value, field
+    ):
+        monkeypatch.setenv(variable, value)
+        with pytest.raises(ValueError) as excinfo:
+            FluidOptions.from_env()
+        message = str(excinfo.value)
+        assert f"FluidOptions.{field} must be " in message
+        assert f"{variable}={value!r}" in message
+        # An explicit override wins and the variable is never read ...
+        good = {"epoch_seconds": 0.5, "backend": "pure"}[field]
+        assert getattr(FluidOptions.from_env(**{field: good}), field) == good
+        # ... and then a different bad field is not blamed on it.
+        with pytest.raises(ValueError) as excinfo:
+            FluidOptions.from_env(**{field: good}, max_rounds=0)
+        assert variable not in str(excinfo.value)
+
+    def test_bad_environment_fails_before_the_compile(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FLUID_BACKEND", "gpu")
+        spec = single_link_spec(
+            (DisciplineSpec.fifo(),), [("a", 100)], duration=1.0
+        )
+        with pytest.raises(ValueError, match="REPRO_FLUID_BACKEND='gpu'"):
+            FluidSimulation(spec, spec.disciplines[0])
 
 
 class TestValidityEnvelope:

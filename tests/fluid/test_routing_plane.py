@@ -143,6 +143,126 @@ class TestMaskedViews:
         assert view.pair_index == parent.pair_index
 
 
+class _WalkCounting(EcmpPaths):
+    """Counts seeded walks: every re-walk goes through ``path``.
+    ``masked`` builds its views as ``type(self)``, so a view counts its
+    own."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.walks = 0
+
+    def path(self, src, dst, flow):
+        self.walks += 1
+        return super().path(src, dst, flow)
+
+
+def _successors_by_definition(chooser, node, gate):
+    """``node``'s neighbours one hop closer to ``gate``, straight from
+    the chooser's graph and BFS distances (no memo involved)."""
+    dist = chooser._routes_toward(gate)[0]
+    return tuple(
+        n for n in chooser._adj[node] if dist.get(n) == dist.get(node, 0) - 1
+    )
+
+
+class TestMaskedInheritance:
+    """A view re-walks exactly the flows whose base walk meets a changed
+    successor tuple; every other flow gets the parent's tuple itself."""
+
+    @pytest.mark.parametrize(
+        "family,sizes,down",
+        [
+            ("leaf-spine", LEAF_SPINE, frozenset({"L-1->SP-1"})),
+            ("leaf-spine", LEAF_SPINE, LEAF_SPINE_DOWN),
+            ("fat-tree", FAT_TREE, FAT_TREE_DOWN),
+        ],
+    )
+    def test_rewalks_are_the_flows_whose_next_hops_changed(
+        self, family, sizes, down
+    ):
+        spec = _population(family, dict(sizes, num_flows=600))
+        triples = _triples(spec)
+        known, unknown = triples[:450], triples[450:]
+        parent = _WalkCounting(spec.topology, seed=1)
+        base = {triple: parent.links(*triple) for triple in known}
+        assert parent.walks == len(known)
+        # By definition, from two unshared choosers: a flow must re-walk
+        # iff some switch its full-graph walk leaves has different
+        # successors toward the flow's gateway once ``down`` is cut.
+        full = EcmpPaths(spec.topology, seed=1)
+        cut = EcmpPaths(spec.topology, seed=1, exclude_links=down)
+        changed = set()
+        for triple in known:
+            nodes = full.path(*triple)
+            gate = nodes[-2]
+            if any(
+                _successors_by_definition(full, node, gate)
+                != _successors_by_definition(cut, node, gate)
+                for node in nodes[1:-2]
+            ):
+                changed.add(triple)
+        assert 0 < len(changed) < len(known) // 2
+
+        def snapshot():
+            return (
+                {gate: (dict(succ), dict(cont))
+                 for gate, (_dist, succ, cont) in parent._toward.items()},
+                dict(parent._flow_links),
+            )
+
+        before = snapshot()
+        view = parent.masked(down)
+        assert type(view) is _WalkCounting and view.walks == 0
+        for triple in triples:
+            got = view.links(*triple)
+            assert got == cut.links(*triple)
+            if triple in base and triple not in changed:
+                assert got is base[triple]
+            else:
+                assert got is not base.get(triple)
+            assert view.links(*triple) is got  # memoised on the view
+        # Changed flows and the flows the parent never resolved walk;
+        # nobody else does.
+        assert view.walks == len(changed) + len(unknown)
+        assert snapshot() == before and parent.walks == len(known)
+
+    def test_leaf_spine_outage_moves_only_the_failed_leafs_uplink_flows(self):
+        """The concrete shape of ``fluid_failover``: with ``L-1->SP-1``
+        down, only flows leaving leaf 1 for another leaf can move."""
+        spec = _population("leaf-spine", LEAF_SPINE)
+        leaf = {a.host: a.switch for a in spec.topology.host_attachments}
+        parent = _WalkCounting(spec.topology, seed=1)
+        triples = _triples(spec)
+        for triple in triples:
+            parent.links(*triple)
+        view = parent.masked({"L-1->SP-1"})
+        for triple in triples:
+            view.links(*triple)
+        assert view.walks == sum(
+            leaf[src] == "L-1" and leaf[dst] != "L-1"
+            for src, dst, _name in triples
+        ) < len(triples) // 4
+
+    def test_a_view_of_a_view_inherits_from_the_view(self):
+        spec = _population("leaf-spine", dict(LEAF_SPINE, num_flows=300))
+        parent = _WalkCounting(spec.topology, seed=1)
+        triples = _triples(spec)
+        for triple in triples:
+            parent.links(*triple)
+        first = parent.masked({"L-1->SP-1"})
+        for triple in triples:
+            first.links(*triple)
+        second = first.masked({"SP-2->L-3"})
+        assert second.exclude_links == LEAF_SPINE_DOWN
+        fresh = EcmpPaths(
+            spec.topology, seed=1, exclude_links=LEAF_SPINE_DOWN
+        )
+        for triple in triples:
+            assert second.links(*triple) == fresh.links(*triple)
+        assert 0 < second.walks < len(triples) // 2
+
+
 class _CountingPaths(EcmpPaths):
     """Counts neighbour-list scans (every one goes through
     ``_successors``) and continuation builds."""

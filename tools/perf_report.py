@@ -11,9 +11,9 @@ Three suites share the harness:
   ladder, task overhead, pickle bytes) against the frozen per-call-Pool
   baseline; writes ``BENCH_sweep.json``.
 * ``--suite fluid`` — flow-level engine benches
-  (``benchmarks/perf/fluidbench.py``: flows/sec at 10k/100k/1M flows,
-  packet-engine crossover) against the frozen packet-crossover
-  baseline; writes ``BENCH_fluid.json``.
+  (``benchmarks/perf/fluidbench.py``: flows/sec at 10k/100k/1M flows
+  and on two congested shapes, packet-engine crossover) against the
+  frozen packet-crossover baseline; writes ``BENCH_fluid.json``.
 
 Every report has three blocks:
 
@@ -243,6 +243,12 @@ def fluid_speedups(baseline: dict, current: dict) -> dict:
             out["flows_per_sec_1m_vs_floor"] = (
                 at_1m[0]["flows_per_sec"] / floor_1m["flows_per_sec"]
             )
+    # Congested shapes, each against its own floor.
+    for shape, row in current["congested"].items():
+        out[f"flows_per_sec_{shape}_vs_floor"] = (
+            row["flows_per_sec"]
+            / base[f"fluid_floor_{shape}"]["flows_per_sec"]
+        )
     if scales_match:
         out["crossover_wall_clock"] = (
             base["crossover_packet"]["wall_seconds"]
@@ -265,6 +271,10 @@ def fluid_print(report: dict) -> None:
         print(f"  {row['num_flows']:>9,} flows : "
               f"{row['flows_per_sec']:>12,.0f} flow-adv/s, "
               f"{row['wall_seconds']:.2f} s wall ({row['backend']})")
+    for shape, row in current["congested"].items():
+        ratio = speedup[f"flows_per_sec_{shape}_vs_floor"]
+        print(f"  {shape:<20}: {row['flows_per_sec']:>12,.0f} flow-adv/s, "
+              f"{row['wall_seconds']:.2f} s wall, {ratio:.2f}x its floor")
     crossover = current["crossover"]
     print(f"  crossover      : fluid {crossover['fluid_wall_seconds']:.2f} s vs "
           f"packet {crossover['packet_wall_seconds']:.2f} s "
