@@ -14,11 +14,20 @@ had a single ``schedule`` that always returned a cancellable handle.
 
 from __future__ import annotations
 
+import os
+import sys
 import time
 from typing import Callable, Dict
 
+import repro
 from repro.experiments import table1, table3
-from repro.scenario import DisciplineSpec, ScenarioBuilder, ScenarioRunner
+from repro.scenario import (
+    DisciplineSpec,
+    ScenarioBuilder,
+    ScenarioRunner,
+    ScenarioSpec,
+    registry,
+)
 from repro.sim.engine import Simulator
 
 # Sized so the full suite runs in roughly a minute on a laptop.
@@ -31,6 +40,8 @@ TABLE_DURATION_SECONDS = 15.0
 QUEUE_DENSITY_EVENTS = 120_000
 BATCH_DRAIN_PACKETS = 60_000
 BATCH_DRAIN_BURST = 32
+# A count, not a timing: the same horizon at every ``--quick`` scale.
+FRAME_BUDGET_SECONDS = 6.0
 
 SCHED_DISCIPLINES = (
     DisciplineSpec.fifo(),
@@ -249,14 +260,12 @@ def bench_batched_drain(
     Bursts of ``burst`` packets land on an idle megabit link with idle
     gaps between bursts — the shape the batched drain is built for
     (every packet after a burst's first is served arithmetically).  The
-    per-packet arm runs the identical workload with the
-    ``REPRO_BATCHED_LINKS=0`` kill switch, so the ratio isolates front
+    per-packet arm runs the identical workload on a port built with
+    ``batching=False``, so the ratio isolates front
     (a) of the engine work from the compiled core and the event store:
     both arms run the authoritative pure-Python engine, where an elided
     completion event is a real dispatch saved.
     """
-    import os
-
     from repro.net.link import Link
     from repro.net.node import Node
     from repro.net.packet import Packet
@@ -269,18 +278,12 @@ def bench_batched_drain(
             pass
 
     def drive(batching: bool) -> Dict[str, float]:
-        saved = os.environ.get("REPRO_BATCHED_LINKS")
-        os.environ["REPRO_BATCHED_LINKS"] = "1" if batching else "0"
-        try:
-            sim = PySimulator(queue="heap")
-            link = Link(sim, "L", rate_bps=1_000_000.0)
-            link.connect(Sink(sim, "sink"))
-            port = OutputPort(sim, "P", FifoScheduler(), link, burst * 2)
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_BATCHED_LINKS", None)
-            else:
-                os.environ["REPRO_BATCHED_LINKS"] = saved
+        sim = PySimulator(queue="heap")
+        link = Link(sim, "L", rate_bps=1_000_000.0)
+        link.connect(Sink(sim, "sink"))
+        port = OutputPort(
+            sim, "P", FifoScheduler(), link, burst * 2, batching=batching
+        )
 
         def arrival() -> None:
             now = sim.now
@@ -316,6 +319,79 @@ def bench_batched_drain(
         "per_packet": per_packet,
         "speedup": batched["packets_per_sec"] / per_packet["packets_per_sec"],
     }
+
+
+def _frames_per_departure(spec: ScenarioSpec) -> Dict[str, float]:
+    """Python frames entered in ``repro`` code while ``spec`` runs (every
+    discipline, build excluded), per port departure.
+
+    Counted with ``sys.setprofile``: ``call`` events whose code object
+    lives under the ``repro`` package.  C calls and frames of the
+    standard library are not counted, so the number is a property of how
+    the packet path is layered — exactly repeatable, and the same on a
+    fast and a slow host.
+    """
+    package_root = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+    ours: Dict[object, bool] = {}
+    frames = 0
+
+    def hook(frame, event, arg):
+        nonlocal frames
+        if event == "call":
+            code = frame.f_code
+            mine = ours.get(code)
+            if mine is None:
+                mine = ours[code] = code.co_filename.startswith(package_root)
+            if mine:
+                frames += 1
+
+    departures = 0
+    runner = ScenarioRunner(spec)
+    for discipline in spec.disciplines:
+        context = runner.build(discipline)
+        sys.setprofile(hook)
+        try:
+            context.run()
+        finally:
+            sys.setprofile(None)
+        departures += sum(
+            port.packets_out for port in context.net.ports.values()
+        )
+    return {
+        "frames": frames,
+        "departures": departures,
+        "frames_per_departure": frames / departures,
+    }
+
+
+def bench_frames_per_departure_table3(
+    duration: float = FRAME_BUDGET_SECONDS,
+) -> Dict[str, float]:
+    """Frame budget of the Table-3 path: unified scheduler, admission
+    measurement, edge policers, 4 hops, 2 TCPs."""
+    return _frames_per_departure(
+        registry.build("table3", duration=duration, seed=1)
+    )
+
+
+def bench_frames_per_departure_single_link(
+    duration: float = FRAME_BUDGET_SECONDS, num_flows: int = SCHED_NUM_FLOWS
+) -> Dict[str, float]:
+    """Frame budget of the Table-1 bottleneck under FIFO, FIFO+ and WFQ
+    (the batched-drain path; no admission, no forwarding)."""
+    return _frames_per_departure(
+        ScenarioBuilder("perf-frames-single-link")
+        .single_link()
+        .paper_flows(num_flows)
+        .disciplines(
+            DisciplineSpec.fifo(),
+            DisciplineSpec.fifoplus(),
+            DisciplineSpec.wfq(equal_share_flows=num_flows),
+        )
+        .duration(duration)
+        .seed(1)
+        .build()
+    )
 
 
 def bench_table1(duration: float = TABLE_DURATION_SECONDS) -> Dict[str, float]:
@@ -365,6 +441,10 @@ def run_all(scale: float = 1.0) -> Dict[str, object]:
         ),
         "table3": bench_table3(
             duration=max(TABLE_DURATION_SECONDS * scale, 1.0)
+        ),
+        "frames_per_departure_table3": bench_frames_per_departure_table3(),
+        "frames_per_departure_single_link": (
+            bench_frames_per_departure_single_link()
         ),
     }
 

@@ -67,7 +67,7 @@ class SwitchMeasurement:
         port.on_depart.append(self._on_depart)
 
     def _on_depart(self, packet: Packet, now: float, wait: float) -> None:
-        if packet.service_class.is_realtime:
+        if packet.service_class is not ServiceClass.DATAGRAM:
             self._rt_bits.add(now, packet.size_bits)
         if packet.service_class is ServiceClass.PREDICTED:
             tracker = self._class_delay.get(packet.priority_class)

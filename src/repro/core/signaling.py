@@ -22,7 +22,7 @@ from repro.core.service import (
     PredictedServiceSpec,
 )
 from repro.net.network import Network
-from repro.net.packet import Packet, ServiceClass
+from repro.net.packet import ServiceClass
 from repro.net.port import OutputPort
 from repro.net.routing import RoutingError
 from repro.sched.base import GuaranteedServiceUnsupported
@@ -68,8 +68,9 @@ class SignalingAgent:
         self.network = network
         self.admission = admission
         self.grants: Dict[str, FlowGrant] = {}
-        # flow_id -> (edge port, installed filter callable, bucket filter)
-        self._edge_filters: Dict[str, tuple] = {}
+        # flow_id -> the edge port whose ``flow_policers`` table holds the
+        # flow's conformance filter.
+        self._edge_ports: Dict[str, OutputPort] = {}
 
     # ------------------------------------------------------------------
     def establish(self, flow: FlowSpec) -> FlowGrant:
@@ -140,7 +141,9 @@ class SignalingAgent:
         # All links accepted: install the clock rate everywhere.
         for name in link_names:
             port = self.network.port_for_link(name)
-            self._install_clock_rate(port, flow.flow_id, spec.clock_rate_bps)
+            self._install_clock_rate(
+                port, flow.flow_id, spec.clock_rate_bps, now
+            )
             self.admission.record_guaranteed(name, flow.flow_id, spec.clock_rate_bps)
         grant = FlowGrant(
             flow_id=flow.flow_id,
@@ -154,7 +157,12 @@ class SignalingAgent:
         return grant
 
     @staticmethod
-    def _install_clock_rate(port: OutputPort, flow_id: str, rate_bps: float) -> None:
+    def _install_clock_rate(
+        port: OutputPort,
+        flow_id: str,
+        rate_bps: float,
+        now: Optional[float] = None,
+    ) -> None:
         """Install a guaranteed clock rate through the explicit capability
         interface (:meth:`repro.sched.base.Scheduler.install_guaranteed`).
 
@@ -163,7 +171,7 @@ class SignalingAgent:
         ``register_flow`` duck-typing mixup cannot recur.
         """
         try:
-            port.scheduler.install_guaranteed(flow_id, rate_bps)
+            port.scheduler.install_guaranteed(flow_id, rate_bps, now)
         except GuaranteedServiceUnsupported as exc:
             raise FlowEstablishmentError(
                 f"scheduler on {port.name} cannot host guaranteed flows: "
@@ -204,22 +212,15 @@ class SignalingAgent:
                     f"{decision.verdict.value} ({decision.detail})",
                     decisions,
                 )
-        # Install the edge conformance check at the first switch only.
+        # Install the edge conformance check at the first switch only,
+        # keyed by flow id so the port consults one policer per packet.
         edge_port = self.network.port_for_link(link_names[0])
-        edge_filter = TokenBucketFilter(
+        edge_port.flow_policers[flow.flow_id] = TokenBucketFilter(
             spec.token_rate_bps,
             spec.bucket_depth_bits,
             policy=NonconformingPolicy.DROP,
         )
-        flow_id = flow.flow_id
-
-        def conformance_check(packet: Packet, t: float) -> bool:
-            if packet.flow_id != flow_id:
-                return True
-            return edge_filter.check(packet, t)
-
-        edge_port.filters.append(conformance_check)
-        self._edge_filters[flow.flow_id] = (edge_port, conformance_check, edge_filter)
+        self._edge_ports[flow.flow_id] = edge_port
         bound = sum(
             self.admission.config.class_bounds_seconds[priority_class]
             for __ in link_names
@@ -246,14 +247,13 @@ class SignalingAgent:
                 port = self.network.port_for_link(name)
                 remove = getattr(port.scheduler, "remove_guaranteed_flow", None)
                 if remove is not None:
-                    remove(flow_id)
+                    remove(flow_id, self.network.sim.now)
                 self.admission.release_guaranteed(name, flow_id)
-        installed = self._edge_filters.pop(flow_id, None)
-        if installed is not None:
-            edge_port, conformance_check, __ = installed
-            edge_port.filters.remove(conformance_check)
+        edge_port = self._edge_ports.pop(flow_id, None)
+        if edge_port is not None:
+            del edge_port.flow_policers[flow_id]
 
     def edge_filter_of(self, flow_id: str) -> Optional[TokenBucketFilter]:
         """The installed edge conformance filter (predicted flows)."""
-        installed = self._edge_filters.get(flow_id)
-        return installed[2] if installed is not None else None
+        edge_port = self._edge_ports.get(flow_id)
+        return edge_port.flow_policers[flow_id] if edge_port is not None else None

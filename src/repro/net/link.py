@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.sim.engine import Simulator
 from repro.net.packet import Packet
-from repro.stats.timeseries import TimeWeightedValue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.net.node import Node
@@ -89,7 +88,14 @@ class Link:
         # reroute-aware conservation invariant.
         self.failure_drops: Dict[str, int] = {}
         self.packets_failed = 0
-        self._busy_tracker = TimeWeightedValue(start_time=sim.now, initial=0.0)
+        # Utilization: the time integral of the busy flag, accumulated in
+        # place on the two edges of each transmission (what a
+        # ``TimeWeightedValue`` fed the same edges computes, bit for bit,
+        # without two calls per packet).  ``_busy_since`` is meaningful
+        # only while a packet is being clocked out (``_in_flight`` set).
+        self._busy_start = sim.now
+        self._busy_since = sim.now
+        self._busy_integral = 0.0
         self.loss_probability = float(loss_probability)
         self._loss_rng = loss_rng
         self.packets_sent = 0
@@ -138,10 +144,11 @@ class Link:
         if self.receiver is None:
             raise RuntimeError(f"link {self.name} is not connected")
         self.busy = True
-        self._busy_tracker.update(self.sim.now, 1.0)
+        now = self.sim.now
+        self._busy_since = now
         self._in_flight = packet
         transmission = packet.size_bits / self.rate_bps
-        self._complete_at = self.sim.now + transmission
+        self._complete_at = now + transmission
         self._schedule(transmission, self._complete)
 
     def _complete(self) -> None:
@@ -153,7 +160,7 @@ class Link:
             return
         self._in_flight = None
         self.busy = False
-        self._busy_tracker.update(self.sim.now, 0.0)
+        self._busy_integral += self.sim.now - self._busy_since
         self.packets_sent += 1
         self.bits_sent += packet.size_bits
         receiver = self.receiver
@@ -208,10 +215,10 @@ class Link:
         fires — the burst loop itself decides whether to keep serving.
         """
         sim = self.sim
-        self._busy_tracker.update(sim.now, 1.0)
+        started = sim.now
         sim.advance_to(complete_at)
         self._complete_at = complete_at
-        self._busy_tracker.update(complete_at, 0.0)
+        self._busy_integral += complete_at - started
         self.packets_sent += 1
         self.bits_sent += packet.size_bits
         if (
@@ -262,7 +269,7 @@ class Link:
         if self.busy:
             packet = self._in_flight
             self._in_flight = None
-            self._busy_tracker.update(self.sim.now, 0.0)
+            self._busy_integral += self.sim.now - self._busy_since
             self._ledger_failure(packet)
         self.busy = True
 
@@ -281,11 +288,20 @@ class Link:
 
     def utilization(self, now: Optional[float] = None) -> float:
         """Fraction of time the link has been transmitting."""
-        return self._busy_tracker.average(self.sim.now if now is None else now)
+        if now is None:
+            now = self.sim.now
+        elapsed = now - self._busy_start
+        if elapsed <= 0:
+            return 0.0
+        busy = self._busy_integral
+        if self._in_flight is not None:
+            busy += now - self._busy_since
+        return busy / elapsed
 
     def reset_utilization(self) -> None:
         """Restart utilization accounting (used to skip warm-up transients)."""
-        self._busy_tracker.reset(self.sim.now)
+        self._busy_start = self._busy_since = self.sim.now
+        self._busy_integral = 0.0
         self.packets_sent = 0
         self.bits_sent = 0
 

@@ -27,11 +27,22 @@ DEFAULT_BUFFER_PACKETS = 200  # the paper's switch buffer size
 
 
 class Network:
-    """Container wiring switches, hosts, links, and routing together."""
+    """Container wiring switches, hosts, links, and routing together.
 
-    def __init__(self, sim: Simulator, scheduler_factory: SchedulerFactory):
+    Args:
+        batching: passed to every :class:`OutputPort` this network builds
+            (``False`` forces per-packet link service everywhere).
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        scheduler_factory: SchedulerFactory,
+        batching: bool = True,
+    ):
         self.sim = sim
         self.scheduler_factory = scheduler_factory
+        self.batching = batching
         self.switches: Dict[str, Switch] = {}
         self.hosts: Dict[str, Host] = {}
         self.links: Dict[str, Link] = {}
@@ -60,6 +71,7 @@ class Network:
         # Host links are infinitely fast; routing still needs the edges.
         self.routing.add_edge(name, switch_name)
         self.routing.add_edge(switch_name, name)
+        self._routes_changed()
         return host
 
     def add_link(
@@ -85,10 +97,13 @@ class Network:
         link = Link(self.sim, link_name, rate_bps, propagation_delay)
         link.connect(dst)
         scheduler = self.scheduler_factory(link_name, link)
-        port = src.add_port(dst_switch, scheduler, link, buffer_packets)
+        port = src.add_port(
+            dst_switch, scheduler, link, buffer_packets, self.batching
+        )
         self.links[link_name] = link
         self.ports[link_name] = port
         self.routing.add_edge(src_switch, dst_switch)
+        self._routes_changed()
         return link
 
     def add_duplex_link(
@@ -113,6 +128,15 @@ class Network:
         object only needs ``next_hop(here, dest)`` and ``path(src, dst)``.
         """
         self.routing = routing
+        self._routes_changed()
+
+    def _routes_changed(self) -> None:
+        """The one invalidation seam of the switches' forwarding tables:
+        everything that can change a next-hop answer (a new routing table,
+        a new edge in the graph) comes through here, so the next packet at
+        every switch re-resolves."""
+        for switch in self.switches.values():
+            switch.clear_forwarding()
 
     # ------------------------------------------------------------------
     # Queries

@@ -96,6 +96,13 @@ class Switch(Node):
     is delivered instantly (infinitely fast host link); otherwise the
     routing function names the next-hop node and the packet joins that
     output port's queue.
+
+    Routes are resolved once: the destination -> port answer is fixed
+    until the routing table or the topology changes, so the first packet
+    toward a destination pays for :meth:`_resolve` and every later one is
+    a hit in the forwarding table.  Whoever changes the answer calls
+    :meth:`clear_forwarding` (``Network`` does, from ``install_routing``,
+    ``add_link`` and ``add_host``).
     """
 
     def __init__(self, sim: Simulator, name: str):
@@ -106,6 +113,10 @@ class Switch(Node):
         # to the next-hop node name.
         self.next_hop_fn: Optional[Callable[[str], str]] = None
         self.packets_forwarded = 0
+        # destination host -> output port, filled by _resolve on a miss.
+        # Unreachable destinations are never entered, so every packet
+        # toward one takes the miss path and is ledgered below.
+        self._forwarding: Dict[str, OutputPort] = {}
         # Per-flow ledger of packets dropped here because no route to
         # their destination existed (a link failure partitioned the
         # network).  The reroute-aware conservation invariant reads it.
@@ -120,6 +131,7 @@ class Switch(Node):
         scheduler: Scheduler,
         link: Link,
         buffer_packets: int = 200,
+        batching: bool = True,
     ) -> OutputPort:
         """Create the output port facing ``neighbor`` (link receiver)."""
         if neighbor in self.ports:
@@ -130,6 +142,7 @@ class Switch(Node):
             scheduler=scheduler,
             link=link,
             buffer_packets=buffer_packets,
+            batching=batching,
         )
         self.ports[neighbor] = port
         return port
@@ -140,12 +153,30 @@ class Switch(Node):
         except KeyError:
             raise KeyError(f"switch {self.name} has no port to {neighbor}") from None
 
+    def clear_forwarding(self) -> None:
+        """Forget every resolved route (the routing answer may have changed)."""
+        self._forwarding.clear()
+
     def receive(self, packet: Packet) -> None:
         destination = packet.destination
-        host = self.attached_hosts.get(destination)
-        if host is not None:
-            host.receive(packet)
+        hosts = self.attached_hosts
+        if destination in hosts:
+            hosts[destination].receive(packet)
             return
+        try:
+            port = self._forwarding[destination]
+        except KeyError:
+            port = self._resolve(packet)
+            if port is None:
+                return
+        self.packets_forwarded += 1
+        port.enqueue(packet)
+
+    def _resolve(self, packet: Packet) -> Optional[OutputPort]:
+        """Forwarding-table miss: ask the routing function, remember the
+        port.  Returns None when the packet was dropped for lack of a
+        route."""
+        destination = packet.destination
         if self.next_hop_fn is None:
             raise RuntimeError(f"switch {self.name} has no routing function")
         try:
@@ -157,12 +188,12 @@ class Switch(Node):
             # is raised, so static-route runs are unaffected.
             drops = self.no_route_drops
             drops[packet.flow_id] = drops.get(packet.flow_id, 0) + 1
-            return
+            return None
         port = self.ports.get(next_hop)
         if port is None:
             raise RuntimeError(
                 f"switch {self.name}: route to {destination} via {next_hop} "
                 f"but no such port"
             )
-        self.packets_forwarded += 1
-        port.enqueue(packet)
+        self._forwarding[destination] = port
+        return port

@@ -17,7 +17,8 @@ import enum
 import itertools
 from typing import Any, Dict, Optional
 
-_packet_ids = itertools.count()
+#: Draws the next globally unique packet id.
+next_packet_id = itertools.count().__next__
 
 
 class ServiceClass(enum.Enum):
@@ -75,7 +76,7 @@ class Packet:
     enqueued_at: float = 0.0
     queueing_delay: float = 0.0
     payload: Optional[Dict[str, Any]] = None
-    packet_id: int = dataclasses.field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = dataclasses.field(default_factory=next_packet_id)
     hops: int = 0
 
     def queueing_key(self) -> float:

@@ -13,13 +13,15 @@ extension uses).
 
 from __future__ import annotations
 
-import os
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.sched.base import Scheduler
 from repro.sim.engine import Simulator
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
+    from repro.traffic.token_bucket import TokenBucketFilter
 
 # Listener signatures: (packet, now) for enqueue/drop, and
 # (packet, now, wait_seconds) for departures.
@@ -28,15 +30,15 @@ DropListener = Callable[[Packet, float], None]
 DepartListener = Callable[[Packet, float, float], None]
 
 
-def _batching_disabled() -> bool:
-    """``REPRO_BATCHED_LINKS=0`` turns batched link service off globally
-    (read at port construction; the bit-identity harness flips it)."""
-    value = os.environ.get("REPRO_BATCHED_LINKS", "").strip().lower()
-    return value in ("0", "false", "no")
-
-
 class OutputPort:
-    """An output-queued port: scheduler + finite buffer + one link."""
+    """An output-queued port: scheduler + finite buffer + one link.
+
+    Args:
+        batching: serve bursts arithmetically inside one completion event
+            when the scheduler allows it (``supports_batch_drain``).
+            ``False`` forces the per-packet path; results are identical
+            either way (the bit-identity harness runs both).
+    """
 
     def __init__(
         self,
@@ -45,6 +47,7 @@ class OutputPort:
         scheduler: Scheduler,
         link: Link,
         buffer_packets: int = 200,
+        batching: bool = True,
     ):
         if buffer_packets <= 0:
             raise ValueError(f"buffer must hold at least 1 packet, got {buffer_packets}")
@@ -53,15 +56,13 @@ class OutputPort:
         self.scheduler = scheduler
         self.link = link
         self.buffer_packets = buffer_packets
-        link.on_idle = self._on_link_idle
+        link.on_idle = self._send_next
         # Batched link service: when the scheduler's dequeue order is
         # clock-independent (``supports_batch_drain``), completion events
         # hand control to :meth:`_drain_burst`, which serves whole bursts
         # arithmetically inside the one event.  Restores and enqueues
         # still go through the per-packet path.
-        self.batching_enabled = (
-            scheduler.supports_batch_drain and not _batching_disabled()
-        )
+        self.batching_enabled = batching and scheduler.supports_batch_drain
         if self.batching_enabled:
             link.on_complete_idle = self._drain_burst
         self.batched_departures = 0
@@ -79,10 +80,13 @@ class OutputPort:
         self.on_enqueue: List[EnqueueListener] = []
         self.on_drop: List[DropListener] = []
         self.on_depart: List[DepartListener] = []
-        # Edge enforcement (Section 8): admission filters run before the
-        # scheduler sees the packet; any returning False drops it.  The
-        # signaling layer installs the per-flow token-bucket conformance
-        # check here at the *first* switch of a predicted flow's path only.
+        # Edge enforcement (Section 8), checked before the scheduler sees
+        # the packet.  The signaling layer installs a predicted flow's
+        # token-bucket policer under its flow id, at the *first* switch of
+        # the path only: one lookup per packet however many flows the port
+        # polices.  ``filters`` are port-wide predicates (tests, fault
+        # injection); any returning False drops the packet.
+        self.flow_policers: Dict[str, TokenBucketFilter] = {}
         self.filters: List[Callable[[Packet, float], bool]] = []
 
     # ------------------------------------------------------------------
@@ -105,6 +109,12 @@ class OutputPort:
         """
         now = self.sim.now
         self.packets_in += 1
+        policers = self.flow_policers
+        if policers:
+            policer = policers.get(packet.flow_id)
+            if policer is not None and not policer.check(packet, now):
+                self._drop(packet, now)
+                return False
         if self.filters:
             for admission_filter in self.filters:
                 if not admission_filter(packet, now):
@@ -149,9 +159,6 @@ class OutputPort:
             for listener in self.on_depart:
                 listener(packet, now, wait)
         self.link.transmit(packet)
-
-    def _on_link_idle(self) -> None:
-        self._send_next()
 
     def _drain_burst(self) -> None:
         """Serve as many queued packets as provably unobservable, in one

@@ -49,6 +49,7 @@ def build_network(
     nodes: Sequence[str],
     links: Sequence[LinkDef],
     host_attachments: Sequence[HostDef],
+    batching: bool = True,
 ) -> Network:
     """Realize a declarative graph: switches, then links, then hosts.
 
@@ -56,7 +57,7 @@ def build_network(
     invariant the golden-equivalence tests pin: dict insertion order
     downstream (ports, measurement attachment, accounting) follows it.
     """
-    net = Network(sim, scheduler_factory)
+    net = Network(sim, scheduler_factory, batching)
     for name in nodes:
         net.add_switch(name)
     for src, dst, rate_bps, propagation_delay, buffer_packets in links:

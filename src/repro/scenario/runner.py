@@ -307,9 +307,17 @@ class ScenarioContext:
     ``sinks``, ``signaling``, ``grants``) so orchestrated scenarios can
     admit flows mid-run (:meth:`add_flow`), install custom receivers, or
     inspect schedulers directly.
+
+    ``batching=False`` builds every port on the per-packet link path
+    (results are identical; the bit-identity harness runs both).
     """
 
-    def __init__(self, spec: ScenarioSpec, discipline: DisciplineSpec):
+    def __init__(
+        self,
+        spec: ScenarioSpec,
+        discipline: DisciplineSpec,
+        batching: bool = True,
+    ):
         self.spec = spec
         self.discipline = discipline
         self.sim = Simulator()
@@ -324,7 +332,7 @@ class ScenarioContext:
             ).name
             return build_scheduler(discipline, self.sim, port_name, link)
 
-        self.net = spec.topology.build(self.sim, factory)
+        self.net = spec.topology.build(self.sim, factory, batching)
         # Surface unroutable flows now, with the flow named, instead of a
         # bare RoutingError in the middle of the event loop.
         for flow in spec.flows:
@@ -615,7 +623,7 @@ class ScenarioContext:
 
         def on_depart(packet: Packet, now: float, wait: float) -> None:
             self._total_bits[link_name] += packet.size_bits
-            if packet.service_class.is_realtime:
+            if packet.service_class is not ServiceClass.DATAGRAM:
                 self._realtime_bits[link_name] += packet.size_bits
 
         def on_drop(packet: Packet, now: float) -> None:
@@ -749,10 +757,14 @@ class ScenarioRunner:
         self.spec = spec
 
     def build(
-        self, discipline: Union[str, DisciplineSpec, None] = None
+        self,
+        discipline: Union[str, DisciplineSpec, None] = None,
+        batching: bool = True,
     ) -> ScenarioContext:
         """Build (without running) one discipline's live simulation."""
-        return ScenarioContext(self.spec, self._resolve(discipline))
+        return ScenarioContext(
+            self.spec, self._resolve(discipline), batching=batching
+        )
 
     def run_discipline(
         self, discipline: Union[str, DisciplineSpec, None] = None

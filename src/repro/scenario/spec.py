@@ -254,7 +254,9 @@ class TopologySpec:
         return self._uniform("buffer_packets")
 
     # -- realization ---------------------------------------------------
-    def build(self, sim: Simulator, scheduler_factory) -> Network:
+    def build(
+        self, sim: Simulator, scheduler_factory, batching: bool = True
+    ) -> Network:
         """Construct the live :class:`Network` this spec describes."""
         return build_network(
             sim,
@@ -271,6 +273,7 @@ class TopologySpec:
                 for link in self.links
             ),
             tuple((att.host, att.switch) for att in self.host_attachments),
+            batching,
         )
 
     # -- serialization -------------------------------------------------

@@ -92,9 +92,12 @@ class Scheduler(abc.ABC):
     #: this is True and merely *observed* (reorder counting) elsewhere.
     preserves_flow_fifo: bool = True
 
-    def install_guaranteed(self, flow_id: str, rate_bps: float) -> None:
+    def install_guaranteed(
+        self, flow_id: str, rate_bps: float, now: Optional[float] = None
+    ) -> None:
         """Reserve a guaranteed clock rate of ``rate_bps`` bits/s for
-        ``flow_id``.
+        ``flow_id``, taking effect at ``now`` (the signaling layer passes
+        its clock; disciplines whose books are clock-free ignore it).
 
         This is the *capability interface* the signaling layer uses to
         install Section 8 guaranteed commitments: rate-capable disciplines

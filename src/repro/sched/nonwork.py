@@ -174,7 +174,9 @@ class HrrScheduler(_HeldPacketScheduler):
             raise ValueError("slots must be >= 1")
         self._slots[flow_id] = slots
 
-    def install_guaranteed(self, flow_id: str, rate_bps: float) -> None:
+    def install_guaranteed(
+        self, flow_id: str, rate_bps: float, now: Optional[float] = None
+    ) -> None:
         """HRR reserves *slots per frame*, not bits/s — refuse the ambiguous
         install so a bit rate is never silently reinterpreted as a slot
         count.  Callers with a known packet size convert explicitly:

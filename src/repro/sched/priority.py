@@ -65,8 +65,14 @@ class PriorityScheduler(Scheduler):
         return min(max(idx, 0), len(self.levels) - 1)
 
     def enqueue(self, packet: Packet, now: float) -> bool:
-        level = self.levels[self.classify(packet)]
-        if level.enqueue(packet, now):
+        # classify() written out: this runs once per packet per hop.
+        levels = self.levels
+        idx = self._classifier(packet)
+        if idx < 0:
+            idx = 0
+        elif idx >= len(levels):
+            idx = len(levels) - 1
+        if levels[idx].enqueue(packet, now):
             self._size += 1
             return True
         return False

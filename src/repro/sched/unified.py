@@ -127,8 +127,11 @@ class UnifiedScheduler(Scheduler):
     # ------------------------------------------------------------------
     # Guaranteed-flow management (driven by signaling/admission)
     # ------------------------------------------------------------------
-    def install_guaranteed_flow(self, flow_id: str, rate_bps: float) -> None:
-        """Give ``flow_id`` a WFQ clock rate; shrinks pseudo-flow 0's rate.
+    def install_guaranteed_flow(
+        self, flow_id: str, rate_bps: float, now: Optional[float] = None
+    ) -> None:
+        """Give ``flow_id`` a WFQ clock rate; shrinks pseudo-flow 0's rate
+        from ``now`` on (see :meth:`VirtualTime.set_rate`).
 
         Raises:
             ValueError: if the rate is non-positive or would not leave the
@@ -147,28 +150,27 @@ class UnifiedScheduler(Scheduler):
             )
         self._guaranteed_rates[flow_id] = rate_bps
         self._gqueues[flow_id] = deque()
-        self.vt.register(flow_id, rate_bps)
-        self._reregister_pseudo_flow()
+        self.vt.set_rate(flow_id, rate_bps, now)
+        self.vt.set_rate(PSEUDO_FLOW_0, self._pseudo_rate(), now)
 
     supports_guaranteed = True
 
-    def install_guaranteed(self, flow_id: str, rate_bps: float) -> None:
+    def install_guaranteed(
+        self, flow_id: str, rate_bps: float, now: Optional[float] = None
+    ) -> None:
         """Capability interface alias for :meth:`install_guaranteed_flow`."""
-        self.install_guaranteed_flow(flow_id, rate_bps)
+        self.install_guaranteed_flow(flow_id, rate_bps, now)
 
-    def remove_guaranteed_flow(self, flow_id: str) -> None:
-        """Tear down a guaranteed flow (its queue must be empty)."""
+    def remove_guaranteed_flow(
+        self, flow_id: str, now: Optional[float] = None
+    ) -> None:
+        """Tear down a guaranteed flow (its queue must be empty); the
+        freed rate returns to pseudo-flow 0 from ``now`` on."""
         if self._gqueues.get(flow_id):
             raise RuntimeError(f"flow {flow_id} still has queued packets")
         self._guaranteed_rates.pop(flow_id, None)
         self._gqueues.pop(flow_id, None)
-        self._reregister_pseudo_flow()
-
-    def _reregister_pseudo_flow(self) -> None:
-        # VirtualTime refuses rate changes while a flow is backlogged; the
-        # signaling layer only reconfigures quiescent ports in the
-        # experiments, and tests cover the error path.
-        self.vt._rates[PSEUDO_FLOW_0] = self._pseudo_rate()
+        self.vt.set_rate(PSEUDO_FLOW_0, self._pseudo_rate(), now)
 
     @property
     def guaranteed_rate_sum(self) -> float:

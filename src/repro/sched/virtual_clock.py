@@ -52,7 +52,9 @@ class VirtualClockScheduler(Scheduler):
 
     supports_guaranteed = True
 
-    def install_guaranteed(self, flow_id: str, rate_bps: float) -> None:
+    def install_guaranteed(
+        self, flow_id: str, rate_bps: float, now: Optional[float] = None
+    ) -> None:
         """Capability interface: VirtualClock rates are bits/s natively."""
         self.register_flow(flow_id, rate_bps)
 

@@ -64,13 +64,34 @@ class VirtualTime:
         Re-registering with a new rate is allowed while the flow is GPS-idle
         (used when admission control renegotiates shares).
         """
-        if rate_bps <= 0:
-            raise ValueError(f"clock rate must be positive, got {rate_bps}")
         if flow_id in self._active:
             raise RuntimeError(
                 f"cannot change rate of {flow_id} while it is backlogged"
             )
+        self.set_rate(flow_id, rate_bps)
+
+    def set_rate(
+        self, flow_id: str, rate_bps: float, now: Optional[float] = None
+    ) -> None:
+        """Assign clock rate ``rate_bps`` to ``flow_id`` even while it is
+        GPS-active (the unified scheduler resizes pseudo-flow 0 under
+        backlog whenever a guaranteed flow comes or goes).
+
+        V(t) is first advanced to ``now`` at the old slope — when ``now``
+        is omitted the new rate counts from the last instant V was
+        advanced to — and the active-rate sum is rebuilt, so the slope is
+        ``C / sum(rates of active flows)`` on both sides of the change.
+        Tags already assigned stand; later arrivals are stamped at the new
+        rate.  For an idle flow this is :meth:`register`.
+        """
+        if rate_bps <= 0:
+            raise ValueError(f"clock rate must be positive, got {rate_bps}")
+        if now is not None and flow_id in self._active:
+            self.advance(now)
         self._rates[flow_id] = float(rate_bps)
+        if flow_id in self._active:
+            rates = self._rates
+            self._active_sum = sum(rates[flow] for flow in self._active)
 
     def is_registered(self, flow_id: str) -> bool:
         return flow_id in self._rates
@@ -184,7 +205,9 @@ class WfqScheduler(Scheduler):
 
     supports_guaranteed = True
 
-    def install_guaranteed(self, flow_id: str, rate_bps: float) -> None:
+    def install_guaranteed(
+        self, flow_id: str, rate_bps: float, now: Optional[float] = None
+    ) -> None:
         """Capability interface: a WFQ clock rate *is* a guaranteed rate."""
         self.vt.register(flow_id, rate_bps)
 

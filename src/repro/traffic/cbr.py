@@ -54,7 +54,7 @@ class CbrSource(PacketSource):
         sim.schedule(start_offset, self._tick)
 
     def _tick(self) -> None:
-        if self.stopped:
+        if self._stopped:
             return
         self.emit()
         self.sim.schedule(self._interval, self._tick)

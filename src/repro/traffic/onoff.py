@@ -122,14 +122,14 @@ class OnOffMarkovSource(PacketSource):
         sim.schedule(delay, self._begin_burst)
 
     def _begin_burst(self) -> None:
-        if self.stopped:
+        if self._stopped:
             return
         self._burst_remaining = self.rng.geometric(self.params.mean_burst_packets)
         self.bursts_started += 1
         self._emit_next()
 
     def _emit_next(self) -> None:
-        if self.stopped:
+        if self._stopped:
             return
         self.emit()
         self._burst_remaining -= 1

@@ -49,7 +49,7 @@ class PoissonSource(PacketSource):
         sim.schedule(rng.exponential(1.0 / rate_pps), self._tick)
 
     def _tick(self) -> None:
-        if self.stopped:
+        if self._stopped:
             return
         self.emit()
         self.sim.schedule(self.rng.exponential(1.0 / self.rate_pps), self._tick)

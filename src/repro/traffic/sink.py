@@ -51,9 +51,40 @@ class DelayRecordingSink:
         if now < self.warmup:
             return
         self.recorded += 1
-        self.queueing.add(packet.queueing_delay)
-        self.queueing_pct.add(packet.queueing_delay)
-        self.end_to_end.add(now - packet.created_at)
+        # One recording step per delivery: ``SummaryStats.add`` written
+        # out for both accumulators (same expressions, same order) and
+        # the keep-everything percentile append.
+        value = packet.queueing_delay
+        stats = self.queueing
+        count = stats.count + 1
+        stats.count = count
+        stats.total += value
+        delta = value - stats._mean
+        stats._mean += delta / count
+        stats._m2 += delta * (value - stats._mean)
+        if value < stats.min:
+            stats.min = value
+        if value > stats.max:
+            stats.max = value
+        tracker = self.queueing_pct
+        if tracker._reservoir_size is None:
+            tracker._count += 1
+            tracker._samples.append(value)
+            tracker._sorted = False
+        else:
+            tracker.add(value)
+        value = now - packet.created_at
+        stats = self.end_to_end
+        count = stats.count + 1
+        stats.count = count
+        stats.total += value
+        delta = value - stats._mean
+        stats._mean += delta / count
+        stats._m2 += delta * (value - stats._mean)
+        if value < stats.min:
+            stats.min = value
+        if value > stats.max:
+            stats.max = value
 
     # Convenience accessors in the paper's reporting unit --------------
     def mean_queueing(self, unit_seconds: float = 1.0) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.net.node import Host
-from repro.net.packet import Packet, ServiceClass
+from repro.net.packet import Packet, ServiceClass, next_packet_id
 from repro.sim.engine import Simulator
 from repro.traffic.token_bucket import TokenBucketFilter
 
@@ -61,15 +61,25 @@ class PacketSource:
         filter dropped it.
         """
         now = self.sim.now
+        # Positional, in ``Packet`` field order, with the id drawn here:
+        # one constructor frame per packet instead of keyword matching
+        # plus the ``packet_id`` default factory.
         packet = Packet(
-            flow_id=self.flow_id,
-            size_bits=self.packet_size_bits,
-            created_at=now,
-            source=self.host.name,
-            destination=self.destination,
-            service_class=self.service_class,
-            priority_class=self.priority_class,
-            sequence=self._next_seq,
+            self.flow_id,
+            self.packet_size_bits,
+            now,
+            self.host.name,
+            self.destination,
+            self.service_class,
+            self.priority_class,
+            0.0,  # jitter_offset
+            0,  # drop_preference
+            False,  # tagged
+            self._next_seq,
+            0.0,  # enqueued_at
+            0.0,  # queueing_delay
+            None,  # payload
+            next_packet_id(),
         )
         self._next_seq += 1
         self.generated += 1

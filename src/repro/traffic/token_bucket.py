@@ -106,10 +106,25 @@ class TokenBucketFilter:
         """Returns True if the packet may proceed, False if it must drop.
 
         Under TAG policy nonconforming packets proceed but are marked.
+
+        Runs once per packet at every policed edge, so the bucket update
+        is :meth:`TokenBucket.try_consume` written out in this frame:
+        the same refill expression, the same backwards-clock check.
         """
-        if self.bucket.try_consume(packet.size_bits, now):
+        bucket = self.bucket
+        last = bucket._last_time
+        if now < last:
+            raise ValueError(f"time went backwards: {now} < {last}")
+        level = bucket._tokens + (now - last) * bucket.rate_bps
+        if level > bucket.depth_bits:
+            level = bucket.depth_bits
+        bucket._last_time = now
+        size_bits = packet.size_bits
+        if level >= size_bits:
+            bucket._tokens = level - size_bits
             self.conforming += 1
             return True
+        bucket._tokens = level
         self.nonconforming += 1
         if self.policy is NonconformingPolicy.TAG:
             packet.tagged = True

@@ -71,7 +71,7 @@ class TraceSource(PacketSource):
         self._schedule_cycle(offset=0.0)
 
     def _schedule_cycle(self, offset: float) -> None:
-        if self.stopped:
+        if self._stopped:
             return
         self.cycles_started += 1
         for time, size in self.schedule:
@@ -88,7 +88,7 @@ class TraceSource(PacketSource):
             )
 
     def _emit_sized(self, size_bits: int) -> None:
-        if self.stopped:
+        if self._stopped:
             return
         self.packet_size_bits = size_bits
         self.emit()

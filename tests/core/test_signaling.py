@@ -146,10 +146,14 @@ class TestPredictedEstablishment:
         net, __, signaling = stack
         signaling.establish(predicted_flow())
         first = net.port_for_link("S-1->S-2")
-        later = net.port_for_link("S-2->S-3")
-        assert len(first.filters) == 1
-        assert len(later.filters) == 0
-        assert signaling.edge_filter_of("p1") is not None
+        # The policer sits in the first switch's flow table, nowhere
+        # else, and adds nothing to the port-wide predicate list.
+        assert list(first.flow_policers) == ["p1"]
+        for name, port in net.ports.items():
+            if port is not first:
+                assert port.flow_policers == {}, name
+            assert port.filters == [], name
+        assert signaling.edge_filter_of("p1") is first.flow_policers["p1"]
 
     def test_edge_filter_drops_nonconforming_burst(self, stack, sim):
         net, __, signaling = stack
@@ -193,6 +197,7 @@ class TestPredictedEstablishment:
         signaling.establish(predicted_flow())
         signaling.teardown("p1")
         assert net.port_for_link("S-1->S-2").filters == []
+        assert net.port_for_link("S-1->S-2").flow_policers == {}
         assert signaling.edge_filter_of("p1") is None
 
 

@@ -44,24 +44,22 @@ CONFIGS = [
 
 
 def _run_grid_point(spec, queue, batching_off):
-    overrides = {
-        "REPRO_ENGINE_QUEUE": queue,
-        "REPRO_BATCHED_LINKS": "0" if batching_off else "",
-    }
-    saved = {k: os.environ.get(k) for k in overrides}
-    os.environ.update(overrides)
+    saved = os.environ.get("REPRO_ENGINE_QUEUE")
+    os.environ["REPRO_ENGINE_QUEUE"] = queue
     try:
         runner = ScenarioRunner(spec)
         return [
-            runner.run_discipline(d).comparable_dict()
+            runner.build(d, batching=not batching_off)
+            .run()
+            .collect()
+            .comparable_dict()
             for d in spec.disciplines
         ]
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop("REPRO_ENGINE_QUEUE", None)
+        else:
+            os.environ["REPRO_ENGINE_QUEUE"] = saved
 
 
 @pytest.fixture(scope="module", params=SCENARIOS)

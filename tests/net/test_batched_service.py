@@ -4,7 +4,7 @@ The port may serve several queued packets inside one link-completion
 event (arithmetic timestamps) *only* while no other pending event — and
 no ``run(until=...)`` window edge — could observe the difference.  These
 tests pin the counter bookkeeping, the adversarial mid-burst fallback,
-the capability gate, and the env kill-switch.
+the capability gate, and the ``batching=False`` constructor switch.
 """
 
 import math
@@ -30,14 +30,14 @@ class Collector(Node):
         self.packets.append((self.sim.now, packet))
 
 
-def build_port(sim, scheduler=None, rate_bps=1000.0):
+def build_port(sim, scheduler=None, rate_bps=1000.0, batching=True):
     # rate 1000 bps and 1000-bit packets -> 1 s transmission each.
     link = Link(sim, "L", rate_bps=rate_bps)
     sink = Collector(sim)
     link.connect(sink)
     if scheduler is None:
         scheduler = FifoScheduler()
-    port = OutputPort(sim, "P", scheduler, link, 200)
+    port = OutputPort(sim, "P", scheduler, link, 200, batching=batching)
     return port, sink
 
 
@@ -172,10 +172,10 @@ class TestCapabilityGate:
         )
         assert not scheduler.supports_batch_drain
 
-    def test_env_kill_switch(self, sim, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCHED_LINKS", "0")
-        port, sink = build_port(sim)
+    def test_batching_argument_off(self, sim):
+        port, sink = build_port(sim, batching=False)
         assert not port.batching_enabled
+        assert port.link.on_complete_idle is None
         for i in range(4):
             port.enqueue(make_packet(sequence=i))
         sim.run_until_idle()
@@ -204,16 +204,15 @@ class TestBitIdentityOnAndOff:
             sim.events_processed,
         )
 
-    def test_batched_equals_unbatched(self, monkeypatch):
+    def test_batched_equals_unbatched(self):
         from repro.sim import Simulator
 
         sim_on = Simulator()
         port_on, sink_on = build_port(sim_on)
         result_on = self._drive(sim_on, port_on, sink_on)
 
-        monkeypatch.setenv("REPRO_BATCHED_LINKS", "0")
         sim_off = Simulator()
-        port_off, sink_off = build_port(sim_off)
+        port_off, sink_off = build_port(sim_off, batching=False)
         result_off = self._drive(sim_off, port_off, sink_off)
 
         assert result_on == result_off

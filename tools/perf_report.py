@@ -108,6 +108,12 @@ def core_print(report: dict) -> None:
     if seam:
         print(f"  control seam   : {seam['overhead_ratio']:.3f}x outage-free overhead "
               "(contract: ~1.0)")
+    for workload in ("table3", "single_link"):
+        cell = current.get(f"frames_per_departure_{workload}")
+        if cell:
+            print(f"  frames/departure[{workload}]: "
+                  f"{cell['frames_per_departure']:.1f} Python frames "
+                  f"({cell['frames']:,} over {cell['departures']:,} departures)")
 
 
 def core_run(scale: float) -> dict:
