@@ -37,7 +37,6 @@ TIMER_CHURN_OPS = 150_000
 SCHED_DURATION_SECONDS = 8.0
 SCHED_NUM_FLOWS = 10
 TABLE_DURATION_SECONDS = 15.0
-QUEUE_DENSITY_EVENTS = 120_000
 BATCH_DRAIN_PACKETS = 60_000
 BATCH_DRAIN_BURST = 32
 # A count, not a timing: the same horizon at every ``--quick`` scale.
@@ -206,52 +205,6 @@ def bench_control_seam(
     return out
 
 
-def bench_queue_density(
-    total_events: int = QUEUE_DENSITY_EVENTS, chains: int = RAW_EVENT_CHAINS
-) -> Dict[str, Dict[str, float]]:
-    """Heap vs calendar event-store throughput across time densities.
-
-    Both stores run the identical self-rescheduling workload on the
-    pure-Python engine (the compiled core is heap-only, so timing it here
-    would attribute the C win to the calendar comparison).  *Dense* packs
-    every pending event into a ~64 us band — the calendar's best case,
-    one bucket sweep per pop.  *Sparse* spreads periods over five orders
-    of magnitude, so bucket occupancy is wildly uneven and the resize
-    heuristic has to keep the bucket width honest.
-    """
-    from repro.sim.engine import PySimulator
-
-    def drive(queue: str, periods) -> float:
-        sim = PySimulator(queue=queue)
-        budget = [total_events]
-        schedule = sim.schedule
-
-        def make_chain(period: float) -> Callable[[], None]:
-            def fire() -> None:
-                if budget[0] > 0:
-                    budget[0] -= 1
-                    schedule(period, fire)
-
-            return fire
-
-        for period in periods:
-            schedule(0.0, make_chain(period))
-        started = time.perf_counter()
-        sim.run_until_idle()
-        elapsed = time.perf_counter() - started
-        return sim.events_processed / elapsed
-
-    dense = [0.001 + i * 1e-6 for i in range(chains)]
-    sparse = [10.0 ** (-3 + (i % 6)) * (1.0 + i * 1e-3) for i in range(chains)]
-    return {
-        queue: {
-            "dense_events_per_sec": drive(queue, dense),
-            "sparse_events_per_sec": drive(queue, sparse),
-        }
-        for queue in ("heap", "calendar")
-    }
-
-
 def bench_batched_drain(
     total_packets: int = BATCH_DRAIN_PACKETS, burst: int = BATCH_DRAIN_BURST
 ) -> Dict[str, object]:
@@ -262,8 +215,7 @@ def bench_batched_drain(
     (every packet after a burst's first is served arithmetically).  The
     per-packet arm runs the identical workload on a port built with
     ``batching=False``, so the ratio isolates front
-    (a) of the engine work from the compiled core and the event store:
-    both arms run the authoritative pure-Python engine, where an elided
+    (a) of the engine work from the compiled core: both arms run the authoritative pure-Python engine, where an elided
     completion event is a real dispatch saved.
     """
     from repro.net.link import Link
@@ -278,7 +230,7 @@ def bench_batched_drain(
             pass
 
     def drive(batching: bool) -> Dict[str, float]:
-        sim = PySimulator(queue="heap")
+        sim = PySimulator()
         link = Link(sim, "L", rate_bps=1_000_000.0)
         link.connect(Sink(sim, "sink"))
         port = OutputPort(
@@ -429,9 +381,6 @@ def run_all(scale: float = 1.0) -> Dict[str, object]:
         ),
         "control_seam": bench_control_seam(
             duration=max(SCHED_DURATION_SECONDS * scale, 0.5)
-        ),
-        "queue_density": bench_queue_density(
-            total_events=max(int(QUEUE_DENSITY_EVENTS * scale), 1000)
         ),
         "batched_drain": bench_batched_drain(
             total_packets=max(int(BATCH_DRAIN_PACKETS * scale), 1024)

@@ -33,9 +33,9 @@ from repro.scenario import (
     ScenarioBuilder,
     ScenarioRunner,
     SweepExecutor,
+    expand,
     stop_when_ci_below,
 )
-from repro.scenario.sweep import expand
 
 WORKERS = 4
 NUM_FLOWS = 10

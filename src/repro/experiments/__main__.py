@@ -145,7 +145,7 @@ def _parse_sweep_plan(spec: ScenarioSpec, args) -> tuple:
 
     Expands eagerly so malformed seeds/overrides fail before simulating.
     """
-    from repro.scenario.sweep import expand
+    from repro.scenario import expand
 
     seeds = _parse_sweep_seeds(args.sweep_seeds) if args.sweep_seeds else None
     over = _parse_sweep_over(args.sweep_over) if args.sweep_over else None

@@ -69,13 +69,10 @@ from repro.control import (
     compute_outage_schedule,
     spf_from_topology,
 )
+from repro.fluid.model import fits, reserved_rate
 from repro.net.fabric import EcmpPaths, walk_links
 from repro.net.routing import RoutingError
-from repro.scenario.spec import (
-    GuaranteedRequest,
-    PredictedRequest,
-    ScenarioSpec,
-)
+from repro.scenario.spec import ScenarioSpec
 
 
 @dataclasses.dataclass
@@ -281,18 +278,13 @@ class _PlanBuilder:
         )
         self.flows = spec.flows
         # Re-admission applies to flows that hold a commitment — the
-        # packet analogue of "core_spec and signaling present".  The
-        # reserved rate mirrors _admit: clock rate for guaranteed,
-        # token rate for predicted.
-        self.reserved: Dict[int, float] = {}
-        if spec.admission is not None:
-            for f, flow in enumerate(self.flows):
-                if flow.name not in admitted:
-                    continue
-                if isinstance(flow.request, GuaranteedRequest):
-                    self.reserved[f] = flow.request.clock_rate_bps
-                elif isinstance(flow.request, PredictedRequest):
-                    self.reserved[f] = flow.request.token_rate_bps
+        # packet analogue of "core_spec and signaling present".
+        holders = admitted if spec.admission is not None else ()
+        self.reserved: Dict[int, float] = {
+            f: reserved_rate(flow.request)
+            for f, flow in enumerate(self.flows)
+            if flow.name in holders
+        }
         self._attach = {
             att.host: att.switch
             for att in spec.topology.host_attachments
@@ -407,12 +399,7 @@ class _PlanBuilder:
                     record.refusals += 1
                     self._tear(f, records, torn, cur, flush, dead)
                     continue
-                quota = self.quota
-                fits = quota is None or all(
-                    self.committed[l] + rate <= quota * self.caps[l]
-                    for l in new
-                )
-                if fits:
+                if fits(self.committed, rate, new, self.quota, self.caps):
                     for l in new:
                         self.committed[l] += rate
                     record.reroutes += 1

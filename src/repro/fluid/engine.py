@@ -1,9 +1,8 @@
 """Engine selection seam: route a spec to the packet or fluid engine.
 
 The spec carries ``engine="packet"|"fluid"`` and the environment can
-override it (``REPRO_ENGINE=fluid``), mirroring the hot-path toggle
-(``REPRO_ENGINE_QUEUE``): the same spec file or
-generated scenario can be re-run on the other engine without edits,
+override it (``REPRO_ENGINE=fluid``): the same spec file or generated
+scenario can be re-run on the other engine without edits,
 which is how the cross-validation goldens and the crossover benchmark
 drive both.
 """

@@ -55,9 +55,8 @@ Four coordinated mechanisms:
   per-flow state and recorded samples are bit-identical to the
   epoch-by-epoch schedule and ``events_processed`` counts every elided
   epoch exactly — the same guarantee discipline as the packet engine's
-  ``Simulator.advance_to``.  ``FluidOptions(fast_forward=False)`` or
-  ``REPRO_FLUID_FF=0`` disables the jump (the equivalence tests run
-  both ways).
+  ``Simulator.advance_to``.  ``FluidOptions(fast_forward=False)``
+  disables the jump (the equivalence tests run both ways).
 
 Under a compiled control plan (:mod:`repro.fluid.control`) the grid is
 grouped into link-state *segments*: each segment swaps in its state's

@@ -40,8 +40,7 @@ outage schedule is compiled ahead of time into link-state epochs
 with their backlog ledgered as failure drops, flows reroute via
 clock-free SPF/ECMP re-resolution, and admission-controlled flows
 re-enter admission with accounted teardowns — the same control summary
-the packet engine attaches.  ``REPRO_FLUID_OUTAGES=0`` restores the
-pre-control-plane rejection of active outage specs.
+the packet engine attaches.
 
 What the fluid model does *not* capture: packet-granularity effects
 (per-packet jitter inside an epoch, FIFO+ jitter sharing), transient
@@ -111,16 +110,6 @@ KERNEL_STATS = (
 
 _EPOCH_ENV = "REPRO_FLUID_EPOCH"
 _BACKEND_ENV = "REPRO_FLUID_BACKEND"
-_FF_ENV = "REPRO_FLUID_FF"
-#: Kill switch: ``REPRO_FLUID_OUTAGES=0`` restores the pre-control-plane
-#: behaviour (active outage specs raise; the compile path for
-#: outage-free specs is untouched either way).
-_OUTAGES_ENV = "REPRO_FLUID_OUTAGES"
-
-
-def _outages_enabled() -> bool:
-    value = os.environ.get(_OUTAGES_ENV, "").strip().lower()
-    return value not in ("0", "false", "off", "no")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -145,9 +134,9 @@ class FluidOptions:
             per-epoch sample bookkeeping; ``FlowStats`` rows still
             appear, with zeroed delay statistics.
         fast_forward: let the NumPy kernel jump steady constant-demand
-            intervals in closed form (``REPRO_FLUID_FF=0`` kill
-            switch); results stay bit-identical to the epoch-by-epoch
-            schedule — see :mod:`repro.fluid.kernel`.
+            intervals in closed form; results stay bit-identical to
+            the epoch-by-epoch schedule (``False``, the reference the
+            equivalence tests step) — see :mod:`repro.fluid.kernel`.
         fuse_epochs: epochs per fused kernel block (0 = sized
             automatically from the incidence, the default).
     """
@@ -206,11 +195,6 @@ class FluidOptions:
         if backend and "backend" not in overrides:
             origin["backend"] = f"{_BACKEND_ENV}={backend!r}"
             overrides["backend"] = backend
-        ff = os.environ.get(_FF_ENV)
-        if ff and "fast_forward" not in overrides:
-            overrides["fast_forward"] = ff.strip().lower() not in (
-                "0", "false", "off", "no"
-            )
         try:
             return cls(**overrides)
         except ValueError as exc:
@@ -252,17 +236,37 @@ def _routes_for(spec: ScenarioSpec):
     )
 
 
+def reserved_rate(request) -> Optional[float]:
+    """Bits/s a reservation request holds on every link of its path:
+    the clock rate of a guaranteed request, the token rate of a
+    predicted one (None without a request)."""
+    if isinstance(request, GuaranteedRequest):
+        return request.clock_rate_bps
+    if isinstance(request, PredictedRequest):
+        return request.token_rate_bps
+    return None
+
+
+def fits(committed: Sequence[float], rate: float, links: Sequence[int],
+         quota: Optional[float], caps: Sequence[float]) -> bool:
+    """The admission test: ``rate`` more bits/s stay within the realtime
+    quota of every link in ``links`` (always, without a quota)."""
+    return quota is None or all(
+        committed[l] + rate <= quota * caps[l] for l in links
+    )
+
+
 def _admit(spec: ScenarioSpec, path_links: Dict[str, Tuple[int, ...]],
            link_rates: Sequence[float]):
     """Static admission: the fluid stand-in for the signaling round-trip.
 
     Request-bearing flows visit admission in establish order (mirroring
-    :class:`~repro.scenario.runner.ScenarioContext`): a guaranteed
-    request is granted iff its clock rate fits under the realtime quota
-    on every path link given earlier commitments; a predicted request
-    checks its token rate the same way.  Denied flows run as datagram —
-    the paper's fallback service.  Without an ``admission`` block every
-    request is honoured (the runner's direct-install path).
+    :class:`~repro.scenario.runner.ScenarioContext`): a request is
+    granted iff its :func:`reserved_rate` :func:`fits` under the
+    realtime quota on every path link given earlier commitments.
+    Denied flows run as datagram — the paper's fallback service.
+    Without an ``admission`` block every request is honoured (the
+    runner's direct-install path).
 
     Returns ``(service, clock, admitted, denied, committed)``: per-flow
     resolved ``(ServiceClass, priority)``, per-flow granted clock rate
@@ -297,36 +301,24 @@ def _admit(spec: ScenarioSpec, path_links: Dict[str, Tuple[int, ...]],
     ]
     for name in order:
         flow = flows_by_name[name]
+        rate = reserved_rate(flow.request)
+        if rate is None:
+            continue
         links = path_links[name]
-        if isinstance(flow.request, GuaranteedRequest):
-            rate = flow.request.clock_rate_bps
-            fits = quota is None or all(
-                committed[l] + rate <= quota * link_rates[l] for l in links
+        guaranteed = isinstance(flow.request, GuaranteedRequest)
+        if fits(committed, rate, links, quota, link_rates):
+            for l in links:
+                committed[l] += rate
+            service[name] = (
+                (ServiceClass.GUARANTEED, 0) if guaranteed
+                else (ServiceClass.PREDICTED, flow.priority_class)
             )
-            if fits:
-                for l in links:
-                    committed[l] += rate
-                service[name] = (ServiceClass.GUARANTEED, 0)
-                clock[name] = rate
-                admitted.append(name)
-            else:
-                service[name] = (ServiceClass.DATAGRAM, 0)
-                clock[name] = None
-                denied.append(name)
-        elif isinstance(flow.request, PredictedRequest):
-            rate = flow.request.token_rate_bps
-            fits = quota is None or all(
-                committed[l] + rate <= quota * link_rates[l] for l in links
-            )
-            if fits:
-                for l in links:
-                    committed[l] += rate
-                service[name] = (ServiceClass.PREDICTED, flow.priority_class)
-                admitted.append(name)
-            else:
-                service[name] = (ServiceClass.DATAGRAM, 0)
-                denied.append(name)
+            clock[name] = rate if guaranteed else None
+            admitted.append(name)
+        else:
+            service[name] = (ServiceClass.DATAGRAM, 0)
             clock[name] = None
+            denied.append(name)
     for flow in spec.flows:
         if flow.name not in service:
             service[flow.name] = (flow.service_class, flow.priority_class)
@@ -360,38 +352,6 @@ class FluidSimulation:
                 f"{spec.name!r} carries TCP flow(s) {shown}; run this "
                 f"spec on the packet engine (engine=\"packet\" on the "
                 f"spec, REPRO_ENGINE=packet, or --engine packet)"
-            )
-        if (
-            spec.outages is not None
-            and spec.outages.is_active
-            and not _outages_enabled()
-        ):
-            out = spec.outages
-            parts = []
-            if out.events:
-                links = {e.link for e in out.events}
-                shown = ", ".join(
-                    repr(l) for l in heapq.nsmallest(5, links)
-                )
-                if len(links) > 5:
-                    shown += f", ... ({len(links)} links)"
-                parts.append(
-                    f"{len(out.events)} explicit outage event(s) on "
-                    f"{shown}"
-                )
-            if out.rate_per_second:
-                parts.append(
-                    f"a sampled outage process at "
-                    f"{out.rate_per_second:g}/s"
-                )
-            detail = " and ".join(parts)
-            raise ValueError(
-                f"fluid outage support is disabled "
-                f"({_OUTAGES_ENV}=0): spec {spec.name!r} declares "
-                f"{detail}; unset {_OUTAGES_ENV} to compile the outage "
-                f"schedule into link-state epochs, or run this spec on "
-                f"the packet engine (engine=\"packet\" on the spec, "
-                f"REPRO_ENGINE=packet, or --engine packet)"
             )
         self.spec = spec
         self.discipline = discipline
@@ -440,8 +400,6 @@ class FluidSimulation:
             i: resolve_port_discipline(discipline, name)
             for i, name in enumerate(self.link_names)
         }
-        # Kept for the control plane's per-state reclassification of
-        # rerouted flows (bottleneck may move to a different port).
         self._resolved = resolved
         self._granted_clock = clock
         run_tiered = any(d.kind in TIERED_KINDS for d in resolved.values())
@@ -481,9 +439,8 @@ class FluidSimulation:
         phase_salt = f"{_PHASE_SALT}:{spec.seed}:"
         # Local binds: this loop runs once per flow and dominates the
         # 1M-flow compile.
-        caps = self.caps
-        caps_get = caps.__getitem__
         paths = self.paths
+        classify = self._classify
         peak_append = self.peak_bps.append
         duty_append = self.duty.append
         period_append = self.period.append
@@ -516,34 +473,9 @@ class FluidSimulation:
                     tier_append(1 + num_predicted)
             else:
                 tier_append(0)
-            governing = None
-            if paths[f]:
-                bottleneck = min(paths[f], key=caps_get)
-                governing = resolved[bottleneck]
-            granted = clock[flow.name]
-            if granted is not None and (
-                governing is None
-                or governing.kind in FAIR_KINDS
-                or governing.kind in TIERED_KINDS
-            ):
-                # An installed clock rate isolates the flow wherever a
-                # rate-capable scheduler runs.
-                fair_append(True)
-                weight_append(granted)
-            elif governing is not None and governing.kind in FAIR_KINDS:
-                params = governing.param_dict
-                share = params.get("equal_share_flows")
-                if share:
-                    rate = caps[bottleneck] / share
-                else:
-                    rate = params.get("auto_register_rate_bps")
-                fair_append(True)
-                # Unregistered flows under WFQ-family schedulers share
-                # proportionally to their offered rate.
-                weight_append(rate or self.avg_bps[f])
-            else:
-                fair_append(False)
-                weight_append(0.0)
+            fair, weight = classify(f, paths[f])
+            fair_append(fair)
+            weight_append(weight)
 
         # -- epoch grid ------------------------------------------------
         duration = float(spec.duration)
@@ -662,51 +594,52 @@ class FluidSimulation:
             raise RuntimeError("numpy backend requested but numpy is absent")
         return choice
 
+    def _classify(self, f: int, path: Sequence[int]) -> Tuple[bool, float]:
+        """``(fair, weight)`` of flow ``f`` routed over ``path``: whether
+        it is clock-weighted (isolated) rather than demand-shared, and
+        its clock weight.  The flow is governed by the discipline at the
+        path's minimum-capacity link."""
+        governing = None
+        if path:
+            bottleneck = min(path, key=self.caps.__getitem__)
+            governing = self._resolved[bottleneck]
+        granted = self._granted_clock[self.flow_names[f]]
+        if granted is not None and (
+            governing is None
+            or governing.kind in FAIR_KINDS
+            or governing.kind in TIERED_KINDS
+        ):
+            # An installed clock rate isolates the flow wherever a
+            # rate-capable scheduler runs.
+            return True, granted
+        if governing is not None and governing.kind in FAIR_KINDS:
+            params = governing.param_dict
+            share = params.get("equal_share_flows")
+            if share:
+                rate = self.caps[bottleneck] / share
+            else:
+                rate = params.get("auto_register_rate_bps")
+            # Unregistered flows under WFQ-family schedulers share
+            # proportionally to their offered rate.
+            return True, rate or self.avg_bps[f]
+        return False, 0.0
+
     # -- control plane (compile-time helpers) --------------------------
     def _classify_state(self, state) -> None:
         """Fill a plan state's ``fair``/``weight`` lists: rerouted flows
-        are re-classified at the bottleneck of their *new* path (same
-        rules as the compile loop); unchanged flows keep their base
-        classification bit-for-bit.  The all-up state shares the base
-        lists by identity."""
+        are re-classified at the bottleneck of their *new* path;
+        unchanged flows keep their base classification bit-for-bit.  The
+        all-up state shares the base lists by identity."""
         if state.paths is self.paths:
             state.fair = self.fair
             state.weight = self.weight_static
             return
         fair = list(self.fair)
         weight = list(self.weight_static)
-        caps = self.caps
-        caps_get = caps.__getitem__
         base_paths = self.paths
-        clock = self._granted_clock
         for f, path in enumerate(state.paths):
-            if path == base_paths[f]:
-                continue
-            governing = None
-            bottleneck = None
-            if path:
-                bottleneck = min(path, key=caps_get)
-                governing = self._resolved[bottleneck]
-            granted = clock[self.flow_names[f]]
-            if granted is not None and (
-                governing is None
-                or governing.kind in FAIR_KINDS
-                or governing.kind in TIERED_KINDS
-            ):
-                fair[f] = True
-                weight[f] = granted
-            elif governing is not None and governing.kind in FAIR_KINDS:
-                params = governing.param_dict
-                share = params.get("equal_share_flows")
-                if share:
-                    rate = caps[bottleneck] / share
-                else:
-                    rate = params.get("auto_register_rate_bps")
-                fair[f] = True
-                weight[f] = rate or self.avg_bps[f]
-            else:
-                fair[f] = False
-                weight[f] = 0.0
+            if path != base_paths[f]:
+                fair[f], weight[f] = self._classify(f, path)
         state.fair = fair
         state.weight = weight
 

@@ -10,10 +10,9 @@ The subsystem the experiment layer is founded on:
 * :mod:`repro.scenario.runner` — :class:`ScenarioRunner` builds and runs
   one simulation per discipline with paired arrivals guaranteed by
   construction, returning a JSON-exportable :class:`ScenarioResult`;
-* :mod:`repro.scenario.sweep` — parameter/seed sweeps, bit-identical to
-  serial execution;
-* :mod:`repro.scenario.executor` — the persistent sweep execution engine
-  behind ``sweep()`` and ``ScenarioRunner.run(workers=)``: flattened
+* :mod:`repro.scenario.executor` — ``sweep()`` (parameter/seed sweeps,
+  bit-identical to serial execution) and the persistent execution engine
+  behind it and ``ScenarioRunner.run(workers=)``: flattened
   (override × seed × discipline) task graph, warm-started workers fed
   compact deltas, streaming collection, per-run wall-clock budgets, and
   early stopping;
@@ -35,7 +34,9 @@ from repro.scenario.executor import (
     SweepOutcome,
     SweepRun,
     TaskResult,
+    expand,
     stop_when_ci_below,
+    sweep,
 )
 from repro.scenario.disciplines import (
     build_scheduler,
@@ -64,7 +65,6 @@ from repro.scenario.spec import (
     TcpSpec,
     TopologySpec,
 )
-from repro.scenario.sweep import expand, sweep
 from repro.scenario import generators  # noqa: E402  (needs spec/registry)
 
 __all__ = [

@@ -92,10 +92,10 @@ def expand_deltas(
 ) -> List[Tuple[Override, int]]:
     """The sweep's run list as compact ``(override, seed)`` deltas.
 
-    Mirrors :func:`repro.scenario.sweep.expand` (override-major,
-    seed-minor) without materializing a full spec per run: workers rebuild
-    specs from these deltas, and :func:`resolve_run_spec` is the single
-    authoritative reconstruction both sides share.
+    Mirrors :func:`expand` (override-major, seed-minor) without
+    materializing a full spec per run: workers rebuild specs from these
+    deltas, and :func:`resolve_run_spec` is the single authoritative
+    reconstruction both sides share.
     """
     overrides = list(over) if over is not None else [{}]
     seed_list = list(seeds) if seeds is not None else None
@@ -128,6 +128,25 @@ def resolve_run_spec(
     """
     spec = override if isinstance(override, ScenarioSpec) else base.replace(**override)
     return spec.replace(seed=seed)
+
+
+def expand(
+    spec: ScenarioSpec,
+    over: Optional[Iterable[Override]] = None,
+    seeds: Optional[Sequence[int]] = None,
+) -> List[ScenarioSpec]:
+    """The concrete run list a sweep will execute, in order.
+
+    ``over`` entries are either field-override mappings (applied with
+    :meth:`ScenarioSpec.replace`) or complete replacement specs; ``seeds``
+    multiplies each entry into one run per seed.  Built from the same
+    delta expansion the executor ships to workers, so this *is* the spec
+    list a sweep reconstructs.
+    """
+    return [
+        resolve_run_spec(spec, override, seed)
+        for override, seed in expand_deltas(spec, over=over, seeds=seeds)
+    ]
 
 
 def resolve_task_spec(
@@ -673,8 +692,7 @@ class SweepExecutor:
         """Execute one sweep through the flattened task graph.
 
         Args:
-            over / seeds: the expansion, exactly as in
-                :func:`repro.scenario.sweep.expand`.
+            over / seeds: the expansion, exactly as in :func:`expand`.
             budget_seconds: per-task wall-clock budget for this sweep
                 (defaults to the executor's).  Each discipline simulation
                 of a run gets its own budget; a D-discipline run may
@@ -854,3 +872,77 @@ class SweepExecutor:
             slots.release()
             self.close()
             raise
+
+
+# ----------------------------------------------------------------------
+# The one-call surface
+# ----------------------------------------------------------------------
+
+
+def sweep(
+    spec: ScenarioSpec,
+    over: Optional[Iterable[Override]] = None,
+    seeds: Optional[Sequence[int]] = None,
+    workers: Optional[int] = None,
+    *,
+    budget_seconds: Optional[float] = None,
+    early_stop: Optional[Callable[[List[SweepRun]], bool]] = None,
+    on_result: Optional[Callable[[SweepRun], None]] = None,
+    executor: Optional[SweepExecutor] = None,
+) -> Union[List[ScenarioResult], SweepOutcome]:
+    """Run ``spec`` across parameter overrides and seeds.
+
+    Paired seeds fall out of the stream discipline: within one spec,
+    every discipline sees the same arrivals; across specs that share a
+    seed, flows with the same names see the same arrivals too (streams
+    are keyed by flow name only).
+
+    Args:
+        over: iterable of field-override mappings (or whole specs).
+        seeds: seeds to pair every override with.
+        workers: process count; ``None``/``0``/``1`` runs serially.
+        budget_seconds: optional wall-clock budget for each discipline
+            simulation of a run (so a D-discipline run may spend up to D
+            times this); runs with an over-budget simulation are reported
+            ``budget_expired``.  Not given here, a budget carried by
+            ``executor`` still applies.
+        early_stop: optional predicate over the completed
+            :class:`SweepRun` list; returning True stops dispatching
+            further runs (reported ``stopped``).  See
+            :func:`stop_when_ci_below`.
+        on_result: streaming callback fired as each run finishes.
+        executor: reuse a caller-owned :class:`SweepExecutor` (and its
+            warm worker pool) instead of a transient one; ``workers`` is
+            then ignored.
+
+    Returns:
+        Without budgets or early stopping: one :class:`ScenarioResult`
+        per expanded run, in expansion order (override-major, seed-minor)
+        regardless of worker scheduling — every run completes, so the
+        plain result list is the whole story.  With ``budget_seconds``
+        (given here or carried by the executor) or ``early_stop``: the
+        full :class:`SweepOutcome`, whose entries record completed /
+        budget-expired / stopped runs explicitly.
+    """
+    owns_executor = executor is None
+    active = executor if executor is not None else SweepExecutor(workers=workers)
+    # A caller-owned executor may carry a default budget; only an explicit
+    # argument here overrides it.
+    budget = (
+        budget_seconds if budget_seconds is not None else active.budget_seconds
+    )
+    try:
+        outcome = active.run_sweep(
+            spec,
+            over=over,
+            seeds=seeds,
+            budget_seconds=budget,
+            early_stop=early_stop,
+            on_result=on_result,
+        )
+    finally:
+        if owns_executor:
+            active.close()
+    if budget is None and early_stop is None:
+        return outcome.results
+    return outcome

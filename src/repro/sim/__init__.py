@@ -6,35 +6,29 @@ loop over plain ``(time, priority, seq, action)`` tuples with
 deterministic tie-breaking, named timers, and seeded random streams so
 that every experiment in the reproduction is replayable bit-for-bit.
 
-Two event-store backends (binary heap, calendar queue) and an optional
-compiled core are selectable per engine — see :func:`backend_info` and
-the README's Performance section.  The pure-Python engine is the
-authoritative implementation; everything else must match it bit-for-bit.
+One event store (a binary heap) and an optional compiled core — see
+:func:`backend_info` and the README's Performance section.  The
+pure-Python engine is the authoritative implementation; the compiled
+core must match it bit-for-bit.
 """
 
 from repro.sim.engine import (
-    Engine,
     PySimulator,
     SimulationError,
     Simulator,
     backend_info,
-    resolve_queue_backend,
 )
-from repro.sim.calendar import CalendarQueue
 from repro.sim.events import EventHandle
 from repro.sim.randomness import RandomStreams, StreamRandom
 from repro.sim.timers import PeriodicTimer
 
 __all__ = [
-    "Engine",
     "Simulator",
     "PySimulator",
     "SimulationError",
     "EventHandle",
-    "CalendarQueue",
     "RandomStreams",
     "StreamRandom",
     "PeriodicTimer",
     "backend_info",
-    "resolve_queue_backend",
 ]

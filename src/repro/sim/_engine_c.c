@@ -1,10 +1,10 @@
 /* Compiled core for the discrete-event engine (repro.sim._engine_c).
  *
- * CSimulator is a drop-in for repro.sim.engine.PySimulator with the
- * "heap" event store: same public surface, same validation errors, same
- * (time, priority, seq) total order, same lazy-cancellation + compaction
- * behaviour, same batched-service seam (peek_next_time / horizon /
- * advance_to).  The pure-Python engine remains authoritative — the golden
+ * CSimulator is a drop-in for repro.sim.engine.PySimulator: same public
+ * surface, same validation errors, same (time, priority, seq) total
+ * order, same lazy-cancellation + compaction behaviour, same
+ * batched-service seam (peek_next_time / horizon / advance_to).  The
+ * pure-Python engine remains authoritative — the golden
  * suite must pass bit-identically under both — this module only removes
  * interpreter overhead: events live in a C array of structs (no tuple per
  * event), the heap is sifted in C, and the run loop is one C frame.
@@ -275,13 +275,10 @@ check_abs_time(CSimulator *self, double time)
 static int
 CSimulator_init(CSimulator *self, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"start_time", "queue", NULL};
+    static char *kwlist[] = {"start_time", NULL};
     double start = 0.0;
-    PyObject *queue = Py_None;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|dO", kwlist, &start, &queue))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|d", kwlist, &start))
         return -1;
-    /* The factory only routes heap-queue instances here; accept "heap"/
-     * "auto"/None defensively so direct construction behaves sanely. */
     for (Py_ssize_t i = 0; i < self->size; i++)
         Py_CLEAR(self->heap[i].action);
     self->size = 0;
@@ -685,17 +682,11 @@ CSimulator_get_cancelled(CSimulator *self, void *closure)
 }
 
 static PyObject *
-CSimulator_get_queue_backend(CSimulator *self, void *closure)
-{
-    return PyUnicode_FromString("heap");
-}
-
-static PyObject *
 CSimulator_repr(CSimulator *self)
 {
     char buf[128];
     snprintf(buf, sizeof(buf),
-             "<CSimulator t=%.6f pending=%lld fired=%lld queue=heap>",
+             "<CSimulator t=%.6f pending=%lld fired=%lld>",
              self->now, (long long)self->size, self->events_processed);
     return PyUnicode_FromString(buf);
 }
@@ -752,9 +743,6 @@ static PyGetSetDef CSimulator_getset[] = {
      "Number of events still queued (including cancelled ones).", NULL},
     {"cancelled_pending", (getter)CSimulator_get_cancelled, NULL,
      "Dead (cancelled-but-unpopped) entries currently in the queue.", NULL},
-    {"queue_backend", (getter)CSimulator_get_queue_backend, NULL,
-     "Event-store backend name (always \"heap\" for the compiled core).",
-     NULL},
     {NULL, NULL, NULL, NULL, NULL},
 };
 

@@ -23,11 +23,8 @@ Design notes
   Dead cells are counted, and when they outnumber the live entries the
   queue is compacted in place, so timer-churn workloads (cancel/re-arm far
   more often than fire) cannot grow the queue without bound.
-* **Pluggable event store.**  ``queue="heap"`` (default) is a binary heap
-  of tuples; ``queue="calendar"`` is a bucket-array calendar queue
-  (:mod:`repro.sim.calendar`) with O(1) amortized operations when event
-  times are dense.  Both order identically on ``(time, priority, seq)``.
-  ``queue="auto"`` resolves via ``REPRO_ENGINE_QUEUE`` (default heap).
+* **One event store.**  Pending events live in a binary heap of tuples
+  ordered on ``(time, priority, seq)``.
 * **Batched-service seam.**  :meth:`PySimulator.peek_next_time`,
   :attr:`PySimulator.horizon`, and :meth:`PySimulator.advance_to` let the
   batched link path (:mod:`repro.net.port`) serve a burst of packets
@@ -37,10 +34,10 @@ Design notes
   nothing else.
 * **Optional compiled core.**  If the C accelerator
   (``repro.sim._engine_c``, built by ``setup.py build_ext``) is importable,
-  the :func:`Simulator` factory returns its engine for heap-queue
-  instances.  The pure-Python :class:`PySimulator` stays authoritative:
-  ``REPRO_PURE_PYTHON=1`` forces it everywhere, and the golden suite must
-  pass bit-identically under both.  See :func:`backend_info`.
+  the :func:`Simulator` factory returns its engine.  The pure-Python
+  :class:`PySimulator` stays authoritative: ``REPRO_PURE_PYTHON=1`` forces
+  it everywhere, and the golden suite must pass bit-identically under
+  both.  See :func:`backend_info`.
 * **Cheap inner loop.**  Validation (negative/NaN/infinite times) happens
   once at the public scheduling boundary as a single chained comparison;
   the run loop itself only pops tuples, advances the clock, and calls.
@@ -56,14 +53,11 @@ from heapq import heapify, heappop, heappush
 from math import inf
 from typing import Any, Callable, Optional
 
-from repro.sim.calendar import CalendarQueue
 from repro.sim.events import EventHandle
 
 #: Compact the queue only past this many dead cells, so small simulations
 #: never pay for a rebuild.
 COMPACT_MIN_CANCELLED = 256
-
-QUEUE_BACKENDS = ("heap", "calendar")
 
 
 class SimulationError(RuntimeError):
@@ -71,26 +65,9 @@ class SimulationError(RuntimeError):
 
 
 def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() not in ("", "0", "false", "no")
-
-
-def resolve_queue_backend(queue: Optional[str] = None) -> str:
-    """Resolve a ``queue=`` argument to a concrete backend name.
-
-    ``None``/``"auto"`` consult the ``REPRO_ENGINE_QUEUE`` environment
-    variable (read at call time, so tests can flip it per run) and default
-    to ``"heap"``.
-    """
-    if queue is None or queue == "auto":
-        queue = os.environ.get("REPRO_ENGINE_QUEUE", "").strip().lower() or "auto"
-        if queue == "auto":
-            queue = "heap"
-    if queue not in QUEUE_BACKENDS:
-        raise ValueError(
-            f"unknown queue backend {queue!r}; expected one of "
-            f"{QUEUE_BACKENDS + ('auto',)}"
-        )
-    return queue
+    """True unless unset, empty or one of ``0|false|off|no``."""
+    value = os.environ.get(name, "").strip().lower()
+    return value not in ("", "0", "false", "off", "no")
 
 
 class PySimulator:
@@ -101,35 +78,25 @@ class PySimulator:
 
     Args:
         start_time: initial clock value.
-        queue: event-store backend, ``"heap"`` or ``"calendar"``
-            (``"auto"``/None resolve via :func:`resolve_queue_backend`).
     """
 
     __slots__ = (
         "now",
         "horizon",
-        "queue_backend",
         "_queue",
-        "_cal",
         "_seq",
         "_running",
         "_events_processed",
         "_cancelled",
     )
 
-    def __init__(self, start_time: float = 0.0, queue: Optional[str] = None):
+    def __init__(self, start_time: float = 0.0):
         self.now = float(start_time)
         #: The active ``run(until=...)`` stop time (``inf`` outside a
         #: bounded run).  The batched link path never advances the clock
         #: past it, so sliced run windows stay bit-identical.
         self.horizon = inf
-        self.queue_backend = resolve_queue_backend(queue)
-        if self.queue_backend == "calendar":
-            self._cal: Optional[CalendarQueue] = CalendarQueue()
-            self._queue: Any = self._cal
-        else:
-            self._cal = None
-            self._queue = []
+        self._queue: list = []
         self._seq = 0
         self._running = False
         self._events_processed = 0
@@ -180,11 +147,7 @@ class PySimulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        cal = self._cal
-        if cal is None:
-            heappush(self._queue, (self.now + delay, priority, seq, action))
-        else:
-            cal.push((self.now + delay, priority, seq, action))
+        heappush(self._queue, (self.now + delay, priority, seq, action))
 
     def schedule_at(
         self,
@@ -204,11 +167,7 @@ class PySimulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        cal = self._cal
-        if cal is None:
-            heappush(self._queue, (float(time), priority, seq, action))
-        else:
-            cal.push((float(time), priority, seq, action))
+        heappush(self._queue, (float(time), priority, seq, action))
 
     # ------------------------------------------------------------------
     # Scheduling — cancellable variant
@@ -232,11 +191,7 @@ class PySimulator:
         cell = [action]
         seq = self._seq
         self._seq = seq + 1
-        cal = self._cal
-        if cal is None:
-            heappush(self._queue, (time, priority, seq, cell))
-        else:
-            cal.push((time, priority, seq, cell))
+        heappush(self._queue, (time, priority, seq, cell))
         return EventHandle(time, cell, self)
 
     def schedule_handle_at(
@@ -254,11 +209,7 @@ class PySimulator:
         cell = [action]
         seq = self._seq
         self._seq = seq + 1
-        cal = self._cal
-        if cal is None:
-            heappush(self._queue, (time, priority, seq, cell))
-        else:
-            cal.push((time, priority, seq, cell))
+        heappush(self._queue, (time, priority, seq, cell))
         return EventHandle(time, cell, self)
 
     # ------------------------------------------------------------------
@@ -279,23 +230,15 @@ class PySimulator:
 
     def compact(self) -> None:
         """Drop every cancelled entry from the queue immediately."""
-        cal = self._cal
-        if cal is None:
-            queue = self._queue
-            alive = [
-                entry
-                for entry in queue
-                if not (entry[3].__class__ is list and entry[3][0] is None)
-            ]
-            if len(alive) != len(queue):
-                queue[:] = alive
-                heapify(queue)
-        else:
-            cal.compact(
-                lambda entry: not (
-                    entry[3].__class__ is list and entry[3][0] is None
-                )
-            )
+        queue = self._queue
+        alive = [
+            entry
+            for entry in queue
+            if not (entry[3].__class__ is list and entry[3][0] is None)
+        ]
+        if len(alive) != len(queue):
+            queue[:] = alive
+            heapify(queue)
         self._cancelled = 0
 
     # ------------------------------------------------------------------
@@ -307,28 +250,16 @@ class PySimulator:
         Dead (cancelled) entries surfacing at the head are removed on the
         way, so the answer is exact, not conservative.
         """
-        cal = self._cal
-        if cal is None:
-            queue = self._queue
-            while queue:
-                head = queue[0]
-                action = head[3]
-                if action.__class__ is list and action[0] is None:
-                    heappop(queue)
-                    self._cancelled -= 1
-                    continue
-                return head[0]
-            return inf
-        while True:
-            head = cal.peek()
-            if head is None:
-                return inf
+        queue = self._queue
+        while queue:
+            head = queue[0]
             action = head[3]
             if action.__class__ is list and action[0] is None:
-                cal.pop()
+                heappop(queue)
                 self._cancelled -= 1
                 continue
             return head[0]
+        return inf
 
     def advance_to(self, time: float) -> None:
         """Jump the clock forward without firing anything.
@@ -356,41 +287,22 @@ class PySimulator:
         Returns:
             True if an event fired, False if the queue was empty.
         """
-        cal = self._cal
-        if cal is None:
-            queue = self._queue
-            while queue:
-                time, _, _, action = heappop(queue)
-                if action.__class__ is list:
-                    fn = action[0]
-                    if fn is None:
-                        self._cancelled -= 1
-                        continue  # cancelled; lazy deletion
-                    action[0] = None  # mark fired so handles report inactive
-                else:
-                    fn = action
-                self.now = time
-                self._events_processed += 1
-                fn()
-                return True
-            return False
-        while True:
-            entry = cal.pop()
-            if entry is None:
-                return False
-            action = entry[3]
+        queue = self._queue
+        while queue:
+            time, _, _, action = heappop(queue)
             if action.__class__ is list:
                 fn = action[0]
                 if fn is None:
                     self._cancelled -= 1
-                    continue
-                action[0] = None
+                    continue  # cancelled; lazy deletion
+                action[0] = None  # mark fired so handles report inactive
             else:
                 fn = action
-            self.now = entry[0]
+            self.now = time
             self._events_processed += 1
             fn()
             return True
+        return False
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run the event loop.
@@ -413,51 +325,29 @@ class PySimulator:
         self.horizon = stop
         limit = inf if max_events is None else max_events
         fired = 0
-        cal = self._cal
         try:
-            if cal is None:
-                queue = self._queue
-                pop = heappop
-                while queue:
-                    head = queue[0]
-                    time = head[0]
-                    if time > stop:
-                        break
-                    pop(queue)
-                    action = head[3]
-                    if action.__class__ is list:
-                        fn = action[0]
-                        if fn is None:
-                            self._cancelled -= 1
-                            continue  # cancelled; lazy deletion
-                        action[0] = None  # mark fired
-                    else:
-                        fn = action
-                    self.now = time
-                    fired += 1
-                    fn()
-                    if fired >= limit:
-                        break
-            else:
-                while True:
-                    head = cal.peek()
-                    if head is None or head[0] > stop:
-                        break
-                    cal.pop()
-                    action = head[3]
-                    if action.__class__ is list:
-                        fn = action[0]
-                        if fn is None:
-                            self._cancelled -= 1
-                            continue
-                        action[0] = None
-                    else:
-                        fn = action
-                    self.now = head[0]
-                    fired += 1
-                    fn()
-                    if fired >= limit:
-                        break
+            queue = self._queue
+            pop = heappop
+            while queue:
+                head = queue[0]
+                time = head[0]
+                if time > stop:
+                    break
+                pop(queue)
+                action = head[3]
+                if action.__class__ is list:
+                    fn = action[0]
+                    if fn is None:
+                        self._cancelled -= 1
+                        continue  # cancelled; lazy deletion
+                    action[0] = None  # mark fired
+                else:
+                    fn = action
+                self.now = time
+                fired += 1
+                fn()
+                if fired >= limit:
+                    break
         finally:
             self._running = False
             self.horizon = inf
@@ -481,7 +371,7 @@ class PySimulator:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<PySimulator t={self.now:.6f} pending={len(self._queue)} "
-            f"fired={self._events_processed} queue={self.queue_backend}>"
+            f"fired={self._events_processed}>"
         )
 
 
@@ -506,31 +396,23 @@ if not PURE_PYTHON_FORCED:
         _COMPILED._wire(SimulationError, EventHandle)
 
 
-def Simulator(start_time: float = 0.0, queue: Optional[str] = None):
-    """Build a simulation engine (factory; also exported as ``Engine``).
+def Simulator(start_time: float = 0.0):
+    """Build a simulation engine (factory).
 
-    Returns the compiled core when it is importable and the resolved queue
-    backend is ``"heap"`` (the calendar queue is pure Python); otherwise
-    the authoritative :class:`PySimulator`.  ``REPRO_PURE_PYTHON=1``
-    disables the compiled core for the whole process.
+    Returns the compiled core when it is importable, otherwise the
+    authoritative :class:`PySimulator`.  ``REPRO_PURE_PYTHON=1`` disables
+    the compiled core for the whole process.
 
     Args:
         start_time: initial clock value.
-        queue: ``"heap"`` | ``"calendar"`` | ``"auto"`` (default: consult
-            ``REPRO_ENGINE_QUEUE``, then heap).
     """
-    resolved = resolve_queue_backend(queue)
-    if _COMPILED is not None and resolved == "heap":
+    if _COMPILED is not None:
         return _COMPILED.CSimulator(start_time)
-    return PySimulator(start_time, queue=resolved)
-
-
-#: The name the ISSUE/ROADMAP use for the selectable engine.
-Engine = Simulator
+    return PySimulator(start_time)
 
 
 def backend_info() -> dict:
-    """Report which engine core and queue backends this process uses.
+    """Report which engine core this process uses.
 
     Also exported as :func:`repro.sim.backend_info`.
     """
@@ -540,6 +422,4 @@ def backend_info() -> dict:
         "compiled_available": compiled,
         "compiled_module": getattr(_COMPILED, "__file__", None),
         "pure_python_forced": PURE_PYTHON_FORCED,
-        "default_queue": resolve_queue_backend(None),
-        "queue_backends": list(QUEUE_BACKENDS),
     }

@@ -258,12 +258,6 @@ class TestFastForward:
         plain, _ = run_ff(spec, False, monkeypatch)
         self.assert_bitwise_equal(ff, plain)
 
-    def test_kill_switch_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLUID_FF", "0")
-        assert FluidOptions.from_env().fast_forward is False
-        monkeypatch.setenv("REPRO_FLUID_FF", "1")
-        assert FluidOptions.from_env().fast_forward is True
-
 
 STATE_FIELDS = (
     "generated_bits", "delivered_bits", "backlog_bits", "dropped_bits",

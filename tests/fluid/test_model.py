@@ -272,18 +272,9 @@ class TestValidityEnvelope:
         with pytest.raises(ValueError, match="TCP"):
             FluidSimulation(spec, spec.disciplines[0])
 
-    def test_outage_specs_rejected_with_kill_switch(self, monkeypatch):
-        # Outage specs are supported since the fluid control plane;
-        # REPRO_FLUID_OUTAGES=0 restores the old rejection for *active*
-        # specs only.
-        monkeypatch.setenv("REPRO_FLUID_OUTAGES", "0")
-        spec = registry.build("gen:outage", gen_seed=1, duration=5.0)
-        assert spec.outages is not None and spec.outages.is_active
-        with pytest.raises(ValueError, match="outage"):
-            FluidSimulation(spec, spec.disciplines[0])
-
     def test_outage_specs_supported_by_default(self):
         spec = registry.build("gen:outage", gen_seed=1, duration=5.0)
+        assert spec.outages is not None and spec.outages.is_active
         sim = FluidSimulation(spec, spec.disciplines[0])
         assert sim.control_plan is not None
 
@@ -316,32 +307,13 @@ class TestValidityEnvelope:
         assert "(8 total)" in message
         assert "'tcp-7'" not in message  # beyond the 5-name preview
 
-    def test_outage_rejection_names_links_and_remedy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLUID_OUTAGES", "0")
-        spec = registry.build("gen:outage", gen_seed=1, duration=5.0)
-        out = spec.outages
-        assert out is not None
-        with pytest.raises(ValueError) as excinfo:
-            FluidSimulation(spec, spec.disciplines[0])
-        message = str(excinfo.value)
-        assert f"{spec.name!r}" in message
-        assert 'engine="packet"' in message
-        assert "REPRO_FLUID_OUTAGES" in message
-        if out.events:
-            first = sorted({e.link for e in out.events})[0]
-            assert repr(first) in message
-        if out.rate_per_second:
-            assert f"{out.rate_per_second:g}/s" in message
-
-    def test_degenerate_outage_spec_not_gated(self, monkeypatch):
-        # Bugfix: an inactive OutageSpec (no events, zero rate) must
-        # build and run even with the kill switch thrown — it declares
-        # nothing to simulate.
+    def test_degenerate_outage_spec_not_gated(self):
+        # An inactive OutageSpec (no events, zero rate) declares nothing
+        # to simulate: it compiles to an empty plan on the uniform grid.
         import dataclasses
 
         from repro.scenario.spec import OutageSpec
 
-        monkeypatch.setenv("REPRO_FLUID_OUTAGES", "0")
         builder = ScenarioBuilder("fluid-degen").single_link().duration(5.0)
         builder.add_flow("a", "src-host", "dst-host")
         builder.disciplines(DisciplineSpec.fifo())

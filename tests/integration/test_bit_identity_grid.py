@@ -2,18 +2,16 @@
 
 Generated scenarios (``gen:random-graph``, ``gen:wan-path``,
 ``gen:outage`` — the last one exercising control-plane failovers) are run
-across every engine configuration {batched on/off} x {heap, calendar},
-with validation invariants enabled.  Every configuration must produce an
-*identical* ``DisciplineRunResult`` payload: the batched link service and
-the calendar event store are pure hot-path mechanics, and any observable
-divergence — a delay percentile, a drop count, an invariant verdict —
-is a correctness bug, not a tuning difference.
+with batched link service on and off, with validation invariants
+enabled.  Both configurations must produce an *identical*
+``DisciplineRunResult`` payload: the batched link service is pure
+hot-path mechanics, and any observable divergence — a delay percentile,
+a drop count, an invariant verdict — is a correctness bug, not a tuning
+difference.
 
-(When the compiled core is built, the heap configurations additionally
-run on it, so the grid also crosses compiled vs pure-Python.)
+(The grid runs on the compiled core when it is built; the tests-compiled
+CI leg re-runs it under ``REPRO_PURE_PYTHON=1``, so both cores pass it.)
 """
-
-import os
 
 import pytest
 
@@ -35,31 +33,15 @@ SCENARIOS = [
     "gen:wan-guaranteed",
 ]
 
-CONFIGS = [
-    pytest.param("heap", False, id="heap-batched"),
-    pytest.param("heap", True, id="heap-perpacket"),
-    pytest.param("calendar", False, id="calendar-batched"),
-    pytest.param("calendar", True, id="calendar-perpacket"),
-]
+CONFIGS = {"batched": True, "perpacket": False}
 
 
-def _run_grid_point(spec, queue, batching_off):
-    saved = os.environ.get("REPRO_ENGINE_QUEUE")
-    os.environ["REPRO_ENGINE_QUEUE"] = queue
-    try:
-        runner = ScenarioRunner(spec)
-        return [
-            runner.build(d, batching=not batching_off)
-            .run()
-            .collect()
-            .comparable_dict()
-            for d in spec.disciplines
-        ]
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_ENGINE_QUEUE", None)
-        else:
-            os.environ["REPRO_ENGINE_QUEUE"] = saved
+def _run_grid_point(spec, batching):
+    runner = ScenarioRunner(spec)
+    return [
+        runner.build(d, batching=batching).run().collect().comparable_dict()
+        for d in spec.disciplines
+    ]
 
 
 @pytest.fixture(scope="module", params=SCENARIOS)
@@ -72,17 +54,17 @@ def scenario_payloads(request):
         kwargs.update(outage_rate_per_second=2.0, mean_outage_seconds=0.5)
     spec = registry.build(request.param, **kwargs)
     assert spec.validate, "generated scenarios must run with invariants on"
-    payloads = {}
-    for param in CONFIGS:
-        queue, batching_off = param.values
-        payloads[param.id] = _run_grid_point(spec, queue, batching_off)
+    payloads = {
+        config_id: _run_grid_point(spec, batching)
+        for config_id, batching in CONFIGS.items()
+    }
     return request.param, spec, payloads
 
 
 class TestBitIdentityGrid:
     def test_all_configs_identical(self, scenario_payloads):
         name, spec, payloads = scenario_payloads
-        reference_id = "heap-perpacket"  # the pre-batching ground truth
+        reference_id = "perpacket"  # the pre-batching ground truth
         reference = payloads[reference_id]
         for config_id, payload in payloads.items():
             assert payload == reference, (

@@ -15,6 +15,7 @@ from repro.scenario import (
     DisciplineSpec,
     ScenarioBuilder,
     SweepExecutor,
+    expand,
     stop_when_ci_below,
     sweep,
 )
@@ -27,7 +28,6 @@ from repro.scenario.executor import (
     resolve_task_spec,
     run_task,
 )
-from repro.scenario.sweep import expand
 
 
 def base_spec(duration=5.0, disciplines=None):

@@ -1,16 +1,17 @@
 """Backend selection: factory routing, backend_info, pure-Python forcing.
 
-The ``Simulator`` factory picks the compiled core for heap-queue engines
-when ``repro.sim._engine_c`` is importable, and the authoritative
+The ``Simulator`` factory picks the compiled core when
+``repro.sim._engine_c`` is importable, and the authoritative
 ``PySimulator`` otherwise.  ``REPRO_PURE_PYTHON=1`` (import-time) forces
-pure Python; ``REPRO_ENGINE_QUEUE`` (construction-time) picks the default
-event store.  The compiled core must mirror the Python engine's public
-surface — including validation errors and handle semantics.
+pure Python.  The compiled core must mirror the Python engine's public
+surface — including validation errors and handle semantics — and fire a
+randomized event script in exactly the Python engine's order.
 """
 
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -22,7 +23,6 @@ from repro.sim import (
     SimulationError,
     Simulator,
     backend_info,
-    resolve_queue_backend,
 )
 
 INFO = backend_info()
@@ -32,8 +32,6 @@ class TestBackendInfo:
     def test_report_shape(self):
         assert INFO["engine"] in ("compiled-c", "pure-python")
         assert isinstance(INFO["compiled_available"], bool)
-        assert INFO["default_queue"] in ("heap", "calendar")
-        assert INFO["queue_backends"] == ["heap", "calendar"]
         assert INFO["pure_python_forced"] in (True, False)
 
     def test_engine_matches_availability(self):
@@ -41,46 +39,76 @@ class TestBackendInfo:
             "compiled-c" if INFO["compiled_available"] else "pure-python"
         )
 
-    def test_calendar_always_pure_python(self):
-        sim = Simulator(queue="calendar")
-        assert isinstance(sim, PySimulator)
-        assert sim.queue_backend == "calendar"
-
-    def test_resolve_queue_backend(self, monkeypatch):
-        assert resolve_queue_backend("heap") == "heap"
-        assert resolve_queue_backend("calendar") == "calendar"
-        monkeypatch.setenv("REPRO_ENGINE_QUEUE", "calendar")
-        assert resolve_queue_backend(None) == "calendar"
-        assert resolve_queue_backend("auto") == "calendar"
-        monkeypatch.delenv("REPRO_ENGINE_QUEUE")
-        assert resolve_queue_backend(None) == "heap"
-        with pytest.raises(ValueError, match="unknown queue backend"):
-            resolve_queue_backend("btree")
-
     def test_pure_python_env_forces_py_engine(self):
-        """In a fresh process with REPRO_PURE_PYTHON=1, the factory must
-        return PySimulator even when the compiled core is built."""
-        code = (
-            "from repro.sim import Simulator, PySimulator, backend_info\n"
-            "info = backend_info()\n"
-            "assert info['engine'] == 'pure-python', info\n"
-            "assert info['pure_python_forced'] is True, info\n"
-            "assert isinstance(Simulator(), PySimulator)\n"
-            "print('ok')\n"
-        )
+        """REPRO_PURE_PYTHON is read at import, so each cell is a fresh
+        process: ``1`` makes the factory return PySimulator even when the
+        compiled core is built; ``off`` (like ``0``, ``false`` and
+        ``no``) forces nothing."""
         repo_root = pathlib.Path(__file__).resolve().parents[2]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(repo_root / "src")
-        env["REPRO_PURE_PYTHON"] = "1"
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=str(repo_root),
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "ok"
+        for value, forced in (("1", True), ("off", False)):
+            code = (
+                "from repro.sim import Simulator, PySimulator, backend_info\n"
+                "info = backend_info()\n"
+                f"assert info['pure_python_forced'] is {forced}, info\n"
+                "pure = isinstance(Simulator(), PySimulator)\n"
+                "assert pure == (info['engine'] == 'pure-python'), info\n"
+                f"assert pure or not {forced}, info\n"
+                "print('ok')\n"
+            )
+            env = dict(os.environ)
+            env["PYTHONPATH"] = str(repo_root / "src")
+            env["REPRO_PURE_PYTHON"] = value
+            result = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                env=env,
+                cwd=str(repo_root),
+            )
+            assert result.returncode == 0, (value, result.stderr)
+            assert result.stdout.strip() == "ok"
+
+
+def run_script(sim, script_seed: int):
+    """Drive a simulator through a randomized self-scheduling script.
+
+    Callbacks log ``(now, label)``, schedule 0-2 further events (zero
+    delays included, to stress same-time FIFO), occasionally via handles
+    that later get cancelled.  The script's decisions come from a seeded
+    RNG, so two engines that fire in the same order draw identically —
+    any ordering divergence derails the logs immediately.
+    """
+    rng = random.Random(script_seed)
+    log = []
+    handles = []
+    counter = [0]
+
+    def make_action(label):
+        def action():
+            log.append((sim.now, label))
+            for _ in range(rng.randint(0, 2)):
+                counter[0] += 1
+                child = f"{label}.{counter[0]}"
+                delay = rng.choice([0.0, 0.0, 0.001, 0.1, 1.5]) * rng.random()
+                priority = rng.randint(-1, 1)
+                if len(log) < 400 or rng.random() < 0.05:
+                    if rng.random() < 0.3:
+                        handles.append(
+                            sim.schedule_handle(
+                                delay, make_action(child), priority=priority
+                            )
+                        )
+                    else:
+                        sim.schedule(delay, make_action(child), priority=priority)
+            if handles and rng.random() < 0.25:
+                handles.pop(rng.randrange(len(handles))).cancel()
+
+        return action
+
+    for i in range(20):
+        sim.schedule(rng.random() * 2.0, make_action(f"root{i}"))
+    sim.run(until=50.0, max_events=5000)
+    return log, sim.events_processed
 
 
 @pytest.mark.skipif(
@@ -200,3 +228,11 @@ class TestCompiledCoreContract:
         sim.run_until_idle()
         assert fired == ["outer", "inner"]
         assert sim.events_processed == 2
+
+    @pytest.mark.parametrize("script_seed", [1, 2, 3, 5, 11, 23])
+    def test_randomized_script_fires_in_python_engine_order(self, script_seed):
+        py_log, py_count = run_script(PySimulator(), script_seed)
+        c_log, c_count = run_script(self.make(), script_seed)
+        assert len(py_log) > 100  # the script actually did something
+        assert c_log == py_log
+        assert c_count == py_count

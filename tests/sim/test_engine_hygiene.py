@@ -12,10 +12,7 @@ import pytest
 from repro.sim import PySimulator
 from repro.sim.engine import COMPACT_MIN_CANCELLED, backend_info
 
-BACKENDS = [
-    pytest.param(lambda: PySimulator(queue="heap"), id="py-heap"),
-    pytest.param(lambda: PySimulator(queue="calendar"), id="py-calendar"),
-]
+BACKENDS = [pytest.param(PySimulator, id="py-heap")]
 if backend_info()["compiled_available"]:
     from repro.sim.engine import _COMPILED
 
