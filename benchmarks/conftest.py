@@ -1,10 +1,11 @@
 """Benchmark-harness configuration.
 
-Every bench regenerates one of the paper's tables/figures (or an ablation
-of a design choice DESIGN.md calls out).  Simulated horizons are shortened
-from the paper's 600 s so the whole suite completes in minutes; the
-``python -m repro.experiments <name> --duration 600`` CLI reruns any
-experiment at full length.
+Every bench runs one of the paper's design arguments — a Section 4-10
+ablation or a Section 11 related-work contrast — and asserts its
+direction (the tables and figures themselves are ``python -m
+repro.experiments`` subcommands with shape tests in
+``tests/experiments/``).  Simulated horizons are shortened from the
+paper's 600 s so the whole suite completes in about half a minute.
 
 Each bench run is a complete experiment, so benches execute exactly once
 (``rounds=1``): variance across repetitions would measure the host machine,

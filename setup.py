@@ -1,8 +1,6 @@
-"""Setuptools shim for environments whose pip cannot build PEP 517 wheels
-(the metadata of record lives in pyproject.toml).
-
-Also builds the optional compiled engine core (``repro.sim._engine_c``):
-the extension is marked optional, so a missing C toolchain degrades to the
+"""Package metadata (this file is the metadata of record) and the build
+of the optional compiled engine core (``repro.sim._engine_c``): the
+extension is marked optional, so a missing C toolchain degrades to the
 authoritative pure-Python engine instead of failing the install.  Build it
 in place with::
 

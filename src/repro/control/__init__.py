@@ -6,7 +6,9 @@ a central :class:`LinkStateController` consumes link up/down events from
 a seeded :class:`OutageProcess`, recomputes routes with Dijkstra SPF
 (:mod:`repro.control.spf`), swaps fresh forwarding tables into the
 network, and re-establishes admission-controlled flows on their new
-paths — with every packet caught on a dead wire ledgered so the
+paths (the reroute / re-admit / teardown decision is
+:mod:`repro.control.policy`, which the fluid engine's plan compiler
+shares) — with every packet caught on a dead wire ledgered so the
 :mod:`repro.validate` conservation invariants close across failovers.
 
 Scenario-level entry points: put an
@@ -15,11 +17,8 @@ the ``gen:outage`` generator family); the runner wires this package up
 and attaches a :class:`ControlPlaneStats` summary to the run result.
 """
 
-from repro.control.controller import (
-    ControlPlaneStats,
-    FlowRerouteStats,
-    LinkStateController,
-)
+from repro.control.controller import ControlPlaneStats, LinkStateController
+from repro.control.policy import FlowRerouteStats
 from repro.control.outages import (
     LinkTransition,
     OutageProcess,

@@ -11,23 +11,13 @@ is an *accounted teardown*: the flow's reservations are released, its
 source is stopped through the ``on_torn_down`` callback, and the
 refusal is recorded in the per-flow stats.
 
-Policies, kept deliberately simple and explicit:
-
-* Forwarding is destination-based, so when SPF moves a flow's shortest
-  path — even if its old path is still alive — its packets follow the
-  new tables; the controller migrates the reservation along with them.
-* A flow torn down after a refused re-establishment stays down: sources
-  cannot be deterministically restarted mid-run, so re-admitting a dead
-  sender would book reservations nothing uses.
-* Best-effort flows (no service request) reroute implicitly through the
-  table swap; while their destination is unreachable their packets
-  become ledgered no-route drops at the partition edge.
-
-The fluid engine replays these exact policies without a clock:
-:mod:`repro.fluid.control` compiles the outage schedule into per-
-transition reroute/re-admission/teardown decisions over the same
-admission state, so :class:`ControlPlaneStats` comes out of either
-engine in the same shape with matching discrete counters.
+The reroute -> re-admit -> teardown decision itself is
+:func:`repro.control.policy.refresh`, shared with the fluid engine:
+this controller hands it signaling teardown/establishment as the way to
+release and to ask admission, and :mod:`repro.fluid.control` folds the
+same function over the outage schedule against its committed-rate
+vector, so :class:`ControlPlaneStats` comes out of either engine in the
+same shape with matching discrete counters.
 """
 
 from __future__ import annotations
@@ -44,26 +34,18 @@ from typing import (
 
 from repro.core.signaling import FlowEstablishmentError
 from repro.net.routing import RoutingError
+from repro.control.policy import (
+    FlowRerouteStats,
+    Refresh,
+    TrackedFlow,
+    refresh,
+)
 from repro.control.spf import spf_from_network
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.service import FlowSpec as CoreFlowSpec
     from repro.core.signaling import SignalingAgent
     from repro.net.network import Network
-
-
-@dataclasses.dataclass(frozen=True)
-class FlowRerouteStats:
-    """Per-flow control-plane outcome over one run."""
-
-    name: str
-    reroutes: int = 0
-    readmissions: int = 0
-    refusals: int = 0
-    torn_down: bool = False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,33 +86,6 @@ class ControlPlaneStats:
         }
 
 
-class _TrackedFlow:
-    """Mutable control-plane record of one flow."""
-
-    __slots__ = (
-        "name",
-        "src",
-        "dst",
-        "core_spec",
-        "links",
-        "reroutes",
-        "readmissions",
-        "refusals",
-        "torn_down",
-    )
-
-    def __init__(self, name, src, dst, core_spec, links):
-        self.name = name
-        self.src = src
-        self.dst = dst
-        self.core_spec = core_spec
-        self.links = links
-        self.reroutes = 0
-        self.readmissions = 0
-        self.refusals = 0
-        self.torn_down = False
-
-
 class LinkStateController:
     """Central controller: link-state view, SPF rerouting, flow repair.
 
@@ -163,7 +118,9 @@ class LinkStateController:
         self.restores = 0
         self.recomputes = 0
         self.flushed_packets = 0
-        self._tracked: Dict[str, _TrackedFlow] = {}
+        self._tracked: Dict[str, TrackedFlow] = {}
+        #: name -> (src host, dst host, core spec or None)
+        self._endpoints: Dict[str, Tuple[str, str, Any]] = {}
 
     # ------------------------------------------------------------------
     # Flow registry
@@ -180,13 +137,15 @@ class LinkStateController:
         Flows are repaired in registration (= establishment) order."""
         if name in self._tracked:
             raise ValueError(f"flow {name} is already tracked")
-        self._tracked[name] = _TrackedFlow(
-            name, src_host, dst_host, core_spec, self._route_of_hosts(src_host, dst_host)
+        self._tracked[name] = TrackedFlow(
+            name, self._route_of_hosts(src_host, dst_host)
         )
+        self._endpoints[name] = (src_host, dst_host, core_spec)
 
     def untrack_flow(self, name: str) -> None:
         """Forget a flow (scenario-level teardown). Unknown names no-op."""
         self._tracked.pop(name, None)
+        self._endpoints.pop(name, None)
 
     # ------------------------------------------------------------------
     # Link-state events
@@ -219,7 +178,18 @@ class LinkStateController:
         self.recomputes += 1
         self.net.install_routing(spf_from_network(self.net, self.link_state))
         for record in self._tracked.values():
-            self._refresh_flow(record)
+            src, dst, core_spec = self._endpoints[record.name]
+            outcome, grant = refresh(
+                record,
+                self._route_of_hosts(src, dst),
+                core_spec is not None and self.signaling is not None,
+                self._release,
+                self._admit,
+            )
+            if outcome is Refresh.READMITTED and self.on_rerouted is not None:
+                self.on_rerouted(record.name, grant)
+            elif outcome is Refresh.TORN_DOWN and self.on_torn_down is not None:
+                self.on_torn_down(record.name)
 
     def _route_of_hosts(self, src: str, dst: str) -> Optional[Tuple[str, ...]]:
         try:
@@ -227,42 +197,15 @@ class LinkStateController:
         except RoutingError:
             return None
 
-    def _refresh_flow(self, record: _TrackedFlow) -> None:
-        if record.torn_down:
-            return  # stays down: its source is stopped (see module doc)
-        new_links = self._route_of_hosts(record.src, record.dst)
-        if record.core_spec is None or self.signaling is None:
-            # Best-effort: follows the swapped tables; just count moves.
-            if new_links is not None and new_links != record.links:
-                record.reroutes += 1
-            record.links = new_links
-            return
-        if new_links == record.links:
-            return  # commitment intact on an unchanged, live path
-        # The flow's path moved (or vanished): migrate the reservation.
+    def _release(self, record: TrackedFlow) -> None:
         if record.name in self.signaling.grants:
             self.signaling.teardown(record.name)
-        if new_links is None:
-            record.refusals += 1
-            self._tear_down(record)
-            return
-        try:
-            grant = self.signaling.establish(record.core_spec)
-        except FlowEstablishmentError:
-            record.refusals += 1
-            self._tear_down(record)
-            return
-        record.reroutes += 1
-        record.readmissions += 1
-        record.links = new_links
-        if self.on_rerouted is not None:
-            self.on_rerouted(record.name, grant)
 
-    def _tear_down(self, record: _TrackedFlow) -> None:
-        record.torn_down = True
-        record.links = None
-        if self.on_torn_down is not None:
-            self.on_torn_down(record.name)
+    def _admit(self, record: TrackedFlow, links) -> Any:
+        try:
+            return self.signaling.establish(self._endpoints[record.name][2])
+        except FlowEstablishmentError:
+            return None
 
     # ------------------------------------------------------------------
     # Reporting
@@ -285,16 +228,7 @@ class LinkStateController:
             flushed_packets=self.flushed_packets,
             wire_killed=wire_killed,
             no_route_drops=tuple(sorted(no_route.items())),
-            flows=tuple(
-                FlowRerouteStats(
-                    name=record.name,
-                    reroutes=record.reroutes,
-                    readmissions=record.readmissions,
-                    refusals=record.refusals,
-                    torn_down=record.torn_down,
-                )
-                for record in self._tracked.values()
-            ),
+            flows=tuple(r.stats() for r in self._tracked.values()),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

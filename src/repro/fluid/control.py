@@ -9,12 +9,13 @@ same control plane *ahead of time*: the outage schedule is replayed
 draw-for-draw (:func:`repro.control.compute_outage_schedule`, off the
 same named ``"outage:process"`` stream, so failure schedules pair
 across disciplines and engines), every link-state transition becomes an
-epoch boundary, and the controller's per-transition behaviour —
-reroute, re-admission, accounted teardown — is replayed over the
+epoch boundary, and the controller's per-transition decision —
+:func:`repro.control.policy.refresh`, the one reroute / re-admission /
+accounted-teardown policy both engines share — is folded over the
 compiled admission state into a :class:`FluidControlPlan` the backends
 execute between epochs.
 
-Semantics, mirroring the packet controller per transition:
+Semantics per transition:
 
 * **Reroute.**  Every live flow's path is re-resolved against the new
   link state, exactly as ``LinkStateController._reconverge`` refreshes
@@ -25,12 +26,11 @@ Semantics, mirroring the packet controller per transition:
   :meth:`repro.net.fabric.EcmpPaths.masked` (``masked(frozenset())`` is
   the original chooser, so restores return the exact original ECMP
   paths).
-* **Re-admission.**  When a spec carries an ``admission`` block,
-  a request-bearing flow that was admitted and whose path moved
-  releases its commitments and re-enters admission on the new path, in
-  spec order against the live committed vector; a refusal (no path, or
-  no headroom) is an *accounted teardown* — the flow stops generating
-  from that boundary on, exactly like the packet controller stopping
+* **Re-admission.**  When a spec carries an ``admission`` block, a
+  flow that was admitted holds a commitment: the shared policy releases
+  it along the old links and re-enters admission on the new path, in
+  spec order against the live committed vector.  A torn-down flow stops
+  generating from that boundary on, like the packet controller stopping
   the source.  Initially-denied flows already run as datagram and keep
   best-effort semantics.
 * **Flush.**  A flow whose current path crosses a newly-failed link
@@ -64,11 +64,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.control import (
     ControlPlaneStats,
-    FlowRerouteStats,
     LinkTransition,
     compute_outage_schedule,
     spf_from_topology,
 )
+from repro.control.policy import Refresh, TrackedFlow, refresh
 from repro.fluid.model import fits, reserved_rate
 from repro.net.fabric import EcmpPaths, walk_links
 from repro.net.routing import RoutingError
@@ -120,21 +120,6 @@ class FluidSegment:
     flush: Tuple[Tuple[int, int], ...]
 
 
-class _Record:
-    """Mutable per-flow reroute bookkeeping (the compile-time twin of
-    the controller's ``_TrackedFlow``)."""
-
-    __slots__ = ("name", "reroutes", "readmissions", "refusals",
-                 "torn_down")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.reroutes = 0
-        self.readmissions = 0
-        self.refusals = 0
-        self.torn_down = False
-
-
 class FluidControlPlan:
     """A spec's outage schedule compiled into link-state epochs.
 
@@ -155,7 +140,7 @@ class FluidControlPlan:
         boundaries: Tuple[PlanBoundary, ...],
         outages: int,
         restores: int,
-        records: List[_Record],
+        records: List[TrackedFlow],
         path_counts: Tuple[int, int],
     ):
         self.spec = spec
@@ -204,10 +189,8 @@ class FluidControlPlan:
             rng: the named ``"outage:process"`` stream, or None for
                 explicit-events-only specs.
         """
-        out = spec.outages
-        duration = float(spec.duration)
         transitions = compute_outage_schedule(
-            out, link_names, rng, duration
+            spec.outages, link_names, rng, float(spec.duration)
         )
         builder = _PlanBuilder(
             spec, link_names, caps, base_paths, pair_index,
@@ -241,16 +224,7 @@ class FluidControlPlan:
             flushed_packets=int(flushed_packets),
             wire_killed=(),
             no_route_drops=no_route,
-            flows=tuple(
-                FlowRerouteStats(
-                    name=record.name,
-                    reroutes=record.reroutes,
-                    readmissions=record.readmissions,
-                    refusals=record.refusals,
-                    torn_down=record.torn_down,
-                )
-                for record in self.records
-            ),
+            flows=tuple(record.stats() for record in self.records),
         )
 
 
@@ -280,9 +254,9 @@ class _PlanBuilder:
         # Re-admission applies to flows that hold a commitment — the
         # packet analogue of "core_spec and signaling present".
         holders = admitted if spec.admission is not None else ()
-        self.reserved: Dict[int, float] = {
-            f: reserved_rate(flow.request)
-            for f, flow in enumerate(self.flows)
+        self.reserved: Dict[str, float] = {
+            flow.name: reserved_rate(flow.request)
+            for flow in self.flows
             if flow.name in holders
         }
         self._attach = {
@@ -340,8 +314,11 @@ class _PlanBuilder:
 
     # -- replay --------------------------------------------------------
     def build(self, plan_cls, transitions) -> "FluidControlPlan":
-        F = len(self.flows)
-        records = [_Record(flow.name) for flow in self.flows]
+        # ``record.links`` is the flow's current link-index path.
+        records = [
+            TrackedFlow(flow.name, path)
+            for flow, path in zip(self.flows, self.base_paths)
+        ]
         base_state = PlanState(
             down=frozenset(),
             paths=self.base_paths,
@@ -353,9 +330,8 @@ class _PlanBuilder:
         }
         down: set = set()
         torn: set = set()
-        cur: List[Optional[Tuple[int, ...]]] = list(self.base_paths)
         outages = restores = 0
-        base_paths = self.base_paths
+        base_paths, reserved = self.base_paths, self.reserved
         # Under a non-empty down-set: flows resolved, and how many came
         # back as the base path object itself.
         resolved = inherited = 0
@@ -372,51 +348,34 @@ class _PlanBuilder:
             down_key = frozenset(down)
             route = self._router(down_key)
             flush: Dict[int, int] = {}
-            for f in range(F):
-                if f in torn:
+            for f, record in enumerate(records):
+                if record.torn_down:
                     continue
-                old = cur[f]
+                old = record.links
                 if not tr.up and old and dead in old:
                     flush.setdefault(f, dead)
                 new = route(f)
                 if down:
                     inherited += new is base_paths[f]
                     resolved += 1
-                record = records[f]
-                if f not in self.reserved:
-                    # Best-effort: follows the new tables; count moves.
-                    if new is not None and new != old:
-                        record.reroutes += 1
-                    cur[f] = new
-                    continue
-                if new == old:
-                    continue  # commitment intact on an unchanged path
-                # Path moved (or vanished): migrate the reservation.
-                rate = self.reserved[f]
-                for l in old:
-                    self.committed[l] -= rate
-                if new is None:
-                    record.refusals += 1
-                    self._tear(f, records, torn, cur, flush, dead)
-                    continue
-                if fits(self.committed, rate, new, self.quota, self.caps):
-                    for l in new:
-                        self.committed[l] += rate
-                    record.reroutes += 1
-                    record.readmissions += 1
-                    cur[f] = new
-                else:
-                    record.refusals += 1
-                    self._tear(f, records, torn, cur, flush, dead)
+                outcome, _ = refresh(
+                    record, new, record.name in reserved,
+                    self._release, self._admit,
+                )
+                if outcome is Refresh.TORN_DOWN:
+                    # The flow stops generating; residual backlog flushes
+                    # here, ledgered against the transitioning link.
+                    torn.add(f)
+                    flush.setdefault(f, dead)
             state_key = (down_key, frozenset(torn))
             state = state_cache.get(state_key)
             if state is None:
                 state = PlanState(
                     down=down_key,
-                    paths=[p or () for p in cur],
+                    paths=[record.links or () for record in records],
                     noroute=tuple(
-                        f for f in range(F)
-                        if cur[f] is None and f not in torn
+                        f for f, record in enumerate(records)
+                        if record.links is None and not record.torn_down
                     ),
                     inactive=tuple(sorted(torn)),
                 )
@@ -429,17 +388,10 @@ class _PlanBuilder:
         boundaries: List[PlanBoundary] = []
         for time, state, flush in raw:
             if boundaries and boundaries[-1].time == time:
-                prev = boundaries[-1]
-                merged = dict(prev.flush)
-                for f, l in flush.items():
-                    merged.setdefault(f, l)
-                boundaries[-1] = PlanBoundary(
-                    time, state, tuple(sorted(merged.items()))
-                )
-            else:
-                boundaries.append(
-                    PlanBoundary(time, state, tuple(sorted(flush.items())))
-                )
+                flush = {**flush, **dict(boundaries.pop().flush)}
+            boundaries.append(
+                PlanBoundary(time, state, tuple(sorted(flush.items())))
+            )
         return plan_cls(
             spec=self.spec,
             transitions=transitions,
@@ -451,11 +403,16 @@ class _PlanBuilder:
             path_counts=(inherited, resolved - inherited),
         )
 
-    def _tear(self, f, records, torn, cur, flush, dead) -> None:
-        """Accounted teardown: the flow stops generating and its
-        reservation stays released; any residual backlog flushes at
-        this boundary (ledgered against the transitioning link)."""
-        records[f].torn_down = True
-        torn.add(f)
-        cur[f] = None
-        flush.setdefault(f, dead)
+    # -- what the shared policy is handed ---------------------------------
+    def _release(self, record: TrackedFlow) -> None:
+        rate = self.reserved[record.name]
+        for l in record.links:
+            self.committed[l] -= rate
+
+    def _admit(self, record: TrackedFlow, links) -> Optional[float]:
+        rate = self.reserved[record.name]
+        if not fits(self.committed, rate, links, self.quota, self.caps):
+            return None
+        for l in links:
+            self.committed[l] += rate
+        return rate

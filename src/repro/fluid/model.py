@@ -108,7 +108,6 @@ KERNEL_STATS = (
     "plan_paths_inherited", "plan_paths_rewalked",
 )
 
-_EPOCH_ENV = "REPRO_FLUID_EPOCH"
 _BACKEND_ENV = "REPRO_FLUID_BACKEND"
 
 
@@ -183,25 +182,17 @@ class FluidOptions:
 
     @classmethod
     def from_env(cls, **overrides) -> "FluidOptions":
-        origin: Dict[str, str] = {}
-        epoch = os.environ.get(_EPOCH_ENV)
-        if epoch and "epoch_seconds" not in overrides:
-            origin["epoch_seconds"] = f"{_EPOCH_ENV}={epoch!r}"
-            try:
-                overrides["epoch_seconds"] = float(epoch)
-            except ValueError:
-                overrides["epoch_seconds"] = epoch  # rejected below
         backend = os.environ.get(_BACKEND_ENV)
-        if backend and "backend" not in overrides:
-            origin["backend"] = f"{_BACKEND_ENV}={backend!r}"
-            overrides["backend"] = backend
-        try:
+        if not backend or "backend" in overrides:
             return cls(**overrides)
+        try:
+            return cls(backend=backend, **overrides)
         except ValueError as exc:
-            # Name the variable when the rejected value came from one.
-            for field, source in origin.items():
-                if f"FluidOptions.{field} " in str(exc):
-                    raise ValueError(f"{exc} (from {source})") from None
+            # Name the variable when the rejected value came from it.
+            if "FluidOptions.backend " in str(exc):
+                raise ValueError(
+                    f"{exc} (from {_BACKEND_ENV}={backend!r})"
+                ) from None
             raise
 
 

@@ -6,7 +6,6 @@ infinitely fast host-switch links, fixed 1000-bit packets, and static routing.
 """
 
 from repro.net.packet import Packet, ServiceClass
-from repro.net.flow import FlowId, FlowDescriptor
 from repro.net.link import Link
 from repro.net.port import OutputPort
 from repro.net.node import Node, Switch, Host
@@ -17,8 +16,6 @@ from repro.net.topology import chain_topology, single_link_topology, paper_figur
 __all__ = [
     "Packet",
     "ServiceClass",
-    "FlowId",
-    "FlowDescriptor",
     "Link",
     "OutputPort",
     "Node",

@@ -586,8 +586,8 @@ class SweepExecutor:
     lifetime: pools created, sweeps run, tasks dispatched / completed /
     expired / skipped, and pickled bytes shipped (base spec per worker;
     per-task delta bytes only when ``track_task_bytes=True``, since
-    measuring them costs a second serialization) — the quantities
-    ``benchmarks/perf/sweepbench.py`` tracks.
+    measuring them costs a second serialization) — the quantities the
+    ``sweep_seeds`` workload of ``benchmarks/e2e`` reports.
     """
 
     def __init__(
@@ -839,7 +839,7 @@ class SweepExecutor:
         slots = threading.Semaphore(window)
         # Byte accounting re-pickles each payload; off by default so the
         # dispatch path does the serialization work exactly once (the
-        # pool's own).  sweepbench switches it on to measure.
+        # pool's own).  benchmarks/e2e/child.py switches it on to measure.
         track_bytes = self.track_task_bytes
 
         def stream():

@@ -925,6 +925,21 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
+        # Outside input (``--spec file.json``) lands here: a misspelt key
+        # must not silently run a different scenario.
+        accepted = [field.name for field in dataclasses.fields(cls)]
+        unknown = sorted(set(data) - set(accepted))
+        if unknown:
+            raise ValueError(
+                f"ScenarioSpec: unknown key(s) {unknown}; "
+                f"accepted keys are {accepted}"
+            )
+        missing = [
+            key for key in ("name", "topology", "flows", "disciplines")
+            if key not in data
+        ]
+        if missing:
+            raise ValueError(f"ScenarioSpec: missing required key(s) {missing}")
         return cls(
             name=data["name"],
             topology=TopologySpec.from_dict(data["topology"]),

@@ -3,7 +3,7 @@
 The paper's evaluation ran on a custom packet-level simulator written by
 Lixia Zhang.  This subpackage is our from-scratch equivalent: an event
 loop over plain ``(time, priority, seq, action)`` tuples with
-deterministic tie-breaking, named timers, and seeded random streams so
+deterministic tie-breaking and seeded random streams so
 that every experiment in the reproduction is replayable bit-for-bit.
 
 One event store (a binary heap) and an optional compiled core — see
@@ -20,7 +20,6 @@ from repro.sim.engine import (
 )
 from repro.sim.events import EventHandle
 from repro.sim.randomness import RandomStreams, StreamRandom
-from repro.sim.timers import PeriodicTimer
 
 __all__ = [
     "Simulator",
@@ -29,6 +28,5 @@ __all__ = [
     "EventHandle",
     "RandomStreams",
     "StreamRandom",
-    "PeriodicTimer",
     "backend_info",
 ]

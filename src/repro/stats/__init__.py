@@ -9,7 +9,6 @@ estimators behind all of those numbers.
 from repro.stats.summary import SummaryStats
 from repro.stats.percentile import PercentileTracker, exact_percentile
 from repro.stats.ewma import Ewma
-from repro.stats.histogram import Histogram
 from repro.stats.timeseries import TimeWeightedValue, RateMeter
 from repro.stats.windowed import SlidingWindowMax, SlidingWindowStats
 
@@ -18,7 +17,6 @@ __all__ = [
     "PercentileTracker",
     "exact_percentile",
     "Ewma",
-    "Histogram",
     "TimeWeightedValue",
     "RateMeter",
     "SlidingWindowMax",

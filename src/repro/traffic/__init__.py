@@ -11,7 +11,6 @@ from repro.traffic.token_bucket import (
     NonconformingPolicy,
     minimal_bucket_depth,
 )
-from repro.traffic.leaky_bucket import FluidLeakyBucket
 from repro.traffic.onoff import OnOffMarkovSource, OnOffParams
 from repro.traffic.cbr import CbrSource
 from repro.traffic.poisson import PoissonSource
@@ -31,7 +30,6 @@ __all__ = [
     "TokenBucketFilter",
     "NonconformingPolicy",
     "minimal_bucket_depth",
-    "FluidLeakyBucket",
     "OnOffMarkovSource",
     "OnOffParams",
     "CbrSource",

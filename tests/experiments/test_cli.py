@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro.experiments`` command line."""
 
+import functools
+
 import pytest
 
 from repro.experiments.__main__ import main
@@ -323,13 +325,26 @@ class TestGeneratedCli:
         assert "invariant violations" in capsys.readouterr().err
 
 
+@pytest.fixture
+def small_scale(monkeypatch):
+    """The scale flagship on one 300-flow fabric instead of 10k + 100k
+    (CI's ``all --duration 10`` smoke keeps the full sizes).  ``run`` is
+    wrapped because its ``sizes`` default is bound at definition time."""
+    from repro.experiments import scale
+
+    monkeypatch.setattr(
+        scale, "run", functools.partial(scale.run, sizes=(300,))
+    )
+
+
 class TestCliAll:
-    def test_all_runs_everything(self, capsys):
-        assert main(["all", "--duration", "15", "--gen-seeds", "1,2"]) == 0
+    def test_all_runs_everything(self, capsys, small_scale):
+        assert main(["all", "--duration", "5", "--gen-seeds", "1"]) == 0
         out = capsys.readouterr().out
         for token in ("Table 1", "Table 2", "Table 3", "Figure 1",
                       "Dynamic adaptation",
-                      "seeded multi-bottleneck topologies"):
+                      "seeded multi-bottleneck topologies",
+                      "Scale flagship"):
             assert token in out
 
 
@@ -359,10 +374,7 @@ class TestEngineCli:
         with pytest.raises(SystemExit):
             main(["table1", "--engine", "fluid"])
 
-    def test_scale_experiment_runs_small(self, capsys, monkeypatch):
-        from repro.experiments import scale
-
-        monkeypatch.setattr(scale, "DEFAULT_SIZES", (300,))
+    def test_scale_experiment_runs_small(self, capsys, small_scale):
         assert main(["scale", "--duration", "5"]) == 0
         out = capsys.readouterr().out
         assert "Scale flagship" in out

@@ -21,13 +21,14 @@ class TestDistributionsShape:
     def test_fifo_tail_beats_wfq_beyond_p99(self, result):
         wfq = result.row("WFQ")
         fifo = result.row("FIFO")
-        assert fifo.percentiles[99.9] < wfq.percentiles[99.9]
+        assert fifo.percentiles[99.9] < 0.85 * wfq.percentiles[99.9]
         assert fifo.percentiles[99.99] < wfq.percentiles[99.99]
 
     def test_medians_comparable(self, result):
         wfq = result.row("WFQ").percentiles[50.0]
         fifo = result.row("FIFO").percentiles[50.0]
         assert abs(wfq - fifo) / max(wfq, fifo) < 0.2
+        assert abs(wfq - fifo) < 1.0  # transmission times
 
     def test_fifo_tail_fairness_at_least_wfqs(self, result):
         """§5: FIFO spreads jitter evenly across homogeneous flows."""

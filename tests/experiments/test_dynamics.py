@@ -40,6 +40,16 @@ class TestDynamicsShape:
         assert loaded > 1.5 * before
         assert after < 0.5 * loaded
 
+    def test_narrative_holds_on_a_second_seed(self):
+        """Not just a lucky seed: losses peak in B and the play-back
+        point tracks the load up and back down on seed 2 as well."""
+        other = dynamics.run(phase_seconds=PHASE, seed=2)
+        assert other.phase("B").loss_rate > other.phase("A").loss_rate
+        assert other.phase("B").loss_rate > other.phase("C").loss_rate
+        loaded = other.offset_at(1.9 * PHASE)
+        assert loaded > 1.5 * other.offset_at(0.9 * PHASE)
+        assert other.offset_at(2.9 * PHASE) < 0.5 * loaded
+
     def test_client_keeps_adapting(self, result):
         assert result.adaptations > 10
 

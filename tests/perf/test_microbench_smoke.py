@@ -13,7 +13,7 @@ import sys
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT))
 
-from benchmarks.perf import microbench, sweepbench  # noqa: E402
+from benchmarks.perf import microbench  # noqa: E402
 
 
 class TestMicrobenches:
@@ -39,51 +39,6 @@ class TestMicrobenches:
         assert microbench.bench_table3(duration=1.0)["wall_seconds"] > 0
 
 
-class TestSweepbench:
-    def test_wide_sweep(self):
-        row = sweepbench.bench_wide_sweep(
-            duration=1.0, seed_count=2, workers=2
-        )
-        assert row["runs"] == 2 and row["tasks"] == 6
-        assert row["wall_seconds"] > 0 and row["tasks_per_sec"] > 0
-
-    def test_ladder_reports_decision_point(self):
-        row = sweepbench.bench_ladder_to_decision(
-            duration=1.0, seed_count=8, workers=2
-        )
-        assert row["seeds_available"] == 8
-        assert (
-            row["runs_completed"] + row["runs_stopped"]
-            == row["seeds_available"]
-        )
-        assert row["runs_completed"] >= sweepbench.CI_MIN_RUNS
-
-    def test_task_overhead_uses_one_pool(self):
-        row = sweepbench.bench_task_overhead(
-            duration=0.25, seed_count=2, repeats=2, workers=2
-        )
-        assert row["pools_created"] == 1
-        assert row["tasks"] == 12
-
-    def test_task_pickle_deltas_are_small(self):
-        row = sweepbench.bench_task_pickle(duration=1.0)
-        assert (
-            row["executor_bytes_per_task"] * 5 < row["legacy_bytes_per_task"]
-        )
-
-    def test_legacy_sweep_matches_executor_results(self):
-        """The vendored baseline and the executor agree bit-for-bit, so
-        the benchmark compares identical work."""
-        from repro.scenario import sweep
-
-        spec = sweepbench.sweep_spec(duration=2.0)
-        legacy = sweepbench.legacy_sweep(spec, seeds=[1, 2], workers=2)
-        current = sweep(spec, seeds=[1, 2], workers=2)
-        assert [r.comparable_dict() for r in legacy] == [
-            r.comparable_dict() for r in current
-        ]
-
-
 class TestPerfReport:
     def test_baseline_file_is_wellformed(self):
         with open(REPO_ROOT / "benchmarks" / "perf" / "baseline_pre_fastpath.json") as handle:
@@ -107,64 +62,10 @@ class TestPerfReport:
         assert "raw_events_per_sec" in report["speedup"]
         assert report["current"]["raw_events"]["events_per_sec"] > 0
 
-    def test_sweep_baseline_file_is_wellformed(self):
-        path = (
-            REPO_ROOT / "benchmarks" / "perf"
-            / "baseline_sweep_precall_pool.json"
-        )
-        with open(path) as handle:
-            baseline = json.load(handle)
-        measurements = baseline["measurements"]
-        assert measurements["wide_sweep"]["runs"] >= 24
-        assert measurements["wide_sweep"]["disciplines"] >= 3
-        assert measurements["wide_sweep"]["workers"] == 4
-        assert measurements["wide_sweep"]["wall_seconds"] > 0
-        # The baseline model cannot stop early: its decision wall clock
-        # is the full ladder.
-        assert (
-            measurements["ladder_to_decision"]["runs_completed"]
-            == measurements["ladder_to_decision"]["seeds_available"]
-        )
-        assert measurements["task_pickle"]["bytes_per_task"] > 0
-
-    def test_tracked_sweep_report_shows_decision_speedup(self):
-        """BENCH_sweep.json's recorded point must keep the headline the
-        PR claims: >=2x to the same statistical decision."""
-        with open(REPO_ROOT / "BENCH_sweep.json") as handle:
-            report = json.load(handle)
-        assert report["suite"] == "sweep"
-        assert report["quick"] is False
-        assert report["speedup"]["wide_sweep_to_decision"] >= 2.0
-        assert report["speedup"]["task_pickle_bytes"] > 5.0
-
-    def test_sweep_report_tool_end_to_end(self, tmp_path):
-        out = tmp_path / "BENCH_sweep.json"
-        subprocess.run(
-            [sys.executable, str(REPO_ROOT / "tools" / "perf_report.py"),
-             "--suite", "sweep", "--quick", "--out", str(out)],
-            check=True,
-            timeout=600,
-        )
-        report = json.loads(out.read_text())
-        assert report["quick"] is True
-        # Quick runs shrink the simulated horizons, so wall-clock ratios
-        # against the full-scale frozen baseline would be inflated ~8x;
-        # they must be suppressed, not reported.
-        for key in (
-            "wide_sweep_wall_clock",
-            "wide_sweep_to_decision",
-            "task_throughput",
-        ):
-            assert report["speedup"][key] is None
-        assert "scale differs" in report["speedup"]["note"]
-        # Byte accounting is horizon-independent and stays reported.
-        assert report["speedup"]["task_pickle_bytes"] > 0
-        assert report["current"]["wide_sweep"]["wall_seconds"] > 0
-
     def test_quick_baseline_capture_rejected(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, str(REPO_ROOT / "tools" / "perf_report.py"),
-             "--suite", "sweep", "--quick",
+             "--suite", "fluid", "--quick",
              "--capture-baseline", str(tmp_path / "b.json")],
             capture_output=True,
             timeout=60,

@@ -210,6 +210,34 @@ class TestJsonRoundTrip:
         payload = json.loads(json.dumps(spec.to_dict()))
         assert ScenarioSpec.from_dict(payload) == spec
 
+    def test_unknown_top_level_key_rejected_by_name(self):
+        """A misspelt ``outages`` must not run the scenario without its
+        control plane."""
+        payload = dict(minimal_spec().to_dict(), outage={"events": []}, sed=3)
+        with pytest.raises(ValueError) as excinfo:
+            ScenarioSpec.from_dict(payload)
+        message = str(excinfo.value)
+        assert "unknown key(s) ['outage', 'sed']" in message
+        assert "'outages'" in message and "'seed'" in message  # accepted
+
+    def test_missing_required_keys_named(self):
+        payload = minimal_spec().to_dict()
+        del payload["name"], payload["flows"]
+        with pytest.raises(ValueError, match=r"missing required key\(s\) "
+                           r"\['name', 'flows'\]"):
+            ScenarioSpec.from_dict(payload)
+
+    def test_optional_keys_stay_optional(self):
+        spec = minimal_spec()
+        required = {
+            key: spec.to_dict()[key]
+            for key in ("name", "topology", "flows", "disciplines")
+        }
+        assert ScenarioSpec.from_dict(required) == ScenarioSpec(
+            name=spec.name, topology=spec.topology, flows=spec.flows,
+            disciplines=spec.disciplines,
+        )
+
 
 class TestOutageSpec:
     def _with_outages(self, outages, **overrides):

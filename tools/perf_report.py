@@ -1,19 +1,18 @@
 #!/usr/bin/env python
 """Run a perf suite and write its tracked report (BENCH_*.json).
 
-Three suites share the harness:
+Two suites share the harness:
 
 * ``--suite core`` (default) — engine/hot-path microbenches
   (``benchmarks/perf/microbench.py``) against the frozen pre-fast-path
   baseline; writes ``BENCH_core.json``.
-* ``--suite sweep`` — sweep-orchestration benches
-  (``benchmarks/perf/sweepbench.py``: wide sweep, early-stopped seed
-  ladder, task overhead, pickle bytes) against the frozen per-call-Pool
-  baseline; writes ``BENCH_sweep.json``.
 * ``--suite fluid`` — flow-level engine benches
   (``benchmarks/perf/fluidbench.py``: flows/sec at 10k/100k/1M flows
   and on two congested shapes, packet-engine crossover) against the
   frozen packet-crossover baseline; writes ``BENCH_fluid.json``.
+
+Sweep orchestration is measured end to end by the ``sweep_seeds``
+workload of ``benchmarks/e2e`` (the benchmark of record), not here.
 
 Every report has three blocks:
 
@@ -32,10 +31,10 @@ file's own git revisions.
 Usage::
 
     PYTHONPATH=src python tools/perf_report.py                  # core suite
-    PYTHONPATH=src python tools/perf_report.py --suite sweep
+    PYTHONPATH=src python tools/perf_report.py --suite fluid
     PYTHONPATH=src python tools/perf_report.py --quick          # CI sizing
-    PYTHONPATH=src python tools/perf_report.py --suite sweep \\
-        --capture-baseline benchmarks/perf/baseline_sweep_precall_pool.json
+    PYTHONPATH=src python tools/perf_report.py --suite fluid \\
+        --capture-baseline benchmarks/perf/baseline_fluid_packet.json
 
 Absolute numbers are machine-dependent; compare runs from the same host
 (CI uploads reports as artifacts but never gates on timings).
@@ -120,90 +119,6 @@ def core_run(scale: float) -> dict:
     from benchmarks.perf import microbench
 
     return microbench.run_all(scale=scale)
-
-
-# ----------------------------------------------------------------------
-# Sweep suite
-# ----------------------------------------------------------------------
-
-
-def sweep_speedups(baseline: dict, current: dict) -> dict:
-    """Headline executor-vs-per-call-Pool ratios (>1 is faster/leaner).
-
-    Wall-clock and throughput ratios only mean something when both sides
-    simulated the same horizons, so they are suppressed (``None``) when
-    the run's scale differs from the frozen baseline's — the ``--quick``
-    CI smoke would otherwise report ~8x-inflated numbers against the
-    full-scale baseline.
-    """
-    base = baseline["measurements"]
-    scales_match = baseline.get("scale", 1.0) == current.get("scale", 1.0)
-    out = {
-        "wide_sweep_wall_clock": None,
-        "wide_sweep_to_decision": None,
-        "task_throughput": None,
-        # Bytes per task don't depend on simulated horizons.
-        "task_pickle_bytes": (
-            base["task_pickle"]["bytes_per_task"]
-            / current["task_pickle"]["executor_bytes_per_task"]
-        ),
-    }
-    if scales_match:
-        # Same simulation work, both run to completion.
-        out["wide_sweep_wall_clock"] = (
-            base["wide_sweep"]["wall_seconds"]
-            / current["wide_sweep"]["wall_seconds"]
-        )
-        # Same statistical decision on the same ladder: the executor
-        # early-stops at a closed confidence interval, the baseline model
-        # has no streaming and pays for every seed.
-        out["wide_sweep_to_decision"] = (
-            base["ladder_to_decision"]["wall_seconds"]
-            / current["ladder_to_decision"]["wall_seconds"]
-        )
-        out["task_throughput"] = (
-            current["task_overhead"]["tasks_per_sec"]
-            / base["task_overhead"]["tasks_per_sec"]
-        )
-    else:
-        out["note"] = (
-            "scale differs from the frozen baseline; wall-clock and "
-            "throughput ratios suppressed"
-        )
-    return out
-
-
-def sweep_print(report: dict) -> None:
-    current = report["current"]
-    speedup = report["speedup"]
-    wide = current["wide_sweep"]
-    ladder = current["ladder_to_decision"]
-    overhead = current["task_overhead"]
-    pkl = current["task_pickle"]
-
-    def ratio(key: str, suffix: str = "x baseline") -> str:
-        value = speedup.get(key)
-        return f"({value:.2f}{suffix})" if value is not None else "(n/a)"
-
-    print(f"  wide sweep     : {wide['runs']}x{wide['disciplines']} tasks in "
-          f"{wide['wall_seconds']:.2f} s {ratio('wide_sweep_wall_clock')}")
-    print(f"  ladder->CI     : {ladder['runs_completed']}/{ladder['seeds_available']} seeds, "
-          f"{ladder['wall_seconds']:.2f} s "
-          f"{ratio('wide_sweep_to_decision', 'x baseline full ladder')}")
-    print(f"  task overhead  : {overhead['tasks_per_sec']:>8,.1f} tasks/s over "
-          f"{overhead['sweeps']} sweeps, {overhead['pools_created']} pool(s) "
-          f"{ratio('task_throughput')}")
-    print(f"  task pickle    : {pkl['executor_bytes_per_task']:,.0f} B/task vs "
-          f"{pkl['legacy_bytes_per_task']:,} legacy "
-          f"({speedup['task_pickle_bytes']:.1f}x smaller)")
-    if speedup.get("note"):
-        print(f"  note           : {speedup['note']}")
-
-
-def sweep_run(scale: float) -> dict:
-    from benchmarks.perf import sweepbench
-
-    return sweepbench.run_all(scale=scale)
 
 
 # ----------------------------------------------------------------------
@@ -306,13 +221,6 @@ SUITES = {
         "speedups": core_speedups,
         "print": core_print,
     },
-    "sweep": {
-        "baseline": REPO_ROOT / "benchmarks" / "perf" / "baseline_sweep_precall_pool.json",
-        "default_out": REPO_ROOT / "BENCH_sweep.json",
-        "run": sweep_run,
-        "speedups": sweep_speedups,
-        "print": sweep_print,
-    },
     "fluid": {
         "baseline": REPO_ROOT / "benchmarks" / "perf" / "baseline_fluid_packet.json",
         "default_out": REPO_ROOT / "BENCH_fluid.json",
@@ -365,7 +273,7 @@ def recover_trajectory(out: pathlib.Path) -> list:
 
     Older reports carried only ``current`` — the history is still in git,
     so reconstruct one entry per committed revision of the file (PR 2
-    onward for ``BENCH_core.json``, PR 4 for ``BENCH_sweep.json``).
+    onward for ``BENCH_core.json``).
     Unreadable or pre-schema revisions are skipped, not fatal.
     """
     try:
@@ -416,26 +324,6 @@ def extend_trajectory(out: pathlib.Path, report: dict) -> None:
     report["trajectory"] = trajectory
 
 
-def capture_sweep_baseline(path: pathlib.Path, scale: float) -> int:
-    """Re-measure the vendored per-call-Pool model and freeze it."""
-    from benchmarks.perf import sweepbench
-
-    print(f"capturing per-call-Pool sweep baseline (scale={scale:g}) ...",
-          flush=True)
-    payload = {
-        "note": "pre-executor sweep path (fresh Pool per call, coarse "
-        "full-spec tasks, blocking map); captured via "
-        "benchmarks/perf/sweepbench.run_baseline",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "scale": scale,
-        "measurements": sweepbench.run_baseline(scale=scale),
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {path}")
-    return 0
-
-
 def capture_fluid_baseline(path: pathlib.Path, scale: float) -> int:
     """Freeze the packet-engine crossover reference and the founding
     fluid flows/sec floor the CI gate regresses against."""
@@ -480,22 +368,20 @@ def main(argv=None) -> int:
         type=pathlib.Path,
         default=None,
         metavar="PATH",
-        help="(sweep suite) re-measure the vendored per-call-Pool model "
-        "and write the frozen baseline file instead of a report",
+        help="(fluid suite) re-measure the packet-crossover reference and "
+        "fluid floors and write the frozen baseline file instead of a report",
     )
     args = parser.parse_args(argv)
 
     scale = 0.125 if args.quick else 1.0
     if args.capture_baseline is not None:
-        if args.suite not in ("sweep", "fluid"):
-            parser.error("--capture-baseline applies to --suite sweep|fluid")
+        if args.suite != "fluid":
+            parser.error("--capture-baseline applies to --suite fluid")
         if args.quick:
             # A quick-scale baseline would silently skew every future
             # full-scale report's ratios.
             parser.error("--capture-baseline requires full scale (no --quick)")
-        if args.suite == "fluid":
-            return capture_fluid_baseline(args.capture_baseline, scale)
-        return capture_sweep_baseline(args.capture_baseline, scale)
+        return capture_fluid_baseline(args.capture_baseline, scale)
 
     suite = SUITES[args.suite]
     out = args.out if args.out is not None else suite["default_out"]
