@@ -323,6 +323,19 @@ class EcmpPaths:
         # Sorted neighbours: the pinned order every draw indexes into.
         self._adj = {n: sorted(set(out)) for n, out in adj.items()}
         self._radj = {n: sorted(set(ins)) for n, ins in radj.items()}
+        # What the reverse BFS expands: in-neighbours minus leaves (a
+        # node whose one neighbour is both its only way out and its
+        # only way in — every host).  A leaf sits one hop *behind* its
+        # switch, so it is never a successor and no shortest path
+        # crosses it; ``path`` steps off one without reading distances.
+        leaves = {
+            n for n, out in self._adj.items()
+            if len(out) == 1 and self._radj[n] in ([], out)
+        }
+        self._bfs_radj = {
+            n: [p for p in ins if p not in leaves]
+            for n, ins in self._radj.items()
+        }
         # Per destination gateway: reverse-BFS hop counts, the lazily
         # filled next-hop DAG and the continuation memo (see the class
         # docstring).  Identical for every flow toward that gateway.
@@ -344,8 +357,9 @@ class EcmpPaths:
 
     def _routes_toward(self, target: str):
         """``target``'s ``(distances, successors, continuations)``;
-        the distances (hop count from every node *to* ``target``) come
-        from one reverse BFS, the other two fill as walks need them."""
+        the distances (hop count *to* ``target`` from every node but
+        the leaves, which no walk asks about) come from one reverse
+        BFS, the other two fill as walks need them."""
         state = self._toward.get(target)
         if state is not None:
             return state
@@ -353,10 +367,11 @@ class EcmpPaths:
             raise RoutingError(f"unknown node {target!r}")
         dist = {target: 0}
         frontier = [target]
+        radj = self._bfs_radj
         while frontier:
             nxt: List[str] = []
             for node in frontier:
-                for prev in self._radj[node]:
+                for prev in radj[node]:
                     if prev not in dist:
                         dist[prev] = dist[node] + 1
                         nxt.append(prev)
