@@ -63,7 +63,6 @@ import dataclasses
 import heapq
 import math
 import os
-import random
 import time
 from numbers import Integral, Real
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -79,6 +78,7 @@ from repro.scenario.spec import (
     PredictedRequest,
     ScenarioSpec,
 )
+from repro.sim.randomness import KeyedDraws, RandomStreams
 
 try:  # NumPy is optional everywhere in this repo; pure Python is
     import numpy as _np  # authoritative and the only hard dependency.
@@ -421,15 +421,9 @@ class FluidSimulation:
         self.weight_static = []  # clock weight for fair flows; unused else
         self.realtime = []
         self.record = [bool(f.record) for f in spec.flows]
-        # One reusable generator, re-seeded per flow: seeding fully
-        # resets the Mersenne state, so each draw equals a fresh
-        # ``random.Random(key).random()`` without the allocation.
-        phase_rng = random.Random()
-        phase_seed = phase_rng.seed
-        phase_draw = phase_rng.random
-        phase_salt = f"{_PHASE_SALT}:{spec.seed}:"
         # Local binds: this loop runs once per flow and dominates the
         # 1M-flow compile.
+        seed = spec.seed
         paths = self.paths
         classify = self._classify
         peak_append = self.peak_bps.append
@@ -451,8 +445,7 @@ class FluidSimulation:
             period_append(
                 flow.mean_burst_packets / avg_pps / max(duty, 1e-12)
             )
-            phase_seed(phase_salt + flow.name)
-            phase_append(phase_draw())
+            phase_append(KeyedDraws(seed, _PHASE_SALT, flow.name).uniform())
             cls, priority = service[flow.name]
             realtime_append(cls.is_realtime)
             if run_tiered:
@@ -510,7 +503,6 @@ class FluidSimulation:
             rng = None
             if spec.outages.rate_per_second > 0:
                 from repro.scenario.runner import OUTAGE_STREAM_NAME
-                from repro.sim.randomness import RandomStreams
 
                 rng = RandomStreams(seed=spec.seed).stream(
                     OUTAGE_STREAM_NAME

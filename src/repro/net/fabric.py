@@ -32,20 +32,21 @@ Multipath:
 * :class:`EcmpPaths` — all-shortest-path DAG per destination (reverse
   BFS level sets) with a seeded per-flow walk.  The same ``(seed,
   flow)`` always takes the same path, in any process, because draws
-  come from string-seeded :class:`random.Random` — the same
-  determinism contract as the scenario generators.  When a node has a
-  single shortest next hop no randomness is consumed, so single-path
-  topologies route identically to :class:`StaticRouting`.
+  come from :class:`~repro.sim.randomness.KeyedDraws` — a 64-bit
+  ``blake2b`` key of ``(seed, "ecmp", flow)`` stepped by an integer
+  mix, never ``hash()``.  When a node has a single shortest next hop
+  no draw is taken, so single-path topologies route identically to
+  :class:`StaticRouting`.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net.routing import RoutingError
 from repro.scenario import paper
 from repro.scenario.spec import HostAttachment, LinkSpec, TopologySpec
+from repro.sim.randomness import KeyedDraws
 
 #: Default fabric link speed: keep the paper's 1 Mbit/s transmission
 #: scale so generated flow populations (85 pps of 1000-bit packets)
@@ -199,7 +200,7 @@ class EcmpPaths:
     inter-switch links, bidirectional host attachments).  A flow's path
     is a walk that, at every node, picks uniformly among the neighbours
     one hop closer to the destination, drawing from
-    ``random.Random(f"ecmp:{seed}:{flow}")`` so the choice is a pure
+    ``KeyedDraws(seed, "ecmp", flow)`` so the choice is a pure
     function of (topology, seed, flow name) — process-stable and
     identical between the fluid engine and any future packet-engine
     flow-hashing front.
@@ -214,7 +215,7 @@ class EcmpPaths:
       it up to the next branch point (or the gateway), one shared tuple
       per (node, gateway).
 
-    A walk is then one seed, one draw per branch point and one extend
+    A walk is then one key, one draw per branch point and one extend
     per stretch.  :meth:`path` is that walk as nodes; :meth:`links` is
     what the engines consume — the same walk as positions in
     ``topology.links``, memoised per flow.
@@ -268,7 +269,7 @@ class EcmpPaths:
         whose memoised walk here meets the same successor tuple at
         every node in the masked DAG is the same walk, draw for draw,
         and the view returns this instance's link tuple by identity
-        instead of re-seeding and re-walking (:meth:`_inherit`).  So
+        instead of re-keying and re-walking (:meth:`_inherit`).  So
         resolving a population on a view costs walks only for flows
         whose next-hop state changed.
         """
@@ -350,10 +351,6 @@ class EcmpPaths:
         # the same population twice (spec build, then the fluid
         # compiler).  Grows with the flows routed by this instance.
         self._flow_links: Dict[Tuple[str, str, str], Tuple[int, ...]] = {}
-        # One reusable generator, re-seeded per flow: seeding fully
-        # resets the Mersenne state, so draws are identical to a fresh
-        # ``random.Random(key)`` without the per-flow allocation.
-        self._rng = random.Random()
 
     def _routes_toward(self, target: str):
         """``target``'s ``(distances, successors, continuations)``;
@@ -435,7 +432,7 @@ class EcmpPaths:
         succ_get = succ.get
         cont_get = cont.get
         adj = self._adj
-        draw = None  # lazily seeded: single-path flows take no draw
+        draw = None  # lazily keyed: single-path flows take no draw
         here, walk = src, [src]
         max_walk = len(adj)
         while here != target:
@@ -463,11 +460,7 @@ class EcmpPaths:
                 raise RoutingError(f"no route from {src} to {dst}")
             else:
                 if draw is None:
-                    rng = self._rng
-                    rng.seed(f"ecmp:{self.seed}:{flow}")
-                    # randrange(n) for a positive int is exactly
-                    # _randbelow(n); bind the inner draw when present.
-                    draw = getattr(rng, "_randbelow", rng.randrange)
+                    draw = KeyedDraws(self.seed, "ecmp", flow).draw
                 step = options[draw(count)]
             chain = cont_get(step)
             if chain is None:

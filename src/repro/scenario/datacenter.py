@@ -1,8 +1,9 @@
 """Generated datacenter scenarios: ``gen:fat-tree`` / ``gen:leaf-spine``.
 
 These are the scale companions of :mod:`repro.scenario.generators`: the
-same seeded determinism contract (every random draw comes from a
-string-seeded stream, so a (name, gen_seed) pair rebuilds the identical
+same seeded determinism contract (placement and service draws come from
+a string-seeded stream, each flow's ECMP branch choices from its own
+``KeyedDraws`` key, so a (name, gen_seed) pair rebuilds the identical
 spec forever), but populations of 10k–1M flows over the fabric families
 in :mod:`repro.net.fabric` — far beyond what the packet engine can
 advance, and exactly what the fluid engine exists for.  Generated specs
@@ -30,7 +31,7 @@ truth (per-link utilization, queueing, drops) always covers every flow.
 
 from __future__ import annotations
 
-import random
+import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.fabric import (
@@ -144,6 +145,13 @@ def datacenter_flows(
     """
     if num_flows < 1:
         raise ValueError("num_flows must be >= 1")
+    if not (math.isfinite(target_utilization) and target_utilization > 0):
+        raise ValueError(
+            "target_utilization must be finite and > 0, "
+            f"got {target_utilization!r}"
+        )
+    if record_flows < 0:
+        raise ValueError(f"record_flows must be >= 0, got {record_flows!r}")
     rng = _rng(gen_seed, "dc-population")
     hosts = list(topology.host_names)
     if len(hosts) < 2:

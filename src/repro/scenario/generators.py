@@ -4,8 +4,11 @@ The paper demonstrates its architecture claims on a handful of
 hand-picked topologies; this module samples whole families of operating
 points — and every sample is a frozen, serializable
 :class:`~repro.scenario.spec.ScenarioSpec` that regenerates bit-identically
-from its ``gen_seed`` in any process (generation draws only from
-``random.Random(str)``, whose string seeding is version-stable).
+from its ``gen_seed`` in any process (generation draws from
+``random.Random(str)``, whose string seeding is version-stable; the
+datacenter families in :mod:`repro.scenario.datacenter` add one
+``blake2b``-keyed :class:`~repro.sim.randomness.KeyedDraws` stream per
+flow for its ECMP branch choices — neither ever consults ``hash()``).
 
 Topology families:
 

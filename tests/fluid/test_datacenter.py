@@ -40,6 +40,31 @@ class TestPopulation:
         )
         assert sum(f.record for f in spec.flows) == 32
 
+    @pytest.mark.parametrize(
+        "argument,value",
+        [
+            ("target_utilization", 0),
+            ("target_utilization", -0.5),
+            ("target_utilization", float("nan")),
+            ("target_utilization", float("inf")),
+            ("record_flows", -1),
+        ],
+    )
+    def test_bad_sizing_arguments_are_named(self, argument, value):
+        with pytest.raises(ValueError) as raised:
+            registry.build(
+                "gen:leaf-spine", gen_seed=1, num_flows=50,
+                **{argument: value},
+            )
+        assert argument in str(raised.value)
+        assert repr(value) in str(raised.value)
+
+    def test_recording_nothing_is_allowed(self):
+        spec = registry.build(
+            "gen:leaf-spine", gen_seed=1, num_flows=50, record_flows=0
+        )
+        assert not any(f.record for f in spec.flows)
+
     def test_hottest_link_sits_at_target_utilization(self):
         spec = registry.build(
             "gen:fat-tree", gen_seed=1, num_flows=400,

@@ -278,7 +278,10 @@ def onoff_link_spec(flows, duration=20.0):
     """``flows`` on/off sources of 85 pps (peak 170) on the 1000 pkt/s
     single link: 14 keep it backlogged from the first epoch to the
     last, 10 alternate between congested stretches and drained,
-    closed-form ones."""
+    closed-form ones (36 of the 400 epochs through the waterfill, 364
+    fused; 11 flows already tip to 393 / 7).  The split is a property
+    of the ``KeyedDraws`` phases at seed 1 — re-measure it if the phase
+    draw ever changes."""
     builder = ScenarioBuilder("cursor").single_link().duration(
         duration
     ).seed(1)

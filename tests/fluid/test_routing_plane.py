@@ -2,10 +2,11 @@
 
 ``EcmpPaths`` keeps one next-hop DAG and one continuation memo per
 destination gateway and hands the engines link-index paths.  These
-tests pin what the fluid goldens only imply: the exact seeded draws
-(digests frozen from the node-walk implementation before the routing
-plane replaced it), the one walk-hop -> link definition, and the
-structure of the memos (sharing and scan counts, never wall clock).
+tests pin what the fluid goldens only imply: the exact keyed draws
+(digests frozen from a memo-free node walk over a full reverse BFS,
+one ``KeyedDraws(seed, "ecmp", flow)`` draw per branch point), the one
+walk-hop -> link definition, and the structure of the memos (sharing
+and scan counts, never wall clock).
 """
 
 import hashlib
@@ -36,17 +37,17 @@ LEAF_SPINE = dict(leaves=8, spines=4, hosts_per_leaf=8, num_flows=2000)
 LEAF_SPINE_DOWN = frozenset({"L-1->SP-1", "SP-2->L-3"})
 
 #: sha256 over every ``flow:link,link,...`` line of the population, in
-#: flow order — computed at the parent commit from ``path()`` walks
-#: mapped through the (src, dst) pair dict.
+#: flow order — computed from an independent node-by-node walk (full
+#: BFS, no memos) mapped through the (src, dst) pair dict.
 FROZEN = {
     ("fat-tree", "full"):
-        "eecfd836dd0353f38ed6ceb7e646f05168c58691a13aaf1d82def004049e5390",
+        "54e4a2b17bc56ad68883ea2d5a6cb0fed8c18886bf74b13a68fc6a8b91cf2b17",
     ("fat-tree", "masked"):
-        "66fd67172685ff7d8a6e00d5cf80753faa7dcd3a22db7fb3e5fd96e3d9fdc227",
+        "59b499a7e55fbdc4f51107b8fac9c61bafee26715000c864bacff4d9ad5b13e3",
     ("leaf-spine", "full"):
-        "bf14edc59dff03c590dcbdae95eaf749007aa3b3248e2fc7b83edf08ec3048e8",
+        "43953eb7f24c7540bc65715a59155de233c47ae47293aafb66666d90553810e0",
     ("leaf-spine", "masked"):
-        "a4d8abe3c6486e57dd77e101af486212c01c6eda0b063e8a4060899213e26b27",
+        "a57d4c2d5c147c9b927dd6489108792721bd7f013b75410664d2b087f2cae569",
 }
 
 

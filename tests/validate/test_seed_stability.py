@@ -83,3 +83,34 @@ class TestCrossProcessStability:
         )
         # Byte-for-byte, not merely structurally equal.
         assert out == json.dumps(spec.to_dict(), sort_keys=True)
+
+    def test_keyed_draws_ignore_pythonhashseed(self):
+        """A ``gen:leaf-spine`` population — rates (hence every ECMP
+        choice, through the normalisation factor), link paths and on/off
+        phases — regenerates byte-for-byte under two hash seeds: the
+        per-flow key is ``blake2b``, never ``hash()``."""
+        code = (
+            "import json, sys\n"
+            "from repro.fluid import FluidSimulation\n"
+            "from repro.scenario import registry\n"
+            "spec = registry.build('gen:leaf-spine', gen_seed=3, seed=5,\n"
+            "    leaves=6, spines=3, hosts_per_leaf=4, num_flows=400,\n"
+            "    duration=5.0)\n"
+            "sim = FluidSimulation(spec, spec.disciplines[0])\n"
+            "json.dump({'spec': spec.to_dict(), 'paths': sim.paths,\n"
+            "    'phase': sim.phase}, sys.stdout, sort_keys=True)\n"
+        )
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                check=True,
+                env={"PYTHONPATH": SRC, "PYTHONHASHSEED": hash_seed},
+            ).stdout
+            for hash_seed in ("0", "12345")
+        ]
+        assert outs[0] == outs[1]
+        payload = json.loads(outs[0])
+        assert len(payload["phase"]) == len(payload["paths"]) == 400
+        assert len({tuple(path) for path in payload["paths"]}) > 50

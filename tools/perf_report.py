@@ -191,7 +191,9 @@ def fluid_print(report: dict) -> None:
     ):
         print(f"  {row['num_flows']:>9,} flows : "
               f"{row['flows_per_sec']:>12,.0f} flow-adv/s, "
-              f"{row['wall_seconds']:.2f} s wall ({row['backend']})")
+              f"{row['build_wall_seconds']:.2f} s build + "
+              f"{row['wall_seconds']:.2f} s sim = "
+              f"{row['total_wall_seconds']:.2f} s ({row['backend']})")
     for shape, row in current["congested"].items():
         ratio = speedup[f"flows_per_sec_{shape}_vs_floor"]
         print(f"  {shape:<20}: {row['flows_per_sec']:>12,.0f} flow-adv/s, "
@@ -331,9 +333,9 @@ def capture_fluid_baseline(path: pathlib.Path, scale: float) -> int:
 
     print(f"capturing fluid baseline (scale={scale:g}) ...", flush=True)
     payload = {
-        "note": "packet engine on the crossover instance + founding fluid "
-        "flows/sec floor; captured via benchmarks/perf/fluidbench"
-        ".run_baseline",
+        "note": "packet engine on the crossover instance + the fluid "
+        "flows/sec floors (10k gate cell, 1M, two congested shapes), all "
+        "captured in one run of benchmarks/perf/fluidbench.run_baseline",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "scale": scale,
