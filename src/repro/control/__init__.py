@@ -3,7 +3,7 @@
 CSZ'92 scopes routing out ("we assume the route is fixed"); this package
 is the repo's dynamic-network extension on top of the static data plane:
 a central :class:`LinkStateController` consumes link up/down events from
-a seeded :class:`OutageProcess`, recomputes routes with Dijkstra SPF
+a seeded :class:`OutageProcess`, recomputes shortest-path routes
 (:mod:`repro.control.spf`), swaps fresh forwarding tables into the
 network, and re-establishes admission-controlled flows on their new
 paths (the reroute / re-admit / teardown decision is
@@ -24,7 +24,7 @@ from repro.control.outages import (
     OutageProcess,
     compute_outage_schedule,
 )
-from repro.control.spf import SpfRouting, spf_from_network, spf_from_topology
+from repro.control.spf import spf_from_network, spf_from_topology
 
 __all__ = [
     "ControlPlaneStats",
@@ -32,7 +32,6 @@ __all__ = [
     "LinkStateController",
     "LinkTransition",
     "OutageProcess",
-    "SpfRouting",
     "compute_outage_schedule",
     "spf_from_network",
     "spf_from_topology",

@@ -2,8 +2,8 @@
 
 :class:`LinkStateController` owns a live up/down view of every link,
 reacts to failures and repairs by killing/flushing what sat on the dead
-wire (ledgered, so conservation closes), recomputing routes via Dijkstra
-SPF (:mod:`repro.control.spf`), swapping the fresh tables into the
+wire (ledgered, so conservation closes), recomputing shortest-path routes
+(:mod:`repro.control.spf`), swapping the fresh tables into the
 network, and re-establishing admission-controlled flows whose paths
 moved — teardown of the old reservations, then a fresh signaling
 establishment over the new path.  A re-establishment the network refuses

@@ -1,132 +1,30 @@
-"""Dijkstra shortest-path-first route computation.
+"""Shortest-path-first route recomputation over the live link state.
 
-The control plane recomputes all-pairs next-hop tables from its live
-link-state view on every topology change.  The computation is Dijkstra
-SPF (heap keyed by ``(distance, insertion-sequence)``), with neighbours
-relaxed in sorted name order and strict-``<`` relaxation.
-
-Under the default unit link costs this reproduces the build-time BFS
-tables of :class:`repro.net.routing.StaticRouting` *exactly*: each node
-is pushed once, at first discovery, so heap pop order equals BFS FIFO
-order and the parent of every node is its first discoverer.  That
-equivalence is load-bearing — when a failed link is restored, the
-recomputed routes return bit-for-bit to the pre-failure ones — and is
-pinned by tests.  Non-unit costs are supported for weighted topologies.
+The control plane recomputes all-pairs next-hop tables from its
+link-state view on every topology change.  The tables are
+:class:`repro.net.routing.StaticRouting`'s — the same hop-count BFS
+(sorted neighbour order, first discoverer wins) that routes the network
+at build time, built over the surviving graph with
+:meth:`~repro.net.routing.StaticRouting.from_adjacency`.  One
+shortest-path rule is all the repo needs (the paper scopes routing out),
+and because it is one rule, restoring a failed link returns every route
+bit-for-bit to the pre-failure one.  This module is the two adjacency
+builders: which edges a link state leaves standing.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping
 
-from repro.net.routing import RoutingError
+from repro.net.routing import StaticRouting
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.net.network import Network
 
 
-class SpfRouting:
-    """All-pairs next hops computed once, by Dijkstra, at construction.
-
-    Drop-in for :class:`~repro.net.routing.StaticRouting` on the read
-    side (``next_hop`` / ``path``); unlike it, the graph is fixed at
-    construction — the control plane builds a fresh instance per
-    link-state change and swaps it in via
-    :meth:`repro.net.network.Network.install_routing`.
-
-    Args:
-        adjacency: node -> iterable of neighbour names (directed edges).
-        costs: optional ``(src, dst) -> cost`` mapping; edges default to
-            cost 1.0 (hop-count shortest paths, BFS-equivalent).
-    """
-
-    def __init__(
-        self,
-        adjacency: Mapping[str, Iterable[str]],
-        costs: Optional[Mapping[Tuple[str, str], float]] = None,
-    ):
-        self._adj: Dict[str, List[str]] = {
-            node: sorted(neighbors) for node, neighbors in adjacency.items()
-        }
-        for neighbors in self._adj.values():
-            for neighbor in neighbors:
-                if neighbor not in self._adj:
-                    raise ValueError(f"edge to undeclared node {neighbor}")
-        self._costs = dict(costs or {})
-        for edge, cost in self._costs.items():
-            if cost <= 0:
-                raise ValueError(f"cost of edge {edge} must be positive")
-        self._next_hop: Dict[Tuple[str, str], str] = {}
-        for src in sorted(self._adj):
-            self._single_source(src)
-
-    def _single_source(self, src: str) -> None:
-        costs = self._costs
-        dist: Dict[str, float] = {src: 0.0}
-        parent: Dict[str, str] = {}
-        heap: List[Tuple[float, int, str]] = [(0.0, 0, src)]
-        seq = 1
-        done = set()
-        while heap:
-            d, __, u = heapq.heappop(heap)
-            if u in done:
-                continue
-            done.add(u)
-            for v in self._adj[u]:
-                nd = d + costs.get((u, v), 1.0)
-                if v not in dist or nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = u
-                    heapq.heappush(heap, (nd, seq, v))
-                    seq += 1
-        next_hop = self._next_hop
-        for dst in done:
-            if dst == src:
-                continue
-            hop = dst
-            while parent[hop] != src:
-                hop = parent[hop]
-            next_hop[(src, dst)] = hop
-
-    # -- read interface (StaticRouting-compatible) ---------------------
-    def next_hop(self, here: str, destination: str) -> str:
-        """Neighbour to forward to from ``here`` toward ``destination``.
-
-        Raises:
-            RoutingError: if no path exists in the current link state.
-        """
-        try:
-            return self._next_hop[(here, destination)]
-        except KeyError:
-            raise RoutingError(
-                f"no route from {here} to {destination}"
-            ) from None
-
-    def path(self, src: str, dst: str) -> List[str]:
-        """Full node path src..dst (inclusive)."""
-        if src == dst:
-            return [src]
-        path = [src]
-        here = src
-        seen = {src}
-        while here != dst:
-            here = self.next_hop(here, dst)
-            if here in seen:  # pragma: no cover - defensive
-                raise RoutingError(f"routing loop from {src} to {dst}")
-            seen.add(here)
-            path.append(here)
-        return path
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<SpfRouting nodes={len(self._adj)} "
-            f"entries={len(self._next_hop)}>"
-        )
-
-
 def spf_from_topology(
     topology, down: Iterable[str] = ()
-) -> SpfRouting:
+) -> StaticRouting:
     """Build SPF routes over a :class:`~repro.scenario.spec.TopologySpec`
     with the ``down`` links removed — no network, no simulator clock.
 
@@ -135,22 +33,19 @@ def spf_from_topology(
     are leaves — they never transit, and within one BFS level their
     presence cannot reorder switch discovery, so switch-to-switch paths
     are identical with or without them).  Host endpoints are re-attached
-    by the caller via the topology's attachment map.  With ``down``
-    empty the unit-cost equivalence to the build-time BFS tables applies
-    unchanged, so restoring the last failed link returns every path
-    bit-identically to the pre-failure routes.
+    by the caller via the topology's attachment map.
     """
     dead = frozenset(down)
     adjacency: Dict[str, List[str]] = {n: [] for n in topology.nodes}
     for link in topology.links:
         if link.name not in dead:
             adjacency[link.src].append(link.dst)
-    return SpfRouting(adjacency)
+    return StaticRouting.from_adjacency(adjacency)
 
 
 def spf_from_network(
     net: "Network", link_state: Mapping[str, bool]
-) -> SpfRouting:
+) -> StaticRouting:
     """Build SPF routes over a network's *live* links.
 
     The graph mirrors what :class:`~repro.net.network.Network` declares
@@ -167,4 +62,4 @@ def spf_from_network(
             continue
         src, dst = name.split("->", 1)
         adjacency[src].append(dst)
-    return SpfRouting(adjacency)
+    return StaticRouting.from_adjacency(adjacency)

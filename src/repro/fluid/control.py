@@ -19,13 +19,13 @@ Semantics per transition:
 
 * **Reroute.**  Every live flow's path is re-resolved against the new
   link state, exactly as ``LinkStateController._reconverge`` refreshes
-  every tracked flow.  Non-ECMP specs resolve through
-  :func:`repro.control.spf_from_topology` (unit-cost Dijkstra ==
-  build-time BFS, so the moment the last failure heals every path is
-  bit-identical to the pre-failure route); ECMP specs resolve through
-  :meth:`repro.net.fabric.EcmpPaths.masked` (``masked(frozenset())`` is
-  the original chooser, so restores return the exact original ECMP
-  paths).
+  every tracked flow, through the same
+  :func:`repro.net.fabric.flow_routes` that resolved the base paths:
+  non-ECMP specs over :func:`repro.control.spf_from_topology` (the
+  build-time BFS on the surviving links), ECMP specs over
+  :meth:`repro.net.fabric.EcmpPaths.masked`.  The all-up state is the
+  base paths themselves, so the moment the last failure heals every
+  path is bit-identical to the pre-failure route.
 * **Re-admission.**  When a spec carries an ``admission`` block, a
   flow that was admitted holds a commitment: the shared policy releases
   it along the old links and re-enters admission on the new path, in
@@ -53,12 +53,13 @@ reconverges once per link, like repeated ``fail_link`` calls), so the
 :class:`~repro.control.FlowRerouteStats` match the packet controller's
 accounting; simultaneous transitions then merge into one time boundary
 for the traffic model.  Everything here is pure Python and numpy-free —
-the plan is data; the backends in :mod:`repro.fluid.model` and
-:mod:`repro.fluid.kernel` execute it.
+the plan is data; the backends (:mod:`repro.fluid.reference`,
+:mod:`repro.fluid.kernel`) execute it.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -66,13 +67,14 @@ from repro.control import (
     ControlPlaneStats,
     LinkTransition,
     compute_outage_schedule,
-    spf_from_topology,
 )
 from repro.control.policy import Refresh, TrackedFlow, refresh
-from repro.fluid.model import fits, reserved_rate
-from repro.net.fabric import EcmpPaths, walk_links
+from repro.fluid.compile import Classifier, fits, reserved_rate
+from repro.net.fabric import flow_routes
 from repro.net.routing import RoutingError
+from repro.scenario.runner import OUTAGE_STREAM_NAME
 from repro.scenario.spec import ScenarioSpec
+from repro.sim.randomness import RandomStreams
 
 
 @dataclasses.dataclass
@@ -82,20 +84,21 @@ class PlanState:
     Interned per ``(down links, torn-down flows)`` pair — path
     resolution is a pure function of the down-set, so revisiting a
     link state (every restore, notably) reuses the existing object,
-    and the all-up state reuses the compile-time base paths *by
-    identity* (the kernel keys its per-state compiled views off that).
+    and the all-up state *is* the compile-time base state: its
+    ``paths``/``fair``/``weight`` are the compiled lists by identity
+    (the kernel keys its per-state views off ``paths``).
 
-    ``fair``/``weight`` (the discipline classification of each flow at
-    its bottleneck on the *current* path) are filled in by the model,
-    which owns the classifier.
+    ``fair``/``weight`` are the discipline classification of each flow
+    at its bottleneck on the *current* path: a rerouted flow is
+    re-classified there, an unmoved one keeps its base classification
+    bit-for-bit.
     """
 
-    down: frozenset
     paths: List[Tuple[int, ...]]
     noroute: Tuple[int, ...]
     inactive: Tuple[int, ...]
-    fair: Optional[List[bool]] = None
-    weight: Optional[List[float]] = None
+    fair: List[bool]
+    weight: List[float]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,83 +123,82 @@ class FluidSegment:
     flush: Tuple[Tuple[int, int], ...]
 
 
+def split_grid(plan, duration: float, eps: float, num_epochs: int):
+    """Split the uniform epoch grid at ``plan``'s time boundaries and
+    group the epochs into link-state segments: ``(segments,
+    epoch_starts, epoch_ends, num_epochs)``.
+
+    The uniform grid points and truncation (``min(duration, t0 +
+    epoch)``) are preserved exactly — boundary times strictly inside
+    an epoch split it in two; times landing on a grid point (or at
+    the run's very end) insert nothing — so an outage-free stretch
+    of the split grid steps the identical ``(t0, t1)`` pairs the
+    unsplit grid would."""
+    if not num_epochs:
+        final = FluidSegment(0, 0, plan.boundaries[-1].state, ())
+        return [final], None, None, 0
+    btimes = [b.time for b in plan.boundaries]
+    starts: List[float] = []
+    ends: List[float] = []
+    for e in range(num_epochs):
+        t0 = e * eps
+        t1 = min(duration, t0 + eps)
+        lo = bisect.bisect_right(btimes, t0)
+        hi = bisect.bisect_left(btimes, t1)
+        pts = [t0] + btimes[lo:hi] + [t1]
+        for a, b in zip(pts, pts[1:]):
+            starts.append(a)
+            ends.append(b)
+    num_epochs = len(starts)
+    boundary_epoch: Dict[float, int] = {}
+    btset = set(btimes)
+    for i, s in enumerate(starts):
+        if s in btset and s not in boundary_epoch:
+            boundary_epoch[s] = i
+    segments = []
+    prev_e, prev_state, prev_flush = 0, plan.base_state, ()
+    for boundary in plan.boundaries:
+        e = boundary_epoch.get(boundary.time)
+        if e is None:
+            e = (
+                num_epochs
+                if boundary.time >= ends[-1]
+                else bisect.bisect_left(starts, boundary.time)
+            )
+        segments.append(FluidSegment(prev_e, e, prev_state, prev_flush))
+        prev_e, prev_state = e, boundary.state
+        prev_flush = boundary.flush
+    segments.append(FluidSegment(prev_e, num_epochs, prev_state, prev_flush))
+    return segments, starts, ends, num_epochs
+
+
+@dataclasses.dataclass
 class FluidControlPlan:
     """A spec's outage schedule compiled into link-state epochs.
 
-    Built once per :class:`~repro.fluid.model.FluidSimulation` via
-    :meth:`compile`.  Holds the effective transition schedule, the
-    merged time boundaries with their interned states and flush lists,
-    and the controller-shaped counters; :meth:`control_stats` combines
-    them with the backends' runtime ledgers into the exact
+    Built once per :class:`~repro.fluid.model.FluidSimulation` by
+    :func:`compile_control`.  Holds the effective transition schedule,
+    the merged time boundaries with their interned states and flush
+    lists, and the controller-shaped counters; :meth:`control_stats`
+    combines them with the backends' runtime ledgers into the exact
     :class:`~repro.control.ControlPlaneStats` shape the packet engine
     attaches to its results.
     """
 
-    def __init__(
-        self,
-        spec: ScenarioSpec,
-        transitions: Tuple[LinkTransition, ...],
-        base_state: PlanState,
-        boundaries: Tuple[PlanBoundary, ...],
-        outages: int,
-        restores: int,
-        records: List[TrackedFlow],
-        path_counts: Tuple[int, int],
-    ):
-        self.spec = spec
-        self.transitions = transitions
-        self.base_state = base_state
-        self.boundaries = boundaries
-        self.outages = outages
-        self.restores = restores
-        self.recomputes = outages + restores
-        self.records = records
-        #: Per (transition, live flow) under a non-empty down-set:
-        #: (paths that are the base path object, paths resolved on the
-        #: masked graph) — ``kernel_stats``'s ``plan_paths_*``.
-        self.path_counts = path_counts
-        #: Every distinct state the run visits, base first (handy for
-        #: pre-resolving per-state data like the model's weights).
-        seen = {id(base_state): base_state}
-        for boundary in boundaries:
-            seen.setdefault(id(boundary.state), boundary.state)
-        self.states: Tuple[PlanState, ...] = tuple(seen.values())
+    transitions: Tuple[LinkTransition, ...]
+    base_state: PlanState
+    boundaries: Tuple[PlanBoundary, ...]
+    outages: int
+    restores: int
+    records: List[TrackedFlow]
+    #: Per (transition, live flow) under a non-empty down-set: (paths
+    #: that are the base path object, paths resolved on the masked
+    #: graph) — ``kernel_stats``'s ``plan_paths_*``.
+    path_counts: Tuple[int, int]
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def compile(
-        cls,
-        spec: ScenarioSpec,
-        link_names: Sequence[str],
-        caps: Sequence[float],
-        base_paths: List[Tuple[int, ...]],
-        pair_index: Dict[Tuple[str, str], int],
-        admitted: Sequence[str],
-        committed: Sequence[float],
-        rng,
-    ) -> "FluidControlPlan":
-        """Replay ``spec.outages`` into a plan.
-
-        Args:
-            link_names / caps: the compiled link order and rates.
-            base_paths: per-flow link-index paths of the all-up state
-                (reused by identity for that state).
-            pair_index: ``(src, dst) -> link index`` for walk hops, the
-                same mapping the model compiled paths through.
-            admitted: flow names holding admission commitments.
-            committed: per-link committed bits/s after static admission
-                (consumed as the re-admission starting point).
-            rng: the named ``"outage:process"`` stream, or None for
-                explicit-events-only specs.
-        """
-        transitions = compute_outage_schedule(
-            spec.outages, link_names, rng, float(spec.duration)
-        )
-        builder = _PlanBuilder(
-            spec, link_names, caps, base_paths, pair_index,
-            frozenset(admitted), list(committed),
-        )
-        return builder.build(cls, transitions)
+    @property
+    def recomputes(self) -> int:
+        return self.outages + self.restores
 
     # ------------------------------------------------------------------
     def control_stats(
@@ -228,25 +230,73 @@ class FluidControlPlan:
         )
 
 
+def compile_control(
+    spec: ScenarioSpec,
+    link_names: Sequence[str],
+    caps: Sequence[float],
+    paths: List[Tuple[int, ...]],
+    fair: List[bool],
+    weight: List[float],
+    admitted: Sequence[str],
+    committed: Sequence[float],
+    classify: Classifier,
+    epoch_seconds: float,
+    num_epochs: int,
+):
+    """The compile's last stage — ``spec.outages`` replayed into a plan
+    and the epoch grid cut at its boundaries: ``(plan, segments,
+    epoch_starts, epoch_ends, num_epochs)``.  A plan without boundaries
+    leaves the grid alone (``None`` for all three).
+
+    Args:
+        link_names / caps: the compiled link order and rates.
+        paths / fair / weight: the compiled per-flow routes and
+            classification — the all-up state, reused by identity.
+        admitted: flow names holding admission commitments.
+        committed: per-link committed bits/s after static admission
+            (the re-admission starting point; not modified).
+        classify: the compile's classifier, for rerouted flows.
+    """
+    rng = None
+    if spec.outages.rate_per_second > 0:
+        # The packet engine's named stream: schedules pair across engines.
+        rng = RandomStreams(seed=spec.seed).stream(OUTAGE_STREAM_NAME)
+    transitions = compute_outage_schedule(
+        spec.outages, link_names, rng, float(spec.duration)
+    )
+    plan = _PlanBuilder(
+        spec, link_names, caps,
+        PlanState(paths, (), (), fair, weight),
+        frozenset(admitted), list(committed), classify,
+    ).build(transitions)
+    if not plan.boundaries:
+        return plan, None, None, None, num_epochs
+    return (plan,) + split_grid(
+        plan, float(spec.duration), epoch_seconds, num_epochs
+    )
+
+
 class _PlanBuilder:
-    """The transition-by-transition replay behind :meth:`compile`."""
+    """The transition-by-transition replay behind
+    :func:`compile_control`."""
 
     def __init__(
         self,
         spec: ScenarioSpec,
         link_names: Sequence[str],
         caps: Sequence[float],
-        base_paths: List[Tuple[int, ...]],
-        pair_index: Dict[Tuple[str, str], int],
+        base_state: PlanState,
         admitted: frozenset,
         committed: List[float],
+        classify: Classifier,
     ):
         self.spec = spec
         self.link_index = {name: i for i, name in enumerate(link_names)}
         self.caps = caps
-        self.base_paths = base_paths
-        self.pair_index = pair_index
+        self.base_state = base_state
+        self.base_paths = base_state.paths
         self.committed = committed
+        self.classify = classify
         self.quota = (
             spec.admission.realtime_quota if spec.admission else None
         )
@@ -259,16 +309,7 @@ class _PlanBuilder:
             for flow in self.flows
             if flow.name in holders
         }
-        self._attach = {
-            att.host: att.switch
-            for att in spec.topology.host_attachments
-        }
-        self._spf_cache: Dict[frozenset, object] = {}
-        self._ecmp_base = None
-        if spec.ecmp_seed is not None:
-            self._ecmp_base = EcmpPaths.shared(
-                spec.topology, seed=spec.ecmp_seed
-            )
+        self._routes: Dict[frozenset, object] = {}
 
     # -- path resolution ----------------------------------------------
     def _router(self, down: frozenset):
@@ -280,51 +321,51 @@ class _PlanBuilder:
         whose next-hop state changed cost a walk."""
         if not down:
             return self.base_paths.__getitem__
+        links = self._routes.get(down)
+        if links is None:
+            links = self._routes[down] = flow_routes(
+                self.spec.topology, self.spec.ecmp_seed, down
+            )[0]
         flows = self.flows
-        if self._ecmp_base is not None:
-            links = self._ecmp_base.masked(down).links
-
-            def route(f: int) -> Optional[Tuple[int, ...]]:
-                flow = flows[f]
-                try:
-                    return links(flow.source_host, flow.dest_host, flow.name)
-                except RoutingError:
-                    return None
-
-            return route
-        spf = self._spf_cache.get(down)
-        if spf is None:
-            spf = spf_from_topology(self.spec.topology, down)
-            self._spf_cache[down] = spf
-        attach, pair_index = self._attach, self.pair_index
 
         def route(f: int) -> Optional[Tuple[int, ...]]:
             flow = flows[f]
             try:
-                mid = spf.path(
-                    attach[flow.source_host], attach[flow.dest_host]
-                )
+                return links(flow.source_host, flow.dest_host, flow.name)
             except RoutingError:
                 return None
-            return walk_links(
-                [flow.source_host] + mid + [flow.dest_host], pair_index
-            )
 
         return route
 
+    def _state(self, records, torn) -> PlanState:
+        """The complete state after a transition: the records' current
+        paths, with every flow off its base path re-classified at the
+        bottleneck of the new one."""
+        base = self.base_state
+        paths = [record.links or () for record in records]
+        fair, weight = list(base.fair), list(base.weight)
+        for f, path in enumerate(paths):
+            if path != base.paths[f]:
+                fair[f], weight[f] = self.classify(f, path)
+        return PlanState(
+            paths=paths,
+            noroute=tuple(
+                f for f, record in enumerate(records)
+                if record.links is None and not record.torn_down
+            ),
+            inactive=tuple(sorted(torn)),
+            fair=fair,
+            weight=weight,
+        )
+
     # -- replay --------------------------------------------------------
-    def build(self, plan_cls, transitions) -> "FluidControlPlan":
+    def build(self, transitions) -> FluidControlPlan:
         # ``record.links`` is the flow's current link-index path.
         records = [
             TrackedFlow(flow.name, path)
             for flow, path in zip(self.flows, self.base_paths)
         ]
-        base_state = PlanState(
-            down=frozenset(),
-            paths=self.base_paths,
-            noroute=(),
-            inactive=(),
-        )
+        base_state = self.base_state
         state_cache: Dict[Tuple[frozenset, frozenset], PlanState] = {
             (frozenset(), frozenset()): base_state
         }
@@ -370,16 +411,7 @@ class _PlanBuilder:
             state_key = (down_key, frozenset(torn))
             state = state_cache.get(state_key)
             if state is None:
-                state = PlanState(
-                    down=down_key,
-                    paths=[record.links or () for record in records],
-                    noroute=tuple(
-                        f for f, record in enumerate(records)
-                        if record.links is None and not record.torn_down
-                    ),
-                    inactive=tuple(sorted(torn)),
-                )
-                state_cache[state_key] = state
+                state = state_cache[state_key] = self._state(records, torn)
             raw.append((tr.time, state, flush))
 
         # Merge same-time boundaries (correlated failures reconverge
@@ -392,8 +424,7 @@ class _PlanBuilder:
             boundaries.append(
                 PlanBoundary(time, state, tuple(sorted(flush.items())))
             )
-        return plan_cls(
-            spec=self.spec,
+        return FluidControlPlan(
             transitions=transitions,
             base_state=base_state,
             boundaries=tuple(boundaries),

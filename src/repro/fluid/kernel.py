@@ -1,25 +1,21 @@
 """Fused multi-epoch fluid kernel: the NumPy hot path without the
 per-epoch Python loop.
 
-PR 8's NumPy backend vectorised the *arithmetic* of one epoch but
-re-entered the interpreter between epochs: per-epoch list building,
-accumulator updates, and the waterfill driver capped the engine at
-~3M flow-advances/s regardless of how fast the array math ran.  This
-module is the fluid-model analogue of the packet engine's batched link
-drain (PR 7): whole stretches of simulated time collapse into one
-vectorised step whenever the model can prove the collapsed epochs are
-indistinguishable from stepping them one by one.
+The fluid-model analogue of the packet engine's batched link drain:
+whole stretches of simulated time collapse into one vectorised step
+whenever the model can prove the collapsed epochs are indistinguishable
+from stepping them one by one.
 
 Four coordinated mechanisms:
 
 * **CSR incidence** (:class:`CsrIncidence`) — the (flow, link) incidence
-  is compiled once per run into flat arrays, indices at the native
-  ``intp`` width so that gathers and bincounts through them convert
-  nothing: flow-major entry lists (``ef``/``el``, the bincount
-  currency) plus a link-major permutation with row pointers
-  (``lk_entry``/``link_ptr``) so per-link per-epoch loads come out of
-  one ``add.reduceat`` instead of a Python rebuild per call.  Waterfill,
-  backlog updates, and the accumulators all share it.
+  is compiled once per link state into flat arrays, indices at the
+  native ``intp`` width so that gathers and bincounts through them
+  convert nothing: flow-major entry lists (``ef``/``el``, the bincount
+  currency) plus a link-major permutation (``lk_flow``) so per-link
+  per-epoch loads come out of one ``add.reduceat`` instead of a Python
+  rebuild per call.  Waterfill, backlog updates, and the accumulators
+  all share it.
 
 * **Fused multi-epoch blocks** — the on/off phase grid for a block of
   ``K`` epochs is evaluated as one ``(flows, K)`` array; per-link
@@ -60,18 +56,19 @@ Four coordinated mechanisms:
 
 Under a compiled control plan (:mod:`repro.fluid.control`) the grid is
 grouped into link-state *segments*: each segment swaps in its state's
-per-flow path/weight view (cached per interned state, the base view by
-identity), flushes dead-path backlog at the boundary, and runs the
-same fused machinery within the segment — fast-forward never jumps
-across a link-state boundary, and flows with no route (or torn down)
-disable the jump for their segment so their sheds are ledgered
-epoch-exactly.
+per-flow path/weight view (one builder, cached per interned state; the
+all-up state is just the first one built), flushes dead-path backlog at
+the boundary, and runs the same fused machinery within the segment —
+fast-forward never jumps across a link-state boundary, and flows with
+no route (or torn down) disable the jump for their segment so their
+sheds are ledgered epoch-exactly.
 
-The pure-Python backend in :mod:`repro.fluid.model` stays authoritative
-and untouched; ``tests/fluid/test_kernel.py`` pins kernel-vs-pure
-agreement across generated fabrics, disciplines, and epoch sizes, and
-kernel-vs-kernel (fused/fast-forward on vs off) agreement at tighter
-tolerance still.
+The pure-Python backend in :mod:`repro.fluid.reference` stays
+authoritative and shares no code with this module (both read the same
+:class:`~repro.fluid.compile.CompiledFluid`);
+``tests/fluid/test_kernel.py`` pins kernel-vs-pure agreement across
+generated fabrics, disciplines, and epoch sizes, and kernel-vs-kernel
+(fused/fast-forward on vs off) agreement at tighter tolerance still.
 """
 
 from __future__ import annotations
@@ -79,6 +76,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 import numpy as np
+
+from repro.fluid import compile as _compile
 
 try:  # optional: C-speed load matrix for the congestion check
     from scipy import sparse as _sparse
@@ -93,22 +92,21 @@ _MAX_BLOCK_EPOCHS = 64
 
 
 class CsrIncidence:
-    """The (flow, link) incidence of one compiled spec, as flat arrays.
+    """The (flow, link) incidence of one link state, as flat arrays.
 
-    Built once at compile time (``FluidSimulation.__init__``) and shared
-    by the waterfill, the fused load check, and every accumulator
+    Built once per link-state view (:meth:`FluidKernel._set_view`) and
+    shared by the waterfill, the fused load check, and every accumulator
     update.  ``ef``/``el`` list the entries flow-major — ``ef[i]`` is
     the flow and ``el[i]`` the link of entry ``i`` — exactly the order
     the pure backend's nested loops visit, so bincounts over them
-    accumulate in the same sequence.  ``lk_entry``/``link_ptr`` are the
-    link-major permutation: entries of link ``l`` occupy
-    ``lk_entry[link_ptr[l]:link_ptr[l+1]]``.
+    accumulate in the same sequence.  ``lk_flow`` is the link-major
+    permutation: the flows of link ``l``'s entries are
+    ``lk_flow[link_ptr[l]:link_ptr[l+1]]``.
     """
 
     __slots__ = (
-        "num_flows", "num_links", "ef", "el", "flow_ptr",
-        "lk_flow", "link_ptr", "nonempty_links", "nonempty_starts",
-        "matrix",
+        "num_links", "ef", "el", "lk_flow", "nonempty_links",
+        "nonempty_starts", "matrix",
     )
 
     def __init__(self, paths, num_links: int):
@@ -119,7 +117,6 @@ class CsrIncidence:
             (len(p) for p in paths), dtype=np.int64, count=F
         )
         total = int(counts.sum())
-        self.num_flows = F
         self.num_links = num_links
         # intp, not int32: a gather or bincount through a narrower
         # index array converts the whole array on every call.
@@ -128,17 +125,15 @@ class CsrIncidence:
             chain.from_iterable(paths), dtype=np.intp, count=total
         )
         el = self.el
-        self.flow_ptr = np.zeros(F + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.flow_ptr[1:])
         order = np.argsort(el, kind="stable")
         self.lk_flow = self.ef[order]
         link_counts = np.bincount(el, minlength=num_links)
-        self.link_ptr = np.zeros(num_links + 1, dtype=np.int64)
-        np.cumsum(link_counts, out=self.link_ptr[1:])
+        link_ptr = np.zeros(num_links + 1, dtype=np.int64)
+        np.cumsum(link_counts, out=link_ptr[1:])
         # reduceat cannot express empty segments, so the load gather
         # runs over non-empty links only and scatters back.
         self.nonempty_links = np.flatnonzero(link_counts > 0)
-        self.nonempty_starts = self.link_ptr[self.nonempty_links]
+        self.nonempty_starts = link_ptr[self.nonempty_links]
         # Optional (link x flow) 0/1 sparse matrix: the congestion check
         # only *compares* loads against capacity (with a 2*eps margin
         # that dwarfs summation-order noise), so it may use whichever
@@ -200,44 +195,26 @@ class FluidKernel:
     def __init__(self, sim):
         self.sim = sim
         self.opts = sim.options
-        csr = sim.incidence
-        if csr is None:  # pragma: no cover - numpy run implies incidence
-            csr = CsrIncidence(sim.paths, len(sim.caps))
-        self.csr = csr
-        F = len(sim.flow_names)
-        L = len(sim.caps)
-        self.F, self.L, self.T = F, L, sim.num_tiers
-        self.duration = float(sim.spec.duration)
-        self.warmup = float(sim.spec.warmup)
+        c = self.c = sim.compiled
+        F = len(c.flow_names)
+        L = len(c.caps)
+        self.F, self.L, self.T = F, L, c.num_tiers
+        self.warmup = c.warmup
 
-        self.caps = np.asarray(sim.caps)
+        self.caps = np.asarray(c.caps)
         self.eps = np.maximum(1e-9 * self.caps, 1e-6)
-        self.buffer_bits = np.asarray(sim.buffer_bits)
-        self.peak = np.asarray(sim.peak_bps)
-        self.duty = np.asarray(sim.duty)
-        self.period = np.asarray(sim.period)
+        self.buffer_bits = np.asarray(c.buffer_bits)
+        self.peak = np.asarray(c.peak_bps)
+        self.duty = np.asarray(c.duty)
+        self.period = np.asarray(c.period)
         self.inv_period = 1.0 / self.period
-        self.phase = np.asarray(sim.phase)
-        self.tier = np.asarray(sim.tier, dtype=np.int64)
-        self.fair = np.asarray(sim.fair, dtype=bool)
-        self.w_static = np.asarray(sim.weight_static)
-        self.size_bits = np.asarray(sim.size_bits)
-        self.realtime = np.asarray(sim.realtime, dtype=bool)
-        self.routed = np.asarray([bool(p) for p in sim.paths], dtype=bool)
-        self.first_link = np.asarray(
-            [p[0] if p else 0 for p in sim.paths], dtype=np.int64
-        )
+        self.phase = np.asarray(c.phase)
+        self.tier = np.asarray(c.tier, dtype=np.int64)
+        self.size_bits = np.asarray(c.size_bits)
+        self.realtime = np.asarray(c.realtime, dtype=bool)
         self.constant = self.duty >= 1.0
-        ef, el = self.csr.ef, self.csr.el
-        self.e_tier = self.tier[ef]
-        self.e_lt = el * self.T + self.e_tier
-        self.e_rt = self.realtime[ef]
-        self.tier_members = [
-            np.flatnonzero((self.tier == t) & self.routed)
-            for t in range(self.T)
-        ]
         self.rec_idx = (
-            np.flatnonzero(np.asarray(sim.record, dtype=bool))
+            np.flatnonzero(np.asarray(c.record, dtype=bool))
             if sim.record_samples else np.zeros(0, dtype=np.int64)
         )
 
@@ -260,6 +237,7 @@ class FluidKernel:
         self.rec_weights: List[np.ndarray] = []
         self.events = 0
         self.max_capacity_overuse = 0.0
+        self.max_buffer_overuse = -1.0
         self.stats = sim.kernel_stats
         # The evaluated-but-unspent phase grid (see ``_take_block``):
         # (first epoch, arrival columns, no-route shed rows).
@@ -269,70 +247,56 @@ class FluidKernel:
         # Outage-free runs keep the original uniform-grid arithmetic
         # bit-for-bit; a compiled control plan supplies the uniform grid
         # split at every link-state boundary.
-        N = sim.num_epochs
-        self.num_epochs = N
-        if sim.epoch_starts is not None:
-            self.t0s = np.asarray(sim.epoch_starts)
-            self.t1s = np.asarray(sim.epoch_ends)
+        if c.epoch_starts is not None:
+            self.t0s = np.asarray(c.epoch_starts)
+            self.t1s = np.asarray(c.epoch_ends)
         else:
-            eps_s = sim.epoch_seconds
-            self.t0s = np.arange(N) * eps_s
-            self.t1s = np.minimum(self.duration, self.t0s + eps_s)
+            eps_s = c.epoch_seconds
+            self.t0s = np.arange(c.num_epochs) * eps_s
+            self.t1s = np.minimum(c.duration, self.t0s + eps_s)
         self.dts = self.t1s - self.t0s
 
         # -- link-state views ------------------------------------------
-        # The hot path reads csr/routed/fair/... off ``self``; a control
-        # plan swaps those attributes per segment (``_set_view``), so
-        # the fused block, waterfill, and single-epoch code run
-        # unchanged against whichever link state is current.  The base
-        # view (empty noroute/inactive) is the compile-time state.
-        self.nr_idx = np.zeros(0, dtype=np.int64)
-        self.zero_idx = np.zeros(0, dtype=np.int64)
-        self._base_view = (
-            self.csr, self.routed, self.first_link, self.tier_members,
-            self.e_tier, self.e_lt, self.e_rt, self.fair, self.w_static,
-            self.nr_idx, self.zero_idx,
-        )
+        # The hot path reads csr/routed/fair/... off ``self``;
+        # ``_set_view`` swaps those attributes per link state, so the
+        # fused block, waterfill, and single-epoch code run unchanged
+        # against whichever state is current.  The all-up state's view
+        # is built here; a control plan's other states on first use.
         self._views = {}
+        self._set_view(c.paths, c.fair, c.weight_static)
 
     # -- control plane: per-state views and boundary flushes -----------
-    def _build_view(self, state):
-        """Compile one :class:`~repro.fluid.control.PlanState` into the
-        attribute tuple ``_set_view`` swaps in: the state's incidence
-        (CSR over its paths), routing masks, tier membership, and
-        discipline classification, plus the index lists of no-route and
-        torn-down flows.  The all-up state reuses the base arrays by
-        identity (``state.paths is sim.paths``)."""
-        sim = self.sim
-        if state.paths is sim.paths:
-            return self._base_view
-        csr = CsrIncidence(state.paths, self.L)
-        routed = np.asarray([bool(p) for p in state.paths], dtype=bool)
-        first_link = np.asarray(
-            [p[0] if p else 0 for p in state.paths], dtype=np.int64
-        )
-        e_tier = self.tier[csr.ef]
-        e_lt = csr.el * self.T + e_tier
-        e_rt = self.realtime[csr.ef]
-        tier_members = [
-            np.flatnonzero((self.tier == t) & routed)
-            for t in range(self.T)
-        ]
-        return (
-            csr, routed, first_link, tier_members, e_tier, e_lt, e_rt,
-            np.asarray(state.fair, dtype=bool),
-            np.asarray(state.weight),
-            np.asarray(state.noroute, dtype=np.int64),
-            np.asarray(state.inactive, dtype=np.int64),
-        )
-
-    def _set_view(self, state) -> None:
-        view = self._views.get(id(state))
+    def _set_view(self, paths, fair, weight, noroute=(), inactive=()):
+        """Swap in one link state's compiled view — the incidence (CSR
+        over its paths), routing masks, tier membership and discipline
+        classification, plus the index lists of no-route and torn-down
+        flows — built on first use and cached per state.  States are
+        interned and own their ``paths`` list, and the plan's all-up
+        state holds the compiled base list itself, so ``id(paths)``
+        names the state."""
+        view = self._views.get(id(paths))
         if view is None:
-            view = self._build_view(state)
-            self._views[id(state)] = view
+            csr = CsrIncidence(paths, self.L)
+            routed = np.asarray([bool(p) for p in paths], dtype=bool)
+            first_link = np.asarray(
+                [p[0] if p else 0 for p in paths], dtype=np.int64
+            )
+            e_tier = self.tier[csr.ef]
+            view = self._views[id(paths)] = (
+                csr, routed, first_link,
+                [
+                    np.flatnonzero((self.tier == t) & routed)
+                    for t in range(self.T)
+                ],
+                csr.el * self.T + e_tier,
+                self.realtime[csr.ef],
+                np.asarray(fair, dtype=bool),
+                np.asarray(weight),
+                np.asarray(noroute, dtype=np.int64),
+                np.asarray(inactive, dtype=np.int64),
+            )
         (self.csr, self.routed, self.first_link, self.tier_members,
-         self.e_tier, self.e_lt, self.e_rt, self.fair, self.w_static,
+         self.e_lt, self.e_rt, self.fair, self.w_static,
          self.nr_idx, self.zero_idx) = view
 
     def _apply_flush(self, flush) -> None:
@@ -363,9 +327,8 @@ class FluidKernel:
 
     # ------------------------------------------------------------------
     def _block_size(self) -> int:
-        fuse = int(getattr(self.opts, "fuse_epochs", 0) or 0)
-        if fuse > 0:
-            return fuse
+        if self.opts.fuse_epochs:
+            return int(self.opts.fuse_epochs)
         entries = max(int(self.csr.ef.size), self.F, 1)
         return int(
             np.clip(_BLOCK_ENTRY_BUDGET // entries, 1, _MAX_BLOCK_EPOCHS)
@@ -412,17 +375,22 @@ class FluidKernel:
 
     # ------------------------------------------------------------------
     def run(self) -> None:
-        sim = self.sim
-        self._fast_forward = bool(getattr(self.opts, "fast_forward", True))
+        c = self.c
         self._all_constant = bool(self.constant.all()) and self.F > 0
+        # The all-up state's incidence (still the current view) sizes
+        # the blocks of every segment.
         self._block = self._block_size()
-        if sim.segments is None:
-            self._run_span(0, self.num_epochs)
+        if c.segments is None:
+            self._run_span(0, c.num_epochs)
         else:
-            for seg in sim.segments:
+            for seg in c.segments:
                 self._apply_flush(seg.flush)
                 if seg.e1 > seg.e0:
-                    self._set_view(seg.state)
+                    st = seg.state
+                    self._set_view(
+                        st.paths, st.fair, st.weight, st.noroute,
+                        st.inactive,
+                    )
                     self._run_span(seg.e0, seg.e1)
         self._writeback()
 
@@ -434,7 +402,7 @@ class FluidKernel:
         state with no shed flows — a no-route flow's per-epoch ledger
         has no replay form, and those stretches are short."""
         ff = (
-            self._all_constant and self._fast_forward
+            self._all_constant and self.opts.fast_forward
             and not self.nr_idx.size and not self.zero_idx.size
         )
         e = e0
@@ -624,6 +592,13 @@ class FluidKernel:
         )
         self.link_drops += drop_delta
         q_lt *= scale
+        # What the clamp left queued, against the bound.
+        fill = (
+            float(np_.max(q_lt.sum(axis=1) / self.buffer_bits)) - 1.0
+            if L else -1.0
+        )
+        if fill > self.max_buffer_overuse:
+            self.max_buffer_overuse = fill
 
         cumwait = np_.cumsum(q_lt, axis=1) / self.caps[:, None]
         cumwait_flat = cumwait.reshape(-1)
@@ -746,7 +721,7 @@ class FluidKernel:
         active[members] = (demand[members] > 0) & (weight[members] > 0)
         if not active.any():
             return
-        max_rounds = self.opts.max_rounds
+        max_rounds = _compile.MAX_ROUNDS
         rounds = 0
         while rounds < max_rounds:
             rounds += 1
@@ -811,17 +786,11 @@ class FluidKernel:
         sim.link_failure_packets = self.link_fail.tolist()
         sim.flushed_packets += self.flushed
         sim.events_processed += self.events
-        if self.max_capacity_overuse > sim.max_capacity_overuse:
-            sim.max_capacity_overuse = self.max_capacity_overuse
+        sim.max_capacity_overuse = self.max_capacity_overuse
+        sim.max_buffer_overuse = self.max_buffer_overuse
         for f in sim.samples:
             pos = int(np.searchsorted(self.rec_idx, f))
             sim.samples[f] = [
                 (float(d[pos]), float(w[pos]))
                 for d, w in zip(self.rec_delays, self.rec_weights)
             ]
-
-
-def run_kernel(sim) -> None:
-    """Advance ``sim`` (a :class:`~repro.fluid.model.FluidSimulation`)
-    to completion on the fused kernel."""
-    FluidKernel(sim).run()

@@ -186,11 +186,56 @@ def walk_links(
 ) -> Tuple[int, ...]:
     """The link indices a node walk crosses, through ``pair_index`` —
     the only walk -> links mapping: :meth:`EcmpPaths.links` and every
-    static or SPF route resolve through it."""
+    static or SPF route (:func:`flow_routes`) resolve through it."""
     return tuple(
         l for l in map(pair_index.get, zip(nodes, nodes[1:]))
         if l is not None
     )
+
+
+def flow_routes(
+    topology: TopologySpec,
+    ecmp_seed: Optional[int] = None,
+    down: frozenset = frozenset(),
+):
+    """``(links, pair_index)``: ``links(src, dst, flow)`` is a flow's
+    route as link indices (positions in ``topology.links``) with the
+    ``down`` links removed, and ``pair_index`` the
+    :func:`pair_link_index` it resolves through.  This is the one
+    ECMP-or-static decision — spec build, the fluid compile and the
+    control plan all route through it: the seeded per-flow choice of the
+    shared :class:`EcmpPaths` when the spec carries an ``ecmp_seed``,
+    else the packet engine's static shortest path (a pure function of
+    the host pair, memoised across the population).  ``links`` raises
+    :class:`RoutingError` for an unreachable pair."""
+    if ecmp_seed is not None:
+        chooser = EcmpPaths.shared(topology, seed=ecmp_seed).masked(down)
+        return chooser.links, chooser.pair_index
+    pair_index = pair_link_index(topology)
+    if down:
+        # Switch-level tables; hosts re-attach at either end.
+        from repro.control.spf import spf_from_topology
+
+        switches = spf_from_topology(topology, down).path
+        attach = {att.host: att.switch for att in topology.host_attachments}
+
+        def node_path(src: str, dst: str) -> List[str]:
+            return [src] + switches(attach[src], attach[dst]) + [dst]
+    else:
+        from repro.scenario.generators import topology_routes
+
+        node_path = topology_routes(topology).path
+    routes: Dict[Tuple[str, str], Tuple[int, ...]] = {}
+
+    def links(src: str, dst: str, flow: str) -> Tuple[int, ...]:
+        route = routes.get((src, dst))
+        if route is None:
+            route = routes[(src, dst)] = walk_links(
+                node_path(src, dst), pair_index
+            )
+        return route
+
+    return links, pair_index
 
 
 class EcmpPaths:

@@ -10,7 +10,7 @@ node-name order so experiments are reproducible.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 
 class RoutingError(RuntimeError):
@@ -24,6 +24,26 @@ class StaticRouting:
         self._adj: Dict[str, List[str]] = {}
         self._next_hop: Dict[Tuple[str, str], str] = {}
         self._dirty = False
+
+    @classmethod
+    def from_adjacency(
+        cls, adjacency: Mapping[str, Iterable[str]]
+    ) -> "StaticRouting":
+        """The tables over a whole ``node -> neighbours`` graph (directed
+        edges) at once — what the control plane builds per link-state
+        change (:mod:`repro.control.spf`).  The same BFS as a graph
+        declared edge by edge, so a restored link state routes exactly
+        as the build-time network did."""
+        routing = cls()
+        routing._adj = {
+            node: list(neighbors) for node, neighbors in adjacency.items()
+        }
+        for neighbors in routing._adj.values():
+            for neighbor in neighbors:
+                if neighbor not in routing._adj:
+                    raise ValueError(f"edge to undeclared node {neighbor}")
+        routing._dirty = True
+        return routing
 
     def add_node(self, name: str) -> None:
         self._adj.setdefault(name, [])
@@ -44,14 +64,15 @@ class StaticRouting:
     def _recompute(self) -> None:
         """BFS from every node; deterministic neighbour order."""
         self._next_hop.clear()
-        for src in sorted(self._adj):
+        adj = {node: sorted(out) for node, out in self._adj.items()}
+        for src in sorted(adj):
             # parent[v] = predecessor of v on the shortest path from src.
             parent: Dict[str, str] = {}
             visited = {src}
             frontier = deque([src])
             while frontier:
                 u = frontier.popleft()
-                for v in sorted(self._adj[u]):
+                for v in adj[u]:
                     if v not in visited:
                         visited.add(v)
                         parent[v] = u

@@ -35,11 +35,9 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.fabric import (
-    EcmpPaths,
     fat_tree_topology,
+    flow_routes,
     leaf_spine_topology,
-    pair_link_index,
-    walk_links,
 )
 from repro.net.packet import ServiceClass
 from repro.scenario import paper, registry
@@ -48,7 +46,6 @@ from repro.scenario.generators import (
     GEN_PREFIX,
     _pick_service,
     _rng,
-    topology_routes,
 )
 from repro.scenario.spec import (
     AdmissionSpec,
@@ -158,22 +155,7 @@ def datacenter_flows(
         raise ValueError("datacenter topology needs >= 2 hosts")
 
     # Each flow's route as link indices (positions in topology.links).
-    if ecmp_seed is not None:
-        route_of = EcmpPaths.shared(topology, seed=ecmp_seed).links
-    else:
-        routing = topology_routes(topology)
-        pair_index = pair_link_index(topology)
-        # Static routes are a pure function of (src, dst) — memoize the
-        # resolved link tuple across the population.
-        static_routes: Dict[Tuple[str, str], Tuple[int, ...]] = {}
-
-        def route_of(src, dst, name):
-            route = static_routes.get((src, dst))
-            if route is None:
-                route = static_routes[(src, dst)] = walk_links(
-                    routing.path(src, dst), pair_index
-                )
-            return route
+    route_of = flow_routes(topology, ecmp_seed)[0]
 
     crossings = [0] * len(topology.links)
     placements: List[Tuple[str, str, str, int, object, int]] = []

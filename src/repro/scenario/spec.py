@@ -660,8 +660,8 @@ class OutageSpec:
     """Link failures for a scenario — the control plane's input.
 
     Presence of an ``OutageSpec`` on a :class:`ScenarioSpec` activates
-    the :mod:`repro.control` plane: a link-state controller with Dijkstra
-    SPF rerouting and signaling-based flow re-establishment, driven by
+    the :mod:`repro.control` plane: a link-state controller with shortest-path
+    (SPF) rerouting and signaling-based flow re-establishment, driven by
     the events declared here.  Two composable sources:
 
     Attributes:

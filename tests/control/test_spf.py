@@ -1,17 +1,18 @@
-"""SPF correctness and the load-bearing BFS equivalence.
+"""SPF correctness and the load-bearing build-time equivalence.
 
-The control plane's Dijkstra must reproduce the build-time BFS tables of
-:class:`~repro.net.routing.StaticRouting` exactly under unit costs —
-otherwise restoring a failed link would leave the network on different
-(equally short) routes than it started on, and the outage-free
-bit-identity guarantee would silently break.
+The control plane's recompute (a :class:`~repro.net.routing.StaticRouting`
+built from a whole adjacency at once) must reproduce the tables of the
+network's own edge-by-edge build exactly — otherwise restoring a failed
+link would leave the network on different (equally short) routes than it
+started on, and the outage-free bit-identity guarantee would silently
+break.
 """
 
 import pytest
 
-from repro.control import SpfRouting, spf_from_network
+from repro.control import spf_from_network
 from repro.net.network import Network
-from repro.net.routing import RoutingError
+from repro.net.routing import RoutingError, StaticRouting
 from repro.scenario.generators import random_graph_topology, topology_routes
 from repro.sched.fifo import FifoScheduler
 from repro.sim.engine import Simulator
@@ -37,7 +38,7 @@ class TestBfsEquivalence:
     def test_next_hops_match_static_routing_everywhere(self, gen_seed):
         topology = random_graph_topology(gen_seed, num_switches=7)
         bfs = topology_routes(topology)
-        spf = SpfRouting(spec_adjacency(topology))
+        spf = StaticRouting.from_adjacency(spec_adjacency(topology))
         for src in all_nodes(topology):
             for dst in all_nodes(topology):
                 if src == dst:
@@ -52,7 +53,7 @@ class TestBfsEquivalence:
             gen_seed, num_switches=6, scale_free=True
         )
         bfs = topology_routes(topology)
-        spf = SpfRouting(spec_adjacency(topology))
+        spf = StaticRouting.from_adjacency(spec_adjacency(topology))
         hosts = topology.host_names
         for src in hosts:
             for dst in hosts:
@@ -61,23 +62,12 @@ class TestBfsEquivalence:
 
 
 class TestWeightedAndPartial:
-    def test_costs_divert_from_hop_count_shortest(self):
-        adj = {"A": ["B", "C"], "B": [], "C": ["B"]}
-        unit = SpfRouting(adj)
-        assert unit.path("A", "B") == ["A", "B"]
-        weighted = SpfRouting(adj, costs={("A", "B"): 5.0})
-        assert weighted.path("A", "B") == ["A", "C", "B"]
-
-    def test_nonpositive_cost_rejected(self):
-        with pytest.raises(ValueError):
-            SpfRouting({"A": ["B"], "B": []}, costs={("A", "B"): 0.0})
-
     def test_edge_to_undeclared_node_rejected(self):
         with pytest.raises(ValueError):
-            SpfRouting({"A": ["ghost"]})
+            StaticRouting.from_adjacency({"A": ["ghost"]})
 
     def test_unreachable_raises_routing_error(self):
-        spf = SpfRouting({"A": ["B"], "B": [], "C": []})
+        spf = StaticRouting.from_adjacency({"A": ["B"], "B": [], "C": []})
         with pytest.raises(RoutingError):
             spf.next_hop("B", "A")
         with pytest.raises(RoutingError):

@@ -18,6 +18,9 @@ Three distinct contracts, tested at three distinct strengths:
   once (``kernel_stats`` counts, never wall clock) in congested,
   backlogged, mixed and outage-segmented runs, *bitwise* equal to
   re-evaluating a full block at every epoch.
+* the two run-time facts both backends must *measure*, not assume: how
+  full the clamp left the fullest buffer, and how many flows the
+  waterfill's round cap cut short.
 """
 
 import dataclasses
@@ -26,6 +29,7 @@ import json
 import pytest
 
 from repro.fluid import FluidOptions, FluidSimulation
+from repro.fluid import compile as fluid_compile
 from repro.fluid import model as fluid_model
 from repro.scenario import DisciplineSpec, ScenarioBuilder, registry
 from repro.scenario.spec import OutageEvent, OutageSpec, TopologySpec
@@ -457,3 +461,44 @@ class TestRecordFlowsSwitch:
         assert on.events_processed == off.events_processed
         rows = off.collect()
         assert len(rows.flows) == len(on.collect().flows)
+
+
+def leaf_spine_spec(target_utilization):
+    """400 flows on the default leaf-spine, 8 epochs of 0.5 s: at 1.3x
+    the hottest link every epoch backlogs and the buffer clamp sheds."""
+    return registry.build(
+        "gen:leaf-spine", gen_seed=1, num_flows=400, duration=4.0,
+        target_utilization=target_utilization, engine="fluid",
+    )
+
+
+@pytest.mark.parametrize("backend", ("numpy", "pure"))
+class TestBufferBoundIsMeasured:
+    """``fluid-buffer-bounds`` reads a number the backends write: the
+    fullest post-clamp queue relative to its bound, minus one."""
+
+    def test_uncongested_run_reads_empty(self, backend):
+        sim = run_backend(leaf_spine_spec(0.5), "CSZ", backend)
+        assert sum(sim.backlog_bits) == 0
+        assert sim.max_buffer_overuse == -1.0
+
+    def test_saturated_run_reads_exactly_full(self, backend):
+        sim = run_backend(leaf_spine_spec(1.3), "CSZ", backend)
+        assert sum(sim.dropped_bits) > 0  # the clamp engaged
+        assert sim.max_buffer_overuse == pytest.approx(0.0, abs=1e-9)
+        assert sim.collect().invariants_clean
+
+
+class TestRoundCapFallback:
+    def test_both_backends_exhaust_alike(self, monkeypatch):
+        """One round per tier leaves flows unfrozen on every backlogged
+        epoch: the final proportional fill serves them, both backends
+        count the same flows, and every invariant still holds."""
+        monkeypatch.setattr(fluid_compile, "MAX_ROUNDS", 1)
+        spec = leaf_spine_spec(1.3)
+        kernel = run_backend(spec, "CSZ", "numpy")
+        pure = run_backend(spec, "CSZ", "pure")
+        assert kernel.waterfill_exhausted == pure.waterfill_exhausted > 0
+        assert kernel.collect().invariants_clean
+        assert pure.collect().invariants_clean
+        assert_flow_state_close(kernel, pure, rel=1e-9)

@@ -13,10 +13,11 @@ import hashlib
 
 import pytest
 
-from repro.fluid.model import FluidSimulation, _routes_for
+from repro.fluid.model import FluidSimulation
 from repro.net.fabric import (
     EcmpPaths,
     fat_tree_topology,
+    flow_routes,
     leaf_spine_topology,
     pair_link_index,
     walk_links,
@@ -429,7 +430,7 @@ class TestLinkIndexDefinition:
         sim = FluidSimulation(spec, spec.disciplines[0])
         # The trunk never matches a walk hop, on either router.
         assert sim.paths == [(0,), (2, 3)]
-        _links_of, pair_index = _routes_for(spec)
+        _links_of, pair_index = flow_routes(topo, ecmp_seed)
         assert pair_index == pair_link_index(topo)
         if ecmp_seed is not None:
             # One object from the chooser to the control plan.

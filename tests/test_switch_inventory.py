@@ -6,16 +6,26 @@ named anywhere under ``src/`` are exactly the ones the README's
 "Environment switches" table documents, and the engine factory takes no
 event-store argument.
 
+So is the fluid engine's option surface (``FluidOptions``'s fields) and
+its import graph: the façade loads no backend and no control plane until
+a run needs one, and the reference backend and the NumPy kernel never
+load each other.
+
 The same goes for what the documents *point at*: every repository path
 the README, the build files, CI and the verify notes name must exist, so
 a deleted module, bench or report cannot leave a dangling reference.
 """
 
+import dataclasses
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
+from repro.fluid.model import FluidOptions
 from repro.sim import PySimulator, Simulator
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -44,6 +54,52 @@ def test_engine_constructor_takes_no_event_store(factory):
     assert factory(start_time=2.0).now == 2.0
     with pytest.raises(TypeError):
         factory(queue="heap")
+
+
+def test_fluid_options_are_exactly_the_pinned_fields():
+    assert {field.name for field in dataclasses.fields(FluidOptions)} == {
+        "epoch_seconds", "backend", "record_flows", "fast_forward",
+        "fuse_epochs",
+    }
+
+
+@pytest.mark.parametrize(
+    "module,absent,without_numpy",
+    [
+        # What keeps ``setup_s`` flat: the façade alone loads no backend
+        # and no control plane.
+        (
+            "repro.fluid.model",
+            ("repro.fluid.reference", "repro.fluid.kernel",
+             "repro.fluid.control"),
+            False,
+        ),
+        # Oracle and production share no logic, and the oracle runs
+        # where numpy is absent.
+        ("repro.fluid.reference", ("repro.fluid.kernel",), True),
+        ("repro.fluid.kernel", ("repro.fluid.reference",), False),
+    ],
+)
+def test_fluid_modules_load_only_what_they_use(module, absent, without_numpy):
+    if module == "repro.fluid.kernel":
+        pytest.importorskip("numpy")
+    program = (
+        "import sys\n"
+        + ("sys.modules['numpy'] = None  # 'import numpy' now raises\n"
+           if without_numpy else "")
+        + f"import {module}\n"
+        + f"print([m for m in {absent!r} if m in sys.modules])\n"
+    )
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO_ROOT / "src")] + ([inherited] if inherited else [])
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", program], env=env, text=True,
+        capture_output=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # Documents whose references are inventoried (benchmarks/e2e/README.md
