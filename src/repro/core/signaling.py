@@ -243,11 +243,11 @@ class SignalingAgent:
         if grant is None:
             raise KeyError(f"flow {flow_id} is not established")
         if grant.service_class is ServiceClass.GUARANTEED:
+            now = self.network.sim.now
             for name in grant.link_names:
-                port = self.network.port_for_link(name)
-                remove = getattr(port.scheduler, "remove_guaranteed_flow", None)
-                if remove is not None:
-                    remove(flow_id, self.network.sim.now)
+                self.network.port_for_link(name).scheduler.remove_guaranteed(
+                    flow_id, now
+                )
                 self.admission.release_guaranteed(name, flow_id)
         edge_port = self._edge_ports.pop(flow_id, None)
         if edge_port is not None:

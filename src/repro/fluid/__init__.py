@@ -5,12 +5,11 @@ and :mod:`repro.fluid.engine` for the engine-selection seam the runner
 and sweep executor dispatch through.
 """
 
-from repro.fluid.engine import effective_engine, run_fluid_discipline
+from repro.fluid.engine import run_fluid_discipline
 from repro.fluid.model import FluidOptions, FluidSimulation
 
 __all__ = [
     "FluidOptions",
     "FluidSimulation",
-    "effective_engine",
     "run_fluid_discipline",
 ]

@@ -1,33 +1,14 @@
 """Engine selection seam: route a spec to the packet or fluid engine.
 
-The spec carries ``engine="packet"|"fluid"`` and the environment can
-override it (``REPRO_ENGINE=fluid``): the same spec file or generated
-scenario can be re-run on the other engine without edits,
-which is how the cross-validation goldens and the crossover benchmark
-drive both.
+The spec carries ``engine="packet"|"fluid"`` (the CLI's ``--engine`` sets
+it): the same spec re-runs on the other engine with
+``spec.replace(engine=...)``, which is how the cross-validation goldens and
+the crossover benchmark drive both.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
-from repro.scenario.spec import ENGINE_KINDS, ScenarioSpec
-
-_ENGINE_ENV = "REPRO_ENGINE"
-
-
-def effective_engine(spec: ScenarioSpec) -> str:
-    """The engine this spec will actually run on: the ``REPRO_ENGINE``
-    environment override when set, else ``spec.engine``."""
-    env = os.environ.get(_ENGINE_ENV, "").strip().lower()
-    if env:
-        if env not in ENGINE_KINDS:
-            raise ValueError(
-                f"{_ENGINE_ENV}={env!r} is not one of {ENGINE_KINDS}"
-            )
-        return env
-    return spec.engine
+from repro.scenario.spec import ScenarioSpec
 
 
 def run_fluid_discipline(spec: ScenarioSpec, options=None):

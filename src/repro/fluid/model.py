@@ -197,7 +197,7 @@ class FluidSimulation:
                 f"the fluid engine does not model TCP dynamics: spec "
                 f"{spec.name!r} carries TCP flow(s) {shown}; run this "
                 f"spec on the packet engine (engine=\"packet\" on the "
-                f"spec, REPRO_ENGINE=packet, or --engine packet)"
+                f"spec, or --engine packet)"
             )
         self.spec = spec
         self.discipline = discipline

@@ -430,9 +430,9 @@ def run_task(
             wall_seconds=time.perf_counter() - started,
             sim_seconds=spec.duration,
         )
-    from repro.fluid.engine import effective_engine, run_fluid_discipline
+    from repro.fluid.engine import run_fluid_discipline
 
-    if effective_engine(spec) == "fluid":
+    if spec.engine == "fluid":
         # The fluid engine advances whole epochs, not events; budgets
         # (already coarse-grained guards) do not slice it.
         return TaskResult(

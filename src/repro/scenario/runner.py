@@ -737,13 +737,13 @@ class ScenarioContext:
 def _run_one_discipline(spec: ScenarioSpec) -> DisciplineRunResult:
     """Worker entry point: run a single-discipline spec to completion.
 
-    Dispatches on the engine seam: ``spec.engine`` (or the
-    ``REPRO_ENGINE`` override) routes to the packet simulator or the
-    flow-level fluid model; both emit the same result shape.
+    Dispatches on the engine seam: ``spec.engine`` routes to the packet
+    simulator or the flow-level fluid model; both emit the same result
+    shape.
     """
-    from repro.fluid.engine import effective_engine, run_fluid_discipline
+    from repro.fluid.engine import run_fluid_discipline
 
-    if effective_engine(spec) == "fluid":
+    if spec.engine == "fluid":
         return run_fluid_discipline(spec)
     context = ScenarioContext(spec, spec.disciplines[0])
     context.run()

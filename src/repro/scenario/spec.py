@@ -778,9 +778,7 @@ class ScenarioSpec:
             (the discrete-event engine, the default and the source of
             truth) or ``"fluid"`` (the flow-level epoch model in
             :mod:`repro.fluid`, for populations the packet engine cannot
-            reach).  The ``REPRO_ENGINE`` environment variable overrides
-            the spec at run time; see
-            :func:`repro.fluid.effective_engine`.
+            reach).
         ecmp_seed: ECMP-style load balancing for multipath topologies
             (fat-tree, leaf-spine): when set, each flow's path is a
             seeded per-flow choice among the equal-cost shortest paths

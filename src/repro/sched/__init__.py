@@ -5,12 +5,15 @@ One module per discipline discussed or compared in the paper:
 * :mod:`repro.sched.fifo` — FIFO, the Section 5 sharing mechanism.
 * :mod:`repro.sched.wfq` — packetized weighted fair queueing / PGPS
   (Section 4), the isolation mechanism with the Parekh-Gallager bound.
+  PGPS order is defined once there (``PgpsScheduler``: V(t), finish-tag
+  queue, tie-break, reservation rule); WFQ and the unified scheduler
+  inherit it.
 * :mod:`repro.sched.gps` — the fluid-flow GPS reference model used to
   validate WFQ and the bound.
 * :mod:`repro.sched.fifoplus` — FIFO+ multi-hop sharing (Section 6).
 * :mod:`repro.sched.priority` — strict priority classes (Section 7).
 * :mod:`repro.sched.unified` — the unified CSZ scheduling algorithm
-  (Section 7): WFQ isolation around priority classes running FIFO+.
+  (Section 7): the same WFQ frame around priority classes running FIFO+.
 * :mod:`repro.sched.virtual_clock`, :mod:`repro.sched.round_robin`,
   :mod:`repro.sched.edf` — related-work baselines (Section 11).
 * :mod:`repro.sched.nonwork` — the non-work-conserving related work

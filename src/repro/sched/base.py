@@ -18,7 +18,7 @@ The contract:
 from __future__ import annotations
 
 import abc
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.net.packet import Packet
 
@@ -92,6 +92,11 @@ class Scheduler(abc.ABC):
     #: this is True and merely *observed* (reorder counting) elsewhere.
     preserves_flow_fifo: bool = True
 
+    #: A pure arrival-time → eligibility-time function, for disciplines
+    #: that hold packets to a frame schedule (Stop-and-Go), so the
+    #: :mod:`repro.validate` audit can recompute every hold itself.
+    eligible_time: Optional[Callable[[float], float]] = None
+
     def install_guaranteed(
         self, flow_id: str, rate_bps: float, now: Optional[float] = None
     ) -> None:
@@ -114,6 +119,18 @@ class Scheduler(abc.ABC):
         raise GuaranteedServiceUnsupported(
             f"{type(self).__name__} has no per-flow bit-rate reservations"
         )
+
+    def remove_guaranteed(self, flow_id: str, now: Optional[float] = None) -> None:
+        """Release ``flow_id``'s guaranteed rate from ``now`` on (the
+        signaling layer's teardown; packets already queued still leave).
+
+        The default has no reservation to release.  WFQ and VirtualClock
+        keep it: their clock rate only weighs while the flow is backlogged,
+        so a torn-down flow's stragglers are served at the rate they were
+        stamped with and a re-admission simply installs the rate again.
+        The unified CSZ scheduler overrides it, because there a reservation
+        is capacity taken from pseudo-flow 0 and must be handed back.
+        """
 
     def drain(self, now: float) -> List[Packet]:
         """Remove and return every queued packet (link-failure flush).

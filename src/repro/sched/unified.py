@@ -19,6 +19,10 @@ picks the actual packet.  This decoupling of "how much service the
 aggregate gets" (tags) from "which packet uses it" (priorities + FIFO+) is
 the paper's isolation/sharing split made literal.
 
+The WFQ frame is :class:`repro.sched.wfq.PgpsScheduler`, PGPS order defined
+once and shared with plain WFQ; only the tie-break is this module's: equal
+tags go to the earliest-installed guaranteed flow, pseudo-flow 0 last.
+
 Guaranteed packets from flows that were never registered (no admission)
 are refused — the port records them as drops — because guaranteed service
 exists only behind an established commitment.
@@ -27,15 +31,14 @@ exists only behind an established commitment.
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.net.packet import Packet, ServiceClass
 from repro.sched.base import Scheduler
 from repro.sched.fifo import FifoScheduler
 from repro.sched.fifoplus import ClassDelayTracker, FifoPlusScheduler
 from repro.sched.priority import PriorityScheduler
-from repro.sched.wfq import VirtualTime
+from repro.sched.wfq import PgpsScheduler
 
 PSEUDO_FLOW_0 = "__predicted+datagram__"
 
@@ -75,7 +78,7 @@ class UnifiedConfig:
             raise ValueError("pseudo-flow floor must be positive")
 
 
-class UnifiedScheduler(Scheduler):
+class UnifiedScheduler(PgpsScheduler):
     """WFQ(guaranteed flows, flow-0[priority classes -> FIFO+ / FIFO])."""
 
     # Predicted classes ride FIFO+ levels inside flow 0, which preserve
@@ -83,27 +86,23 @@ class UnifiedScheduler(Scheduler):
     preserves_flow_fifo = False
 
     def __init__(self, config: UnifiedConfig):
+        super().__init__(config.capacity_bps)
         self.config = config
-        self.vt = VirtualTime(config.capacity_bps)
         self._guaranteed_rates: Dict[str, float] = {}
-        # Per guaranteed flow: FIFO of (finish_tag, packet).
-        self._gqueues: Dict[str, Deque[Tuple[float, Packet]]] = {}
-        # Flow 0: FIFO of outstanding finish tags + the inner hierarchy.
-        self._flow0_tags: Deque[float] = deque()
+        # The core's tie-break key: install rank (pseudo-flow 0: +inf).
+        self._ranks: Dict[str, int] = {}
+        self._installs = 0
         self.class_delay_tracker = ClassDelayTracker(config.fifoplus_gain)
         self._made_levels = 0
-        self._flow0 = PriorityScheduler(
+        # Pseudo-flow 0's inner hierarchy: the core's aggregate.
+        self._aggregate = PriorityScheduler(
             num_classes=config.num_predicted_classes + 1,
             sub_scheduler_factory=self._make_level,
             classifier=self._classify_flow0,
         )
         self.vt.register(PSEUDO_FLOW_0, self._pseudo_rate())
-        self._size = 0
         self.refused_guaranteed = 0
 
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
     def _make_level(self) -> Scheduler:
         """Levels 0..K-1 are FIFO+ (predicted); level K is FIFO (datagram)."""
         idx = self._made_levels
@@ -124,14 +123,12 @@ class UnifiedScheduler(Scheduler):
         residual = self.config.capacity_bps - sum(self._guaranteed_rates.values())
         return max(residual, self.config.min_pseudo_flow_rate_bps)
 
-    # ------------------------------------------------------------------
-    # Guaranteed-flow management (driven by signaling/admission)
-    # ------------------------------------------------------------------
-    def install_guaranteed_flow(
+    def install_guaranteed(
         self, flow_id: str, rate_bps: float, now: Optional[float] = None
     ) -> None:
-        """Give ``flow_id`` a WFQ clock rate; shrinks pseudo-flow 0's rate
-        from ``now`` on (see :meth:`VirtualTime.set_rate`).
+        """Give ``flow_id`` a WFQ clock rate, ranked behind every flow
+        installed before it; shrinks pseudo-flow 0's rate from ``now`` on
+        (see :meth:`VirtualTime.set_rate`).
 
         Raises:
             ValueError: if the rate is non-positive or would not leave the
@@ -149,28 +146,21 @@ class UnifiedScheduler(Scheduler):
                 f"{residual} bps for predicted/datagram traffic"
             )
         self._guaranteed_rates[flow_id] = rate_bps
-        self._gqueues[flow_id] = deque()
-        self.vt.set_rate(flow_id, rate_bps, now)
+        self._ranks[flow_id] = self._installs
+        self._installs += 1
+        super().install_guaranteed(flow_id, rate_bps, now)
         self.vt.set_rate(PSEUDO_FLOW_0, self._pseudo_rate(), now)
 
-    supports_guaranteed = True
-
-    def install_guaranteed(
-        self, flow_id: str, rate_bps: float, now: Optional[float] = None
-    ) -> None:
-        """Capability interface alias for :meth:`install_guaranteed_flow`."""
-        self.install_guaranteed_flow(flow_id, rate_bps, now)
-
-    def remove_guaranteed_flow(
-        self, flow_id: str, now: Optional[float] = None
-    ) -> None:
-        """Tear down a guaranteed flow (its queue must be empty); the
-        freed rate returns to pseudo-flow 0 from ``now`` on."""
-        if self._gqueues.get(flow_id):
-            raise RuntimeError(f"flow {flow_id} still has queued packets")
+    def remove_guaranteed(self, flow_id: str, now: Optional[float] = None) -> None:
+        """Tear down a guaranteed flow: its new arrivals are refused, its
+        queued packets leave on the tags they already hold, and the freed
+        rate returns to pseudo-flow 0 from ``now`` on."""
         self._guaranteed_rates.pop(flow_id, None)
-        self._gqueues.pop(flow_id, None)
+        self._ranks.pop(flow_id, None)
         self.vt.set_rate(PSEUDO_FLOW_0, self._pseudo_rate(), now)
+
+    install_guaranteed_flow = install_guaranteed
+    remove_guaranteed_flow = remove_guaranteed
 
     @property
     def guaranteed_rate_sum(self) -> float:
@@ -179,81 +169,40 @@ class UnifiedScheduler(Scheduler):
     def guaranteed_flows(self) -> Dict[str, float]:
         return dict(self._guaranteed_rates)
 
-    # ------------------------------------------------------------------
-    # Scheduler interface
-    # ------------------------------------------------------------------
     def enqueue(self, packet: Packet, now: float) -> bool:
         if packet.service_class is ServiceClass.GUARANTEED:
-            queue = self._gqueues.get(packet.flow_id)
-            if queue is None:
+            rank = self._ranks.get(packet.flow_id)
+            if rank is None:
                 self.refused_guaranteed += 1
                 return False
-            queue.append(
-                (self.vt.assign_tag(packet.flow_id, packet.size_bits, now), packet)
-            )
-            self._size += 1
+            self._push(packet.flow_id, packet.size_bits, rank, packet, now)
             return True
-        # Predicted or datagram -> pseudo-flow 0.
-        if not self._flow0.enqueue(packet, now):
+        # Predicted or datagram -> pseudo-flow 0: a tag with no packet.
+        if not self._aggregate.enqueue(packet, now):
             return False
-        self._flow0_tags.append(
-            self.vt.assign_tag(PSEUDO_FLOW_0, packet.size_bits, now)
-        )
-        self._size += 1
+        self._push(PSEUDO_FLOW_0, packet.size_bits, _INF, None, now)
         return True
-
-    def dequeue(self, now: float) -> Optional[Packet]:
-        if self._size == 0:
-            return None
-        self.vt.advance(now)
-        # Pick the logical flow with the smallest head finish tag.
-        best_flow: Optional[str] = None
-        best_tag = _INF
-        for flow_id, queue in self._gqueues.items():
-            if queue and queue[0][0] < best_tag:
-                best_tag = queue[0][0]
-                best_flow = flow_id
-        flow0_tags = self._flow0_tags
-        if flow0_tags and flow0_tags[0] < best_tag:
-            best_tag = flow0_tags[0]
-            best_flow = PSEUDO_FLOW_0
-        if best_flow is None:
-            return None  # pragma: no cover - _size said otherwise
-        self._size -= 1
-        if best_flow == PSEUDO_FLOW_0:
-            flow0_tags.popleft()
-            packet = self._flow0.dequeue(now)
-            assert packet is not None, "flow-0 tag/packet books diverged"
-            return packet
-        __, packet = self._gqueues[best_flow].popleft()
-        return packet
-
-    def __len__(self) -> int:
-        return self._size
 
     def select_push_out(self, incoming: Packet) -> Optional[Packet]:
         """Real-time arrivals may push out queued *datagram* packets.
 
-        The inner priority scheduler performs the eviction; its tag book is
-        then reconciled by discarding the newest flow-0 tag (the evicted
+        The inner priority scheduler performs the eviction; the tag book is
+        then reconciled by discarding the newest flow-0 entry (the evicted
         packet was a flow-0 member, so one outstanding tag must go).
         Guaranteed packets never get evicted: their isolation is the whole
         point of the WFQ frame.
         """
         if incoming.service_class is ServiceClass.DATAGRAM:
             return None
-        victim = self._flow0.select_push_out(incoming)
-        if victim is None:
-            return None
-        self._size -= 1
-        if self._flow0_tags:
-            self._flow0_tags.pop()
+        victim = self._aggregate.select_push_out(incoming)
+        if victim is not None:
+            self._pop_newest(PSEUDO_FLOW_0)
         return victim
 
     def queue_lengths(self) -> Dict[str, int]:
         """Diagnostic occupancy: per guaranteed flow and per flow-0 level."""
-        out = {flow: len(q) for flow, q in self._gqueues.items()}
-        for level, qlen in self._flow0.queue_lengths().items():
+        out = {flow: len(self._queues.get(flow, ())) for flow in self._ranks}
+        for level, qlen in self._aggregate.queue_lengths().items():
             name = (
                 f"predicted[{level}]"
                 if level < self.config.num_predicted_classes
@@ -264,7 +213,7 @@ class UnifiedScheduler(Scheduler):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<UnifiedScheduler qlen={self._size} "
+            f"<UnifiedScheduler qlen={len(self)} "
             f"guaranteed={len(self._guaranteed_rates)} "
             f"K={self.config.num_predicted_classes}>"
         )

@@ -17,15 +17,19 @@ equivalent to the paper's "expected delay until departure" E_i(t) rule:
   ``F = max(V(arrival), F_prev_of_flow) + size / r_alpha``.
 * The link always transmits the queued packet with the smallest tag.
 
-The :class:`VirtualTime` core is shared with the unified scheduler
-(:mod:`repro.sched.unified`), which embeds all predicted and datagram
-traffic as one pseudo-flow inside a WFQ frame.
+PGPS order is defined once, here: :class:`PgpsScheduler` owns V(t), the
+finish-tag queue, the tie-break and the reservation rule, and both
+:class:`WfqScheduler` and the unified scheduler (:mod:`repro.sched.unified`,
+which embeds all predicted and datagram traffic as one pseudo-flow inside a
+WFQ frame) inherit it; they only say what a flow is and how equal tags rank.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+import itertools
+from collections import defaultdict, deque
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.net.packet import Packet
 from repro.sched.base import Scheduler
@@ -172,8 +176,86 @@ class VirtualTime:
         )
 
 
-class WfqScheduler(Scheduler):
+class PgpsScheduler(Scheduler):
+    """The PGPS core: one finish-tag order for every WFQ-framed discipline.
+
+    Each flow keeps a FIFO of ``(tag, key, item)`` and each backlogged
+    flow's head sits on one min-heap as ``(tag, key, flow)``; a flow's tags
+    strictly increase, so the smallest head is the smallest entry overall
+    and the key decides equal tags.  Subclasses pick the key and queue
+    through :meth:`_push`.  An entry with no item is an aggregate's turn:
+    ``_aggregate`` (a scheduler over its packets) picks the packet.  Rates
+    are installed by :meth:`VirtualTime.set_rate` at ``now``, exact under
+    backlog; releasing one leaves the FIFOs alone, so queued packets leave
+    on the tags they hold.
+    """
+
+    supports_guaranteed = True
+    _aggregate: Optional[Scheduler] = None
+
+    def __init__(self, capacity_bps: float):
+        self.vt = VirtualTime(capacity_bps)
+        self._queues: Dict[str, Deque[tuple]] = defaultdict(deque)  # (tag, key, item)
+        self._heads: List[Tuple[float, float, str]] = []
+        self._count = 0
+
+    def install_guaranteed(
+        self, flow_id: str, rate_bps: float, now: Optional[float] = None
+    ) -> None:
+        """Capability interface: a WFQ clock rate *is* a guaranteed rate."""
+        self.vt.set_rate(flow_id, rate_bps, now)
+
+    def _push(
+        self, flow_id: str, size_bits: int, key: float,
+        item: Optional[Packet], now: float,
+    ) -> None:
+        """Stamp an arrival of ``size_bits`` on ``flow_id`` and queue it."""
+        tag = self.vt.assign_tag(flow_id, size_bits, now)
+        queue = self._queues[flow_id]
+        if not queue:
+            heapq.heappush(self._heads, (tag, key, flow_id))
+        queue.append((tag, key, item))
+        self._count += 1
+
+    def _pop_newest(self, flow_id: str) -> None:
+        """Discard ``flow_id``'s newest entry (push-out); V(t) keeps its tag."""
+        queue = self._queues[flow_id]
+        tag, key, __ = queue.pop()
+        if not queue:
+            self._heads.remove((tag, key, flow_id))
+            heapq.heapify(self._heads)
+        self._count -= 1
+
+    def peek_next(self) -> Optional[Packet]:
+        """The smallest-tag packet (None on an aggregate's turn), unpopped."""
+        heads = self._heads
+        return self._queues[heads[0][2]][0][2] if heads else None
+
+    def dequeue(self, now: float) -> Optional[Packet]:
+        heads = self._heads
+        if not heads:
+            return None
+        self.vt.advance(now)
+        flow_id = heads[0][2]
+        queue = self._queues[flow_id]
+        item = queue.popleft()[2]
+        if queue:
+            tag, key, __ = queue[0]
+            heapq.heapreplace(heads, (tag, key, flow_id))
+        else:
+            heapq.heappop(heads)
+        self._count -= 1
+        return item if item is not None else self._aggregate.dequeue(now)
+
+    def __len__(self) -> int:
+        return self._count
+
+
+class WfqScheduler(PgpsScheduler):
     """Packetized weighted fair queueing over per-flow clock rates.
+
+    Equal finish tags are served in arrival order (the core's key is the
+    packet's arrival sequence number).
 
     Args:
         capacity_bps: the output link speed.
@@ -191,63 +273,32 @@ class WfqScheduler(Scheduler):
         rates_bps: Optional[Dict[str, float]] = None,
         auto_register_rate: Optional[float] = None,
     ):
-        self.vt = VirtualTime(capacity_bps)
+        super().__init__(capacity_bps)
         self.auto_register_rate = auto_register_rate
         if rates_bps:
             for flow, rate in rates_bps.items():
                 self.vt.register(flow, rate)
-        self._heap: List[Tuple[float, int, Packet]] = []
-        self._seq = 0
+        self._seq = itertools.count()
         self.refused = 0
 
     def register_flow(self, flow_id: str, rate_bps: float) -> None:
         self.vt.register(flow_id, rate_bps)
 
-    supports_guaranteed = True
-
-    def install_guaranteed(
-        self, flow_id: str, rate_bps: float, now: Optional[float] = None
-    ) -> None:
-        """Capability interface: a WFQ clock rate *is* a guaranteed rate."""
-        self.vt.register(flow_id, rate_bps)
-
     def enqueue(self, packet: Packet, now: float) -> bool:
-        vt = self.vt
         flow_id = packet.flow_id
-        if flow_id not in vt._rates:
+        if flow_id not in self.vt._rates:
             if self.auto_register_rate is None:
                 self.refused += 1
                 return False
-            vt.register(flow_id, self.auto_register_rate)
-        tag = vt.assign_tag(flow_id, packet.size_bits, now)
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._heap, (tag, seq, packet))
+            self.vt.register(flow_id, self.auto_register_rate)
+        self._push(flow_id, packet.size_bits, next(self._seq), packet, now)
         return True
 
-    # Batched link service is safe here even though dequeue() takes the
-    # clock: departure order is fixed entirely by the finish tags assigned
-    # at *enqueue* time, and dequeue's ``vt.advance(now)`` is pure V(t)
-    # bookkeeping that never reorders the tag heap.  The port's burst loop
-    # dequeues at exactly the per-packet completion instants (each serve
-    # advances ``sim.now`` to the departure time before the next dequeue),
-    # so V(t) sees the identical sequence of ``now`` values — and the
-    # identical float arithmetic — as the per-packet path.
+    # Batched link service is safe although dequeue() takes the clock: the
+    # order is fixed by tags assigned at *enqueue*, ``vt.advance(now)`` never
+    # reorders them, and the burst loop dequeues at exactly the per-packet
+    # completion instants, so V(t) sees the same ``now`` sequence and floats.
     supports_batch_drain = True
 
-    def peek_next(self) -> Optional[Packet]:
-        """The smallest-tag packet, without popping or advancing V(t)."""
-        return self._heap[0][2] if self._heap else None
-
-    def dequeue(self, now: float) -> Optional[Packet]:
-        if not self._heap:
-            return None
-        self.vt.advance(now)
-        __, __, packet = heapq.heappop(self._heap)
-        return packet
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<WfqScheduler qlen={len(self._heap)} {self.vt!r}>"
+        return f"<WfqScheduler qlen={len(self)} {self.vt!r}>"

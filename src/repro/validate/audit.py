@@ -136,7 +136,7 @@ class SimulationAudit:
         link = port.link
         # Stop-and-Go publishes a pure arrival→eligibility function; when
         # present, recompute the hold independently on every departure.
-        eligible_time = getattr(port.scheduler, "eligible_time", None)
+        eligible_time = port.scheduler.eligible_time
 
         def on_enqueue(packet: Packet, now: float) -> None:
             self._observe_clock(now, name)

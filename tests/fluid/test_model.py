@@ -286,7 +286,6 @@ class TestValidityEnvelope:
         assert "'tcp-a', 'tcp-b'" in message
         assert "'fluid-tcp'" in message
         assert 'engine="packet"' in message
-        assert "REPRO_ENGINE=packet" in message
 
     def test_tcp_rejection_truncates_long_flow_lists(self):
         builder = ScenarioBuilder("fluid-tcp").single_link().duration(5.0)

@@ -75,11 +75,26 @@ class TestGuaranteedFlows:
         assert not sched.enqueue(guaranteed(), 0.0)  # no longer installed
 
     def test_remove_with_queued_packets_rejected(self):
-        sched = build()
-        sched.install_guaranteed_flow("g", 100_000.0)
-        sched.enqueue(guaranteed(), 0.0)
-        with pytest.raises(RuntimeError):
-            sched.remove_guaranteed_flow("g")
+        """Teardown under backlog: new arrivals are rejected, the queued
+        packets drain on the tags they hold, and pseudo-flow 0 gets the
+        whole residual rate from ``now``."""
+        sched = build(capacity=1_000_000)
+        sched.install_guaranteed_flow("g", 400_000.0)
+        queued = [guaranteed(sequence=i) for i in range(3)]
+        for packet in queued:
+            assert sched.enqueue(packet, 0.0)
+        assert sched.enqueue(datagram(), 0.0)
+        sched.remove_guaranteed_flow("g", 0.001)
+        assert sched.vt.rate_of(PSEUDO_FLOW_0) == 1_000_000.0
+        assert sched.vt.vtime == pytest.approx(0.001)  # advanced to `now`
+        assert not sched.enqueue(guaranteed(sequence=3), 0.001)
+        assert sched.refused_guaranteed == 1
+        # Tags: g at 1000/400k per packet (0.0025, 0.005, 0.0075), the
+        # datagram at 1000/600k (0.00167): tag order, not arrival order.
+        out = [sched.dequeue(0.001) for __ in range(4)]
+        assert [p.flow_id for p in out] == ["d", "g", "g", "g"]
+        assert [p.sequence for p in out[1:]] == [0, 1, 2]
+        assert len(sched) == 0 and sched.dequeue(0.001) is None
 
     def test_guaranteed_share_under_overload(self):
         """With r_g = half the link and both queues saturated, the
@@ -135,7 +150,8 @@ class TestFlowZeroHierarchy:
             assert sched.dequeue(0.0) is not None
             seen += 1
         assert seen == 20
-        assert len(sched._flow0_tags) == 0
+        assert len(sched) == 0
+        assert not any(sched.queue_lengths().values())
 
     def test_datagram_fifo_order(self):
         sched = build()

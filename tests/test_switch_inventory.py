@@ -30,7 +30,6 @@ from repro.sim import PySimulator, Simulator
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 SWITCHES = {
-    "REPRO_ENGINE",
     "REPRO_PURE_PYTHON",
     "REPRO_FLUID_BACKEND",
 }
