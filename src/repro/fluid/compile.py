@@ -24,7 +24,8 @@ and of earlier stages' products:
 The product is one frozen :class:`CompiledFluid`.  Both backends
 (:mod:`repro.fluid.kernel`, :mod:`repro.fluid.reference`) read it and
 neither writes it: everything a run changes lives in the ledgers of
-:class:`~repro.fluid.model.FluidSimulation`.  Pure Python, numpy-free.
+:class:`~repro.fluid.model.FluidSimulation`.  Pure Python; routes and
+phases take their NumPy array twins where NumPy imports (same values).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.net.packet import ServiceClass
-from repro.net.routing import RoutingError
 from repro.scenario.disciplines import resolve_port_discipline
 from repro.scenario.spec import (
     DisciplineSpec,
@@ -42,7 +42,7 @@ from repro.scenario.spec import (
     PredictedRequest,
     ScenarioSpec,
 )
-from repro.sim.randomness import KeyedDraws
+from repro.sim.randomness import keyed_uniforms
 
 #: Discipline kinds that weight flows by clock rate (isolating).
 FAIR_KINDS = frozenset({"wfq", "virtual_clock", "round_robin", "drr"})
@@ -169,18 +169,15 @@ def compile_fluid(
 
 def compile_routes(spec: ScenarioSpec) -> List[Tuple[int, ...]]:
     """Per-flow link-index paths (positions in ``topology.links``),
-    through the one ECMP-or-static choice
-    (:func:`repro.net.fabric.flow_routes`)."""
-    from repro.net.fabric import flow_routes
+    through the one ECMP-or-static choice, the whole population in one
+    call (:func:`repro.net.fabric.population_routes`)."""
+    from repro.net.fabric import population_routes
 
-    links = flow_routes(spec.topology, spec.ecmp_seed)[0]
-    paths = []
-    for flow in spec.flows:
-        try:
-            paths.append(links(flow.source_host, flow.dest_host, flow.name))
-        except RoutingError as exc:
-            raise RoutingError(f"flow {flow.name!r}: {exc}") from None
-    return paths
+    flows = spec.flows
+    return population_routes(
+        spec.topology, spec.ecmp_seed, [f.source_host for f in flows],
+        [f.dest_host for f in flows], [f.name for f in flows],
+    )
 
 
 # -- Stage 2: admission ------------------------------------------------
@@ -346,10 +343,10 @@ def compile_classes(
     # the few distinct (class, priority) pairs resolve their tier once.
     tiers = {kind: tier_of(*kind) for kind in set(service)}
     classified = [classify(f, path) for f, path in enumerate(paths)]
-    seed = spec.seed
+    flow_names = [f.name for f in flows]
     return dict(
         num_tiers=2 + num_predicted if run_tiered else 1,
-        flow_names=[f.name for f in flows],
+        flow_names=flow_names,
         size_bits=[float(f.packet_size_bits) for f in flows],
         peak_bps=[p * f.packet_size_bits for f, p in zip(flows, peak_pps)],
         duty=duty,
@@ -357,9 +354,7 @@ def compile_classes(
             f.mean_burst_packets / f.average_rate_pps / max(d, 1e-12)
             for f, d in zip(flows, duty)
         ],
-        phase=[
-            KeyedDraws(seed, _PHASE_SALT, f.name).uniform() for f in flows
-        ],
+        phase=keyed_uniforms(spec.seed, _PHASE_SALT, flow_names),
         tier=[tiers[kind] for kind in service],
         realtime=[cls.is_realtime for cls, _priority in service],
         record=[bool(f.record) for f in flows],

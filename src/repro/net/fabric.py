@@ -36,7 +36,10 @@ Multipath:
   ``blake2b`` key of ``(seed, "ecmp", flow)`` stepped by an integer
   mix, never ``hash()``.  When a node has a single shortest next hop
   no draw is taken, so single-path topologies route identically to
-  :class:`StaticRouting`.
+  :class:`StaticRouting`.  A whole population routes in one call
+  (:func:`population_routes`, :meth:`EcmpPaths.links_many`): every
+  flow walks at once in NumPy arrays, draw for draw the reference
+  walk, which runs flow by flow where NumPy is absent.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.net.routing import RoutingError
 from repro.scenario import paper
 from repro.scenario.spec import HostAttachment, LinkSpec, TopologySpec
-from repro.sim.randomness import KeyedDraws
+from repro.sim.randomness import (KeyedDraws, keyed_below, keyed_words,
+                                  numpy_or_none, stream_keys)
 
 #: Default fabric link speed: keep the paper's 1 Mbit/s transmission
 #: scale so generated flow populations (85 pps of 1000-bit packets)
@@ -238,6 +242,28 @@ def flow_routes(
     return links, pair_index
 
 
+def population_routes(topology: TopologySpec, ecmp_seed: Optional[int],
+                      srcs, dsts, names) -> List[Tuple[int, ...]]:
+    """Every flow's :func:`flow_routes` route, in flow order, in one
+    call (:meth:`EcmpPaths.links_many` under ECMP).  The first
+    unroutable flow raises ``RoutingError("flow '<name>': <reason>")``."""
+    if ecmp_seed is not None:
+        chooser = EcmpPaths.shared(topology, seed=ecmp_seed)
+        return chooser.links_many(srcs, dsts, names)
+    return _each_named(flow_routes(topology)[0], zip(srcs, dsts, names))
+
+
+def _each_named(links, triples) -> List[Tuple[int, ...]]:
+    """``links(src, dst, name)`` per triple, naming the flow on error."""
+    routes = []
+    for src, dst, name in triples:
+        try:
+            routes.append(links(src, dst, name))
+        except RoutingError as exc:
+            raise RoutingError(f"flow {name!r}: {exc}") from None
+    return routes
+
+
 class EcmpPaths:
     """Seeded per-flow path choice over the all-shortest-paths DAG.
 
@@ -250,20 +276,18 @@ class EcmpPaths:
     identical between the fluid engine and any future packet-engine
     flow-hashing front.
 
-    Routing state is kept per destination *gateway* (a host's
-    attachment switch; every host behind it shares the state), filled
-    lazily as walks touch nodes:
-
-    * the next-hop DAG — each node's equal-cost successors in sorted
-      neighbour order, one neighbour scan per (node, gateway);
-    * each node's no-choice continuation: the node and everything after
-      it up to the next branch point (or the gateway), one shared tuple
-      per (node, gateway).
-
-    A walk is then one key, one draw per branch point and one extend
-    per stretch.  :meth:`path` is that walk as nodes; :meth:`links` is
-    what the engines consume — the same walk as positions in
-    ``topology.links``, memoised per flow.
+    Two walks make the same choices.  The reference, :meth:`path`,
+    walks one flow over routing state kept per destination *gateway*
+    (a host's attachment switch; every host behind it shares it) and
+    filled lazily: the next-hop DAG (each node's equal-cost successors
+    in sorted neighbour order, one scan per (node, gateway)) and each
+    node's no-choice continuation up to the next branch point, one
+    shared tuple per (node, gateway).  :meth:`links` is that walk as
+    positions in ``topology.links``, memoised per flow — what the
+    engines consume, and what masked views (:meth:`masked`) serve.
+    The population walk, :meth:`links_many`, keeps the same state as
+    arrays — hop counts by (node, gateway), a successor list per cell —
+    and steps every flow at once; it fills the same per-flow memo.
     """
 
     #: Small FIFO cache behind :meth:`shared`, keyed by the topology
@@ -396,6 +420,8 @@ class EcmpPaths:
         # the same population twice (spec build, then the fluid
         # compiler).  Grows with the flows routed by this instance.
         self._flow_links: Dict[Tuple[str, str, str], Tuple[int, ...]] = {}
+        # Cells :meth:`links_many` visited, not yet in ``_toward``.
+        self._unsettled: List[tuple] = []
 
     def _routes_toward(self, target: str):
         """``target``'s ``(distances, successors, continuations)``;
@@ -534,6 +560,154 @@ class EcmpPaths:
             self._flow_links[key] = found
         return found
 
+    def links_many(
+        self, srcs: Sequence[str], dsts: Sequence[str], names: Sequence[str]
+    ) -> List[Tuple[int, ...]]:
+        """:meth:`links` for a whole population, in flow order.
+
+        Memo misses walk together (:meth:`_walk_many`) where NumPy
+        imports and are memoised as :meth:`links` memoises.  Without
+        NumPy, and for a flow the array walk cannot route, :meth:`links`
+        runs flow by flow: the first unroutable flow raises its own
+        :class:`RoutingError`, as ``flow '<name>': <reason>``."""
+        triples = list(zip(srcs, dsts, names))
+        memo = self._flow_links
+        routes = list(map(memo.get, triples))
+        misses = [i for i, route in enumerate(routes) if route is None]
+        np = numpy_or_none()
+        if misses and np is not None:
+            walked = self._walk_many(np, [triples[i] for i in misses])
+            for i, route in zip(misses, walked):
+                if route is not None:
+                    routes[i] = memo[triples[i]] = route
+            misses = [i for i in misses if routes[i] is None]
+        named = _each_named(self.links, [triples[i] for i in misses])
+        for i, route in zip(misses, named):
+            routes[i] = route
+        return routes
+
+    def _walk_many(self, np, triples) -> List[Optional[Tuple[int, ...]]]:
+        """:meth:`path`'s decisions for every ``(src, dst, flow)`` at
+        once, as link tuples (None where :meth:`path` raises): one
+        level-synchronous reverse BFS for every target's hop counts,
+        then all flows step together — a degree-1 node to its one
+        neighbour (under the walk-length guard), any other to the
+        successor drawn by word *j* of the flow's own ``KeyedDraws(seed,
+        "ecmp", flow)`` stream at its *j*-th node with several."""
+        names = list(self._adj)
+        index = {name: i for i, name in enumerate(names)}
+        pair, size = self.pair_index, len(names)
+        edges = [(i, index[m]) for i, n in enumerate(names)
+                 for m in self._adj[n]]
+        tails, heads = np.array(edges, dtype=int).reshape(-1, 2).T
+        link = np.array([pair.get((names[u], names[w]), -1)
+                         for u, w in edges], dtype=int)
+        ptr = np.searchsorted(tails, range(size + 1))
+        bfs_tail, bfs_head = np.array(
+            [(index[p], index[n]) for n in names for p in self._bfs_radj[n]],
+            dtype=int).reshape(-1, 2).T
+        gates = [self._gateway_of(n) for n in names]
+        src = np.array([index.get(t[0], -1) for t in triples])
+        dst = np.array([index.get(t[1], -1) for t in triples])
+        known = (src >= 0) & (dst >= 0)
+        routes = [() if ok else None for ok in known.tolist()]
+        live = np.flatnonzero(known & (src != dst))
+        if not live.size:
+            return routes
+        cur, dst = src[live], dst[live]
+        gate = np.array([index.get(g, -1) for g in gates])[dst]
+        target = np.where(gate >= 0, gate, dst)
+        ends, row = np.unique(target, return_inverse=True)
+        width = ends.size
+        dist = np.full((size, width), -1, dtype=np.int32)  # node x target
+        dist[ends, np.arange(width)] = 0
+        for level in range(1, size):
+            e, t = np.nonzero(
+                (dist[bfs_head] == level - 1) & (dist[bfs_tail] < 0))
+            if not e.size:
+                break
+            dist[bfs_tail[e], t] = level
+        # Cell ``node * width + target``: the edges one hop closer (a
+        # degree-1 node's one edge, always), target by target in
+        # adjacency order, from ``first[cell]`` on, ``count[cell]`` many.
+        degree = np.diff(ptr)
+        here = dist[tails]
+        closer = (here > 0) & (dist[heads] == here - 1)
+        closer |= (degree[tails] == 1)[:, None]
+        seen = np.zeros((heads.size + 1, width), dtype=np.int32)
+        np.cumsum(closer, axis=0, out=seen[1:])
+        count = (seen[ptr[1:]] - seen[ptr[:-1]]).ravel()
+        offset = np.cumsum(seen[-1], dtype=np.int64) - seen[-1]
+        first = (seen[ptr[:-1]] + offset).ravel()
+        succ_edge = np.nonzero(closer.T)[1]
+        succ, succ_link = heads[succ_edge], link[succ_edge]
+        draws = np.zeros(live.size, dtype=np.uint64)
+        keys = stream_keys(self.seed, "ecmp",
+                           [triples[k][2] for k in live.tolist()])
+        opened = np.zeros(live.size, dtype=bool)  # left the degree-1 run
+        hop_flows, hop_links, visits = [], [], [np.zeros(0, dtype=int)]
+        act = np.arange(live.size)
+        length = 1
+        while True:
+            act = act[cur[act] != target[act]]
+            if not act.size:
+                break
+            length += 1
+            at = cur[act]
+            cell = at * width + row[act]
+            fan = count[cell]
+            one = degree[at] == 1
+            # :meth:`path` memoises the successors of every node a walk
+            # visits past its degree-1 run from the source.
+            visits.append(cell[~one | opened[act]])
+            opened[act[~one]] = True
+            pick = np.zeros(act.size, dtype=np.int64)
+            branch = fan > 1
+            if branch.any():
+                f = act[branch]
+                draws[f] += np.uint64(1)
+                pick[branch] = keyed_below(
+                    keyed_words(keys[f], draws[f]), fan[branch]
+                )
+            moved = (fan > 0) & ~(one & (length > size))
+            act = act[moved]  # a flow that cannot move stops short
+            slot = first[cell[moved]] + pick[moved]
+            cur[act], hop = succ[slot], succ_link[slot]
+            hop_flows.append(act[hop >= 0])
+            hop_links.append(hop[hop >= 0])
+        tail = np.array([pair.get((g, n), -1) for g, n in zip(gates, names)])
+        tail = np.where(gate >= 0, tail[dst], -1)
+        hop_flows.append(np.flatnonzero(tail >= 0))
+        hop_links.append(tail[tail >= 0])
+        flows = np.concatenate(hop_flows)
+        flat = np.concatenate(hop_links)[np.argsort(flows, kind="stable")]
+        # One int object per link, as ``pair_index`` hands the
+        # reference walk: a million paths share them.
+        shared = list(range(len(self.topology.links))).__getitem__
+        flat = list(map(shared, flat.tolist()))
+        bounds = np.cumsum(np.bincount(flows, minlength=live.size)).tolist()
+        for k, start, end, bad in zip(live.tolist(), [0] + bounds, bounds,
+                                      (cur != target).tolist()):
+            routes[k] = None if bad else tuple(flat[start:end])
+        self._unsettled.append((
+            names, [names[e] for e in ends.tolist()],
+            np.unique(np.concatenate(visits)).tolist(),
+        ))
+        return routes
+
+    def _settle(self) -> None:
+        """Fill :meth:`path`'s per-gateway memos for every (node,
+        target) cell a population walk visited, so :meth:`_inherit`
+        reads a population-walked parent as it reads a flow-by-flow one
+        — on that first read, so runs without views never pay for it."""
+        while self._unsettled:
+            names, targets, cells = self._unsettled.pop()
+            for cell in cells:
+                node, t = divmod(cell, len(targets))
+                dist, succ, _cont = self._routes_toward(targets[t])
+                if names[node] not in succ:
+                    self._successors(names[node], dist, succ)
+
     def _inherit(self, src: str, dst: str, key) -> Optional[Tuple[int, ...]]:
         """The parent's memoised link tuple for ``key``, iff this view
         would walk the same nodes: a walk is a pure function of (seed,
@@ -542,8 +716,10 @@ class EcmpPaths:
         has the same successors toward the gateway here.  Anything
         else — a flow, gateway or node the parent never memoised, a hop
         the link index does not number, a changed tuple — returns None
-        and the caller walks.  Reads the parent's memos, never writes."""
+        and the caller walks.  Reads the parent's memos (after
+        :meth:`_settle`), never writes what a walk of it would not."""
         parent = self._parent
+        parent._settle()
         base = parent._flow_links.get(key)
         gate = self._gateway_of(dst)
         known = parent._toward.get(gate)

@@ -32,12 +32,15 @@ truth (per-link utilization, queueing, drops) always covers every flow.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import chain
+from numbers import Integral
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.fabric import (
     fat_tree_topology,
-    flow_routes,
     leaf_spine_topology,
+    population_routes,
 )
 from repro.net.packet import ServiceClass
 from repro.scenario import paper, registry
@@ -140,46 +143,46 @@ def datacenter_flows(
     shortest path) is computed and *all* rates are scaled by the single
     factor that puts the hottest link at ``target_utilization``.
     """
-    if num_flows < 1:
-        raise ValueError("num_flows must be >= 1")
+    for argument, value, least in (("num_flows", num_flows, 1),
+                                   ("record_flows", record_flows, 0)):
+        if (isinstance(value, bool) or not isinstance(value, Integral)
+                or value < least):
+            raise ValueError(
+                f"{argument} must be an integer >= {least}, got {value!r}"
+            )
     if not (math.isfinite(target_utilization) and target_utilization > 0):
         raise ValueError(
             "target_utilization must be finite and > 0, "
             f"got {target_utilization!r}"
         )
-    if record_flows < 0:
-        raise ValueError(f"record_flows must be >= 0, got {record_flows!r}")
     rng = _rng(gen_seed, "dc-population")
     hosts = list(topology.host_names)
     if len(hosts) < 2:
         raise ValueError("datacenter topology needs >= 2 hosts")
 
-    # Each flow's route as link indices (positions in topology.links).
-    route_of = flow_routes(topology, ecmp_seed)[0]
-
-    crossings = [0] * len(topology.links)
-    placements: List[Tuple[str, str, str, int, object, int]] = []
-    base_rate_bps = float(paper.AVERAGE_RATE_PPS * packet_size_bits)
+    # Placements draw from the one stream in flow order; routing takes
+    # no draws from it, so the whole population routes in one call.
+    srcs: List[str] = []
+    dsts: List[str] = []
+    services = []
     num_hosts = len(hosts)
     randrange = rng.randrange
-    place = placements.append
-    for i in range(num_flows):
+    for _ in range(num_flows):
         src = hosts[randrange(num_hosts)]
         dst = hosts[randrange(num_hosts)]
         while dst == src:
             dst = hosts[randrange(num_hosts)]
-        name = f"dc-{i}"
-        route = route_of(src, dst, name)
-        for l in route:
-            crossings[l] += 1
-        service = _pick_service(rng, mix)
-        place((name, src, dst, i, service, len(route)))
-
+        srcs.append(src)
+        dsts.append(dst)
+        services.append(_pick_service(rng, mix))
+    names = [f"dc-{i}" for i in range(num_flows)]
+    # Each flow's route as link indices (positions in topology.links).
+    routes = population_routes(topology, ecmp_seed, srcs, dsts, names)
+    base_rate_bps = float(paper.AVERAGE_RATE_PPS * packet_size_bits)
     peak_util = max(
         (
-            base_rate_bps * count / link.rate_bps
-            for count, link in zip(crossings, topology.links)
-            if count
+            base_rate_bps * count / topology.links[l].rate_bps
+            for l, count in Counter(chain.from_iterable(routes)).items()
         ),
         default=0.0,
     )
@@ -215,7 +218,9 @@ def datacenter_flows(
     datagram = (ServiceClass.DATAGRAM, 0, None)
     flows: List[FlowSpec] = []
     add_flow = flows.append
-    for name, src, dst, i, service, hops in placements:
+    for i, (name, src, dst, service, route) in enumerate(
+        zip(names, srcs, dsts, services, routes)
+    ):
         service_class, priority_class, request = classes.get(
             service, datagram
         )
@@ -230,7 +235,7 @@ def datacenter_flows(
                 priority_class=priority_class,
                 request=request,
                 record=i in recorded,
-                hops=hops,
+                hops=len(route),
             )
         )
     return tuple(flows)

@@ -10,16 +10,35 @@ comparisons (Table 1/2: same arrivals, different scheduler) meaningful.
 Where a component needs only a number or two *per flow* (an ECMP branch
 choice, an on/off phase), a whole Mersenne generator per flow is all
 initialisation and no draws; :class:`KeyedDraws` serves those from a
-64-bit key instead.
+64-bit key instead.  Its array twin (:func:`stream_keys`,
+:func:`keyed_words`, :func:`keyed_below`, :func:`keyed_uniforms`) serves
+a whole population's streams at once in NumPy ``uint64``, word for word
+the same numbers.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict
+from typing import Dict, List, Sequence
 
 _MASK64 = (1 << 64) - 1
+#: splitmix64's increment and its two finaliser multipliers.
+_GAMMA, _MIX1, _MIX2 = (
+    0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+)
+
+
+def numpy_or_none():
+    """NumPy, or ``None`` where it does not import.  The array twins
+    below (and the population walk of :mod:`repro.net.fabric`) serve
+    whole populations only when it does — the same rule as the fluid
+    engine's ``backend="auto"``; there is no switch."""
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - exercised on numpy-free CI
+        return None
+    return numpy
 
 
 def stream_key(seed: int, purpose: str, name: str) -> int:
@@ -32,12 +51,13 @@ def stream_key(seed: int, purpose: str, name: str) -> int:
     without ``":"``, which keeps two purposes' keys apart for every
     seed and name.
     """
-    return int.from_bytes(
-        hashlib.blake2b(
-            f"{purpose}:{seed}:{name}".encode("utf-8"), digest_size=8
-        ).digest(),
-        "little",
-    )
+    return int.from_bytes(_key_digest(seed, purpose, name), "little")
+
+
+def _key_digest(seed: int, purpose: str, name: str) -> bytes:
+    return hashlib.blake2b(
+        f"{purpose}:{seed}:{name}".encode("utf-8"), digest_size=8
+    ).digest()
 
 
 class KeyedDraws:
@@ -57,9 +77,9 @@ class KeyedDraws:
 
     def word(self) -> int:
         """The next 64-bit word."""
-        self._state = z = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        self._state = z = (self._state + _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def draw(self, n: int) -> int:
@@ -71,6 +91,52 @@ class KeyedDraws:
         """The next draw from ``[0, 1)``, on the 53-bit grid
         ``random.random`` uses."""
         return (self.word() >> 11) / 9007199254740992.0
+
+
+# -- The array twin: many streams at once, word for word ---------------
+
+
+def stream_keys(seed: int, purpose: str, names: Sequence[str]):
+    """:func:`stream_key` of every name, as one NumPy ``uint64`` array
+    (the digests are read as little-endian words in one pass)."""
+    np = numpy_or_none()
+    digests = b"".join([_key_digest(seed, purpose, name) for name in names])
+    return np.frombuffer(digests, dtype="<u8").astype(np.uint64)
+
+
+def keyed_words(keys, index):
+    """Word ``index`` (1 = the first) of every stream whose
+    :func:`stream_key` is in ``keys`` — what ``index`` calls of
+    :meth:`KeyedDraws.word` return, for a whole NumPy ``uint64`` array
+    of keys at once (``index`` a scalar or one per key)."""
+    np = numpy_or_none()
+    u64 = np.uint64
+    z = keys + np.asarray(index, dtype=u64) * u64(_GAMMA)
+    z = (z ^ (z >> u64(30))) * u64(_MIX1)
+    z = (z ^ (z >> u64(27))) * u64(_MIX2)
+    return z ^ (z >> u64(31))
+
+
+def keyed_below(words, n):
+    """:meth:`KeyedDraws.draw` of each word: ``(word * n) >> 64``, from
+    32-bit halves so no product leaves ``uint64`` (``n <= 2**32``)."""
+    np = numpy_or_none()
+    u64 = np.uint64
+    n = np.asarray(n, dtype=u64)
+    low = ((words & u64(0xFFFFFFFF)) * n) >> u64(32)
+    return ((words >> u64(32)) * n + low) >> u64(32)
+
+
+def keyed_uniforms(
+    seed: int, purpose: str, names: Sequence[str]
+) -> List[float]:
+    """``KeyedDraws(seed, purpose, name).uniform()`` for every name, in
+    order — through the array twin when NumPy imports."""
+    np = numpy_or_none()
+    if np is None:
+        return [KeyedDraws(seed, purpose, name).uniform() for name in names]
+    top = keyed_words(stream_keys(seed, purpose, names), 1) >> np.uint64(11)
+    return (top / 9007199254740992.0).tolist()
 
 
 class StreamRandom(random.Random):

@@ -5,8 +5,11 @@ import json
 import pytest
 
 from repro.net.fabric import EcmpPaths
+from repro.net.routing import RoutingError
 from repro.scenario import ScenarioRunner, ScenarioSpec, registry
+from repro.scenario.datacenter import datacenter_flows
 from repro.scenario.generators import topology_routes
+from repro.scenario.spec import LinkSpec, TopologySpec
 
 
 class TestDeterminism:
@@ -57,6 +60,43 @@ class TestPopulation:
             )
         assert argument in str(raised.value)
         assert repr(value) in str(raised.value)
+
+    @pytest.mark.parametrize(
+        "argument,value",
+        [
+            ("num_flows", 2.5),
+            ("num_flows", "8"),
+            ("num_flows", True),
+            ("record_flows", 2.5),
+        ],
+    )
+    def test_non_integer_sizes_are_named(self, argument, value):
+        with pytest.raises(ValueError) as raised:
+            registry.build("gen:fat-tree", k=4, **{argument: value})
+        assert f"{argument} must be an integer" in str(raised.value)
+        assert repr(value) in str(raised.value)
+
+    @pytest.mark.parametrize("ecmp_seed", [1, None])
+    def test_unroutable_pair_names_the_first_such_flow(self, ecmp_seed):
+        hosts = [("h1", "S1"), ("h2", "S2")]
+        one_way = TopologySpec.graph(
+            nodes=["S1", "S2"], links=[LinkSpec(src="S2", dst="S1")],
+            host_attachments=hosts,
+        )
+        both_ways = TopologySpec.graph(
+            nodes=["S1", "S2"],
+            links=[LinkSpec(src="S2", dst="S1"), LinkSpec(src="S1", dst="S2")],
+            host_attachments=hosts,
+        )
+        # Placements do not depend on the links: the routable twin shows
+        # which flow is the first to need the missing S1 -> S2 link.
+        placed = datacenter_flows(both_ways, 1, num_flows=10,
+                                  ecmp_seed=ecmp_seed)
+        first = next(f.name for f in placed if f.source_host == "h1")
+        with pytest.raises(
+            RoutingError, match=f"^flow '{first}': no route from h1 to h2$"
+        ):
+            datacenter_flows(one_way, 1, num_flows=10, ecmp_seed=ecmp_seed)
 
     def test_recording_nothing_is_allowed(self):
         spec = registry.build(

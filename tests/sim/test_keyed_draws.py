@@ -10,11 +10,23 @@ on the two populations the benchmark of record runs.  Process stability
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fluid.model import _PHASE_SALT
 from repro.net.fabric import EcmpPaths
 from repro.scenario import registry
-from repro.sim.randomness import KeyedDraws, stream_key
+from repro.sim.randomness import (
+    KeyedDraws,
+    keyed_below,
+    keyed_uniforms,
+    keyed_words,
+    numpy_or_none,
+    stream_key,
+    stream_keys,
+)
+
+np = numpy_or_none()
 
 
 def words(seed, purpose, name, count=8):
@@ -95,6 +107,50 @@ class TestPurity:
     def test_population_names_have_distinct_keys(self):
         keys = {stream_key(1, "ecmp", f"dc-{i}") for i in range(100_000)}
         assert len(keys) == 100_000
+
+
+@pytest.mark.skipif(np is None, reason="the array twin needs NumPy")
+class TestArrayTwin:
+    """``stream_keys`` / ``keyed_words`` / ``keyed_below`` /
+    ``keyed_uniforms`` serve many streams at once; they must be the
+    scalar class word for word."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(-(2**70), 2**70),
+        names=st.lists(st.text(max_size=6), min_size=1, max_size=12),
+        bounds=st.lists(st.integers(1, 2**32 - 1), min_size=12,
+                        max_size=12),
+    )
+    def test_words_and_draws_match_the_scalar_class(self, seed, names,
+                                                    bounds):
+        keys = stream_keys(seed, "twin", names)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [stream_key(seed, "twin", n) for n in names]
+        n = np.array(bounds[:len(names)])
+        streams = [KeyedDraws(seed, "twin", name) for name in names]
+        draws = [KeyedDraws(seed, "twin", name) for name in names]
+        for index in range(1, 9):
+            got = keyed_words(keys, index)
+            assert got.tolist() == [stream.word() for stream in streams]
+            assert keyed_below(got, n).tolist() == [
+                stream.draw(int(bound)) for stream, bound in zip(draws, n)
+            ]
+        # Word j of each stream at once, j per stream.
+        steps = np.arange(1, len(names) + 1)
+        assert keyed_words(keys, steps).tolist() == [
+            words(seed, "twin", name, count=j)[-1]
+            for name, j in zip(names, steps.tolist())
+        ]
+        assert keyed_uniforms(seed, "twin", names) == [
+            KeyedDraws(seed, "twin", name).uniform() for name in names
+        ]
+
+    def test_largest_bound_uses_every_bit(self):
+        samples = [0, 1, 2**32 - 1, 2**63, 2**64 - 1]
+        bound = 2**32 - 1
+        got = keyed_below(np.array(samples, dtype=np.uint64), bound)
+        assert got.tolist() == [(w * bound) >> 64 for w in samples]
 
 
 class TestUniformity:
