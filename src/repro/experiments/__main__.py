@@ -111,7 +111,9 @@ def _parse_sweep_over(entries: list) -> list:
     """Repeated ``field=v1,v2,...`` flags -> cross-product override dicts.
 
     Values are parsed as JSON scalars where possible (numbers, booleans,
-    null) and fall back to plain strings.
+    null), fall back to plain strings, and are then decoded as that spec
+    field's wire value, so a mistyped value fails here with a
+    :class:`~repro.scenario.SpecError` naming the field.
     """
     import itertools
 
@@ -122,18 +124,20 @@ def _parse_sweep_over(entries: list) -> list:
                 f"--sweep-over expects field=v1,v2,... (got {entry!r})"
             )
         field, values_text = entry.split("=", 1)
+        field = field.strip()
         values = []
         for part in values_text.split(","):
             part = part.strip()
             if not part:
                 continue  # "field=" or a trailing comma
             try:
-                values.append(json.loads(part))
+                value = json.loads(part)
             except json.JSONDecodeError:
-                values.append(part)
+                value = part
+            values.append(ScenarioSpec.decode_field(field, value))
         if not values:
-            raise ValueError(f"--sweep-over {field.strip()}= names no values")
-        fields.append((field.strip(), values))
+            raise ValueError(f"--sweep-over {field}= names no values")
+        fields.append((field, values))
     return [
         dict(zip((name for name, _ in fields), combo))
         for combo in itertools.product(*(values for _, values in fields))

@@ -62,6 +62,7 @@ from repro.scenario.spec import (
     OutageSpec,
     PredictedRequest,
     ScenarioSpec,
+    SpecError,
     TcpSpec,
     TopologySpec,
 )
@@ -95,6 +96,7 @@ __all__ = [
     "ScenarioResult",
     "ScenarioRunner",
     "ScenarioSpec",
+    "SpecError",
     "TcpSpec",
     "TcpStats",
     "TopologySpec",

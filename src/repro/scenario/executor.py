@@ -60,6 +60,7 @@ from repro.scenario.runner import (
     DisciplineRunResult,
     ScenarioContext,
     ScenarioResult,
+    _run_one_discipline,
 )
 from repro.scenario.spec import ScenarioSpec
 
@@ -418,49 +419,32 @@ def run_task(
     Budgets do not apply to custom task functions.
     """
     started = time.perf_counter()
-    if task_fn is not None:
-        payload = task_fn(spec)
+    # The fluid engine advances whole epochs, not events; budgets (already
+    # coarse-grained guards) do not slice it.
+    if task_fn is not None or budget_seconds is None or spec.engine == "fluid":
         return TaskResult(
             index=index,
             run_index=run_index,
             discipline_index=discipline_index,
             discipline="+".join(d.name for d in spec.disciplines),
             status=COMPLETED,
-            result=payload,
-            wall_seconds=time.perf_counter() - started,
-            sim_seconds=spec.duration,
-        )
-    from repro.fluid.engine import run_fluid_discipline
-
-    if spec.engine == "fluid":
-        # The fluid engine advances whole epochs, not events; budgets
-        # (already coarse-grained guards) do not slice it.
-        return TaskResult(
-            index=index,
-            run_index=run_index,
-            discipline_index=discipline_index,
-            discipline=spec.disciplines[0].name,
-            status=COMPLETED,
-            result=run_fluid_discipline(spec),
+            result=(task_fn or _run_one_discipline)(spec),
             wall_seconds=time.perf_counter() - started,
             sim_seconds=spec.duration,
         )
     context = ScenarioContext(spec, spec.disciplines[0])
     status = COMPLETED
-    if budget_seconds is None:
-        context.run()
-    else:
-        step = spec.duration / max(int(budget_slices), 1)
-        window = 0
-        while context.sim.now < spec.duration:
-            window += 1
-            context.run(until=min(spec.duration, step * window))
-            if (
-                time.perf_counter() - started > budget_seconds
-                and context.sim.now < spec.duration
-            ):
-                status = BUDGET_EXPIRED
-                break
+    step = spec.duration / max(int(budget_slices), 1)
+    window = 0
+    while context.sim.now < spec.duration:
+        window += 1
+        context.run(until=min(spec.duration, step * window))
+        if (
+            time.perf_counter() - started > budget_seconds
+            and context.sim.now < spec.duration
+        ):
+            status = BUDGET_EXPIRED
+            break
     return TaskResult(
         index=index,
         run_index=run_index,

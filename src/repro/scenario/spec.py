@@ -10,20 +10,28 @@ The paired-arrival guarantee of the paper's methodology is encoded here:
 every source draws from a random stream keyed *only* by its flow name, so
 the same spec + seed produces the identical packet arrival process under
 every discipline.
+
+Every spec type inherits ``to_dict``/``from_dict`` from one codec that
+reads its dataclass fields and type hints (the wire rules are in the
+README).  Decoding is strict: unknown keys, wrongly typed scalars and
+constructor rejections raise :class:`SpecError`, whose ``path`` names the
+offending value, e.g. ``flows[3].average_rate_pps``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+import enum
+import itertools
+import numbers
+import operator
+import typing
+from collections.abc import Mapping
+from typing import Any, Callable, Dict, NoReturn, Optional, Sequence, Tuple, Union
 
 from repro.net.network import Network
 from repro.net.topology import (
-    build_network,
-    chain_graph,
-    figure1_graph,
-    parking_lot_graph,
-    single_link_graph,
+    build_network, chain_graph, figure1_graph, parking_lot_graph, single_link_graph,
 )
 from repro.net.packet import ServiceClass
 from repro.scenario import paper
@@ -33,18 +41,276 @@ from repro.sim.engine import Simulator
 # "graph".  from_dict still accepts the legacy serialized forms of the
 # named kinds (num_switches/rate_bps/duplex) and recompiles them.
 TOPOLOGY_KINDS = (
-    "graph",
-    "single_link",
-    "chain",
-    "figure1",
-    "parking_lot",
-    "fat-tree",
+    "graph", "single_link", "chain", "figure1", "parking_lot", "fat-tree",
     "leaf-spine",
 )
 
 
+# ----------------------------------------------------------------------
+# The wire codec
+# ----------------------------------------------------------------------
+
+
+class SpecError(ValueError):
+    """A malformed spec payload; ``path`` names the offending value, e.g.
+    ``flows[3].average_rate_pps`` (empty for the top-level object)."""
+
+    def __init__(self, message: str, path: str = ""):
+        super().__init__(message, path)
+        self.message, self.path = message, path
+
+    def __str__(self) -> str:
+        return f"{self.path}: {self.message}" if self.path else self.message
+
+    def _within(self, segment: str) -> None:  # a field name or "[index]"
+        dot = "." if self.path and not self.path.startswith("[") else ""
+        self.path = segment + dot + self.path
+        self.args = (self.message, self.path)
+
+
+_NOTHING: frozenset = frozenset()
+#: Named parameters with opaque values: a JSON object, sorted pairs here.
+_PARAMS = Tuple[Tuple[str, Any], ...]
+# Scalar hint -> (what it expects, classes kept as they are, the wider
+# class any other accepted value belongs to).  A bool is never a number.
+_SCALARS = {
+    bool: ("a bool", {bool}, ()),
+    int: ("an integer", {int}, numbers.Integral),
+    float: ("a real number", {float, int}, numbers.Real),
+    str: ("a string", {str}, str),
+}
+
+
+def only_when_set(default: Any) -> Any:
+    """A field left off the wire while it holds ``default``, so payloads
+    of specs that never set it stay byte-identical to older ones."""
+    return dataclasses.field(default=default, metadata={"only_when_set": True})
+
+
+def _reject(expected: str, value: Any, path: str = "") -> NoReturn:
+    if value is None:
+        got = "null"
+    elif isinstance(value, (Mapping, list, tuple)):
+        got = "an object" if isinstance(value, Mapping) else "a list"
+    else:
+        text = repr(value)
+        got = f"{type(value).__name__} {text[:37] + '...' if len(text) > 40 else text}"
+    raise SpecError(f"expected {expected}, got {got}", path)
+
+
+def _decode_params(value: Any) -> Tuple[Tuple[str, Any], ...]:
+    if not isinstance(value, Mapping) or not all(isinstance(k, str) for k in value):
+        _reject("an object", value)
+    return tuple(sorted(value.items()))
+
+
+def _plan(hint: Any) -> tuple:
+    """``(exact, decode, encode)`` for one type hint.  A value whose class
+    is in ``exact`` is its own decoding; any other goes through ``decode``,
+    which raises :class:`SpecError` with a path relative to the value.
+    ``encode`` is None where a value is its own wire form."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint in _SCALARS:
+        expected, exact, wider = _SCALARS[hint]
+        return frozenset(exact), lambda value: (
+            value if isinstance(value, wider) and not isinstance(value, bool)
+            else _reject(expected, value)
+        ), None
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        names = hint.__members__
+        return _NOTHING, lambda value: (
+            names[value] if isinstance(value, str) and value in names
+            else _reject(f"one of {list(names)}", value)
+        ), operator.attrgetter("name")
+    if isinstance(hint, type) and issubclass(hint, _Wire):
+        return _NOTHING, _codec(hint).decode, _codec(hint).encode
+    if hint == _PARAMS:
+        return _NOTHING, _decode_params, dict
+    if origin is Union and type(None) in args:  # Optional[X]: null or X
+        exact, decode, encode = _plan(
+            Union[tuple(arg for arg in args if arg is not type(None))]
+        )
+        return exact | {type(None)}, decode, encode and (
+            lambda value: None if value is None else encode(value)
+        )
+    if origin is Union:  # spec types told apart by their wire tag
+        key = args[0]._wire_tag[0]
+        tags = {cls._wire_tag[1]: _codec(cls) for cls in args}
+
+        def decode_tagged(value):
+            if not isinstance(value, Mapping):
+                _reject("an object", value)
+            tag = value.get(key)
+            if not isinstance(tag, str) or tag not in tags:
+                _reject(f"one of {list(tags)}", tag, key)
+            return tags[tag].decode(value)
+
+        return _NOTHING, decode_tagged, lambda value: _codec(type(value)).encode(value)
+    if origin is tuple:  # Tuple[X, ...], or fixed slots such as Tuple[X, Y]
+        variadic = args[-1] is Ellipsis
+        slots = [_plan(arg) for arg in args[: 1 if variadic else None]]
+
+        def decode_list(value):
+            if not isinstance(value, (list, tuple)) or (
+                not variadic and len(value) != len(slots)
+            ):
+                _reject("a list" if variadic else f"a list of {len(slots)}", value)
+            items = []
+            try:
+                for (exact, decode, _), item in zip(itertools.cycle(slots), value):
+                    items.append(item if item.__class__ in exact else decode(item))
+            except SpecError as error:
+                error._within(f"[{len(items)}]")
+                raise
+            return tuple(items)
+
+        encoders = [encode for _, _, encode in slots]
+        return _NOTHING, decode_list, list if not any(encoders) else (
+            lambda value: [
+                item if encode is None else encode(item)
+                for encode, item in zip(itertools.cycle(encoders), value)
+            ]
+        )
+    raise TypeError(f"no wire form for type hint {hint!r}")
+
+
+class _Codec:
+    """One spec type's wire plan, compiled from its fields on first use."""
+
+    def __init__(self, cls: type):
+        self.cls, self.name = cls, cls.__name__
+        self.tag = getattr(cls, "_wire_tag", None)  # (key, value) or None
+        self.legacy = getattr(cls, "_from_legacy", None)
+        self.shapes: Dict[tuple, Tuple[str, ...]] = {}
+
+    def compile(self) -> None:
+        hints = typing.get_type_hints(self.cls)
+        self.plans, self.out, self.local, self.required = {}, [], [], []
+        for field in dataclasses.fields(self.cls):
+            hint = hints[field.name]
+            if Callable in (hint, *typing.get_args(hint)):  # process-local
+                self.local.append(field.name)
+                continue
+            exact, decode, encode = _plan(hint)
+            self.plans[field.name] = exact, decode
+            only_when_set = field.metadata.get("only_when_set")
+            omit = field.default if only_when_set else dataclasses.MISSING
+            self.out.append((field.name, encode, omit))
+            if field.default is dataclasses.MISSING:
+                self.required.append(field.name)
+        self.accepted = [self.tag[0], *self.plans] if self.tag else [*self.plans]
+        self.keys = frozenset(self.accepted)
+
+    def encode(self, obj: Any) -> Dict[str, Any]:
+        for name in self.local:
+            if getattr(obj, name) is not None:
+                raise ValueError(
+                    f"{self.name} {getattr(obj, 'name', '')!r} uses a custom "
+                    f"{name} and cannot be serialized"
+                )
+        data = {self.tag[0]: self.tag[1]} if self.tag else {}
+        for name, encode, omit in self.out:
+            value = getattr(obj, name)
+            if omit is dataclasses.MISSING or value != omit:
+                data[name] = value if encode is None else encode(value)
+        return data
+
+    def decode(self, data: Any) -> Any:
+        if isinstance(data, self.cls):
+            return data
+        if data.__class__ is not dict and not isinstance(data, Mapping):
+            _reject(f"a {self.name} object", data)
+        try:
+            spec = self.legacy(data) if self.legacy else None
+            return self.cls(**self._kwargs(data)) if spec is None else spec
+        except SpecError:
+            raise
+        except (ValueError, TypeError, KeyError) as exc:
+            # KeyError stringifies as the repr of its argument; unwrap it.
+            reason = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+            raise SpecError(str(reason)) from exc
+
+    def _kwargs(self, data: Mapping[str, Any]) -> Dict[str, Any]:
+        if self.tag:
+            key, tag = self.tag
+            if data.get(key, tag) != tag:
+                _reject(repr(tag), data[key], key)
+            data = {name: value for name, value in data.items() if name != key}
+        # Payloads of one shape (keys, value classes) pass the same key and
+        # class checks, so a population of flows runs them once; only the
+        # values a class alone does not settle are decoded every time.
+        shape = (tuple(data), tuple(map(type, data.values())))
+        todo = self.shapes.get(shape)
+        if todo is None:
+            todo = self._check(data)
+            if len(self.shapes) < 64:
+                self.shapes[shape] = todo
+        kwargs = dict(data)
+        for name in todo:
+            kwargs[name] = self.field(name, kwargs[name])
+        return kwargs
+
+    def _check(self, data: Mapping[str, Any]) -> Tuple[str, ...]:
+        """Reject unknown and missing keys; name the values to decode."""
+        if not data.keys() <= self.keys:
+            unknown = sorted(map(str, data.keys() - self.keys))
+            raise SpecError(
+                f"unknown key(s) {unknown} for {self.name}; accepted keys "
+                f"are {self.accepted}"
+            )
+        missing = [name for name in self.required if name not in data]
+        if missing:
+            raise SpecError(f"missing required key(s) {missing} for {self.name}")
+        return tuple(
+            name for name, value in data.items()
+            if type(value) not in self.plans[name][0]
+        )
+
+    def field(self, name: str, value: Any) -> Any:
+        """``value`` decoded as field ``name``; errors gain the name."""
+        exact, decode = self.plans[name]
+        try:
+            return value if value.__class__ in exact else decode(value)
+        except SpecError as error:
+            error._within(name)
+            raise
+
+
+_CODECS: Dict[type, _Codec] = {}
+
+
+def _codec(cls: type) -> _Codec:
+    """The compiled codec of ``cls``; type hints resolve on first use."""
+    codec = _CODECS.get(cls)
+    if codec is None:
+        # Registered before compiling so self-referencing types
+        # (DisciplineSpec.ports) find it.
+        codec = _CODECS[cls] = _Codec(cls)
+        codec.compile()
+    return codec
+
+
+class _Wire:
+    """Base of every spec type: its wire format, read off its fields."""
+
+    def to_dict(self) -> Dict[str, Any]:
+        return _codec(type(self)).encode(self)
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]):
+        return _codec(cls).decode(data)
+
+    @classmethod
+    def decode_field(cls, name: str, value: Any) -> Any:
+        """``value`` decoded as field ``name`` of a payload would be."""
+        codec = _codec(cls)
+        if name not in codec.plans:
+            raise SpecError(f"not a field; accepted keys are {codec.accepted}", name)
+        return codec.field(name, value)
+
+
 @dataclasses.dataclass(frozen=True)
-class LinkSpec:
+class LinkSpec(_Wire):
     """One directed link of a topology graph, with its own parameters."""
 
     src: str
@@ -67,31 +333,17 @@ class LinkSpec:
     def name(self) -> str:
         return f"{self.src}->{self.dst}"
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LinkSpec":
-        return cls(**data)
-
 
 @dataclasses.dataclass(frozen=True)
-class HostAttachment:
+class HostAttachment(_Wire):
     """One host and the switch it hangs off (infinitely fast access link)."""
 
     host: str
     switch: str
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "HostAttachment":
-        return cls(**data)
-
 
 @dataclasses.dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(_Wire):
     """A network as a declarative graph: switches, links, host attachments.
 
     Any directed graph is expressible; the paper's named networks are
@@ -101,65 +353,56 @@ class TopologySpec:
     equivalence tests pin.
 
     Attributes:
+        kind: provenance tag (``graph`` for free-form topologies).
         nodes: switch names, in construction order.
         links: directed links, each with its own rate / buffer /
             propagation delay.
         host_attachments: (host, switch) pairs.
-        kind: provenance tag (``graph`` for free-form topologies).
     """
 
+    kind: str = "graph"  # first, so it leads the wire object
     nodes: Tuple[str, ...] = ()
     links: Tuple[LinkSpec, ...] = ()
     host_attachments: Tuple[HostAttachment, ...] = ()
-    kind: str = "graph"
 
     def __post_init__(self):
         if self.kind not in TOPOLOGY_KINDS:
             raise ValueError(
-                f"unknown topology kind {self.kind!r}; expected one of "
-                f"{TOPOLOGY_KINDS}"
+                f"unknown topology kind {self.kind!r}; expected one of {TOPOLOGY_KINDS}"
             )
         if not self.nodes:
             raise ValueError("a topology needs at least one switch")
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError("switch names must be unique")
         switches = set(self.nodes)
+        if len(switches) != len(self.nodes):
+            raise ValueError("switch names must be unique")
         seen_links = set()
         for link in self.links:
             if link.src not in switches or link.dst not in switches:
-                raise ValueError(
-                    f"link {link.name} references an unknown switch"
-                )
+                raise ValueError(f"link {link.name} references an unknown switch")
             if link.name in seen_links:
                 raise ValueError(f"duplicate link {link.name}")
             seen_links.add(link.name)
         seen_hosts = set()
-        for attachment in self.host_attachments:
-            if attachment.switch not in switches:
-                raise ValueError(
-                    f"host {attachment.host} attaches to unknown switch "
-                    f"{attachment.switch}"
-                )
-            if attachment.host in seen_hosts or attachment.host in switches:
-                raise ValueError(f"duplicate node name {attachment.host}")
-            seen_hosts.add(attachment.host)
+        for att in self.host_attachments:
+            if att.switch not in switches:
+                raise ValueError(f"host {att.host} attaches to unknown switch "
+                                 f"{att.switch}")
+            if att.host in seen_hosts or att.host in switches:
+                raise ValueError(f"duplicate node name {att.host}")
+            seen_hosts.add(att.host)
 
     # -- named constructors (compile to graph form) --------------------
     @classmethod
     def single_link(
-        cls,
-        rate_bps: float = paper.LINK_RATE_BPS,
+        cls, rate_bps: float = paper.LINK_RATE_BPS,
         buffer_packets: int = paper.BUFFER_PACKETS,
     ) -> "TopologySpec":
-        return cls._from_graph(
-            single_link_graph(rate_bps, buffer_packets), kind="single_link"
-        )
+        graph = single_link_graph(rate_bps, buffer_packets)
+        return cls._from_graph(graph, kind="single_link")
 
     @classmethod
     def chain(cls, num_switches: int, **kwargs) -> "TopologySpec":
-        return cls._from_graph(
-            chain_graph(num_switches, **kwargs), kind="chain"
-        )
+        return cls._from_graph(chain_graph(num_switches, **kwargs), kind="chain")
 
     @classmethod
     def figure1(cls, **kwargs) -> "TopologySpec":
@@ -167,58 +410,37 @@ class TopologySpec:
 
     @classmethod
     def parking_lot(cls, num_hops: int = 4, **kwargs) -> "TopologySpec":
-        return cls._from_graph(
-            parking_lot_graph(num_hops, **kwargs), kind="parking_lot"
-        )
+        graph = parking_lot_graph(num_hops, **kwargs)
+        return cls._from_graph(graph, kind="parking_lot")
 
     @classmethod
     def graph(
-        cls,
-        nodes: Sequence[str],
-        links: Sequence[Union[LinkSpec, Mapping[str, Any]]],
-        host_attachments: Sequence[
-            Union[HostAttachment, Tuple[str, str], Mapping[str, Any]]
-        ],
+        cls, nodes: Sequence[str], links: Sequence[Union[LinkSpec, Mapping]],
+        host_attachments: Sequence[Union[HostAttachment, Tuple[str, str], Mapping]],
     ) -> "TopologySpec":
-        """A free-form topology; links/attachments may be given as dicts."""
-        return cls(
-            nodes=tuple(nodes),
-            links=tuple(
-                link if isinstance(link, LinkSpec) else LinkSpec(**dict(link))
-                for link in links
-            ),
-            host_attachments=tuple(
-                att
-                if isinstance(att, HostAttachment)
-                else (
-                    HostAttachment(*att)
-                    if isinstance(att, (tuple, list))
-                    else HostAttachment(**dict(att))
-                )
-                for att in host_attachments
-            ),
+        """A free-form topology; links/attachments may be given as dicts
+        (decoded as :meth:`from_dict` would) and attachments as
+        ``(host, switch)`` pairs."""
+        hosts = tuple(
+            dict(zip(("host", "switch"), att, strict=True))
+            if isinstance(att, (tuple, list)) else att
+            for att in host_attachments
+        )
+        return cls.from_dict(
+            {"nodes": tuple(nodes), "links": tuple(links), "host_attachments": hosts}
         )
 
     @classmethod
     def _from_graph(cls, graph, kind: str) -> "TopologySpec":
         nodes, links, hosts = graph
         return cls(
+            kind=kind,
             nodes=tuple(nodes),
             links=tuple(
-                LinkSpec(
-                    src=src,
-                    dst=dst,
-                    rate_bps=rate,
-                    buffer_packets=buffer,
-                    propagation_delay=delay,
-                )
+                LinkSpec(src, dst, rate, buffer, delay)
                 for src, dst, rate, delay, buffer in links
             ),
-            host_attachments=tuple(
-                HostAttachment(host=host, switch=switch)
-                for host, switch in hosts
-            ),
-            kind=kind,
+            host_attachments=tuple(HostAttachment(*pair) for pair in hosts),
         )
 
     # -- queries -------------------------------------------------------
@@ -238,8 +460,7 @@ class TopologySpec:
         values = {getattr(link, attribute) for link in self.links}
         if len(values) != 1:
             raise ValueError(
-                f"topology links have heterogeneous {attribute}: "
-                f"{sorted(values)}"
+                f"topology links have heterogeneous {attribute}: {sorted(values)}"
             )
         return values.pop()
 
@@ -254,22 +475,13 @@ class TopologySpec:
         return self._uniform("buffer_packets")
 
     # -- realization ---------------------------------------------------
-    def build(
-        self, sim: Simulator, scheduler_factory, batching: bool = True
-    ) -> Network:
+    def build(self, sim: Simulator, scheduler_factory, batching=True) -> Network:
         """Construct the live :class:`Network` this spec describes."""
         return build_network(
-            sim,
-            scheduler_factory,
-            self.nodes,
+            sim, scheduler_factory, self.nodes,
             tuple(
-                (
-                    link.src,
-                    link.dst,
-                    link.rate_bps,
-                    link.propagation_delay,
-                    link.buffer_packets,
-                )
+                (link.src, link.dst, link.rate_bps, link.propagation_delay,
+                 link.buffer_packets)
                 for link in self.links
             ),
             tuple((att.host, att.switch) for att in self.host_attachments),
@@ -277,48 +489,30 @@ class TopologySpec:
         )
 
     # -- serialization -------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "nodes": list(self.nodes),
-            "links": [link.to_dict() for link in self.links],
-            "host_attachments": [
-                att.to_dict() for att in self.host_attachments
-            ],
-        }
-
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TopologySpec":
+    def _from_legacy(cls, data: Mapping[str, Any]) -> Optional["TopologySpec"]:
+        """The codec's hook for the pre-graph serialized form (kind +
+        scalar parameters, no ``nodes``): recompile it; None otherwise."""
         if "nodes" in data:
-            return cls(
-                nodes=tuple(data["nodes"]),
-                links=tuple(
-                    LinkSpec.from_dict(link) for link in data.get("links", ())
-                ),
-                host_attachments=tuple(
-                    HostAttachment.from_dict(att)
-                    for att in data.get("host_attachments", ())
-                ),
-                kind=data.get("kind", "graph"),
-            )
-        # Legacy serialized form (pre-graph): kind + scalar parameters.
+            return None
         payload = dict(data)
         kind = payload.pop("kind", "single_link")
-        if kind == "single_link":
-            payload.pop("num_switches", None)
-            payload.pop("duplex", None)
-            return cls.single_link(**payload)
         if kind == "chain":
             return cls.chain(payload.pop("num_switches"), **payload)
+        payload.pop("num_switches", None)
+        if kind == "single_link":
+            payload.pop("duplex", None)
+            return cls.single_link(**payload)
         if kind == "figure1":
-            payload.pop("num_switches", None)
             return cls.figure1(**payload)
         raise ValueError(f"unknown topology kind {kind!r}")
 
 
 @dataclasses.dataclass(frozen=True)
-class GuaranteedRequest:
+class GuaranteedRequest(_Wire):
     """Request guaranteed service at a WFQ clock rate (Section 8)."""
+
+    _wire_tag = ("service", "guaranteed")
 
     clock_rate_bps: float
 
@@ -326,13 +520,12 @@ class GuaranteedRequest:
         if self.clock_rate_bps <= 0:
             raise ValueError("clock rate must be positive")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"service": "guaranteed", **dataclasses.asdict(self)}
-
 
 @dataclasses.dataclass(frozen=True)
-class PredictedRequest:
+class PredictedRequest(_Wire):
     """Request predicted service with a declared bucket and (D, L) target."""
+
+    _wire_tag = ("service", "predicted")
 
     token_rate_bps: float
     bucket_depth_bits: float
@@ -345,27 +538,12 @@ class PredictedRequest:
         if self.target_delay_seconds <= 0:
             raise ValueError("target delay must be positive")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"service": "predicted", **dataclasses.asdict(self)}
-
 
 ServiceRequest = Union[GuaranteedRequest, PredictedRequest]
 
 
-def _request_from_dict(data: Optional[Mapping[str, Any]]) -> Optional[ServiceRequest]:
-    if data is None:
-        return None
-    payload = dict(data)
-    service = payload.pop("service")
-    if service == "guaranteed":
-        return GuaranteedRequest(**payload)
-    if service == "predicted":
-        return PredictedRequest(**payload)
-    raise ValueError(f"unknown service request kind {service!r}")
-
-
 @dataclasses.dataclass(frozen=True)
-class FlowSpec:
+class FlowSpec(_Wire):
     """One traffic flow: placement, source process, and service terms.
 
     Defaults are the Appendix source (A = 85 pkt/s, B = 5, P = 2A, an
@@ -405,64 +583,42 @@ class FlowSpec:
         if self.packet_size_bits <= 0:
             raise ValueError("packet size must be positive")
 
-    def to_dict(self) -> Dict[str, Any]:
-        data = dataclasses.asdict(self)
-        data["service_class"] = self.service_class.name
-        data["request"] = self.request.to_dict() if self.request else None
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FlowSpec":
-        payload = dict(data)
-        payload["service_class"] = ServiceClass[payload["service_class"]]
-        payload["request"] = _request_from_dict(payload.get("request"))
-        return cls(**payload)
-
 
 @dataclasses.dataclass(frozen=True)
-class DisciplineSpec:
+class DisciplineSpec(_Wire):
     """One scheduling discipline, by registry kind plus parameters.
 
     ``params`` is a sorted tuple of (key, value) pairs so the spec stays
     hashable; :attr:`param_dict` exposes it as a mapping.  ``factory`` is
-    an escape hatch for disciplines outside the registry — a callable
-    ``(sim, port_name, link) -> Scheduler``; it must be a module-level
-    function to survive pickling into sweep workers.
+    an escape hatch for disciplines outside the registry — a module-level
+    (picklable) callable ``(sim, port_name, link) -> Scheduler``.
 
     ``ports`` maps port-name glob patterns (``fnmatch`` style, e.g.
-    ``"S-2->S-3"`` or ``"*->S-3"``) to override disciplines, so one
-    discipline entry can schedule different ports differently — FIFO edge
-    ports feeding a WFQ bottleneck, say.  The first matching pattern wins;
-    unmatched ports get this spec's own kind.  Build with
-    :meth:`override`.
+    ``"*->S-3"``) to override disciplines — FIFO edge ports feeding a WFQ
+    bottleneck, say.  The first matching pattern wins; unmatched ports get
+    this spec's own kind.  Build with :meth:`override`.
     """
 
     name: str
     kind: str
     params: Tuple[Tuple[str, Any], ...] = ()
     factory: Optional[Callable] = None
-    ports: Tuple[Tuple[str, "DisciplineSpec"], ...] = ()
+    ports: Tuple[Tuple[str, "DisciplineSpec"], ...] = only_when_set(())
 
     def __post_init__(self):
         for pattern, override in self.ports:
             if override.ports:
-                raise ValueError(
-                    f"port override {pattern!r} of {self.name!r} must not "
-                    "carry its own port overrides"
-                )
+                raise ValueError(f"port override {pattern!r} of {self.name!r} must "
+                                 "not carry its own port overrides")
 
     @classmethod
     def of(cls, name: str, kind: str, **params) -> "DisciplineSpec":
         return cls(name=name, kind=kind, params=tuple(sorted(params.items())))
 
-    def override(
-        self, pattern: str, discipline: "DisciplineSpec"
-    ) -> "DisciplineSpec":
+    def override(self, pattern: str, discipline: "DisciplineSpec") -> "DisciplineSpec":
         """A copy that schedules ports matching ``pattern`` with
         ``discipline`` instead (earlier overrides take precedence)."""
-        return dataclasses.replace(
-            self, ports=self.ports + ((pattern, discipline),)
-        )
+        return dataclasses.replace(self, ports=self.ports + ((pattern, discipline),))
 
     @property
     def param_dict(self) -> Dict[str, Any]:
@@ -475,40 +631,31 @@ class DisciplineSpec:
 
     @classmethod
     def fifoplus(
-        cls,
-        name: str = "FIFO+",
-        ewma_gain: Optional[float] = None,
+        cls, name: str = "FIFO+", ewma_gain: Optional[float] = None,
         stale_offset_threshold: Optional[float] = None,
     ) -> "DisciplineSpec":
         """FIFO+; ``stale_offset_threshold`` enables the Section 10
         in-network discard of hopelessly late packets."""
-        params = {}
-        if ewma_gain is not None:
-            params["ewma_gain"] = ewma_gain
-        if stale_offset_threshold is not None:
-            params["stale_offset_threshold"] = stale_offset_threshold
-        return cls.of(name, "fifoplus", **params)
+        params = dict(
+            ewma_gain=ewma_gain, stale_offset_threshold=stale_offset_threshold
+        )
+        set_params = {k: v for k, v in params.items() if v is not None}
+        return cls.of(name, "fifoplus", **set_params)
 
     @classmethod
     def wfq(
-        cls,
-        name: str = "WFQ",
-        equal_share_flows: Optional[int] = None,
+        cls, name: str = "WFQ", equal_share_flows: Optional[int] = None,
         auto_register_rate_bps: Optional[float] = None,
     ) -> "DisciplineSpec":
         """WFQ; ``equal_share_flows=N`` gives unknown flows a clock rate of
         link_rate/N (the paper's "equal clock rates" configuration)."""
         return cls.of(
-            name,
-            "wfq",
-            equal_share_flows=equal_share_flows,
+            name, "wfq", equal_share_flows=equal_share_flows,
             auto_register_rate_bps=auto_register_rate_bps,
         )
 
     @classmethod
-    def unified(
-        cls, name: str = "CSZ", num_predicted_classes: int = 2
-    ) -> "DisciplineSpec":
+    def unified(cls, name: str = "CSZ", num_predicted_classes: int = 2):
         return cls.of(name, "unified", num_predicted_classes=num_predicted_classes)
 
     @classmethod
@@ -534,55 +681,24 @@ class DisciplineSpec:
         return cls.of(name, "edf", default_target=default_target)
 
     @classmethod
-    def jacobson_floyd(
-        cls, name: str = "J-F", num_classes: int = 1
-    ) -> "DisciplineSpec":
+    def jacobson_floyd(cls, name: str = "J-F", num_classes: int = 1):
         return cls.of(name, "jacobson_floyd", num_classes=num_classes)
 
     @classmethod
-    def stop_and_go(
-        cls, name: str = "Stop-and-Go", frame_seconds: float = 0.05
-    ) -> "DisciplineSpec":
+    def stop_and_go(cls, name: str = "Stop-and-Go", frame_seconds: float = 0.05):
         return cls.of(name, "stop_and_go", frame_seconds=frame_seconds)
 
     @classmethod
-    def jitter_edd(
-        cls, name: str = "Jitter-EDD", default_target: float = 0.08
-    ) -> "DisciplineSpec":
+    def jitter_edd(cls, name: str = "Jitter-EDD", default_target: float = 0.08):
         return cls.of(name, "jitter_edd", default_target=default_target)
 
     @classmethod
     def custom(cls, name: str, factory: Callable) -> "DisciplineSpec":
         return cls(name=name, kind="custom", factory=factory)
 
-    def to_dict(self) -> Dict[str, Any]:
-        if self.factory is not None:
-            raise ValueError(
-                f"discipline {self.name!r} uses a custom factory and cannot "
-                "be serialized"
-            )
-        data: Dict[str, Any] = {
-            "name": self.name,
-            "kind": self.kind,
-            "params": dict(self.params),
-        }
-        if self.ports:
-            data["ports"] = [
-                [pattern, override.to_dict()]
-                for pattern, override in self.ports
-            ]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DisciplineSpec":
-        spec = cls.of(data["name"], data["kind"], **dict(data.get("params", {})))
-        for pattern, override in data.get("ports", ()):
-            spec = spec.override(pattern, cls.from_dict(override))
-        return spec
-
 
 @dataclasses.dataclass(frozen=True)
-class TcpSpec:
+class TcpSpec(_Wire):
     """A TCP connection supplying datagram background load."""
 
     name: str
@@ -590,22 +706,14 @@ class TcpSpec:
     dest_host: str
     max_cwnd: float = 64.0
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TcpSpec":
-        return cls(**data)
-
 
 @dataclasses.dataclass(frozen=True)
-class AdmissionSpec:
+class AdmissionSpec(_Wire):
     """Measurement-based admission control at every output port.
 
-    ``utilization_safety`` / ``delay_safety`` are the multiplicative
-    conservatism factors applied to the measured nu-hat and d-hat_j
-    (Section 9's "consistently conservative estimates"); 1.0 uses the raw
-    sliding-window measurements.
+    ``utilization_safety`` / ``delay_safety`` multiply the measured nu-hat
+    and d-hat_j (Section 9's "consistently conservative estimates"); 1.0
+    uses the raw sliding-window measurements.
     """
 
     realtime_quota: float = 0.9
@@ -621,18 +729,9 @@ class AdmissionSpec:
         if self.utilization_safety < 1.0 or self.delay_safety < 1.0:
             raise ValueError("safety factors must be >= 1 (conservative)")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AdmissionSpec":
-        payload = dict(data)
-        payload["class_bounds_seconds"] = tuple(payload["class_bounds_seconds"])
-        return cls(**payload)
-
 
 @dataclasses.dataclass(frozen=True)
-class OutageEvent:
+class OutageEvent(_Wire):
     """One explicit link outage: down at ``at``, repaired ``duration``
     seconds later.  Deterministic experiments (the failover flagship) pin
     their failures with these instead of sampling."""
@@ -647,29 +746,18 @@ class OutageEvent:
         if self.duration <= 0:
             raise ValueError("outage duration must be positive")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "OutageEvent":
-        return cls(**data)
-
 
 @dataclasses.dataclass(frozen=True)
-class OutageSpec:
-    """Link failures for a scenario — the control plane's input.
-
-    Presence of an ``OutageSpec`` on a :class:`ScenarioSpec` activates
-    the :mod:`repro.control` plane: a link-state controller with shortest-path
-    (SPF) rerouting and signaling-based flow re-establishment, driven by
-    the events declared here.  Two composable sources:
+class OutageSpec(_Wire):
+    """Link failures for a scenario — the :mod:`repro.control` plane's
+    input (SPF rerouting and signaling-based re-establishment, driven by
+    the events declared here).  Two composable sources:
 
     Attributes:
         events: explicit ``(link, at, duration)`` outages.
         rate_per_second: Poisson arrival rate of sampled outages (0
-            disables sampling).  Draws come from a dedicated named random
-            stream, so the sampled schedule is identical across the
-            paired discipline runs.
+            disables sampling), drawn from a dedicated named stream so
+            paired discipline runs see one schedule.
         mean_duration_seconds: mean of the exponential repair time.
         correlated_links: links taken down together per sampled outage
             (correlated multi-link failure).
@@ -707,45 +795,16 @@ class OutageSpec:
         like an outage-free spec on both engines."""
         return bool(self.events) or self.rate_per_second > 0
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "events": [event.to_dict() for event in self.events],
-            "rate_per_second": self.rate_per_second,
-            "mean_duration_seconds": self.mean_duration_seconds,
-            "correlated_links": self.correlated_links,
-            "links": list(self.links) if self.links is not None else None,
-            "start_after": self.start_after,
-            "max_outages": self.max_outages,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "OutageSpec":
-        return cls(
-            events=tuple(
-                OutageEvent.from_dict(e) for e in data.get("events", ())
-            ),
-            rate_per_second=data.get("rate_per_second", 0.0),
-            mean_duration_seconds=data.get("mean_duration_seconds", 0.5),
-            correlated_links=data.get("correlated_links", 1),
-            links=(
-                tuple(data["links"]) if data.get("links") is not None else None
-            ),
-            start_after=data.get("start_after", 0.0),
-            max_outages=data.get("max_outages"),
-        )
-
 
 DEFAULT_PERCENTILES = (50.0, 90.0, 99.0, 99.9, 99.99)
 
-#: Simulation engines a spec may request.  ``packet`` is the
-#: discrete-event engine (authoritative); ``fluid`` is the flow-level
-#: epoch model in :mod:`repro.fluid` (fast, approximate, cross-validated
-#: against the packet engine on small instances).
+#: Simulation engines a spec may request: the discrete-event ``packet``
+#: engine (authoritative) or the flow-level ``fluid`` model (approximate).
 ENGINE_KINDS = ("packet", "fluid")
 
 
 @dataclasses.dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_Wire):
     """A complete declarative experiment: build → run → structured results.
 
     Attributes:
@@ -753,40 +812,28 @@ class ScenarioSpec:
             arrival process (paired comparison, as in the paper's tables).
         establish_order: flow names in the order their service requests
             visit admission control; defaults to spec order.  A partial
-            list only prioritizes — request-bearing flows not listed are
-            established afterwards, in spec order.  Table 3 establishes
-            guaranteed flows before predicted ones so later checks see
-            the reservations.
+            list only prioritizes — unlisted request-bearing flows follow
+            in spec order.  Table 3 establishes guaranteed flows first so
+            later checks see the reservations.
         link_accounting: count per-link real-time vs total bits and
-            datagram drops (the Table-3 bookkeeping); off by default to
-            keep the hot path lean.
+            datagram drops (the Table-3 bookkeeping); off by default.
         percentile_points: queueing-delay percentiles computed per flow.
         validate: attach the :mod:`repro.validate` audit tap and run the
-            simulation-invariant checks post-run (packet conservation,
-            within-flow FIFO order, P-G delay bounds, queue bounds, clock
-            monotonicity); results land on
-            ``DisciplineRunResult.invariants``.  Off by default to keep
-            the hot path lean; generated scenarios opt in.
-        outages: link failures for the run (:class:`OutageSpec`).  When
-            set, the runner activates the :mod:`repro.control` plane —
-            link-state tracking, SPF rerouting, and flow
-            re-establishment — and the result carries a per-flow
-            reroute/re-admission summary.  None (the default) leaves the
-            control plane entirely unwired, so static-route scenarios
-            stay bit-identical.
-        engine: which simulation engine runs this spec — ``"packet"``
-            (the discrete-event engine, the default and the source of
+            simulation-invariant checks post-run (conservation, FIFO order,
+            P-G bounds, queue bounds, clock monotonicity) into
+            ``DisciplineRunResult.invariants``; generated scenarios opt in.
+        outages: link failures (:class:`OutageSpec`).  When set, the
+            :mod:`repro.control` plane tracks link state, reroutes by SPF
+            and re-establishes flows, and the result carries a per-flow
+            reroute/re-admission summary; None leaves it unwired.
+        engine: ``"packet"`` (the discrete-event engine, the source of
             truth) or ``"fluid"`` (the flow-level epoch model in
             :mod:`repro.fluid`, for populations the packet engine cannot
             reach).
-        ecmp_seed: ECMP-style load balancing for multipath topologies
-            (fat-tree, leaf-spine): when set, each flow's path is a
+        ecmp_seed: when set, each flow's path on a multipath fabric is a
             seeded per-flow choice among the equal-cost shortest paths
-            (:class:`repro.net.fabric.EcmpPaths`) instead of the static
-            router's single deterministic pick.  Honoured by the fluid
-            engine; the packet engine's per-destination router ignores
-            it (documented approximation).  ``None`` (the default)
-            routes every flow exactly as the packet engine does.
+            (:class:`repro.net.fabric.EcmpPaths`).  Honoured by the fluid
+            engine; the packet engine's per-destination router ignores it.
     """
 
     name: str
@@ -802,9 +849,11 @@ class ScenarioSpec:
     percentile_points: Tuple[float, ...] = DEFAULT_PERCENTILES
     link_accounting: bool = False
     validate: bool = False
-    outages: Optional[OutageSpec] = None
-    engine: str = "packet"
-    ecmp_seed: Optional[int] = None
+    # Written only when set, so payloads of outage-free, packet-engine,
+    # single-path scenarios stay byte-identical to older ones.
+    outages: Optional[OutageSpec] = only_when_set(None)
+    engine: str = only_when_set("packet")
+    ecmp_seed: Optional[int] = only_when_set(None)
 
     def __post_init__(self):
         if self.engine not in ENGINE_KINDS:
@@ -815,6 +864,9 @@ class ScenarioSpec:
             raise ValueError("duration must be positive")
         if self.warmup < 0:
             raise ValueError("warmup cannot be negative")
+        for point in self.percentile_points:
+            if not 0 <= point <= 100:
+                raise ValueError(f"percentile point {point!r} is outside [0, 100]")
         if not self.disciplines:
             raise ValueError("at least one discipline is required")
         flow_names = [flow.name for flow in self.flows]
@@ -831,40 +883,23 @@ class ScenarioSpec:
             if len(set(self.establish_order)) != len(self.establish_order):
                 raise ValueError("establish_order must not repeat flow names")
         hosts = set(self.topology.host_names)
-        for flow in self.flows:
-            for host in (flow.source_host, flow.dest_host):
-                if host not in hosts:
-                    raise ValueError(
-                        f"flow {flow.name!r} references host {host!r} not in "
-                        f"the topology (hosts: {sorted(hosts)})"
-                    )
-        for tcp in self.tcps:
-            for host in (tcp.source_host, tcp.dest_host):
-                if host not in hosts:
-                    raise ValueError(
-                        f"tcp {tcp.name!r} references host {host!r} not in "
-                        f"the topology"
-                    )
+        for what, endpoints in (("flow", self.flows), ("tcp", self.tcps)):
+            for item in endpoints:
+                for host in (item.source_host, item.dest_host):
+                    if host not in hosts:
+                        raise ValueError(
+                            f"{what} {item.name!r} references host {host!r} not "
+                            f"in the topology (hosts: {sorted(hosts)})"
+                        )
         if self.outages is not None:
             link_names = set(self.topology.link_names)
             for event in self.outages.events:
                 if event.link not in link_names:
-                    raise ValueError(
-                        f"outage event names unknown link {event.link!r}"
-                    )
-            if self.outages.links is not None:
-                unknown = [
-                    name
-                    for name in self.outages.links
-                    if name not in link_names
-                ]
-                if unknown:
-                    raise ValueError(
-                        f"outage candidates name unknown links: {unknown}"
-                    )
-            if self.admission is None and any(
-                flow.request is not None for flow in self.flows
-            ):
+                    raise ValueError(f"outage event names unknown link {event.link!r}")
+            unknown = [n for n in self.outages.links or () if n not in link_names]
+            if unknown:
+                raise ValueError(f"outage candidates name unknown links: {unknown}")
+            if self.admission is None and any(f.request for f in self.flows):
                 raise ValueError(
                     "outage scenarios with service requests need admission "
                     "control: re-establishment after a failover goes through "
@@ -887,88 +922,3 @@ class ScenarioSpec:
     def replace(self, **changes) -> "ScenarioSpec":
         """A modified copy (frozen specs compose by replacement)."""
         return dataclasses.replace(self, **changes)
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        data = {
-            "name": self.name,
-            "topology": self.topology.to_dict(),
-            "flows": [flow.to_dict() for flow in self.flows],
-            "disciplines": [d.to_dict() for d in self.disciplines],
-            "tcps": [tcp.to_dict() for tcp in self.tcps],
-            "admission": self.admission.to_dict() if self.admission else None,
-            "establish_order": (
-                list(self.establish_order)
-                if self.establish_order is not None
-                else None
-            ),
-            "duration": self.duration,
-            "warmup": self.warmup,
-            "seed": self.seed,
-            "percentile_points": list(self.percentile_points),
-            "link_accounting": self.link_accounting,
-            "validate": self.validate,
-        }
-        # Only-when-present so payloads of outage-free scenarios stay
-        # byte-identical to pre-control-plane goldens.
-        if self.outages is not None:
-            data["outages"] = self.outages.to_dict()
-        # Same rule: the engine field appears only when it deviates from
-        # the packet default, keeping pre-fluid spec payloads byte-stable.
-        if self.engine != "packet":
-            data["engine"] = self.engine
-        if self.ecmp_seed is not None:
-            data["ecmp_seed"] = self.ecmp_seed
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        # Outside input (``--spec file.json``) lands here: a misspelt key
-        # must not silently run a different scenario.
-        accepted = [field.name for field in dataclasses.fields(cls)]
-        unknown = sorted(set(data) - set(accepted))
-        if unknown:
-            raise ValueError(
-                f"ScenarioSpec: unknown key(s) {unknown}; "
-                f"accepted keys are {accepted}"
-            )
-        missing = [
-            key for key in ("name", "topology", "flows", "disciplines")
-            if key not in data
-        ]
-        if missing:
-            raise ValueError(f"ScenarioSpec: missing required key(s) {missing}")
-        return cls(
-            name=data["name"],
-            topology=TopologySpec.from_dict(data["topology"]),
-            flows=tuple(FlowSpec.from_dict(f) for f in data["flows"]),
-            disciplines=tuple(
-                DisciplineSpec.from_dict(d) for d in data["disciplines"]
-            ),
-            tcps=tuple(TcpSpec.from_dict(t) for t in data.get("tcps", ())),
-            admission=(
-                AdmissionSpec.from_dict(data["admission"])
-                if data.get("admission")
-                else None
-            ),
-            establish_order=(
-                tuple(data["establish_order"])
-                if data.get("establish_order") is not None
-                else None
-            ),
-            duration=data.get("duration", paper.PAPER_DURATION_SECONDS),
-            warmup=data.get("warmup", paper.DEFAULT_WARMUP_SECONDS),
-            seed=data.get("seed", 1),
-            percentile_points=tuple(
-                data.get("percentile_points", DEFAULT_PERCENTILES)
-            ),
-            link_accounting=data.get("link_accounting", False),
-            validate=data.get("validate", False),
-            outages=(
-                OutageSpec.from_dict(data["outages"])
-                if data.get("outages") is not None
-                else None
-            ),
-            engine=data.get("engine", "packet"),
-            ecmp_seed=data.get("ecmp_seed"),
-        )

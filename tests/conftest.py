@@ -3,9 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.net.packet import Packet, ServiceClass
 from repro.sim.engine import Simulator
+
+# One deterministic profile for every property test: the same examples
+# locally and in every CI leg, no wall-clock deadline.  Loaded here, before
+# test modules import, so per-test ``@settings(max_examples=...)`` inherit
+# it and keep their own counts.
+settings.register_profile("repro", derandomize=True, deadline=None)
+settings.load_profile("repro")
 
 
 def make_packet(

@@ -199,6 +199,17 @@ class TestSweepCli:
         )
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override",
+        ["validate=yes", "percentile_points=99", "topology=null", "duration=ten"],
+    )
+    def test_mistyped_sweep_value_named_before_any_run(self, capsys, override):
+        """Each value is decoded as its field's wire value up front."""
+        assert main(["--spec", "table1", "--sweep-over", override]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {override.split('=')[0]}: ")
+        assert "[1/1]" not in out
+
 
 class TestGeneratedCli:
     def test_gen_spec_with_gen_seed_runs_validated(self, capsys, tmp_path):
