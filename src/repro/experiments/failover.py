@@ -32,6 +32,7 @@ failover itself costs a bounded transient, not a meltdown.
 from __future__ import annotations
 
 import dataclasses
+from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments import common
@@ -356,9 +357,7 @@ def _run_fluid(
         phase_packets = {
             phase: int(round(slot[0])) for phase, slot in acc.items()
         }
-        recorded = [
-            f.name for i, f in enumerate(spec.flows) if sim.record[i]
-        ]
+        recorded = list(compress(sim.flow_names, sim.record))
         rows.append(
             FailoverRow(
                 scheduling=result.discipline,

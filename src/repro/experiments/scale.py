@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fluid import FluidSimulation
 from repro.scenario import DisciplineSpec, ScenarioRunner, registry
+from repro.scenario.spec import FlowTable
 
 DEFAULT_SIZES: Tuple[int, ...] = (10_000, 100_000)
 DEFAULT_DURATION_SECONDS = 60.0
@@ -138,11 +139,13 @@ class ScaleResult:
 
 def _tier_delays_ms(run, spec) -> Tuple[float, float]:
     """(realtime_ms, datagram_ms) mean recorded queueing delay."""
-    service = {f.name: f.service_class for f in spec.flows}
+    flows = FlowTable.of(spec.flows)  # columns: no FlowSpec per flow
+    kind = dict(zip(flows.names, flows.kind))
     rt: List[float] = []
     dg: List[float] = []
     for stats in run.flows:
-        bucket = rt if service[stats.name].is_realtime else dg
+        service = flows.protos[kind[stats.name]].service_class
+        bucket = rt if service.is_realtime else dg
         bucket.append(stats.mean_seconds * 1e3)
     return (
         sum(rt) / len(rt) if rt else 0.0,

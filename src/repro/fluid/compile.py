@@ -7,8 +7,9 @@ and sharing rule it falls under — is what the fluid engine *compiles* a
 runs the stages in dependency order, each a pure function of the spec
 and of earlier stages' products:
 
-1. **routes** (:func:`compile_routes`) — per-flow link-index paths, the
-   packet engine's static routes or the seeded ECMP choice;
+1. **routes** (:func:`repro.net.fabric.population_routes`, the whole
+   population in one call) — per-flow link-index paths, the packet
+   engine's static routes or the seeded ECMP choice;
 2. **admission** (:func:`admit`) — the static stand-in for the
    signaling round-trip: who holds a reservation, who falls back to
    datagram, what each link has committed;
@@ -20,6 +21,10 @@ and of earlier stages' products:
    (:func:`repro.fluid.control.compile_control`, imported only when the
    spec has outages) — the outage schedule folded into link-state
    epochs and the grid split at their boundaries.
+
+Every spec's flows are read as a ``FlowTable`` (``FlowTable.of``):
+per-flow quantities are worked out once per prototype or admission
+grant and spread to the flows by index, never through a ``FlowSpec``.
 
 The product is one frozen :class:`CompiledFluid`.  Both backends
 (:mod:`repro.fluid.kernel`, :mod:`repro.fluid.reference`) read it and
@@ -38,6 +43,7 @@ from repro.net.packet import ServiceClass
 from repro.scenario.disciplines import resolve_port_discipline
 from repro.scenario.spec import (
     DisciplineSpec,
+    FlowTable,
     GuaranteedRequest,
     PredictedRequest,
     ScenarioSpec,
@@ -72,10 +78,10 @@ Classifier = Callable[[int, Sequence[int]], Tuple[bool, float]]
 class CompiledFluid:
     """One (spec, discipline, options) compiled for the backends.
 
-    Per-link and per-flow columns are plain lists in ``topology.links``
-    / ``spec.flows`` order.  ``epoch_starts``/``epoch_ends``/``segments``
-    stay ``None`` unless a control plan cuts the grid, which keeps
-    outage-free runs on the uniform-grid arithmetic bit-for-bit.
+    Per-link and per-flow columns are lists (``flow_names`` a tuple) in
+    ``topology.links`` / ``spec.flows`` order; ``epoch_starts``, ``epoch_ends``
+    and ``segments`` stay ``None`` unless a control plan cuts the grid,
+    which keeps outage-free runs on the uniform-grid arithmetic bit-for-bit.
     """
 
     # -- links
@@ -88,7 +94,7 @@ class CompiledFluid:
     denied: List[str]
     # -- classes
     num_tiers: int
-    flow_names: List[str]
+    flow_names: Tuple[str, ...]
     size_bits: List[float]
     peak_bps: List[float]
     duty: List[float]
@@ -111,34 +117,37 @@ class CompiledFluid:
     segments: Optional[list]
 
 
-def compile_fluid(
-    spec: ScenarioSpec,
-    discipline: DisciplineSpec,
-    options,
-    pure_backend: bool,
-) -> CompiledFluid:
+def compile_fluid(spec: ScenarioSpec, discipline: DisciplineSpec, options,
+                  pure_backend: bool) -> CompiledFluid:
     """Run every stage; ``pure_backend`` says the reference backend will
     execute the result (it advances ~16x slower, so the automatic epoch
     is budgeted accordingly)."""
+    from repro.net.fabric import population_routes
+
+    flows = FlowTable.of(spec.flows)
     topology = spec.topology
     link_names = topology.link_names
     caps = [float(link.rate_bps) for link in topology.links]
     # Buffer bound in bits: packets x the rate-weighted mean packet
     # size of the population (the packet engine bounds in packets;
     # a single spec-wide mean keeps the bound flow-independent).
-    mean_size = (
-        sum(f.average_rate_pps * f.packet_size_bits * f.packet_size_bits
-            for f in spec.flows)
-        / sum(f.average_rate_pps * f.packet_size_bits for f in spec.flows)
-        if spec.flows else 1000.0
-    )
+    # Summed flow by flow, in flow order, as the per-flow terms add.
+    offered = [p.average_rate_pps * p.packet_size_bits for p in flows.protos]
+    mean_size = sum(spread(
+        [rate * p.packet_size_bits for rate, p in zip(offered, flows.protos)],
+        flows.kind,
+    )) / sum(spread(offered, flows.kind)) if flows else 1000.0
     buffer_bits = [
         float(link.buffer_packets) * mean_size for link in topology.links
     ]
-    paths = compile_routes(spec)
-    service, clock, admitted, denied, committed = admit(spec, paths, caps)
+    paths = population_routes(
+        topology, spec.ecmp_seed, *flows.endpoints(), flows.names
+    )
+    grants, held, admitted, denied, committed = admit(
+        spec, flows, paths, caps
+    )
     classes, classify = compile_classes(
-        spec, discipline, link_names, caps, paths, service, clock
+        spec, flows, discipline, link_names, caps, paths, grants, held
     )
     epoch_seconds, num_epochs = epoch_grid(
         spec, options, classes["period"], pure_backend
@@ -149,7 +158,7 @@ def compile_fluid(
         from repro.fluid.control import compile_control
 
         plan, segments, starts, ends, num_epochs = compile_control(
-            spec, link_names, caps, paths, classes["fair"],
+            spec, flows, link_names, caps, paths, classes["fair"],
             classes["weight_static"], admitted, committed, classify,
             epoch_seconds, num_epochs,
         )
@@ -164,20 +173,9 @@ def compile_fluid(
     )
 
 
-# -- Stage 1: routes ---------------------------------------------------
-
-
-def compile_routes(spec: ScenarioSpec) -> List[Tuple[int, ...]]:
-    """Per-flow link-index paths (positions in ``topology.links``),
-    through the one ECMP-or-static choice, the whole population in one
-    call (:func:`repro.net.fabric.population_routes`)."""
-    from repro.net.fabric import population_routes
-
-    flows = spec.flows
-    return population_routes(
-        spec.topology, spec.ecmp_seed, [f.source_host for f in flows],
-        [f.dest_host for f in flows], [f.name for f in flows],
-    )
+def spread(values: Sequence, kind: Sequence[int]) -> list:
+    """``values[kind[f]]`` for every flow ``f``, frame-free."""
+    return list(map(values.__getitem__, kind))
 
 
 # -- Stage 2: admission ------------------------------------------------
@@ -203,8 +201,8 @@ def fits(committed: Sequence[float], rate: float, links: Sequence[int],
     )
 
 
-def admit(spec: ScenarioSpec, paths: Sequence[Tuple[int, ...]],
-          link_rates: Sequence[float]):
+def admit(spec: ScenarioSpec, flows: FlowTable,
+          paths: Sequence[Tuple[int, ...]], link_rates: Sequence[float]):
     """Static admission: the fluid stand-in for the signaling round-trip.
 
     Request-bearing flows visit admission in establish order (mirroring
@@ -215,60 +213,53 @@ def admit(spec: ScenarioSpec, paths: Sequence[Tuple[int, ...]],
     Without an ``admission`` block every request is honoured (the
     runner's direct-install path).
 
-    Returns ``(service, clock, admitted, denied, committed)``: per-flow
-    resolved ``(ServiceClass, priority)`` and granted clock rate (or
-    None), both in ``spec.flows`` order; the admitted/denied flow-name
-    lists; and the per-link committed bits/s vector — the starting point
-    the control plane's re-admission replay works against.
+    Returns ``(grants, held, admitted, denied, committed)``: the
+    ``(kind, ServiceClass, priority, clock or None)`` outcomes (kind *k*
+    as declared, then granted and denied per kind) and each flow's index
+    into them; the admitted/denied flow names; and the per-link committed
+    bits/s the control plane's re-admission replay starts from.
     """
     quota = spec.admission.realtime_quota if spec.admission else None
     committed = [0.0] * len(link_rates)
+    protos, kind, names = flows.protos, flows.kind, flows.names
+    rates = [reserved_rate(p.request) for p in protos]
+    grants = [(k, p.service_class, p.priority_class, None)
+              for k, p in enumerate(protos)]
+    for k, (p, rate) in enumerate(zip(protos, rates)):
+        grants += [
+            (k, ServiceClass.GUARANTEED, 0, rate)
+            if isinstance(p.request, GuaranteedRequest)
+            else (k, ServiceClass.PREDICTED, p.priority_class, None),
+            (k, ServiceClass.DATAGRAM, 0, None),
+        ]
     # Every flow runs as declared unless a request says otherwise (the
     # common generated-population shape carries none).
-    service: List[Tuple[ServiceClass, int]] = [
-        (f.service_class, f.priority_class) for f in spec.flows
-    ]
-    clock: List[Optional[float]] = [None] * len(service)
-    admitted: List[str] = []
-    denied: List[str] = []
-    requesting = {
-        flow.name: f for f, flow in enumerate(spec.flows)
-        if reserved_rate(flow.request) is not None
-    }
+    held = list(kind)
+    requesting = {names[f]: f for f in range(len(flows))
+                  if rates[kind[f]] is not None} if any(rates) else {}
     order = [n for n in spec.establish_order or () if n in requesting]
     listed = set(order)
     order += [n for n in requesting if n not in listed]
+    admitted: List[str] = []
+    denied: List[str] = []
     for name in order:
         f = requesting[name]
-        flow = spec.flows[f]
-        rate = reserved_rate(flow.request)
-        guaranteed = isinstance(flow.request, GuaranteedRequest)
-        if fits(committed, rate, paths[f], quota, link_rates):
-            for l in paths[f]:
-                committed[l] += rate
-            service[f] = (
-                (ServiceClass.GUARANTEED, 0) if guaranteed
-                else (ServiceClass.PREDICTED, flow.priority_class)
-            )
-            clock[f] = rate if guaranteed else None
-            admitted.append(name)
-        else:
-            service[f] = (ServiceClass.DATAGRAM, 0)
-            denied.append(name)
-    return service, clock, admitted, denied, committed
+        rate = rates[kind[f]]
+        granted = fits(committed, rate, paths[f], quota, link_rates)
+        for l in paths[f] if granted else ():
+            committed[l] += rate
+        (admitted if granted else denied).append(name)
+        held[f] = len(protos) + 2 * kind[f] + (not granted)
+    return grants, held, admitted, denied, committed
 
 
 # -- Stage 3: classes --------------------------------------------------
 
 
 def compile_classes(
-    spec: ScenarioSpec,
-    discipline: DisciplineSpec,
-    link_names: Sequence[str],
-    caps: Sequence[float],
-    paths: Sequence[Tuple[int, ...]],
-    service: Sequence[Tuple[ServiceClass, int]],
-    clock: Sequence[Optional[float]],
+    spec: ScenarioSpec, flows: FlowTable, discipline: DisciplineSpec,
+    link_names: Sequence[str], caps: Sequence[float],
+    paths: Sequence[Tuple[int, ...]], grants: Sequence[tuple], held: List[int],
 ) -> Tuple[dict, Classifier]:
     """The discipline family's weights, modes and tiers, and each flow's
     fluid source parameters.
@@ -276,7 +267,8 @@ def compile_classes(
     Per-port overrides resolve per link; a flow is governed by the
     discipline at its minimum-capacity path link (its structural
     bottleneck) — the documented fluid approximation of mixed per-tier
-    fabrics.
+    fabrics.  Each answer is worked out once per prototype, grant or
+    (grant, bottleneck link class) and spread to the flows by index.
 
     Returns the per-flow columns keyed by their :class:`CompiledFluid`
     field names (plus ``num_tiers``), and the classifier itself: the
@@ -293,20 +285,17 @@ def compile_classes(
     if run_tiered:
         num_predicted = max(
             [num_predicted]
-            + [priority + 1 for cls, priority in service
-               if cls is ServiceClass.PREDICTED]
+            + [grants[g][2] + 1 for g in set(held)
+               if grants[g][1] is ServiceClass.PREDICTED]
         )
-    avg_bps = [f.average_rate_pps * f.packet_size_bits for f in spec.flows]
+    protos, kind = flows.protos, flows.kind
+    avg_bps = [p.average_rate_pps * p.packet_size_bits for p in protos]
 
-    def classify(f: int, path: Sequence[int]) -> Tuple[bool, float]:
-        """``(fair, weight)`` of flow ``f`` routed over ``path``: whether
-        it is clock-weighted (isolated) rather than demand-shared, and
-        its clock weight."""
-        governing = None
-        if path:
-            bottleneck = min(path, key=caps.__getitem__)
-            governing = resolved[bottleneck]
-        granted = clock[f]
+    def governed(grant: int, link: int) -> Tuple[bool, float]:
+        """``(fair, weight)``, clock-weighted or demand-shared, of a flow
+        holding ``grant`` with a bottleneck of ``link``'s class (-1: none)."""
+        k, _cls, _priority, granted = grants[grant]
+        governing = resolved[link] if link >= 0 else None
         if granted is not None and (
             governing is None
             or governing.kind in FAIR_KINDS
@@ -318,46 +307,52 @@ def compile_classes(
         if governing is not None and governing.kind in FAIR_KINDS:
             params = governing.param_dict
             share = params.get("equal_share_flows")
-            if share:
-                rate = caps[bottleneck] / share
-            else:
-                rate = params.get("auto_register_rate_bps")
+            rate = (caps[link] / share if share
+                    else params.get("auto_register_rate_bps"))
             # Unregistered flows under WFQ-family schedulers share
             # proportionally to their offered rate.
-            return True, rate or avg_bps[f]
+            return True, rate or avg_bps[k]
         return False, 0.0
 
-    flows = spec.flows
-    peak_pps = [f.peak_rate_pps or 2.0 * f.average_rate_pps for f in flows]
-    duty = [min(f.average_rate_pps / p, 1.0) for f, p in zip(flows, peak_pps)]
-    datagram_tier = 1 + num_predicted
+    # Links with one discipline and one capacity govern alike; a link's
+    # class is named by the first such link.
+    first: dict = {}
+    link_class = [first.setdefault((id(d), cap), l)
+                  for l, (d, cap) in enumerate(zip(resolved, caps))]
+    cap = caps.__getitem__
 
-    def tier_of(cls: ServiceClass, priority: int) -> int:
-        if not run_tiered or cls is ServiceClass.GUARANTEED:
-            return 0
-        if cls is ServiceClass.PREDICTED:
-            return 1 + min(priority, num_predicted - 1)
-        return datagram_tier
+    def classify(f: int, path: Sequence[int]) -> Tuple[bool, float]:
+        """``(fair, weight)`` of flow ``f`` routed over ``path``."""
+        return governed(held[f], link_class[min(path, key=cap)] if path else -1)
 
-    # Whole-column passes (this stage dominates the 1M-flow compile);
-    # the few distinct (class, priority) pairs resolve their tier once.
-    tiers = {kind: tier_of(*kind) for kind in set(service)}
-    classified = [classify(f, path) for f, path in enumerate(paths)]
-    flow_names = [f.name for f in flows]
+    keys = list(zip(held, [link_class[min(p, key=cap)] if p else -1
+                           for p in paths]))
+    classified = spread({key: governed(*key) for key in set(keys)}, keys)
+    peak_pps = [p.peak_rate_pps or 2.0 * p.average_rate_pps for p in protos]
+    duty = [min(p.average_rate_pps / q, 1.0) for p, q in zip(protos, peak_pps)]
+    # Guaranteed first, predicted classes by priority, datagram last.
+    tiers = [
+        0 if not run_tiered or cls is ServiceClass.GUARANTEED
+        else 1 + min(priority, num_predicted - 1)
+        if cls is ServiceClass.PREDICTED else 1 + num_predicted
+        for _k, cls, priority, _clock in grants
+    ]
     return dict(
         num_tiers=2 + num_predicted if run_tiered else 1,
-        flow_names=flow_names,
-        size_bits=[float(f.packet_size_bits) for f in flows],
-        peak_bps=[p * f.packet_size_bits for f, p in zip(flows, peak_pps)],
-        duty=duty,
-        period=[
-            f.mean_burst_packets / f.average_rate_pps / max(d, 1e-12)
-            for f, d in zip(flows, duty)
-        ],
-        phase=keyed_uniforms(spec.seed, _PHASE_SALT, flow_names),
-        tier=[tiers[kind] for kind in service],
-        realtime=[cls.is_realtime for cls, _priority in service],
-        record=[bool(f.record) for f in flows],
+        flow_names=flows.names,
+        size_bits=spread([float(p.packet_size_bits) for p in protos], kind),
+        peak_bps=spread(
+            [q * p.packet_size_bits for p, q in zip(protos, peak_pps)], kind
+        ),
+        duty=spread(duty, kind),
+        period=spread([
+            p.mean_burst_packets / p.average_rate_pps / max(d, 1e-12)
+            for p, d in zip(protos, duty)
+        ], kind),
+        phase=keyed_uniforms(spec.seed, _PHASE_SALT, flows.names),
+        tier=spread(tiers, held),
+        realtime=spread([g[1].is_realtime for g in grants], held),
+        record=spread([bool(p.record) for p in protos], kind),
         fair=[fair for fair, _weight in classified],
         weight_static=[weight for _fair, weight in classified],
     ), classify

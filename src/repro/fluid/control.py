@@ -73,7 +73,7 @@ from repro.fluid.compile import Classifier, fits, reserved_rate
 from repro.net.fabric import flow_routes
 from repro.net.routing import RoutingError
 from repro.scenario.runner import OUTAGE_STREAM_NAME
-from repro.scenario.spec import ScenarioSpec
+from repro.scenario.spec import FlowTable, ScenarioSpec
 from repro.sim.randomness import RandomStreams
 
 
@@ -232,6 +232,7 @@ class FluidControlPlan:
 
 def compile_control(
     spec: ScenarioSpec,
+    flows: FlowTable,
     link_names: Sequence[str],
     caps: Sequence[float],
     paths: List[Tuple[int, ...]],
@@ -249,6 +250,7 @@ def compile_control(
     leaves the grid alone (``None`` for all three).
 
     Args:
+        flows: ``spec.flows`` as a :class:`FlowTable` (read as columns).
         link_names / caps: the compiled link order and rates.
         paths / fair / weight: the compiled per-flow routes and
             classification — the all-up state, reused by identity.
@@ -265,7 +267,7 @@ def compile_control(
         spec.outages, link_names, rng, float(spec.duration)
     )
     plan = _PlanBuilder(
-        spec, link_names, caps,
+        spec, flows, link_names, caps,
         PlanState(paths, (), (), fair, weight),
         frozenset(admitted), list(committed), classify,
     ).build(transitions)
@@ -283,6 +285,7 @@ class _PlanBuilder:
     def __init__(
         self,
         spec: ScenarioSpec,
+        flows: FlowTable,
         link_names: Sequence[str],
         caps: Sequence[float],
         base_state: PlanState,
@@ -300,14 +303,16 @@ class _PlanBuilder:
         self.quota = (
             spec.admission.realtime_quota if spec.admission else None
         )
-        self.flows = spec.flows
+        self.names = flows.names
+        self.srcs, self.dsts = flows.endpoints()
         # Re-admission applies to flows that hold a commitment — the
         # packet analogue of "core_spec and signaling present".
         holders = admitted if spec.admission is not None else ()
+        rates = [reserved_rate(proto.request) for proto in flows.protos]
         self.reserved: Dict[str, float] = {
-            flow.name: reserved_rate(flow.request)
-            for flow in self.flows
-            if flow.name in holders
+            name: rates[k]
+            for name, k in zip(self.names, flows.kind)
+            if name in holders
         }
         self._routes: Dict[frozenset, object] = {}
 
@@ -326,12 +331,11 @@ class _PlanBuilder:
             links = self._routes[down] = flow_routes(
                 self.spec.topology, self.spec.ecmp_seed, down
             )[0]
-        flows = self.flows
+        srcs, dsts, names = self.srcs, self.dsts, self.names
 
         def route(f: int) -> Optional[Tuple[int, ...]]:
-            flow = flows[f]
             try:
-                return links(flow.source_host, flow.dest_host, flow.name)
+                return links(srcs[f], dsts[f], names[f])
             except RoutingError:
                 return None
 
@@ -361,10 +365,7 @@ class _PlanBuilder:
     # -- replay --------------------------------------------------------
     def build(self, transitions) -> FluidControlPlan:
         # ``record.links`` is the flow's current link-index path.
-        records = [
-            TrackedFlow(flow.name, path)
-            for flow, path in zip(self.flows, self.base_paths)
-        ]
+        records = list(map(TrackedFlow, self.names, self.base_paths))
         base_state = self.base_state
         state_cache: Dict[Tuple[frozenset, frozenset], PlanState] = {
             (frozenset(), frozenset()): base_state

@@ -69,6 +69,7 @@ import math
 import operator
 import os
 import time
+from itertools import compress
 from numbers import Integral, Real
 from typing import Dict, List, Optional, Tuple
 
@@ -77,7 +78,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.fluid.compile import _PHASE_SALT, compile_fluid  # noqa: F401
 from repro.scenario.disciplines import resolve_port_discipline
 from repro.scenario.runner import DisciplineRunResult, FlowStats
-from repro.scenario.spec import DisciplineSpec, FlowSpec, ScenarioSpec
+from repro.scenario.spec import DisciplineSpec, ScenarioSpec
 
 try:  # NumPy is optional everywhere in this repo; pure Python is
     import numpy as _np  # authoritative and the only hard dependency.
@@ -240,8 +241,7 @@ class FluidSimulation:
         # sample bookkeeping; FlowStats rows still appear, zero-delayed.
         self.record_samples = bool(self.options.record_flows)
         self.samples: Dict[int, List[Tuple[float, float]]] = (
-            {f: [] for f in range(F) if c.record[f]}
-            if self.record_samples else {}
+            {f: [] for f in self._recorded()} if self.record_samples else {}
         )
         self.events_processed = 0
         self.waterfill_exhausted = 0
@@ -299,15 +299,12 @@ class FluidSimulation:
         if accounting:
             datagram_dropped = int(round(sum(
                 self.dropped_bits[f] / c.size_bits[f]
-                for f in range(len(spec.flows))
+                for f in range(len(c.flow_names))
                 if not c.realtime[f]
             )))
         return DisciplineRunResult(
             discipline=self.discipline.name,
-            flows=tuple(
-                self._flow_stats(f, flow)
-                for f, flow in enumerate(spec.flows) if c.record[f]
-            ),
+            flows=tuple(map(self._flow_stats, self._recorded())),
             link_utilizations=tuple(
                 (name, self.link_served_bits[l] / (caps[l] * duration))
                 for l, name in enumerate(link_names)
@@ -347,7 +344,12 @@ class FluidSimulation:
             ),
         )
 
-    def _flow_stats(self, f: int, flow: FlowSpec) -> FlowStats:
+    def _recorded(self):
+        """Indices of the recorded flows, in flow order."""
+        record = self.compiled.record
+        return compress(range(len(record)), record)
+
+    def _flow_stats(self, f: int) -> FlowStats:
         samples = [s for s in self.samples.get(f, ()) if s[1] > 0]
         total_w = sum(w for _, w in samples)
         if total_w > 0:
@@ -360,7 +362,7 @@ class FluidSimulation:
         generated = int(round(self.generated_bits[f] / size_bits))
         received = int(round(self.delivered_bits[f] / size_bits))
         return FlowStats(
-            name=flow.name,
+            name=self.compiled.flow_names[f],
             generated=generated,
             emitted=generated,
             filtered=0,

@@ -44,7 +44,7 @@ Multipath:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.net.routing import RoutingError
 from repro.scenario import paper
@@ -245,8 +245,10 @@ def flow_routes(
 def population_routes(topology: TopologySpec, ecmp_seed: Optional[int],
                       srcs, dsts, names) -> List[Tuple[int, ...]]:
     """Every flow's :func:`flow_routes` route, in flow order, in one
-    call (:meth:`EcmpPaths.links_many` under ECMP).  The first
-    unroutable flow raises ``RoutingError("flow '<name>': <reason>")``."""
+    call (:meth:`EcmpPaths.links_many` under ECMP).  ``srcs``, ``dsts``
+    and ``names`` may be iterators: each is read once, in step.  The
+    first unroutable flow raises ``RoutingError("flow '<name>':
+    <reason>")``."""
     if ecmp_seed is not None:
         chooser = EcmpPaths.shared(topology, seed=ecmp_seed)
         return chooser.links_many(srcs, dsts, names)
@@ -561,9 +563,10 @@ class EcmpPaths:
         return found
 
     def links_many(
-        self, srcs: Sequence[str], dsts: Sequence[str], names: Sequence[str]
+        self, srcs: Iterable[str], dsts: Iterable[str], names: Iterable[str]
     ) -> List[Tuple[int, ...]]:
-        """:meth:`links` for a whole population, in flow order.
+        """:meth:`links` for a whole population, in flow order (each
+        argument read once).
 
         Memo misses walk together (:meth:`_walk_many`) where NumPy
         imports and are memoised as :meth:`links` memoises.  Without

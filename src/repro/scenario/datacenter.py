@@ -27,15 +27,21 @@ Only a seeded sample of ``record_flows`` flows carries ``record=True``:
 delay statistics need per-epoch samples per recorded flow, and a
 million recorded flows would drown the result payload.  Aggregate
 truth (per-link utilization, queueing, drops) always covers every flow.
+
+A population is born a :class:`~repro.scenario.spec.FlowTable` (columns
+plus a few prototypes): it serialises as the tuple of its flows would,
+and ``spec.flows[i]`` builds flow *i*'s ``FlowSpec`` only when asked.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from collections import Counter
-from itertools import chain
-from numbers import Integral
-from typing import Dict, List, Optional, Tuple
+from itertools import accumulate, chain
+from numbers import Integral, Real
+from typing import Dict, Optional, Tuple
 
 from repro.net.fabric import (
     fat_tree_topology,
@@ -47,18 +53,25 @@ from repro.scenario import paper, registry
 from repro.scenario.generators import (
     DEFAULT_MIX,
     GEN_PREFIX,
-    _pick_service,
     _rng,
 )
 from repro.scenario.spec import (
     AdmissionSpec,
     DisciplineSpec,
     FlowSpec,
+    FlowTable,
     GuaranteedRequest,
     PredictedRequest,
     ScenarioSpec,
     TopologySpec,
 )
+
+#: Service class and predicted priority per mix service (else datagram).
+_CLASSES = {
+    "guaranteed": (ServiceClass.GUARANTEED, 0),
+    "predicted_high": (ServiceClass.PREDICTED, 0),
+    "predicted_low": (ServiceClass.PREDICTED, 1),
+}
 
 #: Tier-override patterns per fabric kind: tier name -> link globs.
 _TIER_PATTERNS: Dict[str, Dict[str, Tuple[str, ...]]] = {
@@ -133,7 +146,7 @@ def datacenter_flows(
     ecmp_seed: Optional[int] = None,
     with_requests: bool = False,
     packet_size_bits: int = paper.PACKET_BITS,
-) -> Tuple[FlowSpec, ...]:
+) -> FlowTable:
     """``num_flows`` seeded host pairs, rate-normalised to the target.
 
     Every flow starts from the paper's canonical source shape
@@ -142,9 +155,13 @@ def datacenter_flows(
     seeded ECMP choice when ``ecmp_seed`` is set, else the static
     shortest path) is computed and *all* rates are scaled by the single
     factor that puts the hottest link at ``target_utilization``.
+
+    Returns a :class:`FlowTable`: one prototype per (service, recorded,
+    hop count), a few dozen at most, never a ``FlowSpec`` per flow.
     """
     for argument, value, least in (("num_flows", num_flows, 1),
-                                   ("record_flows", record_flows, 0)):
+                                   ("record_flows", record_flows, 0),
+                                   ("packet_size_bits", packet_size_bits, 1)):
         if (isinstance(value, bool) or not isinstance(value, Integral)
                 or value < least):
             raise ValueError(
@@ -155,29 +172,49 @@ def datacenter_flows(
             "target_utilization must be finite and > 0, "
             f"got {target_utilization!r}"
         )
+    try:
+        weights = [w for _service, w in mix
+                   if isinstance(w, Real) and not isinstance(w, bool)]
+        usable = len(weights) == len(mix) and min(weights, default=-1) >= 0
+    except (TypeError, ValueError):
+        usable = False
+    if not (usable and 0 < sum(weights) < math.inf):
+        raise ValueError(
+            "mix must be (service, weight) pairs with finite weights >= 0 "
+            f"and a positive total, got {mix!r}"
+        )
     rng = _rng(gen_seed, "dc-population")
-    hosts = list(topology.host_names)
+    hosts = topology.host_names
     if len(hosts) < 2:
         raise ValueError("datacenter topology needs >= 2 hosts")
 
-    # Placements draw from the one stream in flow order; routing takes
-    # no draws from it, so the whole population routes in one call.
-    srcs: List[str] = []
-    dsts: List[str] = []
-    services = []
+    # Placements and services (generators._pick_service's choice) draw
+    # from the one stream in flow order; routing takes none from it.
+    # Columns of C ints: no int object kept per flow.
+    src, dst, services = array("I"), array("I"), array("I")
+    # Running weight totals; a draw past the last picks the last service.
+    totals = list(accumulate(weights, initial=0.0))[1:-1] + [math.inf]
     num_hosts = len(hosts)
-    randrange = rng.randrange
+    # ``randrange(num_hosts)`` as the random module draws it (a
+    # ``getrandbits`` word, redrawn while out of range) minus its Python
+    # frames; a destination equal to the source is redrawn alike.
+    bits, width, random = rng.getrandbits, num_hosts.bit_length(), rng.random
     for _ in range(num_flows):
-        src = hosts[randrange(num_hosts)]
-        dst = hosts[randrange(num_hosts)]
-        while dst == src:
-            dst = hosts[randrange(num_hosts)]
-        srcs.append(src)
-        dsts.append(dst)
-        services.append(_pick_service(rng, mix))
-    names = [f"dc-{i}" for i in range(num_flows)]
+        s = bits(width)
+        while s >= num_hosts:
+            s = bits(width)
+        d = bits(width)
+        while d >= num_hosts or d == s:
+            d = bits(width)
+        src.append(s)
+        dst.append(d)
+        services.append(bisect_right(totals, random()))
+    names = tuple([f"dc-{i}" for i in range(num_flows)])
+    at = hosts.__getitem__
     # Each flow's route as link indices (positions in topology.links).
-    routes = population_routes(topology, ecmp_seed, srcs, dsts, names)
+    routes = population_routes(
+        topology, ecmp_seed, map(at, src), map(at, dst), names
+    )
     base_rate_bps = float(paper.AVERAGE_RATE_PPS * packet_size_bits)
     peak_util = max(
         (
@@ -191,72 +228,41 @@ def datacenter_flows(
     factor = target_utilization / peak_util
     rate_pps = paper.AVERAGE_RATE_PPS * factor
 
-    recorded = set(
-        rng.sample(range(num_flows), min(record_flows, num_flows))
-    )
-    # Per-service constants, resolved once instead of per flow; request
-    # objects are immutable specs, so one instance per service is shared
-    # by every flow of that service (requests scale with the common
-    # rate, identical across the population).
-    classes: Dict[str, Tuple[ServiceClass, int, object]] = {
-        "guaranteed": (
-            ServiceClass.GUARANTEED, 0,
-            GuaranteedRequest(
-                clock_rate_bps=2.0 * rate_pps * packet_size_bits
-            ) if with_requests else None,
-        ),
-        "predicted_high": (
-            ServiceClass.PREDICTED, 0,
-            PredictedRequest(
-                token_rate_bps=2.0 * rate_pps * packet_size_bits,
-                bucket_depth_bits=50.0 * packet_size_bits,
-                target_delay_seconds=0.5,
-            ) if with_requests else None,
-        ),
-        "predicted_low": (ServiceClass.PREDICTED, 1, None),
-    }
-    datagram = (ServiceClass.DATAGRAM, 0, None)
-    flows: List[FlowSpec] = []
-    add_flow = flows.append
-    for i, (name, src, dst, service, route) in enumerate(
-        zip(names, srcs, dsts, services, routes)
-    ):
-        service_class, priority_class, request = classes.get(
-            service, datagram
+    recorded = set(rng.sample(range(num_flows), min(record_flows, num_flows)))
+    # Requests scale with the common rate, so one immutable request per
+    # service serves the whole population.
+    reserved_bps = 2.0 * rate_pps * packet_size_bits
+    requests = {
+        "guaranteed": GuaranteedRequest(clock_rate_bps=reserved_bps),
+        "predicted_high": PredictedRequest(
+            token_rate_bps=reserved_bps, target_delay_seconds=0.5,
+            bucket_depth_bits=50.0 * packet_size_bits),
+    } if with_requests else {}
+
+    def prototype(i: int) -> FlowSpec:
+        """Flow ``i``, the first of its (service, recorded, hops) kind."""
+        service = mix[services[i]][0]
+        service_class, priority_class = _CLASSES.get(
+            service, (ServiceClass.DATAGRAM, 0)
         )
-        add_flow(
-            FlowSpec(
-                name=name,
-                source_host=src,
-                dest_host=dst,
-                average_rate_pps=rate_pps,
-                packet_size_bits=packet_size_bits,
-                service_class=service_class,
-                priority_class=priority_class,
-                request=request,
-                record=i in recorded,
-                hops=len(route),
-            )
+        return FlowSpec(
+            names[i], hosts[src[i]], hosts[dst[i]], rate_pps,
+            packet_size_bits=packet_size_bits, service_class=service_class,
+            priority_class=priority_class, request=requests.get(service),
+            record=i in recorded, hops=len(routes[i]),
         )
-    return tuple(flows)
+
+    kinds = zip(services, map(recorded.__contains__, range(num_flows)),
+                map(len, routes))
+    return FlowTable.interned(names, hosts, src, dst, kinds, prototype)
 
 
 def _assemble_dc(
-    name: str,
-    topology: TopologySpec,
-    gen_seed: int,
-    num_flows: int,
-    target_utilization: float,
-    record_flows: int,
-    duration: float,
-    seed: int,
-    warmup: float,
-    disciplines: Optional[Tuple[DisciplineSpec, ...]],
-    validate: bool,
-    engine: str,
-    ecmp: bool,
-    with_requests: bool,
-    admission: bool,
+    name: str, topology: TopologySpec, gen_seed: int, num_flows: int,
+    target_utilization: float, record_flows: int, duration: float,
+    seed: int, warmup: float,
+    disciplines: Optional[Tuple[DisciplineSpec, ...]], validate: bool,
+    engine: str, ecmp: bool, with_requests: bool, admission: bool,
     tier_kinds: Optional[Dict[str, str]],
 ) -> ScenarioSpec:
     ecmp_seed = gen_seed if ecmp else None
@@ -269,9 +275,8 @@ def _assemble_dc(
         ecmp_seed=ecmp_seed,
         with_requests=with_requests,
     )
-    mean_path = (
-        sum(f.hops or 0 for f in flows) / len(flows) if flows else 1.0
-    )
+    hops = [proto.hops for proto in flows.protos]
+    mean_path = sum(map(hops.__getitem__, flows.kind)) / len(flows)
     flows_per_link = num_flows * mean_path / max(len(topology.links), 1)
     base = disciplines or (
         DisciplineSpec.fifo(),

@@ -16,6 +16,12 @@ reads its dataclass fields and type hints (the wire rules are in the
 README).  Decoding is strict: unknown keys, wrongly typed scalars and
 constructor rejections raise :class:`SpecError`, whose ``path`` names the
 offending value, e.g. ``flows[3].average_rate_pps``.
+
+A spec's flows are a tuple of :class:`FlowSpec` or, for generated fabrics
+of up to millions of flows, a :class:`FlowTable`: the same rows kept as
+columns and a few prototypes, built one ``FlowSpec`` at a time only when
+read.  Both forms compare, hash and serialise alike; validation and the
+fluid compile read either through :meth:`FlowTable.of`.
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ import itertools
 import numbers
 import operator
 import typing
-from collections.abc import Mapping
-from typing import Any, Callable, Dict, NoReturn, Optional, Sequence, Tuple, Union
+from array import array
+from collections.abc import Mapping, Sequence
+from typing import Any, Callable, Dict, NoReturn, Optional, Tuple, Union
 
 from repro.net.network import Network
 from repro.net.topology import (
@@ -584,6 +591,152 @@ class FlowSpec(_Wire):
             raise ValueError("packet size must be positive")
 
 
+#: FlowSpec fields a row shares with its prototype: all but its place.
+_SHAPE = operator.itemgetter(*(
+    field.name for field in dataclasses.fields(FlowSpec)
+    if field.name not in ("name", "source_host", "dest_host")
+))
+
+
+def _shape(flow: FlowSpec) -> tuple:
+    """What flows sharing one prototype have in common.  Types count too
+    (85 and 85.0 compare equal but serialise differently), and a request
+    by its repr, so a row rebuilt from its prototype writes the bytes the
+    original would."""
+    values = _SHAPE(vars(flow))
+    return values, tuple(map(type, values)), flow.request and repr(flow.request)
+
+
+def _column(values) -> memoryview:
+    """A read-only column of unsigned flow or host indices."""
+    return memoryview(array("I", values)).toreadonly()
+
+
+class FlowTable(Sequence):
+    """An immutable population of flows kept as columns, not objects.
+
+    ``names`` holds every flow's name; ``src``/``dst`` index ``hosts``;
+    ``kind`` indexes ``protos``, a short tuple of flows standing for
+    every field but name and endpoints (``protos[k]`` is the first flow
+    of kind *k*).  ``table[i]`` builds flow *i*'s :class:`FlowSpec` on
+    demand, so a table equals, hashes and serialises as the tuple of
+    its rows does, while a generated fabric of a million flows costs a
+    few arrays and a few dozen prototypes.  Pickling ships the columns.
+    :meth:`of` is the one way in from any sequence of flows.
+    """
+
+    __slots__ = ("names", "hosts", "src", "dst", "protos", "kind", "_hash")
+
+    def __init__(self, names, hosts, src, dst, protos, kind):
+        columns = dict(
+            names=tuple(names), hosts=tuple(hosts), src=_column(src),
+            dst=_column(dst), protos=tuple(protos), kind=_column(kind),
+        )
+        if {len(columns[c]) for c in ("src", "dst", "kind")} != {
+            len(columns["names"])
+        }:
+            raise ValueError("FlowTable columns need one entry per flow")
+        for column, within in (("src", "hosts"), ("dst", "hosts"),
+                               ("kind", "protos")):
+            if max(columns[column], default=-1) >= len(columns[within]):
+                raise ValueError(f"FlowTable.{column} indexes past {within}")
+        if not all(columns["names"]):
+            raise ValueError("flow name must be non-empty")
+        for name, value in columns.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FlowTable is immutable (setting {name!r})")
+
+    @classmethod
+    def of(cls, flows: Sequence[FlowSpec]) -> "FlowTable":
+        """``flows`` as a table: itself when it is one, else its rows
+        interned (hosts in first-use order, one prototype per shape)."""
+        if isinstance(flows, FlowTable):
+            return flows
+        flows = tuple(flows)
+        hosts: Dict[str, int] = {}
+        src = [hosts.setdefault(flow.source_host, len(hosts)) for flow in flows]
+        dst = [hosts.setdefault(flow.dest_host, len(hosts)) for flow in flows]
+        return cls.interned([flow.name for flow in flows], hosts, src, dst,
+                            map(_shape, flows), flows.__getitem__)
+
+    @classmethod
+    def interned(cls, names, hosts, src, dst, shapes,
+                 prototype: Callable[[int], FlowSpec]) -> "FlowTable":
+        """A table whose flow *i* has the hashable ``shapes[i]``: the
+        first flow of each distinct shape, ``prototype(i)``, stands for
+        every flow of that shape."""
+        kinds: Dict[Any, int] = {}
+        protos: list = []
+        kind = []
+        for i, shape in enumerate(shapes):
+            k = kinds.setdefault(shape, len(protos))
+            if k == len(protos):
+                protos.append(prototype(i))
+            kind.append(k)
+        return cls(names, hosts, src, dst, protos, kind)
+
+    def endpoints(self) -> Tuple[list, list]:
+        """Every flow's ``(source_host, dest_host)``, as two lists."""
+        at = self.hosts.__getitem__
+        return list(map(at, self.src)), list(map(at, self.dst))
+
+    # -- the tuple of rows it stands for --------------------------------
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._rows(range(len(self))[index]))
+        self.names[index]  # the tuple's own IndexError, negative indices
+        return next(self._rows((index,)))
+
+    def __iter__(self):
+        return self._rows(range(len(self)))
+
+    def _rows(self, indices):
+        # A row is its prototype with its own name and endpoints, built
+        # without re-running FlowSpec's checks: the prototype passed
+        # them and the table checked names (endpoints are unchecked).
+        names, hosts, src, dst, protos, kind = (
+            self.names, self.hosts, self.src, self.dst, self.protos, self.kind
+        )
+        new = object.__new__
+        for i in indices:
+            flow = new(FlowSpec)
+            state = flow.__dict__
+            state.update(vars(protos[kind[i]]))
+            state["name"] = names[i]
+            state["source_host"] = hosts[src[i]]
+            state["dest_host"] = hosts[dst[i]]
+            yield flow
+
+    def __eq__(self, other):
+        if isinstance(other, tuple):
+            return len(other) == len(self) and tuple(self) == other
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self.names == other.names and (
+            (self.hosts, self.protos, self.src, self.dst, self.kind)
+            == (other.hosts, other.protos, other.src, other.dst, other.kind)
+            or tuple(self) == tuple(other)
+        )
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(tuple(self)))
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.names, self.hosts, self.src.obj,
+                            self.dst.obj, self.protos, self.kind.obj)
+
+    def __repr__(self) -> str:
+        return f"FlowTable({len(self)} flows, {len(self.protos)} prototypes)"
+
+
 @dataclasses.dataclass(frozen=True)
 class DisciplineSpec(_Wire):
     """One scheduling discipline, by registry kind plus parameters.
@@ -808,6 +961,8 @@ class ScenarioSpec(_Wire):
     """A complete declarative experiment: build → run → structured results.
 
     Attributes:
+        flows: a tuple of :class:`FlowSpec`, or a :class:`FlowTable` (what
+            the fabric generators build) standing for the tuple of its rows.
         disciplines: one simulation per discipline, each fed the identical
             arrival process (paired comparison, as in the paper's tables).
         establish_order: flow names in the order their service requests
@@ -869,21 +1024,25 @@ class ScenarioSpec(_Wire):
                 raise ValueError(f"percentile point {point!r} is outside [0, 100]")
         if not self.disciplines:
             raise ValueError("at least one discipline is required")
-        flow_names = [flow.name for flow in self.flows]
-        if len(set(flow_names)) != len(flow_names):
+        # Flows are checked on their columns, so a million-flow table
+        # never builds a FlowSpec here.
+        table = FlowTable.of(self.flows)
+        known = set(table.names)
+        if len(known) != len(table):
             raise ValueError("flow names must be unique")
         discipline_names = [d.name for d in self.disciplines]
         if len(set(discipline_names)) != len(discipline_names):
             raise ValueError("discipline names must be unique")
         if self.establish_order is not None:
-            known = set(flow_names)
             unknown = [n for n in self.establish_order if n not in known]
             if unknown:
                 raise ValueError(f"establish_order names unknown flows: {unknown}")
             if len(set(self.establish_order)) != len(self.establish_order):
                 raise ValueError("establish_order must not repeat flow names")
         hosts = set(self.topology.host_names)
-        for what, endpoints in (("flow", self.flows), ("tcp", self.tcps)):
+        # Only a table naming an unknown host has a flow worth naming.
+        suspects = () if hosts.issuperset(table.hosts) else table
+        for what, endpoints in (("flow", suspects), ("tcp", self.tcps)):
             for item in endpoints:
                 for host in (item.source_host, item.dest_host):
                     if host not in hosts:
@@ -899,7 +1058,7 @@ class ScenarioSpec(_Wire):
             unknown = [n for n in self.outages.links or () if n not in link_names]
             if unknown:
                 raise ValueError(f"outage candidates name unknown links: {unknown}")
-            if self.admission is None and any(f.request for f in self.flows):
+            if self.admission is None and any(p.request for p in table.protos):
                 raise ValueError(
                     "outage scenarios with service requests need admission "
                     "control: re-establishment after a failover goes through "

@@ -98,10 +98,18 @@ class KeyedDraws:
 
 def stream_keys(seed: int, purpose: str, names: Sequence[str]):
     """:func:`stream_key` of every name, as one NumPy ``uint64`` array
-    (the digests are read as little-endian words in one pass)."""
+    (the digests are read as little-endian words in one pass).  The
+    shared ``"purpose:seed:"`` prefix is hashed once and each name
+    continues a copy of that state: the same digest as hashing the
+    whole text."""
     np = numpy_or_none()
-    digests = b"".join([_key_digest(seed, purpose, name) for name in names])
-    return np.frombuffer(digests, dtype="<u8").astype(np.uint64)
+    prefix = hashlib.blake2b(f"{purpose}:{seed}:".encode("utf-8"), digest_size=8)
+    digests = []
+    for name in names:
+        state = prefix.copy()
+        state.update(name.encode("utf-8"))
+        digests.append(state.digest())
+    return np.frombuffer(b"".join(digests), dtype="<u8").astype(np.uint64)
 
 
 def keyed_words(keys, index):

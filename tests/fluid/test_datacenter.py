@@ -6,7 +6,7 @@ import pytest
 
 from repro.net.fabric import EcmpPaths
 from repro.net.routing import RoutingError
-from repro.scenario import ScenarioRunner, ScenarioSpec, registry
+from repro.scenario import ScenarioRunner, ScenarioSpec, datacenter, registry
 from repro.scenario.datacenter import datacenter_flows
 from repro.scenario.generators import topology_routes
 from repro.scenario.spec import LinkSpec, TopologySpec
@@ -74,6 +74,33 @@ class TestPopulation:
         with pytest.raises(ValueError) as raised:
             registry.build("gen:fat-tree", k=4, **{argument: value})
         assert f"{argument} must be an integer" in str(raised.value)
+        assert repr(value) in str(raised.value)
+
+    @pytest.mark.parametrize(
+        "argument,value",
+        [
+            ("mix", ()),
+            ("mix", (("datagram", -0.5), ("predicted_high", 1.5))),
+            ("mix", (("datagram", 0.0), ("predicted_low", 0))),
+            ("mix", (("datagram", float("nan")),)),
+            ("mix", ("datagram",)),
+            ("packet_size_bits", 0),
+            ("packet_size_bits", -1000),
+            ("packet_size_bits", 1000.5),
+            ("packet_size_bits", True),
+        ],
+    )
+    def test_bad_population_arguments_fail_before_any_draw(
+        self, monkeypatch, argument, value
+    ):
+        def no_draws(*_args):
+            raise AssertionError("drew from the placement stream")
+
+        topology = registry.build("gen:leaf-spine", num_flows=8).topology
+        monkeypatch.setattr(datacenter, "_rng", no_draws)
+        with pytest.raises(ValueError) as raised:
+            datacenter_flows(topology, 1, num_flows=8, **{argument: value})
+        assert str(raised.value).startswith(f"{argument} ")
         assert repr(value) in str(raised.value)
 
     @pytest.mark.parametrize("ecmp_seed", [1, None])
