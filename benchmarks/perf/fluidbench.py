@@ -48,10 +48,8 @@ from repro.scenario.spec import OutageEvent, OutageSpec
 
 
 def _resolved_backend() -> str:
-    backend = FluidOptions.from_env().backend
-    if backend == "auto":
-        backend = "numpy" if _fluid_model._np is not None else "pure"
-    return backend
+    """The backend ``FluidOptions()``'s ``auto`` resolves to here."""
+    return "numpy" if _fluid_model._np is not None else "pure"
 
 #: Scale-bench sizes (num_flows on a fat-tree sized to carry them).
 #: The 1M leg is the ROADMAP's datacenter-scale regime: tier-2 budget
@@ -128,7 +126,7 @@ def _run_point(spec, build_wall: float) -> Dict[str, float]:
     discipline = next(d for d in spec.disciplines if d.name == "CSZ")
     started = time.perf_counter()
     sim = _fluid_model.FluidSimulation(
-        spec, discipline, options=FluidOptions.from_env(record_flows=False)
+        spec, discipline, options=FluidOptions(record_flows=False)
     )
     run = sim.run().collect()
     sim_wall = time.perf_counter() - started

@@ -214,23 +214,21 @@ def bench_batched_drain(
     gaps between bursts — the shape the batched drain is built for
     (every packet after a burst's first is served arithmetically).  The
     per-packet arm runs the identical workload on a port built with
-    ``batching=False``, so the ratio isolates front
-    (a) of the engine work from the compiled core: both arms run the authoritative pure-Python engine, where an elided
-    completion event is a real dispatch saved.
+    ``batching=False``, so the ratio isolates the batched drain: an
+    elided completion event is a real dispatch saved.
     """
     from repro.net.link import Link
     from repro.net.node import Node
     from repro.net.packet import Packet
     from repro.net.port import OutputPort
     from repro.sched.fifo import FifoScheduler
-    from repro.sim.engine import PySimulator
 
     class Sink(Node):
         def receive(self, packet: Packet) -> None:
             pass
 
     def drive(batching: bool) -> Dict[str, float]:
-        sim = PySimulator()
+        sim = Simulator()
         link = Link(sim, "L", rate_bps=1_000_000.0)
         link.connect(Sink(sim, "sink"))
         port = OutputPort(

@@ -57,7 +57,7 @@ This module is the façade: :class:`FluidOptions`, and
 imported only by a simulation that uses it: the pure-Python reference
 (:mod:`repro.fluid.reference` — the oracle, always available) and the
 vectorized NumPy kernel (:mod:`repro.fluid.kernel` — the scale engine,
-~100–1000x faster at 10k+ flows).  ``REPRO_FLUID_BACKEND=pure|numpy``
+~100–1000x faster at 10k+ flows).  ``FluidOptions(backend="pure"|"numpy")``
 pins one; the default uses NumPy when installed.
 """
 
@@ -96,8 +96,6 @@ KERNEL_STATS = (
     "epochs_fast_forwarded", "waterfill_calls", "waterfill_rounds",
     "plan_paths_inherited", "plan_paths_rewalked",
 )
-
-_BACKEND_ENV = "REPRO_FLUID_BACKEND"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -156,18 +154,13 @@ class FluidOptions:
 
     @classmethod
     def from_env(cls, **overrides) -> "FluidOptions":
-        backend = os.environ.get(_BACKEND_ENV)
-        if not backend or "backend" in overrides:
-            return cls(**overrides)
-        try:
-            return cls(backend=backend, **overrides)
-        except ValueError as exc:
-            # Name the variable when the rejected value came from it.
-            if "FluidOptions.backend " in str(exc):
-                raise ValueError(
-                    f"{exc} (from {_BACKEND_ENV}={backend!r})"
-                ) from None
-            raise
+        """``FluidOptions(**overrides)``: no environment variable is read.
+
+        Stays only until a benchmark change drops the call in
+        ``benchmarks/e2e/child.py`` (``environment()``); new code builds
+        ``FluidOptions`` directly.
+        """
+        return cls(**overrides)
 
 
 class FluidSimulation:
@@ -202,7 +195,7 @@ class FluidSimulation:
             )
         self.spec = spec
         self.discipline = discipline
-        self.options = options or FluidOptions.from_env()
+        self.options = options or FluidOptions()
         backend = self.backend
         self.compiled = c = compile_fluid(
             spec, discipline, self.options, pure_backend=backend == "pure"

@@ -4,7 +4,7 @@ This is the model of :mod:`repro.fluid.model` written the obvious way —
 nested loops over flows, links and tiers, one epoch at a time — and the
 oracle the NumPy kernel (:mod:`repro.fluid.kernel`) is tested against
 (``tests/fluid/test_kernel.py``).  It is also the production path
-wherever NumPy is absent (``REPRO_FLUID_BACKEND=pure`` pins it).  The
+wherever NumPy is absent (``FluidOptions(backend="pure")`` pins it).  The
 two share no logic: each reads the same
 :class:`~repro.fluid.compile.CompiledFluid` and fills the same ledgers
 on the :class:`~repro.fluid.model.FluidSimulation`, and neither imports

@@ -6,14 +6,10 @@ loop over plain ``(time, priority, seq, action)`` tuples with
 deterministic tie-breaking and seeded random streams so
 that every experiment in the reproduction is replayable bit-for-bit.
 
-One event store (a binary heap) and an optional compiled core — see
-:func:`backend_info` and the README's Performance section.  The
-pure-Python engine is the authoritative implementation; the compiled
-core must match it bit-for-bit.
+One engine: a pure-Python loop over one event store (a binary heap).
 """
 
 from repro.sim.engine import (
-    PySimulator,
     SimulationError,
     Simulator,
     backend_info,
@@ -23,7 +19,6 @@ from repro.sim.randomness import RandomStreams, StreamRandom
 
 __all__ = [
     "Simulator",
-    "PySimulator",
     "SimulationError",
     "EventHandle",
     "RandomStreams",

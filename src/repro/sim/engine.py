@@ -10,11 +10,11 @@ Design notes
 * **Determinism.**  Events at equal times fire in scheduling order (see
   :mod:`repro.sim.events`).  Combined with seeded random streams
   (:mod:`repro.sim.randomness`) this makes whole experiments replayable.
-* **Two scheduling paths.**  :meth:`PySimulator.schedule` /
-  :meth:`PySimulator.schedule_at` are the allocation-free fast path: they
+* **Two scheduling paths.**  :meth:`Simulator.schedule` /
+  :meth:`Simulator.schedule_at` are the allocation-free fast path: they
   push one tuple and return nothing.  The minority of callers that need to
   cancel (retransmission timers, periodic samplers, scheduler wake-ups) use
-  :meth:`PySimulator.schedule_handle` / :meth:`PySimulator.schedule_handle_at`,
+  :meth:`Simulator.schedule_handle` / :meth:`Simulator.schedule_handle_at`,
   which box the callback in a one-cell list and return an
   :class:`~repro.sim.events.EventHandle`.  Both paths share one sequence
   counter, so same-time ordering is FIFO across them.
@@ -25,19 +25,13 @@ Design notes
   more often than fire) cannot grow the queue without bound.
 * **One event store.**  Pending events live in a binary heap of tuples
   ordered on ``(time, priority, seq)``.
-* **Batched-service seam.**  :meth:`PySimulator.peek_next_time`,
-  :attr:`PySimulator.horizon`, and :meth:`PySimulator.advance_to` let the
+* **Batched-service seam.**  :meth:`Simulator.peek_next_time`,
+  :attr:`Simulator.horizon`, and :meth:`Simulator.advance_to` let the
   batched link path (:mod:`repro.net.port`) serve a burst of packets
   arithmetically inside one event, advancing the clock only while it can
   prove no other event (and no ``run(until=...)`` window edge) could fire
   in between — which is exactly when the engine itself would have done
   nothing else.
-* **Optional compiled core.**  If the C accelerator
-  (``repro.sim._engine_c``, built by ``setup.py build_ext``) is importable,
-  the :func:`Simulator` factory returns its engine.  The pure-Python
-  :class:`PySimulator` stays authoritative: ``REPRO_PURE_PYTHON=1`` forces
-  it everywhere, and the golden suite must pass bit-identically under
-  both.  See :func:`backend_info`.
 * **Cheap inner loop.**  Validation (negative/NaN/infinite times) happens
   once at the public scheduling boundary as a single chained comparison;
   the run loop itself only pops tuples, advances the clock, and calls.
@@ -48,7 +42,6 @@ Design notes
 
 from __future__ import annotations
 
-import os
 from heapq import heapify, heappop, heappush
 from math import inf
 from typing import Any, Callable, Optional
@@ -64,13 +57,7 @@ class SimulationError(RuntimeError):
     """Raised on misuse of the simulator (e.g. scheduling in the past)."""
 
 
-def _env_flag(name: str) -> bool:
-    """True unless unset, empty or one of ``0|false|off|no``."""
-    value = os.environ.get(name, "").strip().lower()
-    return value not in ("", "0", "false", "off", "no")
-
-
-class PySimulator:
+class Simulator:
     """A discrete-event simulator with a floating-point clock in seconds.
 
     ``now`` is a plain attribute (not a property) so the per-packet layers
@@ -311,9 +298,12 @@ class PySimulator:
             until: stop once the clock would pass this time.  Events scheduled
                 exactly at ``until`` DO fire; the clock is left at ``until``
                 if the queue drains earlier or the next event lies beyond it.
-            max_events: optional safety valve on the number of events fired.
-                Batched link service makes one event serve many packets, so
-                this bounds *events*, not packets.
+            max_events: optional safety valve on the number of events fired
+                (``0`` fires none).  Batched link service makes one event
+                serve many packets, so this bounds *events*, not packets.
+                A run the budget stops leaves the clock at the last fired
+                event while live events at or before ``until`` remain, so
+                the next ``run`` never moves the clock backwards.
 
         Returns:
             The simulation time when the loop stopped.
@@ -331,7 +321,7 @@ class PySimulator:
             while queue:
                 head = queue[0]
                 time = head[0]
-                if time > stop:
+                if time > stop or fired >= limit:
                     break
                 pop(queue)
                 action = head[3]
@@ -346,8 +336,6 @@ class PySimulator:
                 self.now = time
                 fired += 1
                 fn()
-                if fired >= limit:
-                    break
         finally:
             self._running = False
             self.horizon = inf
@@ -355,7 +343,9 @@ class PySimulator:
             # step() calls inside actions stay counted.  The counter is
             # exact whenever the loop is not executing.
             self._events_processed += fired
-        if until is not None and self.now < until:
+        # Park the clock at ``until`` only once nothing live is left at or
+        # before it: a budget stop must not jump past pending work.
+        if until is not None and self.now < until and self.peek_next_time() > until:
             self.now = until
         return self.now
 
@@ -364,62 +354,30 @@ class PySimulator:
         return self.run(until=None, max_events=max_events)
 
     def clear(self) -> None:
-        """Drop all pending events (used when tearing down an experiment)."""
+        """Drop all pending events (used when tearing down an experiment).
+
+        Cancellable entries have their cells nulled first, so their
+        handles report inactive and a later ``cancel()`` counts nothing.
+        """
+        for entry in self._queue:
+            action = entry[3]
+            if action.__class__ is list:
+                action[0] = None
         self._queue.clear()
         self._cancelled = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<PySimulator t={self.now:.6f} pending={len(self._queue)} "
+            f"<Simulator t={self.now:.6f} pending={len(self._queue)} "
             f"fired={self._events_processed}>"
         )
 
 
-# ----------------------------------------------------------------------
-# Backend selection
-# ----------------------------------------------------------------------
-
-#: Whether ``REPRO_PURE_PYTHON`` forced the pure-Python engine.  Read once
-#: at import: backend selection is an import-time decision by design, so a
-#: process never mixes engine backends mid-run.
-PURE_PYTHON_FORCED = _env_flag("REPRO_PURE_PYTHON")
-
-_COMPILED = None
-if not PURE_PYTHON_FORCED:
-    try:
-        from repro.sim import _engine_c as _COMPILED  # type: ignore[attr-defined]
-    except ImportError:
-        _COMPILED = None
-    else:
-        # Hand the accelerator the canonical exception and handle types so
-        # both backends raise/return exactly the same objects.
-        _COMPILED._wire(SimulationError, EventHandle)
-
-
-def Simulator(start_time: float = 0.0):
-    """Build a simulation engine (factory).
-
-    Returns the compiled core when it is importable, otherwise the
-    authoritative :class:`PySimulator`.  ``REPRO_PURE_PYTHON=1`` disables
-    the compiled core for the whole process.
-
-    Args:
-        start_time: initial clock value.
-    """
-    if _COMPILED is not None:
-        return _COMPILED.CSimulator(start_time)
-    return PySimulator(start_time)
-
-
 def backend_info() -> dict:
-    """Report which engine core this process uses.
+    """Name the event engine: there is one, the pure-Python loop above.
 
-    Also exported as :func:`repro.sim.backend_info`.
+    Kept because the benchmark of record records ``backend_info()["engine"]``
+    in its report and matches it between the trees it compares.  Also
+    exported as :func:`repro.sim.backend_info`.
     """
-    compiled = _COMPILED is not None
-    return {
-        "engine": "compiled-c" if compiled else "pure-python",
-        "compiled_available": compiled,
-        "compiled_module": getattr(_COMPILED, "__file__", None),
-        "pure_python_forced": PURE_PYTHON_FORCED,
-    }
+    return {"engine": "pure-python"}

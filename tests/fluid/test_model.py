@@ -178,11 +178,6 @@ class TestBackends:
                 np_flows[f.name].received, rel=1e-9, abs=1e-6
             )
 
-    def test_backend_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLUID_BACKEND", "pure")
-        options = FluidOptions.from_env(epoch_seconds=0.25)
-        assert options.backend == "pure" and options.epoch_seconds == 0.25
-
     def test_unknown_backend_rejected(self):
         spec = single_link_spec(
             (DisciplineSpec.fifo(),), [("a", 100)], duration=1.0
@@ -222,37 +217,6 @@ class TestOptionsValidation:
         FluidOptions(
             epoch_seconds=1e-6, fuse_epochs=0, backend="pure"
         )
-
-    @pytest.mark.parametrize(
-        "variable,value,field",
-        [
-            ("REPRO_FLUID_BACKEND", "gpu", "backend"),
-        ],
-    )
-    def test_bad_environment_names_the_variable(
-        self, monkeypatch, variable, value, field
-    ):
-        monkeypatch.setenv(variable, value)
-        with pytest.raises(ValueError) as excinfo:
-            FluidOptions.from_env()
-        message = str(excinfo.value)
-        assert f"FluidOptions.{field} must be " in message
-        assert f"{variable}={value!r}" in message
-        # An explicit override wins and the variable is never read ...
-        good = "pure"
-        assert getattr(FluidOptions.from_env(**{field: good}), field) == good
-        # ... and then a different bad field is not blamed on it.
-        with pytest.raises(ValueError) as excinfo:
-            FluidOptions.from_env(**{field: good}, fuse_epochs=-1)
-        assert variable not in str(excinfo.value)
-
-    def test_bad_environment_fails_before_the_compile(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLUID_BACKEND", "gpu")
-        spec = single_link_spec(
-            (DisciplineSpec.fifo(),), [("a", 100)], duration=1.0
-        )
-        with pytest.raises(ValueError, match="REPRO_FLUID_BACKEND='gpu'"):
-            FluidSimulation(spec, spec.disciplines[0])
 
 
 class TestValidityEnvelope:

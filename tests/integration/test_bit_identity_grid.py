@@ -8,9 +8,6 @@ enabled.  Both configurations must produce an *identical*
 hot-path mechanics, and any observable divergence — a delay percentile,
 a drop count, an invariant verdict — is a correctness bug, not a tuning
 difference.
-
-(The grid runs on the compiled core when it is built; the tests-compiled
-CI leg re-runs it under ``REPRO_PURE_PYTHON=1``, so both cores pass it.)
 """
 
 import pytest

@@ -96,9 +96,7 @@ def _run(spec):
     return contexts, [c.collect().comparable_dict() for c in contexts]
 
 
-# Runs on the compiled core when it is built; the tests-compiled CI leg
-# re-runs this file under REPRO_PURE_PYTHON=1 for the pure engine.  The
-# ids name the event store so these cells keep the node ids CI tracks.
+# The ids name the event store so these cells keep the node ids CI tracks.
 @pytest.mark.parametrize("gen_seed", [1, 2, 3], ids="{}-heap".format)
 def test_cached_run_equals_per_packet_oracle(monkeypatch, gen_seed):
     spec = _outage_spec(gen_seed)

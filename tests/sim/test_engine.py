@@ -132,6 +132,42 @@ class TestRun:
         sim.run(max_events=3)
         assert fired == [0, 1, 2]
 
+    def test_zero_budget_fires_nothing(self, sim):
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(1))
+        assert sim.run(max_events=0) == 0.0
+        assert sim.run(until=5.0, max_events=0) == 0.0
+        assert fired == []
+        assert sim.events_processed == 0
+        assert sim.pending_events == 1
+
+    def test_budget_stop_leaves_the_clock_at_the_last_fired_event(self, sim):
+        for t in (1.0, 2.0, 3.0, 4.0):
+            sim.schedule_at(t, lambda: None)
+        # Three live events at or before `until` remain: parking the clock
+        # at `until` would make the next run move it backwards.
+        assert sim.run(until=10.0, max_events=1) == 1.0
+        assert sim.now == 1.0
+        assert sim.pending_events == 3
+
+    def test_run_after_a_budget_stop_never_moves_the_clock_back(self, sim):
+        clock = []
+        for t in (1.0, 2.0, 3.0, 4.0):
+            sim.schedule_at(t, lambda: clock.append(sim.now))
+        sim.run(until=10.0, max_events=1)
+        clock.append(sim.now)
+        assert sim.run(until=10.0) == 10.0
+        assert clock == [1.0, 1.0, 2.0, 3.0, 4.0]
+        assert clock == sorted(clock)
+
+    def test_budget_stop_with_only_dead_events_left_parks_at_until(self, sim):
+        sim.schedule_at(1.0, lambda: None)
+        sim.schedule_handle_at(2.0, lambda: None).cancel()
+        sim.schedule_at(20.0, lambda: None)
+        # The one live event before `until` fired; what is left at or
+        # before it is cancelled, so the window is done.
+        assert sim.run(until=10.0, max_events=1) == 10.0
+
     def test_step_fires_single_event(self, sim):
         fired = []
         sim.schedule(1.0, lambda: fired.append("a"))

@@ -8,6 +8,8 @@ priority, then FIFO), cancel idempotence across the fire boundary,
 ``schedule`` and ``schedule_handle``.
 """
 
+import math
+
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
@@ -175,3 +177,34 @@ class TestScheduleVsHandleEquivalence:
         assert fast == handled
         assert fast_sim.events_processed == handle_sim.events_processed
         assert fast_sim.now == handle_sim.now
+
+
+class TestBatchedServiceSeam:
+    def test_horizon_is_until_during_a_run_and_inf_after(self, sim):
+        seen = []
+
+        def boom():
+            raise ValueError("boom")
+
+        sim.schedule(1.0, lambda: seen.append(sim.horizon))
+        sim.schedule(2.0, boom)
+        sim.schedule(3.0, lambda: seen.append(sim.horizon))
+        with pytest.raises(ValueError, match="boom"):
+            sim.run(until=5.0)
+        # The failing event was the last to move the clock, and the
+        # window closed with it.
+        assert sim.now == 2.0
+        assert sim.horizon == math.inf
+        sim.run_until_idle()
+        assert seen == [5.0, math.inf]
+
+    def test_peek_skips_dead_heads_and_advance_to_counts_one_event(self, sim):
+        assert sim.peek_next_time() == math.inf
+        sim.schedule(2.0, lambda: None)
+        sim.schedule_handle(1.0, lambda: None).cancel()
+        assert sim.peek_next_time() == 2.0
+        assert sim.cancelled_pending == 0  # the dead head was popped
+        sim.advance_to(1.5)
+        assert sim.now == 1.5
+        # The jump stands in for exactly one elided event.
+        assert sim.events_processed == 1

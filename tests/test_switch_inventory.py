@@ -1,10 +1,10 @@
 """Inventory of the configuration surface that selects a code path.
 
 Every ``REPRO_*`` environment switch doubles the configurations the
-bit-identity grids have to cover, so the set is pinned: the variables
-named anywhere under ``src/`` are exactly the ones the README's
-"Environment switches" table documents, and the engine factory takes no
-event-store argument.
+bit-identity grids have to cover, so the set is pinned — to none: no
+variable is named anywhere under ``src/``, the README's "Environment
+switches" table lists none, and the engine takes no event-store
+argument.
 
 So is the fluid engine's option surface (``FluidOptions``'s fields) and
 its import graph: the façade loads no backend and no control plane until
@@ -26,13 +26,10 @@ import sys
 import pytest
 
 from repro.fluid.model import FluidOptions
-from repro.sim import PySimulator, Simulator
+from repro.sim import Simulator
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-SWITCHES = {
-    "REPRO_PURE_PYTHON",
-    "REPRO_FLUID_BACKEND",
-}
+SWITCHES = set()
 
 
 def test_source_and_readme_name_exactly_the_pinned_switches():
@@ -48,11 +45,10 @@ def test_source_and_readme_name_exactly_the_pinned_switches():
     assert documented == SWITCHES
 
 
-@pytest.mark.parametrize("factory", [Simulator, PySimulator])
-def test_engine_constructor_takes_no_event_store(factory):
-    assert factory(start_time=2.0).now == 2.0
+def test_engine_constructor_takes_no_event_store():
+    assert Simulator(start_time=2.0).now == 2.0
     with pytest.raises(TypeError):
-        factory(queue="heap")
+        Simulator(queue="heap")
 
 
 def test_fluid_options_are_exactly_the_pinned_fields():
@@ -117,9 +113,6 @@ REFERENCE = re.compile(
     r"((?:src|tests|tools|examples|benchmarks)/[\w./*\-]+"
     r"|[A-Z][\w*\-]*\.(?:md|json)|pyproject\.toml)"
 )
-# Named on purpose although absent from a fresh checkout: the build
-# output of ``setup.py build_ext --inplace``.
-BUILD_OUTPUTS = ("src/repro/sim/_engine_c*.so",)
 
 
 def named_paths(text):
@@ -137,8 +130,7 @@ def test_every_path_a_document_names_exists(referrer):
         {
             path
             for path in named_paths(source.read_text())
-            if path not in BUILD_OUTPUTS
-            and not any(REPO_ROOT.glob(path))
+            if not any(REPO_ROOT.glob(path))
         }
     )
     assert not missing, f"{referrer} names paths that do not exist: {missing}"
