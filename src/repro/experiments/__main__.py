@@ -46,7 +46,8 @@ inclusive ``lo..hi`` range, each (repeatable) ``--sweep-over`` flag is
 ``field=v1,v2,...`` and the fields cross-multiply, and the optional
 budget bounds every run's wall clock.  Progress streams one line per
 finished run; ``--json`` then writes the full ``SweepOutcome`` payload
-(statuses included).
+(statuses included).  A run whose worker process died is reported
+``worker_lost`` and makes the exit code non-zero.
 
 ``gen:`` scenario names (``gen:random-graph``, ``gen:scale-free``,
 ``gen:wan-path``, ``gen:access-core``, ``gen:wan-guaranteed``,
@@ -159,9 +160,9 @@ def _parse_sweep_plan(spec: ScenarioSpec, args) -> tuple:
 def _run_sweep_cli(spec: ScenarioSpec, sweep_plan: tuple, args) -> tuple:
     """Execute the parsed sweep plan over one spec.
 
-    Returns ``(payload, invariants_ok)``: the ``SweepOutcome`` payload
-    plus whether every completed validated run's invariants held (always
-    True for unvalidated specs).
+    Returns ``(payload, errors)``: the ``SweepOutcome`` payload plus one
+    message per failure the exit code must report — invariant violations
+    in a completed validated run, runs whose worker process died.
     """
     from repro.scenario import SweepExecutor
 
@@ -187,14 +188,21 @@ def _run_sweep_cli(spec: ScenarioSpec, sweep_plan: tuple, args) -> tuple:
     print(
         f"[swept {spec.name}: {counts['completed']} completed, "
         f"{counts['budget_expired']} budget-expired, "
-        f"{counts['stopped']} stopped in {time.monotonic() - started:.1f}s]"
+        f"{counts['stopped']} stopped, "
+        f"{counts['worker_lost']} worker-lost "
+        f"in {time.monotonic() - started:.1f}s]"
     )
-    invariants_ok = all(
+    errors = []
+    if not all(
         run.invariants is None or run.invariants_clean
         for result in outcome.results
         for run in result.runs
-    )
-    return outcome.to_dict(), invariants_ok
+    ):
+        errors.append("invariant violations detected")
+    lost = [run.index for run in outcome.with_status("worker_lost")]
+    if lost:
+        errors.append(f"worker process died under runs {lost}")
+    return outcome.to_dict(), errors
 
 
 def _load_spec(
@@ -397,11 +405,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {message}", file=sys.stderr)
             return 2
         if sweep_mode:
-            payloads[spec.name], invariants_ok = _run_sweep_cli(
+            payloads[spec.name], errors = _run_sweep_cli(
                 spec, sweep_plan, args
             )
-            if not invariants_ok:
-                print("error: invariant violations detected", file=sys.stderr)
+            for error in errors:
+                print(f"error: {error}", file=sys.stderr)
                 exit_code = 1
         else:
             started = time.monotonic()

@@ -203,7 +203,9 @@ def run(
     ]
     with SweepExecutor(workers=workers) as executor:
         outcome = executor.run_sweep(specs[0], over=list(specs))
-    results = outcome.results
+    # One row per generator seed: a lost run must fail loudly, not shift
+    # every later row onto the wrong seed.
+    results = outcome.require_complete()
     rows = [
         _row_from(g, spec, result)
         for g, spec, result in zip(gen_seeds, specs, results)

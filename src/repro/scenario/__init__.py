@@ -14,8 +14,8 @@ The subsystem the experiment layer is founded on:
   bit-identical to serial execution) and the persistent execution engine
   behind it and ``ScenarioRunner.run(workers=)``: flattened
   (override × seed × discipline) task graph, warm-started workers fed
-  compact deltas, streaming collection, per-run wall-clock budgets, and
-  early stopping;
+  compact deltas, streaming collection, per-run wall-clock budgets,
+  early stopping, and runs lost to a dead worker reported, not hung on;
 * :mod:`repro.scenario.generators` — seeded, deterministic scenario
   generators (random/scale-free graphs, WAN paths, access/core fan-in)
   registered under ``gen:`` names, with populations sized to a target
@@ -30,6 +30,8 @@ from repro.scenario.executor import (
     BUDGET_EXPIRED,
     COMPLETED,
     STOPPED,
+    WORKER_LOST,
+    IncompleteSweepError,
     SweepExecutor,
     SweepOutcome,
     SweepRun,
@@ -76,6 +78,8 @@ __all__ = [
     "BUDGET_EXPIRED",
     "COMPLETED",
     "STOPPED",
+    "WORKER_LOST",
+    "IncompleteSweepError",
     "SweepExecutor",
     "SweepOutcome",
     "SweepRun",

@@ -1,8 +1,8 @@
 """Persistent sweep execution engine.
 
-The orchestration layer between declarative sweeps and the process pool.
-:class:`SweepExecutor` replaces the old per-call ``multiprocessing.Pool``
-fan-out with four structural changes:
+The orchestration layer between declarative sweeps and worker processes.
+:class:`SweepExecutor` runs a sweep as a flattened task graph on a warm
+``concurrent.futures.ProcessPoolExecutor``:
 
 * **Flattened task graph.**  A sweep of (overrides × seeds) runs, each
   comparing D disciplines, becomes ``runs × D`` independently schedulable
@@ -16,23 +16,31 @@ fan-out with four structural changes:
   each task travels as a small ``(override, seed, discipline-index)``
   delta.  :func:`resolve_task_spec` reconstructs the exact spec the serial
   path would build, so placement cannot perturb results.
-* **Streaming collection.**  Results arrive through ``imap_unordered``
-  and are reassembled deterministically into expansion order; an
-  ``on_result`` callback fires as each run finishes (completion order) for
-  progress reporting or incremental JSON writing.
+* **One bounded dispatch loop.**  At most ``max(2 × workers, 4)`` tasks
+  are in flight; results are collected with ``wait(FIRST_COMPLETED)`` as
+  they land and reassembled deterministically into expansion order, and
+  an ``on_result`` callback fires as each run finishes (completion
+  order).  The serial path runs the same loop in-process, one task at a
+  time, through the same payload → spec resolution.
 * **Budgets and early stopping.**  A per-run wall-clock budget slices
-  each simulation into engine ``run(until=...)`` windows and abandons it
-  once the budget is spent (``budget_expired``); an ``early_stop``
-  predicate over the completed runs stops dispatching further runs
-  (``stopped``).  Both outcomes are recorded explicitly in the result
-  list; *completed* runs are bit-identical to serial execution — slicing
-  fires the identical event sequence, only the stopping rule changes.
+  each simulation into :data:`BUDGET_SLICES` engine ``run(until=...)``
+  windows and abandons it once the budget is spent (``budget_expired``);
+  an ``early_stop`` predicate over the completed runs stops dispatching
+  further runs (``stopped``).  Both outcomes are recorded explicitly in
+  the result list; *completed* runs are bit-identical to serial
+  execution — slicing fires the identical event sequence, only the
+  stopping rule changes.
+* **A dead worker is a casualty, not a hang.**  A worker process that
+  dies (SIGKILL, the OOM killer) breaks its pool: every task in flight on
+  it is recorded ``worker_lost``, the pool is rebuilt for the rest of the
+  sweep, and nothing is retried — a spec that crashes its worker would
+  crash the next one too.
 
 Determinism contract: serial, pooled, and streamed execution produce
 bit-identical ``comparable_dict()`` payloads for every completed run.
-Which runs complete under a budget or an early-stop predicate is
-inherently timing-dependent (wall clocks and completion order vary);
-what a completed run contains is not.
+Which runs complete under a budget, an early-stop predicate or a lost
+worker is inherently timing-dependent (wall clocks and completion order
+vary); what a completed run contains is not.
 """
 
 from __future__ import annotations
@@ -41,7 +49,6 @@ import dataclasses
 import hashlib
 import math
 import pickle
-import threading
 import time
 from typing import (
     Any,
@@ -57,7 +64,6 @@ from typing import (
 )
 
 from repro.scenario.runner import (
-    DisciplineRunResult,
     ScenarioContext,
     ScenarioResult,
     _run_one_discipline,
@@ -70,12 +76,13 @@ Override = Union[Mapping, ScenarioSpec]
 COMPLETED = "completed"
 BUDGET_EXPIRED = "budget_expired"
 STOPPED = "stopped"
+WORKER_LOST = "worker_lost"
 
 #: How many ``run(until=...)`` windows a budgeted simulation is sliced
 #: into.  Slicing is behaviour-neutral (the engine fires the identical
 #: event sequence); more slices only tighten how promptly an expired
 #: budget is noticed.
-DEFAULT_BUDGET_SLICES = 32
+BUDGET_SLICES = 32
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 _UNSET = object()
@@ -169,10 +176,10 @@ def resolve_task_spec(
 class TaskResult:
     """One flattened task's outcome (a single discipline simulation).
 
-    ``result`` is the :class:`DisciplineRunResult` for completed default
-    tasks, the ``task_fn`` return value for custom tasks, or ``None`` when
-    the budget expired.  ``sim_seconds`` records how far the simulation
-    clock got (equal to the spec duration on completion).
+    ``result`` is the :class:`DisciplineRunResult` of a completed task, or
+    ``None`` when the budget expired or the worker died.  ``sim_seconds``
+    records how far the simulation clock got (equal to the spec duration
+    on completion, 0 for a lost task).
     """
 
     index: int
@@ -200,6 +207,7 @@ class SweepRun:
 
     ``status`` is :data:`COMPLETED` when every discipline task finished
     (``result`` then holds the assembled :class:`ScenarioResult`),
+    :data:`WORKER_LOST` when a worker process died under any task,
     :data:`BUDGET_EXPIRED` when any task ran out of wall-clock budget, or
     :data:`STOPPED` when early stopping cancelled tasks before they were
     dispatched.  ``tasks`` holds whatever task results exist, in
@@ -216,11 +224,6 @@ class SweepRun:
     def wall_seconds(self) -> float:
         return sum(task.wall_seconds for task in self.tasks)
 
-    @property
-    def payloads(self) -> Tuple[Any, ...]:
-        """Raw per-task results (useful with a custom ``task_fn``)."""
-        return tuple(task.result for task in self.tasks)
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "index": self.index,
@@ -233,6 +236,21 @@ class SweepRun:
                 self.result.to_dict() if self.result is not None else None
             ),
         }
+
+
+class IncompleteSweepError(RuntimeError):
+    """A caller needed every run of a sweep, and some did not complete.
+
+    ``runs`` holds ``(run index, status)`` for each run that did not.
+    """
+
+    def __init__(self, runs: Sequence[Tuple[int, str]], total: int):
+        self.runs = tuple(runs)
+        listed = ", ".join(f"run {i} {status}" for i, status in self.runs)
+        super().__init__(
+            f"{len(self.runs)} of {total} sweep runs did not complete: "
+            f"{listed}"
+        )
 
 
 class SweepOutcome(Sequence):
@@ -250,20 +268,34 @@ class SweepOutcome(Sequence):
     @property
     def results(self) -> List[ScenarioResult]:
         """Completed :class:`ScenarioResult`\\ s, in expansion order."""
-        return [
-            run.result
-            for run in self.runs
-            if run.status == COMPLETED and run.result is not None
+        return [run.result for run in self.runs if run.status == COMPLETED]
+
+    def require_complete(self) -> List[ScenarioResult]:
+        """Every run's :class:`ScenarioResult`, in expansion order.
+
+        For callers that read results by run position (one row per seed,
+        the single run of :meth:`ScenarioRunner.run`): a short
+        :attr:`results` list would shift later rows onto the wrong run,
+        so any run that did not complete raises
+        :class:`IncompleteSweepError` naming it instead.
+        """
+        missing = [
+            (r.index, r.status) for r in self.runs if r.status != COMPLETED
         ]
+        if missing:
+            raise IncompleteSweepError(missing, len(self.runs))
+        return self.results
 
     def with_status(self, status: str) -> List[SweepRun]:
         return [run for run in self.runs if run.status == status]
 
     @property
     def counts(self) -> Dict[str, int]:
-        counts = {COMPLETED: 0, BUDGET_EXPIRED: 0, STOPPED: 0}
+        counts = dict.fromkeys(
+            (COMPLETED, BUDGET_EXPIRED, STOPPED, WORKER_LOST), 0
+        )
         for run in self.runs:
-            counts[run.status] = counts.get(run.status, 0) + 1
+            counts[run.status] += 1
         return counts
 
     def to_dict(self) -> Dict[str, Any]:
@@ -273,13 +305,7 @@ class SweepOutcome(Sequence):
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        counts = self.counts
-        return (
-            f"<SweepOutcome runs={len(self.runs)} "
-            f"completed={counts[COMPLETED]} "
-            f"budget_expired={counts[BUDGET_EXPIRED]} "
-            f"stopped={counts[STOPPED]}>"
-        )
+        return f"<SweepOutcome runs={len(self.runs)} {self.counts}>"
 
 
 # ----------------------------------------------------------------------
@@ -300,21 +326,23 @@ def stop_when_ci_below(
     |mean|``.  The classic use: replicate a scenario across seeds until
     the estimate is tight, instead of always paying for the full ladder.
 
-    ``metric`` receives each completed run's :class:`ScenarioResult` —
-    or, for custom-``task_fn`` sweeps (where ``SweepRun.result`` is
-    ``None``), the task's raw payload — so task-function replication
-    ladders can close on their own estimand too.
+    ``metric`` receives each completed run's :class:`ScenarioResult`.
+    A ``rel_half_width`` that is not a positive finite number would never
+    close the interval (the ladder silently runs to its cap), and a
+    non-positive ``z`` would close it at once, so both are rejected.
     """
     if min_runs < 2:
         raise ValueError("min_runs must be at least 2")
+    if not (math.isfinite(rel_half_width) and rel_half_width > 0):
+        raise ValueError(
+            f"rel_half_width must be a positive finite number, "
+            f"got {rel_half_width!r}"
+        )
+    if not (math.isfinite(z) and z > 0):
+        raise ValueError(f"z must be a positive finite number, got {z!r}")
 
     def predicate(completed: List[SweepRun]) -> bool:
-        values = [
-            metric(
-                run.result if run.result is not None else run.payloads[0]
-            )
-            for run in completed
-        ]
+        values = [metric(run.result) for run in completed]
         n = len(values)
         if n < min_runs:
             return False
@@ -345,19 +373,11 @@ _WORKER_SPECS: Dict[str, ScenarioSpec] = {}
 _SPEC_REF = "__specref__"
 
 
-def _fingerprint(blob: bytes) -> str:
-    return hashlib.sha1(blob).hexdigest()
-
-
 def _deref_override(
     override: Any, table: Dict[str, ScenarioSpec]
 ) -> Override:
     """Resolve a spec-reference marker back to its shipped spec."""
-    if (
-        isinstance(override, tuple)
-        and len(override) == 2
-        and override[0] == _SPEC_REF
-    ):
+    if isinstance(override, tuple) and override[0] == _SPEC_REF:
         return table[override[1]]
     return override
 
@@ -373,26 +393,21 @@ def _init_worker(
         _WORKER_SPECS[fingerprint] = pickle.loads(blob)
 
 
-def _execute_delta(payload: tuple) -> TaskResult:
-    """Worker entry point: rebuild the task's spec from its delta and run."""
-    index, run_index, discipline_index, override, seed, budget, slices, task_fn = payload
-    override = _deref_override(override, _WORKER_SPECS)
-    if task_fn is not None:
-        # Custom task functions own the whole run (all disciplines).
-        spec = resolve_run_spec(_WORKER_BASE[0], override, seed)
-    else:
-        spec = resolve_task_spec(
-            _WORKER_BASE[0], override, seed, discipline_index
-        )
-    return run_task(
-        spec,
-        index=index,
-        run_index=run_index,
-        discipline_index=discipline_index,
-        budget_seconds=budget,
-        budget_slices=slices,
-        task_fn=task_fn,
+def _execute(
+    payload: tuple, base: ScenarioSpec, specs: Dict[str, ScenarioSpec]
+) -> TaskResult:
+    """Rebuild one task's spec from its delta and run it."""
+    index, run_index, discipline_index, override, seed, budget = payload
+    spec = resolve_task_spec(
+        base, _deref_override(override, specs), seed, discipline_index
     )
+    return run_task(spec, index, run_index, discipline_index, budget)
+
+
+def _execute_delta(payload: tuple) -> TaskResult:
+    """Worker entry point: run a task against the specs the pool
+    initializer shipped."""
+    return _execute(payload, _WORKER_BASE[0], _WORKER_SPECS)
 
 
 def run_task(
@@ -401,59 +416,46 @@ def run_task(
     run_index: int = 0,
     discipline_index: int = 0,
     budget_seconds: Optional[float] = None,
-    budget_slices: int = DEFAULT_BUDGET_SLICES,
-    task_fn: Optional[Callable[[ScenarioSpec], Any]] = None,
 ) -> TaskResult:
     """Run one flattened task: a single-discipline spec to completion.
 
     With a ``budget_seconds``, the simulation advances in
-    ``duration / budget_slices`` windows and is abandoned
+    ``duration / BUDGET_SLICES`` windows and is abandoned
     (:data:`BUDGET_EXPIRED`) once the wall clock exceeds the budget with
     simulated time still remaining.  Slicing fires the identical event
     sequence as one uninterrupted run, so completed budgeted runs stay
     bit-identical to unbudgeted ones.
-
-    A custom ``task_fn`` (orchestrated scenarios: mid-run admission, phase
-    waves) replaces the default build-run-collect; it receives the
-    reconstructed spec and its return value becomes ``TaskResult.result``.
-    Budgets do not apply to custom task functions.
     """
     started = time.perf_counter()
+    status = COMPLETED
     # The fluid engine advances whole epochs, not events; budgets (already
     # coarse-grained guards) do not slice it.
-    if task_fn is not None or budget_seconds is None or spec.engine == "fluid":
-        return TaskResult(
-            index=index,
-            run_index=run_index,
-            discipline_index=discipline_index,
-            discipline="+".join(d.name for d in spec.disciplines),
-            status=COMPLETED,
-            result=(task_fn or _run_one_discipline)(spec),
-            wall_seconds=time.perf_counter() - started,
-            sim_seconds=spec.duration,
-        )
-    context = ScenarioContext(spec, spec.disciplines[0])
-    status = COMPLETED
-    step = spec.duration / max(int(budget_slices), 1)
-    window = 0
-    while context.sim.now < spec.duration:
-        window += 1
-        context.run(until=min(spec.duration, step * window))
-        if (
-            time.perf_counter() - started > budget_seconds
-            and context.sim.now < spec.duration
-        ):
-            status = BUDGET_EXPIRED
-            break
+    if budget_seconds is None or spec.engine == "fluid":
+        result, sim_seconds = _run_one_discipline(spec), spec.duration
+    else:
+        context = ScenarioContext(spec, spec.disciplines[0])
+        step = spec.duration / BUDGET_SLICES
+        window = 0
+        while context.sim.now < spec.duration:
+            window += 1
+            context.run(until=min(spec.duration, step * window))
+            if (
+                time.perf_counter() - started > budget_seconds
+                and context.sim.now < spec.duration
+            ):
+                status = BUDGET_EXPIRED
+                break
+        result = context.collect() if status == COMPLETED else None
+        sim_seconds = context.sim.now
     return TaskResult(
         index=index,
         run_index=run_index,
         discipline_index=discipline_index,
         discipline=spec.disciplines[0].name,
         status=status,
-        result=context.collect() if status == COMPLETED else None,
+        result=result,
         wall_seconds=time.perf_counter() - started,
-        sim_seconds=context.sim.now,
+        sim_seconds=sim_seconds,
     )
 
 
@@ -467,22 +469,18 @@ class _Assembler:
 
     A run finishes when all its tasks have reported; ``on_result`` fires
     then (completion order), and ``early_stop`` — evaluated over the
-    completed runs — raises the stop flag the dispatchers watch.
+    completed runs — raises the stop flag the dispatch loop watches.
     """
 
     def __init__(
         self,
         run_specs: List[ScenarioSpec],
-        run_task_counts: List[int],
         early_stop: Optional[Callable[[List[SweepRun]], bool]],
         on_result: Optional[Callable[[SweepRun], None]],
-        custom_tasks: bool,
     ):
         self._run_specs = run_specs
-        self._counts = run_task_counts
         self._early_stop = early_stop
         self._on_result = on_result
-        self._custom_tasks = custom_tasks
         self._slots: List[Dict[int, TaskResult]] = [{} for _ in run_specs]
         self._finished: Dict[int, SweepRun] = {}
         self.completed: List[SweepRun] = []  # streaming (completion) order
@@ -491,7 +489,7 @@ class _Assembler:
     def offer(self, task: TaskResult) -> None:
         slot = self._slots[task.run_index]
         slot[task.discipline_index] = task
-        if len(slot) < self._counts[task.run_index]:
+        if len(slot) < len(self._run_specs[task.run_index].disciplines):
             return
         run = self._assemble(task.run_index)
         self._finished[task.run_index] = run
@@ -506,37 +504,41 @@ class _Assembler:
             ):
                 self.stop = True
 
+    def lose(self, payload: tuple) -> None:
+        """Record a task whose worker process died under it."""
+        index, run_index, discipline_index = payload[:3]
+        name = self._run_specs[run_index].disciplines[discipline_index].name
+        self.offer(
+            TaskResult(index, run_index, discipline_index, name, WORKER_LOST,
+                       None, 0.0, 0.0)
+        )
+
+    def _tasks(self, run_index: int) -> Tuple[TaskResult, ...]:
+        slot = self._slots[run_index]
+        return tuple(slot[d] for d in sorted(slot))
+
     def _assemble(self, run_index: int) -> SweepRun:
         spec = self._run_specs[run_index]
-        tasks = tuple(
-            self._slots[run_index][d] for d in sorted(self._slots[run_index])
+        tasks = self._tasks(run_index)
+        for status in (WORKER_LOST, BUDGET_EXPIRED):
+            if any(task.status == status for task in tasks):
+                return SweepRun(run_index, spec, status, None, tasks)
+        result = ScenarioResult(
+            scenario=spec.name,
+            seed=spec.seed,
+            duration=spec.duration,
+            warmup=spec.warmup,
+            runs=tuple(task.result for task in tasks),
         )
-        if any(task.status == BUDGET_EXPIRED for task in tasks):
-            return SweepRun(run_index, spec, BUDGET_EXPIRED, None, tasks)
-        result = None
-        if not self._custom_tasks:
-            result = ScenarioResult(
-                scenario=spec.name,
-                seed=spec.seed,
-                duration=spec.duration,
-                warmup=spec.warmup,
-                runs=tuple(task.result for task in tasks),
-            )
         return SweepRun(run_index, spec, COMPLETED, result, tasks)
 
     def outcome(self) -> SweepOutcome:
         """All runs in expansion order; unfinished ones marked stopped."""
-        runs = []
-        for run_index, spec in enumerate(self._run_specs):
-            run = self._finished.get(run_index)
-            if run is None:
-                tasks = tuple(
-                    self._slots[run_index][d]
-                    for d in sorted(self._slots[run_index])
-                )
-                run = SweepRun(run_index, spec, STOPPED, None, tasks)
-            runs.append(run)
-        return SweepOutcome(runs)
+        return SweepOutcome(
+            self._finished.get(run_index)
+            or SweepRun(run_index, spec, STOPPED, None, self._tasks(run_index))
+            for run_index, spec in enumerate(self._run_specs)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -552,26 +554,26 @@ class SweepExecutor:
             this process (still streaming through ``on_result``).
         budget_seconds: default per-task wall-clock budget applied to
             every ``run_sweep`` call that does not override it.
-        budget_slices: granularity of the budget check (see
-            :func:`run_task`).
-        window: maximum tasks in flight beyond the workers' hands; bounds
-            how much already-dispatched work an early stop can waste.
-            Defaults to ``2 * workers``.
+        track_task_bytes: also count the pickled bytes of every task
+            payload in ``stats["task_bytes"]`` (off by default: measuring
+            costs a second serialization of each payload).
 
-    The pool is created lazily on the first pooled sweep and reused across
-    subsequent sweeps of the same base spec — workers are warm-started
-    with the base spec once (pool initializer), and every task ships as a
-    compact ``(override, seed, discipline-index)`` delta.  Sweeping a
-    different base spec recycles the pool (the one moment the full spec
-    crosses a process boundary again).  Use as a context manager, or call
-    :meth:`close` when done.
+    The pool (a ``concurrent.futures.ProcessPoolExecutor``) is created
+    lazily on the first pooled sweep and reused across subsequent sweeps
+    of the same base spec — workers are warm-started with the base spec
+    once (pool initializer), and every task ships as a compact
+    ``(override, seed, discipline-index)`` delta.  Sweeping a different
+    base spec recycles the pool (the one moment the full spec crosses a
+    process boundary again), and so does a worker's death.  Use as a
+    context manager, or call :meth:`close` when done: it joins every
+    worker, so no process outlives the executor.
 
     ``stats`` accumulates orchestration telemetry across the executor's
     lifetime: pools created, sweeps run, tasks dispatched / completed /
-    expired / skipped, and pickled bytes shipped (base spec per worker;
-    per-task delta bytes only when ``track_task_bytes=True``, since
-    measuring them costs a second serialization) — the quantities the
-    ``sweep_seeds`` workload of ``benchmarks/e2e`` reports.
+    expired / lost / skipped, and pickled bytes shipped (base spec per
+    worker; per-task delta bytes only with ``track_task_bytes``) — the
+    quantities the ``sweep_seeds`` workload of ``benchmarks/e2e``
+    reports.
     """
 
     def __init__(
@@ -579,14 +581,10 @@ class SweepExecutor:
         workers: Optional[int] = None,
         *,
         budget_seconds: Optional[float] = None,
-        budget_slices: int = DEFAULT_BUDGET_SLICES,
-        window: Optional[int] = None,
         track_task_bytes: bool = False,
     ):
         self.workers = int(workers) if workers else 0
         self.budget_seconds = budget_seconds
-        self.budget_slices = budget_slices
-        self.window = window
         self.track_task_bytes = track_task_bytes
         self._pool = None
         self._pool_base: Optional[ScenarioSpec] = None
@@ -599,6 +597,7 @@ class SweepExecutor:
             "tasks_dispatched": 0,
             "tasks_completed": 0,
             "tasks_budget_expired": 0,
+            "tasks_worker_lost": 0,
             "tasks_skipped": 0,
             "base_bytes": 0,
             "task_bytes": 0,
@@ -614,26 +613,21 @@ class SweepExecutor:
         self.close()
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
+        """Shut the worker pool down and join its workers (idempotent)."""
         if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
+            self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-            self._pool_base = None
-            self._pool_size = 0
-            self._pool_fps = frozenset()
 
     def _ensure_pool(
         self,
         base: ScenarioSpec,
         task_count: int,
-        override_blobs: Optional[Dict[str, bytes]] = None,
+        override_blobs: Dict[str, bytes],
     ) -> None:
         # Never fork more workers than there are tasks; grow (recycle) a
         # pool that was sized for a smaller earlier sweep.  Reuse also
         # requires the workers to already hold every whole-spec override
         # this sweep references (initializers only run at worker start).
-        override_blobs = override_blobs or {}
         size = min(self.workers, task_count)
         fps = frozenset(override_blobs)
         if (
@@ -644,11 +638,11 @@ class SweepExecutor:
         ):
             return
         self.close()
-        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
         blob = pickle.dumps(base, _PICKLE_PROTOCOL)
         shipped = tuple(sorted(override_blobs.items()))
-        self._pool = multiprocessing.Pool(
+        self._pool = ProcessPoolExecutor(
             size, initializer=_init_worker, initargs=(blob, shipped)
         )
         self._pool_base = base
@@ -671,7 +665,6 @@ class SweepExecutor:
         budget_seconds=_UNSET,
         early_stop: Optional[Callable[[List[SweepRun]], bool]] = None,
         on_result: Optional[Callable[[SweepRun], None]] = None,
-        task_fn: Optional[Callable[[ScenarioSpec], Any]] = None,
     ) -> SweepOutcome:
         """Execute one sweep through the flattened task graph.
 
@@ -681,20 +674,13 @@ class SweepExecutor:
                 (defaults to the executor's).  Each discipline simulation
                 of a run gets its own budget; a D-discipline run may
                 therefore spend up to D times this much wall clock and
-                still complete.  Incompatible with ``task_fn`` (raises
-                ``ValueError``).
+                still complete.
             early_stop: predicate over the completed :class:`SweepRun`
                 list (completion order); returning True stops dispatching
                 new runs.  Undispatched runs are reported ``stopped``.
             on_result: called with each :class:`SweepRun` as it finishes
-                (completed or budget-expired), in completion order —
-                serial execution makes that expansion order.
-            task_fn: optional module-level callable ``spec -> payload``
-                replacing the default single-discipline simulation; the
-                sweep then dispatches one task per *run* (the function
-                owns its whole scenario, e.g. mid-run orchestration) and
-                ``SweepRun.result`` stays ``None`` — read
-                ``SweepRun.payloads`` instead.
+                (completed, budget-expired or worker-lost), in completion
+                order — serial execution makes that expansion order.
 
         Returns:
             A :class:`SweepOutcome` — every expanded run in expansion
@@ -703,14 +689,6 @@ class SweepExecutor:
         budget = (
             self.budget_seconds if budget_seconds is _UNSET else budget_seconds
         )
-        if task_fn is not None and budget is not None:
-            # Budget slicing lives in the default build-run-collect task;
-            # a custom task function owns its own loop, so accepting a
-            # budget here would silently not enforce it.
-            raise ValueError(
-                "budget_seconds does not apply to a custom task_fn; "
-                "enforce budgets inside the task function instead"
-            )
         deltas = expand_deltas(spec, over=over, seeds=seeds)
         run_specs = [
             resolve_run_spec(spec, override, seed) for override, seed in deltas
@@ -721,139 +699,115 @@ class SweepExecutor:
         # spec inside every task.
         override_blobs: Dict[str, bytes] = {}
         ref_specs: Dict[str, ScenarioSpec] = {}
-        payload_overrides: List[Any] = []
-        for override, _seed in deltas:
-            if isinstance(override, ScenarioSpec):
-                blob = pickle.dumps(override, _PICKLE_PROTOCOL)
-                fingerprint = _fingerprint(blob)
-                override_blobs.setdefault(fingerprint, blob)
-                ref_specs.setdefault(fingerprint, override)
-                payload_overrides.append((_SPEC_REF, fingerprint))
-            else:
-                payload_overrides.append(override)
         payloads: List[tuple] = []
-        run_task_counts: List[int] = []
         for run_index, ((override, seed), run_spec) in enumerate(
             zip(deltas, run_specs)
         ):
-            count = 1 if task_fn is not None else len(run_spec.disciplines)
-            run_task_counts.append(count)
-            for discipline_index in range(count):
+            if isinstance(override, ScenarioSpec):
+                blob = pickle.dumps(override, _PICKLE_PROTOCOL)
+                fingerprint = hashlib.sha1(blob).hexdigest()
+                override_blobs.setdefault(fingerprint, blob)
+                ref_specs.setdefault(fingerprint, override)
+                override = (_SPEC_REF, fingerprint)
+            for discipline_index in range(len(run_spec.disciplines)):
                 payloads.append(
-                    (
-                        len(payloads),
-                        run_index,
-                        discipline_index,
-                        payload_overrides[run_index],
-                        seed,
-                        budget,
-                        self.budget_slices,
-                        task_fn,
-                    )
+                    (len(payloads), run_index, discipline_index, override,
+                     seed, budget)
                 )
         self.stats["sweeps"] += 1
         self.stats["tasks_total"] += len(payloads)
 
-        assembler = _Assembler(
-            run_specs,
-            run_task_counts,
-            early_stop,
-            on_result,
-            custom_tasks=task_fn is not None,
-        )
-        if self.workers > 1 and len(payloads) > 1:
-            self._run_pooled(spec, payloads, assembler, override_blobs)
-        else:
-            self._run_serial(spec, payloads, assembler, ref_specs)
+        assembler = _Assembler(run_specs, early_stop, on_result)
+        self._dispatch(spec, payloads, assembler, ref_specs, override_blobs)
         outcome = assembler.outcome()
         for run in outcome.runs:
             for task in run.tasks:
-                if task.status == COMPLETED:
-                    self.stats["tasks_completed"] += 1
-                elif task.status == BUDGET_EXPIRED:
-                    self.stats["tasks_budget_expired"] += 1
+                # tasks_completed / tasks_budget_expired / tasks_worker_lost
+                self.stats["tasks_" + task.status] += 1
         self.stats["tasks_skipped"] += len(payloads) - sum(
             len(run.tasks) for run in outcome.runs
         )
         return outcome
 
-    # -- serial path ---------------------------------------------------
-    def _run_serial(
+    def _dispatch(
         self,
         base: ScenarioSpec,
         payloads: List[tuple],
         assembler: _Assembler,
-        ref_specs: Optional[Dict[str, ScenarioSpec]] = None,
+        ref_specs: Dict[str, ScenarioSpec],
+        override_blobs: Dict[str, bytes],
     ) -> None:
-        for payload in payloads:
-            if assembler.stop:
-                break
-            (index, run_index, discipline_index, override, seed, budget,
-             slices, task_fn) = payload
-            override = _deref_override(override, ref_specs or {})
-            self.stats["tasks_dispatched"] += 1
-            if task_fn is not None:
-                spec = resolve_run_spec(base, override, seed)
-            else:
-                spec = resolve_task_spec(
-                    base, override, seed, discipline_index
-                )
-            assembler.offer(
-                run_task(
-                    spec,
-                    index=index,
-                    run_index=run_index,
-                    discipline_index=discipline_index,
-                    budget_seconds=budget,
-                    budget_slices=slices,
-                    task_fn=task_fn,
-                )
-            )
+        """The one dispatch loop, pooled or in-process.
 
-    # -- pooled path ---------------------------------------------------
-    def _run_pooled(
-        self,
-        base: ScenarioSpec,
-        payloads: List[tuple],
-        assembler: _Assembler,
-        override_blobs: Optional[Dict[str, bytes]] = None,
-    ) -> None:
-        self._ensure_pool(base, len(payloads), override_blobs)
-        window = self.window or max(2 * self._pool_size, 4)
-        slots = threading.Semaphore(window)
-        # Byte accounting re-pickles each payload; off by default so the
-        # dispatch path does the serialization work exactly once (the
-        # pool's own).  benchmarks/e2e/child.py switches it on to measure.
-        track_bytes = self.track_task_bytes
+        At most ``window`` tasks are in flight — the back-pressure that
+        makes early stopping effective: a stop wastes bounded work
+        instead of having dispatched the whole sweep already.  In process
+        each task runs as it is dispatched, so nothing is ever in flight.
 
-        def stream():
-            # Runs in the pool's task-feeder thread.  The semaphore is the
-            # back-pressure that makes early stopping effective: at most
-            # ``window`` tasks are in flight, so a stop wastes bounded
-            # work instead of having dispatched the whole sweep already.
-            for payload in payloads:
-                slots.acquire()
-                if assembler.stop:
-                    return
-                self.stats["tasks_dispatched"] += 1
-                if track_bytes:
-                    self.stats["task_bytes"] += len(
-                        pickle.dumps(payload, _PICKLE_PROTOCOL)
-                    )
-                yield payload
+        A worker's death fails every future in flight on its pool with
+        ``BrokenProcessPool``: each such task is recorded lost, the dead
+        pool is closed, and the next submission builds a fresh one.
+        """
+        pooled = self.workers > 1 and len(payloads) > 1
+        if pooled:
+            from concurrent.futures import FIRST_COMPLETED, wait
+            from concurrent.futures.process import BrokenProcessPool
 
-        iterator = self._pool.imap_unordered(
-            _execute_delta, stream(), chunksize=1
-        )
+            self._ensure_pool(base, len(payloads), override_blobs)
+        window = max(2 * self._pool_size, 4) if pooled else 1
+
+        pending: Dict[Any, Tuple[tuple, Any]] = {}  # future -> payload, pool
+
+        def lose(payload: tuple, pool) -> None:
+            # No retry: a spec that crashed one worker would crash the next.
+            assembler.lose(payload)
+            if pool is not self._pool:
+                return  # a rebuilt pool outlives its predecessor's losses
+            self.close()
+            # The dead pool has settled its other futures by now (lost with
+            # it, or finished just before) except any a submit raced into
+            # it as it broke, which nothing would ever settle.
+            for future, (orphan, owner) in list(pending.items()):
+                if owner is pool and not future.done():
+                    del pending[future]
+                    assembler.lose(orphan)
+
+        tasks = iter(payloads)
         try:
-            for task_result in iterator:
-                assembler.offer(task_result)
-                slots.release()
+            while True:
+                while len(pending) < window and not assembler.stop:
+                    payload = next(tasks, None)
+                    if payload is None:
+                        break
+                    self.stats["tasks_dispatched"] += 1
+                    if not pooled:
+                        assembler.offer(_execute(payload, base, ref_specs))
+                        continue
+                    if self.track_task_bytes:
+                        self.stats["task_bytes"] += len(
+                            pickle.dumps(payload, _PICKLE_PROTOCOL)
+                        )
+                    if self._pool is None:
+                        self._ensure_pool(base, len(payloads), override_blobs)
+                    pool = self._pool
+                    try:
+                        future = pool.submit(_execute_delta, payload)
+                    except BrokenProcessPool:  # died before this task
+                        lose(payload, pool)
+                    else:
+                        pending[future] = (payload, pool)
+                if not pending:
+                    return
+                for future in wait(pending, return_when=FIRST_COMPLETED)[0]:
+                    payload, pool = pending.pop(future)
+                    try:
+                        task = future.result()
+                    except BrokenProcessPool:
+                        lose(payload, pool)
+                    else:
+                        assembler.offer(task)
         except BaseException:
-            # Unwedge the feeder thread (it may be blocked on a slot),
-            # then drop the pool: its queues are in an unknown state.
-            assembler.stop = True
-            slots.release()
+            # Drop the pool: a failed task or callback leaves it mid-sweep.
             self.close()
             raise
 
@@ -902,11 +856,12 @@ def sweep(
     Returns:
         Without budgets or early stopping: one :class:`ScenarioResult`
         per expanded run, in expansion order (override-major, seed-minor)
-        regardless of worker scheduling — every run completes, so the
-        plain result list is the whole story.  With ``budget_seconds``
-        (given here or carried by the executor) or ``early_stop``: the
-        full :class:`SweepOutcome`, whose entries record completed /
-        budget-expired / stopped runs explicitly.
+        regardless of worker scheduling — every run must complete, and a
+        run whose worker died raises :class:`IncompleteSweepError` naming
+        it.  With ``budget_seconds`` (given here or carried by the
+        executor) or ``early_stop``: the full :class:`SweepOutcome`,
+        whose entries record completed / budget-expired / stopped /
+        worker-lost runs explicitly.
     """
     owns_executor = executor is None
     active = executor if executor is not None else SweepExecutor(workers=workers)
@@ -928,5 +883,5 @@ def sweep(
         if owns_executor:
             active.close()
     if budget is None and early_stop is None:
-        return outcome.results
+        return outcome.require_complete()
     return outcome

@@ -780,14 +780,15 @@ class ScenarioRunner:
         process pool (via the :mod:`repro.scenario.executor` engine: each
         discipline is one flattened task); results are bit-identical to
         the serial path because every simulation is self-contained and
-        deterministic.
+        deterministic.  A discipline whose worker process died raises
+        :class:`~repro.scenario.executor.IncompleteSweepError`.
         """
         # Imported here: the executor builds on this module.
         from repro.scenario.executor import SweepExecutor
 
         with SweepExecutor(workers=workers) as executor:
             outcome = executor.run_sweep(self.spec)
-        return outcome.runs[0].result
+        return outcome.require_complete()[0]
 
     def _resolve(
         self, discipline: Union[str, DisciplineSpec, None]

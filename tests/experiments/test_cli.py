@@ -1,10 +1,54 @@
 """Tests for the ``python -m repro.experiments`` command line."""
 
 import functools
+import json
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.experiments.__main__ import main
+
+# The CLI with every sweep's ``on_result`` chained behind a callback that
+# SIGKILLs the pool's workers on its first call (callbacks run in the
+# parent under every start method).
+_KILLING_CLI = r"""
+import multiprocessing, os, signal, sys
+
+from repro.experiments.__main__ import main
+from repro.scenario import SweepExecutor
+
+run_sweep = SweepExecutor.run_sweep
+
+
+def killing_run_sweep(self, *args, on_result=None, **kwargs):
+    fired = []
+
+    def hook(run):
+        if not fired:
+            fired.append(run.index)
+            for child in multiprocessing.active_children():
+                os.kill(child.pid, signal.SIGKILL)
+        on_result(run)
+
+    return run_sweep(self, *args, on_result=hook, **kwargs)
+
+
+SweepExecutor.run_sweep = killing_run_sweep
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _env_with_src():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    return env
 
 
 class TestCli:
@@ -176,6 +220,39 @@ class TestSweepCli:
             == 0
         )
         assert "2 budget-expired" in capsys.readouterr().out
+
+    def test_lost_worker_reported_and_exit_nonzero(self, tmp_path):
+        """A sweep whose workers are SIGKILLed mid-run finishes, reports
+        the lost runs in its summary and JSON, and exits non-zero."""
+        path = tmp_path / "sweep.json"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _KILLING_CLI,
+             "--spec", "table1", "--duration", "5",
+             "--sweep-seeds", "1..4", "--workers", "2",
+             "--json", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_env_with_src(),
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=120)
+        finally:
+            # Nothing the sweep started may outlive the test, hung or not.
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.communicate()
+        assert proc.returncode == 1, err
+        assert "worker-lost" in out
+        assert "error: worker process died under runs" in err
+        counts = json.loads(path.read_text())["experiments"]["table1"][
+            "counts"
+        ]
+        assert counts["worker_lost"] >= 1
+        assert counts["completed"] + counts["worker_lost"] == 4
 
     def test_sweep_flags_require_spec(self):
         with pytest.raises(SystemExit):

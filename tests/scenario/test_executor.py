@@ -3,16 +3,23 @@
 Covers the executor's contracts: the flattened (override × seed ×
 discipline) task graph and its expansion order, delta-task reconstruction
 matching full-spec construction, serial vs pooled bit-identity, explicit
-budget-expired / stopped statuses, streaming ``on_result`` order, warm
-pool reuse, and custom task functions for orchestrated scenarios.
+budget-expired / stopped / worker-lost statuses, streaming ``on_result``
+order, warm pool reuse, and a sweep that survives a killed worker.
 """
 
+import hashlib
+import json
 import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.scenario import (
     DisciplineSpec,
+    IncompleteSweepError,
     ScenarioBuilder,
     SweepExecutor,
     expand,
@@ -23,6 +30,9 @@ from repro.scenario.executor import (
     BUDGET_EXPIRED,
     COMPLETED,
     STOPPED,
+    WORKER_LOST,
+    SweepOutcome,
+    SweepRun,
     expand_deltas,
     resolve_run_spec,
     resolve_task_spec,
@@ -180,6 +190,7 @@ class TestBudgets:
             COMPLETED: 0,
             BUDGET_EXPIRED: 2,
             STOPPED: 0,
+            WORKER_LOST: 0,
         }
         for run in outcome.runs:
             assert run.result is None
@@ -276,6 +287,26 @@ class TestEarlyStopping:
         assert outcome.counts[COMPLETED] == 4  # never closed
         with pytest.raises(ValueError):
             stop_when_ci_below(lambda r: 0.0, min_runs=1)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"rel_half_width": 0.0}, "rel_half_width"),
+            ({"rel_half_width": -0.1}, "rel_half_width"),
+            ({"rel_half_width": float("nan")}, "rel_half_width"),
+            ({"rel_half_width": float("inf")}, "rel_half_width"),
+            ({"z": 0.0}, "z"),
+            ({"z": -1.96}, "z"),
+            ({"z": float("nan")}, "z"),
+        ],
+    )
+    def test_stop_when_ci_below_rejects_degenerate_interval(
+        self, kwargs, name
+    ):
+        """A width that can never close runs the ladder to its cap; a
+        non-positive z closes it at once.  Both are caller errors."""
+        with pytest.raises(ValueError, match=f"^{name} "):
+            stop_when_ci_below(lambda r: 1.0, **kwargs)
 
 
 class TestStreaming:
@@ -432,77 +463,6 @@ class TestWholeSpecOverrideCache:
         ]
 
 
-def _double_duration_payload(spec):
-    """Module-level custom task (must pickle into workers)."""
-    return {"name": spec.name, "seed": spec.seed, "duration": spec.duration}
-
-
-class TestCustomTaskFn:
-    def test_task_fn_gets_whole_run_spec(self):
-        spec = base_spec()
-        with SweepExecutor() as executor:
-            outcome = executor.run_sweep(
-                spec, seeds=[4, 5], task_fn=_double_duration_payload
-            )
-        assert [run.status for run in outcome.runs] == [COMPLETED, COMPLETED]
-        assert [run.result for run in outcome.runs] == [None, None]
-        assert [run.payloads[0]["seed"] for run in outcome.runs] == [4, 5]
-        # One task per run: the function owns all disciplines.
-        assert [len(run.tasks) for run in outcome.runs] == [1, 1]
-
-    def test_task_fn_ladder_closes_on_payload_metric(self):
-        """stop_when_ci_below reads the task payload when SweepRun.result
-        is None (custom-task sweeps), so replication ladders close."""
-        predicate = stop_when_ci_below(
-            lambda payload: float(payload["duration"]),
-            rel_half_width=0.5,
-            min_runs=2,
-        )
-        with SweepExecutor() as executor:
-            outcome = executor.run_sweep(
-                base_spec(),
-                seeds=list(range(1, 6)),
-                task_fn=_double_duration_payload,
-                early_stop=predicate,
-            )
-        assert outcome.counts[COMPLETED] == 2
-        assert outcome.counts[STOPPED] == 3
-
-    def test_task_fn_rejects_budget(self):
-        """Budgets only bind the default task; silently dropping one
-        would be a broken promise, so the combination is an error."""
-        with SweepExecutor(budget_seconds=1.0) as executor:
-            with pytest.raises(ValueError, match="task_fn"):
-                executor.run_sweep(
-                    base_spec(), seeds=[1], task_fn=_double_duration_payload
-                )
-            # Explicit budget is rejected the same way.
-            with pytest.raises(ValueError, match="task_fn"):
-                executor.run_sweep(
-                    base_spec(),
-                    seeds=[1],
-                    task_fn=_double_duration_payload,
-                    budget_seconds=5.0,
-                )
-            # Explicitly disabling the executor default is fine.
-            outcome = executor.run_sweep(
-                base_spec(),
-                seeds=[1],
-                task_fn=_double_duration_payload,
-                budget_seconds=None,
-            )
-            assert outcome.counts[COMPLETED] == 1
-
-    def test_task_fn_pooled(self):
-        with SweepExecutor(workers=2) as executor:
-            outcome = executor.run_sweep(
-                base_spec(), seeds=[1, 2, 3], task_fn=_double_duration_payload
-            )
-        assert sorted(
-            run.payloads[0]["seed"] for run in outcome.runs
-        ) == [1, 2, 3]
-
-
 class TestSweepFunction:
     def test_plain_sweep_returns_result_list(self):
         results = sweep(base_spec(), seeds=[1, 2])
@@ -537,3 +497,170 @@ class TestSweepFunction:
             assert executor.stats["sweeps"] == 2
             assert executor.stats["pools_created"] == 1
             assert executor._pool is not None
+
+
+class TestRequireComplete:
+    def test_names_every_incomplete_run(self):
+        spec = base_spec()
+        outcome = SweepOutcome(
+            [
+                SweepRun(0, spec, WORKER_LOST, None, ()),
+                SweepRun(1, spec, BUDGET_EXPIRED, None, ()),
+                SweepRun(2, spec, STOPPED, None, ()),
+            ]
+        )
+        with pytest.raises(IncompleteSweepError) as caught:
+            outcome.require_complete()
+        assert caught.value.runs == (
+            (0, WORKER_LOST), (1, BUDGET_EXPIRED), (2, STOPPED),
+        )
+        assert "3 of 3 sweep runs did not complete" in str(caught.value)
+        assert "run 0 worker_lost" in str(caught.value)
+
+
+# A sweep in a child process whose pool workers are SIGKILLed mid-sweep:
+# by ``on_result`` on its first call (every start method runs callbacks in
+# the parent), or, where a caller offers no callback, by a thread that
+# waits for the pool's first worker.  Nothing is monkeypatched.
+_KILL_HARNESS = r"""
+import hashlib, json, multiprocessing, os, signal, sys, threading, time
+
+from repro.scenario import ScenarioRunner, ScenarioSpec, SweepExecutor, sweep
+
+mode, seeds = sys.argv[1], json.loads(sys.argv[2])
+spec = ScenarioSpec.from_dict(json.loads(sys.stdin.read()))
+
+
+def kill_workers():
+    for child in multiprocessing.active_children():
+        os.kill(child.pid, signal.SIGKILL)
+
+
+def kill_on_first_result(run, fired=[]):
+    if not fired:
+        fired.append(run.index)
+        kill_workers()
+
+
+def kill_on_pool_start():
+    while not multiprocessing.active_children():
+        time.sleep(0.001)
+    kill_workers()
+
+
+def digest(result):
+    blob = json.dumps(result.comparable_dict(), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+report = {}
+if mode == "executor":
+    with SweepExecutor(workers=2) as executor:
+        outcome = executor.run_sweep(
+            spec, seeds=seeds, on_result=kill_on_first_result
+        )
+    report["statuses"] = [run.status for run in outcome.runs]
+    report["digests"] = {
+        run.index: digest(run.result) for run in outcome.with_status("completed")
+    }
+    report["stats"] = executor.stats
+else:
+    from repro.experiments import generated
+    from repro.scenario import IncompleteSweepError
+
+    try:
+        if mode == "sweep":
+            sweep(spec, seeds=seeds, workers=2, on_result=kill_on_first_result)
+        else:
+            threading.Thread(target=kill_on_pool_start, daemon=True).start()
+            if mode == "runner":
+                ScenarioRunner(spec).run(workers=2)
+            else:
+                generated.run(
+                    duration=6.0, warmup=1.0, seed=1, gen_seeds=seeds,
+                    workers=2,
+                )
+    except IncompleteSweepError as exc:
+        report["incomplete"] = [list(run) for run in exc.runs]
+report["children"] = len(multiprocessing.active_children())
+print(json.dumps(report))
+"""
+
+KILL_SEEDS = [1, 2, 3, 4, 5, 6]
+
+
+def run_kill_harness(mode, spec, seeds, timeout=60.0):
+    """Run the harness in its own session; kill the whole process group
+    afterwards, so a hung sweep cannot outlive the test."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _KILL_HARNESS, mode, json.dumps(seeds)],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(
+            json.dumps(spec.to_dict()), timeout=timeout
+        )
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.communicate()
+    assert proc.returncode == 0, err
+    return json.loads(out.splitlines()[-1])
+
+
+def digest(result):
+    blob = json.dumps(result.comparable_dict(), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class TestWorkerLoss:
+    def test_sweep_survives_killed_workers(self):
+        """SIGKILL both workers mid-sweep: the in-flight tasks are
+        recorded lost, the pool is rebuilt once, every other run completes
+        bit-identically to serial, and no process is left behind."""
+        spec = base_spec()
+        report = run_kill_harness("executor", spec, KILL_SEEDS)
+        statuses = report["statuses"]
+        assert len(statuses) == len(KILL_SEEDS)
+        assert WORKER_LOST in statuses
+        assert set(statuses) == {COMPLETED, WORKER_LOST}
+        serial = sweep(spec, seeds=KILL_SEEDS)
+        assert report["digests"] == {
+            str(index): digest(serial[index])
+            for index, status in enumerate(statuses)
+            if status == COMPLETED
+        }
+        stats = report["stats"]
+        assert stats["pools_created"] == 2
+        assert stats["tasks_worker_lost"] >= 1
+        assert (
+            stats["tasks_completed"] + stats["tasks_worker_lost"]
+            == 3 * len(KILL_SEEDS)
+        )
+        assert report["children"] == 0
+
+    @pytest.mark.parametrize(
+        "mode, seeds",
+        [("sweep", KILL_SEEDS), ("runner", [1]), ("generated", [1, 2])],
+    )
+    def test_positional_readers_fail_loudly(self, mode, seeds):
+        """sweep(), ScenarioRunner.run(workers=N) and the generated
+        flagship read results by run position; a lost run raises one
+        named error listing it, instead of a short or None result."""
+        report = run_kill_harness(mode, base_spec(duration=20.0), seeds)
+        incomplete = report["incomplete"]
+        assert incomplete
+        assert {status for _, status in incomplete} == {WORKER_LOST}
+        assert report["children"] == 0
