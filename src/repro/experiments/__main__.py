@@ -80,7 +80,12 @@ from repro.experiments import (
     table3,
     topology,
 )
-from repro.scenario import ScenarioRunner, ScenarioSpec, registry
+from repro.scenario import (
+    IncompleteSweepError,
+    ScenarioRunner,
+    ScenarioSpec,
+    registry,
+)
 
 EXPERIMENTS = (
     "fig1",
@@ -203,6 +208,53 @@ def _run_sweep_cli(spec: ScenarioSpec, sweep_plan: tuple, args) -> tuple:
     if lost:
         errors.append(f"worker process died under runs {lost}")
     return outcome.to_dict(), errors
+
+
+#: Experiments whose payload is their ``ScenarioResult`` and whose
+#: disciplines fan out over ``--workers``.
+_SCENARIO_EXPERIMENTS = {
+    "table1": table1,
+    "table2": table2,
+    "distributions": distributions,
+    "parkinglot": parkinglot,
+}
+
+
+def _run_experiment(name: str, args, duration: float, seed: int,
+                    gen_seeds) -> tuple:
+    """Run one named experiment: ``(result, payload, invariants clean)``."""
+    if name in _SCENARIO_EXPERIMENTS:
+        result = _SCENARIO_EXPERIMENTS[name].run(
+            duration=duration, seed=seed, workers=args.workers
+        )
+        return result, result.scenario.to_dict(), True
+    if name == "table3":
+        result = table3.run(duration=duration, seed=seed)
+        return result, result.scenario.to_dict(), True
+    clean = True
+    if name == "fig1":
+        result = topology.run()
+    elif name == "generated":
+        result = generated.run(
+            duration=duration,
+            seed=seed,
+            gen_seeds=gen_seeds or generated.DEFAULT_GEN_SEEDS,
+            workers=args.workers,
+        )
+        clean = result.all_invariants_clean
+    elif name == "dynamics":
+        result = dynamics.run(phase_seconds=duration / 3.0, seed=seed)
+    elif name == "failover":
+        result = failover.run(
+            duration=duration, seed=seed, engine=args.engine or "packet",
+        )
+        clean = all(row.invariants_clean for row in result.rows)
+    else:  # scale
+        # The fluid flagship sizes its own duration (60s); the 600s
+        # paper default is a packet-experiment convention.
+        result = scale.run(duration=args.duration, seed=seed)
+        clean = result.all_invariants_clean
+    return result, result.to_dict(), clean
 
 
 def _load_spec(
@@ -413,15 +465,23 @@ def main(argv: list[str] | None = None) -> int:
                 exit_code = 1
         else:
             started = time.monotonic()
-            result = ScenarioRunner(spec).run(workers=args.workers)
-            print(common.render_scenario_result(result))
-            print(f"[{spec.name} ran in {time.monotonic() - started:.1f}s]")
-            payloads[spec.name] = result.to_dict()
-            if spec.validate and not all(
-                run.invariants_clean for run in result.runs
-            ):
-                print("error: invariant violations detected", file=sys.stderr)
+            try:
+                result = ScenarioRunner(spec).run(workers=args.workers)
+            except IncompleteSweepError as exc:
+                print(f"error: {exc}", file=sys.stderr)
                 exit_code = 1
+            else:
+                print(common.render_scenario_result(result))
+                print(f"[{spec.name} ran in {time.monotonic() - started:.1f}s]")
+                payloads[spec.name] = result.to_dict()
+                if spec.validate and not all(
+                    run.invariants_clean for run in result.runs
+                ):
+                    print(
+                        "error: invariant violations detected",
+                        file=sys.stderr,
+                    )
+                    exit_code = 1
     else:
         duration = (
             args.duration
@@ -432,73 +492,20 @@ def main(argv: list[str] | None = None) -> int:
         todo = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
         for name in todo:
             started = time.monotonic()
-            if name == "fig1":
-                result = topology.run()
-                print(result.render())
-                payloads[name] = result.to_dict()
-            elif name == "table1":
-                result = table1.run(
-                    duration=duration, seed=seed, workers=args.workers
+            # A dead worker fails this experiment only: the others still
+            # run, and --json still carries every finished payload.
+            try:
+                result, payloads[name], clean = _run_experiment(
+                    name, args, duration, seed, gen_seed_list
                 )
-                print(result.render())
-                payloads[name] = result.scenario.to_dict()
-            elif name == "table2":
-                result = table2.run(
-                    duration=duration, seed=seed, workers=args.workers
-                )
-                print(result.render())
-                payloads[name] = result.scenario.to_dict()
-            elif name == "table3":
-                result = table3.run(duration=duration, seed=seed)
-                print(result.render())
-                payloads[name] = result.scenario.to_dict()
-            elif name == "distributions":
-                result = distributions.run(
-                    duration=duration, seed=seed, workers=args.workers
-                )
-                print(result.render())
-                payloads[name] = result.scenario.to_dict()
-            elif name == "parkinglot":
-                result = parkinglot.run(
-                    duration=duration, seed=seed, workers=args.workers
-                )
-                print(result.render())
-                payloads[name] = result.scenario.to_dict()
-            elif name == "generated":
-                result = generated.run(
-                    duration=duration,
-                    seed=seed,
-                    gen_seeds=gen_seed_list or generated.DEFAULT_GEN_SEEDS,
-                    workers=args.workers,
-                )
-                print(result.render())
-                payloads[name] = result.to_dict()
-                if not result.all_invariants_clean:
-                    print("error: invariant violations detected", file=sys.stderr)
-                    exit_code = 1
-            elif name == "dynamics":
-                result = dynamics.run(phase_seconds=duration / 3.0, seed=seed)
-                print(result.render())
-                payloads[name] = result.to_dict()
-            elif name == "failover":
-                result = failover.run(
-                    duration=duration, seed=seed,
-                    engine=args.engine or "packet",
-                )
-                print(result.render())
-                payloads[name] = result.to_dict()
-                if not all(row.invariants_clean for row in result.rows):
-                    print("error: invariant violations detected", file=sys.stderr)
-                    exit_code = 1
-            elif name == "scale":
-                # The fluid flagship sizes its own duration (60s); the
-                # 600s paper default is a packet-experiment convention.
-                result = scale.run(duration=args.duration, seed=seed)
-                print(result.render())
-                payloads[name] = result.to_dict()
-                if not result.all_invariants_clean:
-                    print("error: invariant violations detected", file=sys.stderr)
-                    exit_code = 1
+            except IncompleteSweepError as exc:
+                print(f"error: {name}: {exc}", file=sys.stderr)
+                exit_code = 1
+                continue
+            print(result.render())
+            if not clean:
+                print("error: invariant violations detected", file=sys.stderr)
+                exit_code = 1
             print(f"[{name} regenerated in {time.monotonic() - started:.1f}s]\n")
 
     if args.json_path:

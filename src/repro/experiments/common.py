@@ -9,10 +9,8 @@ and benchmark layers use.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.net.network import Network
-from repro.net.packet import ServiceClass
 from repro.scenario import paper
 from repro.scenario.paper import (  # noqa: F401  (re-exported Appendix constants)
     AVERAGE_RATE_PPS,
@@ -30,10 +28,6 @@ from repro.scenario.paper import (  # noqa: F401  (re-exported Appendix constant
     TX_TIME_SECONDS,
     in_tx_units,
 )
-from repro.sim.engine import Simulator
-from repro.sim.randomness import RandomStreams
-from repro.traffic.onoff import OnOffMarkovSource
-from repro.traffic.sink import DelayRecordingSink
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,51 +46,6 @@ def figure1_flow_placements() -> List[FlowPlacement]:
         FlowPlacement(name=name, source_host=src, dest_host=dst, hops=hops)
         for name, src, dst, hops in paper.FIGURE1_PLACEMENTS
     ]
-
-
-def attach_paper_flows(
-    sim: Simulator,
-    net: Network,
-    streams: RandomStreams,
-    placements: Sequence[FlowPlacement],
-    warmup: float,
-    service_class: ServiceClass = ServiceClass.DATAGRAM,
-    priority_of: Optional[Dict[str, int]] = None,
-    class_of: Optional[Dict[str, ServiceClass]] = None,
-) -> Dict[str, DelayRecordingSink]:
-    """Create the paper's on/off source + recording sink for each placement.
-
-    Kept for benchmarks that wire networks by hand; spec-driven code uses
-    :class:`repro.scenario.ScenarioRunner` instead.
-
-    Args:
-        priority_of: optional per-flow predicted priority class.
-        class_of: optional per-flow service class override (Table 3 mixes
-            guaranteed / predicted flows in one placement list).
-
-    Returns:
-        flow name -> sink.
-    """
-    sinks: Dict[str, DelayRecordingSink] = {}
-    for placement in placements:
-        flow_class = (class_of or {}).get(placement.name, service_class)
-        priority = (priority_of or {}).get(placement.name, 0)
-        OnOffMarkovSource.paper_source(
-            sim,
-            net.hosts[placement.source_host],
-            placement.name,
-            placement.dest_host,
-            streams.stream(f"source:{placement.name}"),
-            average_rate_pps=AVERAGE_RATE_PPS,
-            bucket_packets=BUCKET_PACKETS,
-            packet_size_bits=PACKET_BITS,
-            service_class=flow_class,
-            priority_class=priority,
-        )
-        sinks[placement.name] = DelayRecordingSink(
-            sim, net.hosts[placement.dest_host], placement.name, warmup=warmup
-        )
-    return sinks
 
 
 # ----------------------------------------------------------------------

@@ -77,7 +77,11 @@ from typing import Dict, List, Optional, Tuple
 # phase stream's purpose string through this module.
 from repro.fluid.compile import _PHASE_SALT, compile_fluid  # noqa: F401
 from repro.scenario.disciplines import resolve_port_discipline
-from repro.scenario.runner import DisciplineRunResult, FlowStats
+from repro.scenario.runner import (
+    DisciplineRunResult,
+    FlowStats,
+    link_accounting,
+)
 from repro.scenario.spec import DisciplineSpec, ScenarioSpec
 
 try:  # NumPy is optional everywhere in this repo; pure Python is
@@ -279,22 +283,15 @@ class FluidSimulation:
         spec, c = self.spec, self.compiled
         caps, link_names = c.caps, c.link_names
         duration = c.duration or 1.0
-        accounting = bool(spec.link_accounting)
-
-        def per_link(num, den):
-            """``num/den`` per link (0 where nothing was served)."""
-            return tuple(
-                (name, num[l] / den[l] if den[l] else 0.0)
-                for l, name in enumerate(link_names)
-            )
-
-        datagram_dropped = 0
-        if accounting:
-            datagram_dropped = int(round(sum(
+        realtime_fraction, datagram_dropped = link_accounting(
+            spec,
+            zip(link_names, self.link_realtime_bits, self.link_served_bits),
+            (
                 self.dropped_bits[f] / c.size_bits[f]
                 for f in range(len(c.flow_names))
                 if not c.realtime[f]
-            )))
+            ),
+        )
         return DisciplineRunResult(
             discipline=self.discipline.name,
             flows=tuple(map(self._flow_stats, self._recorded())),
@@ -302,7 +299,12 @@ class FluidSimulation:
                 (name, self.link_served_bits[l] / (caps[l] * duration))
                 for l, name in enumerate(link_names)
             ),
-            link_queueing=per_link(self.link_wait_num, self.link_wait_den),
+            link_queueing=tuple(
+                (name, num / den if den else 0.0)
+                for name, num, den in zip(
+                    link_names, self.link_wait_num, self.link_wait_den
+                )
+            ),
             link_drops=tuple(
                 (
                     name,
@@ -317,9 +319,7 @@ class FluidSimulation:
                 (name, resolve_port_discipline(self.discipline, name).name)
                 for name in link_names
             )),
-            realtime_fraction=per_link(
-                self.link_realtime_bits, self.link_served_bits
-            ) if accounting else (),
+            realtime_fraction=realtime_fraction,
             datagram_dropped=datagram_dropped,
             tcp_stats=(),
             events_processed=self.events_processed,

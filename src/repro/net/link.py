@@ -98,7 +98,6 @@ class Link:
         self._busy_integral = 0.0
         self.loss_probability = float(loss_probability)
         self._loss_rng = loss_rng
-        self.packets_sent = 0
         self.packets_lost = 0
         self.packets_delivered = 0
         # Packets that finished transmitting but are still propagating
@@ -106,7 +105,6 @@ class Link:
         # conservation invariants in :mod:`repro.validate` read this plus
         # ``busy`` to account for every packet on the wire.
         self.in_transit = 0
-        self.bits_sent = 0
         # Called when a transmission completes and the link goes idle; the
         # owning OutputPort uses it to pull the next packet.
         self.on_idle: Optional[Callable[[], None]] = None
@@ -161,8 +159,6 @@ class Link:
         self._in_flight = None
         self.busy = False
         self._busy_integral += self.sim.now - self._busy_since
-        self.packets_sent += 1
-        self.bits_sent += packet.size_bits
         receiver = self.receiver
         if (
             self.loss_probability > 0.0
@@ -219,8 +215,6 @@ class Link:
         sim.advance_to(complete_at)
         self._complete_at = complete_at
         self._busy_integral += complete_at - started
-        self.packets_sent += 1
-        self.bits_sent += packet.size_bits
         if (
             self.loss_probability > 0.0
             and self._loss_rng.random() < self.loss_probability
@@ -302,8 +296,6 @@ class Link:
         """Restart utilization accounting (used to skip warm-up transients)."""
         self._busy_start = self._busy_since = self.sim.now
         self._busy_integral = 0.0
-        self.packets_sent = 0
-        self.bits_sent = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = ("busy" if self.busy else "idle") if self.up else "down"

@@ -171,11 +171,6 @@ class Network:
     def total_drops(self) -> int:
         return sum(port.packets_dropped for port in self.ports.values())
 
-    def reset_measurements(self) -> None:
-        """Restart link utilization accounting on every link (warm-up skip)."""
-        for link in self.links.values():
-            link.reset_utilization()
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Network switches={len(self.switches)} hosts={len(self.hosts)} "

@@ -16,12 +16,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.net.link import Link
-from repro.net.packet import Packet
+from repro.net.packet import Packet, ServiceClass
 from repro.sched.base import Scheduler
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.traffic.token_bucket import TokenBucketFilter
+
+_DATAGRAM = ServiceClass.DATAGRAM
 
 # Listener signatures: (packet, now) for enqueue/drop, and
 # (packet, now, wait_seconds) for departures.
@@ -73,9 +75,17 @@ class OutputPort:
         if attach is not None:
             attach(self)
 
+        # The port's ledger: what arrived, what left and what was
+        # dropped, split where the paper's accounting splits (Table 3's
+        # real-time share of each link, its datagram drop rate).  Counted
+        # inline at the three seams every packet crosses (``_send_next``,
+        # ``_drain_burst``, ``_drop``), so readers need no listener.
         self.packets_in = 0
         self.packets_out = 0
         self.packets_dropped = 0
+        self.bits_out = 0
+        self.realtime_bits_out = 0  # bits of non-datagram departures
+        self.datagram_dropped = 0
         self.queueing_delay_total = 0.0  # summed wait of departed packets
         self.on_enqueue: List[EnqueueListener] = []
         self.on_drop: List[DropListener] = []
@@ -141,6 +151,8 @@ class OutputPort:
 
     def _drop(self, packet: Packet, now: float) -> None:
         self.packets_dropped += 1
+        if packet.service_class is _DATAGRAM:
+            self.datagram_dropped += 1
         if self.on_drop:
             for listener in self.on_drop:
                 listener(packet, now)
@@ -155,6 +167,10 @@ class OutputPort:
         packet.hops += 1
         self.packets_out += 1
         self.queueing_delay_total += wait
+        size = packet.size_bits
+        self.bits_out += size
+        if packet.service_class is not _DATAGRAM:
+            self.realtime_bits_out += size
         if self.on_depart:
             for listener in self.on_depart:
                 listener(packet, now, wait)
@@ -196,6 +212,10 @@ class OutputPort:
             packet.hops += 1
             self.packets_out += 1
             self.queueing_delay_total += wait
+            size = packet.size_bits
+            self.bits_out += size
+            if packet.service_class is not _DATAGRAM:
+                self.realtime_bits_out += size
             if on_depart:
                 for listener in on_depart:
                     listener(packet, now, wait)
@@ -217,7 +237,7 @@ class OutputPort:
 
         Called by the control plane when this port's link fails: queued
         packets are already committed to the dead next hop, so they leave
-        through the drop ledger — ``packets_dropped`` plus the ``on_drop``
+        through the drop seam — the port's ledger plus the ``on_drop``
         listeners — keeping the port's conservation books closed.
 
         Returns:

@@ -227,21 +227,6 @@ def paper_figure1_topology(
     )
 
 
-def parking_lot_topology(
-    sim: Simulator,
-    scheduler_factory: SchedulerFactory,
-    num_hops: int = 4,
-    rate_bps: float = DEFAULT_LINK_RATE_BPS,
-    buffer_packets: int = DEFAULT_BUFFER_PACKETS,
-) -> Network:
-    """The parking-lot merge network (see :func:`parking_lot_graph`)."""
-    return build_network(
-        sim,
-        scheduler_factory,
-        *parking_lot_graph(num_hops, rate_bps, buffer_packets),
-    )
-
-
 def figure1_ascii() -> str:
     """ASCII rendering of Figure 1 (the topology 'figure' deliverable)."""
     return (

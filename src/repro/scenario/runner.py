@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.admission import AdmissionConfig, AdmissionController
 from repro.core.measurement import MeasurementConfig, SwitchMeasurement
@@ -33,7 +33,7 @@ from repro.core.service import (
     PredictedServiceSpec,
 )
 from repro.core.signaling import FlowGrant, SignalingAgent
-from repro.net.packet import Packet, ServiceClass
+from repro.net.packet import ServiceClass
 from repro.net.routing import RoutingError
 from repro.scenario.disciplines import build_scheduler, resolve_port_discipline
 from repro.scenario.spec import (
@@ -256,6 +256,30 @@ class DisciplineRunResult:
         return data
 
 
+def link_accounting(
+    spec: ScenarioSpec,
+    links: Iterable[Tuple[str, float, float]],
+    datagram_drops: Iterable[float],
+) -> Tuple[Tuple[Tuple[str, float], ...], int]:
+    """``(realtime_fraction, datagram_dropped)`` of one run, either engine.
+
+    ``links`` yields ``(name, realtime bits, total bits)`` per link and
+    ``datagram_drops`` the dropped datagram packets to total.  Both are
+    read only under ``spec.link_accounting``; otherwise the result
+    carries ``((), 0)``.  A link that served nothing has a real-time
+    share of 0.0.
+    """
+    if not spec.link_accounting:
+        return (), 0
+    return (
+        tuple(
+            (name, realtime / total if total else 0.0)
+            for name, realtime, total in links
+        ),
+        int(round(sum(datagram_drops))),
+    )
+
+
 @dataclasses.dataclass(frozen=True)
 class ScenarioResult:
     """All disciplines of one scenario, plus run metadata."""
@@ -427,13 +451,6 @@ class ScenarioContext:
                 tcp.name,
                 TcpConfig(max_cwnd=tcp.max_cwnd),
             )
-
-        self._realtime_bits: Dict[str, int] = {}
-        self._total_bits: Dict[str, int] = {}
-        self._datagram_dropped = 0
-        if spec.link_accounting:
-            for link_name in self.net.ports:
-                self._attach_accounting(link_name)
 
         self._wall_seconds: Optional[float] = None
 
@@ -617,23 +634,6 @@ class ScenarioContext:
             del self.grants[name]
 
     # ------------------------------------------------------------------
-    def _attach_accounting(self, link_name: str) -> None:
-        self._realtime_bits[link_name] = 0
-        self._total_bits[link_name] = 0
-
-        def on_depart(packet: Packet, now: float, wait: float) -> None:
-            self._total_bits[link_name] += packet.size_bits
-            if packet.service_class is not ServiceClass.DATAGRAM:
-                self._realtime_bits[link_name] += packet.size_bits
-
-        def on_drop(packet: Packet, now: float) -> None:
-            if packet.service_class is ServiceClass.DATAGRAM:
-                self._datagram_dropped += 1
-
-        self.net.ports[link_name].on_depart.append(on_depart)
-        self.net.ports[link_name].on_drop.append(on_drop)
-
-    # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> "ScenarioContext":
         """Advance the simulation (to the spec's duration by default)."""
         started = time.perf_counter()
@@ -658,6 +658,15 @@ class ScenarioContext:
             from repro.validate.invariants import check_invariants
 
             invariants = check_invariants(self)
+        ports = self.net.ports
+        realtime_fraction, datagram_dropped = link_accounting(
+            self.spec,
+            (
+                (name, port.realtime_bits_out, port.bits_out)
+                for name, port in ports.items()
+            ),
+            (port.datagram_dropped for port in ports.values()),
+        )
         return DisciplineRunResult(
             discipline=self.discipline.name,
             flows=tuple(flow_stats),
@@ -673,18 +682,8 @@ class ScenarioContext:
                 for name, port in self.net.ports.items()
             ),
             port_disciplines=tuple(sorted(self.port_disciplines.items())),
-            realtime_fraction=tuple(
-                (
-                    name,
-                    (
-                        self._realtime_bits[name] / self._total_bits[name]
-                        if self._total_bits[name]
-                        else 0.0
-                    ),
-                )
-                for name in self._total_bits
-            ),
-            datagram_dropped=self._datagram_dropped,
+            realtime_fraction=realtime_fraction,
+            datagram_dropped=datagram_dropped,
             tcp_stats=tuple(
                 TcpStats(
                     name=name,

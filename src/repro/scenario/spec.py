@@ -970,8 +970,9 @@ class ScenarioSpec(_Wire):
             list only prioritizes — unlisted request-bearing flows follow
             in spec order.  Table 3 establishes guaranteed flows first so
             later checks see the reservations.
-        link_accounting: count per-link real-time vs total bits and
-            datagram drops (the Table-3 bookkeeping); off by default.
+        link_accounting: report per-link real-time vs total bits and
+            datagram drops (the Table-3 bookkeeping, read from the port
+            ledgers); off by default.
         percentile_points: queueing-delay percentiles computed per flow.
         validate: attach the :mod:`repro.validate` audit tap and run the
             simulation-invariant checks post-run (conservation, FIFO order,

@@ -48,7 +48,6 @@ class PortAudit:
         "victim_dropped",
         "pending",
         "reordered",
-        "events",
     )
 
     def __init__(self, port: "OutputPort"):
@@ -62,7 +61,6 @@ class PortAudit:
         self.victim_dropped: Dict[str, int] = {}
         self.pending: Dict[str, Deque[int]] = {}
         self.reordered = 0
-        self.events = 0
 
     def arrivals(self, flow_id: str) -> int:
         """Packets of ``flow_id`` offered to this port (queued or not)."""
@@ -141,7 +139,6 @@ class SimulationAudit:
         def on_enqueue(packet: Packet, now: float) -> None:
             self._observe_clock(now, name)
             flow = packet.flow_id
-            audit.events += 1
             audit.enqueued[flow] = audit.enqueued.get(flow, 0) + 1
             pending = audit.pending.get(flow)
             if pending is None:
@@ -158,7 +155,6 @@ class SimulationAudit:
         def on_depart(packet: Packet, now: float, wait: float) -> None:
             self._observe_clock(now, name)
             flow = packet.flow_id
-            audit.events += 1
             audit.departed[flow] = audit.departed.get(flow, 0) + 1
             if not link.up:
                 self.liveness_violations += 1
@@ -223,7 +219,6 @@ class SimulationAudit:
         def on_drop(packet: Packet, now: float) -> None:
             self._observe_clock(now, name)
             flow = packet.flow_id
-            audit.events += 1
             pending = audit.pending.get(flow)
             if pending and packet.packet_id in pending:
                 # A push-out victim: it had been queued, so it stays in

@@ -12,32 +12,30 @@ import pytest
 import repro
 from repro.experiments.__main__ import main
 
-# The CLI with every sweep's ``on_result`` chained behind a callback that
-# SIGKILLs the pool's workers on its first call (callbacks run in the
-# parent under every start method).
+# The CLI with the pool's workers SIGKILLed as the first task is handed
+# to them (the submit runs in the parent under every start method).  The
+# kill fires on submission, not on a finished run: a single run's
+# ``on_result`` only fires once all its tasks are in, too late to lose any.
 _KILLING_CLI = r"""
 import multiprocessing, os, signal, sys
+from concurrent.futures import ProcessPoolExecutor
 
 from repro.experiments.__main__ import main
-from repro.scenario import SweepExecutor
 
-run_sweep = SweepExecutor.run_sweep
-
-
-def killing_run_sweep(self, *args, on_result=None, **kwargs):
-    fired = []
-
-    def hook(run):
-        if not fired:
-            fired.append(run.index)
-            for child in multiprocessing.active_children():
-                os.kill(child.pid, signal.SIGKILL)
-        on_result(run)
-
-    return run_sweep(self, *args, on_result=hook, **kwargs)
+submit = ProcessPoolExecutor.submit
+fired = []
 
 
-SweepExecutor.run_sweep = killing_run_sweep
+def killing_submit(self, *args, **kwargs):
+    future = submit(self, *args, **kwargs)
+    if not fired:
+        fired.append(True)
+        for child in multiprocessing.active_children():
+            os.kill(child.pid, signal.SIGKILL)
+    return future
+
+
+ProcessPoolExecutor.submit = killing_submit
 sys.exit(main(sys.argv[1:]))
 """
 
@@ -49,6 +47,28 @@ def _env_with_src():
         filter(None, [src, env.get("PYTHONPATH")])
     )
     return env
+
+
+def _run_killing_cli(*argv):
+    """``(returncode, stdout, stderr)`` of the killing CLI on ``argv``."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _KILLING_CLI, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_env_with_src(),
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    finally:
+        # Nothing the run started may outlive the test, hung or not.
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.communicate()
+    return proc.returncode, out, err
 
 
 class TestCli:
@@ -225,27 +245,12 @@ class TestSweepCli:
         """A sweep whose workers are SIGKILLed mid-run finishes, reports
         the lost runs in its summary and JSON, and exits non-zero."""
         path = tmp_path / "sweep.json"
-        proc = subprocess.Popen(
-            [sys.executable, "-c", _KILLING_CLI,
-             "--spec", "table1", "--duration", "5",
-             "--sweep-seeds", "1..4", "--workers", "2",
-             "--json", str(path)],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=_env_with_src(),
-            start_new_session=True,
+        returncode, out, err = _run_killing_cli(
+            "--spec", "table1", "--duration", "5",
+            "--sweep-seeds", "1..4", "--workers", "2",
+            "--json", str(path),
         )
-        try:
-            out, err = proc.communicate(timeout=120)
-        finally:
-            # Nothing the sweep started may outlive the test, hung or not.
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            proc.communicate()
-        assert proc.returncode == 1, err
+        assert returncode == 1, err
         assert "worker-lost" in out
         assert "error: worker process died under runs" in err
         counts = json.loads(path.read_text())["experiments"]["table1"][
@@ -253,6 +258,23 @@ class TestSweepCli:
         ]
         assert counts["worker_lost"] >= 1
         assert counts["completed"] + counts["worker_lost"] == 4
+
+    @pytest.mark.parametrize("target", [["--spec", "table1"], ["table1"]])
+    def test_lost_worker_in_a_plain_run_is_an_error_line(
+        self, tmp_path, target
+    ):
+        """A ``--workers N`` run that is not a sweep, whose worker dies,
+        reports ``error:``, exits 1 without a traceback, and still writes
+        ``--json``."""
+        path = tmp_path / "run.json"
+        returncode, out, err = _run_killing_cli(
+            *target, "--duration", "20", "--workers", "2",
+            "--json", str(path),
+        )
+        assert returncode == 1, err
+        assert "Traceback" not in err
+        assert "error: " in err and "worker_lost" in err
+        assert json.loads(path.read_text()) == {"experiments": {}}
 
     def test_sweep_flags_require_spec(self):
         with pytest.raises(SystemExit):

@@ -203,8 +203,9 @@ class TestGeneratedFatTree:
     run.  ``ecmp=False`` so routing is identical (see module docstring);
     rate agreement here is what licenses the fluid-only 100k+ runs."""
 
-    def test_within_band(self):
-        spec = registry.build(
+    @pytest.fixture(scope="class")
+    def spec(self):
+        return registry.build(
             "gen:fat-tree",
             gen_seed=1,
             k=4,
@@ -213,6 +214,26 @@ class TestGeneratedFatTree:
             ecmp=False,
             duration=20.0,
         )
+
+    def test_within_band(self, spec):
         assert_within_band(
             spec, "CSZ", max_delay_ms=FABRIC_MAX_DELAY_ABS_MS
         )
+
+    def test_realtime_fraction_within_utilization_band(self, spec):
+        """Both engines' per-link real-time share (the port ledger on
+        the packet side) agrees within the utilization band."""
+        spec = spec.replace(link_accounting=True)
+        fluid, packet = (
+            dict(
+                ScenarioRunner(spec.replace(engine=engine))
+                .run_discipline("CSZ")
+                .realtime_fraction
+            )
+            for engine in ("fluid", "packet")
+        )
+        assert fluid.keys() == packet.keys()
+        assert any(packet.values())
+        assert max(
+            abs(fluid[name] - packet[name]) for name in packet
+        ) <= MAX_UTILIZATION_ABS

@@ -49,7 +49,11 @@ def scenario_payloads(request):
         # Enough failures in the short post-warmup window that the grid
         # point really crosses batching with control-plane reroutes.
         kwargs.update(outage_rate_per_second=2.0, mean_outage_seconds=0.5)
-    spec = registry.build(request.param, **kwargs)
+    # Link accounting on, so the grid also crosses batching with the
+    # port ledger's real-time share and datagram drop count.
+    spec = registry.build(request.param, **kwargs).replace(
+        link_accounting=True
+    )
     assert spec.validate, "generated scenarios must run with invariants on"
     payloads = {
         config_id: _run_grid_point(spec, batching)
@@ -63,6 +67,7 @@ class TestBitIdentityGrid:
         name, spec, payloads = scenario_payloads
         reference_id = "perpacket"  # the pre-batching ground truth
         reference = payloads[reference_id]
+        assert all(any(run["realtime_fraction"].values()) for run in reference)
         for config_id, payload in payloads.items():
             assert payload == reference, (
                 f"{name}: engine config {config_id} diverged from "

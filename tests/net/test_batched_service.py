@@ -218,3 +218,68 @@ class TestBitIdentityOnAndOff:
         assert result_on == result_off
         assert port_on.batched_departures > 0
         assert port_off.batched_departures == 0
+
+
+class TestPortLedger:
+    """The port counts what leaves it, per service class, identically on
+    the burst path and the per-packet path."""
+
+    @staticmethod
+    def _drive(batching):
+        from repro.net.packet import ServiceClass
+        from repro.sim import Simulator
+        from repro.traffic.token_bucket import TokenBucketFilter
+
+        sim = Simulator()
+        port, sink = build_port(
+            sim, scheduler=PriorityScheduler(2), batching=batching
+        )
+        port.buffer_packets = 3
+        # One 500-bit token: the policed flow's first packet passes, its
+        # second is dropped at the edge.
+        port.flow_policers["p"] = TokenBucketFilter(rate_bps=1.0, depth_bits=500)
+
+        def datagram(i):
+            return make_packet(flow_id="d", sequence=i, priority_class=1)
+
+        def realtime(flow_id, size_bits=1000):
+            return make_packet(
+                flow_id=flow_id,
+                size_bits=size_bits,
+                service_class=ServiceClass.PREDICTED,
+            )
+
+        port.enqueue(datagram(0))  # straight onto the wire
+        for i in (1, 2, 3):
+            port.enqueue(datagram(i))  # fills the 3-packet buffer
+        port.enqueue(realtime("r"))  # pushes out datagram 3
+        port.enqueue(datagram(4))  # tail-dropped: nothing to push out
+        port.enqueue(realtime("p", 500))  # passes the policer, pushes out 2
+        port.enqueue(realtime("p", 500))  # dropped by the policer
+        queued = port.queue_length
+        assert port.packets_in == port.packets_out + port.packets_dropped + queued
+        sim.run_until_idle()
+        assert port.packets_in == port.packets_out + port.packets_dropped
+        assert [p.flow_id for _, p in sink.packets] == ["d", "r", "p", "d"]
+        return port, (
+            port.packets_in,
+            port.packets_out,
+            port.packets_dropped,
+            port.bits_out,
+            port.realtime_bits_out,
+            port.datagram_dropped,
+        )
+
+    def test_ledger_identical_with_and_without_batching(self):
+        port_on, ledger_on = self._drive(batching=True)
+        port_off, ledger_off = self._drive(batching=False)
+        assert ledger_on == ledger_off == (8, 4, 4, 3500, 1500, 3)
+        assert port_on.batched_departures == 3
+        assert port_off.batched_departures == 0
+
+    def test_flushed_datagrams_count_as_datagram_drops(self, sim):
+        port, sink = build_port(sim)
+        for i in range(4):
+            port.enqueue(make_packet(sequence=i))
+        assert port.flush_queue() == 3
+        assert port.datagram_dropped == port.packets_dropped == 3

@@ -4,6 +4,8 @@ import pytest
 
 from repro.net.link import Link
 from repro.net.node import Node
+from repro.net.port import OutputPort
+from repro.sched.fifo import FifoScheduler
 from tests.conftest import make_packet
 
 
@@ -75,12 +77,17 @@ class TestLink:
         assert link.utilization() == pytest.approx(0.5)
 
     def test_counters(self, sim):
+        # What leaves is counted by the owning port; the link counts
+        # what reached the far end.
         link = Link(sim, "L", rate_bps=1_000_000)
         link.connect(Collector(sim))
-        sim.schedule(0.0, lambda: link.transmit(make_packet(size_bits=500)))
+        port = OutputPort(sim, "P", FifoScheduler(), link)
+        sim.schedule(0.0, lambda: port.enqueue(make_packet(size_bits=500)))
         sim.run_until_idle()
-        assert link.packets_sent == 1
-        assert link.bits_sent == 500
+        assert port.packets_out == 1
+        assert port.bits_out == 500
+        assert link.packets_delivered == 1
+        assert link.packets_lost == 0
 
     def test_reset_utilization(self, sim):
         link = Link(sim, "L", rate_bps=1_000_000)
@@ -90,7 +97,6 @@ class TestLink:
         link.reset_utilization()
         sim.run(until=0.002)
         assert link.utilization() == pytest.approx(0.0)
-        assert link.packets_sent == 0
 
     def test_invalid_parameters(self, sim):
         with pytest.raises(ValueError):

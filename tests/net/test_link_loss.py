@@ -70,7 +70,8 @@ class TestLossBehaviour:
                                      destination="dst-host"))
         sim.run(until=0.11)  # 100 back-to-back packets need 100 ms
         assert link.utilization(0.1) == pytest.approx(1.0, abs=0.02)
-        assert link.packets_sent == 100
+        assert port.packets_out == 100
+        assert link.packets_delivered + link.packets_lost == 100
 
     def test_deterministic_given_seed(self, sim):
         losses = []

@@ -6,7 +6,9 @@ a timing, so it repeats exactly on any host.  The ceilings are the values
 measured when the forwarding table, the flow-policer table and the
 single-frame layer steps landed (pure-Python engine: 31.3 on ``table3``,
 22.5 on the single-link trio), plus 10 %.  The tree before that change
-sits at 45.7 and 31.2.
+sits at 45.7 and 31.2.  Measured now: 31.34 on ``table3`` (one frame per
+departure fewer since link accounting moved from a runner listener onto
+the port's ledger; 32.34 before) and 22.82 on the single-link trio.
 
 If this fails, somebody re-layered the per-packet path: a new wrapper,
 property or listener runs for every packet.  Hang per-packet hooks on the
