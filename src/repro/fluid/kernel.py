@@ -6,7 +6,7 @@ whole stretches of simulated time collapse into one vectorised step
 whenever the model can prove the collapsed epochs are indistinguishable
 from stepping them one by one.
 
-Four coordinated mechanisms:
+Three coordinated mechanisms:
 
 * **CSR incidence** (:class:`CsrIncidence`) — the (flow, link) incidence
   is compiled once per link state into flat arrays, indices at the
@@ -40,40 +40,25 @@ Four coordinated mechanisms:
   fused prefixes, hence every accumulator fold, are exactly those of
   re-evaluating a full block at each epoch.
 
-* **Steady-state fast-forward** — when every flow is constant-rate
-  (duty >= 1: no on/off transitions) the kernel computes one reference
-  epoch and, if the backlog vector comes back bit-identical (steady:
-  empty and uncongested, or clamped into a stable queue), jumps in
-  closed form to the next *boundary*: the warmup crossing (where sample
-  recording switches on — the event an elided epoch must not straddle)
-  or the first epoch with a different length (the trailing partial
-  epoch).  Elided epochs replay the reference epoch's cached deltas, so
-  per-flow state and recorded samples are bit-identical to the
-  epoch-by-epoch schedule and ``events_processed`` counts every elided
-  epoch exactly — the same guarantee discipline as the packet engine's
-  ``Simulator.advance_to``.  ``FluidOptions(fast_forward=False)``
-  disables the jump (the equivalence tests run both ways).
-
 Under a compiled control plan (:mod:`repro.fluid.control`) the grid is
 grouped into link-state *segments*: each segment swaps in its state's
 per-flow path/weight view (one builder, cached per interned state; the
 all-up state is just the first one built), flushes dead-path backlog at
-the boundary, and runs the same fused machinery within the segment —
-fast-forward never jumps across a link-state boundary, and flows with
-no route (or torn down) disable the jump for their segment so their
-sheds are ledgered epoch-exactly.
+the boundary, and runs the same fused machinery within the segment;
+flows with no route (or torn down) have their sheds ledgered
+epoch-exactly.
 
 The pure-Python backend in :mod:`repro.fluid.reference` stays
 authoritative and shares no code with this module (both read the same
 :class:`~repro.fluid.compile.CompiledFluid`);
 ``tests/fluid/test_kernel.py`` pins kernel-vs-pure agreement across
 generated fabrics, disciplines, and epoch sizes, and kernel-vs-kernel
-(fused/fast-forward on vs off) agreement at tighter tolerance still.
+(fused vs single-epoch) agreement at tighter tolerance still.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -186,8 +171,8 @@ class FluidKernel:
     """One fluid run's compiled hot path.
 
     Owns preallocated accumulator arrays for the whole run; the
-    per-epoch fallback, the fused block path, and the fast-forward jump
-    all write into the same arrays, and :meth:`run` writes them back to
+    per-epoch fallback and the fused block path both write into the
+    same arrays, and :meth:`run` writes them back to
     the :class:`~repro.fluid.model.FluidSimulation` in the plain-list
     currency ``collect()`` reads.
     """
@@ -340,8 +325,7 @@ class FluidKernel:
 
         Constant-rate flows (duty >= 1) are pinned to exactly ``dt``,
         matching the pure backend's early return bit-for-bit (the
-        trigonometric form only differs in the last ulp, but that ulp
-        is what lets fast-forward treat their demand as constant).
+        closed form below can differ from ``dt`` in the last ulp).
         """
         t0 = self.t0s[e0:e1]
         t1 = self.t1s[e0:e1]
@@ -376,7 +360,6 @@ class FluidKernel:
     # ------------------------------------------------------------------
     def run(self) -> None:
         c = self.c
-        self._all_constant = bool(self.constant.all()) and self.F > 0
         # The all-up state's incidence (still the current view) sizes
         # the blocks of every segment.
         self._block = self._block_size()
@@ -396,30 +379,12 @@ class FluidKernel:
 
     def _run_span(self, e0: int, end: int) -> None:
         """Advance epochs ``[e0, end)`` under the current view.  The
-        span boundary is a hard wall for the fused paths: blocks are
-        clipped to it and fast-forward never jumps across it (the link
-        state changes there).  Fast-forward additionally requires a
-        state with no shed flows — a no-route flow's per-epoch ledger
-        has no replay form, and those stretches are short."""
-        ff = (
-            self._all_constant and self.opts.fast_forward
-            and not self.nr_idx.size and not self.zero_idx.size
-        )
+        span boundary is a hard wall: blocks are clipped to it (the
+        link state changes there)."""
         e = e0
         while e < end:
             if self.dts[e] <= 0:
                 break
-            if ff:
-                deltas = self._single_epoch(
-                    e, self.peak * self.dts[e], capture=True
-                )
-                e += 1
-                if deltas is not None:
-                    boundary = self._next_boundary(e, end)
-                    if boundary > e:
-                        self._replay(deltas, e, boundary)
-                        e = boundary
-                continue
             e = self._advance_block(e, min(self._block, end - e))
 
     # -- fused block path ----------------------------------------------
@@ -527,21 +492,12 @@ class FluidKernel:
         self.stats["epochs_fused"] += K
 
     # -- exact single-epoch fallback -------------------------------------
-    def _single_epoch(
-        self, e: int, arrival: np.ndarray, capture: bool = False
-    ) -> Optional[dict]:
+    def _single_epoch(self, e: int, arrival: np.ndarray) -> None:
         """One epoch through the full waterfill — the authoritative
-        schedule the fused paths must be indistinguishable from.
-
-        With ``capture=True`` returns the epoch's deltas when the
-        backlog vector is bit-identical before and after (a steady
-        state), for :meth:`_replay` to apply verbatim; returns ``None``
-        otherwise.
-        """
+        schedule the fused paths must be indistinguishable from."""
         csr, np_ = self.csr, np
         F, L, T = self.F, self.L, self.T
         dt = self.dts[e]
-        prev_backlog = self.backlog.copy() if capture else None
 
         demand = (arrival + self.backlog) / dt
         weight = np_.where(self.fair, self.w_static, demand)
@@ -586,11 +542,10 @@ class FluidKernel:
         shed = self.backlog * (1.0 - flow_scale)
         self.backlog *= flow_scale
         self.dropped += shed
-        drop_delta = np_.bincount(
+        self.link_drops += np_.bincount(
             bn[queued], weights=(shed / self.size_bits)[queued],
             minlength=L,
         )
-        self.link_drops += drop_delta
         q_lt *= scale
         # What the clamp left queued, against the bound.
         fill = (
@@ -607,23 +562,16 @@ class FluidKernel:
         served_lt = np_.bincount(
             self.e_lt, weights=served_entry, minlength=L * T
         )
-        link_served_delta = np_.bincount(
+        self.link_served += np_.bincount(
             csr.el, weights=served_entry, minlength=L
         )
-        wait_num_delta = (
-            (cumwait_flat * served_lt).reshape(L, T).sum(axis=1)
-        )
-        wait_den_delta = served_lt.reshape(L, T).sum(axis=1)
-        rt_delta = np_.bincount(
+        self.wait_num += (cumwait_flat * served_lt).reshape(L, T).sum(axis=1)
+        self.wait_den += served_lt.reshape(L, T).sum(axis=1)
+        self.link_rt += np_.bincount(
             csr.el[self.e_rt], weights=served_entry[self.e_rt],
             minlength=L,
         )
-        self.link_served += link_served_delta
-        self.wait_num += wait_num_delta
-        self.wait_den += wait_den_delta
-        self.link_rt += rt_delta
 
-        sample = None
         if self.rec_idx.size and self.t0s[e] >= self.warmup:
             shared = np_.bincount(
                 csr.ef, weights=cumwait_flat[self.e_lt], minlength=F
@@ -635,75 +583,10 @@ class FluidKernel:
                     0.0,
                 )
             delay = np_.where(self.fair, isolated, shared)
-            sample = (
-                delay[self.rec_idx].copy(),
-                (served / self.size_bits)[self.rec_idx].copy(),
-            )
-            self.rec_delays.append(sample[0])
-            self.rec_weights.append(sample[1])
+            self.rec_delays.append(delay[self.rec_idx])
+            self.rec_weights.append((served / self.size_bits)[self.rec_idx])
         self.events += F
         self.stats["epochs_single"] += 1
-
-        if not capture:
-            return None
-        if not np_.array_equal(prev_backlog, self.backlog):
-            return None
-        return {
-            "arrival": arrival,
-            "served": served,
-            "link_served": link_served_delta,
-            "wait_num": wait_num_delta,
-            "wait_den": wait_den_delta,
-            "link_rt": rt_delta,
-            "link_drops": drop_delta,
-            "shed": shed,
-            "sample": sample,
-        }
-
-    # -- steady-state fast-forward ---------------------------------------
-    def _next_boundary(self, e: int, end: int) -> int:
-        """The last epoch (exclusive) a steady jump from ``e`` may
-        cover: every covered epoch must share ``e-1``'s length (the
-        trailing partial epoch re-runs exactly) and its side of the
-        warmup line (sample recording switches on there).  ``end`` is
-        the current span's wall — a jump never crosses a link-state
-        boundary."""
-        if e >= end:
-            return e
-        dt = self.dts[e - 1]
-        boundary = e
-        before_warmup = self.t0s[e - 1] < self.warmup
-        while boundary < end:
-            if self.dts[boundary] != dt:
-                break
-            if before_warmup and self.t0s[boundary] >= self.warmup:
-                break
-            boundary += 1
-        return boundary
-
-    def _replay(self, deltas: dict, e0: int, e1: int) -> None:
-        """Apply a steady reference epoch's deltas to epochs
-        ``[e0, e1)`` without recomputing them.  The backlog vector is
-        bit-identical across the interval by construction, so every
-        elided epoch's per-flow state and samples equal the
-        epoch-by-epoch schedule exactly; run totals fold the identical
-        per-epoch deltas in closed form."""
-        n = e1 - e0
-        self.generated += deltas["arrival"] * n
-        self.delivered += deltas["served"] * n
-        self.dropped += deltas["shed"] * n
-        self.link_served += deltas["link_served"] * n
-        self.wait_num += deltas["wait_num"] * n
-        self.wait_den += deltas["wait_den"] * n
-        self.link_rt += deltas["link_rt"] * n
-        self.link_drops += deltas["link_drops"] * n
-        if deltas["sample"] is not None:
-            delay, w = deltas["sample"]
-            for _ in range(n):
-                self.rec_delays.append(delay)
-                self.rec_weights.append(w)
-        self.events += self.F * n
-        self.stats["epochs_fast_forwarded"] += n
 
     # -- waterfill -------------------------------------------------------
     def _waterfill(

@@ -91,13 +91,13 @@ except ImportError:  # pragma: no cover - exercised on numpy-free CI
 
 #: Keys of :attr:`FluidSimulation.kernel_stats`: phase-grid columns
 #: evaluated; epochs served in a fused closed-form prefix / through the
-#: exact single-epoch waterfill / replayed by fast-forward; waterfill
-#: invocations and rounds; and, per (link-state transition, flow) of the
-#: control plan, paths that came back as the base path object itself
-#: versus paths resolved on the masked graph.
+#: exact single-epoch waterfill; waterfill invocations and rounds; and,
+#: per (link-state transition, flow) of the control plan, paths that
+#: came back as the base path object itself versus paths resolved on
+#: the masked graph.
 KERNEL_STATS = (
     "grid_columns", "epochs_fused", "epochs_single",
-    "epochs_fast_forwarded", "waterfill_calls", "waterfill_rounds",
+    "waterfill_calls", "waterfill_rounds",
     "plan_paths_inherited", "plan_paths_rewalked",
 )
 
@@ -118,10 +118,6 @@ class FluidOptions:
             that only read aggregate results turn this off to skip the
             per-epoch sample bookkeeping; ``FlowStats`` rows still
             appear, with zeroed delay statistics.
-        fast_forward: let the NumPy kernel jump steady constant-demand
-            intervals in closed form; results stay bit-identical to
-            the epoch-by-epoch schedule (``False``, the reference the
-            equivalence tests step) — see :mod:`repro.fluid.kernel`.
         fuse_epochs: epochs per fused kernel block (0 = sized
             automatically from the incidence, the default).
     """
@@ -129,7 +125,6 @@ class FluidOptions:
     epoch_seconds: Optional[float] = None
     backend: str = "auto"
     record_flows: bool = True
-    fast_forward: bool = True
     fuse_epochs: int = 0
 
     def __post_init__(self):

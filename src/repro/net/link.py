@@ -292,11 +292,6 @@ class Link:
             busy += now - self._busy_since
         return busy / elapsed
 
-    def reset_utilization(self) -> None:
-        """Restart utilization accounting (used to skip warm-up transients)."""
-        self._busy_start = self._busy_since = self.sim.now
-        self._busy_integral = 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = ("busy" if self.busy else "idle") if self.up else "down"
         return f"<Link {self.name} {self.rate_bps / 1e6:.2f}Mbps {state}>"

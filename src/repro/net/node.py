@@ -147,12 +147,6 @@ class Switch(Node):
         self.ports[neighbor] = port
         return port
 
-    def port_to(self, neighbor: str) -> OutputPort:
-        try:
-            return self.ports[neighbor]
-        except KeyError:
-            raise KeyError(f"switch {self.name} has no port to {neighbor}") from None
-
     def clear_forwarding(self) -> None:
         """Forget every resolved route (the routing answer may have changed)."""
         self._forwarding.clear()

@@ -556,16 +556,20 @@ class ScenarioContext:
                 rate_bps=flow.average_rate_pps * flow.packet_size_bits,
                 depth_bits=flow.bucket_packets * flow.packet_size_bits,
             )
+        try:
+            params = OnOffParams(
+                average_rate_pps=flow.average_rate_pps,
+                mean_burst_packets=flow.mean_burst_packets,
+                peak_rate_pps=flow.peak_rate_pps,
+            )
+        except ValueError as exc:
+            raise ValueError(f"flow {flow.name!r}: {exc}") from None
         source = OnOffMarkovSource(
             self.sim,
             self.net.hosts[flow.source_host],
             flow.name,
             flow.dest_host,
-            OnOffParams(
-                average_rate_pps=flow.average_rate_pps,
-                mean_burst_packets=flow.mean_burst_packets,
-                peak_rate_pps=flow.peak_rate_pps,
-            ),
+            params,
             self.streams.stream(f"{SOURCE_STREAM_PREFIX}{flow.name}"),
             packet_size_bits=flow.packet_size_bits,
             service_class=service_class,

@@ -558,6 +558,9 @@ class FlowSpec(_Wire):
     removes the source-side filter.
 
     Attributes:
+        peak_rate_pps: P, the in-burst rate (``None`` = 2A).  P <= A is a
+            constant-rate source, which runs only on the fluid engine:
+            the packet engine refuses the flow when it builds it.
         request: optional service request.  With an admission-controlled
             scenario the flow is established through signaling before any
             traffic starts and its service class / predicted priority come

@@ -49,9 +49,6 @@ class Scheduler(abc.ABC):
     def __len__(self) -> int:
         """Number of packets currently queued."""
 
-    def peek_is_empty(self) -> bool:
-        return len(self) == 0
-
     #: Whether the owning port may *batch-drain* this scheduler: serve
     #: several consecutive packets inside one link-completion event, with
     #: departure timestamps computed arithmetically.  Safe only for

@@ -79,10 +79,6 @@ class TokenBucket:
         self._tokens = level
         return False
 
-    def conformance_deficit(self, size_bits: float, now: float) -> float:
-        """How many bits short of conforming a packet would be (0 if ok)."""
-        return max(0.0, size_bits - self.tokens_at(now))
-
 
 class TokenBucketFilter:
     """An enforcement point wrapping a :class:`TokenBucket` (Sections 4, 8).

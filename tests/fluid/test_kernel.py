@@ -1,7 +1,7 @@
 """Fused-kernel guarantees: kernel-vs-pure property grid, fused-block
-bit-identity, and steady-state fast-forward equivalence.
+bit-identity, the block cursor, and the sample-recording window.
 
-Three distinct contracts, tested at three distinct strengths:
+Distinct contracts, tested at distinct strengths:
 
 * kernel (NumPy) vs the authoritative pure backend: agreement at
   ``rel=1e-9`` across generated fat-trees, disciplines, and saturation
@@ -10,10 +10,9 @@ Three distinct contracts, tested at three distinct strengths:
 * fused multi-epoch blocks vs the kernel's own single-epoch schedule:
   per-flow state and samples *bitwise* equal — fusing may only change
   the fold order of run aggregates (pinned at 1e-9).
-* fast-forward on vs off: *bitwise* equal everything, including exact
-  ``events_processed`` and per-epoch sample lists, with the warmup
-  crossing (the admission-to-statistics event an elided epoch must not
-  straddle) landing exactly on a would-be-skipped epoch boundary.
+* the recording window: samples start at the first epoch with
+  ``t0 >= warmup`` on both backends, including a warmup that lands
+  exactly on an epoch edge.
 * the block cursor: every epoch's phase-grid column evaluated exactly
   once (``kernel_stats`` counts, never wall clock) in congested,
   backlogged, mixed and outage-segmented runs, *bitwise* equal to
@@ -143,10 +142,9 @@ class TestFusedBlockBitIdentity:
 
 
 def constant_population(rates_pps, duration=10.25, warmup=3.0):
-    """All-constant (duty = 1) flows on one link: the fast-forward
-    regime.  ``duration=10.25`` leaves a trailing partial epoch the
-    jump must stop short of."""
-    builder = ScenarioBuilder("ff-steady").single_link().duration(
+    """All-constant (duty = 1) flows on one link.  ``duration=10.25``
+    leaves a trailing partial epoch."""
+    builder = ScenarioBuilder("constant-rate").single_link().duration(
         duration
     ).seed(1)
     builder.warmup(warmup)
@@ -159,108 +157,26 @@ def constant_population(rates_pps, duration=10.25, warmup=3.0):
     return builder.build().replace(engine="fluid")
 
 
-def run_ff(spec, fast_forward, monkeypatch=None):
-    """Run on the kernel, counting exact single-epoch computations."""
-    from repro.fluid import kernel as kernel_mod
+@pytest.mark.parametrize("backend", ("numpy", "pure"))
+class TestRecordingWindow:
+    """Samples are recorded for exactly the epochs with ``t0 >=
+    warmup``, 0.5 s epochs at t0 = 0, 0.5, ..., 10.0."""
 
-    calls = {"n": 0}
-    if monkeypatch is not None:
-        original = kernel_mod.FluidKernel._single_epoch
-
-        def counting(self, *args, **kwargs):
-            calls["n"] += 1
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(
-            kernel_mod.FluidKernel, "_single_epoch", counting
-        )
-    sim = FluidSimulation(
-        spec, spec.disciplines[0],
-        FluidOptions(
-            backend="numpy", epoch_seconds=0.5, fast_forward=fast_forward
-        ),
-    )
-    sim.run()
-    if monkeypatch is not None:
-        monkeypatch.undo()
-    return sim, calls["n"]
-
-
-class TestFastForward:
-    def assert_bitwise_equal(self, a, b):
-        for field in (
-            "generated_bits", "delivered_bits", "backlog_bits",
-            "dropped_bits", "link_served_bits", "link_wait_num",
-            "link_wait_den", "link_realtime_bits",
-        ):
-            assert getattr(a, field) == getattr(b, field), field
-        assert a.events_processed == b.events_processed
-        assert a.samples == b.samples
-
-    def test_steady_interval_elided_exactly(self, monkeypatch):
-        """Uncongested constant flows: the kernel must compute only the
-        reference epochs around each boundary and replay the rest, with
-        results bitwise equal to stepping every epoch."""
-        spec = constant_population((200, 300))
-        ff, computed = run_ff(spec, True, monkeypatch)
-        plain, _ = run_ff(spec, False, monkeypatch)
-        # 21 epochs (ceil(10.25 / 0.5)); fast-forward computes only the
-        # reference epoch at each jump landing plus the trailing
-        # partial epoch — everything else replays.
-        assert computed <= 4
-        assert ff.kernel_stats["epochs_single"] == computed
-        assert ff.kernel_stats["epochs_fast_forwarded"] == 21 - computed
-        assert plain.kernel_stats["epochs_fast_forwarded"] == 0
-        self.assert_bitwise_equal(ff, plain)
-
-    def test_warmup_exactly_on_epoch_boundary(self, monkeypatch):
-        """The adversarial case: sample recording switches on at
-        t = 3.0, exactly an epoch edge inside the would-be-skipped
-        steady interval.  The jump must stop there — eliding across it
-        would mis-count the recorded epochs."""
+    def test_warmup_exactly_on_epoch_boundary(self, backend):
+        """Recording switches on at t = 3.0, exactly an epoch edge: the
+        epoch starting there is the first recorded one."""
         spec = constant_population((200, 300), warmup=3.0)
-        ff, _ = run_ff(spec, True, monkeypatch)
-        plain, _ = run_ff(spec, False, monkeypatch)
-        # Epochs with t0 >= 3.0 out of t0 = 0, 0.5, ..., 10.0: 15.
-        for f, rows in plain.samples.items():
+        sim = run_backend(spec, "FIFO", backend)
+        assert len(sim.samples) == 2
+        for rows in sim.samples.values():
             assert len(rows) == 15
-        self.assert_bitwise_equal(ff, plain)
 
-    def test_warmup_strictly_inside_jump_interval(self, monkeypatch):
+    def test_warmup_strictly_inside_an_epoch(self, backend):
         spec = constant_population((200, 300), warmup=3.2)
-        ff, _ = run_ff(spec, True, monkeypatch)
-        plain, _ = run_ff(spec, False, monkeypatch)
-        for f, rows in plain.samples.items():
+        sim = run_backend(spec, "FIFO", backend)
+        assert len(sim.samples) == 2
+        for rows in sim.samples.values():
             assert len(rows) == 14  # first recordable t0 is 3.5
-        self.assert_bitwise_equal(ff, plain)
-
-    def test_saturated_steady_state_still_exact(self, monkeypatch):
-        """Overloaded constant flows grow backlog every epoch: no
-        steady state, so nothing may be elided — and results must
-        still match the plain schedule bitwise."""
-        spec = constant_population((800, 600))
-        ff, computed = run_ff(spec, True, monkeypatch)
-        plain, stepped = run_ff(spec, False, monkeypatch)
-        assert computed == stepped  # every epoch computed exactly
-        assert sum(ff.backlog_bits) > 0
-        self.assert_bitwise_equal(ff, plain)
-
-    def test_on_off_flows_never_fast_forward(self, monkeypatch):
-        """duty < 1 flows transition within the run; the constant-set
-        precondition fails and the fused block path serves instead."""
-        builder = ScenarioBuilder("ff-onoff").single_link().duration(
-            10.0
-        ).seed(1)
-        builder.warmup(3.0)
-        builder.add_flow(
-            "bursty", "src-host", "dst-host",
-            average_rate_pps=200, record=True,
-        )
-        builder.disciplines(DisciplineSpec.fifo())
-        spec = builder.build().replace(engine="fluid")
-        ff, _ = run_ff(spec, True, monkeypatch)
-        plain, _ = run_ff(spec, False, monkeypatch)
-        self.assert_bitwise_equal(ff, plain)
 
 
 STATE_FIELDS = (

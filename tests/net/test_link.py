@@ -89,15 +89,6 @@ class TestLink:
         assert link.packets_delivered == 1
         assert link.packets_lost == 0
 
-    def test_reset_utilization(self, sim):
-        link = Link(sim, "L", rate_bps=1_000_000)
-        link.connect(Collector(sim))
-        sim.schedule(0.0, lambda: link.transmit(make_packet()))
-        sim.run(until=0.001)
-        link.reset_utilization()
-        sim.run(until=0.002)
-        assert link.utilization() == pytest.approx(0.0)
-
     def test_invalid_parameters(self, sim):
         with pytest.raises(ValueError):
             Link(sim, "L", rate_bps=0)

@@ -258,6 +258,34 @@ class TestPartialRuns:
         assert partial > 0.75 * full
 
 
+class TestConstantRateFlow:
+    """P = A is a constant-rate source: valid on the fluid engine, and
+    refused by the packet engine under the flow's own name."""
+
+    def spec(self):
+        return (
+            ScenarioBuilder("constant-rate")
+            .single_link()
+            .add_flow(
+                "steady", "src-host", "dst-host",
+                average_rate_pps=200, peak_rate_pps=200,
+            )
+            .discipline(DisciplineSpec.fifo())
+            .duration(2.0)
+            .build()
+        )
+
+    def test_packet_build_names_the_flow(self):
+        with pytest.raises(
+            ValueError, match=r"^flow 'steady': peak rate must exceed"
+        ):
+            ScenarioRunner(self.spec()).build()
+
+    def test_fluid_engine_runs_it(self):
+        result = ScenarioRunner(self.spec().replace(engine="fluid")).run()
+        assert result.runs[0].flow("steady").generated > 0
+
+
 class TestParallelDisciplines:
     def test_workers_match_serial(self):
         spec = (
