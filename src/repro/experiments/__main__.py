@@ -84,6 +84,7 @@ from repro.scenario import (
     IncompleteSweepError,
     ScenarioRunner,
     ScenarioSpec,
+    SweepExecutor,
     registry,
 )
 
@@ -169,8 +170,6 @@ def _run_sweep_cli(spec: ScenarioSpec, sweep_plan: tuple, args) -> tuple:
     message per failure the exit code must report — invariant violations
     in a completed validated run, runs whose worker process died.
     """
-    from repro.scenario import SweepExecutor
-
     over, seeds, total = sweep_plan
     finished = [0]
 
@@ -420,14 +419,18 @@ def main(argv: list[str] | None = None) -> int:
             "--validate applies to --spec runs (the 'generated' experiment "
             "and gen: scenarios validate by themselves)"
         )
-    if args.gen_seeds is not None:
-        try:
-            gen_seed_list = _parse_sweep_seeds(args.gen_seeds)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        gen_seed_list = None
+    try:
+        # The executor's own checks: a negative or fractional worker
+        # count, or a negative or non-finite budget, fails before any run.
+        SweepExecutor(workers=args.workers, budget_seconds=args.budget_seconds)
+        gen_seed_list = (
+            _parse_sweep_seeds(args.gen_seeds)
+            if args.gen_seeds is not None
+            else None
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     # Invariant violations flip the exit code but must not suppress the
     # --json payload: the per-check records are the debugging artifact.

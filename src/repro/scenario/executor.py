@@ -48,6 +48,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import numbers
 import pickle
 import time
 from typing import (
@@ -86,6 +87,40 @@ BUDGET_SLICES = 32
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 _UNSET = object()
+
+
+def _checked_workers(workers) -> int:
+    """``None``/``0``/``1`` mean serial; anything but a non-negative
+    integer is refused rather than truncated or read as serial."""
+    if workers is None:
+        return 0
+    if (
+        isinstance(workers, bool)
+        or not isinstance(workers, numbers.Integral)
+        or workers < 0
+    ):
+        raise ValueError(
+            f"workers must be a non-negative integer or None, got {workers!r}"
+        )
+    return int(workers)
+
+
+def _checked_budget(budget_seconds):
+    """A budget is ``None`` or a finite number of seconds >= 0 (a
+    negative one would expire every run, a NaN one none)."""
+    if budget_seconds is None:
+        return None
+    if (
+        isinstance(budget_seconds, bool)
+        or not isinstance(budget_seconds, numbers.Real)
+        or not math.isfinite(budget_seconds)
+        or budget_seconds < 0
+    ):
+        raise ValueError(
+            "budget_seconds must be None or a finite number >= 0, "
+            f"got {budget_seconds!r}"
+        )
+    return budget_seconds
 
 
 # ----------------------------------------------------------------------
@@ -551,9 +586,11 @@ class SweepExecutor:
 
     Args:
         workers: process count; ``None``/``0``/``1`` executes serially in
-            this process (still streaming through ``on_result``).
+            this process (still streaming through ``on_result``).  A
+            negative or non-integer count raises ``ValueError``.
         budget_seconds: default per-task wall-clock budget applied to
-            every ``run_sweep`` call that does not override it.
+            every ``run_sweep`` call that does not override it; ``None``
+            or a finite number >= 0, else ``ValueError``.
         track_task_bytes: also count the pickled bytes of every task
             payload in ``stats["task_bytes"]`` (off by default: measuring
             costs a second serialization of each payload).
@@ -583,8 +620,8 @@ class SweepExecutor:
         budget_seconds: Optional[float] = None,
         track_task_bytes: bool = False,
     ):
-        self.workers = int(workers) if workers else 0
-        self.budget_seconds = budget_seconds
+        self.workers = _checked_workers(workers)
+        self.budget_seconds = _checked_budget(budget_seconds)
         self.track_task_bytes = track_task_bytes
         self._pool = None
         self._pool_base: Optional[ScenarioSpec] = None
@@ -687,7 +724,9 @@ class SweepExecutor:
             order with an explicit status.
         """
         budget = (
-            self.budget_seconds if budget_seconds is _UNSET else budget_seconds
+            self.budget_seconds
+            if budget_seconds is _UNSET
+            else _checked_budget(budget_seconds)
         )
         deltas = expand_deltas(spec, over=over, seeds=seeds)
         run_specs = [

@@ -1,9 +1,9 @@
-"""Ablation: the b/r trade-off behind guaranteed service (Section 4).
+"""Claim: the b/r trade-off behind guaranteed service (Section 4).
 
 Two views of the Parekh-Gallager bound:
 
 1. Analytic: sweep the clock rate r for the paper's (A, 50-packet) source
-   and print the b/r fluid bound — "the means by which the source can
+   and compute the b/r fluid bound — "the means by which the source can
    improve the worst case bound is to increase its r parameter".
 2. Empirical: a greedy source that dumps its full bucket as one burst into
    a WFQ link with adversarial cross traffic; the measured worst delay must
@@ -18,18 +18,23 @@ sources, not hand-timed full-bucket dumps).
 
 import functools
 
-from benchmarks.conftest import BENCH_SEED, run_once
 from repro.core.bounds import parekh_gallager_fluid_bound
-from repro.experiments import common
 from repro.net.packet import Packet, ServiceClass
 from repro.scenario import DisciplineSpec, ScenarioBuilder, ScenarioRunner
+from repro.scenario.paper import (
+    AVERAGE_RATE_PPS,
+    BUCKET_PACKETS,
+    PACKET_BITS,
+    TX_TIME_SECONDS,
+)
 from repro.sched.wfq import WfqScheduler
 from repro.traffic.sink import DelayRecordingSink
 
-BUCKET_BITS = common.BUCKET_PACKETS * common.PACKET_BITS  # 50 packets
+BUCKET_BITS = BUCKET_PACKETS * PACKET_BITS  # 50 packets
 RATE_MULTIPLES = (1.0, 1.5, 2.0, 4.0)  # x the average rate A
-BASE_RATE_BPS = common.AVERAGE_RATE_PPS * common.PACKET_BITS
+BASE_RATE_BPS = AVERAGE_RATE_PPS * PACKET_BITS
 DURATION = 2.0
+SEED = 1
 
 
 def _wfq_with_reservations(clock_rate_bps, sim, port_name, link):
@@ -72,7 +77,7 @@ def measured_burst_delay(clock_rate_bps, seed):
             port.enqueue(
                 Packet(
                     flow_id=flow_id,
-                    size_bits=common.PACKET_BITS,
+                    size_bits=PACKET_BITS,
                     created_at=sim.now,
                     source="src-host",
                     destination="dst-host",
@@ -88,14 +93,14 @@ def measured_burst_delay(clock_rate_bps, seed):
 
     sim.schedule(0.0, hog_refill)
     sim.schedule(
-        0.1, lambda: blast("victim", int(common.BUCKET_PACKETS),
+        0.1, lambda: blast("victim", int(BUCKET_PACKETS),
                            ServiceClass.GUARANTEED)
     )
     context.run()
-    return sink.max_queueing(common.TX_TIME_SECONDS)
+    return sink.max_queueing(TX_TIME_SECONDS)
 
 
-def run_sweep(seed: int = BENCH_SEED):
+def run_sweep(seed: int = SEED):
     rows = []
     for multiple in RATE_MULTIPLES:
         rate = multiple * BASE_RATE_BPS
@@ -105,33 +110,20 @@ def run_sweep(seed: int = BENCH_SEED):
             {
                 "multiple": multiple,
                 "rate_bps": rate,
-                "bound_tx": bound / common.TX_TIME_SECONDS,
+                "bound_tx": bound / TX_TIME_SECONDS,
                 "measured_tx": measured,
             }
         )
     return rows
 
 
-def test_bench_ablation_bucket_depth(benchmark):
-    rows = run_once(benchmark, run_sweep)
-    print()
-    print("P-G b/r trade-off — full-bucket burst under WFQ (tx times)")
-    print(common.format_table(
-        ["r / A", "b/r bound", "measured max"],
-        [
-            [f"{r['multiple']:.1f}", f"{r['bound_tx']:.1f}",
-             f"{r['measured_tx']:.1f}"]
-            for r in rows
-        ],
-    ))
+def test_bucket_depth():
+    rows = run_sweep()
     for row in rows:
-        benchmark.extra_info[f"r={row['multiple']}A"] = (
-            f"bound={row['bound_tx']:.1f} measured={row['measured_tx']:.1f}"
-        )
         # The guarantee holds with adversarial cross traffic...
-        assert row["measured_tx"] <= row["bound_tx"] * 1.02
+        assert row["measured_tx"] <= row["bound_tx"] * 1.02, rows
         # ...and is reasonably tight for a full-bucket burst (within ~50 %).
-        assert row["measured_tx"] > 0.5 * row["bound_tx"]
+        assert row["measured_tx"] > 0.5 * row["bound_tx"], rows
     # Raising r monotonically improves the worst case.
     measured = [row["measured_tx"] for row in rows]
-    assert measured == sorted(measured, reverse=True)
+    assert measured == sorted(measured, reverse=True), rows

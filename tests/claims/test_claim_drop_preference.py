@@ -1,4 +1,4 @@
-"""Ablation: drop-preference layering (Section 10, item 1).
+"""Claim: drop-preference layering (Section 10, item 1).
 
 "If overload causes some of the packets from a source to miss their
 deadline, the source should be able to separate its packets into different
@@ -18,8 +18,6 @@ runner, with a drop listener on the bottleneck port sorting the shed
 packets by layer.
 """
 
-from benchmarks.conftest import BENCH_SEED, run_once
-from repro.experiments import common
 from repro.net.packet import ServiceClass
 from repro.scenario import DisciplineSpec, ScenarioBuilder, ScenarioRunner
 
@@ -27,9 +25,10 @@ FLOWS_PER_LAYER = 8  # 16 x 85 = 1360 pkt/s offered against 1000 capacity
 DURATION = 30.0
 BUFFER_PACKETS = 60
 BOTTLENECK = "A->B"
+SEED = 1
 
 
-def overload_spec(seed: int = BENCH_SEED):
+def overload_spec(seed: int = SEED):
     builder = (
         ScenarioBuilder("drop-preference-overload")
         .single_link(buffer_packets=BUFFER_PACKETS)
@@ -50,7 +49,7 @@ def overload_spec(seed: int = BENCH_SEED):
     return builder.build()
 
 
-def run_overload(seed: int = BENCH_SEED):
+def run_overload(seed: int = SEED):
     context = ScenarioRunner(overload_spec(seed)).build()
     drops = {"important": 0, "unimportant": 0}
 
@@ -71,25 +70,11 @@ def run_overload(seed: int = BENCH_SEED):
     return drops, received
 
 
-def test_bench_ablation_drop_preference(benchmark):
-    drops, received = run_once(benchmark, run_overload)
-    print()
-    print("Drop preference under 136% overload — who gets shed?")
-    print(common.format_table(
-        ["layer", "delivered", "dropped"],
-        [
-            [layer, str(received[layer]), str(drops[layer])]
-            for layer in ("important", "unimportant")
-        ],
-    ))
-    benchmark.extra_info.update(
-        {
-            "important_dropped": drops["important"],
-            "unimportant_dropped": drops["unimportant"],
-        }
-    )
+def test_drop_preference():
+    drops, received = run_overload()
+    measured = {"dropped": drops, "delivered": received}
     # Overload is real (lots of shedding)...
-    assert drops["unimportant"] > 1000
+    assert drops["unimportant"] > 1000, measured
     # ...and essentially all of it lands on the unimportant layer.
-    assert drops["important"] <= 0.01 * drops["unimportant"]
-    assert received["important"] > received["unimportant"]
+    assert drops["important"] <= 0.01 * drops["unimportant"], measured
+    assert received["important"] > received["unimportant"], measured

@@ -1,4 +1,4 @@
-"""Ablation: isolation vs sharing (Section 5's gedanken experiment).
+"""Claim: isolation vs sharing (Section 5's gedanken experiment).
 
 Nine smooth CBR flows plus one bursty on/off flow share a link.  Under WFQ
 (isolation) the burster's own tail delay explodes while its peers stay
@@ -15,14 +15,13 @@ Both disciplines' contexts are built from the one spec, so the burster's
 arrival process is paired by construction.
 """
 
-from benchmarks.conftest import BENCH_SEED, run_once
-from repro.experiments import common
 from repro.scenario import (
     DisciplineSpec,
     FlowSpec,
     ScenarioBuilder,
     ScenarioRunner,
 )
+from repro.scenario.paper import TX_TIME_SECONDS
 from repro.traffic.cbr import CbrSource
 from repro.traffic.sink import DelayRecordingSink
 
@@ -31,6 +30,7 @@ SMOOTH_RATE_PPS = 80.0
 BURSTY_RATE_PPS = 85.0
 DURATION = 60.0
 WARMUP = 5.0
+SEED = 1
 
 
 def isolation_spec(seed: int):
@@ -86,45 +86,27 @@ def run_discipline(discipline: str, seed: int):
     context = ScenarioRunner(isolation_spec(seed)).build(discipline)
     _attach_smooth_peers(context)
     context.run()
-    unit = common.TX_TIME_SECONDS
     result = context.collect()
-    bursty = result.flow("bursty").percentile_in(99.9, unit)
+    bursty = result.flow("bursty").percentile_in(99.9, TX_TIME_SECONDS)
     peers = [
-        result.flow(f"smooth-{i}").percentile_in(99.9, unit)
+        result.flow(f"smooth-{i}").percentile_in(99.9, TX_TIME_SECONDS)
         for i in range(NUM_SMOOTH)
     ]
     return bursty, sum(peers) / len(peers)
 
 
-def run_ablation(seed: int = BENCH_SEED):
+def run_ablation(seed: int = SEED):
     return {name: run_discipline(name, seed) for name in ("WFQ", "FIFO")}
 
 
-def test_bench_ablation_isolation_sharing(benchmark):
-    results = run_once(benchmark, run_ablation)
-    print()
-    print("Isolation vs sharing — 99.9 %ile queueing delay (tx times)")
-    print(common.format_table(
-        ["discipline", "bursty flow", "peer average"],
-        [
-            [name, f"{bursty:.2f}", f"{peers:.2f}"]
-            for name, (bursty, peers) in results.items()
-        ],
-    ))
+def test_isolation_sharing():
+    results = run_ablation()
     wfq_bursty, wfq_peers = results["WFQ"]
     fifo_bursty, fifo_peers = results["FIFO"]
-    benchmark.extra_info.update(
-        {
-            "wfq_bursty_p999": round(wfq_bursty, 2),
-            "wfq_peer_p999": round(wfq_peers, 2),
-            "fifo_bursty_p999": round(fifo_bursty, 2),
-            "fifo_peer_p999": round(fifo_peers, 2),
-        }
-    )
     # Isolation: the burster pays for its own bursts under WFQ...
-    assert wfq_bursty > 2.0 * wfq_peers
+    assert wfq_bursty > 2.0 * wfq_peers, results
     # ...sharing: FIFO redistributes that jitter, shrinking the burster's
     # tail substantially.
-    assert fifo_bursty < 0.7 * wfq_bursty
+    assert fifo_bursty < 0.7 * wfq_bursty, results
     # The price of sharing: peers carry more jitter under FIFO than WFQ.
-    assert fifo_peers > wfq_peers
+    assert fifo_peers > wfq_peers, results

@@ -1,4 +1,4 @@
-"""Bench: CSZ vs the Jacobson-Floyd scheme (Section 11).
+"""Claim: CSZ vs the Jacobson-Floyd scheme (Section 11).
 
 The paper's two concrete contrasts with the only other predicted-service
 architecture it discusses:
@@ -20,15 +20,15 @@ architecture it discusses:
    tightens.
 """
 
-from benchmarks.conftest import BENCH_SEED, run_once
-from repro.experiments import common
 from repro.net.packet import ServiceClass
 from repro.scenario import DisciplineSpec, ScenarioBuilder, ScenarioRunner
+from repro.scenario.paper import AVERAGE_RATE_PPS, PACKET_BITS, TX_TIME_SECONDS
 
 NUM_FLOWS = 10
 DURATION = 45.0
 WARMUP = 5.0
 POLICER_DEPTHS = (50.0, 40.0, 30.0)
+SEED = 1
 
 SHARING_DISCIPLINES = (
     DisciplineSpec.fifo(name="CSZ (FIFO in class)"),
@@ -50,10 +50,9 @@ def run_sharing_styles(seed):
         .build()
     )
     result = ScenarioRunner(spec).run()
-    unit = common.TX_TIME_SECONDS
     out = {}
     for run in result.runs:
-        p999s = [f.percentile_in(99.9, unit) for f in run.flows]
+        p999s = [f.percentile_in(99.9, TX_TIME_SECONDS) for f in run.flows]
         out[run.discipline] = sum(p999s) / len(p999s)
     return out
 
@@ -78,14 +77,14 @@ def run_per_switch_policing(depth_packets, seed):
         for flow in spec.flows:
             scheduler.add_policer(
                 flow.name,
-                common.AVERAGE_RATE_PPS * common.PACKET_BITS,
-                depth_packets * common.PACKET_BITS,
+                AVERAGE_RATE_PPS * PACKET_BITS,
+                depth_packets * PACKET_BITS,
             )
     context.run()
     return sum(s.policed_drops for s in schedulers)
 
 
-def run_comparison(seed: int = BENCH_SEED):
+def run_comparison(seed: int = SEED):
     sharing = run_sharing_styles(seed)
     policing = {
         depth: run_per_switch_policing(depth, seed)
@@ -94,28 +93,15 @@ def run_comparison(seed: int = BENCH_SEED):
     return sharing, policing
 
 
-def test_bench_jacobson_floyd(benchmark):
-    sharing, policing = run_once(benchmark, run_comparison)
-    print()
-    print("Within-class sharing style — mean per-flow 99.9 %ile (tx times)")
-    print(common.format_table(
-        ["scheme", "p999"],
-        [[kind, f"{value:.2f}"] for kind, value in sharing.items()],
-    ))
-    print()
-    print("Per-switch policing of source-conforming traffic (4-hop chain)")
-    print(common.format_table(
-        ["policer depth (pkts)", "in-network policed drops"],
-        [[f"{depth:.0f}", str(count)] for depth, count in policing.items()],
-    ))
-    for kind, value in sharing.items():
-        benchmark.extra_info[kind] = round(value, 2)
-    for depth, count in policing.items():
-        benchmark.extra_info[f"drops@b={depth:.0f}"] = count
+def test_jacobson_floyd():
+    sharing, policing = run_comparison()
+    measured = {"sharing p999": sharing, "policed drops": policing}
     # 1. FIFO sharing beats round robin inside a homogeneous class.
-    assert sharing["CSZ (FIFO in class)"] < 0.9 * sharing["J-F (RR in class)"]
+    assert (
+        sharing["CSZ (FIFO in class)"] < 0.9 * sharing["J-F (RR in class)"]
+    ), measured
     # 2. Per-switch policing punishes network-induced distortion, and the
     #    damage grows monotonically as the policer tightens.
     counts = [policing[depth] for depth in POLICER_DEPTHS]
-    assert counts[0] > 0
-    assert counts == sorted(counts)
+    assert counts[0] > 0, measured
+    assert counts == sorted(counts), measured

@@ -1,4 +1,4 @@
-"""Bench: the non-work-conserving trade-off (Section 11 related work).
+"""Claim: the non-work-conserving trade-off (Section 11 related work).
 
 "Several non-work-conserving scheduling algorithms have been proposed ...
 packets are not allowed to leave early.  These algorithms typically
@@ -6,7 +6,7 @@ deliver higher average delays in return for lower jitter."
 
 We run the Table-2 workload (Figure-1 chain, 22 flows) under FIFO,
 Stop-and-Go (frame 50 ms), and Jitter-EDD (80 ms per-hop target) — one
-scenario spec, three disciplines — and report the 4-hop flow's mean,
+scenario spec, three disciplines — and measure the 4-hop flow's mean,
 99.9 %ile, and spread (p99.9 - p1 — the post facto jitter a play-back
 client must buffer for):
 
@@ -18,9 +18,8 @@ client must buffer for):
   behaviour CSZ deliberately trades away in exchange for lower delay.
 """
 
-from benchmarks.conftest import BENCH_SEED, run_once
-from repro.experiments import common
 from repro.scenario import DisciplineSpec, ScenarioBuilder, ScenarioRunner
+from repro.scenario.paper import TX_TIME_SECONDS
 
 DURATION = 45.0
 WARMUP = 5.0
@@ -28,9 +27,10 @@ FRAME_SECONDS = 0.05
 JEDD_TARGET = 0.08
 FOUR_HOP_FLOW = "i1"
 CDF_POINTS = (1.0, 99.9)
+SEED = 1
 
 
-def tradeoff_spec(seed: int = BENCH_SEED):
+def tradeoff_spec(seed: int = SEED):
     return (
         ScenarioBuilder("nonwork-tradeoff")
         .paper_chain()
@@ -48,9 +48,10 @@ def tradeoff_spec(seed: int = BENCH_SEED):
     )
 
 
-def run_comparison(seed: int = BENCH_SEED):
+def run_comparison(seed: int = SEED):
+    """(mean, p999, spread) of the 4-hop flow per discipline, tx units."""
     result = ScenarioRunner(tradeoff_spec(seed)).run()
-    unit = common.TX_TIME_SECONDS
+    unit = TX_TIME_SECONDS
     out = {}
     for run in result.runs:
         sink = run.flow(FOUR_HOP_FLOW)
@@ -61,30 +62,17 @@ def run_comparison(seed: int = BENCH_SEED):
     return out
 
 
-def test_bench_nonwork_tradeoff(benchmark):
-    results = run_once(benchmark, run_comparison)
-    print()
-    print("Work-conserving vs not — 4-hop flow (tx times)")
-    print(common.format_table(
-        ["discipline", "mean", "99.9 %ile", "spread"],
-        [
-            [kind, f"{mean:.2f}", f"{p999:.2f}", f"{spread:.2f}"]
-            for kind, (mean, p999, spread) in results.items()
-        ],
-    ))
-    for kind, (mean, p999, spread) in results.items():
-        benchmark.extra_info[kind] = (
-            f"mean={mean:.1f} p999={p999:.1f} spread={spread:.1f}"
-        )
+def test_nonwork_tradeoff():
+    results = run_comparison()
     fifo_mean, __, fifo_spread = results["FIFO"]
     sg_mean, sg_p999, __ = results["Stop-and-Go"]
     jedd_mean, __, jedd_spread = results["Jitter-EDD"]
     # Higher average delay...
-    assert sg_mean > 5.0 * fifo_mean
-    assert jedd_mean > 5.0 * fifo_mean
+    assert sg_mean > 5.0 * fifo_mean, results
+    assert jedd_mean > 5.0 * fifo_mean, results
     # ...in return for lower / bounded jitter.
-    assert jedd_spread < 0.7 * fifo_spread
-    frame_tx = FRAME_SECONDS / common.TX_TIME_SECONDS
+    assert jedd_spread < 0.7 * fifo_spread, results
+    frame_tx = FRAME_SECONDS / TX_TIME_SECONDS
     hops = 4
     # Stop-and-Go's spread around its own mean is bounded by ~a frame/hop.
-    assert sg_p999 - sg_mean < hops * frame_tx
+    assert sg_p999 - sg_mean < hops * frame_tx, results

@@ -1,29 +1,28 @@
-"""Ablation: jitter shifting between priority classes (Section 7).
+"""Claim: jitter shifting between priority classes (Section 7).
 
 The paper: a higher predicted class "steals bandwidth from the lower
 classes" during its bursts, so its jitter exports downward, and if the
 target bounds D_i are widely spaced the classes "should usually operate
-more or less independently".  This bench splits the Table-1 workload
+more or less independently".  This test splits the Table-1 workload
 between two strict priority classes, sweeping how many of the 10 flows
-ride the high class, and reports both classes' tails.
+ride the high class, and measures both classes' tails.
 
 Each split is one declarative scenario (class membership is per-flow
 ``priority_class`` in the spec); the sweep rides the
 :class:`~repro.scenario.SweepExecutor` engine via :func:`sweep` with
-whole-spec overrides, one run per split.  Arrivals are identical to the
-pre-migration hand-wired bench: streams are keyed by flow name, and the
-flow names are unchanged.
+whole-spec overrides, one run per split.  Streams are keyed by flow name,
+so every split sees the same arrivals.
 """
 
-from benchmarks.conftest import BENCH_SEED, run_once
-from repro.experiments import common
 from repro.net.packet import ServiceClass
 from repro.scenario import DisciplineSpec, ScenarioBuilder, sweep
+from repro.scenario.paper import AVERAGE_RATE_PPS, TX_TIME_SECONDS
 
 NUM_FLOWS = 10
 HIGH_COUNTS = (2, 5, 8)
 DURATION = 45.0
 WARMUP = 5.0
+SEED = 1
 
 
 def spacing_spec(num_high: int, seed: int):
@@ -41,53 +40,42 @@ def spacing_spec(num_high: int, seed: int):
             f"flow-{i}",
             "src-host",
             "dst-host",
-            average_rate_pps=common.AVERAGE_RATE_PPS,
+            average_rate_pps=AVERAGE_RATE_PPS,
             service_class=ServiceClass.PREDICTED,
             priority_class=0 if i < num_high else 1,
         )
     return builder.build()
 
 
-def run_sweep(seed: int = BENCH_SEED):
+def run_sweep(seed: int = SEED):
     """(high-class mean p999, low-class mean p999) per split, tx units."""
     results = sweep(
         spacing_spec(HIGH_COUNTS[0], seed),
         over=[spacing_spec(count, seed) for count in HIGH_COUNTS],
     )
-    unit = common.TX_TIME_SECONDS
     out = {}
     for count, result in zip(HIGH_COUNTS, results):
         run = result.runs[0]
         high = [
-            run.flow(f"flow-{i}").percentile_in(99.9, unit)
+            run.flow(f"flow-{i}").percentile_in(99.9, TX_TIME_SECONDS)
             for i in range(count)
         ]
         low = [
-            run.flow(f"flow-{i}").percentile_in(99.9, unit)
+            run.flow(f"flow-{i}").percentile_in(99.9, TX_TIME_SECONDS)
             for i in range(count, NUM_FLOWS)
         ]
         out[count] = (sum(high) / len(high), sum(low) / len(low))
     return out
 
 
-def test_bench_ablation_priority_spacing(benchmark):
-    results = run_once(benchmark, run_sweep)
-    print()
-    print("Priority jitter shifting — per-class average 99.9 %ile (tx times)")
-    print(common.format_table(
-        ["high flows", "high-class p999", "low-class p999"],
-        [
-            [str(count), f"{high:.2f}", f"{low:.2f}"]
-            for count, (high, low) in results.items()
-        ],
-    ))
+def test_priority_spacing():
+    results = run_sweep()
     for count, (high, low) in results.items():
-        benchmark.extra_info[f"high={count}"] = f"{high:.2f}/{low:.2f}"
         # Jitter shifts strictly downward: the high class always sees a
         # smaller tail than the low class it exports to.
-        assert high < low, count
+        assert high < low, (count, results)
     # The more load rides the high class, the worse the low class gets
     # relative to the high class's own growth.
     __, low_small = results[HIGH_COUNTS[0]]
     __, low_big = results[HIGH_COUNTS[-1]]
-    assert low_big > low_small
+    assert low_big > low_small, results

@@ -1,8 +1,8 @@
-"""Survey bench: the Section 11 related-work disciplines on one workload.
+"""Claim: the Section 11 related-work disciplines on one workload.
 
 Runs the Table-1 single-link workload under every scheduler in the library
 (FIFO, WFQ, FIFO+, VirtualClock, round robin, deficit round robin, EDF)
-and prints one row each — mean / 99.9 %ile of the sample flow.  Shapes to
+and measures the sample flow's mean / 99.9 %ile under each.  Shapes to
 expect: the isolating schedulers (WFQ, VirtualClock, round-robins) cluster
 together with large tails; the sharing schedulers (FIFO, FIFO+ — identical
 on one hop — and EDF with uniform targets, which *is* FIFO per Section 5)
@@ -12,13 +12,13 @@ One declarative scenario, seven disciplines: the whole survey is a single
 :class:`~repro.scenario.ScenarioSpec` fed to the runner.
 """
 
-from benchmarks.conftest import BENCH_SEED, run_once
-from repro.experiments import common
 from repro.scenario import DisciplineSpec, ScenarioBuilder, ScenarioRunner
+from repro.scenario.paper import TX_TIME_SECONDS
 
 NUM_FLOWS = 10
 DURATION = 45.0
 WARMUP = 5.0
+SEED = 1
 
 DISCIPLINES = (
     DisciplineSpec.fifo(),
@@ -31,7 +31,7 @@ DISCIPLINES = (
 )
 
 
-def survey_spec(seed: int = BENCH_SEED):
+def survey_spec(seed: int = SEED):
     return (
         ScenarioBuilder("schedulers-survey")
         .single_link()
@@ -44,38 +44,27 @@ def survey_spec(seed: int = BENCH_SEED):
     )
 
 
-def run_survey(seed: int = BENCH_SEED):
+def run_survey(seed: int = SEED):
+    """(mean, p999) of the sample flow per discipline, tx units."""
     result = ScenarioRunner(survey_spec(seed)).run()
-    unit = common.TX_TIME_SECONDS
     return {
         run.discipline: (
-            run.flow("flow-0").mean_in(unit),
-            run.flow("flow-0").percentile_in(99.9, unit),
+            run.flow("flow-0").mean_in(TX_TIME_SECONDS),
+            run.flow("flow-0").percentile_in(99.9, TX_TIME_SECONDS),
         )
         for run in result.runs
     }
 
 
-def test_bench_schedulers_survey(benchmark):
-    results = run_once(benchmark, run_survey)
-    print()
-    print("Scheduler survey — Table-1 workload, sample flow (tx times)")
-    print(common.format_table(
-        ["discipline", "mean", "99.9 %ile"],
-        [
-            [name, f"{mean:.2f}", f"{p999:.2f}"]
-            for name, (mean, p999) in results.items()
-        ],
-    ))
-    for name, (mean, p999) in results.items():
-        benchmark.extra_info[name] = f"{mean:.2f}/{p999:.2f}"
+def test_schedulers_survey():
+    results = run_survey()
     # Sharing vs isolation clusters (Section 5 / Section 11).
-    assert results["FIFO"][1] < results["WFQ"][1]
-    assert results["FIFO"][1] < results["VirtualClock"][1]
+    assert results["FIFO"][1] < results["WFQ"][1], results
+    assert results["FIFO"][1] < results["VirtualClock"][1], results
     # EDF with a uniform target degenerates to FIFO (identical ordering).
-    assert abs(results["EDF"][1] - results["FIFO"][1]) < 1e-6
+    assert abs(results["EDF"][1] - results["FIFO"][1]) < 1e-6, results
     # FIFO+ on a single hop behaves like FIFO (offsets are zero on hop 1).
-    assert abs(results["FIFO+"][0] - results["FIFO"][0]) < 0.5
+    assert abs(results["FIFO+"][0] - results["FIFO"][0]) < 0.5, results
     # Work conservation: every discipline sees a similar mean.
     means = [mean for mean, __ in results.values()]
-    assert max(means) < 1.6 * min(means)
+    assert max(means) < 1.6 * min(means), results

@@ -1,4 +1,4 @@
-"""Ablation: guaranteed-only vs mixed-service link utilization (Sections
+"""Claim: guaranteed-only vs mixed-service link utilization (Sections
 4 and 12).
 
 The paper's economic argument: if every real-time client demanded
@@ -14,8 +14,6 @@ fit, ~85 %.  Both arms are declarative scenarios — the guaranteed arm's
 clock-rate reservations ride each flow's :class:`GuaranteedRequest`.
 """
 
-from benchmarks.conftest import BENCH_SEED, run_once
-from repro.experiments import common
 from repro.net.packet import ServiceClass
 from repro.scenario import (
     DisciplineSpec,
@@ -23,11 +21,18 @@ from repro.scenario import (
     ScenarioBuilder,
     ScenarioRunner,
 )
+from repro.scenario.paper import (
+    AVERAGE_RATE_PPS,
+    LINK_RATE_BPS,
+    PACKET_BITS,
+    TX_TIME_SECONDS,
+)
 
-PEAK_CLOCK_BPS = 2 * common.AVERAGE_RATE_PPS * common.PACKET_BITS
+PEAK_CLOCK_BPS = 2 * AVERAGE_RATE_PPS * PACKET_BITS
 QUOTA = 0.9
 DURATION = 45.0
 WARMUP = 5.0
+SEED = 1
 
 
 def scenario_for(scenario: str, seed: int):
@@ -43,7 +48,7 @@ def scenario_for(scenario: str, seed: int):
         # Admit guaranteed flows at their peak clock rate until the 90 %
         # quota refuses the next one — the paper's "clock rate equal to
         # peak generation rate" sizing.
-        num_flows = int(QUOTA * common.LINK_RATE_BPS // PEAK_CLOCK_BPS)
+        num_flows = int(QUOTA * LINK_RATE_BPS // PEAK_CLOCK_BPS)
         builder.paper_flows(
             num_flows,
             request=GuaranteedRequest(clock_rate_bps=PEAK_CLOCK_BPS),
@@ -59,40 +64,23 @@ def run_scenario(scenario, seed):
     spec, num_flows = scenario_for(scenario, seed)
     run = ScenarioRunner(spec).run_discipline()
     utilization = run.utilization("A->B")
-    p999 = run.flow("flow-0").percentile_in(99.9, common.TX_TIME_SECONDS)
+    p999 = run.flow("flow-0").percentile_in(99.9, TX_TIME_SECONDS)
     return num_flows, utilization, p999
 
 
-def run_comparison(seed: int = BENCH_SEED):
+def run_comparison(seed: int = SEED):
     return {
         name: run_scenario(name, seed)
         for name in ("guaranteed-only", "predicted")
     }
 
 
-def test_bench_ablation_utilization(benchmark):
-    results = run_once(benchmark, run_comparison)
-    print()
-    print("Guaranteed-only vs predicted service — link carrying capacity")
-    print(common.format_table(
-        ["scenario", "flows", "utilization", "sample p999"],
-        [
-            [name, str(flows), f"{util:.1%}", f"{p999:.2f}"]
-            for name, (flows, util, p999) in results.items()
-        ],
-    ))
+def test_utilization():
+    results = run_comparison()
     g_flows, g_util, __ = results["guaranteed-only"]
     p_flows, p_util, __ = results["predicted"]
-    benchmark.extra_info.update(
-        {
-            "guaranteed_flows": g_flows,
-            "guaranteed_utilization": round(g_util, 3),
-            "predicted_flows": p_flows,
-            "predicted_utilization": round(p_util, 3),
-        }
-    )
     # The paper's ~50 %-vs-full claim: guaranteed-at-peak strands roughly
     # half the link; predicted service doubles the carried real-time load.
-    assert g_flows == 5
-    assert g_util < 0.55
-    assert p_util > 1.5 * g_util
+    assert g_flows == 5, results
+    assert g_util < 0.55, results
+    assert p_util > 1.5 * g_util, results

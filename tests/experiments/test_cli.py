@@ -241,6 +241,23 @@ class TestSweepCli:
         )
         assert "2 budget-expired" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, argument",
+        [
+            (["--spec", "table1", "--workers", "-4"], "workers"),
+            (["table1", "--workers", "-4"], "workers"),
+            (["--spec", "table1", "--sweep-seeds", "1,2",
+              "--budget-seconds", "-1"], "budget_seconds"),
+            (["--spec", "table1", "--sweep-seeds", "1,2",
+              "--budget-seconds", "nan"], "budget_seconds"),
+        ],
+    )
+    def test_bad_workers_or_budget_exit_2(self, capsys, argv, argument):
+        assert main([*argv, "--duration", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and argument in captured.err
+        assert captured.out == ""  # refused before anything ran
+
     def test_lost_worker_reported_and_exit_nonzero(self, tmp_path):
         """A sweep whose workers are SIGKILLed mid-run finishes, reports
         the lost runs in its summary and JSON, and exits non-zero."""

@@ -219,6 +219,37 @@ class TestBudgets:
         assert executor.stats["tasks_budget_expired"] == 6
 
 
+class TestArgumentChecks:
+    """A bad worker count or budget fails loudly instead of running
+    serially, truncating, or expiring every run (or none)."""
+
+    @pytest.mark.parametrize("workers", [None, 0, 1, 2])
+    def test_serial_and_pooled_counts_accepted(self, workers):
+        assert SweepExecutor(workers=workers).workers == (workers or 0)
+
+    @pytest.mark.parametrize("workers", [-3, -1, 2.7, 2.0, True, "2"])
+    def test_bad_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            SweepExecutor(workers=workers)
+
+    @pytest.mark.parametrize(
+        "budget", [-1.0, -1e-9, float("nan"), float("inf"), True, "5"]
+    )
+    def test_bad_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget_seconds"):
+            SweepExecutor(budget_seconds=budget)
+        with pytest.raises(ValueError, match="budget_seconds"):
+            SweepExecutor().run_sweep(base_spec(), budget_seconds=budget)
+
+    def test_sweep_and_runner_check_before_running(self):
+        with pytest.raises(ValueError, match="workers"):
+            sweep(base_spec(), seeds=[1], workers=-4)
+        with pytest.raises(ValueError, match="budget_seconds"):
+            sweep(base_spec(), seeds=[1], budget_seconds=-1)
+        with pytest.raises(ValueError, match="workers"):
+            repro.ScenarioRunner(base_spec()).run(workers=-2)
+
+
 class TestEarlyStopping:
     def test_serial_stop_after_two_runs(self):
         outcome = sweep(
@@ -321,7 +352,7 @@ class TestStreaming:
         )
         assert order == [0, 1, 2, 3]
 
-    def test_pooled_on_result_covers_every_run_once(self):
+    def test_pooled_on_result_fires_once_per_run(self):
         streamed = []
         with SweepExecutor(workers=3) as executor:
             outcome = executor.run_sweep(

@@ -101,7 +101,6 @@ def test_fluid_modules_load_only_what_they_use(module, absent, without_numpy):
 REFERRERS = (
     "README.md",
     "setup.py",
-    "benchmarks/conftest.py",
     ".github/workflows/ci.yml",
     ".claude/skills/verify/SKILL.md",
 )
