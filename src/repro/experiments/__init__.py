@@ -17,6 +17,12 @@
   fleet of seeded random multi-bottleneck graphs
   (:mod:`repro.scenario.generators`), with the :mod:`repro.validate`
   invariant checks on for every run.
+* :mod:`repro.experiments.failover` — predicted service vs FIFO through a
+  link failure and repair, on a packet-engine diamond or (``engine=
+  "fluid"``) a leaf-spine fabric.
+* :mod:`repro.experiments.scale` — CSZ isolation and admission at
+  10k–100k flows on the fluid engine.  Not imported here: it loads
+  :mod:`repro.fluid`, so it is imported only when run.
 
 Each module exposes ``run(...) -> result`` with a ``render()`` string that
 prints the same rows the paper reports, and the module is runnable via
@@ -24,17 +30,23 @@ prints the same rows the paper reports, and the module is runnable via
 
 Every experiment is founded on :mod:`repro.scenario`: its workload is one
 declarative :class:`~repro.scenario.ScenarioSpec` (exposed as the module's
-``scenario_spec(...)``), executed by :class:`~repro.scenario.ScenarioRunner`
-with paired arrivals across disciplines; ``run()`` wraps the structured
-:class:`~repro.scenario.ScenarioResult` in the historical result types.
+``scenario_spec(...)``), executed with paired arrivals across
+disciplines.  The eight row-table experiments (the three tables,
+``distributions``, ``parkinglot``, ``generated``, ``failover``, ``scale``)
+return one shape, :class:`~repro.experiments.result.ExperimentResult`:
+the module selects its rows from the run and declares the render
+columns; ``row(*key)``, ``render()`` and ``to_dict()`` are shared.
+``dynamics`` and ``topology`` keep their own result types.
 """
 
 from repro.experiments import (
     common,
     distributions,
     dynamics,
+    failover,
     generated,
     parkinglot,
+    result,
     table1,
     table2,
     table3,
@@ -45,8 +57,10 @@ __all__ = [
     "common",
     "distributions",
     "dynamics",
+    "failover",
     "generated",
     "parkinglot",
+    "result",
     "table1",
     "table2",
     "table3",

@@ -2,15 +2,10 @@
 
 Usage::
 
-    python -m repro.experiments fig1
-    python -m repro.experiments table1 [--duration 600] [--seed 1]
-    python -m repro.experiments table2 [--duration 600] [--seed 1]
-    python -m repro.experiments table3 [--duration 600] [--seed 1]
-    python -m repro.experiments dynamics [--duration 600] [--seed 1]
-    python -m repro.experiments parkinglot [--duration 600] [--seed 1]
-    python -m repro.experiments failover [--duration 600] [--seed 1]
-    python -m repro.experiments scale [--duration 60] [--seed 1]
+    python -m repro.experiments NAME [--duration S] [--seed N] [--json PATH]
     python -m repro.experiments all [--duration 600] [--seed 1]
+    python -m repro.experiments generated --gen-seeds 1..3 --duration 20
+    python -m repro.experiments failover --engine fluid   # fabric-scale leg
 
     python -m repro.experiments --spec scenario.json     # serialized spec
     python -m repro.experiments --spec parking_lot       # registered name
@@ -22,22 +17,26 @@ Usage::
 
     # generated scenarios: seeded random topologies with invariants on
     python -m repro.experiments --spec gen:random-graph --gen-seed 7
-    python -m repro.experiments generated --gen-seeds 1..3 --duration 20
     python -m repro.experiments --spec table1 --validate   # opt any spec in
 
     # engine seam: run any spec on the flow-level fluid model
     python -m repro.experiments --spec gen:fat-tree --engine fluid
-    python -m repro.experiments --spec parking_lot --engine fluid
 
-    # the failover flagship's fabric-scale leg on the fluid engine
-    python -m repro.experiments failover --engine fluid
+``NAME`` is a key of :data:`EXPERIMENTS`, the one table every named
+experiment dispatches from: the module it runs, the flags its ``run()``
+takes and its ``--json`` payload.  Unset flags fall back to the
+experiment's own defaults (600 s; ``scale`` sizes its own 60 s).
+``--workers N`` fans per-discipline simulations out over N processes.
+``--json PATH`` writes ``{"experiments": {name: payload}}``: the
+``ScenarioResult.to_dict()`` behind table1, table2, table3, distributions
+and parkinglot; the result's own ``to_dict()`` — rows plus run-level
+values — for generated, failover and scale; the report of fig1 and the
+phase record of dynamics.
 
 ``--spec`` runs one declarative :class:`~repro.scenario.ScenarioSpec`
 loaded from a JSON file (``ScenarioSpec.to_dict`` payload) or built from
-the scenario registry, and prints a generic per-flow / per-link report.
-``--workers N`` fans the per-discipline simulations of an experiment out
-over N processes; ``--json PATH`` writes the structured
-``ScenarioResult.to_dict()`` payloads alongside the rendered tables.
+the scenario registry, prints a generic per-flow / per-link report and
+writes its ``ScenarioResult.to_dict()`` payload.
 
 ``--sweep-seeds`` / ``--sweep-over`` / ``--budget-seconds`` turn a
 ``--spec`` run into a sweep executed by the
@@ -62,24 +61,14 @@ random-graph flagship across ``--gen-seeds`` topologies.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
 import time
+from typing import Any, Callable, NamedTuple, Tuple
 
-from repro.experiments import (
-    common,
-    distributions,
-    dynamics,
-    failover,
-    generated,
-    parkinglot,
-    scale,
-    table1,
-    table2,
-    table3,
-    topology,
-)
+from repro.experiments.common import render_scenario_result
 from repro.scenario import (
     IncompleteSweepError,
     ScenarioRunner,
@@ -87,19 +76,41 @@ from repro.scenario import (
     SweepExecutor,
     registry,
 )
+from repro.scenario.paper import PAPER_DURATION_SECONDS
 
-EXPERIMENTS = (
-    "fig1",
-    "table1",
-    "table2",
-    "table3",
-    "dynamics",
-    "distributions",
-    "parkinglot",
-    "generated",
-    "failover",
-    "scale",
-)
+
+class Experiment(NamedTuple):
+    """One CLI experiment: ``repro.experiments.<module>.run`` (imported
+    on dispatch), the flags it takes as keywords, its ``--json`` payload."""
+
+    module: str
+    args: Tuple[str, ...]
+    payload: Callable[[Any], dict]
+
+
+def _scenario_payload(result) -> dict:
+    return result.scenario.to_dict()
+
+
+def _own_payload(result) -> dict:
+    return result.to_dict()
+
+
+_FANNED = ("duration", "seed", "workers")
+
+#: Every named experiment, in ``all`` order.
+EXPERIMENTS = {
+    "fig1": Experiment("topology", (), _own_payload),
+    "table1": Experiment("table1", _FANNED, _scenario_payload),
+    "table2": Experiment("table2", _FANNED, _scenario_payload),
+    "table3": Experiment("table3", ("duration", "seed"), _scenario_payload),
+    "dynamics": Experiment("dynamics", ("phase_seconds", "seed"), _own_payload),
+    "distributions": Experiment("distributions", _FANNED, _scenario_payload),
+    "parkinglot": Experiment("parkinglot", _FANNED, _scenario_payload),
+    "generated": Experiment("generated", _FANNED + ("gen_seeds",), _own_payload),
+    "failover": Experiment("failover", ("duration", "seed", "engine"), _own_payload),
+    "scale": Experiment("scale", ("duration", "seed"), _own_payload),
+}
 
 
 def _parse_sweep_seeds(text: str) -> list:
@@ -209,94 +220,51 @@ def _run_sweep_cli(spec: ScenarioSpec, sweep_plan: tuple, args) -> tuple:
     return outcome.to_dict(), errors
 
 
-#: Experiments whose payload is their ``ScenarioResult`` and whose
-#: disciplines fan out over ``--workers``.
-_SCENARIO_EXPERIMENTS = {
-    "table1": table1,
-    "table2": table2,
-    "distributions": distributions,
-    "parkinglot": parkinglot,
-}
+def _run_experiment(name: str, values: dict) -> tuple:
+    """Run one named experiment: ``(result, payload)``.  ``values`` maps
+    each flag to its value; unset (``None``) flags are not passed."""
+    entry = EXPERIMENTS[name]
+    run = importlib.import_module(f"repro.experiments.{entry.module}").run
+    result = run(
+        **{arg: values[arg] for arg in entry.args if values[arg] is not None}
+    )
+    return result, entry.payload(result)
 
 
-def _run_experiment(name: str, args, duration: float, seed: int,
-                    gen_seeds) -> tuple:
-    """Run one named experiment: ``(result, payload, invariants clean)``."""
-    if name in _SCENARIO_EXPERIMENTS:
-        result = _SCENARIO_EXPERIMENTS[name].run(
-            duration=duration, seed=seed, workers=args.workers
-        )
-        return result, result.scenario.to_dict(), True
-    if name == "table3":
-        result = table3.run(duration=duration, seed=seed)
-        return result, result.scenario.to_dict(), True
-    clean = True
-    if name == "fig1":
-        result = topology.run()
-    elif name == "generated":
-        result = generated.run(
-            duration=duration,
-            seed=seed,
-            gen_seeds=gen_seeds or generated.DEFAULT_GEN_SEEDS,
-            workers=args.workers,
-        )
-        clean = result.all_invariants_clean
-    elif name == "dynamics":
-        result = dynamics.run(phase_seconds=duration / 3.0, seed=seed)
-    elif name == "failover":
-        result = failover.run(
-            duration=duration, seed=seed, engine=args.engine or "packet",
-        )
-        clean = all(row.invariants_clean for row in result.rows)
-    else:  # scale
-        # The fluid flagship sizes its own duration (60s); the 600s
-        # paper default is a packet-experiment convention.
-        result = scale.run(duration=args.duration, seed=seed)
-        clean = result.all_invariants_clean
-    return result, result.to_dict(), clean
-
-
-def _load_spec(
-    name_or_path: str, duration, seed, gen_seed=None, validate=False,
-    engine=None,
-) -> ScenarioSpec:
+def _load_spec(args) -> ScenarioSpec:
     """Resolve ``--spec``: a registered scenario name or a JSON file."""
-    if os.path.isfile(name_or_path):
-        with open(name_or_path) as handle:
+    given = {
+        field: value
+        for field, value in (("duration", args.duration), ("seed", args.seed))
+        if value is not None
+    }
+    if os.path.isfile(args.spec):
+        with open(args.spec) as handle:
             spec = ScenarioSpec.from_dict(json.load(handle))
-        overrides = {}
-        if duration is not None:
-            overrides["duration"] = duration
-        if seed is not None:
-            overrides["seed"] = seed
-        if validate:
-            overrides["validate"] = True
+        overrides = given
     else:
-        kwargs = {}
-        if duration is not None:
-            kwargs["duration"] = duration
-        if seed is not None:
-            kwargs["seed"] = seed
-        if gen_seed is not None:
-            kwargs["gen_seed"] = gen_seed
-        spec = registry.build(name_or_path, **kwargs)
-        overrides = {"validate": True} if validate else {}
+        if args.gen_seed is not None:
+            given["gen_seed"] = args.gen_seed
+        spec = registry.build(args.spec, **given)
+        overrides = {}
+    if args.validate:
+        overrides["validate"] = True
     # --engine is a plain spec-field override, applied after building so
     # it works identically for JSON files and registered names (most
     # builders don't take an engine kwarg).
-    if engine is not None:
-        overrides["engine"] = engine
+    if args.engine is not None:
+        overrides["engine"] = args.engine
     return spec.replace(**overrides) if overrides else spec
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the tables and figure of Clark/Shenker/Zhang "
         "SIGCOMM'92, or run any declarative scenario.",
     )
     parser.add_argument(
-        "experiment", nargs="?", choices=EXPERIMENTS + ("all",)
+        "experiment", nargs="?", choices=(*EXPERIMENTS, "all")
     )
     parser.add_argument(
         "--spec",
@@ -355,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
         dest="json_path",
         metavar="PATH",
         default=None,
-        help="write structured ScenarioResult payloads to this file",
+        help="write each run's structured payload to this file",
     )
     parser.add_argument(
         "--sweep-seeds",
@@ -379,24 +347,25 @@ def main(argv: list[str] | None = None) -> int:
         "simulation; runs with an over-budget simulation are reported "
         "budget_expired",
     )
-    args = parser.parse_args(argv)
+    return parser
 
-    if args.list_scenarios:
-        for name in registry.names():
-            print(name)
-        return 0
-    if args.spec is not None and args.experiment is not None:
-        parser.error("give either an experiment name or --spec, not both")
-    if args.spec is None and args.experiment is None:
-        parser.error("an experiment name or --spec is required")
-    sweep_mode = (
+
+def _sweep_mode(args) -> bool:
+    return (
         args.sweep_seeds is not None
         or args.sweep_over is not None
         or args.budget_seconds is not None
     )
-    if sweep_mode and args.spec is None:
-        parser.error("--sweep-seeds/--sweep-over/--budget-seconds need --spec")
 
+
+def _check_flags(parser: argparse.ArgumentParser, args) -> None:
+    """Reject flag combinations that do not apply (exits 2)."""
+    if args.spec is not None and args.experiment is not None:
+        parser.error("give either an experiment name or --spec, not both")
+    if args.spec is None and args.experiment is None:
+        parser.error("an experiment name or --spec is required")
+    if _sweep_mode(args) and args.spec is None:
+        parser.error("--sweep-seeds/--sweep-over/--budget-seconds need --spec")
     if args.gen_seeds is not None and args.experiment not in ("generated", "all"):
         parser.error("--gen-seeds applies to the 'generated' experiment")
     if args.gen_seed is not None and args.spec is None:
@@ -419,11 +388,75 @@ def main(argv: list[str] | None = None) -> int:
             "--validate applies to --spec runs (the 'generated' experiment "
             "and gen: scenarios validate by themselves)"
         )
+
+
+def _run_spec(spec: ScenarioSpec, sweep_plan, args, payloads: dict) -> int:
+    """Run (or sweep) one loaded ``--spec``; returns the exit code."""
+    if sweep_plan is not None:
+        payloads[spec.name], errors = _run_sweep_cli(spec, sweep_plan, args)
+        for error in errors:
+            print(f"error: {error}", file=sys.stderr)
+        return 1 if errors else 0
+    started = time.monotonic()
+    try:
+        result = ScenarioRunner(spec).run(workers=args.workers)
+    except IncompleteSweepError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(render_scenario_result(result))
+    print(f"[{spec.name} ran in {time.monotonic() - started:.1f}s]")
+    payloads[spec.name] = result.to_dict()
+    if spec.validate and not all(run.invariants_clean for run in result.runs):
+        print("error: invariant violations detected", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _run_experiments(args, gen_seeds, payloads: dict) -> int:
+    """Run the named experiment (or ``all``); returns the exit code."""
+    duration = args.duration if args.duration is not None else PAPER_DURATION_SECONDS
+    values = {
+        "duration": args.duration,
+        "seed": args.seed,
+        "workers": args.workers,
+        "gen_seeds": gen_seeds or None,  # an empty list means the default
+        "engine": args.engine,
+        # dynamics plays the run out as three equal load phases
+        "phase_seconds": duration / 3.0,
+    }
+    exit_code = 0
+    names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    for name in names:
+        started = time.monotonic()
+        # A dead worker fails this experiment only: the others still
+        # run, and --json still carries every finished payload.
+        try:
+            result, payloads[name] = _run_experiment(name, values)
+        except IncompleteSweepError as exc:
+            print(f"error: {name}: {exc}", file=sys.stderr)
+            exit_code = 1
+            continue
+        print(result.render())
+        if not getattr(result, "invariants_clean", True):
+            print("error: invariant violations detected", file=sys.stderr)
+            exit_code = 1
+        print(f"[{name} regenerated in {time.monotonic() - started:.1f}s]\n")
+    return exit_code
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.list_scenarios:
+        for name in registry.names():
+            print(name)
+        return 0
+    _check_flags(parser, args)
     try:
         # The executor's own checks: a negative or fractional worker
         # count, or a negative or non-finite budget, fails before any run.
         SweepExecutor(workers=args.workers, budget_seconds=args.budget_seconds)
-        gen_seed_list = (
+        gen_seeds = (
             _parse_sweep_seeds(args.gen_seeds)
             if args.gen_seeds is not None
             else None
@@ -434,22 +467,15 @@ def main(argv: list[str] | None = None) -> int:
 
     # Invariant violations flip the exit code but must not suppress the
     # --json payload: the per-check records are the debugging artifact.
-    exit_code = 0
     payloads: dict = {}
-    if args.spec is not None:
+    if args.spec is None:
+        exit_code = _run_experiments(args, gen_seeds, payloads)
+    else:
         try:
-            spec = _load_spec(
-                args.spec,
-                args.duration,
-                args.seed,
-                gen_seed=args.gen_seed,
-                validate=args.validate,
-                engine=args.engine,
-            )
-            if sweep_mode:
-                # Parse and expand up front so flag mistakes surface as
-                # CLI errors before any simulation starts.
-                sweep_plan = _parse_sweep_plan(spec, args)
+            spec = _load_spec(args)
+            # Parse and expand up front so flag mistakes surface as CLI
+            # errors before any simulation starts.
+            sweep_plan = _parse_sweep_plan(spec, args) if _sweep_mode(args) else None
         except (
             KeyError, ValueError, TypeError, OSError, json.JSONDecodeError
         ) as exc:
@@ -459,57 +485,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             print(f"error: {message}", file=sys.stderr)
             return 2
-        if sweep_mode:
-            payloads[spec.name], errors = _run_sweep_cli(
-                spec, sweep_plan, args
-            )
-            for error in errors:
-                print(f"error: {error}", file=sys.stderr)
-                exit_code = 1
-        else:
-            started = time.monotonic()
-            try:
-                result = ScenarioRunner(spec).run(workers=args.workers)
-            except IncompleteSweepError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                exit_code = 1
-            else:
-                print(common.render_scenario_result(result))
-                print(f"[{spec.name} ran in {time.monotonic() - started:.1f}s]")
-                payloads[spec.name] = result.to_dict()
-                if spec.validate and not all(
-                    run.invariants_clean for run in result.runs
-                ):
-                    print(
-                        "error: invariant violations detected",
-                        file=sys.stderr,
-                    )
-                    exit_code = 1
-    else:
-        duration = (
-            args.duration
-            if args.duration is not None
-            else common.PAPER_DURATION_SECONDS
-        )
-        seed = args.seed if args.seed is not None else 1
-        todo = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-        for name in todo:
-            started = time.monotonic()
-            # A dead worker fails this experiment only: the others still
-            # run, and --json still carries every finished payload.
-            try:
-                result, payloads[name], clean = _run_experiment(
-                    name, args, duration, seed, gen_seed_list
-                )
-            except IncompleteSweepError as exc:
-                print(f"error: {name}: {exc}", file=sys.stderr)
-                exit_code = 1
-                continue
-            print(result.render())
-            if not clean:
-                print("error: invariant violations detected", file=sys.stderr)
-                exit_code = 1
-            print(f"[{name} regenerated in {time.monotonic() - started:.1f}s]\n")
+        exit_code = _run_spec(spec, sweep_plan, args, payloads)
 
     if args.json_path:
         with open(args.json_path, "w") as handle:

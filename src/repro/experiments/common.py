@@ -1,56 +1,14 @@
-"""Shared workload recipes and reporting helpers (the paper's Appendix).
+"""Table rendering shared by the experiments and the ``--spec`` CLI.
 
-The constants live in :mod:`repro.scenario.paper` (the scenario subsystem
-is the single source of truth); this module re-exports them under their
-historical names and keeps the placement/reporting helpers the experiment
-and benchmark layers use.
+The paper's Appendix constants live in :mod:`repro.scenario.paper`.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import List, Sequence
+from typing import Any, Callable, Sequence, Tuple
 
-from repro.scenario import paper
-from repro.scenario.paper import (  # noqa: F401  (re-exported Appendix constants)
-    AVERAGE_RATE_PPS,
-    BUCKET_PACKETS,
-    BUFFER_PACKETS,
-    DEFAULT_WARMUP_SECONDS,
-    GUARANTEED_AVERAGE_FLOWS,
-    GUARANTEED_PEAK_FLOWS,
-    LINK_RATE_BPS,
-    PACKET_BITS,
-    PAPER_DURATION_SECONDS,
-    PREDICTED_HIGH_FLOWS,
-    PREDICTED_LOW_FLOWS,
-    TABLE3_SAMPLES,
-    TX_TIME_SECONDS,
-    in_tx_units,
-)
-
-
-@dataclasses.dataclass(frozen=True)
-class FlowPlacement:
-    """One real-time flow of the Figure-1 workload."""
-
-    name: str
-    source_host: str
-    dest_host: str
-    hops: int  # inter-switch links traversed
-
-
-def figure1_flow_placements() -> List[FlowPlacement]:
-    """The 22-flow layout: each inter-switch link is shared by 10 flows."""
-    return [
-        FlowPlacement(name=name, source_host=src, dest_host=dst, hops=hops)
-        for name, src, dst, hops in paper.FIGURE1_PLACEMENTS
-    ]
-
-
-# ----------------------------------------------------------------------
-# Reporting
-# ----------------------------------------------------------------------
+#: A render column: its header and the cell text of one row.
+Column = Tuple[str, Callable[[Any], str]]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -67,6 +25,42 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
+def table(columns: Sequence[Column], rows: Sequence[Any]) -> str:
+    """``rows`` as a monospace table, one line per row."""
+    return format_table(
+        [header for header, _ in columns],
+        [[cell(row) for _, cell in columns] for row in rows],
+    )
+
+
+def _p999_cell(stats) -> str:
+    try:
+        return f"{stats.percentile_in(99.9) * 1e3:.2f}"
+    except KeyError:  # spec collected different points
+        return "-"
+
+
+_FLOW_COLUMNS = (
+    ("flow", "{0.name}".format),
+    ("recorded", "{0.recorded}".format),
+    ("mean ms", lambda stats: f"{stats.mean_seconds * 1e3:.2f}"),
+    ("p99.9 ms", _p999_cell),
+    ("jitter ms", lambda stats: f"{stats.jitter_seconds * 1e3:.2f}"),
+)
+_TCP_COLUMNS = (
+    ("tcp", "{0.name}".format),
+    ("segments", "{0.segments_sent}".format),
+    ("acks", "{0.acks_sent}".format),
+    ("goodput kbit/s", lambda tcp: f"{tcp.goodput_bps / 1e3:.1f}"),
+)
+_INVARIANT_COLUMNS = (
+    ("invariant", "{0.name}".format),
+    ("status", lambda check: "ok" if check.ok else "FAIL"),
+    ("checked", "{0.checked}".format),
+    ("violations", "{0.violations}".format),
+)
+
+
 def render_scenario_result(result) -> str:
     """Generic report for any :class:`~repro.scenario.ScenarioResult`.
 
@@ -78,69 +72,32 @@ def render_scenario_result(result) -> str:
     lines = [f"scenario: {result.scenario}   seed: {result.seed}   "
              f"duration: {result.duration:.0f}s"]
     for run in result.runs:
-        lines.append("")
-        lines.append(f"[{run.discipline}]")
+        lines += ["", f"[{run.discipline}]"]
         if run.flows:
-            def p999_cell(stats) -> str:
-                try:
-                    return f"{stats.percentile_in(99.9) * 1e3:.2f}"
-                except KeyError:  # spec collected different points
-                    return "-"
-
-            lines.append(format_table(
-                ["flow", "recorded", "mean ms", "p99.9 ms", "jitter ms"],
-                [
-                    [
-                        stats.name,
-                        str(stats.recorded),
-                        f"{stats.mean_seconds * 1e3:.2f}",
-                        p999_cell(stats),
-                        f"{stats.jitter_seconds * 1e3:.2f}",
-                    ]
-                    for stats in run.flows
-                ],
-            ))
-        link_rows = []
+            lines.append(table(_FLOW_COLUMNS, run.flows))
         drops = dict(run.link_drops)
         disciplines = dict(run.port_disciplines)
-        for name, utilization in run.link_utilizations:
-            link_rows.append([
+        link_rows = [
+            [
                 name,
                 disciplines.get(name, run.discipline),
                 f"{utilization:.1%}",
                 f"{run.queueing(name) * 1e3:.2f}",
                 str(drops.get(name, 0)),
-            ])
-        lines.append("")
-        lines.append(format_table(
+            ]
+            for name, utilization in run.link_utilizations
+        ]
+        lines += ["", format_table(
             ["link", "discipline", "utilization", "mean wait ms", "drops"],
             link_rows,
-        ))
+        )]
         if run.tcp_stats:
-            lines.append("")
-            lines.append(format_table(
-                ["tcp", "segments", "acks", "goodput kbit/s"],
-                [
-                    [t.name, str(t.segments_sent), str(t.acks_sent),
-                     f"{t.goodput_bps / 1e3:.1f}"]
-                    for t in run.tcp_stats
-                ],
-            ))
+            lines += ["", table(_TCP_COLUMNS, run.tcp_stats)]
         if run.invariants is not None:
-            lines.append("")
-            lines.append(format_table(
-                ["invariant", "status", "checked", "violations"],
-                [
-                    [
-                        check.name,
-                        "ok" if check.ok else "FAIL",
-                        str(check.checked),
-                        str(check.violations),
-                    ]
-                    for check in run.invariants
-                ],
-            ))
-            for check in run.invariants:
-                if not check.ok and check.detail:
-                    lines.append(f"  {check.name}: {check.detail}")
+            lines += ["", table(_INVARIANT_COLUMNS, run.invariants)]
+            lines.extend(
+                f"  {check.name}: {check.detail}"
+                for check in run.invariants
+                if not check.ok and check.detail
+            )
     return "\n".join(lines)

@@ -17,14 +17,23 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments import common, table1
-from repro.scenario import ScenarioResult, ScenarioRunner
+from repro.experiments import table1
+from repro.experiments.result import ExperimentResult
+from repro.scenario import ScenarioRunner, paper
 from repro.stats.fairness import jain_index
 
 CDF_POINTS = (50.0, 90.0, 99.0, 99.9, 99.99)
+COLUMNS = (
+    ("scheduling", "{0.scheduling}".format),
+    *(
+        (f"p{pct:g}", lambda row, pct=pct: f"{row.percentiles[pct]:.2f}")
+        for pct in CDF_POINTS
+    ),
+    ("tail fairness", "{0.tail_fairness:.3f}".format),
+)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class DistributionRow:
     scheduling: str
     percentiles: Dict[float, float]  # pct -> delay (tx units), sample flow
@@ -36,87 +45,56 @@ class DistributionRow:
         return jain_index(self.flow_p999s)
 
 
-@dataclasses.dataclass
-class DistributionsResult:
-    rows: List[DistributionRow]
-    duration: float
-    seed: int
-    scenario: Optional[ScenarioResult] = None
-
-    def row(self, scheduling: str) -> DistributionRow:
-        for row in self.rows:
-            if row.scheduling == scheduling:
-                return row
-        raise KeyError(scheduling)
-
-    def render(self) -> str:
-        headers = ["scheduling"] + [f"p{pct:g}" for pct in CDF_POINTS] + [
-            "tail fairness"
-        ]
-        body = []
-        for row in self.rows:
-            cells = [row.scheduling]
-            cells += [f"{row.percentiles[pct]:.2f}" for pct in CDF_POINTS]
-            cells.append(f"{row.tail_fairness:.3f}")
-            body.append(cells)
-        table = common.format_table(headers, body)
-        return (
-            "Queueing-delay distribution, Table-1 workload "
-            "(tx times; sample flow)\n"
-            f"{table}\n"
-            f"{self._ascii_cdf()}\n"
-            f"duration: {self.duration:.0f}s  seed: {self.seed}"
-        )
-
-    def _ascii_cdf(self, width: int = 52) -> str:
-        """A log-ish tail plot: one bar per (discipline, percentile)."""
-        peak = max(
-            value for row in self.rows for value in row.percentiles.values()
-        )
-        if peak <= 0:
-            return ""
-        lines = ["tail profile (each bar spans 0..max):"]
-        for row in self.rows:
-            for pct in CDF_POINTS:
-                value = row.percentiles[pct]
-                bar = "#" * max(1, round(width * value / peak))
-                lines.append(
-                    f"  {row.scheduling:>5} p{pct:<5g} |{bar:<{width}}| "
-                    f"{value:.2f}"
-                )
-        return "\n".join(lines)
+def _ascii_cdf(rows: Sequence[DistributionRow], width: int = 52) -> str:
+    """A log-ish tail plot: one bar per (discipline, percentile)."""
+    peak = max(value for row in rows for value in row.percentiles.values())
+    if peak <= 0:
+        return ""
+    lines = ["tail profile (each bar spans 0..max):"]
+    for row in rows:
+        for pct in CDF_POINTS:
+            value = row.percentiles[pct]
+            bar = "#" * max(1, round(width * value / peak))
+            lines.append(
+                f"  {row.scheduling:>5} p{pct:<5g} |{bar:<{width}}| {value:.2f}"
+            )
+    return "\n".join(lines)
 
 
 def run(
-    duration: float = common.PAPER_DURATION_SECONDS,
+    duration: float = paper.PAPER_DURATION_SECONDS,
     seed: int = 1,
-    disciplines: Sequence[str] = ("WFQ", "FIFO"),
     workers: Optional[int] = None,
-    sample_flow: int = 0,
-) -> DistributionsResult:
+) -> ExperimentResult:
     """Run the Table-1 workload once per discipline and expose the full
     delay distributions (paired arrivals across disciplines, same seed)."""
-    spec = table1.scenario_spec(
-        duration, seed, disciplines=tuple(disciplines)
-    ).replace(percentile_points=CDF_POINTS)
+    spec = table1.scenario_spec(duration, seed).replace(
+        percentile_points=CDF_POINTS
+    )
     result = ScenarioRunner(spec).run(workers=workers)
-    unit = common.TX_TIME_SECONDS
-    rows = []
-    for name in disciplines:
-        run_result = result.run(name)
-        sample = run_result.flow(f"flow-{sample_flow}")
-        rows.append(
-            DistributionRow(
-                scheduling=name,
-                percentiles={
-                    pct: sample.percentile_in(pct, unit) for pct in CDF_POINTS
-                },
-                flow_p999s=[
-                    run_result.flow(f"flow-{i}").percentile_in(99.9, unit)
-                    for i in range(table1.NUM_FLOWS)
-                ],
-            )
+    unit = paper.TX_TIME_SECONDS
+    rows = tuple(
+        DistributionRow(
+            scheduling=run.discipline,
+            percentiles={
+                pct: run.flow("flow-0").percentile_in(pct, unit)
+                for pct in CDF_POINTS
+            },
+            flow_p999s=[
+                run.flow(f"flow-{i}").percentile_in(99.9, unit)
+                for i in range(table1.NUM_FLOWS)
+            ],
         )
-    return DistributionsResult(
-        rows=rows, duration=duration, seed=seed, scenario=result
+        for run in result.runs
+    )
+    return ExperimentResult(
+        rows=rows,
+        columns=COLUMNS,
+        summary={"duration": duration, "seed": seed},
+        head=(
+            "Queueing-delay distribution, Table-1 workload "
+            "(tx times; sample flow)",
+        ),
+        foot=(_ascii_cdf(rows), f"duration: {duration:.0f}s  seed: {seed}"),
+        scenario=result,
     )

@@ -32,7 +32,7 @@ import dataclasses
 from typing import List
 
 from repro.core.playback import AdaptivePlayback
-from repro.experiments import common
+from repro.experiments.common import table
 from repro.scenario import (
     DisciplineSpec,
     FlowSpec,
@@ -40,12 +40,14 @@ from repro.scenario import (
     ScenarioBuilder,
     ScenarioRunner,
     ScenarioSpec,
+    paper,
 )
 
 BASE_FLOWS = 6
 WAVE_FLOWS = 4
 CLASS_BOUNDS = (0.15, 1.5)
 TARGET_LOSS = 0.01
+SAMPLE_FLOW = "base-0"  # the client whose playback point is traced
 
 
 @dataclasses.dataclass
@@ -62,6 +64,15 @@ class PhaseStats:
     @property
     def loss_rate(self) -> float:
         return self.late / self.received if self.received else 0.0
+
+
+COLUMNS = (
+    ("phase", "{0.name}".format),
+    ("interval", "{0.start:.0f}-{0.end:.0f}s".format),
+    ("packets", "{0.received}".format),
+    ("loss", "{0.loss_rate:.2%}".format),
+    ("mean offset", lambda phase: f"{phase.mean_offset_seconds * 1e3:.1f}ms"),
+)
 
 
 @dataclasses.dataclass
@@ -97,22 +108,9 @@ class DynamicsResult:
         }
 
     def render(self) -> str:
-        body = [
-            [
-                phase.name,
-                f"{phase.start:.0f}-{phase.end:.0f}s",
-                str(phase.received),
-                f"{phase.loss_rate:.2%}",
-                f"{phase.mean_offset_seconds * 1e3:.1f}ms",
-            ]
-            for phase in self.phases
-        ]
-        table = common.format_table(
-            ["phase", "interval", "packets", "loss", "mean offset"], body
-        )
         return (
             "Dynamic adaptation — sample adaptive client under load shifts\n"
-            f"{table}\n"
+            f"{table(COLUMNS, self.phases)}\n"
             f"play-back point adaptations: {self.adaptations}  "
             f"duration: {self.duration:.0f}s  seed: {self.seed}"
         )
@@ -168,8 +166,8 @@ def _voice_flow(flow_id: str) -> FlowSpec:
         source_host="src-host",
         dest_host="dst-host",
         request=PredictedRequest(
-            token_rate_bps=common.AVERAGE_RATE_PPS * common.PACKET_BITS,
-            bucket_depth_bits=common.BUCKET_PACKETS * common.PACKET_BITS,
+            token_rate_bps=paper.AVERAGE_RATE_PPS * paper.PACKET_BITS,
+            bucket_depth_bits=paper.BUCKET_PACKETS * paper.PACKET_BITS,
             target_delay_seconds=CLASS_BOUNDS[1],
             target_loss_rate=TARGET_LOSS,
         ),
@@ -180,7 +178,6 @@ def _voice_flow(flow_id: str) -> FlowSpec:
 def run(
     phase_seconds: float = 60.0,
     seed: int = 1,
-    sample_flow: str = "base-0",
 ) -> DynamicsResult:
     """Run the three-phase scenario; phases are ``phase_seconds`` each."""
     context = ScenarioRunner(scenario_spec(phase_seconds, seed)).build()
@@ -203,9 +200,9 @@ def run(
         flow_id = f"base-{i}"
         context.add_flow(
             _voice_flow(flow_id),
-            sink_factory=playback_sink if flow_id == sample_flow else None,
+            sink_factory=playback_sink if flow_id == SAMPLE_FLOW else None,
         )
-    sample_app = context.receivers[sample_flow]
+    sample_app = context.receivers[SAMPLE_FLOW]
     recorder = _PhaseRecorder(sample_app)
     phases: List[PhaseStats] = []
 

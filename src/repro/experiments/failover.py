@@ -32,11 +32,10 @@ failover itself costs a bounded transient, not a meltdown.
 from __future__ import annotations
 
 import dataclasses
-from itertools import compress
-from typing import Dict, List, Optional, Tuple
+import math
+from typing import Dict, List, Sequence, Tuple
 
-from repro.experiments import common
-from repro.stats import SummaryStats
+from repro.experiments.result import ExperimentResult
 from repro.scenario import (
     DisciplineSpec,
     FlowSpec,
@@ -49,6 +48,7 @@ from repro.scenario import (
     ScenarioSpec,
     TopologySpec,
     registry,
+    paper,
 )
 
 PREDICTED_FLOWS = ("pred-0", "pred-1")
@@ -59,6 +59,17 @@ FAILED_LINK = "S-A->S-B"
 FLUID_FAILED_LINK = "L-1->SP-1"
 DISCIPLINE_NAMES = ("FIFO", "CSZ")
 PHASES = ("pre", "failed", "restored")
+COLUMNS = (
+    ("scheduling", "{0.scheduling}".format),
+    *(
+        (f"{phase} {stat}", f"{{0.phase_{stat}[{phase}]:.2f}}".format)
+        for phase in PHASES
+        for stat in ("mean", "jitter")
+    ),
+    ("delivered", "{0.delivered}".format),
+    ("wire killed", "{0.wire_killed}".format),
+    ("reroutes", "{0.reroutes}".format),
+)
 
 
 def diamond_topology() -> TopologySpec:
@@ -86,14 +97,21 @@ def outage_window(duration: float, warmup: float) -> Tuple[float, float]:
     return start + span / 3.0, start + 2.0 * span / 3.0
 
 
+def _failing(spec: ScenarioSpec, link: str, duration: float,
+             warmup: float) -> ScenarioSpec:
+    """``spec`` with ``link`` down through :func:`outage_window`."""
+    fail_at, restore_at = outage_window(duration, warmup)
+    outage = OutageEvent(link=link, at=fail_at, duration=restore_at - fail_at)
+    return spec.replace(outages=OutageSpec(events=(outage,)))
+
+
 @registry.register("failover")
 def scenario_spec(
-    duration: float = common.PAPER_DURATION_SECONDS,
+    duration: float = paper.PAPER_DURATION_SECONDS,
     seed: int = 1,
-    warmup: float = common.DEFAULT_WARMUP_SECONDS,
+    warmup: float = paper.DEFAULT_WARMUP_SECONDS,
 ) -> ScenarioSpec:
     """The full failover experiment as one declarative spec."""
-    fail_at, restore_at = outage_window(duration, warmup)
     builder = (
         ScenarioBuilder("failover")
         .topology(diamond_topology())
@@ -116,8 +134,8 @@ def scenario_spec(
                 source_host="h-src",
                 dest_host="h-dst",
                 request=PredictedRequest(
-                    token_rate_bps=common.AVERAGE_RATE_PPS * common.PACKET_BITS,
-                    bucket_depth_bits=common.BUCKET_PACKETS * common.PACKET_BITS,
+                    token_rate_bps=paper.AVERAGE_RATE_PPS * paper.PACKET_BITS,
+                    bucket_depth_bits=paper.BUCKET_PACKETS * paper.PACKET_BITS,
                     target_delay_seconds=CLASS_BOUNDS[1],
                     target_loss_rate=0.01,
                 ),
@@ -125,25 +143,14 @@ def scenario_spec(
         )
     for i in range(BACKGROUND_FLOWS):
         builder.add_flow(f"bg-{i}", "h-src", "h-dst", record=False)
-    spec = builder.build()
-    return spec.replace(
-        outages=OutageSpec(
-            events=(
-                OutageEvent(
-                    link=FAILED_LINK,
-                    at=fail_at,
-                    duration=restore_at - fail_at,
-                ),
-            )
-        )
-    )
+    return _failing(builder.build(), FAILED_LINK, duration, warmup)
 
 
 @registry.register("failover:fabric")
 def fabric_scenario_spec(
     duration: float = 60.0,
     seed: int = 1,
-    warmup: float = common.DEFAULT_WARMUP_SECONDS,
+    warmup: float = paper.DEFAULT_WARMUP_SECONDS,
 ) -> ScenarioSpec:
     """The failover story at fabric scale, for the fluid engine: a
     leaf-spine under a seeded ECMP many-flow population with admission
@@ -162,56 +169,42 @@ def fabric_scenario_spec(
         with_requests=True,
         engine="fluid",
     )
-    fail_at, restore_at = outage_window(duration, warmup)
-    return spec.replace(
-        name="failover-fabric",
-        outages=OutageSpec(
-            events=(
-                OutageEvent(
-                    link=FLUID_FAILED_LINK,
-                    at=fail_at,
-                    duration=restore_at - fail_at,
-                ),
-            )
-        ),
+    return _failing(spec, FLUID_FAILED_LINK, duration, warmup).replace(
+        name="failover-fabric"
     )
 
 
-class _PhaseBucketedTap:
-    """Wraps a flow's recording sink, splitting delays by route phase.
-
-    Installed by swapping the host's flow handler for a wrapper that
-    classifies ``sim.now`` against the outage window, records the
-    packet's queueing delay into that phase's accumulator, and forwards
-    to the original sink — no events, no draws, so the simulation is
-    bit-identical to an untapped run.
-    """
-
-    def __init__(self, sim, sink, fail_at: float, restore_at: float,
-                 warmup: float):
-        self.sim = sim
-        self.sink = sink
-        self.fail_at = fail_at
-        self.restore_at = restore_at
-        self.warmup = warmup
-        self.buckets: Dict[str, SummaryStats] = {
-            phase: SummaryStats() for phase in PHASES
-        }
-
-    def on_packet(self, packet) -> None:
-        now = self.sim.now
-        if now >= self.warmup:
-            if now < self.fail_at:
-                phase = "pre"
-            elif now < self.restore_at:
-                phase = "failed"
-            else:
-                phase = "restored"
-            self.buckets[phase].add(packet.queueing_delay)
-        self.sink.on_packet(packet)
+def _phase(now: float, fail_at: float, restore_at: float) -> str:
+    """The route phase ``now`` falls in."""
+    if now < fail_at:
+        return "pre"
+    if now < restore_at:
+        return "failed"
+    return "restored"
 
 
-@dataclasses.dataclass
+class _PhasePool:
+    """One route phase's delay samples: total weight, weighted delay sum
+    and the extremes (seconds)."""
+
+    __slots__ = ("weight", "total", "lo", "hi")
+
+    def __init__(self):
+        self.weight = 0
+        self.total = 0.0
+        self.lo = math.inf
+        self.hi = -math.inf
+
+    def add(self, delay: float, weight) -> None:
+        self.weight += weight
+        self.total += delay * weight
+        if delay < self.lo:
+            self.lo = delay
+        if delay > self.hi:
+            self.hi = delay
+
+
+@dataclasses.dataclass(frozen=True)
 class FailoverRow:
     """One discipline's predicted-flow numbers, per route phase.
 
@@ -231,270 +224,162 @@ class FailoverRow:
     invariants_clean: bool
 
 
-@dataclasses.dataclass
-class FailoverResult:
-    rows: List[FailoverRow]
-    fail_at: float
-    restore_at: float
-    duration: float
-    seed: int
-    scenario: Optional[ScenarioResult] = None
-    engine: str = "packet"
-    failed_link: str = FAILED_LINK
-
-    def row(self, scheduling: str) -> FailoverRow:
-        for row in self.rows:
-            if row.scheduling == scheduling:
-                return row
-        raise KeyError(scheduling)
-
-    def render(self) -> str:
-        header = ["scheduling"]
-        for phase in PHASES:
-            header += [f"{phase} mean", f"{phase} jitter"]
-        header += ["delivered", "wire killed", "reroutes"]
-        body = []
-        for row in self.rows:
-            line = [row.scheduling]
-            for phase in PHASES:
-                line += [
-                    f"{row.phase_mean[phase]:.2f}",
-                    f"{row.phase_jitter[phase]:.2f}",
-                ]
-            line += [
-                str(row.delivered),
-                str(row.wire_killed),
-                str(row.reroutes),
-            ]
-            body.append(line)
-        return "\n".join(
-            [
-                "Failover — predicted service through a link failure "
-                f"({self.failed_link} down {self.fail_at:.1f}s-"
-                f"{self.restore_at:.1f}s, {self.engine} engine)",
-                "recorded-flow queueing delay by route phase "
-                "(packet transmission times):",
-                common.format_table(header, body),
-                "invariants: "
-                + ", ".join(
-                    f"{row.scheduling}="
-                    + ("clean" if row.invariants_clean else "VIOLATED")
-                    for row in self.rows
-                ),
-                f"duration: {self.duration:.0f}s   seed: {self.seed}",
-            ]
+def _row_from(run, pools: Sequence[Dict[str, _PhasePool]]) -> FailoverRow:
+    """One discipline's row: each phase pools ``pools`` in order (one
+    phase -> pool map per tapped flow, or one for all recorded flows)."""
+    unit = paper.TX_TIME_SECONDS
+    phase_mean: Dict[str, float] = {}
+    phase_jitter: Dict[str, float] = {}
+    phase_packets: Dict[str, int] = {}
+    for phase in PHASES:
+        # Empty pools hold (inf, -inf) extremes, so they never set the
+        # spread of a phase that has samples.
+        weight = sum(p[phase].weight for p in pools)
+        phase_mean[phase] = (
+            sum(p[phase].total for p in pools) / weight / unit if weight else 0.0
         )
+        phase_jitter[phase] = (
+            (max(p[phase].hi for p in pools) - min(p[phase].lo for p in pools))
+            / unit
+            if weight
+            else 0.0
+        )
+        phase_packets[phase] = int(round(weight))
+    control = run.control
+    return FailoverRow(
+        scheduling=run.discipline,
+        phase_mean=phase_mean,
+        phase_jitter=phase_jitter,
+        phase_packets=phase_packets,
+        delivered=sum(flow.received for flow in run.flows),
+        wire_killed=sum(count for _, count in control.wire_killed),
+        flushed=control.flushed_packets,
+        reroutes=sum(flow.reroutes for flow in control.flows),
+        readmissions=sum(flow.readmissions for flow in control.flows),
+        invariants_clean=all(check.ok for check in run.invariants),
+    )
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": [dataclasses.asdict(row) for row in self.rows],
-            "fail_at": self.fail_at,
-            "restore_at": self.restore_at,
-            "duration": self.duration,
-            "seed": self.seed,
-            "engine": self.engine,
-            "failed_link": self.failed_link,
-        }
+
+def _run_packet(spec: ScenarioSpec, fail_at: float, restore_at: float,
+                warmup: float) -> List[Tuple]:
+    """The diamond leg: ``(run, per-flow phase pools)`` per discipline,
+    the predicted flows tapped in :data:`PREDICTED_FLOWS` order.
+
+    Each tap swaps the host's flow handler for a wrapper that files the
+    packet's queueing delay under the route phase of ``sim.now`` and
+    forwards to the original sink — no events, no draws, so the
+    simulation is bit-identical to an untapped run.
+    """
+    runner = ScenarioRunner(spec)
+    legs = []
+    for discipline in DISCIPLINE_NAMES:
+        context = runner.build(discipline)
+        host = context.net.hosts["h-dst"]
+        pools = []
+        for name in PREDICTED_FLOWS:
+            phases = {phase: _PhasePool() for phase in PHASES}
+
+            def tap(packet, sim=context.sim, sink=context.sinks[name],
+                    phases=phases) -> None:
+                if sim.now >= warmup:
+                    phase = _phase(sim.now, fail_at, restore_at)
+                    phases[phase].add(packet.queueing_delay, 1)
+                sink.on_packet(packet)
+
+            host.unregister_flow_handler(name)
+            host.register_flow_handler(name, tap)
+            pools.append(phases)
+        legs.append((context.run().collect(), pools))
+    return legs
 
 
-def _run_fluid(
-    duration: float, seed: int, warmup: float
-) -> FailoverResult:
-    """The fabric-scale leg: both disciplines of
-    :func:`fabric_scenario_spec` through the fluid engine, with the
-    recorded flows' per-epoch delay samples bucketed into the three
-    route phases off the epoch grid (each recorded sample is one
-    epoch's weighted delay, in grid order from the warmup on)."""
+def _run_fluid(spec: ScenarioSpec, fail_at: float, restore_at: float,
+               warmup: float) -> List[Tuple]:
+    """The fabric-scale leg: ``(run, [phase pools])`` per discipline,
+    the recorded flows' per-epoch delay samples pooled into the route
+    phases off the epoch grid (each recorded sample is one epoch's
+    weighted delay, in grid order from the warmup on)."""
     from repro.fluid.model import FluidSimulation
 
-    spec = fabric_scenario_spec(duration=duration, seed=seed, warmup=warmup)
-    fail_at, restore_at = outage_window(duration, warmup)
-    unit = common.TX_TIME_SECONDS
-    rows: List[FailoverRow] = []
-    runs = []
+    legs = []
     for discipline in spec.disciplines:
         sim = FluidSimulation(
             dataclasses.replace(spec, disciplines=(discipline,)), discipline
         )
-        result = sim.run().collect()
-        runs.append(result)
-        control = result.control
-        times: List[float] = []
-        for e in range(sim.num_epochs):
-            t0 = (
+        run = sim.run().collect()
+        times = [
+            t0
+            for t0 in (
                 sim.epoch_starts[e]
                 if sim.epoch_starts is not None
                 else e * sim.epoch_seconds
+                for e in range(sim.num_epochs)
             )
-            if t0 >= warmup:
-                times.append(t0)
-        # Pool recorded flows per phase: delivered-weighted mean delay
-        # plus the min/max spread, mirroring the packet leg's taps.
-        acc = {phase: [0.0, 0.0, None, None] for phase in PHASES}
+            if t0 >= warmup
+        ]
+        pools = {phase: _PhasePool() for phase in PHASES}
         for sample_list in sim.samples.values():
             for (delay, w), t0 in zip(sample_list, times):
-                if w <= 0:
-                    continue
-                if t0 < fail_at:
-                    phase = "pre"
-                elif t0 < restore_at:
-                    phase = "failed"
-                else:
-                    phase = "restored"
-                slot = acc[phase]
-                slot[0] += w
-                slot[1] += delay * w
-                slot[2] = delay if slot[2] is None else min(slot[2], delay)
-                slot[3] = delay if slot[3] is None else max(slot[3], delay)
-        phase_mean = {
-            phase: (slot[1] / slot[0] / unit if slot[0] else 0.0)
-            for phase, slot in acc.items()
-        }
-        phase_jitter = {
-            phase: ((slot[3] - slot[2]) / unit if slot[0] else 0.0)
-            for phase, slot in acc.items()
-        }
-        phase_packets = {
-            phase: int(round(slot[0])) for phase, slot in acc.items()
-        }
-        recorded = list(compress(sim.flow_names, sim.record))
-        rows.append(
-            FailoverRow(
-                scheduling=result.discipline,
-                phase_mean=phase_mean,
-                phase_jitter=phase_jitter,
-                phase_packets=phase_packets,
-                delivered=sum(
-                    result.flow(name).received for name in recorded
-                ),
-                wire_killed=0,  # fluid flows have no wire to die on
-                flushed=control.flushed_packets,
-                reroutes=sum(flow.reroutes for flow in control.flows),
-                readmissions=sum(
-                    flow.readmissions for flow in control.flows
-                ),
-                invariants_clean=all(
-                    check.ok for check in result.invariants
-                ),
-            )
-        )
-    return FailoverResult(
-        rows=rows,
-        fail_at=fail_at,
-        restore_at=restore_at,
-        duration=duration,
-        seed=seed,
-        scenario=ScenarioResult(
-            scenario=spec.name,
-            seed=seed,
-            duration=duration,
-            warmup=warmup,
-            runs=tuple(runs),
-        ),
-        engine="fluid",
-        failed_link=FLUID_FAILED_LINK,
-    )
+                if w > 0:
+                    pools[_phase(t0, fail_at, restore_at)].add(delay, w)
+        legs.append((run, [pools]))
+    return legs
 
 
 def run(
-    duration: float = common.PAPER_DURATION_SECONDS,
+    duration: float = paper.PAPER_DURATION_SECONDS,
     seed: int = 1,
-    warmup: float = common.DEFAULT_WARMUP_SECONDS,
+    warmup: float = paper.DEFAULT_WARMUP_SECONDS,
     engine: str = "packet",
-) -> FailoverResult:
+) -> ExperimentResult:
     """Run both disciplines serially (paired arrivals and outages).
 
     ``engine="fluid"`` runs the fabric-scale leg
     (:func:`fabric_scenario_spec`) on the fluid engine instead of the
     diamond on the packet engine."""
-    if engine == "fluid":
-        return _run_fluid(duration, seed, warmup)
-    if engine != "packet":
+    if engine == "packet":
+        spec = scenario_spec(duration=duration, seed=seed, warmup=warmup)
+        run_leg, failed_link = _run_packet, FAILED_LINK
+    elif engine == "fluid":
+        spec = fabric_scenario_spec(duration=duration, seed=seed, warmup=warmup)
+        run_leg, failed_link = _run_fluid, FLUID_FAILED_LINK
+    else:
         raise ValueError(f"unknown failover engine {engine!r}")
-    spec = scenario_spec(duration=duration, seed=seed, warmup=warmup)
     fail_at, restore_at = outage_window(duration, warmup)
-    unit = common.TX_TIME_SECONDS
-    rows: List[FailoverRow] = []
-    runs = []
-    runner = ScenarioRunner(spec)
-    for discipline in DISCIPLINE_NAMES:
-        context = runner.build(discipline)
-        taps: Dict[str, _PhaseBucketedTap] = {}
-        host = context.net.hosts["h-dst"]
-        for name in PREDICTED_FLOWS:
-            tap = _PhaseBucketedTap(
-                context.sim, context.sinks[name], fail_at, restore_at, warmup
-            )
-            host.unregister_flow_handler(name)
-            host.register_flow_handler(name, tap.on_packet)
-            taps[name] = tap
-        result = context.run().collect()
-        runs.append(result)
-        control = result.control
-        phase_mean: Dict[str, float] = {}
-        phase_jitter: Dict[str, float] = {}
-        phase_packets: Dict[str, int] = {}
-        # Pool the recorded flows per phase: weighted mean, and jitter as
-        # the spread across both flows' extremes.
-        for phase in PHASES:
-            total = sum(tap.buckets[phase].count for tap in taps.values())
-            mean = (
-                sum(tap.buckets[phase].total for tap in taps.values()) / total
-                if total
-                else 0.0
-            )
-            lo = min(
-                (
-                    tap.buckets[phase].min
-                    for tap in taps.values()
-                    if tap.buckets[phase].count
-                ),
-                default=0.0,
-            )
-            hi = max(
-                (
-                    tap.buckets[phase].max
-                    for tap in taps.values()
-                    if tap.buckets[phase].count
-                ),
-                default=0.0,
-            )
-            phase_mean[phase] = mean / unit
-            phase_jitter[phase] = (hi - lo) / unit if total else 0.0
-            phase_packets[phase] = total
-        rows.append(
-            FailoverRow(
-                scheduling=result.discipline,
-                phase_mean=phase_mean,
-                phase_jitter=phase_jitter,
-                phase_packets=phase_packets,
-                delivered=sum(
-                    result.flow(name).received for name in PREDICTED_FLOWS
-                ),
-                wire_killed=sum(
-                    count for _, count in control.wire_killed
-                ),
-                flushed=control.flushed_packets,
-                reroutes=sum(flow.reroutes for flow in control.flows),
-                readmissions=sum(
-                    flow.readmissions for flow in control.flows
-                ),
-                invariants_clean=all(
-                    check.ok for check in result.invariants
-                ),
-            )
-        )
-    return FailoverResult(
+    legs = run_leg(spec, fail_at, restore_at, warmup)
+    rows = tuple(_row_from(run, pools) for run, pools in legs)
+    return ExperimentResult(
         rows=rows,
-        fail_at=fail_at,
-        restore_at=restore_at,
-        duration=duration,
-        seed=seed,
+        columns=COLUMNS,
+        summary={
+            "fail_at": fail_at,
+            "restore_at": restore_at,
+            "duration": duration,
+            "seed": seed,
+            "engine": engine,
+            "failed_link": failed_link,
+        },
+        head=(
+            "Failover — predicted service through a link failure "
+            f"({failed_link} down {fail_at:.1f}s-{restore_at:.1f}s, "
+            f"{engine} engine)",
+            "recorded-flow queueing delay by route phase "
+            "(packet transmission times):",
+        ),
+        foot=(
+            "invariants: "
+            + ", ".join(
+                f"{row.scheduling}="
+                + ("clean" if row.invariants_clean else "VIOLATED")
+                for row in rows
+            ),
+            f"duration: {duration:.0f}s   seed: {seed}",
+        ),
         scenario=ScenarioResult(
             scenario=spec.name,
             seed=seed,
             duration=duration,
             warmup=warmup,
-            runs=tuple(runs),
+            runs=tuple(run for run, _ in legs),
         ),
     )

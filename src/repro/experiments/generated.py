@@ -23,10 +23,10 @@ ranking bit-for-bit at short duration.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.experiments import common
-from repro.scenario import ScenarioResult, SweepExecutor, generators
+from repro.experiments.result import ExperimentResult
+from repro.scenario import ScenarioResult, SweepExecutor, generators, paper
 
 DEFAULT_GEN_SEEDS: Tuple[int, ...] = tuple(range(1, 21))
 DISCIPLINE_NAMES = ("FIFO", "FIFO+", "CSZ")
@@ -34,7 +34,7 @@ NUM_SWITCHES = 8
 MULTIHOP_MIN_LINKS = 2
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class GeneratedRow:
     """One generated graph's discipline comparison.
 
@@ -51,96 +51,6 @@ class GeneratedRow:
     winner: str
     invariants_clean: bool
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-@dataclasses.dataclass
-class GeneratedResult:
-    rows: List[GeneratedRow]
-    duration: float
-    seed: int
-    scenarios: Optional[List[ScenarioResult]] = None
-
-    def row(self, gen_seed: int) -> GeneratedRow:
-        for row in self.rows:
-            if row.gen_seed == gen_seed:
-                return row
-        raise KeyError(gen_seed)
-
-    @property
-    def wins(self) -> Dict[str, int]:
-        counts = {name: 0 for name in DISCIPLINE_NAMES}
-        for row in self.rows:
-            counts[row.winner] = counts.get(row.winner, 0) + 1
-        return counts
-
-    @property
-    def mean_jitter_ms(self) -> Dict[str, float]:
-        """Mean multi-hop jitter per discipline across all graphs."""
-        totals: Dict[str, float] = {}
-        for row in self.rows:
-            for name, value in row.jitter_ms.items():
-                totals[name] = totals.get(name, 0.0) + value
-        return {name: totals[name] / len(self.rows) for name in totals}
-
-    @property
-    def all_invariants_clean(self) -> bool:
-        return all(row.invariants_clean for row in self.rows)
-
-    def render(self) -> str:
-        means = self.mean_jitter_ms
-        disciplines = list(self.rows[0].jitter_ms) if self.rows else []
-        lines = [
-            f"Generated random graphs — {len(self.rows)} seeded "
-            f"multi-bottleneck topologies, mixed traffic at 85% load",
-            "",
-            "multi-hop flow jitter per graph (ms; lower is better):",
-            common.format_table(
-                ["graph", "links", "flows", "multi-hop"]
-                + disciplines
-                + ["winner"],
-                [
-                    [
-                        f"g{row.gen_seed}",
-                        str(row.num_links),
-                        str(row.num_flows),
-                        str(row.num_multihop),
-                    ]
-                    + [f"{row.jitter_ms[d]:.2f}" for d in disciplines]
-                    + [row.winner]
-                    for row in self.rows
-                ],
-            ),
-            "",
-            "wins: "
-            + ", ".join(
-                f"{name}: {count}" for name, count in self.wins.items()
-            ),
-            "mean jitter: "
-            + ", ".join(
-                f"{name}: {value:.2f} ms" for name, value in means.items()
-            ),
-            "invariants: "
-            + (
-                "clean on every run"
-                if self.all_invariants_clean
-                else "VIOLATIONS DETECTED"
-            ),
-            f"duration: {self.duration:.0f}s/graph   seed: {self.seed}",
-        ]
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [row.to_dict() for row in self.rows],
-            "wins": self.wins,
-            "mean_jitter_ms": self.mean_jitter_ms,
-            "all_invariants_clean": self.all_invariants_clean,
-            "duration": self.duration,
-            "seed": self.seed,
-        }
-
 
 def _row_from(
     gen_seed: int, spec, result: ScenarioResult
@@ -150,17 +60,15 @@ def _row_from(
         for flow in spec.flows
         if (flow.hops or 0) >= MULTIHOP_MIN_LINKS
     ]
-    jitter_ms: Dict[str, float] = {}
-    clean = True
-    for run in result.runs:
-        stats = [run.flow(name) for name in multihop]
-        jitter_ms[run.discipline] = (
-            sum(s.jitter_seconds for s in stats) / len(stats) * 1e3
-            if stats
+    jitter_ms = {
+        run.discipline: (
+            sum(run.flow(name).jitter_seconds for name in multihop)
+            / len(multihop) * 1e3
+            if multihop
             else 0.0
         )
-        if run.invariants is not None and not run.invariants_clean:
-            clean = False
+        for run in result.runs
+    }
     winner = min(jitter_ms, key=lambda name: (jitter_ms[name], name))
     return GeneratedRow(
         gen_seed=gen_seed,
@@ -169,19 +77,19 @@ def _row_from(
         num_links=len(spec.topology.links),
         jitter_ms=jitter_ms,
         winner=winner,
-        invariants_clean=clean,
+        invariants_clean=all(
+            run.invariants is None or run.invariants_clean for run in result.runs
+        ),
     )
 
 
 def run(
-    duration: float = common.PAPER_DURATION_SECONDS,
+    duration: float = paper.PAPER_DURATION_SECONDS,
     seed: int = 1,
-    warmup: float = common.DEFAULT_WARMUP_SECONDS,
+    warmup: float = paper.DEFAULT_WARMUP_SECONDS,
     gen_seeds: Sequence[int] = DEFAULT_GEN_SEEDS,
     workers: Optional[int] = None,
-    num_switches: int = NUM_SWITCHES,
-    keep_scenarios: bool = False,
-) -> GeneratedResult:
+) -> ExperimentResult:
     """Run the generated-graph comparison across ``gen_seeds`` topologies.
 
     Each generated spec enters one sweep as a whole-spec override, so
@@ -194,7 +102,7 @@ def run(
     specs = [
         generators.random_graph(
             gen_seed=g,
-            num_switches=num_switches,
+            num_switches=NUM_SWITCHES,
             duration=duration,
             seed=seed,
             warmup=warmup,
@@ -205,14 +113,50 @@ def run(
         outcome = executor.run_sweep(specs[0], over=list(specs))
     # One row per generator seed: a lost run must fail loudly, not shift
     # every later row onto the wrong seed.
-    results = outcome.require_complete()
-    rows = [
+    rows = tuple(
         _row_from(g, spec, result)
-        for g, spec, result in zip(gen_seeds, specs, results)
-    ]
-    return GeneratedResult(
+        for g, spec, result in zip(gen_seeds, specs, outcome.require_complete())
+    )
+    wins = {
+        name: sum(row.winner == name for row in rows) for name in DISCIPLINE_NAMES
+    }
+    mean_jitter_ms = {
+        name: sum(row.jitter_ms[name] for row in rows) / len(rows)
+        for name in rows[0].jitter_ms
+    }
+    clean = all(row.invariants_clean for row in rows)
+    columns = (
+        ("graph", "g{0.gen_seed}".format),
+        ("links", "{0.num_links}".format),
+        ("flows", "{0.num_flows}".format),
+        ("multi-hop", "{0.num_multihop}".format),
+        *((d, lambda row, d=d: f"{row.jitter_ms[d]:.2f}") for d in mean_jitter_ms),
+        ("winner", "{0.winner}".format),
+    )
+    return ExperimentResult(
         rows=rows,
-        duration=duration,
-        seed=seed,
-        scenarios=results if keep_scenarios else None,
+        key=("gen_seed",),
+        columns=columns,
+        summary={
+            "wins": wins,
+            "mean_jitter_ms": mean_jitter_ms,
+            "all_invariants_clean": clean,
+            "duration": duration,
+            "seed": seed,
+        },
+        head=(
+            f"Generated random graphs — {len(rows)} seeded "
+            f"multi-bottleneck topologies, mixed traffic at 85% load",
+            "",
+            "multi-hop flow jitter per graph (ms; lower is better):",
+        ),
+        foot=(
+            "",
+            "wins: " + ", ".join(f"{name}: {n}" for name, n in wins.items()),
+            "mean jitter: "
+            + ", ".join(f"{n}: {v:.2f} ms" for n, v in mean_jitter_ms.items()),
+            "invariants: "
+            + ("clean on every run" if clean else "VIOLATIONS DETECTED"),
+            f"duration: {duration:.0f}s/graph   seed: {seed}",
+        ),
     )

@@ -27,38 +27,43 @@ well below FIFO's.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.experiments import common
+from repro.experiments.common import table
+from repro.experiments.result import ExperimentResult
 from repro.net.packet import ServiceClass
 from repro.net.topology import parking_lot_ascii
 from repro.scenario import (
     DisciplineSpec,
     ScenarioBuilder,
-    ScenarioResult,
     ScenarioRunner,
     ScenarioSpec,
     registry,
+    paper,
 )
 
 NUM_HOPS = 4
 CROSS_PER_HOP = 8  # 8 cross + 2 through = 10 flows/link, the paper's load
 THROUGH_FLOWS = ("thru-0", "thru-1")
-DISCIPLINE_NAMES = ("FIFO", "FIFO+", "CSZ")
+COLUMNS = (
+    ("scheduling", "{0.scheduling}".format),
+    ("mean", "{0.mean:.2f}".format),
+    ("99.9 %ile", "{0.p999:.2f}".format),
+    ("jitter", "{0.jitter:.2f}".format),
+    ("cross mean", "{0.cross_mean:.2f}".format),
+)
 
 
 @registry.register("parking_lot")
 def scenario_spec(
-    duration: float = common.PAPER_DURATION_SECONDS,
+    duration: float = paper.PAPER_DURATION_SECONDS,
     seed: int = 1,
-    warmup: float = common.DEFAULT_WARMUP_SECONDS,
-    num_hops: int = NUM_HOPS,
-    cross_per_hop: int = CROSS_PER_HOP,
+    warmup: float = paper.DEFAULT_WARMUP_SECONDS,
 ) -> ScenarioSpec:
     """The full parking-lot experiment as one declarative spec."""
     builder = (
         ScenarioBuilder("parking_lot")
-        .parking_lot(num_hops)
+        .parking_lot(NUM_HOPS)
         .disciplines(
             DisciplineSpec.fifo(),
             DisciplineSpec.fifoplus(),
@@ -75,8 +80,8 @@ def scenario_spec(
             "thru-dst",
             service_class=ServiceClass.PREDICTED,
         )
-    for hop in range(1, num_hops + 1):
-        for i in range(cross_per_hop):
+    for hop in range(1, NUM_HOPS + 1):
+        for i in range(CROSS_PER_HOP):
             builder.add_flow(
                 f"cross-{hop}-{i}",
                 f"cross-src-{hop}",
@@ -89,7 +94,7 @@ def scenario_spec(
     return builder.build()
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class ParkingLotRow:
     """One discipline's through-flow numbers (packet transmission times)."""
 
@@ -102,136 +107,71 @@ class ParkingLotRow:
     link_utilizations: Dict[str, float]
 
 
-@dataclasses.dataclass
-class ParkingLotResult:
-    rows: List[ParkingLotRow]
-    num_hops: int
-    duration: float
-    seed: int
-    scenario: Optional[ScenarioResult] = None
-
-    def row(self, scheduling: str) -> ParkingLotRow:
-        for row in self.rows:
-            if row.scheduling == scheduling:
-                return row
-        raise KeyError(scheduling)
-
-    def render(self) -> str:
-        lines = [
-            "Parking lot — cross traffic merges at every hop "
-            f"({self.num_hops} hops, 85% load/link)",
-            parking_lot_ascii(self.num_hops),
-            f"through-flow queueing delay over {self.num_hops} hops "
-            "(packet transmission times):",
-            common.format_table(
-                ["scheduling", "mean", "99.9 %ile", "jitter", "cross mean"],
-                [
-                    [
-                        row.scheduling,
-                        f"{row.mean:.2f}",
-                        f"{row.p999:.2f}",
-                        f"{row.jitter:.2f}",
-                        f"{row.cross_mean:.2f}",
-                    ]
-                    for row in self.rows
-                ],
-            ),
-            "",
-            "mean per-hop wait along the lot (ms):",
-            common.format_table(
-                ["scheduling"] + sorted(self.rows[0].link_queueing_ms),
-                [
-                    [row.scheduling]
-                    + [
-                        f"{row.link_queueing_ms[link]:.2f}"
-                        for link in sorted(row.link_queueing_ms)
-                    ]
-                    for row in self.rows
-                ],
-            ),
-            "",
-            f"link utilizations: "
-            + ", ".join(
-                f"{name}: {value:.1%}"
-                for name, value in sorted(
-                    self.rows[0].link_utilizations.items()
-                )
-            ),
-            f"duration: {self.duration:.0f}s   seed: {self.seed}",
-        ]
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "scheduling": row.scheduling,
-                    "mean": row.mean,
-                    "p999": row.p999,
-                    "jitter": row.jitter,
-                    "cross_mean": row.cross_mean,
-                    "link_queueing_ms": row.link_queueing_ms,
-                    "link_utilizations": row.link_utilizations,
-                }
-                for row in self.rows
-            ],
-            "num_hops": self.num_hops,
-            "duration": self.duration,
-            "seed": self.seed,
-        }
+def _pooled_mean(stats) -> float:
+    """Mean delay (seconds) over flows, weighted by packets recorded."""
+    total = sum(s.recorded for s in stats) or 1
+    return sum(s.mean_seconds * s.recorded for s in stats) / total
 
 
-def _rows_from(result: ScenarioResult, spec: ScenarioSpec) -> List[ParkingLotRow]:
-    unit = common.TX_TIME_SECONDS
+def _row_from(run, cross_witnesses) -> ParkingLotRow:
+    unit = paper.TX_TIME_SECONDS
+    # Pool the two through flows (identical placement and load).
+    thru = [run.flow(name) for name in THROUGH_FLOWS]
+    cross = [run.flow(name) for name in cross_witnesses]
+    return ParkingLotRow(
+        scheduling=run.discipline,
+        mean=_pooled_mean(thru) / unit,
+        p999=max(s.percentile_in(99.9) for s in thru) / unit,
+        jitter=max(s.jitter_seconds for s in thru) / unit,
+        cross_mean=_pooled_mean(cross) / unit,
+        link_queueing_ms={name: value * 1e3 for name, value in run.link_queueing},
+        link_utilizations=dict(run.link_utilizations),
+    )
+
+
+def run(
+    duration: float = paper.PAPER_DURATION_SECONDS,
+    seed: int = 1,
+    warmup: float = paper.DEFAULT_WARMUP_SECONDS,
+    workers: Optional[int] = None,
+) -> ExperimentResult:
+    spec = scenario_spec(duration=duration, seed=seed, warmup=warmup)
+    result = ScenarioRunner(spec).run(workers=workers)
     cross_witnesses = [
         flow.name
         for flow in spec.flows
         if flow.record and flow.name not in THROUGH_FLOWS
     ]
-    rows = []
-    for run in result.runs:
-        # Pool the two through flows (identical placement and load).
-        thru = [run.flow(name) for name in THROUGH_FLOWS]
-        weights = [stats.recorded for stats in thru]
-        total = sum(weights) or 1
-        mean = sum(s.mean_seconds * w for s, w in zip(thru, weights)) / total
-        p999 = max(s.percentile_in(99.9) for s in thru)
-        jitter = max(s.jitter_seconds for s in thru)
-        cross = [run.flow(name) for name in cross_witnesses]
-        cross_weights = [stats.recorded for stats in cross]
-        cross_total = sum(cross_weights) or 1
-        cross_mean = (
-            sum(s.mean_seconds * w for s, w in zip(cross, cross_weights))
-            / cross_total
-        )
-        rows.append(
-            ParkingLotRow(
-                scheduling=run.discipline,
-                mean=mean / unit,
-                p999=p999 / unit,
-                jitter=jitter / unit,
-                cross_mean=cross_mean / unit,
-                link_queueing_ms={
-                    name: value * 1e3 for name, value in run.link_queueing
-                },
-                link_utilizations=dict(run.link_utilizations),
-            )
-        )
-    return rows
-
-
-def run(
-    duration: float = common.PAPER_DURATION_SECONDS,
-    seed: int = 1,
-    warmup: float = common.DEFAULT_WARMUP_SECONDS,
-    workers: Optional[int] = None,
-) -> ParkingLotResult:
-    spec = scenario_spec(duration=duration, seed=seed, warmup=warmup)
-    result = ScenarioRunner(spec).run(workers=workers)
-    return ParkingLotResult(
-        rows=_rows_from(result, spec),
-        num_hops=NUM_HOPS,
-        duration=duration,
-        seed=seed,
+    rows = tuple(_row_from(run, cross_witnesses) for run in result.runs)
+    wait_columns = (
+        ("scheduling", "{0.scheduling}".format),
+        *(
+            (link, lambda row, link=link: f"{row.link_queueing_ms[link]:.2f}")
+            for link in sorted(rows[0].link_queueing_ms)
+        ),
+    )
+    utilizations = ", ".join(
+        f"{name}: {value:.1%}"
+        for name, value in sorted(rows[0].link_utilizations.items())
+    )
+    return ExperimentResult(
+        rows=rows,
+        columns=COLUMNS,
+        summary={"num_hops": NUM_HOPS, "duration": duration, "seed": seed},
+        head=(
+            "Parking lot — cross traffic merges at every hop "
+            f"({NUM_HOPS} hops, 85% load/link)",
+            parking_lot_ascii(NUM_HOPS),
+            f"through-flow queueing delay over {NUM_HOPS} hops "
+            "(packet transmission times):",
+        ),
+        foot=(
+            "",
+            "mean per-hop wait along the lot (ms):",
+            table(wait_columns, rows),
+            "",
+            f"link utilizations: {utilizations}",
+            f"duration: {duration:.0f}s   seed: {seed}",
+        ),
         scenario=result,
     )

@@ -32,8 +32,9 @@ cell; the fluid engine needs seconds.  Populations beyond 100k (the
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from repro.experiments.result import ExperimentResult
 from repro.fluid import FluidSimulation
 from repro.scenario import DisciplineSpec, ScenarioRunner, registry
 from repro.scenario.spec import FlowTable
@@ -57,7 +58,18 @@ def _k_for(size: int) -> int:
     return 16
 
 
-@dataclasses.dataclass
+COLUMNS = (
+    ("flows", "{0.size:,}".format),
+    ("fabric", "k={0.k}".format),
+    ("Mflow-adv/s", lambda row: f"{row.flows_per_sec / 1e6:.2f}"),
+    ("FIFO rt/dg ms", "{0.fifo_rt_ms:.2f}/{0.fifo_dg_ms:.2f}".format),
+    ("CSZ rt/dg ms", "{0.csz_rt_ms:.2f}/{0.csz_dg_ms:.2f}".format),
+    ("admit/deny", "{0.admitted:,}/{0.denied:,}".format),
+    ("overload rt/dg ms", "{0.overload_rt_ms:.2f}/{0.overload_dg_ms:.2f}".format),
+)
+
+
+@dataclasses.dataclass(frozen=True)
 class ScaleRow:
     """One population size: isolation and admission, side by side.
 
@@ -78,63 +90,6 @@ class ScaleRow:
     overload_rt_ms: float
     overload_dg_ms: float
     invariants_clean: bool
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-@dataclasses.dataclass
-class ScaleResult:
-    rows: List[ScaleRow]
-    duration: float
-    seed: int
-    gen_seed: int
-
-    @property
-    def all_invariants_clean(self) -> bool:
-        return all(row.invariants_clean for row in self.rows)
-
-    def row(self, size: int) -> ScaleRow:
-        for row in self.rows:
-            if row.size == size:
-                return row
-        raise KeyError(f"no row for size {size}")
-
-    def render(self) -> str:
-        lines = [
-            "Scale flagship (fluid engine): isolation + admission on "
-            "fat-tree fabrics",
-            f"  duration {self.duration:g}s  seed {self.seed}  "
-            f"gen_seed {self.gen_seed}",
-            "",
-            f"{'flows':>9}  {'fabric':>7}  {'Mflow-adv/s':>11}  "
-            f"{'FIFO rt/dg ms':>14}  {'CSZ rt/dg ms':>13}  "
-            f"{'admit/deny':>11}  {'overload rt/dg ms':>17}",
-        ]
-        for row in self.rows:
-            lines.append(
-                f"{row.size:>9,}  k={row.k:<5}  "
-                f"{row.flows_per_sec / 1e6:>11.2f}  "
-                f"{row.fifo_rt_ms:>6.2f}/{row.fifo_dg_ms:<7.2f}  "
-                f"{row.csz_rt_ms:>5.2f}/{row.csz_dg_ms:<7.2f}  "
-                f"{row.admitted:>5,}/{row.denied:<5,}  "
-                f"{row.overload_rt_ms:>8.2f}/{row.overload_dg_ms:<8.2f}"
-            )
-        lines.append("")
-        lines.append(
-            "  rt = recorded guaranteed+predicted flows, dg = recorded "
-            "datagram flows; overload = 1.3x offered load with admission on"
-        )
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "duration": self.duration,
-            "seed": self.seed,
-            "gen_seed": self.gen_seed,
-            "rows": [row.to_dict() for row in self.rows],
-            "all_invariants_clean": self.all_invariants_clean,
-        }
 
 
 def _tier_delays_ms(run, spec) -> Tuple[float, float]:
@@ -172,7 +127,7 @@ def run(
     seed: int = 1,
     gen_seed: int = 1,
     sizes: Sequence[int] = DEFAULT_SIZES,
-) -> ScaleResult:
+) -> ExperimentResult:
     duration = duration or DEFAULT_DURATION_SECONDS
     rows: List[ScaleRow] = []
     for size in sizes:
@@ -185,12 +140,9 @@ def run(
             ),
         )
         runner = ScenarioRunner(spec)
-        by_disc: Dict[str, object] = {
-            d.name: runner.run_discipline(d) for d in spec.disciplines
-        }
-        fifo_rt, fifo_dg = _tier_delays_ms(by_disc["FIFO"], spec)
-        csz_rt, csz_dg = _tier_delays_ms(by_disc["CSZ"], spec)
-        csz = by_disc["CSZ"]
+        fifo, csz = (runner.run_discipline(d) for d in spec.disciplines)
+        fifo_rt, fifo_dg = _tier_delays_ms(fifo, spec)
+        csz_rt, csz_dg = _tier_delays_ms(csz, spec)
 
         # Admission leg: the same fabric pushed past its capacity, every
         # realtime flow asking, the quota deciding.  Built via
@@ -211,9 +163,8 @@ def run(
                 size=size,
                 k=_k_for(size),
                 flows_per_sec=csz.events_processed / csz.wall_seconds,
-                wall_seconds=sum(
-                    r.wall_seconds for r in by_disc.values()
-                ) + overload_run.wall_seconds,
+                wall_seconds=fifo.wall_seconds + csz.wall_seconds
+                + overload_run.wall_seconds,
                 fifo_rt_ms=fifo_rt,
                 fifo_dg_ms=fifo_dg,
                 csz_rt_ms=csz_rt,
@@ -224,11 +175,31 @@ def run(
                 overload_dg_ms=over_dg,
                 invariants_clean=all(
                     c.ok
-                    for r in (*by_disc.values(), overload_run)
+                    for r in (fifo, csz, overload_run)
                     for c in (r.invariants or ())
                 ),
             )
         )
-    return ScaleResult(
-        rows=rows, duration=duration, seed=seed, gen_seed=gen_seed
+    clean = all(row.invariants_clean for row in rows)
+    return ExperimentResult(
+        rows=tuple(rows),
+        key=("size",),
+        columns=COLUMNS,
+        summary={
+            "duration": duration,
+            "seed": seed,
+            "gen_seed": gen_seed,
+            "all_invariants_clean": clean,
+        },
+        head=(
+            "Scale flagship (fluid engine): isolation + admission on "
+            "fat-tree fabrics",
+            f"  duration {duration:g}s  seed {seed}  gen_seed {gen_seed}",
+            "",
+        ),
+        foot=(
+            "",
+            "  rt = recorded guaranteed+predicted flows, dg = recorded "
+            "datagram flows; overload = 1.3x offered load with admission on",
+        ),
     )

@@ -1,12 +1,9 @@
 """Table 1: WFQ vs FIFO queueing delay on a single shared link.
 
 The paper: one 1 Mbit/s link, 10 identical on/off flows (A = 85 pkt/s,
-(A, 50) token bucket), 83.5 % utilized, 10 simulated minutes.  Reported for
-a sample flow, in packet transmission times:
-
-    scheduling   mean   99.9 %ile
-    WFQ          3.16   53.86
-    FIFO         3.17   34.72
+(A, 50) token bucket), 83.5 % utilized, 10 simulated minutes.  It reports
+the mean and 99.9th-percentile queueing delay of a sample flow, in
+packet transmission times, per scheduler: :data:`PAPER_VALUES`.
 
 Shape criterion: means statistically indistinguishable, FIFO's tail far
 below WFQ's — sharing beats isolation for homogeneous adaptive clients.
@@ -14,8 +11,8 @@ The WFQ run gives every flow an equal clock rate (link/10), matching the
 paper's "equal clock rates" note for these comparisons.
 
 The workload is declared once as a :class:`repro.scenario.ScenarioSpec`;
-``run()`` is a thin wrapper over :class:`repro.scenario.ScenarioRunner`
-that keeps the historical result types (numbers bit-identical to the
+``run()`` selects the table's rows from the
+:class:`repro.scenario.ScenarioResult` (numbers bit-identical to the
 pre-scenario implementation at the same seed).
 """
 
@@ -24,15 +21,15 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional
 
-from repro.experiments import common
+from repro.experiments.result import ExperimentResult
 from repro.scenario import (
     registry,
     DisciplineRunResult,
     DisciplineSpec,
     ScenarioBuilder,
-    ScenarioResult,
     ScenarioRunner,
     ScenarioSpec,
+    paper,
 )
 
 NUM_FLOWS = 10
@@ -40,45 +37,20 @@ PAPER_VALUES = {
     "WFQ": {"mean": 3.16, "p999": 53.86},
     "FIFO": {"mean": 3.17, "p999": 34.72},
 }
+COLUMNS = (
+    ("scheduling", "{0.scheduling}".format),
+    ("mean", "{0.mean:.2f}".format),
+    ("99.9 %ile", "{0.p999:.2f}".format),
+)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class Table1Row:
     scheduling: str
     mean: float
     p999: float
     flow_means: List[float]
     flow_p999s: List[float]
-
-
-@dataclasses.dataclass
-class Table1Result:
-    rows: List[Table1Row]
-    utilization: float
-    duration: float
-    seed: int
-    scenario: Optional[ScenarioResult] = None
-
-    def row(self, scheduling: str) -> Table1Row:
-        for row in self.rows:
-            if row.scheduling == scheduling:
-                return row
-        raise KeyError(scheduling)
-
-    def render(self) -> str:
-        body = [
-            [row.scheduling, f"{row.mean:.2f}", f"{row.p999:.2f}"]
-            for row in self.rows
-        ]
-        table = common.format_table(["scheduling", "mean", "99.9 %ile"], body)
-        return (
-            "Table 1 — queueing delay of a sample flow "
-            "(packet transmission times)\n"
-            f"{table}\n"
-            f"link utilization: {self.utilization:.1%}  "
-            f"(paper: 83.5%)   duration: {self.duration:.0f}s  seed: {self.seed}\n"
-            f"paper values:   WFQ 3.16 / 53.86   FIFO 3.17 / 34.72"
-        )
 
 
 def discipline_specs() -> Dict[str, DisciplineSpec]:
@@ -90,9 +62,9 @@ def discipline_specs() -> Dict[str, DisciplineSpec]:
 
 
 def scenario_spec(
-    duration: float = common.PAPER_DURATION_SECONDS,
+    duration: float = paper.PAPER_DURATION_SECONDS,
     seed: int = 1,
-    warmup: float = common.DEFAULT_WARMUP_SECONDS,
+    warmup: float = paper.DEFAULT_WARMUP_SECONDS,
     disciplines: tuple = ("WFQ", "FIFO"),
 ) -> ScenarioSpec:
     """The full Table-1 experiment as one declarative spec."""
@@ -109,14 +81,13 @@ def scenario_spec(
     )
 
 
-def _row_from(run: DisciplineRunResult, sample_flow: int = 0) -> Table1Row:
-    unit = common.TX_TIME_SECONDS
+def _row_from(run: DisciplineRunResult) -> Table1Row:
+    unit = paper.TX_TIME_SECONDS
     flows = [run.flow(f"flow-{i}") for i in range(NUM_FLOWS)]
-    sample = flows[sample_flow]
     return Table1Row(
         scheduling=run.discipline,
-        mean=sample.mean_in(unit),
-        p999=sample.percentile_in(99.9, unit),
+        mean=flows[0].mean_in(unit),
+        p999=flows[0].percentile_in(99.9, unit),
         flow_means=[f.mean_in(unit) for f in flows],
         flow_p999s=[f.percentile_in(99.9, unit) for f in flows],
     )
@@ -124,10 +95,9 @@ def _row_from(run: DisciplineRunResult, sample_flow: int = 0) -> Table1Row:
 
 def run_single(
     scheduling: str,
-    duration: float = common.PAPER_DURATION_SECONDS,
+    duration: float = paper.PAPER_DURATION_SECONDS,
     seed: int = 1,
-    warmup: float = common.DEFAULT_WARMUP_SECONDS,
-    sample_flow: int = 0,
+    warmup: float = paper.DEFAULT_WARMUP_SECONDS,
 ) -> Table1Row:
     """One scheduling discipline on the Table-1 workload.
 
@@ -136,15 +106,15 @@ def run_single(
     comparison is paired exactly as in the paper's simulator.
     """
     spec = scenario_spec(duration, seed, warmup, disciplines=(scheduling,))
-    return _row_from(ScenarioRunner(spec).run_discipline(), sample_flow)
+    return _row_from(ScenarioRunner(spec).run_discipline())
 
 
 def run(
-    duration: float = common.PAPER_DURATION_SECONDS,
+    duration: float = paper.PAPER_DURATION_SECONDS,
     seed: int = 1,
-    warmup: float = common.DEFAULT_WARMUP_SECONDS,
+    warmup: float = paper.DEFAULT_WARMUP_SECONDS,
     workers: Optional[int] = None,
-) -> Table1Result:
+) -> ExperimentResult:
     """Reproduce Table 1 (both rows) with paired arrivals.
 
     Utilization comes from the FIFO run directly (work conservation makes
@@ -153,12 +123,26 @@ def run(
     result = ScenarioRunner(scenario_spec(duration, seed, warmup)).run(
         workers=workers
     )
-    return Table1Result(
-        rows=[_row_from(result.run(name)) for name in ("WFQ", "FIFO")],
-        utilization=result.run("FIFO").utilization("A->B"),
-        duration=duration,
-        seed=seed,
+    utilization = result.run("FIFO").utilization("A->B")
+    paper = "   ".join(
+        f"{name} {cell['mean']:.2f} / {cell['p999']:.2f}"
+        for name, cell in PAPER_VALUES.items()
+    )
+    return ExperimentResult(
+        rows=tuple(_row_from(result.run(name)) for name in ("WFQ", "FIFO")),
+        columns=COLUMNS,
+        summary={"utilization": utilization, "duration": duration, "seed": seed},
+        head=(
+            "Table 1 — queueing delay of a sample flow "
+            "(packet transmission times)",
+        ),
+        foot=(
+            f"link utilization: {utilization:.1%}  (paper: 83.5%)   "
+            f"duration: {duration:.0f}s  seed: {seed}",
+            f"paper values:   {paper}",
+        ),
         scenario=result,
     )
+
 
 registry.register("table1", scenario_spec)

@@ -2,37 +2,33 @@
 
 22 identical on/off flows over 5 switches / 4 links (10 flows per link,
 83.5 % utilized each).  The paper reports mean and 99.9th-percentile
-queueing delays of one sample flow per path length:
-
-                 1 hop          2 hops         3 hops         4 hops
-    WFQ     2.65 / 45.31   4.74 / 60.31   7.51 / 65.86   9.64 / 80.59
-    FIFO    2.54 / 30.49   4.73 / 41.22   7.97 / 52.36  10.33 / 58.13
-    FIFO+   2.71 / 33.59   4.69 / 38.15   7.76 / 43.30  10.11 / 45.25
+queueing delays of one sample flow per path length, per scheduler:
+:data:`PAPER_VALUES` (``hops -> (mean, p99.9)``, transmission times).
 
 Shape criteria: means comparable across disciplines and growing ~linearly
 with hops; the 99.9 %ile grows with hops everywhere but much more slowly
 under FIFO+ (multi-hop sharing), with FIFO between FIFO+ and WFQ.
 
 Declared once as a :class:`repro.scenario.ScenarioSpec` (the Figure-1
-placement lives in :mod:`repro.scenario.paper`); ``run()`` keeps the
-historical result types with numbers bit-identical to the pre-scenario
+placement lives in :mod:`repro.scenario.paper`); ``run()`` selects the
+table's rows with numbers bit-identical to the pre-scenario
 implementation at the same seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.experiments import common
+from repro.experiments.result import ExperimentResult
 from repro.scenario import (
     registry,
     DisciplineRunResult,
     DisciplineSpec,
     ScenarioBuilder,
-    ScenarioResult,
     ScenarioRunner,
     ScenarioSpec,
+    paper,
 )
 
 FLOWS_PER_LINK = 10
@@ -46,59 +42,29 @@ PAPER_VALUES = {
     "FIFO": {1: (2.54, 30.49), 2: (4.73, 41.22), 3: (7.97, 52.36), 4: (10.33, 58.13)},
     "FIFO+": {1: (2.71, 33.59), 2: (4.69, 38.15), 3: (7.76, 43.30), 4: (10.11, 45.25)},
 }
+COLUMNS = (
+    ("scheduling", "{0.scheduling}".format),
+    *(
+        (f"{hops}h {label}", f"{{0.by_hops[{hops}].{field}:.2f}}".format)
+        for hops in SAMPLE_BY_HOPS
+        for label, field in (("mean", "mean"), ("99.9%", "p999"))
+    ),
+)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class Table2Cell:
     mean: float
     p999: float
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class Table2Row:
     scheduling: str
     by_hops: Dict[int, Table2Cell]
     # Per-flow data for the similarity checks.
     all_means: Dict[str, float]
     all_p999s: Dict[str, float]
-
-
-@dataclasses.dataclass
-class Table2Result:
-    rows: List[Table2Row]
-    link_utilizations: Dict[str, float]
-    duration: float
-    seed: int
-    scenario: Optional[ScenarioResult] = None
-
-    def row(self, scheduling: str) -> Table2Row:
-        for row in self.rows:
-            if row.scheduling == scheduling:
-                return row
-        raise KeyError(scheduling)
-
-    def render(self) -> str:
-        headers = ["scheduling"]
-        for hops in (1, 2, 3, 4):
-            headers += [f"{hops}h mean", f"{hops}h 99.9%"]
-        body = []
-        for row in self.rows:
-            cells = [row.scheduling]
-            for hops in (1, 2, 3, 4):
-                cell = row.by_hops[hops]
-                cells += [f"{cell.mean:.2f}", f"{cell.p999:.2f}"]
-            body.append(cells)
-        table = common.format_table(headers, body)
-        util = ", ".join(
-            f"{name}={u:.1%}" for name, u in sorted(self.link_utilizations.items())
-        )
-        return (
-            "Table 2 — queueing delay by path length "
-            "(packet transmission times)\n"
-            f"{table}\n"
-            f"link utilization: {util}  (paper: 83.5% each)\n"
-            f"duration: {self.duration:.0f}s  seed: {self.seed}"
-        )
 
 
 def discipline_specs() -> Dict[str, DisciplineSpec]:
@@ -111,18 +77,16 @@ def discipline_specs() -> Dict[str, DisciplineSpec]:
 
 
 def scenario_spec(
-    duration: float = common.PAPER_DURATION_SECONDS,
+    duration: float = paper.PAPER_DURATION_SECONDS,
     seed: int = 1,
-    warmup: float = common.DEFAULT_WARMUP_SECONDS,
-    disciplines: tuple = ("WFQ", "FIFO", "FIFO+"),
+    warmup: float = paper.DEFAULT_WARMUP_SECONDS,
 ) -> ScenarioSpec:
     """The full Table-2 experiment as one declarative spec."""
-    specs = discipline_specs()
     return (
         ScenarioBuilder("table2")
         .paper_chain()
         .figure1_flows()
-        .disciplines(*(specs[name] for name in disciplines))
+        .disciplines(*discipline_specs().values())
         .duration(duration)
         .seed(seed)
         .warmup(warmup)
@@ -131,58 +95,57 @@ def scenario_spec(
 
 
 def _row_from(run: DisciplineRunResult) -> Table2Row:
-    unit = common.TX_TIME_SECONDS
-    by_hops = {
-        hops: Table2Cell(
-            mean=run.flow(flow).mean_in(unit),
-            p999=run.flow(flow).percentile_in(99.9, unit),
-        )
-        for hops, flow in SAMPLE_BY_HOPS.items()
-    }
+    unit = paper.TX_TIME_SECONDS
     return Table2Row(
         scheduling=run.discipline,
-        by_hops=by_hops,
+        by_hops={
+            hops: Table2Cell(
+                mean=run.flow(flow).mean_in(unit),
+                p999=run.flow(flow).percentile_in(99.9, unit),
+            )
+            for hops, flow in SAMPLE_BY_HOPS.items()
+        },
         all_means={f.name: f.mean_in(unit) for f in run.flows},
         all_p999s={f.name: f.percentile_in(99.9, unit) for f in run.flows},
     )
 
 
-def run_single(
-    scheduling: str,
-    duration: float = common.PAPER_DURATION_SECONDS,
-    seed: int = 1,
-    warmup: float = common.DEFAULT_WARMUP_SECONDS,
-) -> Table2Row:
-    """One discipline over the full Figure-1 workload."""
-    spec = scenario_spec(duration, seed, warmup, disciplines=(scheduling,))
-    return _row_from(ScenarioRunner(spec).run_discipline())
-
-
 def run(
-    duration: float = common.PAPER_DURATION_SECONDS,
+    duration: float = paper.PAPER_DURATION_SECONDS,
     seed: int = 1,
-    warmup: float = common.DEFAULT_WARMUP_SECONDS,
-    disciplines: tuple = ("WFQ", "FIFO", "FIFO+"),
+    warmup: float = paper.DEFAULT_WARMUP_SECONDS,
     workers: Optional[int] = None,
-) -> Table2Result:
+) -> ExperimentResult:
     """Reproduce Table 2 with paired arrivals across disciplines.
 
     Utilization comes from the FIFO run (work conservation makes it
-    scheduler-independent up to end effects); with FIFO absent from
-    ``disciplines`` the first run is used instead.
+    scheduler-independent up to end effects).
     """
-    result = ScenarioRunner(
-        scenario_spec(duration, seed, warmup, disciplines)
-    ).run(workers=workers)
-    util_run = (
-        result.run("FIFO") if "FIFO" in result.disciplines else result.runs[0]
+    result = ScenarioRunner(scenario_spec(duration, seed, warmup)).run(
+        workers=workers
     )
-    return Table2Result(
-        rows=[_row_from(result.run(name)) for name in disciplines],
-        link_utilizations=dict(util_run.link_utilizations),
-        duration=duration,
-        seed=seed,
+    utilizations = dict(result.run("FIFO").link_utilizations)
+    util = ", ".join(
+        f"{name}={u:.1%}" for name, u in sorted(utilizations.items())
+    )
+    return ExperimentResult(
+        rows=tuple(_row_from(run) for run in result.runs),
+        columns=COLUMNS,
+        summary={
+            "link_utilizations": utilizations,
+            "duration": duration,
+            "seed": seed,
+        },
+        head=(
+            "Table 2 — queueing delay by path length "
+            "(packet transmission times)",
+        ),
+        foot=(
+            f"link utilization: {util}  (paper: 83.5% each)",
+            f"duration: {duration:.0f}s  seed: {seed}",
+        ),
         scenario=result,
     )
+
 
 registry.register("table2", scenario_spec)

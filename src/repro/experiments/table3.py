@@ -20,14 +20,9 @@ declarative :class:`repro.scenario.ScenarioSpec`; the spec's
 ``establish_order`` encodes the paper's discipline of reserving
 guaranteed flows before admitting predicted ones.
 
-Paper's sample results (delay in transmission times):
-
-    Guaranteed                                Predicted
-    type  path mean  99.9   max    P-G bound  type path mean  99.9   max
-    Peak  4    8.07  14.41  15.99  23.53      High 4    3.06  8.20  11.13
-    Peak  2    2.91  8.12   8.79   11.76      High 2    1.60  5.83  7.48
-    Avg   3    56.44 270.13 296.23 611.76     Low  3    19.22 104.83 148.7
-    Avg   1    36.27 206.75 247.24 588.24     Low  1    7.43  79.57 108.56
+The paper's sample rows (mean, 99.9 %ile, max and, for guaranteed flows,
+the P-G bound, in transmission times) are :data:`PAPER_VALUES`, keyed by
+(type, path length).
 
 Shape criteria: every guaranteed max delay < its P-G bound; Peak delays
 << Average delays; High delays << Low delays; total utilization > 95 %
@@ -37,10 +32,10 @@ Shape criteria: every guaranteed max delay < its P-G bound; Peak delays
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.core.bounds import parekh_gallager_paper_bound
-from repro.experiments import common
+from repro.experiments.result import ExperimentResult
 from repro.scenario import (
     registry,
     DisciplineSpec,
@@ -48,13 +43,13 @@ from repro.scenario import (
     GuaranteedRequest,
     PredictedRequest,
     ScenarioBuilder,
-    ScenarioResult,
     ScenarioRunner,
     ScenarioSpec,
+    paper,
 )
 
-PEAK_CLOCK_BPS = 2 * common.AVERAGE_RATE_PPS * common.PACKET_BITS  # 170 kbit/s
-AVG_CLOCK_BPS = common.AVERAGE_RATE_PPS * common.PACKET_BITS  # 85 kbit/s
+PEAK_CLOCK_BPS = 2 * paper.AVERAGE_RATE_PPS * paper.PACKET_BITS  # 170 kbit/s
+AVG_CLOCK_BPS = paper.AVERAGE_RATE_PPS * paper.PACKET_BITS  # 85 kbit/s
 # Per-switch predicted class bounds D_i ("widely spaced"); D_0 is sized so
 # the paper's declared bucket (50 packets) passes criterion (2) on a link
 # already carrying the full guaranteed reservation: b < D_0 * (mu - 425k - r).
@@ -70,18 +65,27 @@ PAPER_VALUES = {
     ("Low", 3): {"mean": 19.22, "p999": 104.83, "max": 148.7},
     ("Low", 1): {"mean": 7.43, "p999": 79.57, "max": 108.56},
 }
+COLUMNS = (
+    ("type", "{0.flow_type}".format),
+    ("path", "{0.hops}".format),
+    ("mean", "{0.mean:.2f}".format),
+    ("99.9 %ile", "{0.p999:.2f}".format),
+    ("max", "{0.max:.2f}".format),
+    ("P-G bound", lambda row: "-" if row.pg_bound is None else f"{row.pg_bound:.2f}"),
+)
 
 # Guaranteed first (reservations make later admission checks conservative),
 # then predicted — the order the legacy implementation established in.
 ESTABLISH_ORDER = (
-    common.GUARANTEED_PEAK_FLOWS
-    + common.GUARANTEED_AVERAGE_FLOWS
-    + common.PREDICTED_HIGH_FLOWS
-    + common.PREDICTED_LOW_FLOWS
+    paper.GUARANTEED_PEAK_FLOWS
+    + paper.GUARANTEED_AVERAGE_FLOWS
+    + paper.PREDICTED_HIGH_FLOWS
+    + paper.PREDICTED_LOW_FLOWS
 )
+FORWARD_LINKS = tuple(f"S-{i}->S-{i + 1}" for i in range(1, 5))
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class Table3Row:
     flow_type: str  # Peak / Average / High / Low
     flow: str
@@ -92,94 +96,43 @@ class Table3Row:
     pg_bound: Optional[float]  # guaranteed flows only
 
 
-@dataclasses.dataclass
-class Table3Result:
-    rows: List[Table3Row]
-    all_max_by_flow: Dict[str, float]
-    pg_bound_by_flow: Dict[str, float]
-    link_utilizations: Dict[str, float]
-    realtime_fraction: Dict[str, float]
-    datagram_sent: int
-    datagram_dropped: int
-    tcp_goodput_bps: Dict[str, float]
-    duration: float
-    seed: int
-    scenario: Optional[ScenarioResult] = None
-
-    @property
-    def datagram_drop_rate(self) -> float:
-        return self.datagram_dropped / self.datagram_sent if self.datagram_sent else 0.0
-
-    def row(self, flow_type: str, hops: int) -> Table3Row:
-        for row in self.rows:
-            if row.flow_type == flow_type and row.hops == hops:
-                return row
-        raise KeyError((flow_type, hops))
-
-    def render(self) -> str:
-        body = []
-        for row in self.rows:
-            body.append(
-                [
-                    row.flow_type,
-                    str(row.hops),
-                    f"{row.mean:.2f}",
-                    f"{row.p999:.2f}",
-                    f"{row.max:.2f}",
-                    f"{row.pg_bound:.2f}" if row.pg_bound is not None else "-",
-                ]
-            )
-        table = common.format_table(
-            ["type", "path", "mean", "99.9 %ile", "max", "P-G bound"], body
-        )
-        util = ", ".join(
-            f"{name.split('->')[0]}>{u:.1%}"
-            for name, u in sorted(self.link_utilizations.items())
-        )
-        return (
-            "Table 3 — unified scheduling algorithm "
-            "(delays in packet transmission times)\n"
-            f"{table}\n"
-            f"forward-link utilization: {util}  (paper: >99% each)\n"
-            f"datagram drop rate: {self.datagram_drop_rate:.2%}  (paper: ~0.1%)\n"
-            f"duration: {self.duration:.0f}s  seed: {self.seed}"
-        )
-
-
-def _flow_type(name: str) -> str:
-    if name in common.GUARANTEED_PEAK_FLOWS:
-        return "Peak"
-    if name in common.GUARANTEED_AVERAGE_FLOWS:
-        return "Average"
-    if name in common.PREDICTED_HIGH_FLOWS:
-        return "High"
-    return "Low"
-
-
 def _request_for(name: str, hops: int):
     """The Table-3 service request of one Figure-1 flow."""
-    if name in common.GUARANTEED_PEAK_FLOWS:
+    if name in paper.GUARANTEED_PEAK_FLOWS:
         return GuaranteedRequest(clock_rate_bps=PEAK_CLOCK_BPS)
-    if name in common.GUARANTEED_AVERAGE_FLOWS:
+    if name in paper.GUARANTEED_AVERAGE_FLOWS:
         return GuaranteedRequest(clock_rate_bps=AVG_CLOCK_BPS)
     per_switch = (
         CLASS_BOUNDS_SECONDS[0]
-        if name in common.PREDICTED_HIGH_FLOWS
+        if name in paper.PREDICTED_HIGH_FLOWS
         else CLASS_BOUNDS_SECONDS[1]
     )
     return PredictedRequest(
-        token_rate_bps=common.AVERAGE_RATE_PPS * common.PACKET_BITS,
-        bucket_depth_bits=common.BUCKET_PACKETS * common.PACKET_BITS,
+        token_rate_bps=paper.AVERAGE_RATE_PPS * paper.PACKET_BITS,
+        bucket_depth_bits=paper.BUCKET_PACKETS * paper.PACKET_BITS,
         target_delay_seconds=per_switch * hops,
         target_loss_rate=0.01,
     )
 
 
+def _pg_bound(name: str, hops: int) -> Optional[float]:
+    """A guaranteed flow's P-G delay bound (transmission times)."""
+    if name in paper.GUARANTEED_PEAK_FLOWS:
+        bucket_bits, clock_bps = paper.PACKET_BITS, PEAK_CLOCK_BPS
+    elif name in paper.GUARANTEED_AVERAGE_FLOWS:
+        bucket_bits, clock_bps = paper.BUCKET_PACKETS * paper.PACKET_BITS, AVG_CLOCK_BPS
+    else:
+        return None
+    return (
+        parekh_gallager_paper_bound(bucket_bits, clock_bps, paper.PACKET_BITS, hops)
+        / paper.TX_TIME_SECONDS
+    )
+
+
 def scenario_spec(
-    duration: float = common.PAPER_DURATION_SECONDS,
+    duration: float = paper.PAPER_DURATION_SECONDS,
     seed: int = 1,
-    warmup: float = common.DEFAULT_WARMUP_SECONDS,
-    tcp_max_cwnd: float = 64.0,
+    warmup: float = paper.DEFAULT_WARMUP_SECONDS,
 ) -> ScenarioSpec:
     """Table 3 end to end — commitments, TCP load, accounting — as a spec."""
     builder = (
@@ -193,14 +146,14 @@ def scenario_spec(
         )
         .admission(realtime_quota=0.9, class_bounds_seconds=CLASS_BOUNDS_SECONDS)
         .establish_order(*ESTABLISH_ORDER)
-        .tcp("tcp-1", "Host-1", "Host-3", max_cwnd=tcp_max_cwnd)
-        .tcp("tcp-2", "Host-3", "Host-5", max_cwnd=tcp_max_cwnd)
+        .tcp("tcp-1", "Host-1", "Host-3", max_cwnd=64.0)
+        .tcp("tcp-2", "Host-3", "Host-5", max_cwnd=64.0)
         .link_accounting()
         .duration(duration)
         .seed(seed)
         .warmup(warmup)
     )
-    for placement in common.figure1_flow_placements():
+    for placement in paper.figure1_flow_placements():
         builder.flow(
             FlowSpec(
                 name=placement.name,
@@ -214,73 +167,67 @@ def scenario_spec(
 
 
 def run(
-    duration: float = common.PAPER_DURATION_SECONDS,
+    duration: float = paper.PAPER_DURATION_SECONDS,
     seed: int = 1,
-    warmup: float = common.DEFAULT_WARMUP_SECONDS,
-    tcp_max_cwnd: float = 64.0,
-) -> Table3Result:
+    warmup: float = paper.DEFAULT_WARMUP_SECONDS,
+) -> ExperimentResult:
     """Reproduce Table 3 end to end (signaling included)."""
-    spec = scenario_spec(duration, seed, warmup, tcp_max_cwnd)
-    result = ScenarioRunner(spec).run()
+    result = ScenarioRunner(scenario_spec(duration, seed, warmup)).run()
     run_result = result.runs[0]
-
-    unit = common.TX_TIME_SECONDS
-    placements = {p.name: p for p in common.figure1_flow_placements()}
-    all_max: Dict[str, float] = {}
-    pg_by_flow: Dict[str, float] = {}
-    for name, placement in placements.items():
-        stats = run_result.flow(name)
-        if stats.recorded:
-            all_max[name] = stats.max_in(unit)
-        flow_type = _flow_type(name)
-        if flow_type == "Peak":
-            pg_by_flow[name] = (
-                parekh_gallager_paper_bound(
-                    common.PACKET_BITS, PEAK_CLOCK_BPS, common.PACKET_BITS,
-                    placement.hops,
-                )
-                / unit
-            )
-        elif flow_type == "Average":
-            pg_by_flow[name] = (
-                parekh_gallager_paper_bound(
-                    common.BUCKET_PACKETS * common.PACKET_BITS,
-                    AVG_CLOCK_BPS,
-                    common.PACKET_BITS,
-                    placement.hops,
-                )
-                / unit
-            )
-    rows = []
-    for flow_type, flow, hops in common.TABLE3_SAMPLES:
-        stats = run_result.flow(flow)
-        rows.append(
-            Table3Row(
-                flow_type=flow_type,
-                flow=flow,
-                hops=hops,
-                mean=stats.mean_in(unit),
-                p999=stats.percentile_in(99.9, unit),
-                max=stats.max_in(unit),
-                pg_bound=pg_by_flow.get(flow),
-            )
+    unit = paper.TX_TIME_SECONDS
+    placements = paper.figure1_flow_placements()
+    bounds = {p.name: _pg_bound(p.name, p.hops) for p in placements}
+    pg_by_flow = {name: b for name, b in bounds.items() if b is not None}
+    rows = tuple(
+        Table3Row(
+            flow_type=flow_type,
+            flow=flow,
+            hops=hops,
+            mean=run_result.flow(flow).mean_in(unit),
+            p999=run_result.flow(flow).percentile_in(99.9, unit),
+            max=run_result.flow(flow).max_in(unit),
+            pg_bound=pg_by_flow.get(flow),
         )
-    forward_links = [f"S-{i}->S-{i + 1}" for i in range(1, 5)]
+        for flow_type, flow, hops in paper.TABLE3_SAMPLES
+    )
     realtime = dict(run_result.realtime_fraction)
-    return Table3Result(
+    utilizations = {name: run_result.utilization(name) for name in FORWARD_LINKS}
+    sent, dropped = run_result.datagram_sent, run_result.datagram_dropped
+    drop_rate = dropped / sent if sent else 0.0
+    util = ", ".join(
+        f"{name.split('->')[0]}>{u:.1%}" for name, u in sorted(utilizations.items())
+    )
+    return ExperimentResult(
         rows=rows,
-        all_max_by_flow=all_max,
-        pg_bound_by_flow=pg_by_flow,
-        link_utilizations={
-            name: run_result.utilization(name) for name in forward_links
+        key=("flow_type", "hops"),
+        columns=COLUMNS,
+        summary={
+            "all_max_by_flow": {
+                p.name: run_result.flow(p.name).max_in(unit)
+                for p in placements
+                if run_result.flow(p.name).recorded
+            },
+            "pg_bound_by_flow": pg_by_flow,
+            "link_utilizations": utilizations,
+            "realtime_fraction": {name: realtime[name] for name in FORWARD_LINKS},
+            "datagram_sent": sent,
+            "datagram_dropped": dropped,
+            "datagram_drop_rate": drop_rate,
+            "tcp_goodput_bps": {t.name: t.goodput_bps for t in run_result.tcp_stats},
+            "duration": duration,
+            "seed": seed,
         },
-        realtime_fraction={name: realtime[name] for name in forward_links},
-        datagram_sent=run_result.datagram_sent,
-        datagram_dropped=run_result.datagram_dropped,
-        tcp_goodput_bps={t.name: t.goodput_bps for t in run_result.tcp_stats},
-        duration=duration,
-        seed=seed,
+        head=(
+            "Table 3 — unified scheduling algorithm "
+            "(delays in packet transmission times)",
+        ),
+        foot=(
+            f"forward-link utilization: {util}  (paper: >99% each)",
+            f"datagram drop rate: {drop_rate:.2%}  (paper: ~0.1%)",
+            f"duration: {duration:.0f}s  seed: {seed}",
+        ),
         scenario=result,
     )
+
 
 registry.register("table3", scenario_spec)

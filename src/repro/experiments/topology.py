@@ -115,6 +115,5 @@ def build_report() -> TopologyReport:
     return report
 
 
-def run() -> TopologyReport:
-    """Alias so every experiment module exposes ``run()``."""
-    return build_report()
+#: Alias so every experiment module exposes ``run()``.
+run = build_report

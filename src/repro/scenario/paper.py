@@ -4,12 +4,12 @@ Single source of truth for the numbers every experiment shares: 1000-bit
 packets, 1 Mbit/s inter-switch links (so the delay unit — one packet
 transmission time — is 1 ms), 200-packet switch buffers, on/off sources
 with A = 85 packets/s, B = 5, P = 2A, an (A, 50) token bucket at each
-source, and 10-minute runs.  :mod:`repro.experiments.common` re-exports
-these for backwards compatibility.
+source, and 10-minute runs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List, Tuple
 
 PACKET_BITS = 1000
@@ -58,6 +58,21 @@ def _placements() -> List[Figure1Placement]:
 
 
 FIGURE1_PLACEMENTS: Tuple[Figure1Placement, ...] = tuple(_placements())
+
+
+@dataclasses.dataclass(frozen=True)
+class FlowPlacement:
+    """One real-time flow of the Figure-1 workload."""
+
+    name: str
+    source_host: str
+    dest_host: str
+    hops: int  # inter-switch links traversed
+
+
+def figure1_flow_placements() -> List[FlowPlacement]:
+    """The 22-flow layout: each inter-switch link is shared by 10 flows."""
+    return [FlowPlacement(*placement) for placement in FIGURE1_PLACEMENTS]
 
 # Table 3's commitment assignment.  Chosen so that every link carries
 # exactly 2 Guaranteed-Peak, 1 Guaranteed-Average, 3 Predicted-High, and

@@ -161,6 +161,28 @@ class TestSpecCli:
         out = capsys.readouterr().out
         assert "parking_lot" in out and "table1" in out
 
+    def test_bare_import_registers_every_experiment_scenario(self):
+        """``import repro.experiments`` alone registers every experiment's
+        scenarios, and loads neither ``repro.fluid`` nor numpy."""
+        code = (
+            "import json, sys\n"
+            "import repro.experiments\n"
+            "heavy = sorted(m for m in sys.modules\n"
+            "               if m.split('.')[0] == 'numpy'\n"
+            "               or m.startswith('repro.fluid'))\n"
+            "from repro.scenario import registry\n"
+            "print(json.dumps({'names': registry.names(), 'heavy': heavy}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=_env_with_src(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert "failover" in report["names"]
+        assert "failover:fabric" in report["names"]
+        assert report["heavy"] == []
+
     def test_json_export(self, capsys, tmp_path):
         path = tmp_path / "results.json"
         assert main(["table1", "--duration", "15", "--json", str(path)]) == 0

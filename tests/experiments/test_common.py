@@ -3,33 +3,34 @@
 import pytest
 
 from repro.experiments import common
+from repro.scenario import paper
 
 
 class TestConstants:
     def test_paper_units(self):
-        assert common.PACKET_BITS == 1000
-        assert common.LINK_RATE_BPS == 1_000_000
-        assert common.TX_TIME_SECONDS == pytest.approx(0.001)
-        assert common.BUFFER_PACKETS == 200
-        assert common.AVERAGE_RATE_PPS == 85.0
-        assert common.BUCKET_PACKETS == 50.0
-        assert common.PAPER_DURATION_SECONDS == 600.0
+        assert paper.PACKET_BITS == 1000
+        assert paper.LINK_RATE_BPS == 1_000_000
+        assert paper.TX_TIME_SECONDS == pytest.approx(0.001)
+        assert paper.BUFFER_PACKETS == 200
+        assert paper.AVERAGE_RATE_PPS == 85.0
+        assert paper.BUCKET_PACKETS == 50.0
+        assert paper.PAPER_DURATION_SECONDS == 600.0
 
     def test_in_tx_units(self):
-        assert common.in_tx_units(0.001) == pytest.approx(1.0)
-        assert common.in_tx_units(0.0545) == pytest.approx(54.5)
+        assert paper.in_tx_units(0.001) == pytest.approx(1.0)
+        assert paper.in_tx_units(0.0545) == pytest.approx(54.5)
 
 
 class TestFlowPlacements:
     def test_twenty_two_flows(self):
-        assert len(common.figure1_flow_placements()) == 22
+        assert len(paper.figure1_flow_placements()) == 22
 
     def test_names_unique(self):
-        names = [p.name for p in common.figure1_flow_placements()]
+        names = [p.name for p in paper.figure1_flow_placements()]
         assert len(set(names)) == 22
 
     def test_hops_match_endpoints(self):
-        for placement in common.figure1_flow_placements():
+        for placement in paper.figure1_flow_placements():
             src = int(placement.source_host.split("-")[1])
             dst = int(placement.dest_host.split("-")[1])
             assert placement.hops == dst - src
@@ -38,7 +39,7 @@ class TestFlowPlacements:
     def test_table3_commitment_census_per_link(self):
         """Every inter-switch link carries exactly 2 G-Peak + 1 G-Avg +
         3 P-High + 4 P-Low flows (the paper's stated per-link census)."""
-        placements = {p.name: p for p in common.figure1_flow_placements()}
+        placements = {p.name: p for p in paper.figure1_flow_placements()}
 
         def links_of(placement):
             src = int(placement.source_host.split("-")[1])
@@ -48,10 +49,10 @@ class TestFlowPlacements:
         census = {link: {"peak": 0, "avg": 0, "high": 0, "low": 0}
                   for link in range(1, 5)}
         groups = [
-            (common.GUARANTEED_PEAK_FLOWS, "peak"),
-            (common.GUARANTEED_AVERAGE_FLOWS, "avg"),
-            (common.PREDICTED_HIGH_FLOWS, "high"),
-            (common.PREDICTED_LOW_FLOWS, "low"),
+            (paper.GUARANTEED_PEAK_FLOWS, "peak"),
+            (paper.GUARANTEED_AVERAGE_FLOWS, "avg"),
+            (paper.PREDICTED_HIGH_FLOWS, "high"),
+            (paper.PREDICTED_LOW_FLOWS, "low"),
         ]
         seen = set()
         for flows, kind in groups:
@@ -65,14 +66,14 @@ class TestFlowPlacements:
             assert counts == {"peak": 2, "avg": 1, "high": 3, "low": 4}, link
 
     def test_table3_samples_exist_and_typed_right(self):
-        placements = {p.name: p for p in common.figure1_flow_placements()}
-        for flow_type, flow, hops in common.TABLE3_SAMPLES:
+        placements = {p.name: p for p in paper.figure1_flow_placements()}
+        for flow_type, flow, hops in paper.TABLE3_SAMPLES:
             assert placements[flow].hops == hops
             group = {
-                "Peak": common.GUARANTEED_PEAK_FLOWS,
-                "Average": common.GUARANTEED_AVERAGE_FLOWS,
-                "High": common.PREDICTED_HIGH_FLOWS,
-                "Low": common.PREDICTED_LOW_FLOWS,
+                "Peak": paper.GUARANTEED_PEAK_FLOWS,
+                "Average": paper.GUARANTEED_AVERAGE_FLOWS,
+                "High": paper.PREDICTED_HIGH_FLOWS,
+                "Low": paper.PREDICTED_LOW_FLOWS,
             }[flow_type]
             assert flow in group
 

@@ -48,24 +48,24 @@ class TestGeneratedGolden:
         assert [row.winner for row in result.rows] == [
             row["winner"] for row in golden["rows"]
         ]
-        assert result.wins == golden["wins"]
+        assert result.summary["wins"] == golden["wins"]
 
     def test_fifoplus_ranks_best_on_jitter(self, result):
         """The architectural claim across sampled topologies: FIFO+ wins
         more graphs than any alternative and has the lowest mean
         multi-hop jitter."""
-        wins = result.wins
+        wins = result.summary["wins"]
         assert wins["FIFO+"] == max(wins.values())
-        means = result.mean_jitter_ms
+        means = result.summary["mean_jitter_ms"]
         assert means["FIFO+"] < means["FIFO"]
         assert means["FIFO+"] == min(means.values())
 
     def test_invariants_clean_on_every_run(self, result):
-        assert result.all_invariants_clean
+        assert result.summary["all_invariants_clean"]
         assert all(row.invariants_clean for row in result.rows)
 
     def test_mean_jitter_bit_identical(self, result, golden):
-        assert result.mean_jitter_ms == golden["mean_jitter_ms"]
+        assert result.summary["mean_jitter_ms"] == golden["mean_jitter_ms"]
 
     def test_render_mentions_the_verdict(self, result):
         out = result.render()

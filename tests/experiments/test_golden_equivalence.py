@@ -41,7 +41,7 @@ class TestTable1Golden:
     def test_utilization_bit_identical(self, result, golden):
         """The deduplicated measurement (from the FIFO run, not a third
         dedicated simulation) equals the legacy third-run value exactly."""
-        assert result.utilization == golden["table1"]["utilization"]
+        assert result.summary["utilization"] == golden["table1"]["utilization"]
 
 
 class TestTable2Golden:
@@ -61,7 +61,7 @@ class TestTable2Golden:
             assert row.all_p999s == expected["all_p999s"]
 
     def test_utilizations_bit_identical(self, result, golden):
-        assert result.link_utilizations == golden["table2"]["link_utilizations"]
+        assert result.summary["link_utilizations"] == golden["table2"]["link_utilizations"]
 
 
 class TestTable3Golden:
@@ -85,16 +85,16 @@ class TestTable3Golden:
         assert rows == golden["table3"]["rows"]
 
     def test_bounds_and_maxima_bit_identical(self, result, golden):
-        assert result.all_max_by_flow == golden["table3"]["all_max_by_flow"]
-        assert result.pg_bound_by_flow == golden["table3"]["pg_bound_by_flow"]
+        assert result.summary["all_max_by_flow"] == golden["table3"]["all_max_by_flow"]
+        assert result.summary["pg_bound_by_flow"] == golden["table3"]["pg_bound_by_flow"]
 
     def test_accounting_bit_identical(self, result, golden):
         expected = golden["table3"]
-        assert result.link_utilizations == expected["link_utilizations"]
-        assert result.realtime_fraction == expected["realtime_fraction"]
-        assert result.datagram_sent == expected["datagram_sent"]
-        assert result.datagram_dropped == expected["datagram_dropped"]
-        assert result.tcp_goodput_bps == expected["tcp_goodput_bps"]
+        assert result.summary["link_utilizations"] == expected["link_utilizations"]
+        assert result.summary["realtime_fraction"] == expected["realtime_fraction"]
+        assert result.summary["datagram_sent"] == expected["datagram_sent"]
+        assert result.summary["datagram_dropped"] == expected["datagram_dropped"]
+        assert result.summary["tcp_goodput_bps"] == expected["tcp_goodput_bps"]
 
 
 class TestDistributionsGolden:

@@ -49,12 +49,12 @@ class TestTable2Shape:
         assert at4["WFQ"] == max(at4.values())
 
     def test_links_utilized_near_paper(self, result):
-        for name, utilization in result.link_utilizations.items():
+        for name, utilization in result.summary["link_utilizations"].items():
             assert 0.70 < utilization < 0.92, name
 
     def test_flows_of_same_length_similar(self, result):
         """Flows sharing a path length should see similar means."""
-        from repro.experiments.common import figure1_flow_placements
+        from repro.scenario.paper import figure1_flow_placements
 
         hops_of = {p.name: p.hops for p in figure1_flow_placements()}
         for row in result.rows:

@@ -16,8 +16,8 @@ class TestGuaranteedShape:
     def test_every_guaranteed_flow_under_pg_bound(self, result):
         """The central guarantee: measured max delay < the P-G bound for
         every guaranteed flow (Table 3's shape criterion (i))."""
-        for flow, bound in result.pg_bound_by_flow.items():
-            assert result.all_max_by_flow[flow] < bound, flow
+        for flow, bound in result.summary["pg_bound_by_flow"].items():
+            assert result.summary["all_max_by_flow"][flow] < bound, flow
 
     def test_peak_sees_less_delay_than_average(self, result):
         """Clock rate at peak generation rate -> small bursts drain fast;
@@ -62,21 +62,21 @@ class TestSystemShape:
     def test_network_highly_utilized(self, result):
         """Paper: >99 % utilization.  Short horizons and TCP ramp-up cost a
         little; demand >90 % on every forward link."""
-        for name, utilization in result.link_utilizations.items():
+        for name, utilization in result.summary["link_utilizations"].items():
             assert utilization > 0.90, (name, utilization)
 
     def test_realtime_fraction_near_paper(self, result):
         """83.5 % of the load should be real-time traffic."""
-        for name, fraction in result.realtime_fraction.items():
+        for name, fraction in result.summary["realtime_fraction"].items():
             assert 0.70 < fraction < 0.95, (name, fraction)
 
     def test_datagram_drop_rate_small(self, result):
         """Paper: ~0.1 % datagram drops.  TCP keeps its load matched to the
         leftovers; assert the drop rate stays within an order of magnitude."""
-        assert result.datagram_drop_rate < 0.02
+        assert result.summary["datagram_drop_rate"] < 0.02
 
     def test_tcp_makes_progress(self, result):
-        for name, goodput in result.tcp_goodput_bps.items():
+        for name, goodput in result.summary["tcp_goodput_bps"].items():
             assert goodput > 10_000, (name, goodput)
 
     def test_render(self, result):

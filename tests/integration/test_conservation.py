@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro.experiments import common
+from repro.scenario import paper
 from repro.net.packet import ServiceClass
 from repro.net.topology import paper_figure1_topology
 from repro.sched.fifo import FifoScheduler
@@ -44,7 +44,7 @@ SMALL_BUFFER = 30  # force drops so the drop path is exercised too
 
 
 def scheduler_factories(sim):
-    link_share = common.LINK_RATE_BPS / 10
+    link_share = paper.LINK_RATE_BPS / 10
     return {
         "FIFO": lambda n, l: FifoScheduler(),
         "FIFO+": lambda n, l: FifoPlusScheduler(),
@@ -71,15 +71,15 @@ def scheduler_factories(sim):
     }
 
 
-def run_and_audit(name, buffer_packets=common.BUFFER_PACKETS):
+def run_and_audit(name, buffer_packets=paper.BUFFER_PACKETS):
     sim = Simulator()
     streams = RandomStreams(seed=3)
     factory = scheduler_factories(sim)[name]
     net = paper_figure1_topology(
-        sim, factory, rate_bps=common.LINK_RATE_BPS,
+        sim, factory, rate_bps=paper.LINK_RATE_BPS,
         buffer_packets=buffer_packets,
     )
-    placements = common.figure1_flow_placements()
+    placements = paper.figure1_flow_placements()
     sources = []
     sinks = {}
     for placement in placements:
@@ -136,12 +136,12 @@ class TestConservationWithWireLoss:
         sim = Simulator()
         streams = RandomStreams(seed=5)
         net = paper_figure1_topology(
-            sim, lambda n, l: FifoScheduler(), rate_bps=common.LINK_RATE_BPS
+            sim, lambda n, l: FifoScheduler(), rate_bps=paper.LINK_RATE_BPS
         )
         for i, link in enumerate(net.links.values()):
             link.loss_probability = 0.05
             link._loss_rng = random.Random(100 + i)
-        placements = common.figure1_flow_placements()
+        placements = paper.figure1_flow_placements()
         sources = []
         sinks = {}
         for placement in placements:

@@ -10,7 +10,7 @@ guarantees still hold.
 import pytest
 
 from repro.core.bounds import parekh_gallager_packet_bound
-from repro.experiments import common
+from repro.scenario import paper
 from repro.net.packet import ServiceClass
 from repro.net.topology import paper_figure1_topology, single_link_topology
 from repro.sched.unified import UnifiedConfig, UnifiedScheduler
@@ -64,10 +64,10 @@ class TestGuaranteedIsolation:
         net.hosts["dst-host"].default_handler = lambda packet: None
         sim.run(until=DURATION)
         bound = parekh_gallager_packet_bound(
-            common.BUCKET_PACKETS * common.PACKET_BITS,
+            paper.BUCKET_PACKETS * paper.PACKET_BITS,
             rate,
-            common.PACKET_BITS,
-            [common.LINK_RATE_BPS],
+            paper.PACKET_BITS,
+            [paper.LINK_RATE_BPS],
         )
         assert sink.recorded > 1000
         assert sink.max_queueing(1.0) < bound
@@ -98,7 +98,7 @@ class TestGuaranteedIsolation:
         )
         hog = DelayRecordingSink(sim, net.hosts["dst-host"], "hog", warmup=0.0)
         sim.run(until=DURATION)
-        unit = common.TX_TIME_SECONDS
+        unit = paper.TX_TIME_SECONDS
         assert honest.recorded > 1000
         # The honest flow rides its WFQ share, essentially undisturbed...
         assert honest.percentile_queueing(99.9, unit) < 60.0
