@@ -93,7 +93,7 @@ def _fluid_point(num_flows: int, k: int, duration: float) -> Dict[str, float]:
     built = time.perf_counter()
     spec = registry.build(
         "gen:fat-tree", gen_seed=1, k=k, num_flows=num_flows,
-        duration=duration, engine="fluid",
+        duration=duration, engine="fluid", record_flows=0,
     )
     point = _run_point(spec, time.perf_counter() - built)
     point["k"] = k
@@ -104,7 +104,8 @@ def _congested_point(shape: str, duration: float) -> Dict[str, float]:
     family, kwargs, down = CONGESTED_SHAPES[shape]
     built = time.perf_counter()
     spec = registry.build(
-        family, gen_seed=1, duration=duration, engine="fluid", **kwargs
+        family, gen_seed=1, duration=duration, engine="fluid",
+        record_flows=0, **kwargs
     )
     if down:
         spec = spec.replace(outages=OutageSpec(events=tuple(
@@ -120,14 +121,13 @@ def _congested_point(shape: str, duration: float) -> Dict[str, float]:
 
 
 def _run_point(spec, build_wall: float) -> Dict[str, float]:
-    # Benches read aggregates only: skip per-flow delay sample lists
-    # (FluidOptions.record_flows) but keep everything else identical to
-    # a ScenarioRunner dispatch.
+    # Benches read aggregates only: their populations record no flow
+    # (the generators' ``record_flows=0``, drawn last, so placements,
+    # services and routes are unchanged), otherwise identical to a
+    # ScenarioRunner dispatch.
     discipline = next(d for d in spec.disciplines if d.name == "CSZ")
     started = time.perf_counter()
-    sim = _fluid_model.FluidSimulation(
-        spec, discipline, options=FluidOptions(record_flows=False)
-    )
+    sim = _fluid_model.FluidSimulation(spec, discipline)
     run = sim.run().collect()
     sim_wall = time.perf_counter() - started
     return {

@@ -1,14 +1,23 @@
 """Control plane: link-state view, failures, rerouting, re-establishment.
 
 CSZ'92 scopes routing out ("we assume the route is fixed"); this package
-is the repo's dynamic-network extension on top of the static data plane:
-a central :class:`LinkStateController` consumes link up/down events from
-a seeded :class:`OutageProcess`, recomputes shortest-path routes
-(:mod:`repro.control.spf`), swaps fresh forwarding tables into the
-network, and re-establishes admission-controlled flows on their new
-paths (the reroute / re-admit / teardown decision is
-:mod:`repro.control.policy`, which the fluid engine's plan compiler
-shares) — with every packet caught on a dead wire ledgered so the
+is the repo's dynamic-network extension on top of the static data plane,
+and each of its decisions has one definition both engines call:
+
+* **When links fail and heal** — :func:`compute_outage_schedule`, the
+  one seeded outage sampler, replays an
+  :class:`~repro.scenario.spec.OutageSpec` clock-free.  The packet
+  engine arms one simulator event per firing (:func:`arm_outages`) into
+  a central :class:`LinkStateController`; the fluid engine compiles the
+  same schedule's transitions into epoch boundaries.
+* **Where flows go** — :func:`repro.net.routing.route_graph`, the one
+  shortest-path graph, rebuilt over the surviving links (the controller
+  swaps the fresh tables into the network; the fluid plan re-resolves
+  paths through :func:`repro.net.fabric.flow_routes`).
+* **What happens to a moved flow** — the reroute / re-admit / teardown
+  decision of :mod:`repro.control.policy`.
+
+Every packet caught on a dead wire is ledgered so the
 :mod:`repro.validate` conservation invariants close across failovers.
 
 Scenario-level entry points: put an
@@ -21,18 +30,19 @@ from repro.control.controller import ControlPlaneStats, LinkStateController
 from repro.control.policy import FlowRerouteStats
 from repro.control.outages import (
     LinkTransition,
-    OutageProcess,
+    OutageFiring,
+    OutageSchedule,
+    arm_outages,
     compute_outage_schedule,
 )
-from repro.control.spf import spf_from_network, spf_from_topology
 
 __all__ = [
     "ControlPlaneStats",
     "FlowRerouteStats",
     "LinkStateController",
     "LinkTransition",
-    "OutageProcess",
+    "OutageFiring",
+    "OutageSchedule",
+    "arm_outages",
     "compute_outage_schedule",
-    "spf_from_network",
-    "spf_from_topology",
 ]

@@ -2,8 +2,9 @@
 
 :class:`LinkStateController` owns a live up/down view of every link,
 reacts to failures and repairs by killing/flushing what sat on the dead
-wire (ledgered, so conservation closes), recomputing shortest-path routes
-(:mod:`repro.control.spf`), swapping the fresh tables into the
+wire (ledgered, so conservation closes), rebuilding the network's
+shortest-path tables over the surviving links
+(:meth:`~repro.net.network.Network.routes`), swapping them into the
 network, and re-establishing admission-controlled flows whose paths
 moved — teardown of the old reservations, then a fresh signaling
 establishment over the new path.  A re-establishment the network refuses
@@ -40,7 +41,6 @@ from repro.control.policy import (
     TrackedFlow,
     refresh,
 )
-from repro.control.spf import spf_from_network
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.service import FlowSpec as CoreFlowSpec
@@ -176,7 +176,8 @@ class LinkStateController:
     # ------------------------------------------------------------------
     def _reconverge(self) -> None:
         self.recomputes += 1
-        self.net.install_routing(spf_from_network(self.net, self.link_state))
+        down = {name for name, up in self.link_state.items() if not up}
+        self.net.install_routing(self.net.routes(down))
         for record in self._tracked.values():
             src, dst, core_spec = self._endpoints[record.name]
             outcome, grant = refresh(

@@ -1,8 +1,8 @@
 """The seeded outage process: scheduled link failures and repairs.
 
-:class:`OutageProcess` turns an outage specification into simulator
-events driving a :class:`~repro.control.controller.LinkStateController`.
-Two sources compose:
+:func:`compute_outage_schedule` turns an outage specification into the
+complete, clock-free schedule of a run, and both engines consume that
+one schedule.  Two sources compose:
 
 * **Explicit events** — ``(link, at, duration)`` tuples, for
   deterministic experiments (the failover flagship pins one mid-run
@@ -12,25 +12,28 @@ Two sources compose:
   up candidate links at once (correlated multi-link failure) and repairs
   them together after an exponential ``mean_duration_seconds`` holding
   time.  All draws come from the single RNG handed in — the scenario
-  layer passes a dedicated named stream, so the outage schedule is
-  identical across paired discipline runs.
+  layer passes a dedicated named stream (``"outage:process"``), so the
+  outage schedule is identical across paired discipline runs and
+  across engines.
 
-Every timer goes through ``schedule_handle`` so :meth:`OutageProcess.stop`
-can cancel cleanly, and a failure scheduled for a link that is already
-down (overlapping windows) merges into the earlier outage: the
-controller's ``fail_link``/``restore_link`` are idempotent.
+The packet engine arms one simulator event per *firing* of the schedule
+(:func:`arm_outages`), each calling the controller's idempotent
+``fail_link``/``restore_link``; the fluid engine compiles the schedule's
+effective *transitions* into epoch boundaries
+(:mod:`repro.fluid.control`).  A failure of a link that is already down
+(overlapping windows) merges into the earlier outage.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.control.controller import LinkStateController
     from repro.sim.engine import Simulator
-    from repro.sim.events import EventHandle
     from repro.sim.randomness import StreamRandom
 
 
@@ -44,46 +47,64 @@ class LinkTransition:
     up: bool
 
 
+@dataclasses.dataclass(frozen=True)
+class OutageFiring:
+    """One timer of the outage process: at ``time``, fail (``up=False``)
+    or restore (``up=True``) each of ``links``.  A firing may change
+    nothing — an explicit failure of a link already down, a repair of a
+    link an overlapping window already repaired, or a sampled outage
+    that found no candidate up (empty ``links``) — and still counts as
+    one simulator event on the packet engine."""
+
+    time: float
+    links: Tuple[str, ...]
+    up: bool
+
+
+@dataclasses.dataclass(frozen=True)
+class OutageSchedule:
+    """The outage process over one horizon: every firing in firing
+    order, and the effective link-state changes they make."""
+
+    firings: Tuple[OutageFiring, ...]
+    transitions: Tuple[LinkTransition, ...]
+
+
 def compute_outage_schedule(
     spec,
     link_names: Iterable[str],
     rng: Optional["StreamRandom"],
     horizon: float,
-) -> Tuple[LinkTransition, ...]:
-    """Replay an outage spec without a simulator clock.
+) -> OutageSchedule:
+    """Run an outage spec over ``[0, horizon]`` without a simulator clock.
 
-    Produces the exact sequence of link-state changes an
-    :class:`OutageProcess` driving a
-    :class:`~repro.control.controller.LinkStateController` would apply
-    over ``[0, horizon]`` — same draws, same order, same idempotent
-    merging of overlapping windows.  The fluid engine compiles this
-    schedule into epoch boundaries; because the draws come from the same
-    named stream the packet engine uses (``"outage:process"``), failure
-    schedules pair across disciplines *and* engines.
+    This loop is the only place the outage process draws.  Timers pop
+    in ``(time, arming sequence)`` order — explicit events first (spec
+    order), then the first sampled arrival, then each timer as its
+    firing arms it — the order the simulator's ``(time, priority, seq)``
+    heap gives events armed that way.  Per sampled firing the draw order
+    is ``sample(up, count)`` → ``exponential(mean_duration)`` (both
+    skipped when no candidate link is up), then the ``max_outages``
+    check, then the ``exponential(1/rate)`` gap; explicit events count
+    toward ``max_outages``.  Timers at exactly ``horizon`` fire
+    (``Simulator.run(until=horizon)`` semantics); anything later is
+    never drawn.
 
-    Fidelity notes, each load-bearing for cross-engine pairing:
-
-    * The arming order mirrors ``OutageProcess.__init__``: explicit
-      events first (spec order), then the first sampled arrival.  Ties
-      resolve by arming sequence, exactly like the simulator's
-      ``(time, priority, seq)`` heap with uniform priority.
-    * Per sampled firing the draw order is ``sample(up, count)`` →
-      ``exponential(mean_duration)`` — skipped entirely when no
-      candidate link is up — then the ``max_outages`` check, then the
-      ``exponential(1/rate)`` gap; explicit events count toward
-      ``max_outages`` just as ``OutageProcess.outages_fired`` does.
-    * Events scheduled exactly at ``horizon`` still fire
-      (``Simulator.run(until=horizon)`` semantics); anything later is
-      never drawn or applied.
-
-    Returns the *effective* transitions only: failing an already-down
-    link or restoring an up link is a no-op, as in the controller.
+    Args:
+        spec: an outage specification
+            (:class:`repro.scenario.spec.OutageSpec` or anything with its
+            fields).
+        link_names: every link the controller governs.
+        rng: seeded random stream for the sampled process (may be None
+            when the spec is explicit-events-only).
+        horizon: the run's duration.
     """
     state = {name: True for name in link_names}
     candidates: Tuple[str, ...] = (
         tuple(spec.links) if spec.links is not None
         else tuple(sorted(state))
     )
+    firings: List[OutageFiring] = []
     transitions: List[LinkTransition] = []
     heap: List[Tuple[float, int, int, object]] = []
     seq = 0
@@ -106,15 +127,12 @@ def compute_outage_schedule(
             _DUE,
         )
 
-    def fail(link: str, time: float) -> None:
-        if state.get(link, False):
-            state[link] = False
-            transitions.append(LinkTransition(time, link, up=False))
-
-    def restore(link: str, time: float) -> None:
-        if not state.get(link, True):
-            state[link] = True
-            transitions.append(LinkTransition(time, link, up=True))
+    def fire(time: float, links: Tuple[str, ...], up: bool) -> None:
+        firings.append(OutageFiring(time, links, up))
+        for link in links:
+            if state.get(link, up) != up:
+                state[link] = up
+                transitions.append(LinkTransition(time, link, up))
 
     fired = 0
     while heap:
@@ -123,132 +141,42 @@ def compute_outage_schedule(
             break  # heap pops in time order: everything left is later
         if kind == _EXPLICIT:
             fired += 1
-            fail(payload.link, time)
+            fire(time, (payload.link,), up=False)
             arm(time + payload.duration, _RESTORE, (payload.link,))
         elif kind == _RESTORE:
-            for name in payload:
-                restore(name, time)
+            fire(time, payload, up=True)
         else:  # sampled outage due
             up = [n for n in candidates if state.get(n, False)]
             count = min(spec.correlated_links, len(up))
+            victims: Tuple[str, ...] = ()
             if count:
-                victims = rng.sample(up, count)
+                victims = tuple(rng.sample(up, count))
                 fired += 1
-                for name in victims:
-                    fail(name, time)
+            fire(time, victims, up=False)
+            if count:
                 duration = rng.exponential(spec.mean_duration_seconds)
-                arm(time + duration, _RESTORE, tuple(victims))
+                arm(time + duration, _RESTORE, victims)
             if spec.max_outages is not None and fired >= spec.max_outages:
                 continue
             gap = rng.exponential(1.0 / spec.rate_per_second)
             arm(time + gap, _DUE)
-    return tuple(transitions)
+    return OutageSchedule(tuple(firings), tuple(transitions))
 
 
-class OutageProcess:
-    """Schedules link up/down events against a controller.
-
-    Args:
-        sim: the simulator.
-        controller: receives ``fail_link`` / ``restore_link`` calls.
-        spec: an outage specification
-            (:class:`repro.scenario.spec.OutageSpec` or anything with its
-            fields).
-        rng: seeded random stream for the sampled process (may be None
-            when the spec is explicit-events-only).
-    """
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        controller: "LinkStateController",
-        spec,
-        rng: Optional["StreamRandom"] = None,
-    ):
-        self.sim = sim
-        self.controller = controller
-        self.spec = spec
-        self.rng = rng
-        self.outages_fired = 0
-        self._stopped = False
-        self._handles: List["EventHandle"] = []
-        # Candidate links for the sampled process, in deterministic order.
-        if spec.links is not None:
-            self._candidates: Tuple[str, ...] = tuple(spec.links)
-        else:
-            self._candidates = tuple(sorted(controller.link_state))
-        for event in spec.events:
-            self._arm_at(event.at, self._explicit_fail(event))
-        if spec.rate_per_second > 0:
-            if rng is None:
-                raise ValueError(
-                    "a seeded rng is required for a sampled outage process"
-                )
-            self._arm_at(
-                spec.start_after + rng.exponential(1.0 / spec.rate_per_second),
-                self._on_outage_due,
-            )
-
-    # ------------------------------------------------------------------
-    def _arm_at(self, time: float, action) -> None:
-        self._handles.append(self.sim.schedule_handle_at(time, action))
-
-    def _explicit_fail(self, event):
-        def fire() -> None:
-            self.outages_fired += 1
-            self.controller.fail_link(event.link)
-            self._arm_at(
-                event.at + event.duration,
-                lambda: self.controller.restore_link(event.link),
-            )
-
-        return fire
-
-    # ------------------------------------------------------------------
-    def _on_outage_due(self) -> None:
-        spec = self.spec
-        rng = self.rng
-        up = [
-            name
-            for name in self._candidates
-            if self.controller.link_state.get(name, False)
-        ]
-        count = min(spec.correlated_links, len(up))
-        if count:
-            victims = rng.sample(up, count)
-            self.outages_fired += 1
-            for name in victims:
-                self.controller.fail_link(name)
-            duration = rng.exponential(spec.mean_duration_seconds)
-            self._arm_at(
-                self.sim.now + duration, self._restorer(tuple(victims))
-            )
-        if (
-            spec.max_outages is not None
-            and self.outages_fired >= spec.max_outages
-        ):
-            return
-        gap = rng.exponential(1.0 / spec.rate_per_second)
-        self._arm_at(self.sim.now + gap, self._on_outage_due)
-
-    def _restorer(self, names: Tuple[str, ...]):
-        def fire() -> None:
-            for name in names:
-                self.controller.restore_link(name)
-
-        return fire
-
-    # ------------------------------------------------------------------
-    def stop(self) -> None:
-        """Cancel every pending outage/repair timer."""
-        self._stopped = True
-        for handle in self._handles:
-            if handle.active:
-                handle.cancel()
-        self._handles.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<OutageProcess fired={self.outages_fired} "
-            f"pending={sum(1 for h in self._handles if h.active)}>"
+def arm_outages(
+    sim: "Simulator",
+    controller: "LinkStateController",
+    firings: Iterable[OutageFiring],
+) -> None:
+    """Arm one simulator event per firing, all now, each calling the
+    controller's idempotent ``fail_link``/``restore_link`` per link."""
+    for firing in firings:
+        apply = controller.restore_link if firing.up else controller.fail_link
+        sim.schedule_at(
+            firing.time, functools.partial(_apply_each, apply, firing.links)
         )
+
+
+def _apply_each(apply, links: Tuple[str, ...]) -> None:
+    for link in links:
+        apply(link)

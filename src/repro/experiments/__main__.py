@@ -388,6 +388,17 @@ def _check_flags(parser: argparse.ArgumentParser, args) -> None:
             "--validate applies to --spec runs (the 'generated' experiment "
             "and gen: scenarios validate by themselves)"
         )
+    if args.json_path is not None:
+        # Written after every run: an unwritable target fails now.
+        target = os.path.dirname(os.path.abspath(args.json_path))
+        if (
+            os.path.isdir(args.json_path)
+            or not os.path.isdir(target)
+            or not os.access(target, os.W_OK)
+        ):
+            parser.error(
+                f"--json {args.json_path}: not a file in a writable directory"
+            )
 
 
 def _run_spec(spec: ScenarioSpec, sweep_plan, args, payloads: dict) -> int:

@@ -124,7 +124,7 @@ def run(
         workers=workers
     )
     utilization = result.run("FIFO").utilization("A->B")
-    paper = "   ".join(
+    paper_values = "   ".join(
         f"{name} {cell['mean']:.2f} / {cell['p999']:.2f}"
         for name, cell in PAPER_VALUES.items()
     )
@@ -137,9 +137,10 @@ def run(
             "(packet transmission times)",
         ),
         foot=(
-            f"link utilization: {utilization:.1%}  (paper: 83.5%)   "
+            f"link utilization: {utilization:.1%}  "
+            f"(paper: {paper.LINK_UTILIZATION:.1%})   "
             f"duration: {duration:.0f}s  seed: {seed}",
-            f"paper values:   {paper}",
+            f"paper values:   {paper_values}",
         ),
         scenario=result,
     )

@@ -141,7 +141,8 @@ def run(
             "(packet transmission times)",
         ),
         foot=(
-            f"link utilization: {util}  (paper: 83.5% each)",
+            f"link utilization: {util}  "
+            f"(paper: {paper.LINK_UTILIZATION:.1%} each)",
             f"duration: {duration:.0f}s  seed: {seed}",
         ),
         scenario=result,

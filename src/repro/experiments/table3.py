@@ -65,6 +65,10 @@ PAPER_VALUES = {
     ("Low", 3): {"mean": 19.22, "p999": 104.83, "max": 148.7},
     ("Low", 1): {"mean": 7.43, "p999": 79.57, "max": 108.56},
 }
+#: The paper's run-level figures: every forward link above this
+#: utilization, and about this datagram drop rate.
+PAPER_MIN_UTILIZATION = 0.99
+PAPER_DATAGRAM_DROP_RATE = 0.001
 COLUMNS = (
     ("type", "{0.flow_type}".format),
     ("path", "{0.hops}".format),
@@ -222,8 +226,10 @@ def run(
             "(delays in packet transmission times)",
         ),
         foot=(
-            f"forward-link utilization: {util}  (paper: >99% each)",
-            f"datagram drop rate: {drop_rate:.2%}  (paper: ~0.1%)",
+            f"forward-link utilization: {util}  "
+            f"(paper: >{PAPER_MIN_UTILIZATION:.0%} each)",
+            f"datagram drop rate: {drop_rate:.2%}  "
+            f"(paper: ~{PAPER_DATAGRAM_DROP_RATE:.1%})",
             f"duration: {duration:.0f}s  seed: {seed}",
         ),
         scenario=result,

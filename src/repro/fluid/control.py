@@ -1,19 +1,19 @@
 """The fluid engine's control plane: outages compiled to epoch plans.
 
-The packet engine runs its control plane *reactively* — a seeded
-:class:`~repro.control.outages.OutageProcess` fires simulator events
-into a :class:`~repro.control.controller.LinkStateController`, which
-flushes dead ports, recomputes SPF tables, and re-establishes flows.
-The fluid engine has no simulator clock, so this module compiles the
-same control plane *ahead of time*: the outage schedule is replayed
-draw-for-draw (:func:`repro.control.compute_outage_schedule`, off the
-same named ``"outage:process"`` stream, so failure schedules pair
-across disciplines and engines), every link-state transition becomes an
-epoch boundary, and the controller's per-transition decision —
-:func:`repro.control.policy.refresh`, the one reroute / re-admission /
-accounted-teardown policy both engines share — is folded over the
-compiled admission state into a :class:`FluidControlPlan` the backends
-execute between epochs.
+Both engines consume one outage schedule,
+:func:`repro.control.compute_outage_schedule`, drawn from the same named
+``"outage:process"`` stream, so failure schedules pair across
+disciplines and engines by construction.  The packet engine arms one
+simulator event per firing into a
+:class:`~repro.control.controller.LinkStateController`, which flushes
+dead ports, rebuilds its routing tables, and re-establishes flows.  The
+fluid engine has no simulator clock, so this module compiles the same
+control plane *ahead of time*: every effective link-state transition of
+the schedule becomes an epoch boundary, and the controller's
+per-transition decision — :func:`repro.control.policy.refresh`, the one
+reroute / re-admission / accounted-teardown policy both engines share —
+is folded over the compiled admission state into a
+:class:`FluidControlPlan` the backends execute between epochs.
 
 Semantics per transition:
 
@@ -21,9 +21,9 @@ Semantics per transition:
   link state, exactly as ``LinkStateController._reconverge`` refreshes
   every tracked flow, through the same
   :func:`repro.net.fabric.flow_routes` that resolved the base paths:
-  non-ECMP specs over :func:`repro.control.spf_from_topology` (the
-  build-time BFS on the surviving links), ECMP specs over
-  :meth:`repro.net.fabric.EcmpPaths.masked`.  The all-up state is the
+  non-ECMP specs over :func:`repro.net.routing.route_graph` (the graph
+  the packet controller rebuilds, on the surviving links), ECMP specs
+  over :meth:`repro.net.fabric.EcmpPaths.masked`.  The all-up state is the
   base paths themselves, so the moment the last failure heals every
   path is bit-identical to the pre-failure route.
 * **Re-admission.**  When a spec carries an ``admission`` block, a
@@ -265,7 +265,7 @@ def compile_control(
         rng = RandomStreams(seed=spec.seed).stream(OUTAGE_STREAM_NAME)
     transitions = compute_outage_schedule(
         spec.outages, link_names, rng, float(spec.duration)
-    )
+    ).transitions
     plan = _PlanBuilder(
         spec, flows, link_names, caps,
         PlanState(paths, (), (), fair, weight),

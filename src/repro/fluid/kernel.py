@@ -198,10 +198,7 @@ class FluidKernel:
         self.size_bits = np.asarray(c.size_bits)
         self.realtime = np.asarray(c.realtime, dtype=bool)
         self.constant = self.duty >= 1.0
-        self.rec_idx = (
-            np.flatnonzero(np.asarray(c.record, dtype=bool))
-            if sim.record_samples else np.zeros(0, dtype=np.int64)
-        )
+        self.rec_idx = np.flatnonzero(np.asarray(c.record, dtype=bool))
 
         # -- preallocated run accumulators -----------------------------
         self.backlog = np.zeros(F)

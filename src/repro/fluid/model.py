@@ -113,18 +113,12 @@ class FluidOptions:
             stays within a fixed budget of flow-advances at large ones
             (:data:`repro.fluid.compile.TARGET_FLOW_EPOCHS`).
         backend: ``"auto"`` / ``"numpy"`` / ``"pure"``.
-        record_flows: accumulate per-flow delay sample lists for
-            recorded flows (the default).  Benchmark and sweep runs
-            that only read aggregate results turn this off to skip the
-            per-epoch sample bookkeeping; ``FlowStats`` rows still
-            appear, with zeroed delay statistics.
         fuse_epochs: epochs per fused kernel block (0 = sized
             automatically from the incidence, the default).
     """
 
     epoch_seconds: Optional[float] = None
     backend: str = "auto"
-    record_flows: bool = True
     fuse_epochs: int = 0
 
     def __post_init__(self):
@@ -228,13 +222,11 @@ class FluidSimulation:
         self.link_wait_num = [0.0] * L   # wait x served bits
         self.link_wait_den = [0.0] * L
         self.link_realtime_bits = [0.0] * L
-        # Per recorded flow: [(delay_seconds, delivered_packets), ...].
-        # ``record_flows=False`` (benchmark/sweep mode) skips the whole
-        # sample bookkeeping; FlowStats rows still appear, zero-delayed.
-        self.record_samples = bool(self.options.record_flows)
-        self.samples: Dict[int, List[Tuple[float, float]]] = (
-            {f: [] for f in self._recorded()} if self.record_samples else {}
-        )
+        # Per recorded flow (the spec's ``record``):
+        # [(delay_seconds, delivered_packets), ...].
+        self.samples: Dict[int, List[Tuple[float, float]]] = {
+            f: [] for f in self._recorded()
+        }
         self.events_processed = 0
         self.waterfill_exhausted = 0
         self.max_capacity_overuse = 0.0   # relative, across epochs/links

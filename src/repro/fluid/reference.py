@@ -213,7 +213,7 @@ class FluidReference:
                         sim.link_wait_den[l] += served
                         if c.realtime[f]:
                             sim.link_realtime_bits[l] += served
-                if sim.record_samples and c.record[f] and t0 >= warmup:
+                if c.record[f] and t0 >= warmup:
                     if fair[f]:
                         delay = backlog[f] / rate[f] if rate[f] > 0 else 0.0
                     else:

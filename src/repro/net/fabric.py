@@ -216,19 +216,7 @@ def flow_routes(
         chooser = EcmpPaths.shared(topology, seed=ecmp_seed).masked(down)
         return chooser.links, chooser.pair_index
     pair_index = pair_link_index(topology)
-    if down:
-        # Switch-level tables; hosts re-attach at either end.
-        from repro.control.spf import spf_from_topology
-
-        switches = spf_from_topology(topology, down).path
-        attach = {att.host: att.switch for att in topology.host_attachments}
-
-        def node_path(src: str, dst: str) -> List[str]:
-            return [src] + switches(attach[src], attach[dst]) + [dst]
-    else:
-        from repro.scenario.generators import topology_routes
-
-        node_path = topology_routes(topology).path
+    node_path = topology.routes(down).path
     routes: Dict[Tuple[str, str], Tuple[int, ...]] = {}
 
     def links(src: str, dst: str, flow: str) -> Tuple[int, ...]:

@@ -8,12 +8,12 @@ supplied factory), and the static routing table.  The experiment modules in
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import AbstractSet, Callable, Dict, List, Optional
 
 from repro.net.link import Link
 from repro.net.node import Host, Switch
 from repro.net.port import OutputPort
-from repro.net.routing import StaticRouting
+from repro.net.routing import StaticRouting, route_graph
 from repro.sched.base import Scheduler
 from repro.sim.engine import Simulator
 
@@ -47,7 +47,7 @@ class Network:
         self.hosts: Dict[str, Host] = {}
         self.links: Dict[str, Link] = {}
         self.ports: Dict[str, OutputPort] = {}
-        self.routing = StaticRouting()
+        self._routing: Optional[StaticRouting] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -58,7 +58,7 @@ class Network:
         switch = Switch(self.sim, name)
         switch.next_hop_fn = lambda dest, _name=name: self.routing.next_hop(_name, dest)
         self.switches[name] = switch
-        self.routing.add_node(name)
+        self._routing = None
         return switch
 
     def add_host(self, name: str, switch_name: str) -> Host:
@@ -68,9 +68,7 @@ class Network:
         host = Host(self.sim, name)
         host.attach(switch)
         self.hosts[name] = host
-        # Host links are infinitely fast; routing still needs the edges.
-        self.routing.add_edge(name, switch_name)
-        self.routing.add_edge(switch_name, name)
+        self._routing = None
         self._routes_changed()
         return host
 
@@ -102,7 +100,7 @@ class Network:
         )
         self.links[link_name] = link
         self.ports[link_name] = port
-        self.routing.add_edge(src_switch, dst_switch)
+        self._routing = None
         self._routes_changed()
         return link
 
@@ -118,16 +116,42 @@ class Network:
         self.add_link(a, b, rate_bps, propagation_delay, buffer_packets)
         self.add_link(b, a, rate_bps, propagation_delay, buffer_packets)
 
+    @property
+    def routing(self):
+        """The installed routing table; until one is installed, the
+        tables over the whole graph built so far."""
+        if self._routing is None:
+            self._routing = self.routes()
+        return self._routing
+
+    def routes(self, down: AbstractSet[str] = frozenset()) -> StaticRouting:
+        """Shortest-path tables over this network's graph with the
+        ``down`` links removed (:func:`~repro.net.routing.route_graph`)."""
+        return route_graph(
+            self.switches,
+            (
+                (name, neighbor)
+                for name, switch in self.switches.items()
+                for neighbor in switch.ports
+            ),
+            (
+                (host.name, host.attached_switch.name)
+                for host in self.hosts.values()
+            ),
+            down,
+        )
+
     def install_routing(self, routing) -> None:
         """Swap in a fresh routing table, SDN-style.
 
         Every switch's ``next_hop_fn`` reads ``self.routing`` through a
         closure, so one assignment here re-routes the whole network — the
-        control plane (:mod:`repro.control`) installs recomputed SPF
-        tables through this seam after each link-state change.  The
-        object only needs ``next_hop(here, dest)`` and ``path(src, dst)``.
+        control plane (:mod:`repro.control`) installs the tables it
+        rebuilds over the surviving links (:meth:`routes`) through this
+        seam after each link-state change.  The object only needs
+        ``next_hop(here, dest)`` and ``path(src, dst)``.
         """
-        self.routing = routing
+        self._routing = routing
         self._routes_changed()
 
     def _routes_changed(self) -> None:

@@ -2,15 +2,21 @@
 
 The paper's experiments use fixed paths on a chain; routing is orthogonal to
 its contribution (Section 1 explicitly scopes it out).  We provide
-deterministic static shortest-path routing computed once at build time with
-breadth-first search over the (directed) link graph, with ties broken by
-node-name order so experiments are reproducible.
+deterministic static shortest-path routing with breadth-first search over
+the (directed) link graph, with ties broken by node-name order so
+experiments are reproducible.
+
+:func:`route_graph` is the one graph builder: the built network routes
+over it, the control plane rebuilds it over the surviving links after
+every link-state change, and the fluid engine and the scenario generators
+route a :class:`~repro.scenario.spec.TopologySpec` through it — so a
+restored link state routes exactly as the build-time network did.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Mapping, Tuple
 
 
 class RoutingError(RuntimeError):
@@ -18,53 +24,17 @@ class RoutingError(RuntimeError):
 
 
 class StaticRouting:
-    """All-pairs next-hop table over a directed graph of named nodes."""
+    """All-pairs next-hop table over a directed graph of named nodes,
+    given as a whole ``node -> neighbours`` adjacency."""
 
-    def __init__(self):
-        self._adj: Dict[str, List[str]] = {}
-        self._next_hop: Dict[Tuple[str, str], str] = {}
-        self._dirty = False
-
-    @classmethod
-    def from_adjacency(
-        cls, adjacency: Mapping[str, Iterable[str]]
-    ) -> "StaticRouting":
-        """The tables over a whole ``node -> neighbours`` graph (directed
-        edges) at once — what the control plane builds per link-state
-        change (:mod:`repro.control.spf`).  The same BFS as a graph
-        declared edge by edge, so a restored link state routes exactly
-        as the build-time network did."""
-        routing = cls()
-        routing._adj = {
-            node: list(neighbors) for node, neighbors in adjacency.items()
-        }
-        for neighbors in routing._adj.values():
+    def __init__(self, adjacency: Mapping[str, Iterable[str]]):
+        adj = {node: sorted(out) for node, out in adjacency.items()}
+        for neighbors in adj.values():
             for neighbor in neighbors:
-                if neighbor not in routing._adj:
+                if neighbor not in adj:
                     raise ValueError(f"edge to undeclared node {neighbor}")
-        routing._dirty = True
-        return routing
-
-    def add_node(self, name: str) -> None:
-        self._adj.setdefault(name, [])
-        self._dirty = True
-
-    def add_edge(self, src: str, dst: str) -> None:
-        """Declare a directed link src -> dst."""
-        self.add_node(src)
-        self.add_node(dst)
-        if dst not in self._adj[src]:
-            self._adj[src].append(dst)
-        self._dirty = True
-
-    @property
-    def nodes(self) -> Iterable[str]:
-        return self._adj.keys()
-
-    def _recompute(self) -> None:
-        """BFS from every node; deterministic neighbour order."""
-        self._next_hop.clear()
-        adj = {node: sorted(out) for node, out in self._adj.items()}
+        self._next_hop: Dict[Tuple[str, str], str] = {}
+        # BFS from every node; deterministic neighbour order.
         for src in sorted(adj):
             # parent[v] = predecessor of v on the shortest path from src.
             parent: Dict[str, str] = {}
@@ -85,7 +55,6 @@ class StaticRouting:
                 while parent[hop] != src:
                     hop = parent[hop]
                 self._next_hop[(src, dst)] = hop
-        self._dirty = False
 
     def next_hop(self, here: str, destination: str) -> str:
         """Name of the neighbour to forward to from ``here`` toward
@@ -94,8 +63,6 @@ class StaticRouting:
         Raises:
             RoutingError: if no path exists.
         """
-        if self._dirty:
-            self._recompute()
         try:
             return self._next_hop[(here, destination)]
         except KeyError:
@@ -103,8 +70,6 @@ class StaticRouting:
 
     def path(self, src: str, dst: str) -> List[str]:
         """Full node path src..dst (inclusive)."""
-        if self._dirty:
-            self._recompute()
         if src == dst:
             return [src]
         path = [src]
@@ -117,3 +82,28 @@ class StaticRouting:
             seen.add(here)
             path.append(here)
         return path
+
+
+def route_graph(
+    switches: Iterable[str],
+    links: Iterable[Tuple[str, str]],
+    attachments: Iterable[Tuple[str, str]],
+    down: AbstractSet[str] = frozenset(),
+) -> StaticRouting:
+    """The routing tables over a network graph: every switch, a directed
+    edge per ``(src, dst)`` link whose name ``src->dst`` is not in
+    ``down``, and a bidirectional edge per ``(host, switch)`` attachment
+    (hosts attach over infinitely fast links that never fail).
+
+    Hosts are leaves — they never transit — so, within one BFS level,
+    their presence cannot reorder the discovery of switches: switch
+    paths are the same with or without them.
+    """
+    adjacency: Dict[str, List[str]] = {name: [] for name in switches}
+    for host, switch in attachments:
+        adjacency[host] = [switch]
+        adjacency[switch].append(host)
+    for src, dst in links:
+        if not down or f"{src}->{dst}" not in down:
+            adjacency[src].append(dst)
+    return StaticRouting(adjacency)

@@ -261,24 +261,6 @@ def access_core_topology(
 # ----------------------------------------------------------------------
 
 
-def topology_routes(topology: TopologySpec) -> StaticRouting:
-    """The exact static routing the simulator will compute at build time.
-
-    Mirrors :class:`~repro.net.network.Network` construction: directed
-    edges for inter-switch links, bidirectional edges for host
-    attachments.
-    """
-    routing = StaticRouting()
-    for node in topology.nodes:
-        routing.add_node(node)
-    for link in topology.links:
-        routing.add_edge(link.src, link.dst)
-    for att in topology.host_attachments:
-        routing.add_edge(att.host, att.switch)
-        routing.add_edge(att.switch, att.host)
-    return routing
-
-
 def links_on_route(
     topology: TopologySpec,
     routing: StaticRouting,
@@ -352,7 +334,7 @@ def generate_flows(
     if not 0 < target_utilization:
         raise ValueError("target utilization must be positive")
     rng = _rng(gen_seed, "flow-population")
-    routing = topology_routes(topology)
+    routing = topology.routes()
     hosts = topology.host_names
     if pairs is None:
         pairs = [
@@ -454,7 +436,7 @@ def wfq_auto_rate(
     this rate for each remaining flow stay within the link rate — the
     precondition of the Parekh-Gallager bound.  (Floor 1 kbit/s.)
     """
-    routing = topology_routes(topology)
+    routing = topology.routes()
     rates = {link.name: link.rate_bps for link in topology.links}
     committed: Dict[str, float] = {name: 0.0 for name in rates}
     others: Dict[str, int] = {name: 0 for name in rates}

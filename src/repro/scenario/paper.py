@@ -20,6 +20,8 @@ AVERAGE_RATE_PPS = 85.0
 MEAN_BURST_PACKETS = 5.0
 BUCKET_PACKETS = 50.0
 PAPER_DURATION_SECONDS = 600.0  # "10 minutes of simulated time"
+#: Load of every link the paper's on/off flows share (Tables 1 and 2).
+LINK_UTILIZATION = 0.835
 DEFAULT_WARMUP_SECONDS = 5.0
 
 # ----------------------------------------------------------------------

@@ -405,9 +405,12 @@ class ScenarioContext:
         # and no random draws are consumed, so outage-free runs stay
         # bit-identical to pre-control-plane ones.
         self.controller = None
-        self.outage_process = None
         if spec.outages is not None:
-            from repro.control import LinkStateController, OutageProcess
+            from repro.control import (
+                LinkStateController,
+                arm_outages,
+                compute_outage_schedule,
+            )
 
             self.controller = LinkStateController(
                 self.net,
@@ -420,9 +423,10 @@ class ScenarioContext:
                 if spec.outages.rate_per_second > 0
                 else None
             )
-            self.outage_process = OutageProcess(
-                self.sim, self.controller, spec.outages, outage_rng
+            schedule = compute_outage_schedule(
+                spec.outages, self.net.links, outage_rng, spec.duration
             )
+            arm_outages(self.sim, self.controller, schedule.firings)
 
         # Guaranteed reservations are installed before any traffic exists,
         # then predicted classes are assigned — Table 3's establishment
@@ -740,14 +744,14 @@ class ScenarioContext:
 def _run_one_discipline(spec: ScenarioSpec) -> DisciplineRunResult:
     """Worker entry point: run a single-discipline spec to completion.
 
-    Dispatches on the engine seam: ``spec.engine`` routes to the packet
-    simulator or the flow-level fluid model; both emit the same result
-    shape.
+    Dispatches on ``spec.engine``: the packet simulator, or the
+    flow-level fluid model (imported only then, so a packet run never
+    loads it or NumPy); both emit the same result shape.
     """
-    from repro.fluid.engine import run_fluid_discipline
-
     if spec.engine == "fluid":
-        return run_fluid_discipline(spec)
+        from repro.fluid.model import FluidSimulation
+
+        return FluidSimulation(spec, spec.disciplines[0]).run().collect()
     context = ScenarioContext(spec, spec.disciplines[0])
     context.run()
     return context.collect()

@@ -34,9 +34,12 @@ import operator
 import typing
 from array import array
 from collections.abc import Mapping, Sequence
-from typing import Any, Callable, Dict, NoReturn, Optional, Tuple, Union
+from typing import (
+    AbstractSet, Any, Callable, Dict, NoReturn, Optional, Tuple, Union,
+)
 
 from repro.net.network import Network
+from repro.net.routing import StaticRouting, route_graph
 from repro.net.topology import (
     build_network, chain_graph, figure1_graph, parking_lot_graph, single_link_graph,
 )
@@ -493,6 +496,17 @@ class TopologySpec(_Wire):
             ),
             tuple((att.host, att.switch) for att in self.host_attachments),
             batching,
+        )
+
+    def routes(self, down: AbstractSet[str] = frozenset()) -> StaticRouting:
+        """The shortest-path tables the built network routes by, with
+        the ``down`` links removed (:func:`~repro.net.routing.route_graph`)
+        — no network, no simulator clock."""
+        return route_graph(
+            self.nodes,
+            ((link.src, link.dst) for link in self.links),
+            ((att.host, att.switch) for att in self.host_attachments),
+            down,
         )
 
     # -- serialization -------------------------------------------------

@@ -1,10 +1,12 @@
-"""OutageProcess: explicit schedules, the sampled process, determinism."""
+"""The outage schedule: explicit events, the sampled process,
+determinism, and its replay on the packet engine."""
 
 import pytest
 
 from repro.control import (
     LinkStateController,
-    OutageProcess,
+    OutageFiring,
+    arm_outages,
     compute_outage_schedule,
 )
 from repro.net.network import Network
@@ -32,6 +34,21 @@ def outage_rng(seed=1):
     return RandomStreams(seed).stream("outage:process")
 
 
+def arm(sim, controller, spec, rng=None, horizon=60.0):
+    """Compute ``spec``'s schedule over ``horizon`` and arm it — what
+    the scenario runner does with the run's duration."""
+    schedule = compute_outage_schedule(
+        spec, controller.link_state, rng, horizon
+    )
+    arm_outages(sim, controller, schedule.firings)
+    return schedule
+
+
+def outages_fired(schedule):
+    """Failure firings that took at least one link down."""
+    return sum(1 for f in schedule.firings if not f.up and f.links)
+
+
 class TestExplicitEvents:
     def test_fail_and_repair_fire_on_schedule(self):
         sim, net = ring_network()
@@ -39,14 +56,18 @@ class TestExplicitEvents:
         spec = OutageSpec(
             events=(OutageEvent(link="S-0->S-1", at=1.0, duration=2.0),)
         )
-        process = OutageProcess(sim, controller, spec)
+        schedule = arm(sim, controller, spec, horizon=10.0)
+        assert schedule.firings == (
+            OutageFiring(1.0, ("S-0->S-1",), up=False),
+            OutageFiring(3.0, ("S-0->S-1",), up=True),
+        )
         sim.run(until=1.5)
         assert controller.link_state["S-0->S-1"] is False
         assert not net.links["S-0->S-1"].up
         sim.run(until=3.5)
         assert controller.link_state["S-0->S-1"] is True
         assert net.links["S-0->S-1"].up
-        assert process.outages_fired == 1
+        assert outages_fired(schedule) == 1
         assert (controller.outages, controller.restores) == (1, 1)
 
     def test_overlapping_windows_merge(self):
@@ -60,11 +81,15 @@ class TestExplicitEvents:
                 OutageEvent(link="S-0->S-1", at=2.0, duration=5.0),
             )
         )
-        OutageProcess(sim, controller, spec)
+        schedule = arm(sim, controller, spec, horizon=10.0)
         sim.run_until_idle()
         assert controller.outages == 1
         assert controller.restores == 1
         assert controller.link_state["S-0->S-1"] is True
+        # Four firings, each one simulator event; two of them no-ops.
+        assert len(schedule.firings) == 4
+        assert sim.events_processed == 4
+        assert [t.up for t in schedule.transitions] == [False, True]
 
 
 class TestSampledProcess:
@@ -78,7 +103,7 @@ class TestSampledProcess:
     def test_requires_rng(self):
         sim, net = ring_network()
         with pytest.raises(ValueError, match="rng"):
-            OutageProcess(sim, LinkStateController(net), self._spec())
+            arm(sim, LinkStateController(net), self._spec())
 
     def test_same_seed_same_schedule(self):
         histories = []
@@ -93,7 +118,7 @@ class TestSampledProcess:
                 _orig(name)
 
             controller.fail_link = spy
-            OutageProcess(sim, controller, self._spec(), outage_rng(seed=9))
+            arm(sim, controller, self._spec(), outage_rng(seed=9))
             sim.run(until=60.0)
             histories.append(events)
         assert histories[0] == histories[1]
@@ -104,18 +129,18 @@ class TestSampledProcess:
         for seed in (1, 2):
             sim, net = ring_network()
             controller = LinkStateController(net)
-            process = OutageProcess(
+            schedule = arm(
                 sim, controller, self._spec(), outage_rng(seed=seed)
             )
             sim.run(until=60.0)
-            schedules.append((process.outages_fired, controller.outages))
+            schedules.append((outages_fired(schedule), controller.outages))
         assert schedules[0] != schedules[1]
 
     def test_correlated_links_fail_together(self):
         sim, net = ring_network()
         controller = LinkStateController(net)
         spec = self._spec(correlated_links=3, max_outages=1)
-        OutageProcess(sim, controller, spec, outage_rng())
+        arm(sim, controller, spec, outage_rng(), horizon=120.0)
         sim.run(until=120.0)
         assert controller.outages == 3  # one sampled event, three links
         assert controller.restores == 3  # repaired together
@@ -123,18 +148,19 @@ class TestSampledProcess:
     def test_max_outages_stops_the_process(self):
         sim, net = ring_network()
         controller = LinkStateController(net)
-        process = OutageProcess(
-            sim, controller, self._spec(max_outages=2), outage_rng()
+        schedule = arm(
+            sim, controller, self._spec(max_outages=2), outage_rng(),
+            horizon=600.0,
         )
         sim.run(until=600.0)
-        assert process.outages_fired == 2
+        assert outages_fired(schedule) == 2
         assert controller.outages == 2
 
     def test_candidates_restrict_the_victim_pool(self):
         sim, net = ring_network()
         controller = LinkStateController(net)
         spec = self._spec(links=("S-0->S-1",), max_outages=4)
-        OutageProcess(sim, controller, spec, outage_rng())
+        arm(sim, controller, spec, outage_rng(), horizon=600.0)
         sim.run(until=600.0)
         assert controller.outages >= 1
         # Only the named candidate ever failed.
@@ -142,23 +168,38 @@ class TestSampledProcess:
             if name != "S-0->S-1":
                 assert link.up
 
-    def test_stop_cancels_pending_timers(self):
+    def test_replay_draws_nothing(self):
+        """Every draw happens while the schedule is computed: running the
+        armed firings leaves the stream where the computation left it."""
         sim, net = ring_network()
         controller = LinkStateController(net)
-        process = OutageProcess(
-            sim, controller, self._spec(), outage_rng()
+        rng = outage_rng()
+        arm(sim, controller, self._spec(), rng)
+        state = rng.getstate()
+        sim.run(until=60.0)
+        assert controller.outages > 3
+        assert rng.getstate() == state
+
+    def test_one_event_per_firing_including_empty_dues(self):
+        """A sampled outage that finds its one candidate already down
+        fails nothing, yet is still one simulator event."""
+        sim, net = ring_network()
+        controller = LinkStateController(net)
+        spec = self._spec(
+            links=("S-0->S-1",), rate_per_second=2.0,
+            mean_duration_seconds=5.0,
         )
-        process.stop()
-        sim.run(until=600.0)
-        assert process.outages_fired == 0
-        assert controller.outages == 0
+        schedule = arm(sim, controller, spec, outage_rng(), horizon=30.0)
+        assert any(not f.up and not f.links for f in schedule.firings)
+        sim.run(until=30.0)
+        assert sim.events_processed == len(schedule.firings)
 
 
 class TestClockFreeReplay:
-    """``compute_outage_schedule`` must replay exactly what an
-    event-driven :class:`OutageProcess` applies — same draws, same
-    order, same times — since the fluid engine compiles that schedule
-    into epoch boundaries paired with packet runs."""
+    """The transitions the packet controller applies, replaying the
+    armed firings, must be exactly ``compute_outage_schedule``'s — same
+    draws, same order, same times — since the fluid engine compiles
+    those transitions into epoch boundaries paired with packet runs."""
 
     HORIZON = 60.0
 
@@ -180,11 +221,12 @@ class TestClockFreeReplay:
 
         controller.fail_link = spy_fail
         controller.restore_link = spy_restore
-        OutageProcess(
+        arm(
             sim,
             controller,
             spec,
             outage_rng(seed=seed) if spec.rate_per_second > 0 else None,
+            self.HORIZON,
         )
         sim.run(until=self.HORIZON)
         return events, sorted(net.links)
@@ -199,7 +241,7 @@ class TestClockFreeReplay:
         assert len(events) > 3
         schedule = compute_outage_schedule(
             spec, link_names, outage_rng(seed=seed), self.HORIZON
-        )
+        ).transitions
         assert [(t.time, t.link, t.up) for t in schedule] == events
 
     def test_explicit_plus_sampled_with_cap_replays_exactly(self):
@@ -216,7 +258,7 @@ class TestClockFreeReplay:
         events, link_names = self._recorded(spec, seed=5)
         schedule = compute_outage_schedule(
             spec, link_names, outage_rng(seed=5), self.HORIZON
-        )
+        ).transitions
         assert [(t.time, t.link, t.up) for t in schedule] == events
         # The overlapping-window merge collapsed to effective
         # transitions only, and the cap held on both sides.

@@ -1,80 +1,100 @@
-"""SPF correctness and the load-bearing build-time equivalence.
+"""One route graph: the built network, its spec, and every link state.
 
-The control plane's recompute (a :class:`~repro.net.routing.StaticRouting`
-built from a whole adjacency at once) must reproduce the tables of the
-network's own edge-by-edge build exactly — otherwise restoring a failed
-link would leave the network on different (equally short) routes than it
-started on, and the outage-free bit-identity guarantee would silently
-break.
+The control plane rebuilds the network's tables over the surviving links
+(:meth:`~repro.net.network.Network.routes`); the fluid engine and the
+scenario generators route the :class:`~repro.scenario.spec.TopologySpec`
+(:meth:`~repro.scenario.spec.TopologySpec.routes`).  Both go through
+:func:`~repro.net.routing.route_graph` and must reproduce the built
+network's tables exactly — otherwise restoring a failed link would leave
+the network on different (equally short) routes than it started on, and
+the fluid plan would route a flow differently from the packet controller.
 """
 
 import pytest
 
-from repro.control import spf_from_network
 from repro.net.network import Network
-from repro.net.routing import RoutingError, StaticRouting
-from repro.scenario.generators import random_graph_topology, topology_routes
+from repro.net.routing import RoutingError, route_graph
+from repro.scenario.generators import random_graph_topology
 from repro.sched.fifo import FifoScheduler
 from repro.sim.engine import Simulator
 
 
-def spec_adjacency(topology):
-    """The adjacency StaticRouting sees at build time, as a dict."""
-    adj = {node: [] for node in topology.nodes}
-    for att in topology.host_attachments:
-        adj[att.host] = [att.switch]
-        adj[att.switch].append(att.host)
-    for link in topology.links:
-        adj[link.src].append(link.dst)
-    return adj
+def build(topology):
+    return topology.build(Simulator(), lambda name, link: FifoScheduler())
 
 
 def all_nodes(topology):
     return tuple(topology.nodes) + topology.host_names
 
 
-class TestBfsEquivalence:
+def same_routes(a, b, nodes):
+    """Assert ``a`` and ``b`` agree on every ordered node pair: the same
+    next hop, or both without a route."""
+    for src in nodes:
+        for dst in nodes:
+            if src == dst:
+                continue
+            try:
+                expected = a.next_hop(src, dst)
+            except RoutingError:
+                with pytest.raises(RoutingError):
+                    b.next_hop(src, dst)
+                continue
+            assert b.next_hop(src, dst) == expected, f"{src}->{dst}"
+
+
+class TestBuildTimeEquivalence:
     @pytest.mark.parametrize("gen_seed", [1, 2, 5, 11])
-    def test_next_hops_match_static_routing_everywhere(self, gen_seed):
+    def test_network_routes_equal_spec_routes_everywhere(self, gen_seed):
         topology = random_graph_topology(gen_seed, num_switches=7)
-        bfs = topology_routes(topology)
-        spf = StaticRouting.from_adjacency(spec_adjacency(topology))
+        net = build(topology)
+        spec_routes = topology.routes()
         for src in all_nodes(topology):
             for dst in all_nodes(topology):
                 if src == dst:
                     continue
-                assert spf.next_hop(src, dst) == bfs.next_hop(src, dst), (
-                    f"seed {gen_seed}: {src}->{dst}"
-                )
+                assert spec_routes.next_hop(src, dst) == (
+                    net.routing.next_hop(src, dst)
+                ), f"seed {gen_seed}: {src}->{dst}"
 
     @pytest.mark.parametrize("gen_seed", [3, 7])
     def test_full_paths_match(self, gen_seed):
         topology = random_graph_topology(
             gen_seed, num_switches=6, scale_free=True
         )
-        bfs = topology_routes(topology)
-        spf = StaticRouting.from_adjacency(spec_adjacency(topology))
+        net = build(topology)
+        spec_routes, rebuilt = topology.routes(), net.routes()
         hosts = topology.host_names
         for src in hosts:
             for dst in hosts:
                 if src != dst:
-                    assert spf.path(src, dst) == bfs.path(src, dst)
+                    assert spec_routes.path(src, dst) == net.path(src, dst)
+                    assert rebuilt.path(src, dst) == net.path(src, dst)
+
+    @pytest.mark.parametrize("gen_seed", [1, 5])
+    def test_every_single_link_down_set_agrees(self, gen_seed):
+        topology = random_graph_topology(gen_seed, num_switches=6)
+        net = build(topology)
+        for name in topology.link_names:
+            down = {name}
+            same_routes(
+                net.routes(down), topology.routes(down),
+                all_nodes(topology),
+            )
+
+    @pytest.mark.parametrize("gen_seed", [2, 11])
+    def test_hosts_never_reorder_switch_paths(self, gen_seed):
+        """Hosts are leaves: switch-to-switch routes are the same with
+        the host attachments in the graph or without them."""
+        topology = random_graph_topology(gen_seed, num_switches=7)
+        links = [(link.src, link.dst) for link in topology.links]
+        down = {topology.link_names[0]}
+        with_hosts = topology.routes(down)
+        switches_only = route_graph(topology.nodes, links, (), down)
+        same_routes(switches_only, with_hosts, topology.nodes)
 
 
-class TestWeightedAndPartial:
-    def test_edge_to_undeclared_node_rejected(self):
-        with pytest.raises(ValueError):
-            StaticRouting.from_adjacency({"A": ["ghost"]})
-
-    def test_unreachable_raises_routing_error(self):
-        spf = StaticRouting.from_adjacency({"A": ["B"], "B": [], "C": []})
-        with pytest.raises(RoutingError):
-            spf.next_hop("B", "A")
-        with pytest.raises(RoutingError):
-            spf.next_hop("A", "C")
-
-
-class TestFromNetwork:
+class TestDownLinks:
     def _diamond(self):
         net = Network(Simulator(), lambda name, link: FifoScheduler())
         for name in ("S-A", "S-B", "S-C", "S-D"):
@@ -87,27 +107,26 @@ class TestFromNetwork:
         net.add_host("h-dst", "S-C")
         return net
 
-    def test_live_links_reproduce_build_time_routes(self):
+    def test_all_up_reproduces_build_time_routes(self):
         net = self._diamond()
-        spf = spf_from_network(net, {name: True for name in net.links})
-        assert spf.path("h-src", "h-dst") == net.routing.path(
-            "h-src", "h-dst"
-        )
+        built = net.path("h-src", "h-dst")
+        net.install_routing(net.routes({"S-A->S-B"}))
+        net.install_routing(net.routes())
+        assert net.path("h-src", "h-dst") == built
 
-    def test_down_link_excluded(self):
+    def test_down_link_avoided(self):
         net = self._diamond()
-        state = {name: True for name in net.links}
-        state["S-A->S-B"] = False
-        spf = spf_from_network(net, state)
-        assert spf.path("h-src", "h-dst") == [
+        assert net.path("h-src", "h-dst") == [
+            "h-src", "S-A", "S-B", "S-C", "h-dst"
+        ]
+        assert net.routes({"S-A->S-B"}).path("h-src", "h-dst") == [
             "h-src", "S-A", "S-D", "S-C", "h-dst"
         ]
 
     def test_fully_partitioned_destination(self):
         net = self._diamond()
-        state = {name: True for name in net.links}
-        state["S-B->S-C"] = False
-        state["S-D->S-C"] = False
-        spf = spf_from_network(net, state)
+        routes = net.routes({"S-B->S-C", "S-D->S-C"})
         with pytest.raises(RoutingError):
-            spf.next_hop("S-A", "h-dst")
+            routes.next_hop("S-A", "h-dst")
+        with pytest.raises(RoutingError):
+            routes.path("h-src", "h-dst")

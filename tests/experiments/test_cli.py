@@ -183,6 +183,46 @@ class TestSpecCli:
         assert "failover:fabric" in report["names"]
         assert report["heavy"] == []
 
+    def test_packet_run_loads_neither_fluid_nor_numpy(self):
+        """The runner reaches for the fluid engine only when a spec asks
+        for it: a packet run leaves ``repro.fluid`` and numpy unloaded."""
+        code = (
+            "import json, sys\n"
+            "from repro.scenario import ScenarioRunner, registry\n"
+            "import repro.experiments\n"
+            "result = ScenarioRunner(registry.build('table1', duration=1.0)).run()\n"
+            "heavy = sorted(m for m in sys.modules\n"
+            "               if m.split('.')[0] == 'numpy'\n"
+            "               or m.startswith('repro.fluid'))\n"
+            "print(json.dumps({'runs': len(result.runs), 'heavy': heavy}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=_env_with_src(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["runs"] == 2
+        assert report["heavy"] == []
+
+    @pytest.mark.parametrize(
+        "argv", [["fig1"], ["table1", "--duration", "5"]]
+    )
+    def test_unwritable_json_target_fails_before_any_run(
+        self, tmp_path, argv
+    ):
+        target = tmp_path / "missing" / "x.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", *argv,
+             "--json", str(target)],
+            capture_output=True, text=True, env=_env_with_src(), timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert str(target) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "regenerated" not in proc.stdout  # nothing ran
+        assert not target.parent.exists()
+
     def test_json_export(self, capsys, tmp_path):
         path = tmp_path / "results.json"
         assert main(["table1", "--duration", "15", "--json", str(path)]) == 0

@@ -285,7 +285,7 @@ class TestPairedDraws:
             RandomStreams(seed=spec.seed).stream(OUTAGE_STREAM_NAME),
             spec.duration,
         )
-        assert first == direct
+        assert first == direct.transitions
 
 
 class TestNoRouteAndTeardown:

@@ -8,7 +8,6 @@ from repro.net.fabric import EcmpPaths
 from repro.net.routing import RoutingError
 from repro.scenario import ScenarioRunner, ScenarioSpec, datacenter, registry
 from repro.scenario.datacenter import datacenter_flows
-from repro.scenario.generators import topology_routes
 from repro.scenario.spec import LinkSpec, TopologySpec
 
 

@@ -7,7 +7,6 @@ from repro.net.fabric import (
     fat_tree_topology,
     leaf_spine_topology,
 )
-from repro.scenario.generators import topology_routes
 
 
 class TestFatTree:
@@ -33,7 +32,7 @@ class TestFatTree:
 
     def test_every_host_pair_routes(self):
         topo = fat_tree_topology(k=4)
-        routing = topology_routes(topo)
+        routing = topo.routes()
         hosts = topo.host_names
         # Intra-pod and inter-pod pairs both resolve.
         assert routing.path(hosts[0], hosts[1])
@@ -69,7 +68,7 @@ class TestLeafSpine:
 
     def test_cross_leaf_paths_are_two_hops(self):
         topo = leaf_spine_topology(leaves=3, spines=2, hosts_per_leaf=1)
-        routing = topology_routes(topo)
+        routing = topo.routes()
         path = routing.path(topo.host_names[0], topo.host_names[-1])
         # host -> leaf -> spine -> leaf -> host
         assert len(path) == 5
@@ -104,7 +103,7 @@ class TestEcmpPaths:
     def test_paths_are_valid_and_shortest(self):
         topo = fat_tree_topology(k=4)
         link_set = {link.name for link in topo.links}
-        routing = topology_routes(topo)
+        routing = topo.routes()
         chooser = EcmpPaths(topo, seed=3)
         hosts = topo.host_names
         static_len = len(routing.path(hosts[0], hosts[-1]))

@@ -42,9 +42,9 @@ GRID_DISCIPLINES = ("FIFO", "WFQ", "CSZ")
 _spec_cache = {}
 
 
-def grid_spec(gen_seed, target_utilization=0.85):
+def grid_spec(gen_seed, target_utilization=0.85, record_flows=32):
     """One 10k-flow fat-tree property-grid cell (cached per session)."""
-    key = (gen_seed, target_utilization)
+    key = (gen_seed, target_utilization, record_flows)
     if key not in _spec_cache:
         _spec_cache[key] = registry.build(
             "gen:fat-tree",
@@ -55,6 +55,7 @@ def grid_spec(gen_seed, target_utilization=0.85):
             warmup=0.5,
             engine="fluid",
             target_utilization=target_utilization,
+            record_flows=record_flows,
             disciplines=(
                 DisciplineSpec.fifo(),
                 DisciplineSpec.wfq(),
@@ -367,16 +368,27 @@ class TestFirstSaturatedLinks:
         assert links.tolist() == old[old < L].tolist() == [2, 2, 5]
 
 
-class TestRecordFlowsSwitch:
-    def test_record_flows_off_skips_samples_only(self):
-        spec = grid_spec(1)
-        on = run_backend(spec, "FIFO", "numpy")
-        off = run_backend(spec, "FIFO", "numpy", record_flows=False)
-        assert on.samples and not off.samples
-        assert on.delivered_bits == off.delivered_bits
-        assert on.events_processed == off.events_processed
-        rows = off.collect()
-        assert len(rows.flows) == len(on.collect().flows)
+class TestRecording:
+    @pytest.mark.parametrize("backend", ["numpy", "pure"])
+    def test_recording_flows_changes_no_aggregate(self, backend):
+        """The spec's per-flow ``record`` decides which flows keep delay
+        samples, and nothing else: the generator draws ``recorded``
+        last, so a population with no recorded flow places, serves and
+        routes every flow identically."""
+        recorded = run_backend(grid_spec(1), "FIFO", backend)
+        bare = run_backend(grid_spec(1, record_flows=0), "FIFO", backend)
+        assert recorded.samples and not bare.samples
+        for field in (
+            "generated_bits", "delivered_bits", "backlog_bits",
+            "dropped_bits", "link_served_bits",
+        ):
+            assert getattr(recorded, field) == getattr(bare, field), field
+        assert recorded.events_processed == bare.events_processed
+        run, bare_run = (
+            sim.collect().comparable_dict() for sim in (recorded, bare)
+        )
+        assert run.pop("flows") and not bare_run.pop("flows")
+        assert run == bare_run
 
 
 def leaf_spine_spec(target_utilization):

@@ -9,7 +9,6 @@ indistinguishable from it — counts and identities only, no wall clock.
 import pytest
 
 import repro.net.network as network_module
-from repro.control.spf import spf_from_network
 from repro.net.link import Link
 from repro.net.network import Network
 from repro.net.node import Host, Switch
@@ -140,12 +139,12 @@ class TestResolveOnce:
         sim, net = diamond()
         send(net, 0)
         assert net.ports["S-A->S-B"].packets_in == 1
-        net.install_routing(spf_from_network(net, {"S-A->S-B": False}))
+        net.install_routing(net.routes({"S-A->S-B"}))
         send(net, 1)
         assert net.ports["S-A->S-B"].packets_in == 1
         assert net.ports["S-A->S-D"].packets_in == 1
         # ... and back again on the heal, also from the very next packet.
-        net.install_routing(spf_from_network(net, {}))
+        net.install_routing(net.routes())
         send(net, 2)
         assert net.ports["S-A->S-B"].packets_in == 2
         assert net.ports["S-A->S-D"].packets_in == 1
@@ -156,7 +155,7 @@ class TestResolveOnce:
         sim.run_until_idle()
         assert net.switches["S-A"]._forwarding
         assert net.switches["S-B"]._forwarding
-        net.install_routing(spf_from_network(net, {}))
+        net.install_routing(net.routes())
         assert not any(s._forwarding for s in net.switches.values())
 
     def test_partitioned_destination_is_ledgered_every_time(self):
@@ -168,7 +167,7 @@ class TestResolveOnce:
         assert len(delivered) == 1
         switch = net.switches["S-A"]
         net.install_routing(
-            spf_from_network(net, {"S-A->S-B": False, "S-A->S-D": False})
+            net.routes({"S-A->S-B", "S-A->S-D"})
         )
         for i in range(1, 4):
             send(net, i)
@@ -176,7 +175,7 @@ class TestResolveOnce:
             assert switch.no_route_drops == {"f": i}
             assert "h-dst" not in switch._forwarding
         assert switch.packets_forwarded == 1
-        net.install_routing(spf_from_network(net, {}))
+        net.install_routing(net.routes())
         send(net, 4)
         sim.run_until_idle()
         assert len(delivered) == 2

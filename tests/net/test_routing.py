@@ -5,11 +5,17 @@ import pytest
 from repro.net.routing import RoutingError, StaticRouting
 
 
+def graph(*edges, nodes=()):
+    """The routing over directed ``edges`` (plus isolated ``nodes``)."""
+    adjacency = {node: [] for node in nodes}
+    for src, dst in edges:
+        adjacency.setdefault(src, []).append(dst)
+        adjacency.setdefault(dst, [])
+    return StaticRouting(adjacency)
+
+
 def chain(n):
-    routing = StaticRouting()
-    for i in range(n - 1):
-        routing.add_edge(f"S{i}", f"S{i + 1}")
-    return routing
+    return graph(*((f"S{i}", f"S{i + 1}") for i in range(n - 1)))
 
 
 class TestNextHop:
@@ -28,36 +34,24 @@ class TestNextHop:
             routing.next_hop("S2", "S0")  # no reverse edges
 
     def test_no_route(self):
-        routing = StaticRouting()
-        routing.add_edge("A", "B")
-        routing.add_node("C")
+        routing = graph(("A", "B"), nodes=("C",))
         with pytest.raises(RoutingError):
             routing.next_hop("A", "C")
 
     def test_shortest_path_preferred(self):
-        routing = StaticRouting()
         # Two routes A->D: direct edge and a 2-hop path.
-        routing.add_edge("A", "B")
-        routing.add_edge("B", "D")
-        routing.add_edge("A", "D")
+        routing = graph(("A", "B"), ("B", "D"), ("A", "D"))
         assert routing.next_hop("A", "D") == "D"
 
     def test_deterministic_tie_break(self):
         # Two equal-length paths; BFS with sorted neighbours must always
         # pick the alphabetically first branch.
-        routing = StaticRouting()
-        routing.add_edge("A", "C")
-        routing.add_edge("A", "B")
-        routing.add_edge("B", "D")
-        routing.add_edge("C", "D")
+        routing = graph(("A", "C"), ("A", "B"), ("B", "D"), ("C", "D"))
         assert routing.next_hop("A", "D") == "B"
 
-    def test_recompute_after_edge_added(self):
-        routing = StaticRouting()
-        routing.add_edge("A", "B")
-        assert routing.next_hop("A", "B") == "B"
-        routing.add_edge("B", "C")
-        assert routing.next_hop("A", "C") == "B"
+    def test_edge_to_undeclared_node_rejected(self):
+        with pytest.raises(ValueError, match="ghost"):
+            StaticRouting({"A": ["ghost"]})
 
 
 class TestPath:
@@ -78,12 +72,8 @@ class TestBranchingAndMergeGraphs:
         # L1 \
         #     M -- R1 -- R2   (two access branches converge at M)
         # L2 /
-        routing = StaticRouting()
-        routing.add_edge("L1", "M")
-        routing.add_edge("L2", "M")
-        routing.add_edge("M", "R1")
-        routing.add_edge("R1", "R2")
-        return routing
+        return graph(("L1", "M"), ("L2", "M"), ("M", "R1"), ("R1", "R2"),
+                     nodes=("island",))
 
     def test_merge_point_shared_by_both_branches(self):
         routing = self.merge()
@@ -96,18 +86,12 @@ class TestBranchingAndMergeGraphs:
             self.merge().next_hop("L1", "L2")
 
     def test_duplex_edges_route_both_directions(self):
-        routing = StaticRouting()
-        for a, b in [("A", "B"), ("B", "C")]:
-            routing.add_edge(a, b)
-            routing.add_edge(b, a)
+        routing = graph(("A", "B"), ("B", "A"), ("B", "C"), ("C", "B"))
         assert routing.path("A", "C") == ["A", "B", "C"]
         assert routing.path("C", "A") == ["C", "B", "A"]
 
-    def test_duplex_edge_added_twice_is_idempotent(self):
-        routing = StaticRouting()
-        routing.add_edge("A", "B")
-        routing.add_edge("A", "B")
-        routing.add_edge("B", "A")
+    def test_duplex_edge_listed_twice_is_idempotent(self):
+        routing = graph(("A", "B"), ("A", "B"), ("B", "A"))
         assert routing.path("A", "B") == ["A", "B"]
         assert routing.path("B", "A") == ["B", "A"]
 
@@ -115,19 +99,17 @@ class TestBranchingAndMergeGraphs:
         #     X -- T1 \
         # S <             > D   (two equal two-hop routes S -> D)
         #     Y -- T2 /
-        routing = StaticRouting()
-        for src, dst in [
+        edges = [
             ("S", "Y"), ("S", "X"), ("X", "T1"), ("Y", "T2"),
             ("T1", "D"), ("T2", "D"),
-        ]:
-            routing.add_edge(src, dst)
-        # BFS expands sorted neighbours: the X branch wins every rebuild.
-        for _ in range(3):
-            routing.add_node("Z")  # dirty the table; force recompute
+        ]
+        # BFS expands sorted neighbours: the X branch wins whatever order
+        # the graph is declared in.
+        for order in (edges, edges[::-1], sorted(edges)):
+            routing = graph(*order)
             assert routing.path("S", "D") == ["S", "X", "T1", "D"]
 
     def test_unreachable_destination_names_both_endpoints(self):
         routing = self.merge()
-        routing.add_node("island")
         with pytest.raises(RoutingError, match="L1 to island"):
             routing.next_hop("L1", "island")

@@ -22,7 +22,6 @@ from repro.scenario.generators import (
     random_graph,
     random_graph_topology,
     scale_free,
-    topology_routes,
     wan_guaranteed,
     wan_path,
     wan_path_topology,
@@ -38,7 +37,7 @@ class TestRandomGraphTopology:
     def test_repaired_graph_is_strongly_connected(self):
         for gen_seed in (1, 5, 11):
             topology = random_graph_topology(gen_seed, num_switches=7)
-            routing = topology_routes(topology)
+            routing = topology.routes()
             for src in topology.host_names:
                 for dst in topology.host_names:
                     if src != dst:
@@ -53,7 +52,7 @@ class TestRandomGraphTopology:
         topology = random_graph_topology(
             3, num_switches=12, scale_free=True
         )
-        routing = topology_routes(topology)
+        routing = topology.routes()
         for dst in topology.host_names[1:]:
             assert routing.path(topology.host_names[0], dst)
         # Preferential attachment concentrates degree on early nodes.
@@ -128,7 +127,7 @@ class TestFlowPopulation:
     def test_population_reaches_target_utilization(self):
         topology = random_graph_topology(5, num_switches=8)
         flows = generate_flows(topology, 5, target_utilization=0.85)
-        routing = topology_routes(topology)
+        routing = topology.routes()
         offered = {link.name: 0.0 for link in topology.links}
         rates = {link.name: link.rate_bps for link in topology.links}
         for flow in flows:
@@ -174,7 +173,7 @@ class TestFlowPopulation:
 
     def test_hops_metadata_matches_routes(self):
         spec = wan_path(gen_seed=1, duration=5.0)
-        routing = topology_routes(spec.topology)
+        routing = spec.topology.routes()
         for flow in spec.flows:
             route = links_on_route(
                 spec.topology, routing, flow.source_host, flow.dest_host
@@ -182,7 +181,7 @@ class TestFlowPopulation:
             assert flow.hops == len(route)
 
     def test_pre_build_routes_equal_simulator_routes(self):
-        """The generators' load sizing uses topology_routes /
+        """The generators' load sizing uses TopologySpec.routes /
         links_on_route; pin that they reproduce the built Network's
         routing exactly, so per-link offered-load and guaranteed-quota
         math can never diverge from the paths the simulator uses."""
@@ -190,7 +189,7 @@ class TestFlowPopulation:
 
         spec = random_graph(gen_seed=6, duration=2.0)
         context = ScenarioRunner(spec).build()
-        routing = topology_routes(spec.topology)
+        routing = spec.topology.routes()
         hosts = spec.topology.host_names
         for src in hosts:
             for dst in hosts:
@@ -204,7 +203,7 @@ class TestFlowPopulation:
 class TestGuaranteedPlacement:
     def test_guaranteed_commitments_respect_quota(self):
         spec = wan_guaranteed(gen_seed=1, duration=5.0)
-        routing = topology_routes(spec.topology)
+        routing = spec.topology.routes()
         committed = {link.name: 0.0 for link in spec.topology.links}
         rates = {link.name: link.rate_bps for link in spec.topology.links}
         for flow in spec.flows:
@@ -219,7 +218,7 @@ class TestGuaranteedPlacement:
     def test_wfq_auto_rate_keeps_total_clock_under_capacity(self):
         spec = wan_guaranteed(gen_seed=1, duration=5.0)
         auto = dict(spec.disciplines[1].params)["auto_register_rate_bps"]
-        routing = topology_routes(spec.topology)
+        routing = spec.topology.routes()
         for link in spec.topology.links:
             total = 0.0
             for flow in spec.flows:

@@ -53,7 +53,7 @@ def test_engine_constructor_takes_no_event_store():
 
 def test_fluid_options_are_exactly_the_pinned_fields():
     assert {field.name for field in dataclasses.fields(FluidOptions)} == {
-        "epoch_seconds", "backend", "record_flows", "fuse_epochs",
+        "epoch_seconds", "backend", "fuse_epochs",
     }
 
 
