@@ -13,9 +13,10 @@ The subsystem the experiment layer is founded on:
 * :mod:`repro.scenario.executor` — ``sweep()`` (parameter/seed sweeps,
   bit-identical to serial execution) and the persistent execution engine
   behind it and ``ScenarioRunner.run(workers=)``: flattened
-  (override × seed × discipline) task graph, warm-started workers fed
-  compact deltas, streaming collection, per-run wall-clock budgets,
-  early stopping, and runs lost to a dead worker reported, not hung on;
+  (override × seed × discipline) task graph, each task carrying its own
+  single-discipline spec to a reusable worker pool, streaming
+  collection, per-run wall-clock budgets, early stopping, and runs lost
+  to a dead worker reported, not hung on;
 * :mod:`repro.scenario.generators` — seeded, deterministic scenario
   generators (random/scale-free graphs, WAN paths, access/core fan-in)
   registered under ``gen:`` names, with populations sized to a target

@@ -10,18 +10,21 @@ The orchestration layer between declarative sweeps and worker processes.
   run whose disciplines execute serially inside a worker.  Load balance
   improves whenever runs are fewer than workers or disciplines differ in
   cost, and early results stream out per simulation, not per run.
-* **Warm workers, compact tasks.**  The pool is created once per base
-  spec and reused across ``run_sweep`` calls: a pool initializer ships the
-  pickled base :class:`ScenarioSpec` to every worker a single time, and
-  each task travels as a small ``(override, seed, discipline-index)``
-  delta.  :func:`resolve_task_spec` reconstructs the exact spec the serial
-  path would build, so placement cannot perturb results.
+* **One task form.**  The parent expands the sweep once with
+  :func:`expand`, and every task carries its own single-discipline spec
+  (``run_spec.replace(disciplines=(d,))``).  A pooled task is pickled in
+  the parent before it is submitted, so a spec that cannot cross a
+  process boundary raises there instead of inside the pool's feeder.
+  :func:`run_task` runs the task the same way in a worker or in the
+  serial loop, so placement cannot perturb results.  The pool is built on
+  the first pooled sweep and reused by every later sweep it is large
+  enough for, whatever spec that sweep runs.
 * **One bounded dispatch loop.**  At most ``max(2 × workers, 4)`` tasks
   are in flight; results are collected with ``wait(FIRST_COMPLETED)`` as
   they land and reassembled deterministically into expansion order, and
   an ``on_result`` callback fires as each run finishes (completion
   order).  The serial path runs the same loop in-process, one task at a
-  time, through the same payload → spec resolution.
+  time.
 * **Budgets and early stopping.**  A per-run wall-clock budget slices
   each simulation into :data:`BUDGET_SLICES` engine ``run(until=...)``
   windows and abandons it once the budget is spent (``budget_expired``);
@@ -46,7 +49,6 @@ vary); what a completed run contains is not.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 import numbers
 import pickle
@@ -56,6 +58,7 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -86,7 +89,6 @@ WORKER_LOST = "worker_lost"
 BUDGET_SLICES = 32
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
-_UNSET = object()
 
 
 def _checked_workers(workers) -> int:
@@ -124,53 +126,8 @@ def _checked_budget(budget_seconds):
 
 
 # ----------------------------------------------------------------------
-# Expansion: one base spec -> (override, seed) deltas -> flattened tasks
+# Expansion: one base spec -> concrete run specs -> flattened tasks
 # ----------------------------------------------------------------------
-
-
-def expand_deltas(
-    spec: ScenarioSpec,
-    over: Optional[Iterable[Override]] = None,
-    seeds: Optional[Sequence[int]] = None,
-) -> List[Tuple[Override, int]]:
-    """The sweep's run list as compact ``(override, seed)`` deltas.
-
-    Mirrors :func:`expand` (override-major, seed-minor) without
-    materializing a full spec per run: workers rebuild specs from these
-    deltas, and :func:`resolve_run_spec` is the single authoritative
-    reconstruction both sides share.
-    """
-    overrides = list(over) if over is not None else [{}]
-    seed_list = list(seeds) if seeds is not None else None
-    if not overrides:
-        raise ValueError("over must contain at least one entry")
-    if seed_list is not None and not seed_list:
-        raise ValueError("seeds must contain at least one seed")
-    deltas: List[Tuple[Override, int]] = []
-    for override in overrides:
-        if seed_list is not None:
-            own_seeds: Sequence[int] = seed_list
-        elif isinstance(override, ScenarioSpec):
-            # A whole-spec override keeps its own seed.
-            own_seeds = [override.seed]
-        else:
-            own_seeds = [dict(override).get("seed", spec.seed)]
-        for seed in own_seeds:
-            deltas.append((override, seed))
-    return deltas
-
-
-def resolve_run_spec(
-    base: ScenarioSpec, override: Override, seed: int
-) -> ScenarioSpec:
-    """The concrete spec of one run, rebuilt from its delta.
-
-    Identical on the parent and in workers: apply the override (a field
-    mapping via :meth:`ScenarioSpec.replace`, or a whole replacement
-    spec), then pin the seed.
-    """
-    spec = override if isinstance(override, ScenarioSpec) else base.replace(**override)
-    return spec.replace(seed=seed)
 
 
 def expand(
@@ -182,25 +139,27 @@ def expand(
 
     ``over`` entries are either field-override mappings (applied with
     :meth:`ScenarioSpec.replace`) or complete replacement specs; ``seeds``
-    multiplies each entry into one run per seed.  Built from the same
-    delta expansion the executor ships to workers, so this *is* the spec
-    list a sweep reconstructs.
+    multiplies each entry into one run per seed, override-major and
+    seed-minor.  Without ``seeds`` every entry runs once at its own seed
+    (a mapping's ``seed`` key, else the base spec's; a whole spec's own).
+    This *is* the run list :meth:`SweepExecutor.run_sweep` executes.
     """
-    return [
-        resolve_run_spec(spec, override, seed)
-        for override, seed in expand_deltas(spec, over=over, seeds=seeds)
-    ]
-
-
-def resolve_task_spec(
-    base: ScenarioSpec, override: Override, seed: int, discipline_index: int
-) -> ScenarioSpec:
-    """The single-discipline spec of one flattened task."""
-    run_spec = resolve_run_spec(base, override, seed)
-    return run_spec.replace(
-        disciplines=(run_spec.disciplines[discipline_index],)
-    )
-
+    overrides = list(over) if over is not None else [{}]
+    seed_list = list(seeds) if seeds is not None else None
+    if not overrides:
+        raise ValueError("over must contain at least one entry")
+    if seed_list is not None and not seed_list:
+        raise ValueError("seeds must contain at least one seed")
+    runs: List[ScenarioSpec] = []
+    for override in overrides:
+        arm = (
+            override
+            if isinstance(override, ScenarioSpec)
+            else spec.replace(**override)
+        )
+        for seed in seed_list if seed_list is not None else [arm.seed]:
+            runs.append(arm.replace(seed=seed))
+    return runs
 
 # ----------------------------------------------------------------------
 # Results
@@ -391,58 +350,39 @@ def stop_when_ci_below(
     return predicate
 
 
+
+
 # ----------------------------------------------------------------------
-# Task execution (runs in workers; module-level so it pickles)
+# Task execution (the same call in workers and in the serial loop)
 # ----------------------------------------------------------------------
 
-# The base spec a pool's workers were warm-started with (one-cell mutable
-# so the initializer can assign it under fork and spawn alike), and the
-# whole-spec overrides shipped alongside it, keyed by blob fingerprint.
-# Whole-spec overrides (``gen:*`` sweeps replace the entire spec per run)
-# would otherwise be re-pickled into every task payload; instead each
-# distinct spec ships once per worker at pool start and task payloads
-# carry a ``(_SPEC_REF, fingerprint)`` marker.
-_WORKER_BASE: List[Optional[ScenarioSpec]] = [None]
-_WORKER_SPECS: Dict[str, ScenarioSpec] = {}
-
-_SPEC_REF = "__specref__"
+# A task is the argument tuple of :func:`run_task`:
+# ``(single-discipline spec, index, run index, discipline index, budget)``.
+Task = Tuple[ScenarioSpec, int, int, int, Optional[float]]
 
 
-def _deref_override(
-    override: Any, table: Dict[str, ScenarioSpec]
-) -> Override:
-    """Resolve a spec-reference marker back to its shipped spec."""
-    if isinstance(override, tuple) and override[0] == _SPEC_REF:
-        return table[override[1]]
-    return override
+def _tasks(
+    run_specs: List[ScenarioSpec], budget: Optional[float]
+) -> Iterator[Task]:
+    """The flattened tasks of a sweep, in expansion order.  Built one at
+    a time as the dispatch loop asks, so a task's spec exists only while
+    it is in flight."""
+    index = 0
+    for run_index, run_spec in enumerate(run_specs):
+        for discipline_index, discipline in enumerate(run_spec.disciplines):
+            yield (
+                run_spec.replace(disciplines=(discipline,)),
+                index,
+                run_index,
+                discipline_index,
+                budget,
+            )
+            index += 1
 
 
-def _init_worker(
-    base_blob: bytes, override_blobs: Tuple[Tuple[str, bytes], ...] = ()
-) -> None:
-    """Pool initializer: unpack the base spec (and any whole-spec
-    overrides) shipped once per worker."""
-    _WORKER_BASE[0] = pickle.loads(base_blob)
-    _WORKER_SPECS.clear()
-    for fingerprint, blob in override_blobs:
-        _WORKER_SPECS[fingerprint] = pickle.loads(blob)
-
-
-def _execute(
-    payload: tuple, base: ScenarioSpec, specs: Dict[str, ScenarioSpec]
-) -> TaskResult:
-    """Rebuild one task's spec from its delta and run it."""
-    index, run_index, discipline_index, override, seed, budget = payload
-    spec = resolve_task_spec(
-        base, _deref_override(override, specs), seed, discipline_index
-    )
-    return run_task(spec, index, run_index, discipline_index, budget)
-
-
-def _execute_delta(payload: tuple) -> TaskResult:
-    """Worker entry point: run a task against the specs the pool
-    initializer shipped."""
-    return _execute(payload, _WORKER_BASE[0], _WORKER_SPECS)
+def _run_pickled(blob: bytes) -> TaskResult:
+    """Worker entry point: a task pickled by the parent."""
+    return run_task(*pickle.loads(blob))
 
 
 def run_task(
@@ -539,13 +479,12 @@ class _Assembler:
             ):
                 self.stop = True
 
-    def lose(self, payload: tuple) -> None:
+    def lose(self, task: Task) -> None:
         """Record a task whose worker process died under it."""
-        index, run_index, discipline_index = payload[:3]
-        name = self._run_specs[run_index].disciplines[discipline_index].name
+        spec, index, run_index, discipline_index, _ = task
         self.offer(
-            TaskResult(index, run_index, discipline_index, name, WORKER_LOST,
-                       None, 0.0, 0.0)
+            TaskResult(index, run_index, discipline_index,
+                       spec.disciplines[0].name, WORKER_LOST, None, 0.0, 0.0)
         )
 
     def _tasks(self, run_index: int) -> Tuple[TaskResult, ...]:
@@ -588,29 +527,29 @@ class SweepExecutor:
         workers: process count; ``None``/``0``/``1`` executes serially in
             this process (still streaming through ``on_result``).  A
             negative or non-integer count raises ``ValueError``.
-        budget_seconds: default per-task wall-clock budget applied to
-            every ``run_sweep`` call that does not override it; ``None``
-            or a finite number >= 0, else ``ValueError``.
-        track_task_bytes: also count the pickled bytes of every task
-            payload in ``stats["task_bytes"]`` (off by default: measuring
-            costs a second serialization of each payload).
+        budget_seconds: per-task wall-clock budget applied to every
+            ``run_sweep`` call; ``None`` or a finite number >= 0, else
+            ``ValueError``.  Each discipline simulation of a run gets its
+            own budget, so a D-discipline run may spend up to D times this
+            much wall clock and still complete.
+        track_task_bytes: also count the pickled bytes of every pooled
+            task in ``stats["task_bytes"]`` (off by default).
 
     The pool (a ``concurrent.futures.ProcessPoolExecutor``) is created
-    lazily on the first pooled sweep and reused across subsequent sweeps
-    of the same base spec — workers are warm-started with the base spec
-    once (pool initializer), and every task ships as a compact
-    ``(override, seed, discipline-index)`` delta.  Sweeping a different
-    base spec recycles the pool (the one moment the full spec crosses a
-    process boundary again), and so does a worker's death.  Use as a
-    context manager, or call :meth:`close` when done: it joins every
-    worker, so no process outlives the executor.
+    lazily on the first pooled sweep, sized to the sweep's task count (at
+    most ``workers``), and reused by every later sweep it is large enough
+    for; a larger sweep, or a worker's death, replaces it.  Every task
+    ships its own pickled single-discipline spec, so a pool holds no state
+    of the sweeps it served.  Use as a context manager, or call
+    :meth:`close` when done: it joins every worker, so no process outlives
+    the executor.
 
     ``stats`` accumulates orchestration telemetry across the executor's
     lifetime: pools created, sweeps run, tasks dispatched / completed /
-    expired / lost / skipped, and pickled bytes shipped (base spec per
-    worker; per-task delta bytes only with ``track_task_bytes``) — the
-    quantities the ``sweep_seeds`` workload of ``benchmarks/e2e``
-    reports.
+    expired / lost / skipped, and pickled task bytes (with
+    ``track_task_bytes``) — the quantities the ``sweep_seeds`` workload of
+    ``benchmarks/e2e`` reports.  ``base_bytes`` always reads 0 (no spec
+    ships at pool start); the key stays for that workload's reader.
     """
 
     def __init__(
@@ -624,9 +563,7 @@ class SweepExecutor:
         self.budget_seconds = _checked_budget(budget_seconds)
         self.track_task_bytes = track_task_bytes
         self._pool = None
-        self._pool_base: Optional[ScenarioSpec] = None
         self._pool_size = 0
-        self._pool_fps: frozenset = frozenset()
         self.stats: Dict[str, int] = {
             "pools_created": 0,
             "sweeps": 0,
@@ -638,8 +575,6 @@ class SweepExecutor:
             "tasks_skipped": 0,
             "base_bytes": 0,
             "task_bytes": 0,
-            "override_specs_shipped": 0,
-            "override_bytes": 0,
         }
 
     # -- lifecycle -----------------------------------------------------
@@ -655,42 +590,18 @@ class SweepExecutor:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
 
-    def _ensure_pool(
-        self,
-        base: ScenarioSpec,
-        task_count: int,
-        override_blobs: Dict[str, bytes],
-    ) -> None:
+    def _ensure_pool(self, task_count: int) -> None:
         # Never fork more workers than there are tasks; grow (recycle) a
-        # pool that was sized for a smaller earlier sweep.  Reuse also
-        # requires the workers to already hold every whole-spec override
-        # this sweep references (initializers only run at worker start).
+        # pool that was sized for a smaller earlier sweep.
         size = min(self.workers, task_count)
-        fps = frozenset(override_blobs)
-        if (
-            self._pool is not None
-            and self._pool_base == base
-            and self._pool_size >= size
-            and fps <= self._pool_fps
-        ):
+        if self._pool is not None and self._pool_size >= size:
             return
         self.close()
         from concurrent.futures import ProcessPoolExecutor
 
-        blob = pickle.dumps(base, _PICKLE_PROTOCOL)
-        shipped = tuple(sorted(override_blobs.items()))
-        self._pool = ProcessPoolExecutor(
-            size, initializer=_init_worker, initargs=(blob, shipped)
-        )
-        self._pool_base = base
+        self._pool = ProcessPoolExecutor(size)
         self._pool_size = size
-        self._pool_fps = fps
         self.stats["pools_created"] += 1
-        self.stats["base_bytes"] += len(blob) * size
-        self.stats["override_specs_shipped"] += len(shipped) * size
-        self.stats["override_bytes"] += (
-            sum(len(b) for _, b in shipped) * size
-        )
 
     # -- the sweep -----------------------------------------------------
     def run_sweep(
@@ -699,19 +610,14 @@ class SweepExecutor:
         over: Optional[Iterable[Override]] = None,
         seeds: Optional[Sequence[int]] = None,
         *,
-        budget_seconds=_UNSET,
         early_stop: Optional[Callable[[List[SweepRun]], bool]] = None,
         on_result: Optional[Callable[[SweepRun], None]] = None,
     ) -> SweepOutcome:
-        """Execute one sweep through the flattened task graph.
+        """Execute one sweep through the flattened task graph, each task
+        under the executor's ``budget_seconds``.
 
         Args:
             over / seeds: the expansion, exactly as in :func:`expand`.
-            budget_seconds: per-task wall-clock budget for this sweep
-                (defaults to the executor's).  Each discipline simulation
-                of a run gets its own budget; a D-discipline run may
-                therefore spend up to D times this much wall clock and
-                still complete.
             early_stop: predicate over the completed :class:`SweepRun`
                 list (completion order); returning True stops dispatching
                 new runs.  Undispatched runs are reported ``stopped``.
@@ -723,58 +629,25 @@ class SweepExecutor:
             A :class:`SweepOutcome` — every expanded run in expansion
             order with an explicit status.
         """
-        budget = (
-            self.budget_seconds
-            if budget_seconds is _UNSET
-            else _checked_budget(budget_seconds)
-        )
-        deltas = expand_deltas(spec, over=over, seeds=seeds)
-        run_specs = [
-            resolve_run_spec(spec, override, seed) for override, seed in deltas
-        ]
-        # Whole-spec overrides are pickled once here, deduplicated by
-        # fingerprint, and replaced in task payloads by a tiny reference:
-        # workers get the spec table at pool start instead of a full
-        # spec inside every task.
-        override_blobs: Dict[str, bytes] = {}
-        ref_specs: Dict[str, ScenarioSpec] = {}
-        payloads: List[tuple] = []
-        for run_index, ((override, seed), run_spec) in enumerate(
-            zip(deltas, run_specs)
-        ):
-            if isinstance(override, ScenarioSpec):
-                blob = pickle.dumps(override, _PICKLE_PROTOCOL)
-                fingerprint = hashlib.sha1(blob).hexdigest()
-                override_blobs.setdefault(fingerprint, blob)
-                ref_specs.setdefault(fingerprint, override)
-                override = (_SPEC_REF, fingerprint)
-            for discipline_index in range(len(run_spec.disciplines)):
-                payloads.append(
-                    (len(payloads), run_index, discipline_index, override,
-                     seed, budget)
-                )
+        run_specs = expand(spec, over=over, seeds=seeds)
+        total = sum(len(run_spec.disciplines) for run_spec in run_specs)
         self.stats["sweeps"] += 1
-        self.stats["tasks_total"] += len(payloads)
+        self.stats["tasks_total"] += total
 
         assembler = _Assembler(run_specs, early_stop, on_result)
-        self._dispatch(spec, payloads, assembler, ref_specs, override_blobs)
+        self._dispatch(_tasks(run_specs, self.budget_seconds), total, assembler)
         outcome = assembler.outcome()
         for run in outcome.runs:
             for task in run.tasks:
                 # tasks_completed / tasks_budget_expired / tasks_worker_lost
                 self.stats["tasks_" + task.status] += 1
-        self.stats["tasks_skipped"] += len(payloads) - sum(
+        self.stats["tasks_skipped"] += total - sum(
             len(run.tasks) for run in outcome.runs
         )
         return outcome
 
     def _dispatch(
-        self,
-        base: ScenarioSpec,
-        payloads: List[tuple],
-        assembler: _Assembler,
-        ref_specs: Dict[str, ScenarioSpec],
-        override_blobs: Dict[str, bytes],
+        self, tasks: Iterator[Task], total: int, assembler: _Assembler
     ) -> None:
         """The one dispatch loop, pooled or in-process.
 
@@ -783,23 +656,27 @@ class SweepExecutor:
         instead of having dispatched the whole sweep already.  In process
         each task runs as it is dispatched, so nothing is ever in flight.
 
+        A pooled task is pickled here, before ``submit``: a spec that does
+        not pickle raises ``PicklingError`` in this loop (and the pool is
+        closed) instead of failing inside the pool's feeder thread.
+
         A worker's death fails every future in flight on its pool with
         ``BrokenProcessPool``: each such task is recorded lost, the dead
         pool is closed, and the next submission builds a fresh one.
         """
-        pooled = self.workers > 1 and len(payloads) > 1
+        pooled = self.workers > 1 and total > 1
         if pooled:
             from concurrent.futures import FIRST_COMPLETED, wait
             from concurrent.futures.process import BrokenProcessPool
 
-            self._ensure_pool(base, len(payloads), override_blobs)
+            self._ensure_pool(total)
         window = max(2 * self._pool_size, 4) if pooled else 1
 
-        pending: Dict[Any, Tuple[tuple, Any]] = {}  # future -> payload, pool
+        pending: Dict[Any, Tuple[Task, Any]] = {}  # future -> task, pool
 
-        def lose(payload: tuple, pool) -> None:
+        def lose(task: Task, pool) -> None:
             # No retry: a spec that crashed one worker would crash the next.
-            assembler.lose(payload)
+            assembler.lose(task)
             if pool is not self._pool:
                 return  # a rebuilt pool outlives its predecessor's losses
             self.close()
@@ -811,40 +688,38 @@ class SweepExecutor:
                     del pending[future]
                     assembler.lose(orphan)
 
-        tasks = iter(payloads)
         try:
             while True:
                 while len(pending) < window and not assembler.stop:
-                    payload = next(tasks, None)
-                    if payload is None:
+                    task = next(tasks, None)
+                    if task is None:
                         break
                     self.stats["tasks_dispatched"] += 1
                     if not pooled:
-                        assembler.offer(_execute(payload, base, ref_specs))
+                        assembler.offer(run_task(*task))
                         continue
+                    blob = pickle.dumps(task, _PICKLE_PROTOCOL)
                     if self.track_task_bytes:
-                        self.stats["task_bytes"] += len(
-                            pickle.dumps(payload, _PICKLE_PROTOCOL)
-                        )
+                        self.stats["task_bytes"] += len(blob)
                     if self._pool is None:
-                        self._ensure_pool(base, len(payloads), override_blobs)
+                        self._ensure_pool(total)
                     pool = self._pool
                     try:
-                        future = pool.submit(_execute_delta, payload)
+                        future = pool.submit(_run_pickled, blob)
                     except BrokenProcessPool:  # died before this task
-                        lose(payload, pool)
+                        lose(task, pool)
                     else:
-                        pending[future] = (payload, pool)
+                        pending[future] = (task, pool)
                 if not pending:
                     return
                 for future in wait(pending, return_when=FIRST_COMPLETED)[0]:
-                    payload, pool = pending.pop(future)
+                    task, pool = pending.pop(future)
                     try:
-                        task = future.result()
+                        result = future.result()
                     except BrokenProcessPool:
-                        lose(payload, pool)
+                        lose(task, pool)
                     else:
-                        assembler.offer(task)
+                        assembler.offer(result)
         except BaseException:
             # Drop the pool: a failed task or callback leaves it mid-sweep.
             self.close()
@@ -865,14 +740,15 @@ def sweep(
     budget_seconds: Optional[float] = None,
     early_stop: Optional[Callable[[List[SweepRun]], bool]] = None,
     on_result: Optional[Callable[[SweepRun], None]] = None,
-    executor: Optional[SweepExecutor] = None,
 ) -> Union[List[ScenarioResult], SweepOutcome]:
     """Run ``spec`` across parameter overrides and seeds.
 
     Paired seeds fall out of the stream discipline: within one spec,
     every discipline sees the same arrivals; across specs that share a
     seed, flows with the same names see the same arrivals too (streams
-    are keyed by flow name only).
+    are keyed by flow name only).  The sweep runs on a transient
+    :class:`SweepExecutor`; build one directly to reuse its pool across
+    sweeps.
 
     Args:
         over: iterable of field-override mappings (or whole specs).
@@ -881,46 +757,32 @@ def sweep(
         budget_seconds: optional wall-clock budget for each discipline
             simulation of a run (so a D-discipline run may spend up to D
             times this); runs with an over-budget simulation are reported
-            ``budget_expired``.  Not given here, a budget carried by
-            ``executor`` still applies.
+            ``budget_expired``.
         early_stop: optional predicate over the completed
             :class:`SweepRun` list; returning True stops dispatching
             further runs (reported ``stopped``).  See
             :func:`stop_when_ci_below`.
         on_result: streaming callback fired as each run finishes.
-        executor: reuse a caller-owned :class:`SweepExecutor` (and its
-            warm worker pool) instead of a transient one; ``workers`` is
-            then ignored.
 
     Returns:
-        Without budgets or early stopping: one :class:`ScenarioResult`
-        per expanded run, in expansion order (override-major, seed-minor)
-        regardless of worker scheduling — every run must complete, and a
-        run whose worker died raises :class:`IncompleteSweepError` naming
-        it.  With ``budget_seconds`` (given here or carried by the
-        executor) or ``early_stop``: the full :class:`SweepOutcome`,
-        whose entries record completed / budget-expired / stopped /
-        worker-lost runs explicitly.
+        Without ``budget_seconds`` or ``early_stop``: one
+        :class:`ScenarioResult` per expanded run, in expansion order
+        (override-major, seed-minor) regardless of worker scheduling —
+        every run must complete, and a run whose worker died raises
+        :class:`IncompleteSweepError` naming it.  With either: the full
+        :class:`SweepOutcome`, whose entries record completed /
+        budget-expired / stopped / worker-lost runs explicitly.
     """
-    owns_executor = executor is None
-    active = executor if executor is not None else SweepExecutor(workers=workers)
-    # A caller-owned executor may carry a default budget; only an explicit
-    # argument here overrides it.
-    budget = (
-        budget_seconds if budget_seconds is not None else active.budget_seconds
-    )
-    try:
-        outcome = active.run_sweep(
+    with SweepExecutor(
+        workers=workers, budget_seconds=budget_seconds
+    ) as executor:
+        outcome = executor.run_sweep(
             spec,
             over=over,
             seeds=seeds,
-            budget_seconds=budget,
             early_stop=early_stop,
             on_result=on_result,
         )
-    finally:
-        if owns_executor:
-            active.close()
-    if budget is None and early_stop is None:
+    if budget_seconds is None and early_stop is None:
         return outcome.require_complete()
     return outcome

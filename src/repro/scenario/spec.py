@@ -48,8 +48,7 @@ from repro.scenario import paper
 from repro.sim.engine import Simulator
 
 # Provenance tags the named constructors stamp; free-form graphs are
-# "graph".  from_dict still accepts the legacy serialized forms of the
-# named kinds (num_switches/rate_bps/duplex) and recompiles them.
+# "graph".
 TOPOLOGY_KINDS = (
     "graph", "single_link", "chain", "figure1", "parking_lot", "fat-tree",
     "leaf-spine",
@@ -190,7 +189,6 @@ class _Codec:
     def __init__(self, cls: type):
         self.cls, self.name = cls, cls.__name__
         self.tag = getattr(cls, "_wire_tag", None)  # (key, value) or None
-        self.legacy = getattr(cls, "_from_legacy", None)
         self.shapes: Dict[tuple, Tuple[str, ...]] = {}
 
     def compile(self) -> None:
@@ -231,8 +229,7 @@ class _Codec:
         if data.__class__ is not dict and not isinstance(data, Mapping):
             _reject(f"a {self.name} object", data)
         try:
-            spec = self.legacy(data) if self.legacy else None
-            return self.cls(**self._kwargs(data)) if spec is None else spec
+            return self.cls(**self._kwargs(data))
         except SpecError:
             raise
         except (ValueError, TypeError, KeyError) as exc:
@@ -508,25 +505,6 @@ class TopologySpec(_Wire):
             ((att.host, att.switch) for att in self.host_attachments),
             down,
         )
-
-    # -- serialization -------------------------------------------------
-    @classmethod
-    def _from_legacy(cls, data: Mapping[str, Any]) -> Optional["TopologySpec"]:
-        """The codec's hook for the pre-graph serialized form (kind +
-        scalar parameters, no ``nodes``): recompile it; None otherwise."""
-        if "nodes" in data:
-            return None
-        payload = dict(data)
-        kind = payload.pop("kind", "single_link")
-        if kind == "chain":
-            return cls.chain(payload.pop("num_switches"), **payload)
-        payload.pop("num_switches", None)
-        if kind == "single_link":
-            payload.pop("duplex", None)
-            return cls.single_link(**payload)
-        if kind == "figure1":
-            return cls.figure1(**payload)
-        raise ValueError(f"unknown topology kind {kind!r}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -159,9 +159,6 @@ class UnifiedScheduler(PgpsScheduler):
         self._ranks.pop(flow_id, None)
         self.vt.set_rate(PSEUDO_FLOW_0, self._pseudo_rate(), now)
 
-    install_guaranteed_flow = install_guaranteed
-    remove_guaranteed_flow = remove_guaranteed
-
     @property
     def guaranteed_rate_sum(self) -> float:
         return sum(self._guaranteed_rates.values())

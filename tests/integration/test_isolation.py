@@ -44,7 +44,7 @@ class TestGuaranteedIsolation:
         net, schedulers = unified_net(sim)
         rate = 170_000.0
         for scheduler in schedulers:
-            scheduler.install_guaranteed_flow("victim", rate)
+            scheduler.install_guaranteed("victim", rate)
         streams = RandomStreams(seed=1)
         OnOffMarkovSource.paper_source(
             sim, net.hosts["src-host"], "victim", "dst-host",
@@ -77,8 +77,8 @@ class TestGuaranteedIsolation:
         own queue; a well-behaved guaranteed peer stays fast."""
         net, schedulers = unified_net(sim, buffer_packets=400)
         for scheduler in schedulers:
-            scheduler.install_guaranteed_flow("honest", 170_000.0)
-            scheduler.install_guaranteed_flow("hog", 170_000.0)
+            scheduler.install_guaranteed("honest", 170_000.0)
+            scheduler.install_guaranteed("hog", 170_000.0)
         streams = RandomStreams(seed=3)
         OnOffMarkovSource.paper_source(
             sim, net.hosts["src-host"], "honest", "dst-host",
@@ -108,7 +108,7 @@ class TestGuaranteedIsolation:
     def test_predicted_flood_cannot_starve_guaranteed(self, sim):
         net, schedulers = unified_net(sim)
         for scheduler in schedulers:
-            scheduler.install_guaranteed_flow("victim", 170_000.0)
+            scheduler.install_guaranteed("victim", 170_000.0)
         streams = RandomStreams(seed=7)
         OnOffMarkovSource.paper_source(
             sim, net.hosts["src-host"], "victim", "dst-host",

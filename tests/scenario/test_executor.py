@@ -1,15 +1,17 @@
 """Tests for the persistent sweep execution engine.
 
 Covers the executor's contracts: the flattened (override × seed ×
-discipline) task graph and its expansion order, delta-task reconstruction
-matching full-spec construction, serial vs pooled bit-identity, explicit
+discipline) task graph and its expansion order, one task form (a
+single-discipline spec per task, run alike in workers and in process),
+serial vs pooled bit-identity under every start method, explicit
 budget-expired / stopped / worker-lost statuses, streaming ``on_result``
-order, warm pool reuse, and a sweep that survives a killed worker.
+order, pool reuse, and a sweep that survives a killed worker.
 """
 
 import hashlib
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -33,9 +35,6 @@ from repro.scenario.executor import (
     WORKER_LOST,
     SweepOutcome,
     SweepRun,
-    expand_deltas,
-    resolve_run_spec,
-    resolve_task_spec,
     run_task,
 )
 
@@ -64,30 +63,39 @@ def base_spec(duration=5.0, disciplines=None):
 class TestFlattenedGraph:
     def test_expansion_order_is_override_major_seed_minor(self):
         spec = base_spec()
-        deltas = expand_deltas(
+        runs = expand(
             spec, over=[{"duration": 4.0}, {"duration": 6.0}], seeds=[1, 2]
         )
-        assert [
-            (override["duration"], seed) for override, seed in deltas
-        ] == [(4.0, 1), (4.0, 2), (6.0, 1), (6.0, 2)]
+        assert [(run.duration, run.seed) for run in runs] == [
+            (4.0, 1), (4.0, 2), (6.0, 1), (6.0, 2),
+        ]
 
-    def test_deltas_match_expand(self):
-        """expand() is exactly the reconstruction of the delta list."""
+    def test_expand_equals_full_spec_construction(self):
+        """Mapping arms replace fields then pin the seed; whole-spec arms
+        replace the spec."""
         spec = base_spec()
-        over = [{"duration": 4.0}, spec.replace(name="arm-b", seed=7), {}]
-        for seeds in (None, [3, 5]):
-            specs = expand(spec, over=over, seeds=seeds)
-            deltas = expand_deltas(spec, over=over, seeds=seeds)
-            assert specs == [
-                resolve_run_spec(spec, override, seed)
-                for override, seed in deltas
-            ]
+        arm = spec.replace(name="arm-b", seed=7)
+        over = [{"duration": 4.0}, arm, {}]
+        assert expand(spec, over=over, seeds=[3, 5]) == [
+            spec.replace(duration=4.0, seed=3),
+            spec.replace(duration=4.0, seed=5),
+            arm.replace(seed=3),
+            arm.replace(seed=5),
+            spec.replace(seed=3),
+            spec.replace(seed=5),
+        ]
+        assert expand(spec, over=over) == [
+            spec.replace(duration=4.0), arm, spec,
+        ]
 
     def test_whole_spec_override_keeps_its_own_seed(self):
         spec = base_spec()
         arm = spec.replace(name="arm-b", seed=9)
-        deltas = expand_deltas(spec, over=[{}, arm])
-        assert [seed for _, seed in deltas] == [1, 9]
+        assert [run.seed for run in expand(spec, over=[{}, arm])] == [1, 9]
+
+    def test_mapping_seed_key_is_the_run_seed(self):
+        spec = base_spec()
+        assert [run.seed for run in expand(spec, over=[{"seed": 4}])] == [4]
 
     def test_tasks_cover_every_run_discipline_pair(self):
         spec = base_spec()
@@ -107,41 +115,41 @@ class TestFlattenedGraph:
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
-            expand_deltas(base_spec(), over=[])
+            expand(base_spec(), over=[])
         with pytest.raises(ValueError):
-            expand_deltas(base_spec(), seeds=[])
+            expand(base_spec(), seeds=[])
 
 
-class TestDeltaReconstruction:
-    def test_mapping_override_equals_full_spec_construction(self):
-        spec = base_spec()
-        override = {"duration": 7.0, "warmup": 1.0}
-        run_spec = spec.replace(**override).replace(seed=5)
-        for index in range(3):
-            assert resolve_task_spec(spec, override, 5, index) == (
-                run_spec.replace(disciplines=(run_spec.disciplines[index],))
-            )
-
-    def test_whole_spec_override_equals_full_spec_construction(self):
-        spec = base_spec()
-        arm = spec.replace(name="arm-b", duration=9.0)
-        run_spec = arm.replace(seed=3)
-        assert resolve_task_spec(spec, arm, 3, 1) == run_spec.replace(
-            disciplines=(run_spec.disciplines[1],)
-        )
-
-    def test_reconstructed_task_runs_identically(self):
-        """A worker-style delta rebuild simulates exactly like the spec
-        the serial path materializes."""
+class TestTaskForm:
+    def test_single_discipline_task_runs_like_the_runner(self):
+        """A task is its run's spec cut to one discipline; it simulates
+        exactly like that discipline run directly."""
         from repro.scenario.runner import ScenarioRunner
 
+        (run_spec,) = expand(base_spec(), over=[{"duration": 4.0}], seeds=[2])
+        task = run_task(
+            run_spec.replace(disciplines=(run_spec.disciplines[0],))
+        ).result
+        direct = ScenarioRunner(run_spec).run_discipline("FIFO")
+        assert task.comparable_dict() == direct.comparable_dict()
+
+    def test_tracked_bytes_are_the_pickled_tasks(self):
+        """Each pooled task ships its run's spec cut to one discipline,
+        with its indices and budget, pickled once in the parent."""
         spec = base_spec()
-        task_spec = resolve_task_spec(spec, {"duration": 4.0}, 2, 0)
-        direct = ScenarioRunner(
-            spec.replace(duration=4.0, seed=2)
-        ).run_discipline("FIFO")
-        via_delta = run_task(task_spec).result
-        assert via_delta.comparable_dict() == direct.comparable_dict()
+        seeds = [1, 2]
+        expected = 0
+        for run_index, run_spec in enumerate(expand(spec, seeds=seeds)):
+            for d, discipline in enumerate(run_spec.disciplines):
+                task = (
+                    run_spec.replace(disciplines=(discipline,)),
+                    3 * run_index + d, run_index, d, None,
+                )
+                expected += len(pickle.dumps(task, pickle.HIGHEST_PROTOCOL))
+        with SweepExecutor(workers=2, track_task_bytes=True) as executor:
+            executor.run_sweep(spec, seeds=seeds)
+        assert executor.stats["task_bytes"] == expected
+        assert executor.stats["base_bytes"] == 0
 
 
 class TestSerialPooledIdentity:
@@ -239,7 +247,7 @@ class TestArgumentChecks:
         with pytest.raises(ValueError, match="budget_seconds"):
             SweepExecutor(budget_seconds=budget)
         with pytest.raises(ValueError, match="budget_seconds"):
-            SweepExecutor().run_sweep(base_spec(), budget_seconds=budget)
+            sweep(base_spec(), seeds=[1], budget_seconds=budget)
 
     def test_sweep_and_runner_check_before_running(self):
         with pytest.raises(ValueError, match="workers"):
@@ -384,21 +392,20 @@ class TestPersistentPool:
             assert executor._pool is first_pool
             assert executor.stats["pools_created"] == 1
 
-    def test_pool_recycled_on_base_change(self):
+    def test_pool_reused_across_different_base_specs(self):
+        """Tasks carry their own specs, so a pool holds nothing of the
+        sweep it served: a sweep of another base spec reuses it, and
+        still matches serial execution."""
+        other = base_spec(duration=6.0, disciplines=(DisciplineSpec.fifo(),))
         with SweepExecutor(workers=2) as executor:
             executor.run_sweep(base_spec(), seeds=[1, 2])
-            executor.run_sweep(base_spec(duration=6.0), seeds=[1, 2])
-            assert executor.stats["pools_created"] == 2
-
-    def test_tasks_ship_as_compact_deltas(self):
-        """Per-task payloads must be far smaller than the base spec the
-        initializer ships once."""
-        with SweepExecutor(workers=2, track_task_bytes=True) as executor:
-            executor.run_sweep(base_spec(), seeds=list(range(1, 5)))
-            stats = executor.stats
-        per_task = stats["task_bytes"] / stats["tasks_dispatched"]
-        per_worker_base = stats["base_bytes"] / 2
-        assert per_task < per_worker_base / 5
+            first_pool = executor._pool
+            pooled = executor.run_sweep(other, seeds=[1, 2])
+            assert executor._pool is first_pool
+            assert executor.stats["pools_created"] == 1
+        assert [r.comparable_dict() for r in pooled.results] == [
+            r.comparable_dict() for r in sweep(other, seeds=[1, 2])
+        ]
 
     def test_pool_sized_to_task_count_and_grows(self):
         spec = base_spec()
@@ -423,9 +430,8 @@ class TestPersistentPool:
         assert outcome.counts[COMPLETED] == 1
 
 
-class TestWholeSpecOverrideCache:
-    """Whole-spec overrides ship once per worker (keyed by fingerprint),
-    not once per task payload."""
+class TestWholeSpecArms:
+    """Whole-spec overrides travel inside their tasks like any other."""
 
     def arms(self):
         spec = base_spec(disciplines=(DisciplineSpec.fifo(),))
@@ -433,42 +439,6 @@ class TestWholeSpecOverrideCache:
             spec.replace(name="arm-a", duration=4.0),
             spec.replace(name="arm-b", duration=6.0),
         ]
-
-    def test_payloads_carry_references_not_specs(self):
-        spec, arms = self.arms()
-        with SweepExecutor(workers=2, track_task_bytes=True) as executor:
-            executor.run_sweep(spec, over=arms)
-            stats = dict(executor.stats)
-        # Two distinct whole specs x two workers shipped at pool start...
-        assert stats["override_specs_shipped"] == 4
-        assert stats["override_bytes"] > 0
-        # ...so per-task payloads stay tiny despite whole-spec arms.
-        per_task = stats["task_bytes"] / stats["tasks_dispatched"]
-        assert per_task < stats["override_bytes"] / 4 / 5
-
-    def test_duplicate_arms_ship_once(self):
-        spec, arms = self.arms()
-        with SweepExecutor(workers=2) as executor:
-            executor.run_sweep(spec, over=[arms[0], arms[0], arms[0]])
-            assert executor.stats["override_specs_shipped"] == 2  # x workers
-
-    def test_pool_reused_when_override_set_shrinks(self):
-        spec, arms = self.arms()
-        with SweepExecutor(workers=2) as executor:
-            executor.run_sweep(spec, over=arms)
-            assert executor.stats["pools_created"] == 1
-            # A subset of the already-shipped specs: same pool.
-            executor.run_sweep(spec, over=[arms[0], arms[0]])
-            assert executor.stats["pools_created"] == 1
-            # A new whole spec forces a recycle.
-            executor.run_sweep(
-                spec,
-                over=[
-                    spec.replace(name="arm-c", duration=8.0),
-                    spec.replace(name="arm-d", duration=9.0),
-                ],
-            )
-            assert executor.stats["pools_created"] == 2
 
     def test_pooled_matches_serial_for_spec_arms(self):
         def strip_walls(payload):
@@ -504,30 +474,29 @@ class TestSweepFunction:
         assert outcome.counts[COMPLETED] == 1
         assert outcome.to_dict()["counts"][COMPLETED] == 1
 
+    def test_pooled_sweep_hands_its_budget_to_the_executor(self):
+        outcome = sweep(base_spec(), seeds=[1, 2], workers=2, budget_seconds=0.0)
+        assert outcome.counts[BUDGET_EXPIRED] == 2
+        assert outcome.counts[COMPLETED] == 0
+
+    def test_transient_executor_leaves_no_worker(self):
+        import multiprocessing
+
+        before = {child.pid for child in multiprocessing.active_children()}
+        sweep(base_spec(), seeds=[1, 2], workers=2)
+        after = {child.pid for child in multiprocessing.active_children()}
+        assert after <= before
+
     def test_executor_default_budget_is_honoured(self):
-        """A budget carried by a caller-owned executor must survive
-        sweep(): runs over it are reported, not silently run unbounded."""
-        from repro.scenario.executor import BUDGET_EXPIRED
-
+        """The budget a caller-owned executor was built with holds for
+        every sweep it runs: runs over it are reported, not silently run
+        unbounded."""
         with SweepExecutor(budget_seconds=0.0) as executor:
-            outcome = sweep(base_spec(), seeds=[1, 2], executor=executor)
-        assert outcome.counts[BUDGET_EXPIRED] == 2  # outcome, not a list
-
-    def test_explicit_budget_overrides_executor_default(self):
-        with SweepExecutor(budget_seconds=0.0) as executor:
-            outcome = sweep(
-                base_spec(), seeds=[1], budget_seconds=1e9, executor=executor
-            )
-        assert outcome.counts[COMPLETED] == 1
-
-    def test_caller_owned_executor_is_reused_and_left_open(self):
-        spec = base_spec()
-        with SweepExecutor(workers=2) as executor:
-            sweep(spec, seeds=[1, 2], executor=executor)
-            sweep(spec, seeds=[3, 4], executor=executor)
+            first = executor.run_sweep(base_spec(), seeds=[1, 2])
+            second = executor.run_sweep(base_spec(), seeds=[3])
             assert executor.stats["sweeps"] == 2
-            assert executor.stats["pools_created"] == 1
-            assert executor._pool is not None
+        assert first.counts[BUDGET_EXPIRED] == 2
+        assert second.counts[BUDGET_EXPIRED] == 1
 
 
 class TestRequireComplete:
@@ -620,16 +589,17 @@ print(json.dumps(report))
 KILL_SEEDS = [1, 2, 3, 4, 5, 6]
 
 
-def run_kill_harness(mode, spec, seeds, timeout=60.0):
-    """Run the harness in its own session; kill the whole process group
-    afterwards, so a hung sweep cannot outlive the test."""
+def run_harness(script, args, spec, timeout=60.0):
+    """Run ``script`` in a child interpreter in its own session, ``spec``
+    on its stdin; kill the whole process group afterwards, so a hung
+    sweep cannot outlive the test.  Returns the JSON of its last line."""
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")])
     )
     proc = subprocess.Popen(
-        [sys.executable, "-c", _KILL_HARNESS, mode, json.dumps(seeds)],
+        [sys.executable, "-c", script, *args],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -649,6 +619,12 @@ def run_kill_harness(mode, spec, seeds, timeout=60.0):
         proc.communicate()
     assert proc.returncode == 0, err
     return json.loads(out.splitlines()[-1])
+
+
+def run_kill_harness(mode, spec, seeds, timeout=60.0):
+    return run_harness(
+        _KILL_HARNESS, [mode, json.dumps(seeds)], spec, timeout=timeout
+    )
 
 
 def digest(result):
@@ -695,3 +671,86 @@ class TestWorkerLoss:
         assert incomplete
         assert {status for _, status in incomplete} == {WORKER_LOST}
         assert report["children"] == 0
+
+
+# A pooled sweep of one mapping arm and one whole-spec arm on 2 seeds
+# under the start method named on the command line, against the same
+# sweep run serially.
+_START_METHOD_HARNESS = r"""
+import json, multiprocessing, sys
+
+from repro.scenario import ScenarioSpec, SweepExecutor
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    spec = ScenarioSpec.from_dict(json.loads(sys.stdin.read()))
+    over = [{"duration": 4.0}, spec.replace(name="arm-b", duration=6.0)]
+    payloads = {}
+    for workers in (None, 2):
+        with SweepExecutor(workers=workers) as executor:
+            outcome = executor.run_sweep(spec, over=over, seeds=[1, 2])
+        payloads[str(workers)] = [
+            result.comparable_dict() for result in outcome.require_complete()
+        ]
+    print(json.dumps({
+        "equal": payloads["None"] == payloads["2"],
+        "runs": len(payloads["2"]),
+        "children": len(multiprocessing.active_children()),
+    }))
+"""
+
+
+class TestStartMethods:
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pooled_equals_serial(self, method):
+        """Workers that import everything afresh (spawn; forkserver, the
+        Linux default from Python 3.14) run tasks exactly like the serial
+        loop: a task needs nothing but its own pickled spec."""
+        report = run_harness(_START_METHOD_HARNESS, [method], base_spec())
+        assert report == {"equal": True, "runs": 4, "children": 0}
+
+
+# Pooled sweeps whose spec holds a discipline factory that cannot be
+# pickled (a lambda): as its only discipline, or after picklable ones
+# (so workers are running when the bad task comes up).  A pool handed
+# such a task hangs in shutdown only now and then, so the sweep repeats.
+_UNPICKLABLE_HARNESS = r"""
+import json, multiprocessing, pickle, sys
+
+from repro.scenario import DisciplineSpec, ScenarioSpec, SweepExecutor
+from repro.sched.fifo import FifoScheduler
+
+spec = ScenarioSpec.from_dict(json.loads(sys.stdin.read()))
+custom = DisciplineSpec.custom(
+    "lambda-FIFO", lambda sim, name, link: FifoScheduler()
+)
+disciplines = (custom,)
+if sys.argv[1] == "last":
+    disciplines = (*spec.disciplines, custom)
+errors = []
+for _ in range(10):
+    try:
+        with SweepExecutor(workers=2) as executor:
+            executor.run_sweep(
+                spec.replace(disciplines=disciplines), seeds=[1, 2]
+            )
+    except pickle.PicklingError as exc:
+        errors.append(type(exc).__name__)
+report = {
+    "errors": errors,
+    "children": len(multiprocessing.active_children()),
+}
+print(json.dumps(report))
+"""
+
+
+class TestUnpicklableTask:
+    @pytest.mark.parametrize("position", ["alone", "last"])
+    def test_raises_and_leaves_no_worker(self, position):
+        """A task that does not pickle raises ``PicklingError`` in the
+        parent and the pool is joined; handing it to the pool instead
+        hangs its shutdown."""
+        report = run_harness(
+            _UNPICKLABLE_HARNESS, [position], base_spec(), timeout=30.0
+        )
+        assert report == {"errors": ["PicklingError"] * 10, "children": 0}

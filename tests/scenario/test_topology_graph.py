@@ -14,6 +14,7 @@ from repro.scenario import (
     FlowSpec,
     ScenarioBuilder,
     ScenarioRunner,
+    SpecError,
     TopologySpec,
     resolve_port_discipline,
 )
@@ -50,8 +51,9 @@ class TestLegacyKindsCompileToGraph:
         assert [l["src"] for l in payload["links"]] == ["S-1", "S-2"]
         assert TopologySpec.from_dict(payload) == spec
 
-    def test_legacy_serialized_form_still_loads(self):
-        """Pre-graph payloads (kind + scalars) recompile to graph specs."""
+    def test_pre_graph_serialized_form_refused_by_name(self):
+        """The pre-graph payload (kind + scalars, no ``nodes``) is not a
+        wire form: it is refused, naming the keys it does not know."""
         payload = {
             "kind": "chain",
             "num_switches": 3,
@@ -59,10 +61,13 @@ class TestLegacyKindsCompileToGraph:
             "buffer_packets": 10,
             "duplex": True,
         }
-        spec = TopologySpec.from_dict(payload)
-        assert spec == TopologySpec.chain(
-            3, rate_bps=64_000, buffer_packets=10, duplex=True
-        )
+        with pytest.raises(
+            SpecError,
+            match=r"^unknown key\(s\) \['buffer_packets', 'duplex', "
+            r"'num_switches', 'rate_bps'\] for TopologySpec; "
+            r"accepted keys are \[",
+        ):
+            TopologySpec.from_dict(payload)
 
 
 class TestHeterogeneousGraphs:

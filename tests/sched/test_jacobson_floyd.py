@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.packet import ServiceClass
+from repro.sched.base import GuaranteedServiceUnsupported
 from repro.sched.jacobson_floyd import JacobsonFloydScheduler
 from tests.conftest import make_packet
 
@@ -111,7 +112,8 @@ class TestPerSwitchPolicing:
             priority_class=0,
         )
         assert sched.enqueue(g, 0.0)
-        assert not hasattr(sched, "install_guaranteed_flow")
+        with pytest.raises(GuaranteedServiceUnsupported):
+            sched.install_guaranteed("g", 100_000.0)
 
 
 class TestAccounting:

@@ -38,7 +38,7 @@ def csz(*flows):
     """Pseudo-flow 0 gets the same rate as each guaranteed flow."""
     sched = UnifiedScheduler(UnifiedConfig(capacity_bps=RATE * (len(flows) + 1)))
     for flow in flows:
-        sched.install_guaranteed_flow(flow, RATE)
+        sched.install_guaranteed(flow, RATE)
     assert sched.vt.rate_of(PSEUDO_FLOW_0) == RATE
     return sched
 
@@ -77,8 +77,8 @@ class TestUnifiedTies:
 
     def test_reinstalled_flow_goes_to_the_back(self):
         sched = csz("g1", "g2")
-        sched.remove_guaranteed_flow("g1", 0.0)
-        sched.install_guaranteed_flow("g1", RATE, 0.0)
+        sched.remove_guaranteed("g1", 0.0)
+        sched.install_guaranteed("g1", RATE, 0.0)
         assert sched.vt.rate_of(PSEUDO_FLOW_0) == RATE
         assert sched.enqueue(make_packet(flow_id="d"), 0.0)
         assert sched.enqueue(guaranteed("g1"), 0.0)

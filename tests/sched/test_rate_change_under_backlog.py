@@ -124,7 +124,7 @@ class TestUnifiedUnderBacklog:
         sched = self.build()
         for i in range(5):
             assert sched.enqueue(datagram(i), 0.0)
-        sched.install_guaranteed_flow("g", 400_000.0)
+        sched.install_guaranteed("g", 400_000.0)
         assert sched.vt._active_sum == true_active_sum(sched.vt) == 600_000.0
         assert sched.enqueue(guaranteed(0), 0.0)
         # 0.6 + 0.4 of the link, not the stale 1.0 + 0.4.
@@ -132,7 +132,7 @@ class TestUnifiedUnderBacklog:
 
     def test_active_sum_after_remove_under_backlog(self):
         sched = self.build()
-        sched.install_guaranteed_flow("g", 400_000.0)
+        sched.install_guaranteed("g", 400_000.0)
         for i in range(5):
             sched.enqueue(datagram(i), 0.0)
         sched.enqueue(guaranteed(0), 0.0)
@@ -143,7 +143,7 @@ class TestUnifiedUnderBacklog:
             assert sched.dequeue(now) is not None
             now += 0.001
         assert sched.queue_lengths()["datagram"] > 0
-        sched.remove_guaranteed_flow("g", now)
+        sched.remove_guaranteed("g", now)
         vt = sched.vt
         assert PSEUDO_FLOW_0 in vt._active
         assert vt.rate_of(PSEUDO_FLOW_0) == C
@@ -160,7 +160,7 @@ class TestUnifiedUnderBacklog:
             sched.enqueue(datagram(i), 0.0)
         install = 0.001
         assert sched.dequeue(install) is not None
-        sched.install_guaranteed_flow("g", 400_000.0, now=install)
+        sched.install_guaranteed("g", 400_000.0, now=install)
         reference = rebuilt(sched.vt, install)
         steps = [
             (0.0015, guaranteed(0)),
@@ -190,11 +190,11 @@ class TestUnifiedUnderBacklog:
         """Tear-down then re-admission on a port the flow still shares:
         its last tag may not have been passed by V yet."""
         sched = self.build()
-        sched.install_guaranteed_flow("g", 100_000.0)
+        sched.install_guaranteed("g", 100_000.0)
         sched.enqueue(guaranteed(0), 0.0)
         assert sched.dequeue(0.0) is not None  # queue empty, tag still ahead
         assert "g" in sched.vt._active
-        sched.remove_guaranteed_flow("g", 0.001)
-        sched.install_guaranteed_flow("g", 200_000.0, now=0.002)
+        sched.remove_guaranteed("g", 0.001)
+        sched.install_guaranteed("g", 200_000.0, now=0.002)
         assert sched.vt.rate_of("g") == 200_000.0
         assert sched.vt._active_sum == true_active_sum(sched.vt)

@@ -45,32 +45,32 @@ class TestGuaranteedFlows:
 
     def test_install_then_accept(self):
         sched = build()
-        sched.install_guaranteed_flow("g", 100_000.0)
+        sched.install_guaranteed("g", 100_000.0)
         assert sched.enqueue(guaranteed(), 0.0)
         assert sched.dequeue(0.0) is not None
 
     def test_duplicate_install_rejected(self):
         sched = build()
-        sched.install_guaranteed_flow("g", 100_000.0)
+        sched.install_guaranteed("g", 100_000.0)
         with pytest.raises(ValueError):
-            sched.install_guaranteed_flow("g", 100_000.0)
+            sched.install_guaranteed("g", 100_000.0)
 
     def test_cannot_reserve_whole_link(self):
         sched = build(capacity=1_000_000)
         with pytest.raises(ValueError):
-            sched.install_guaranteed_flow("hog", 1_000_000.0)
+            sched.install_guaranteed("hog", 1_000_000.0)
 
     def test_pseudo_flow_rate_shrinks_with_reservations(self):
         sched = build(capacity=1_000_000)
-        sched.install_guaranteed_flow("g1", 300_000.0)
-        sched.install_guaranteed_flow("g2", 200_000.0)
+        sched.install_guaranteed("g1", 300_000.0)
+        sched.install_guaranteed("g2", 200_000.0)
         assert sched.guaranteed_rate_sum == 500_000.0
         assert sched.vt.rate_of(PSEUDO_FLOW_0) == pytest.approx(500_000.0)
 
     def test_remove_restores_rate(self):
         sched = build(capacity=1_000_000)
-        sched.install_guaranteed_flow("g", 400_000.0)
-        sched.remove_guaranteed_flow("g")
+        sched.install_guaranteed("g", 400_000.0)
+        sched.remove_guaranteed("g")
         assert sched.vt.rate_of(PSEUDO_FLOW_0) == pytest.approx(1_000_000.0)
         assert not sched.enqueue(guaranteed(), 0.0)  # no longer installed
 
@@ -79,12 +79,12 @@ class TestGuaranteedFlows:
         packets drain on the tags they hold, and pseudo-flow 0 gets the
         whole residual rate from ``now``."""
         sched = build(capacity=1_000_000)
-        sched.install_guaranteed_flow("g", 400_000.0)
+        sched.install_guaranteed("g", 400_000.0)
         queued = [guaranteed(sequence=i) for i in range(3)]
         for packet in queued:
             assert sched.enqueue(packet, 0.0)
         assert sched.enqueue(datagram(), 0.0)
-        sched.remove_guaranteed_flow("g", 0.001)
+        sched.remove_guaranteed("g", 0.001)
         assert sched.vt.rate_of(PSEUDO_FLOW_0) == 1_000_000.0
         assert sched.vt.vtime == pytest.approx(0.001)  # advanced to `now`
         assert not sched.enqueue(guaranteed(sequence=3), 0.001)
@@ -100,7 +100,7 @@ class TestGuaranteedFlows:
         """With r_g = half the link and both queues saturated, the
         guaranteed flow gets half the dequeues — isolation in action."""
         sched = build(capacity=1_000_000)
-        sched.install_guaranteed_flow("g", 500_000.0)
+        sched.install_guaranteed("g", 500_000.0)
         for i in range(50):
             sched.enqueue(guaranteed(sequence=i), 0.0)
             sched.enqueue(datagram(sequence=i), 0.0)
@@ -178,7 +178,7 @@ class TestPushOut:
 
     def test_guaranteed_packets_never_evicted(self):
         sched = build()
-        sched.install_guaranteed_flow("g", 100_000.0)
+        sched.install_guaranteed("g", 100_000.0)
         sched.enqueue(guaranteed(), 0.0)
         assert sched.select_push_out(predicted(priority=0)) is None
 
@@ -186,7 +186,7 @@ class TestPushOut:
 class TestAccounting:
     def test_len_spans_both_sides(self):
         sched = build()
-        sched.install_guaranteed_flow("g", 100_000.0)
+        sched.install_guaranteed("g", 100_000.0)
         sched.enqueue(guaranteed(), 0.0)
         sched.enqueue(predicted(), 0.0)
         sched.enqueue(datagram(), 0.0)
@@ -194,7 +194,7 @@ class TestAccounting:
 
     def test_queue_lengths_labelled(self):
         sched = build(classes=2)
-        sched.install_guaranteed_flow("g", 100_000.0)
+        sched.install_guaranteed("g", 100_000.0)
         sched.enqueue(guaranteed(), 0.0)
         sched.enqueue(predicted(priority=1), 0.0)
         sched.enqueue(datagram(), 0.0)

@@ -27,7 +27,7 @@ def build_scheduler():
         UnifiedConfig(capacity_bps=1_000_000, num_predicted_classes=2)
     )
     for flow_id, rate in GUARANTEED_FLOWS.items():
-        scheduler.install_guaranteed_flow(flow_id, rate)
+        scheduler.install_guaranteed(flow_id, rate)
     return scheduler
 
 

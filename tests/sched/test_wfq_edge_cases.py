@@ -90,15 +90,15 @@ class TestWfqSchedulerEdges:
 class TestUnifiedReconfiguration:
     def test_remove_missing_flow_is_noop(self):
         sched = UnifiedScheduler(UnifiedConfig(capacity_bps=1_000_000))
-        sched.remove_guaranteed_flow("never-there")
+        sched.remove_guaranteed("never-there")
 
     def test_pseudo_flow_floor_enforced(self):
         sched = UnifiedScheduler(
             UnifiedConfig(capacity_bps=1_000_000, min_pseudo_flow_rate_bps=100_000)
         )
-        sched.install_guaranteed_flow("a", 800_000)
+        sched.install_guaranteed("a", 800_000)
         with pytest.raises(ValueError):
-            sched.install_guaranteed_flow("b", 150_000)
+            sched.install_guaranteed("b", 150_000)
 
     def test_refused_guaranteed_counted(self):
         sched = UnifiedScheduler(UnifiedConfig(capacity_bps=1_000_000))
