@@ -17,7 +17,10 @@ The library provides, from scratch:
   applications (:mod:`repro.core`);
 * a simplified TCP for datagram load (:mod:`repro.transport`);
 * a declarative scenario API — one frozen spec describes topology, flows,
-  service commitments, and disciplines; a runner builds and executes it
+  service commitments, and disciplines (every network, from the paper's
+  single link and Figure 1 chain to generated fabrics, is a
+  :class:`TopologySpec`, and ``TopologySpec.build`` assembles the live
+  :class:`Network`); a runner builds and executes it
   with paired arrivals and returns structured, JSON-exportable results;
   sweeps fan out across processes; seeded generators sample random /
   scale-free / WAN / access-core scenarios deterministically
@@ -60,13 +63,7 @@ Or regenerate a paper table directly::
 """
 
 from repro.sim import Simulator, RandomStreams
-from repro.net import (
-    Packet,
-    ServiceClass,
-    Network,
-    single_link_topology,
-    paper_figure1_topology,
-)
+from repro.net import Packet, ServiceClass, Network
 from repro.sched import (
     FifoScheduler,
     WfqScheduler,
@@ -119,8 +116,6 @@ __all__ = [
     "Packet",
     "ServiceClass",
     "Network",
-    "single_link_topology",
-    "paper_figure1_topology",
     "FifoScheduler",
     "WfqScheduler",
     "FifoPlusScheduler",

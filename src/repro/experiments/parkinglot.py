@@ -12,8 +12,8 @@ traffic merges in front of the long-haul flows and leaves one switch
 later, so the through traffic meets statistically independent queues at
 each merge point — the regime where per-hop jitter compounds worst.
 
-This experiment declares that network as a graph :class:`TopologySpec`
-(inexpressible with the legacy named kinds), loads every link to the
+This experiment declares that network as a :class:`TopologySpec`
+(``TopologySpec.parking_lot``), loads every link to the
 paper's 85 % operating point, and compares FIFO, FIFO+, and the unified
 CSZ scheduler on the through flows' end-to-end delay tail and jitter, plus
 the per-hop queueing profile along the lot.
@@ -32,7 +32,6 @@ from typing import Dict, Optional
 from repro.experiments.common import table
 from repro.experiments.result import ExperimentResult
 from repro.net.packet import ServiceClass
-from repro.net.topology import parking_lot_ascii
 from repro.scenario import (
     DisciplineSpec,
     ScenarioBuilder,
@@ -52,6 +51,23 @@ COLUMNS = (
     ("jitter", "{0.jitter:.2f}".format),
     ("cross mean", "{0.cross_mean:.2f}".format),
 )
+
+
+def parking_lot_ascii(num_hops: int) -> str:
+    """ASCII rendering of the parking-lot merge topology."""
+    top = "thru-src" + "".join(
+        f"   cross-src-{k + 1}" for k in range(num_hops)
+    )
+    row = " " + " ----- ".join(f"S-{k + 1}" for k in range(num_hops + 1))
+    bottom = "          " + "   ".join(
+        f"cross-dst-{k + 1}" for k in range(num_hops)
+    )
+    return (
+        f"{top}\n"
+        f"{row}  -- thru-dst\n"
+        f"{bottom}\n"
+        "(cross traffic enters before, and exits after, every link)\n"
+    )
 
 
 @registry.register("parking_lot")

@@ -18,12 +18,12 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional
 
-from repro.net.topology import FIGURE1_HOSTS, FIGURE1_SWITCHES, figure1_ascii
 from repro.scenario import (
     DisciplineSpec,
     ScenarioBuilder,
     ScenarioRunner,
     ScenarioSpec,
+    paper,
 )
 
 
@@ -93,6 +93,16 @@ def graph_report(spec: ScenarioSpec, ascii_art: str = "") -> TopologyReport:
     )
 
 
+def figure1_ascii() -> str:
+    """ASCII rendering of Figure 1 (the topology 'figure' deliverable)."""
+    return (
+        "Host-1    Host-2    Host-3    Host-4    Host-5\n"
+        "  |         |         |         |         |\n"
+        " S-1 ----- S-2 ----- S-3 ----- S-4 ----- S-5\n"
+        "     1Mb/s     1Mb/s     1Mb/s     1Mb/s\n"
+    )
+
+
 def build_report() -> TopologyReport:
     """Construct the Figure-1 network and verify the workload layout."""
     spec = (
@@ -104,12 +114,12 @@ def build_report() -> TopologyReport:
         .build()
     )
     report = graph_report(spec, ascii_art=figure1_ascii())
-    # The named constructor must keep compiling to the paper's network.
-    if report.switches != list(FIGURE1_SWITCHES) or report.hosts != list(
-        FIGURE1_HOSTS
+    # The named constructor must keep building the paper's network.
+    if report.switches != list(paper.FIGURE1_SWITCHES) or report.hosts != list(
+        paper.FIGURE1_HOSTS
     ):
         raise ValueError(
-            "figure1 topology no longer compiles to the paper's network: "
+            "figure1 topology no longer builds the paper's network: "
             f"switches={report.switches} hosts={report.hosts}"
         )
     return report

@@ -3,6 +3,10 @@
 Models the network of the paper's Appendix: output-queued store-and-forward
 switches, finite per-port buffers (200 packets), 1 Mbit/s inter-switch links,
 infinitely fast host-switch links, fixed 1000-bit packets, and static routing.
+
+The package holds the live parts only.  A topology is declared as a
+:class:`repro.scenario.TopologySpec`, whose ``build()`` assembles the
+:class:`Network`.
 """
 
 from repro.net.packet import Packet, ServiceClass
@@ -11,7 +15,6 @@ from repro.net.port import OutputPort
 from repro.net.node import Node, Switch, Host
 from repro.net.routing import StaticRouting, RoutingError
 from repro.net.network import Network
-from repro.net.topology import chain_topology, single_link_topology, paper_figure1_topology
 
 __all__ = [
     "Packet",
@@ -24,7 +27,4 @@ __all__ = [
     "StaticRouting",
     "RoutingError",
     "Network",
-    "chain_topology",
-    "single_link_topology",
-    "paper_figure1_topology",
 ]

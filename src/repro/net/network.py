@@ -2,8 +2,9 @@
 
 A :class:`Network` owns the simulator wiring for one experiment: switches,
 hosts, links, output ports (each with a scheduler produced by a caller-
-supplied factory), and the static routing table.  The experiment modules in
-:mod:`repro.experiments` build their topologies through this class.
+supplied factory), and the static routing table.  Every network is
+declared as a :class:`repro.scenario.TopologySpec`, whose ``build()`` is the
+library's one caller of the ``add_*`` methods.
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ from repro.sim.engine import Simulator
 # rate-aware disciplines (WFQ, VirtualClock, the unified scheduler) can size
 # themselves off the link speed.
 SchedulerFactory = Callable[[str, Link], Scheduler]
-
-DEFAULT_LINK_RATE_BPS = 1_000_000  # 1 Mbit/s, the paper's inter-switch rate
-DEFAULT_BUFFER_PACKETS = 200  # the paper's switch buffer size
 
 
 class Network:
@@ -76,9 +74,9 @@ class Network:
         self,
         src_switch: str,
         dst_switch: str,
-        rate_bps: float = DEFAULT_LINK_RATE_BPS,
-        propagation_delay: float = 0.0,
-        buffer_packets: int = DEFAULT_BUFFER_PACKETS,
+        rate_bps: float,
+        propagation_delay: float,
+        buffer_packets: int,
     ) -> Link:
         """Install a simplex link src -> dst with its output port.
 
@@ -103,18 +101,6 @@ class Network:
         self._routing = None
         self._routes_changed()
         return link
-
-    def add_duplex_link(
-        self,
-        a: str,
-        b: str,
-        rate_bps: float = DEFAULT_LINK_RATE_BPS,
-        propagation_delay: float = 0.0,
-        buffer_packets: int = DEFAULT_BUFFER_PACKETS,
-    ) -> None:
-        """Convenience: simplex links in both directions."""
-        self.add_link(a, b, rate_bps, propagation_delay, buffer_packets)
-        self.add_link(b, a, rate_bps, propagation_delay, buffer_packets)
 
     @property
     def routing(self):

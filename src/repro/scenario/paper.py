@@ -24,6 +24,10 @@ PAPER_DURATION_SECONDS = 600.0  # "10 minutes of simulated time"
 LINK_UTILIZATION = 0.835
 DEFAULT_WARMUP_SECONDS = 5.0
 
+# The Figure 1 network: Host-k on switch S-k, a chain of four links.
+FIGURE1_SWITCHES = ("S-1", "S-2", "S-3", "S-4", "S-5")
+FIGURE1_HOSTS = ("Host-1", "Host-2", "Host-3", "Host-4", "Host-5")
+
 # ----------------------------------------------------------------------
 # The Table 2 / Table 3 flow layout on the Figure 1 chain.
 #

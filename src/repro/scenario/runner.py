@@ -658,8 +658,9 @@ class ScenarioContext:
             if sink is None:
                 continue
             flow_stats.append(self._flow_stats(flow.name, sink))
+        in_spec = {stats.name for stats in flow_stats}
         for name, sink in self.sinks.items():
-            if name not in {s.name for s in flow_stats}:
+            if name not in in_spec:
                 flow_stats.append(self._flow_stats(name, sink))
         invariants = None
         if self.audit is not None:

@@ -40,9 +40,6 @@ from typing import (
 
 from repro.net.network import Network
 from repro.net.routing import StaticRouting, route_graph
-from repro.net.topology import (
-    build_network, chain_graph, figure1_graph, parking_lot_graph, single_link_graph,
-)
 from repro.net.packet import ServiceClass
 from repro.scenario import paper
 from repro.sim.engine import Simulator
@@ -353,11 +350,13 @@ class HostAttachment(_Wire):
 class TopologySpec(_Wire):
     """A network as a declarative graph: switches, links, host attachments.
 
-    Any directed graph is expressible; the paper's named networks are
-    constructors that compile to this form (``single_link()``, ``chain()``,
-    ``figure1()``) along with the ``parking_lot()`` merge network.  Build
+    Any directed graph is expressible, and every topology is one of
+    these: the paper's named networks (``single_link()``, ``chain()``,
+    ``figure1()``) and the ``parking_lot()`` merge network declare their
+    links and hosts directly, as do the fabrics and generated graphs.
+    :meth:`build` is the one assembler of a live :class:`Network`; its
     order is nodes, then links, then hosts — the order the golden
-    equivalence tests pin.
+    equivalence tests and ``tests/scenario/test_topology_pin.py`` pin.
 
     Attributes:
         kind: provenance tag (``graph`` for free-form topologies).
@@ -398,27 +397,85 @@ class TopologySpec(_Wire):
                 raise ValueError(f"duplicate node name {att.host}")
             seen_hosts.add(att.host)
 
-    # -- named constructors (compile to graph form) --------------------
+    # -- named constructors --------------------------------------------
     @classmethod
     def single_link(
         cls, rate_bps: float = paper.LINK_RATE_BPS,
         buffer_packets: int = paper.BUFFER_PACKETS,
     ) -> "TopologySpec":
-        graph = single_link_graph(rate_bps, buffer_packets)
-        return cls._from_graph(graph, kind="single_link")
+        """Table 1: one link A->B, every flow from ``src-host`` to
+        ``dst-host``, so every packet crosses the one bottleneck."""
+        return cls(
+            kind="single_link",
+            nodes=("A", "B"),
+            links=(LinkSpec("A", "B", rate_bps, buffer_packets),),
+            host_attachments=(
+                HostAttachment("src-host", "A"), HostAttachment("dst-host", "B"),
+            ),
+        )
 
     @classmethod
-    def chain(cls, num_switches: int, **kwargs) -> "TopologySpec":
-        return cls._from_graph(chain_graph(num_switches, **kwargs), kind="chain")
+    def chain(
+        cls, num_switches: int, rate_bps: float = paper.LINK_RATE_BPS,
+        buffer_packets: int = paper.BUFFER_PACKETS, duplex: bool = False,
+    ) -> "TopologySpec":
+        """S-1 - S-2 - ... - S-n with Host-k on S-k.  ``duplex`` adds
+        each reverse link right after its forward one: the paper's
+        traffic flows one way, but TCP needs a path for its ACKs."""
+        if num_switches < 2:
+            raise ValueError("a chain needs at least 2 switches")
+        nodes = tuple(f"S-{i + 1}" for i in range(num_switches))
+        links = []
+        for left, right in zip(nodes, nodes[1:]):
+            links.append(LinkSpec(left, right, rate_bps, buffer_packets))
+            if duplex:
+                links.append(LinkSpec(right, left, rate_bps, buffer_packets))
+        return cls(
+            kind="chain",
+            nodes=nodes,
+            links=tuple(links),
+            host_attachments=tuple(
+                HostAttachment(f"Host-{i + 1}", switch)
+                for i, switch in enumerate(nodes)
+            ),
+        )
 
     @classmethod
-    def figure1(cls, **kwargs) -> "TopologySpec":
-        return cls._from_graph(figure1_graph(**kwargs), kind="figure1")
+    def figure1(
+        cls, rate_bps: float = paper.LINK_RATE_BPS,
+        buffer_packets: int = paper.BUFFER_PACKETS, duplex: bool = False,
+    ) -> "TopologySpec":
+        """Figure 1: Host-1..Host-5 on S-1..S-5, four inter-switch links
+        each shared by ten of the Table 2/3 flows."""
+        chain = cls.chain(len(paper.FIGURE1_SWITCHES), rate_bps, buffer_packets, duplex)
+        return dataclasses.replace(chain, kind="figure1")
 
     @classmethod
-    def parking_lot(cls, num_hops: int = 4, **kwargs) -> "TopologySpec":
-        graph = parking_lot_graph(num_hops, **kwargs)
-        return cls._from_graph(graph, kind="parking_lot")
+    def parking_lot(
+        cls, num_hops: int = 4, rate_bps: float = paper.LINK_RATE_BPS,
+        buffer_packets: int = paper.BUFFER_PACKETS,
+    ) -> "TopologySpec":
+        """The DEC-TR-506 merge network: ``thru-src`` on S-1 to
+        ``thru-dst`` on the last switch across ``num_hops`` links, and at
+        hop k cross traffic from ``cross-src-k`` to ``cross-dst-k`` one
+        switch later, so every link is a merge point."""
+        if num_hops < 1:
+            raise ValueError("a parking lot needs at least 1 hop")
+        nodes = tuple(f"S-{i + 1}" for i in range(num_hops + 1))
+        hosts = [HostAttachment("thru-src", nodes[0]),
+                 HostAttachment("thru-dst", nodes[-1])]
+        for k in range(num_hops):
+            hosts.append(HostAttachment(f"cross-src-{k + 1}", nodes[k]))
+            hosts.append(HostAttachment(f"cross-dst-{k + 1}", nodes[k + 1]))
+        return cls(
+            kind="parking_lot",
+            nodes=nodes,
+            links=tuple(
+                LinkSpec(left, right, rate_bps, buffer_packets)
+                for left, right in zip(nodes, nodes[1:])
+            ),
+            host_attachments=tuple(hosts),
+        )
 
     @classmethod
     def graph(
@@ -435,19 +492,6 @@ class TopologySpec(_Wire):
         )
         return cls.from_dict(
             {"nodes": tuple(nodes), "links": tuple(links), "host_attachments": hosts}
-        )
-
-    @classmethod
-    def _from_graph(cls, graph, kind: str) -> "TopologySpec":
-        nodes, links, hosts = graph
-        return cls(
-            kind=kind,
-            nodes=tuple(nodes),
-            links=tuple(
-                LinkSpec(src, dst, rate, buffer, delay)
-                for src, dst, rate, delay, buffer in links
-            ),
-            host_attachments=tuple(HostAttachment(*pair) for pair in hosts),
         )
 
     # -- queries -------------------------------------------------------
@@ -483,17 +527,17 @@ class TopologySpec(_Wire):
 
     # -- realization ---------------------------------------------------
     def build(self, sim: Simulator, scheduler_factory, batching=True) -> Network:
-        """Construct the live :class:`Network` this spec describes."""
-        return build_network(
-            sim, scheduler_factory, self.nodes,
-            tuple(
-                (link.src, link.dst, link.rate_bps, link.propagation_delay,
-                 link.buffer_packets)
-                for link in self.links
-            ),
-            tuple((att.host, att.switch) for att in self.host_attachments),
-            batching,
-        )
+        """Construct the live :class:`Network` this spec describes:
+        switches, then links, then hosts, each in declaration order."""
+        net = Network(sim, scheduler_factory, batching)
+        for name in self.nodes:
+            net.add_switch(name)
+        for link in self.links:
+            net.add_link(link.src, link.dst, link.rate_bps,
+                         link.propagation_delay, link.buffer_packets)
+        for att in self.host_attachments:
+            net.add_host(att.host, att.switch)
+        return net
 
     def routes(self, down: AbstractSet[str] = frozenset()) -> StaticRouting:
         """The shortest-path tables the built network routes by, with

@@ -9,7 +9,7 @@ scenario layer in ``tests/validate/test_reroute_invariants.py``.
 import pytest
 
 from repro.control import LinkStateController
-from repro.net.network import Network
+from repro.scenario import TopologySpec
 from repro.sched.fifo import FifoScheduler
 from repro.sim.engine import Simulator
 from tests.conftest import make_packet
@@ -18,27 +18,27 @@ from tests.conftest import make_packet
 def diamond():
     """S-A->{S-B,S-D}->S-C with a host on each end; primary via S-B."""
     sim = Simulator()
-    net = Network(sim, lambda name, link: FifoScheduler())
-    for name in ("S-A", "S-B", "S-C", "S-D"):
-        net.add_switch(name)
-    for src, dst in (
-        ("S-A", "S-B"), ("S-B", "S-C"), ("S-A", "S-D"), ("S-D", "S-C")
-    ):
-        net.add_link(src, dst, rate_bps=1_000_000)
-    net.add_host("h-src", "S-A")
-    net.add_host("h-dst", "S-C")
+    net = TopologySpec.graph(
+        ("S-A", "S-B", "S-C", "S-D"),
+        [
+            {"src": src, "dst": dst}
+            for src, dst in (
+                ("S-A", "S-B"), ("S-B", "S-C"), ("S-A", "S-D"), ("S-D", "S-C")
+            )
+        ],
+        [("h-src", "S-A"), ("h-dst", "S-C")],
+    ).build(sim, lambda name, link: FifoScheduler())
     return sim, net
 
 
 def chain():
     """S-A->S-B over a single link: no alternate path exists."""
     sim = Simulator()
-    net = Network(sim, lambda name, link: FifoScheduler())
-    net.add_switch("S-A")
-    net.add_switch("S-B")
-    net.add_link("S-A", "S-B", rate_bps=1_000_000)
-    net.add_host("h-src", "S-A")
-    net.add_host("h-dst", "S-B")
+    net = TopologySpec.graph(
+        ("S-A", "S-B"),
+        [{"src": "S-A", "dst": "S-B"}],
+        [("h-src", "S-A"), ("h-dst", "S-B")],
+    ).build(sim, lambda name, link: FifoScheduler())
     return sim, net
 
 

@@ -9,8 +9,7 @@ from repro.control import (
     arm_outages,
     compute_outage_schedule,
 )
-from repro.net.network import Network
-from repro.scenario.spec import OutageEvent, OutageSpec
+from repro.scenario.spec import OutageEvent, OutageSpec, TopologySpec
 from repro.sched.fifo import FifoScheduler
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
@@ -19,14 +18,13 @@ from repro.sim.randomness import RandomStreams
 def ring_network(num_switches=5):
     """A duplex ring: every single-link failure leaves an alternate path."""
     sim = Simulator()
-    net = Network(sim, lambda name, link: FifoScheduler())
     names = [f"S-{i}" for i in range(num_switches)]
-    for name in names:
-        net.add_switch(name)
+    links = []
     for here, there in zip(names, names[1:] + names[:1]):
-        net.add_duplex_link(here, there)
-    net.add_host("h-0", names[0])
-    net.add_host("h-1", names[num_switches // 2])
+        links += [{"src": here, "dst": there}, {"src": there, "dst": here}]
+    net = TopologySpec.graph(
+        names, links, [("h-0", names[0]), ("h-1", names[num_switches // 2])]
+    ).build(sim, lambda name, link: FifoScheduler())
     return sim, net
 
 

@@ -12,8 +12,8 @@ the fluid plan would route a flow differently from the packet controller.
 
 import pytest
 
-from repro.net.network import Network
 from repro.net.routing import RoutingError, route_graph
+from repro.scenario import TopologySpec
 from repro.scenario.generators import random_graph_topology
 from repro.sched.fifo import FifoScheduler
 from repro.sim.engine import Simulator
@@ -96,16 +96,16 @@ class TestBuildTimeEquivalence:
 
 class TestDownLinks:
     def _diamond(self):
-        net = Network(Simulator(), lambda name, link: FifoScheduler())
-        for name in ("S-A", "S-B", "S-C", "S-D"):
-            net.add_switch(name)
-        for src, dst in (
-            ("S-A", "S-B"), ("S-B", "S-C"), ("S-A", "S-D"), ("S-D", "S-C")
-        ):
-            net.add_link(src, dst)
-        net.add_host("h-src", "S-A")
-        net.add_host("h-dst", "S-C")
-        return net
+        return TopologySpec.graph(
+            ("S-A", "S-B", "S-C", "S-D"),
+            [
+                {"src": src, "dst": dst}
+                for src, dst in (
+                    ("S-A", "S-B"), ("S-B", "S-C"), ("S-A", "S-D"), ("S-D", "S-C")
+                )
+            ],
+            [("h-src", "S-A"), ("h-dst", "S-C")],
+        ).build(Simulator(), lambda name, link: FifoScheduler())
 
     def test_all_up_reproduces_build_time_routes(self):
         net = self._diamond()

@@ -9,7 +9,7 @@ from repro.core.admission import (
 )
 from repro.core.measurement import MeasurementConfig, SwitchMeasurement
 from repro.net.packet import ServiceClass
-from repro.net.topology import single_link_topology
+from repro.scenario import TopologySpec
 from repro.sched.fifo import FifoScheduler
 from tests.conftest import make_packet
 
@@ -19,7 +19,7 @@ MU = 1_000_000  # link speed in the fixture topology
 
 @pytest.fixture
 def port(sim):
-    net = single_link_topology(sim, lambda n, l: FifoScheduler(), rate_bps=MU)
+    net = TopologySpec.single_link(rate_bps=MU).build(sim, lambda n, l: FifoScheduler())
     return net.port_for_link(LINK)
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.admission import AdmissionConfig, AdmissionController
-from repro.net.topology import single_link_topology
+from repro.scenario import TopologySpec
 from repro.sched.fifo import FifoScheduler
 from repro.sim.engine import Simulator
 
@@ -20,7 +20,7 @@ LINK = "A->B"
 
 def make_port():
     sim = Simulator()
-    net = single_link_topology(sim, lambda n, l: FifoScheduler())
+    net = TopologySpec.single_link().build(sim, lambda n, l: FifoScheduler())
     return net.port_for_link(LINK)
 
 

@@ -4,14 +4,14 @@ import pytest
 
 from repro.core.measurement import MeasurementConfig, SwitchMeasurement
 from repro.net.packet import ServiceClass
-from repro.net.topology import single_link_topology
+from repro.scenario import TopologySpec
 from repro.sched.fifo import FifoScheduler
 from repro.sim.engine import Simulator
 from tests.conftest import make_packet
 
 
 def make_port(sim):
-    net = single_link_topology(sim, lambda n, l: FifoScheduler())
+    net = TopologySpec.single_link().build(sim, lambda n, l: FifoScheduler())
     return net.port_for_link("A->B")
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.playback import AdaptivePlayback, RigidPlayback
 from repro.net.packet import Packet, ServiceClass
-from repro.net.topology import single_link_topology
+from repro.scenario import TopologySpec
 from repro.sched.fifo import FifoScheduler
 from repro.sim.engine import Simulator
 
@@ -13,7 +13,7 @@ from repro.sim.engine import Simulator
 def rig(sim):
     """A single-link net; returns (net, deliver) where deliver(flow, t_gen,
     t_arrive) injects a packet straight into the destination host."""
-    net = single_link_topology(sim, lambda n, l: FifoScheduler())
+    net = TopologySpec.single_link().build(sim, lambda n, l: FifoScheduler())
     host = net.hosts["dst-host"]
 
     def deliver(flow_id: str, created_at: float, arrive_at: float) -> None:

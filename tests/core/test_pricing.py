@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.pricing import Invoice, Tariff, UsageMeter
 from repro.net.packet import ServiceClass
-from repro.net.topology import single_link_topology
+from repro.scenario import TopologySpec
 from repro.sched.fifo import FifoScheduler
 from tests.conftest import make_packet
 
@@ -52,7 +52,7 @@ class TestTariff:
 
 class TestUsageMeter:
     def test_meters_departures_per_flow(self, sim):
-        net = single_link_topology(sim, lambda n, l: FifoScheduler())
+        net = TopologySpec.single_link().build(sim, lambda n, l: FifoScheduler())
         meter = UsageMeter(Tariff())
         meter.attach(net.port_for_link("A->B"))
         port = net.port_for_link("A->B")
@@ -77,7 +77,7 @@ class TestUsageMeter:
 
     def test_price_ladder_realized(self, sim):
         """Same bits, different classes: guaranteed > high > low > datagram."""
-        net = single_link_topology(sim, lambda n, l: FifoScheduler())
+        net = TopologySpec.single_link().build(sim, lambda n, l: FifoScheduler())
         meter = UsageMeter()
         port = net.port_for_link("A->B")
         meter.attach(port)
@@ -103,12 +103,11 @@ class TestUsageMeter:
 
     def test_multi_hop_transit_charging(self, sim):
         """A flow metered at two ports pays twice per packet."""
-        from repro.net.topology import chain_topology
-
-        net = chain_topology(
-            sim, lambda n, l: FifoScheduler(), num_switches=3,
-            switch_names=["A", "B", "C"], host_names=["h1", "h2", "h3"],
-        )
+        net = TopologySpec.graph(
+            ["A", "B", "C"],
+            [{"src": "A", "dst": "B"}, {"src": "B", "dst": "C"}],
+            [("h1", "A"), ("h2", "B"), ("h3", "C")],
+        ).build(sim, lambda n, l: FifoScheduler())
         meter = UsageMeter()
         for port in net.ports.values():
             meter.attach(port)

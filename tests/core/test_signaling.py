@@ -11,7 +11,7 @@ from repro.core.service import (
 )
 from repro.core.signaling import FlowEstablishmentError, SignalingAgent
 from repro.net.packet import Packet, ServiceClass
-from repro.net.topology import paper_figure1_topology
+from repro.scenario import TopologySpec
 from repro.sched.unified import UnifiedConfig, UnifiedScheduler
 from repro.sim.engine import Simulator
 
@@ -27,7 +27,7 @@ def stack(sim):
             UnifiedConfig(capacity_bps=link.rate_bps, num_predicted_classes=2)
         )
 
-    net = paper_figure1_topology(sim, factory)
+    net = TopologySpec.figure1().build(sim, factory)
     admission = AdmissionController(
         AdmissionConfig(realtime_quota=0.9, class_bounds_seconds=CLASS_BOUNDS)
     )

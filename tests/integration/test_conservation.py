@@ -15,9 +15,8 @@ import random
 
 import pytest
 
-from repro.scenario import paper
+from repro.scenario import TopologySpec, paper
 from repro.net.packet import ServiceClass
-from repro.net.topology import paper_figure1_topology
 from repro.sched.fifo import FifoScheduler
 from repro.sched.fifoplus import FifoPlusScheduler
 from repro.sched.jacobson_floyd import JacobsonFloydScheduler
@@ -75,10 +74,9 @@ def run_and_audit(name, buffer_packets=paper.BUFFER_PACKETS):
     sim = Simulator()
     streams = RandomStreams(seed=3)
     factory = scheduler_factories(sim)[name]
-    net = paper_figure1_topology(
-        sim, factory, rate_bps=paper.LINK_RATE_BPS,
-        buffer_packets=buffer_packets,
-    )
+    net = TopologySpec.figure1(
+        rate_bps=paper.LINK_RATE_BPS, buffer_packets=buffer_packets,
+    ).build(sim, factory)
     placements = paper.figure1_flow_placements()
     sources = []
     sinks = {}
@@ -135,8 +133,8 @@ class TestConservationWithWireLoss:
     def test_books_balance_on_lossy_links(self):
         sim = Simulator()
         streams = RandomStreams(seed=5)
-        net = paper_figure1_topology(
-            sim, lambda n, l: FifoScheduler(), rate_bps=paper.LINK_RATE_BPS
+        net = TopologySpec.figure1(rate_bps=paper.LINK_RATE_BPS).build(
+            sim, lambda n, l: FifoScheduler()
         )
         for i, link in enumerate(net.links.values()):
             link.loss_probability = 0.05

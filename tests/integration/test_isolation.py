@@ -10,9 +10,8 @@ guarantees still hold.
 import pytest
 
 from repro.core.bounds import parekh_gallager_packet_bound
-from repro.scenario import paper
+from repro.scenario import TopologySpec, paper
 from repro.net.packet import ServiceClass
-from repro.net.topology import paper_figure1_topology, single_link_topology
 from repro.sched.unified import UnifiedConfig, UnifiedScheduler
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
@@ -25,7 +24,7 @@ FLOOD = OnOffParams(
 )
 
 
-def unified_net(sim, topology=single_link_topology, **kwargs):
+def unified_net(sim, **kwargs):
     schedulers = []
 
     def factory(name, link):
@@ -35,7 +34,7 @@ def unified_net(sim, topology=single_link_topology, **kwargs):
         schedulers.append(scheduler)
         return scheduler
 
-    return topology(sim, factory, **kwargs), schedulers
+    return TopologySpec.single_link(**kwargs).build(sim, factory), schedulers
 
 
 class TestGuaranteedIsolation:

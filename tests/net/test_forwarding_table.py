@@ -10,10 +10,9 @@ import pytest
 
 import repro.net.network as network_module
 from repro.net.link import Link
-from repro.net.network import Network
 from repro.net.node import Host, Switch
 from repro.net.routing import RoutingError
-from repro.scenario import ScenarioRunner, registry
+from repro.scenario import ScenarioRunner, TopologySpec, registry
 from repro.sched.fifo import FifoScheduler
 from repro.sim.engine import Simulator
 from tests.conftest import make_packet
@@ -49,15 +48,16 @@ class PerPacketSwitch(Switch):
 def diamond():
     """S-A->{S-B,S-D}->S-C with a host on each end; primary via S-B."""
     sim = Simulator()
-    net = Network(sim, lambda name, link: FifoScheduler())
-    for name in ("S-A", "S-B", "S-C", "S-D"):
-        net.add_switch(name)
-    for src, dst in (
-        ("S-A", "S-B"), ("S-B", "S-C"), ("S-A", "S-D"), ("S-D", "S-C")
-    ):
-        net.add_link(src, dst, rate_bps=1_000_000)
-    net.add_host("h-src", "S-A")
-    net.add_host("h-dst", "S-C")
+    net = TopologySpec.graph(
+        ("S-A", "S-B", "S-C", "S-D"),
+        [
+            {"src": src, "dst": dst}
+            for src, dst in (
+                ("S-A", "S-B"), ("S-B", "S-C"), ("S-A", "S-D"), ("S-D", "S-C")
+            )
+        ],
+        [("h-src", "S-A"), ("h-dst", "S-C")],
+    ).build(sim, lambda name, link: FifoScheduler())
     return sim, net
 
 
@@ -187,7 +187,7 @@ class TestResolveOnce:
         send(net, 0)
         assert net.switches["S-A"]._forwarding
         net.add_switch("S-E")
-        net.add_link("S-A", "S-E", rate_bps=1_000_000)
+        net.add_link("S-A", "S-E", 1_000_000, 0.0, 200)
         assert not net.switches["S-A"]._forwarding
         send(net, 1)
         assert net.switches["S-A"]._forwarding

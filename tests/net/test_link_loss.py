@@ -6,7 +6,7 @@ import pytest
 
 from repro.net.link import Link
 from repro.net.node import Host, Switch
-from repro.net.topology import chain_topology
+from repro.scenario import TopologySpec
 from repro.sched.fifo import FifoScheduler
 from repro.sim.engine import Simulator
 from repro.transport.tcp import TcpConfig, TcpConnection
@@ -32,10 +32,8 @@ class TestLossValidation:
 class TestLossBehaviour:
     def make_lossy_pair(self, sim, probability, seed=1):
         """A single-link net whose A->B link corrupts packets randomly."""
-        from repro.net.topology import single_link_topology
-
-        net = single_link_topology(
-            sim, lambda n, l: FifoScheduler(), buffer_packets=500
+        net = TopologySpec.single_link(buffer_packets=500).build(
+            sim, lambda n, l: FifoScheduler()
         )
         link = net.links["A->B"]
         link.loss_probability = probability
@@ -93,14 +91,11 @@ class TestTcpUnderRandomLoss:
     def test_tcp_survives_lossy_path(self, sim):
         """TCP keeps delivering a contiguous stream through 2 % random
         loss — the recovery machinery handles non-congestion loss too."""
-        net = chain_topology(
-            sim,
-            lambda n, l: FifoScheduler(),
-            num_switches=2,
-            duplex=True,
-            switch_names=["A", "B"],
-            host_names=["ha", "hb"],
-        )
+        net = TopologySpec.graph(
+            ["A", "B"],
+            [{"src": "A", "dst": "B"}, {"src": "B", "dst": "A"}],
+            [("ha", "A"), ("hb", "B")],
+        ).build(sim, lambda n, l: FifoScheduler())
         # Inject loss on the forward (data) direction only.
         forward = net.links["A->B"]
         forward.loss_probability = 0.02

@@ -4,11 +4,7 @@ import pytest
 
 from repro.net.network import Network
 from repro.net.packet import Packet
-from repro.net.topology import (
-    chain_topology,
-    paper_figure1_topology,
-    single_link_topology,
-)
+from repro.scenario import TopologySpec
 from repro.sched.fifo import FifoScheduler
 from tests.conftest import make_packet
 
@@ -19,7 +15,7 @@ def fifo_factory(name, link):
 
 class TestHostSwitch:
     def test_host_to_host_delivery(self, sim):
-        net = single_link_topology(sim, fifo_factory)
+        net = TopologySpec.single_link().build(sim, fifo_factory)
         received = []
         net.hosts["dst-host"].register_flow_handler(
             "f", lambda packet: received.append(packet)
@@ -31,7 +27,7 @@ class TestHostSwitch:
 
     def test_local_delivery_is_instant(self, sim):
         # Host on same switch: no link transmission, delivered at send time.
-        net = single_link_topology(sim, fifo_factory)
+        net = TopologySpec.single_link().build(sim, fifo_factory)
         net.add_host("other", "A")
         received = []
         net.hosts["other"].register_flow_handler(
@@ -47,7 +43,7 @@ class TestHostSwitch:
         assert received == [1.0]
 
     def test_default_handler_catches_unregistered_flows(self, sim):
-        net = single_link_topology(sim, fifo_factory)
+        net = TopologySpec.single_link().build(sim, fifo_factory)
         caught = []
         net.hosts["dst-host"].default_handler = lambda packet: caught.append(packet)
         net.hosts["src-host"].send(make_packet(flow_id="???", destination="dst-host"))
@@ -55,7 +51,7 @@ class TestHostSwitch:
         assert len(caught) == 1
 
     def test_duplicate_flow_handler_rejected(self, sim):
-        net = single_link_topology(sim, fifo_factory)
+        net = TopologySpec.single_link().build(sim, fifo_factory)
         net.hosts["dst-host"].register_flow_handler("f", lambda p: None)
         with pytest.raises(ValueError):
             net.hosts["dst-host"].register_flow_handler("f", lambda p: None)
@@ -68,7 +64,7 @@ class TestHostSwitch:
             host.send(make_packet())
 
     def test_multi_hop_forwarding(self, sim):
-        net = chain_topology(sim, fifo_factory, num_switches=4)
+        net = TopologySpec.chain(4).build(sim, fifo_factory)
         received = []
         net.hosts["Host-4"].register_flow_handler(
             "f", lambda packet: received.append((sim.now, packet.hops))
@@ -97,23 +93,23 @@ class TestNetworkBuilder:
         net = Network(sim, fifo_factory)
         net.add_switch("A")
         net.add_switch("B")
-        net.add_link("A", "B")
+        net.add_link("A", "B", 1_000_000, 0.0, 200)
         with pytest.raises(ValueError):
-            net.add_link("A", "B")
+            net.add_link("A", "B", 1_000_000, 0.0, 200)
 
     def test_path_between_hosts(self, sim):
-        net = chain_topology(sim, fifo_factory, num_switches=3)
+        net = TopologySpec.chain(3).build(sim, fifo_factory)
         assert net.path("Host-1", "Host-3") == [
             "Host-1", "S-1", "S-2", "S-3", "Host-3",
         ]
 
     def test_links_on_path(self, sim):
-        net = chain_topology(sim, fifo_factory, num_switches=3)
+        net = TopologySpec.chain(3).build(sim, fifo_factory)
         names = [link.name for link in net.links_on_path("Host-1", "Host-3")]
         assert names == ["S-1->S-2", "S-2->S-3"]
 
     def test_total_drops_aggregates(self, sim):
-        net = single_link_topology(sim, fifo_factory, rate_bps=1000)
+        net = TopologySpec.single_link(rate_bps=1000).build(sim, fifo_factory)
         net.hosts["dst-host"].default_handler = lambda p: None
         # 1000 bps link, 1000-bit packets: massive overload drops packets.
         for _ in range(400):
@@ -123,19 +119,15 @@ class TestNetworkBuilder:
 
 class TestTopologies:
     def test_figure1_shape(self, sim):
-        net = paper_figure1_topology(sim, fifo_factory)
+        net = TopologySpec.figure1().build(sim, fifo_factory)
         assert len(net.switches) == 5
         assert len(net.hosts) == 5
         assert len(net.links) == 4  # simplex chain
 
     def test_figure1_duplex(self, sim):
-        net = paper_figure1_topology(sim, fifo_factory, duplex=True)
+        net = TopologySpec.figure1(duplex=True).build(sim, fifo_factory)
         assert len(net.links) == 8
 
-    def test_chain_validation(self, sim):
+    def test_chain_validation(self):
         with pytest.raises(ValueError):
-            chain_topology(sim, fifo_factory, num_switches=1)
-        with pytest.raises(ValueError):
-            chain_topology(
-                sim, fifo_factory, num_switches=3, switch_names=["only-one"]
-            )
+            TopologySpec.chain(1)

@@ -1,12 +1,11 @@
-"""Graph-native topology layer: compile equivalence, heterogeneous links,
-per-port disciplines, and routing-error surfacing."""
+"""Graph-native topology layer: the named kinds' wire form, heterogeneous
+links, per-port disciplines, and routing-error surfacing."""
 
 import json
 
 import pytest
 
 from repro.net.routing import RoutingError
-from repro.net.topology import paper_figure1_topology, single_link_topology
 from repro.sched.fifo import FifoScheduler
 from repro.sched.wfq import WfqScheduler
 from repro.scenario import (
@@ -25,26 +24,11 @@ def fifo_factory(name, link):
     return FifoScheduler()
 
 
-class TestLegacyKindsCompileToGraph:
-    """The named constructors produce the same live networks the legacy
-    one-call builders do — structure for structure."""
+class TestNamedKindsAreGraphs:
+    """The named constructors are graphs on the wire (their exact bytes
+    and built networks are pinned in ``test_topology_pin.py``)."""
 
-    def test_single_link_matches_legacy(self):
-        spec = TopologySpec.single_link()
-        net = spec.build(Simulator(), fifo_factory)
-        legacy = single_link_topology(Simulator(), fifo_factory)
-        assert list(net.switches) == list(legacy.switches)
-        assert list(net.links) == list(legacy.links)
-        assert list(net.hosts) == list(legacy.hosts)
-
-    def test_figure1_matches_legacy(self):
-        spec = TopologySpec.figure1(duplex=True)
-        net = spec.build(Simulator(), fifo_factory)
-        legacy = paper_figure1_topology(Simulator(), fifo_factory, duplex=True)
-        assert list(net.links) == list(legacy.links)  # incl. insertion order
-        assert list(net.hosts) == list(legacy.hosts)
-
-    def test_compiled_specs_serialize_as_graphs(self):
+    def test_named_specs_serialize_as_graphs(self):
         spec = TopologySpec.chain(3)
         payload = json.loads(json.dumps(spec.to_dict()))
         assert payload["nodes"] == ["S-1", "S-2", "S-3"]

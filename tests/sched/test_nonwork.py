@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.packet import ServiceClass
-from repro.net.topology import single_link_topology
+from repro.scenario import TopologySpec
 from repro.sched.nonwork import (
     HrrScheduler,
     JitterEddScheduler,
@@ -48,10 +48,8 @@ class TestStopAndGo:
 
     def test_per_switch_delay_bounded_by_two_frames(self, sim):
         """Golestani's bound: queueing delay in [0, 2T) per switch."""
-        net = single_link_topology(
-            sim,
-            lambda n, l: StopAndGoScheduler(sim, frame_seconds=0.02),
-            rate_bps=1_000_000,
+        net = TopologySpec.single_link(rate_bps=1_000_000).build(
+            sim, lambda n, l: StopAndGoScheduler(sim, frame_seconds=0.02)
         )
         delays = []
         port = net.port_for_link("A->B")
@@ -72,9 +70,8 @@ class TestStopAndGo:
 
     def test_wakeup_resumes_transmission(self, sim):
         """A held packet must eventually depart without new arrivals."""
-        net = single_link_topology(
-            sim,
-            lambda n, l: StopAndGoScheduler(sim, frame_seconds=0.05),
+        net = TopologySpec.single_link().build(
+            sim, lambda n, l: StopAndGoScheduler(sim, frame_seconds=0.05)
         )
         got = []
         net.hosts["dst-host"].register_flow_handler(
@@ -141,12 +138,11 @@ class TestHrr:
     def test_rate_limited_end_to_end(self, sim):
         """10 slots per 0.1 s frame = at most ~100 pkt/s leaves the port,
         however fast the source pushes."""
-        net = single_link_topology(
+        net = TopologySpec.single_link(buffer_packets=500).build(
             sim,
             lambda n, l: HrrScheduler(
                 sim, frame_seconds=0.1, slots_per_flow={"f": 10}
             ),
-            buffer_packets=500,
         )
         got = []
         net.hosts["dst-host"].register_flow_handler(
@@ -228,7 +224,7 @@ class TestJitterEdd:
         assert len(sched) == 2
 
     def test_wakeup_delivers_held_packet(self, sim):
-        net = single_link_topology(
+        net = TopologySpec.single_link().build(
             sim, lambda n, l: JitterEddScheduler(sim, default_target=0.2)
         )
         got = []

@@ -11,6 +11,11 @@ its import graph: the façade loads no backend and no control plane until
 a run needs one, and the reference backend and the NumPy kernel never
 load each other.
 
+So is the code that assembles a network: ``TopologySpec.build`` in
+``scenario/spec.py`` is the only place under ``src/`` that constructs a
+``Network`` or calls its ``add_*`` methods, so a second topology builder
+cannot come back unnoticed.
+
 The same goes for what the documents *point at*: every repository path
 the README, the build files, CI and the verify notes name must exist, so
 a deleted module, bench or report cannot leave a dangling reference.
@@ -94,6 +99,19 @@ def test_fluid_modules_load_only_what_they_use(module, absent, without_numpy):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+ASSEMBLY = re.compile(r"\bNetwork\(|\.add_(?:switch|link|host)\(")
+
+
+def test_only_the_topology_spec_assembles_a_network():
+    src = REPO_ROOT / "src"
+    assemblers = sorted(
+        str(path.relative_to(src))
+        for path in src.rglob("*.py")
+        if ASSEMBLY.search(path.read_text())
+    )
+    assert assemblers == ["repro/scenario/spec.py"]
 
 
 # Documents whose references are inventoried (benchmarks/e2e/README.md

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.net.topology import single_link_topology
+from repro.scenario import TopologySpec
 from repro.sched.fifo import FifoScheduler
 from repro.traffic.trace import TraceSource
 
 
 @pytest.fixture
 def rig(sim):
-    net = single_link_topology(sim, lambda n, l: FifoScheduler())
+    net = TopologySpec.single_link().build(sim, lambda n, l: FifoScheduler())
     arrivals = []
     net.hosts["dst-host"].register_flow_handler(
         "f", lambda packet: arrivals.append((sim.now, packet.size_bits))

@@ -2,23 +2,19 @@
 
 import pytest
 
-from repro.net.topology import chain_topology, single_link_topology
+from repro.scenario import TopologySpec
 from repro.sched.fifo import FifoScheduler
 from repro.sim.engine import Simulator
 from repro.transport.tcp import TcpConfig, TcpConnection
 
 
 def duplex_net(sim, buffer_packets=200, rate_bps=1_000_000):
-    return chain_topology(
-        sim,
-        lambda n, l: FifoScheduler(),
-        num_switches=2,
-        rate_bps=rate_bps,
-        buffer_packets=buffer_packets,
-        duplex=True,
-        switch_names=["A", "B"],
-        host_names=["ha", "hb"],
-    )
+    link = {"rate_bps": rate_bps, "buffer_packets": buffer_packets}
+    return TopologySpec.graph(
+        ["A", "B"],
+        [dict(link, src="A", dst="B"), dict(link, src="B", dst="A")],
+        [("ha", "A"), ("hb", "B")],
+    ).build(sim, lambda n, l: FifoScheduler())
 
 
 def make_conn(sim, net, **config_overrides):

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.net.topology import single_link_topology
+from repro.scenario import TopologySpec
 from repro.sched.fifo import FifoScheduler
 from repro.transport.udp import UdpSender
 
 
 @pytest.fixture
 def net(sim):
-    return single_link_topology(sim, lambda n, l: FifoScheduler())
+    return TopologySpec.single_link().build(sim, lambda n, l: FifoScheduler())
 
 
 class TestUdpSender:
@@ -40,8 +40,8 @@ class TestUdpSender:
         assert sender.send(size_bits=2000).size_bits == 2000
 
     def test_burst_overflows_finite_buffer(self, sim):
-        net = single_link_topology(
-            sim, lambda n, l: FifoScheduler(), buffer_packets=10
+        net = TopologySpec.single_link(buffer_packets=10).build(
+            sim, lambda n, l: FifoScheduler()
         )
         sender = UdpSender(sim, net.hosts["src-host"], "u", "dst-host")
         port = net.port_for_link("A->B")
