@@ -117,7 +117,9 @@ def main(duration: float = DURATION) -> None:
             dest_host="Host-5",
             average_rate_pps=VIDEO_RATE_PPS,
             mean_burst_packets=10.0,
-            bucket_packets=None,
+            # The bucket b the bound above is computed from: the source
+            # holds itself to it, so the network never needs to see it.
+            bucket_packets=VIDEO_BUCKET_BITS / PACKET_BITS,
             request=GuaranteedRequest(clock_rate_bps=clock_rate),
         ),
         sink_factory=rigid_receiver,

@@ -12,9 +12,10 @@ The library provides, from scratch:
 * every scheduling discipline the paper builds or compares — FIFO, WFQ
   (packetized GPS), FIFO+, strict priority, the unified CSZ scheduler, and
   the related-work baselines (:mod:`repro.sched`);
-* the ISPN architecture — service interface, Parekh-Gallager bounds,
-  measurement-based admission control, signaling, rigid/adaptive playback
-  applications (:mod:`repro.core`);
+* the ISPN architecture — Parekh-Gallager bounds, measurement-based
+  admission control, signaling, rigid/adaptive playback applications
+  (:mod:`repro.core`); the Section 8 service interface is a flow's
+  ``request``, a :class:`GuaranteedRequest` or :class:`PredictedRequest`;
 * a simplified TCP for datagram load (:mod:`repro.transport`);
 * a declarative scenario API — one frozen spec describes topology, flows,
   service commitments, and disciplines (every network, from the paper's
@@ -74,9 +75,6 @@ from repro.sched import (
 )
 from repro.traffic import OnOffMarkovSource, OnOffParams, TokenBucket, DelayRecordingSink
 from repro.core import (
-    FlowSpec,
-    GuaranteedServiceSpec,
-    PredictedServiceSpec,
     AdmissionController,
     AdmissionConfig,
     SignalingAgent,
@@ -88,6 +86,7 @@ from repro.core import (
 from repro.scenario import (
     AdmissionSpec,
     DisciplineSpec,
+    FlowSpec,
     GuaranteedRequest,
     HostAttachment,
     LinkSpec,
@@ -126,9 +125,6 @@ __all__ = [
     "OnOffParams",
     "TokenBucket",
     "DelayRecordingSink",
-    "FlowSpec",
-    "GuaranteedServiceSpec",
-    "PredictedServiceSpec",
     "AdmissionController",
     "AdmissionConfig",
     "SignalingAgent",
@@ -138,6 +134,7 @@ __all__ = [
     "parekh_gallager_packet_bound",
     "AdmissionSpec",
     "DisciplineSpec",
+    "FlowSpec",
     "GuaranteedRequest",
     "HostAttachment",
     "LinkSpec",

@@ -43,9 +43,9 @@ from repro.control.policy import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.core.service import FlowSpec as CoreFlowSpec
     from repro.core.signaling import SignalingAgent
     from repro.net.network import Network
+    from repro.scenario.spec import FlowSpec
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,33 +119,26 @@ class LinkStateController:
         self.recomputes = 0
         self.flushed_packets = 0
         self._tracked: Dict[str, TrackedFlow] = {}
-        #: name -> (src host, dst host, core spec or None)
-        self._endpoints: Dict[str, Tuple[str, str, Any]] = {}
+        #: name -> the tracked flow's spec (its end hosts and request)
+        self._flows: Dict[str, "FlowSpec"] = {}
 
     # ------------------------------------------------------------------
     # Flow registry
     # ------------------------------------------------------------------
-    def track_flow(
-        self,
-        name: str,
-        src_host: str,
-        dst_host: str,
-        core_spec: Optional["CoreFlowSpec"] = None,
-    ) -> None:
-        """Register a flow for reroute bookkeeping and (when ``core_spec``
-        and signaling are present) admission-controlled re-establishment.
-        Flows are repaired in registration (= establishment) order."""
-        if name in self._tracked:
-            raise ValueError(f"flow {name} is already tracked")
-        self._tracked[name] = TrackedFlow(
-            name, self._route_of_hosts(src_host, dst_host)
-        )
-        self._endpoints[name] = (src_host, dst_host, core_spec)
+    def track_flow(self, flow: "FlowSpec") -> None:
+        """Register a flow for reroute bookkeeping and (when it carries a
+        request and signaling is present) admission-controlled
+        re-establishment.  Flows are repaired in registration
+        (= establishment) order."""
+        if flow.name in self._tracked:
+            raise ValueError(f"flow {flow.name} is already tracked")
+        self._tracked[flow.name] = TrackedFlow(flow.name, self._route_of(flow))
+        self._flows[flow.name] = flow
 
     def untrack_flow(self, name: str) -> None:
         """Forget a flow (scenario-level teardown). Unknown names no-op."""
         self._tracked.pop(name, None)
-        self._endpoints.pop(name, None)
+        self._flows.pop(name, None)
 
     # ------------------------------------------------------------------
     # Link-state events
@@ -179,11 +172,11 @@ class LinkStateController:
         down = {name for name, up in self.link_state.items() if not up}
         self.net.install_routing(self.net.routes(down))
         for record in self._tracked.values():
-            src, dst, core_spec = self._endpoints[record.name]
+            flow = self._flows[record.name]
             outcome, grant = refresh(
                 record,
-                self._route_of_hosts(src, dst),
-                core_spec is not None and self.signaling is not None,
+                self._route_of(flow),
+                flow.request is not None and self.signaling is not None,
                 self._release,
                 self._admit,
             )
@@ -192,9 +185,11 @@ class LinkStateController:
             elif outcome is Refresh.TORN_DOWN and self.on_torn_down is not None:
                 self.on_torn_down(record.name)
 
-    def _route_of_hosts(self, src: str, dst: str) -> Optional[Tuple[str, ...]]:
+    def _route_of(self, flow: "FlowSpec") -> Optional[Tuple[str, ...]]:
         try:
-            return tuple(self.net.link_names_on_path(src, dst))
+            return tuple(
+                self.net.link_names_on_path(flow.source_host, flow.dest_host)
+            )
         except RoutingError:
             return None
 
@@ -204,7 +199,7 @@ class LinkStateController:
 
     def _admit(self, record: TrackedFlow, links) -> Any:
         try:
-            return self.signaling.establish(self._endpoints[record.name][2])
+            return self.signaling.establish(self._flows[record.name])
         except FlowEstablishmentError:
             return None
 

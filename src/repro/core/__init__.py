@@ -1,16 +1,14 @@
-"""The paper's architecture: service commitments, interface, bounds,
-measurement-based admission control, signaling, and playback applications.
+"""The paper's architecture: bounds, measurement-based admission control,
+signaling, and playback applications.
 
 This is the layer that turns the scheduling *mechanism* (:mod:`repro.sched`)
-into the ISPN *architecture* of Sections 3, 8, and 9.
+into the ISPN *architecture* of Sections 3, 8, and 9.  The Section 8
+service interface itself is the scenario's request types
+(:class:`~repro.scenario.GuaranteedRequest`,
+:class:`~repro.scenario.PredictedRequest`), which signaling takes as they
+are.
 """
 
-from repro.core.service import (
-    GuaranteedServiceSpec,
-    PredictedServiceSpec,
-    DatagramServiceSpec,
-    FlowSpec,
-)
 from repro.core.bounds import (
     parekh_gallager_fluid_bound,
     parekh_gallager_packet_bound,
@@ -35,10 +33,6 @@ from repro.core.taxonomy import (
 )
 
 __all__ = [
-    "GuaranteedServiceSpec",
-    "PredictedServiceSpec",
-    "DatagramServiceSpec",
-    "FlowSpec",
     "parekh_gallager_fluid_bound",
     "parekh_gallager_packet_bound",
     "predicted_path_bound",

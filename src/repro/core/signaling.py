@@ -8,25 +8,29 @@ assignment plus an **edge-only** token-bucket conformance check for
 predicted flows ("after that initial check, conformance is never enforced
 at later switches").  :class:`SignalingAgent` performs exactly that
 sequence atomically within the simulation.
+
+A request arrives as the scenario's own :class:`~repro.scenario.FlowSpec`
+— its name, end hosts and ``request`` (a
+:class:`~repro.scenario.GuaranteedRequest`, a
+:class:`~repro.scenario.PredictedRequest`, or None for datagram traffic)
+— and is dispatched on the request's ``service_class``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.admission import AdmissionController, AdmissionDecision
-from repro.core.service import (
-    FlowSpec,
-    GuaranteedServiceSpec,
-    PredictedServiceSpec,
-)
 from repro.net.network import Network
 from repro.net.packet import ServiceClass
 from repro.net.port import OutputPort
 from repro.net.routing import RoutingError
 from repro.sched.base import GuaranteedServiceUnsupported
 from repro.traffic.token_bucket import NonconformingPolicy, TokenBucketFilter
+
+if TYPE_CHECKING:  # pragma: no cover - repro.scenario imports this module
+    from repro.scenario.spec import FlowSpec, GuaranteedRequest, PredictedRequest
 
 
 class FlowEstablishmentError(RuntimeError):
@@ -35,6 +39,31 @@ class FlowEstablishmentError(RuntimeError):
     def __init__(self, message: str, decisions: List[AdmissionDecision]):
         super().__init__(message)
         self.decisions = decisions
+
+
+def install_clock_rate(
+    port: OutputPort,
+    flow_id: str,
+    rate_bps: float,
+    now: Optional[float] = None,
+) -> None:
+    """Install a guaranteed clock rate through the explicit capability
+    interface (:meth:`repro.sched.base.Scheduler.install_guaranteed`).
+
+    Signaling installs through it at every hop of an admitted path, and
+    a scenario without admission control installs a guaranteed request
+    directly through it.  Disciplines that reserve in other units (e.g.
+    HRR slots/frame) refuse instead of silently reinterpreting bits/s,
+    so the old ``register_flow`` duck-typing mixup cannot recur.
+    """
+    try:
+        port.scheduler.install_guaranteed(flow_id, rate_bps, now)
+    except GuaranteedServiceUnsupported as exc:
+        raise FlowEstablishmentError(
+            f"scheduler on {port.name} cannot host guaranteed flows: "
+            f"{exc}",
+            [],
+        ) from exc
 
 
 @dataclasses.dataclass
@@ -73,7 +102,7 @@ class SignalingAgent:
         self._edge_ports: Dict[str, OutputPort] = {}
 
     # ------------------------------------------------------------------
-    def establish(self, flow: FlowSpec) -> FlowGrant:
+    def establish(self, flow: "FlowSpec") -> FlowGrant:
         """Run admission along the path and install the commitment.
 
         Works over any routed graph: on merge topologies the same link
@@ -86,111 +115,85 @@ class SignalingAgent:
                 exists at all; nothing is installed in that case
                 (all-or-nothing).
         """
-        if flow.flow_id in self.grants:
-            raise ValueError(f"flow {flow.flow_id} is already established")
+        name = flow.name
+        if name in self.grants:
+            raise ValueError(f"flow {name} is already established")
         now = self.network.sim.now
         try:
-            path = self.network.path(flow.source, flow.destination)
+            path = self.network.path(flow.source_host, flow.dest_host)
         except RoutingError as exc:
-            raise FlowEstablishmentError(
-                f"flow {flow.flow_id}: {exc}", []
-            ) from None
+            raise FlowEstablishmentError(f"flow {name}: {exc}", []) from None
         link_names = self.network.link_names_on_path(
-            flow.source, flow.destination
+            flow.source_host, flow.dest_host
         )
         if not link_names:
             raise FlowEstablishmentError(
-                f"no inter-switch links between {flow.source} and "
-                f"{flow.destination}",
+                f"no inter-switch links between {flow.source_host} and "
+                f"{flow.dest_host}",
                 [],
             )
-        if isinstance(flow.spec, GuaranteedServiceSpec):
-            return self._establish_guaranteed(flow, path, link_names, now)
-        if isinstance(flow.spec, PredictedServiceSpec):
-            return self._establish_predicted(flow, path, link_names, now)
+        request = flow.request
+        service = ServiceClass.DATAGRAM if request is None else request.service_class
+        if service is ServiceClass.GUARANTEED:
+            return self._establish_guaranteed(name, request, path, link_names, now)
+        if service is ServiceClass.PREDICTED:
+            return self._establish_predicted(name, request, path, link_names, now)
         # Datagram flows need no establishment; grant trivially.
         grant = FlowGrant(
-            flow_id=flow.flow_id,
+            flow_id=name,
             service_class=ServiceClass.DATAGRAM,
             priority_class=None,
             advertised_bound_seconds=None,
             path=path,
             link_names=link_names,
         )
-        self.grants[flow.flow_id] = grant
+        self.grants[name] = grant
         return grant
 
     def _establish_guaranteed(
-        self, flow: FlowSpec, path: List[str], link_names: List[str], now: float
+        self, flow_id: str, request: "GuaranteedRequest", path: List[str], link_names: List[str],
+        now: float,
     ) -> FlowGrant:
-        spec = flow.spec
-        assert isinstance(spec, GuaranteedServiceSpec)
         decisions = []
         for name in link_names:
             port = self.network.port_for_link(name)
             decision = self.admission.check_guaranteed(
-                name, port, spec.clock_rate_bps, now
+                name, port, request.clock_rate_bps, now
             )
             decisions.append(decision)
             if not decision.accepted:
                 raise FlowEstablishmentError(
-                    f"guaranteed flow {flow.flow_id} rejected at {name}: "
+                    f"guaranteed flow {flow_id} rejected at {name}: "
                     f"{decision.verdict.value} ({decision.detail})",
                     decisions,
                 )
         # All links accepted: install the clock rate everywhere.
         for name in link_names:
             port = self.network.port_for_link(name)
-            self._install_clock_rate(
-                port, flow.flow_id, spec.clock_rate_bps, now
-            )
-            self.admission.record_guaranteed(name, flow.flow_id, spec.clock_rate_bps)
+            install_clock_rate(port, flow_id, request.clock_rate_bps, now)
+            self.admission.record_guaranteed(name, flow_id, request.clock_rate_bps)
         grant = FlowGrant(
-            flow_id=flow.flow_id,
+            flow_id=flow_id,
             service_class=ServiceClass.GUARANTEED,
             priority_class=None,
             advertised_bound_seconds=None,
             path=path,
             link_names=link_names,
         )
-        self.grants[flow.flow_id] = grant
+        self.grants[flow_id] = grant
         return grant
 
-    @staticmethod
-    def _install_clock_rate(
-        port: OutputPort,
-        flow_id: str,
-        rate_bps: float,
-        now: Optional[float] = None,
-    ) -> None:
-        """Install a guaranteed clock rate through the explicit capability
-        interface (:meth:`repro.sched.base.Scheduler.install_guaranteed`).
-
-        Disciplines that reserve in other units (e.g. HRR slots/frame)
-        refuse instead of silently reinterpreting bits/s, so the old
-        ``register_flow`` duck-typing mixup cannot recur.
-        """
-        try:
-            port.scheduler.install_guaranteed(flow_id, rate_bps, now)
-        except GuaranteedServiceUnsupported as exc:
-            raise FlowEstablishmentError(
-                f"scheduler on {port.name} cannot host guaranteed flows: "
-                f"{exc}",
-                [],
-            ) from exc
-
     def _establish_predicted(
-        self, flow: FlowSpec, path: List[str], link_names: List[str], now: float
+        self, flow_id: str, request: "PredictedRequest", path: List[str], link_names: List[str],
+        now: float,
     ) -> FlowGrant:
-        spec = flow.spec
-        assert isinstance(spec, PredictedServiceSpec)
-        per_switch_target = spec.target_delay_seconds / len(link_names)
+        per_switch_target = request.target_delay_seconds / len(link_names)
         priority_class = self.admission.choose_class(per_switch_target)
         decisions: List[AdmissionDecision] = []
         if priority_class is None:
             raise FlowEstablishmentError(
-                f"predicted flow {flow.flow_id}: target delay "
-                f"{spec.target_delay_seconds}s over {len(link_names)} hops is "
+                f"predicted flow {flow_id}: target delay "
+                f"{request.target_delay_seconds}s over {len(link_names)} hops is "
                 f"tighter than the tightest class bound — request guaranteed "
                 f"service instead",
                 decisions,
@@ -201,39 +204,39 @@ class SignalingAgent:
                 name,
                 port,
                 priority_class,
-                spec.token_rate_bps,
-                spec.bucket_depth_bits,
+                request.token_rate_bps,
+                request.bucket_depth_bits,
                 now,
             )
             decisions.append(decision)
             if not decision.accepted:
                 raise FlowEstablishmentError(
-                    f"predicted flow {flow.flow_id} rejected at {name}: "
+                    f"predicted flow {flow_id} rejected at {name}: "
                     f"{decision.verdict.value} ({decision.detail})",
                     decisions,
                 )
         # Install the edge conformance check at the first switch only,
         # keyed by flow id so the port consults one policer per packet.
         edge_port = self.network.port_for_link(link_names[0])
-        edge_port.flow_policers[flow.flow_id] = TokenBucketFilter(
-            spec.token_rate_bps,
-            spec.bucket_depth_bits,
+        edge_port.flow_policers[flow_id] = TokenBucketFilter(
+            request.token_rate_bps,
+            request.bucket_depth_bits,
             policy=NonconformingPolicy.DROP,
         )
-        self._edge_ports[flow.flow_id] = edge_port
+        self._edge_ports[flow_id] = edge_port
         bound = sum(
             self.admission.config.class_bounds_seconds[priority_class]
             for __ in link_names
         )
         grant = FlowGrant(
-            flow_id=flow.flow_id,
+            flow_id=flow_id,
             service_class=ServiceClass.PREDICTED,
             priority_class=priority_class,
             advertised_bound_seconds=bound,
             path=path,
             link_names=link_names,
         )
-        self.grants[flow.flow_id] = grant
+        self.grants[flow_id] = grant
         return grant
 
     # ------------------------------------------------------------------

@@ -205,8 +205,9 @@ def admit(spec: ScenarioSpec, flows: FlowTable,
           paths: Sequence[Tuple[int, ...]], link_rates: Sequence[float]):
     """Static admission: the fluid stand-in for the signaling round-trip.
 
-    Request-bearing flows visit admission in establish order (mirroring
-    :class:`~repro.scenario.runner.ScenarioContext`): a request is
+    Request-bearing flows visit admission in
+    :meth:`~repro.scenario.ScenarioSpec.establishment_order`, as the
+    packet engine's signaling does: a request is
     granted iff its :func:`reserved_rate` :func:`fits` under the
     realtime quota on every path link given earlier commitments.
     Denied flows run as datagram — the paper's fallback service.
@@ -235,15 +236,10 @@ def admit(spec: ScenarioSpec, flows: FlowTable,
     # Every flow runs as declared unless a request says otherwise (the
     # common generated-population shape carries none).
     held = list(kind)
-    requesting = {names[f]: f for f in range(len(flows))
-                  if rates[kind[f]] is not None} if any(rates) else {}
-    order = [n for n in spec.establish_order or () if n in requesting]
-    listed = set(order)
-    order += [n for n in requesting if n not in listed]
     admitted: List[str] = []
     denied: List[str] = []
-    for name in order:
-        f = requesting[name]
+    for f in spec.establishment_order():
+        name = names[f]
         rate = rates[kind[f]]
         granted = fits(committed, rate, paths[f], quota, link_rates)
         for l in paths[f] if granted else ():

@@ -306,7 +306,8 @@ class _PlanBuilder:
         self.names = flows.names
         self.srcs, self.dsts = flows.endpoints()
         # Re-admission applies to flows that hold a commitment — the
-        # packet analogue of "core_spec and signaling present".
+        # packet analogue of "the flow carries a request and signaling is
+        # present".
         holders = admitted if spec.admission is not None else ()
         rates = [reserved_rate(proto.request) for proto in flows.protos]
         self.reserved: Dict[str, float] = {

@@ -8,7 +8,8 @@ properties are guaranteed by construction:
   by its flow name (``source:<name>``), so all disciplines of one spec see
   the identical packet arrival process — the paper's A/B methodology.
 * **Determinism.**  Components are constructed in spec order, admission
-  requests are processed in ``establish_order``, and neither signaling nor
+  requests are processed in :meth:`ScenarioSpec.establishment_order`
+  (the order the fluid engine admits in too), and neither signaling nor
   measurement schedules events, so results are bit-identical across
   repeated runs and across serial vs multiprocess execution.
 
@@ -27,12 +28,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.admission import AdmissionConfig, AdmissionController
 from repro.core.measurement import MeasurementConfig, SwitchMeasurement
-from repro.core.service import (
-    FlowSpec as CoreFlowSpec,
-    GuaranteedServiceSpec,
-    PredictedServiceSpec,
-)
-from repro.core.signaling import FlowGrant, SignalingAgent
+from repro.core.signaling import FlowGrant, SignalingAgent, install_clock_rate
 from repro.net.packet import ServiceClass
 from repro.net.routing import RoutingError
 from repro.scenario.disciplines import build_scheduler, resolve_port_discipline
@@ -428,23 +424,13 @@ class ScenarioContext:
             )
             arm_outages(self.sim, self.controller, schedule.firings)
 
-        # Guaranteed reservations are installed before any traffic exists,
-        # then predicted classes are assigned — Table 3's establishment
-        # discipline.  Neither step schedules events or consumes random
-        # draws, so batching establishments ahead of source creation is
+        # Requests visit admission before any traffic exists, in the
+        # spec's establishment order (Table 3 lists its guaranteed flows
+        # first).  Establishment schedules no events and consumes no
+        # random draws, so batching it ahead of source creation is
         # observationally identical to interleaving them.
-        flows_by_name = {flow.name: flow for flow in spec.flows}
-        order = list(spec.establish_order or ())
-        listed = set(order)
-        # A partial establish_order only *prioritizes*: every remaining
-        # request-bearing flow still visits admission, in spec order.
-        order += [
-            f.name
-            for f in spec.flows
-            if f.request is not None and f.name not in listed
-        ]
-        for name in order:
-            self.establish(flows_by_name[name])
+        for index in spec.establishment_order():
+            self.establish(spec.flows[index])
         for flow in spec.flows:
             self.add_flow(flow, establish=False)
         for tcp in spec.tcps:
@@ -482,7 +468,8 @@ class ScenarioContext:
 
     # ------------------------------------------------------------------
     def establish(self, flow: FlowSpec) -> Optional[FlowGrant]:
-        """Run the flow's service request through admission/signaling.
+        """Run the flow's service request through admission/signaling,
+        which takes the flow spec as it is.
 
         Without an admission-controlled scenario, a guaranteed request is
         honoured by installing its clock rate directly at every hop.
@@ -490,7 +477,7 @@ class ScenarioContext:
         if flow.request is None:
             return None
         if self.signaling is not None:
-            grant = self.signaling.establish(self._core_spec(flow))
+            grant = self.signaling.establish(flow)
             self.grants[flow.name] = grant
             return grant
         if isinstance(flow.request, GuaranteedRequest):
@@ -498,33 +485,12 @@ class ScenarioContext:
             # schedulers (unified, WFQ, virtual clock) are recognized
             # consistently and anything else is rejected.
             for link in self.net.links_on_path(flow.source_host, flow.dest_host):
-                SignalingAgent._install_clock_rate(
+                install_clock_rate(
                     self.net.port_for_link(link.name),
                     flow.name,
                     flow.request.clock_rate_bps,
                 )
         return None
-
-    @staticmethod
-    def _core_spec(flow: FlowSpec) -> CoreFlowSpec:
-        request = flow.request
-        if isinstance(request, GuaranteedRequest):
-            service = GuaranteedServiceSpec(clock_rate_bps=request.clock_rate_bps)
-        elif isinstance(request, PredictedRequest):
-            service = PredictedServiceSpec(
-                token_rate_bps=request.token_rate_bps,
-                bucket_depth_bits=request.bucket_depth_bits,
-                target_delay_seconds=request.target_delay_seconds,
-                target_loss_rate=request.target_loss_rate,
-            )
-        else:  # pragma: no cover - guarded by FlowSpec typing
-            raise TypeError(f"unknown request type {type(request)!r}")
-        return CoreFlowSpec(
-            flow_id=flow.name,
-            source=flow.source_host,
-            destination=flow.dest_host,
-            spec=service,
-        )
 
     def _resolve_service(self, flow: FlowSpec) -> Tuple[ServiceClass, int]:
         """Service class and predicted priority the source should stamp."""
@@ -582,16 +548,7 @@ class ScenarioContext:
         )
         self.sources[flow.name] = source
         if self.controller is not None:
-            self.controller.track_flow(
-                flow.name,
-                flow.source_host,
-                flow.dest_host,
-                core_spec=(
-                    self._core_spec(flow)
-                    if flow.request is not None and self.signaling is not None
-                    else None
-                ),
-            )
+            self.controller.track_flow(flow)
         if sink_factory is not None:
             receiver = sink_factory(self, flow)
             if receiver is None:

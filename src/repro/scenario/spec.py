@@ -35,7 +35,7 @@ import typing
 from array import array
 from collections.abc import Mapping, Sequence
 from typing import (
-    AbstractSet, Any, Callable, Dict, NoReturn, Optional, Tuple, Union,
+    AbstractSet, Any, Callable, Dict, List, NoReturn, Optional, Tuple, Union,
 )
 
 from repro.net.network import Network
@@ -553,9 +553,18 @@ class TopologySpec(_Wire):
 
 @dataclasses.dataclass(frozen=True)
 class GuaranteedRequest(_Wire):
-    """Request guaranteed service at a WFQ clock rate (Section 8)."""
+    """Request guaranteed service at a WFQ clock rate r (Section 8).
+
+    The source specifies only r.  The network guarantees the rate; the
+    source uses its private knowledge of b(r) to compute its own
+    worst-case delay b/r, so no traffic characterization is passed and
+    the network performs no conformance check on guaranteed flows.
+    """
 
     _wire_tag = ("service", "guaranteed")
+    # What signaling dispatches on; a class attribute, not a field, so
+    # the wire form carries only the request's parameters.
+    service_class = ServiceClass.GUARANTEED
 
     clock_rate_bps: float
 
@@ -566,9 +575,20 @@ class GuaranteedRequest(_Wire):
 
 @dataclasses.dataclass(frozen=True)
 class PredictedRequest(_Wire):
-    """Request predicted service with a declared bucket and (D, L) target."""
+    """Request predicted service with a declared bucket and (D, L) target.
+
+    The source declares a token bucket (r, b) it promises to conform to
+    and asks for a delay bound D over its path and an acceptable loss
+    rate L (the fraction of packets it can afford to lose or have arrive
+    late).  The network maps (D, L) onto a priority class at each switch,
+    advertises the sum of the chosen per-switch class bounds as the
+    a priori bound, and enforces (r, b) at the network edge only.  A flow
+    without a request is datagram traffic: no parameters, and no promise
+    beyond not delaying or dropping packets unnecessarily.
+    """
 
     _wire_tag = ("service", "predicted")
+    service_class = ServiceClass.PREDICTED
 
     token_rate_bps: float
     bucket_depth_bits: float
@@ -580,6 +600,10 @@ class PredictedRequest(_Wire):
             raise ValueError("token bucket parameters must be positive")
         if self.target_delay_seconds <= 0:
             raise ValueError("target delay must be positive")
+        if not 0.0 <= self.target_loss_rate < 1.0:
+            raise ValueError(
+                f"target_loss_rate must be in [0, 1), got {self.target_loss_rate!r}"
+            )
 
 
 ServiceRequest = Union[GuaranteedRequest, PredictedRequest]
@@ -1111,6 +1135,27 @@ class ScenarioSpec(_Wire):
             if flow.name == name:
                 return flow
         raise KeyError(name)
+
+    def establishment_order(self) -> List[int]:
+        """Indices of the request-bearing flows, in the order their
+        requests visit admission: ``establish_order`` first, then every
+        unlisted one in spec order.  Both engines establish by it.  It
+        reads the flows' :class:`FlowTable` columns, so a generated
+        population builds no rows, and one whose prototypes carry no
+        request costs no per-flow work."""
+        table = FlowTable.of(self.flows)
+        bearing = {k for k, proto in enumerate(table.protos)
+                   if proto.request is not None}
+        if not bearing:
+            return []
+        requesting = {
+            name: i for i, (name, k) in enumerate(zip(table.names, table.kind))
+            if k in bearing
+        }
+        order = [requesting[n] for n in self.establish_order or ()
+                 if n in requesting]
+        listed = set(order)
+        return order + [i for i in requesting.values() if i not in listed]
 
     def discipline(self, name: str) -> DisciplineSpec:
         for discipline in self.disciplines:

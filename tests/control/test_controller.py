@@ -9,10 +9,15 @@ scenario layer in ``tests/validate/test_reroute_invariants.py``.
 import pytest
 
 from repro.control import LinkStateController
-from repro.scenario import TopologySpec
+from repro.scenario import FlowSpec, TopologySpec
 from repro.sched.fifo import FifoScheduler
 from repro.sim.engine import Simulator
 from tests.conftest import make_packet
+
+
+#: The tracked datagram flow every test pumps (no request, so the
+#: controller reroutes it but never re-admits it).
+FLOW = FlowSpec(name="f", source_host="h-src", dest_host="h-dst")
 
 
 def diamond():
@@ -106,7 +111,7 @@ class TestRerouting:
     def test_datagrams_follow_swapped_tables(self):
         sim, net = diamond()
         controller = LinkStateController(net)
-        controller.track_flow("f", "h-src", "h-dst")
+        controller.track_flow(FLOW)
         controller.fail_link("S-A->S-B")
         pump(sim, net, 10)
         sim.run_until_idle()
@@ -131,7 +136,7 @@ class TestRerouting:
         sim, net = diamond()
         original = net.path("h-src", "h-dst")
         controller = LinkStateController(net)
-        controller.track_flow("f", "h-src", "h-dst")
+        controller.track_flow(FLOW)
         controller.fail_link("S-A->S-B")
         controller.restore_link("S-A->S-B")
         assert net.path("h-src", "h-dst") == original
@@ -142,7 +147,7 @@ class TestRerouting:
     def test_outage_on_link_carrying_no_flows_disturbs_nothing(self):
         sim, net = diamond()
         controller = LinkStateController(net)
-        controller.track_flow("f", "h-src", "h-dst")
+        controller.track_flow(FLOW)
         # The backup path's second hop: no flow routes over it.
         controller.fail_link("S-D->S-C")
         pump(sim, net, 10)
@@ -157,7 +162,7 @@ class TestRerouting:
     def test_partition_ledgers_no_route_drops(self):
         sim, net = chain()
         controller = LinkStateController(net)
-        controller.track_flow("f", "h-src", "h-dst")
+        controller.track_flow(FLOW)
         controller.fail_link("S-A->S-B")
         pump(sim, net, 7)
         sim.run_until_idle()
@@ -172,9 +177,9 @@ class TestRerouting:
     def test_untracked_and_duplicate_flow_registry(self):
         sim, net = diamond()
         controller = LinkStateController(net)
-        controller.track_flow("f", "h-src", "h-dst")
+        controller.track_flow(FLOW)
         with pytest.raises(ValueError):
-            controller.track_flow("f", "h-src", "h-dst")
+            controller.track_flow(FLOW)
         controller.untrack_flow("f")
         controller.untrack_flow("ghost")  # no-op
         assert controller.summary().flows == ()

@@ -3,15 +3,9 @@
 import pytest
 
 from repro.core.admission import AdmissionConfig, AdmissionController
-from repro.core.service import (
-    DatagramServiceSpec,
-    FlowSpec,
-    GuaranteedServiceSpec,
-    PredictedServiceSpec,
-)
 from repro.core.signaling import FlowEstablishmentError, SignalingAgent
 from repro.net.packet import Packet, ServiceClass
-from repro.scenario import TopologySpec
+from repro.scenario import FlowSpec, GuaranteedRequest, PredictedRequest, TopologySpec
 from repro.sched.unified import UnifiedConfig, UnifiedScheduler
 from repro.sim.engine import Simulator
 
@@ -37,10 +31,10 @@ def stack(sim):
 
 def guaranteed_flow(flow_id="g1", rate=170_000, src="Host-1", dst="Host-5"):
     return FlowSpec(
-        flow_id=flow_id,
-        source=src,
-        destination=dst,
-        spec=GuaranteedServiceSpec(clock_rate_bps=rate),
+        name=flow_id,
+        source_host=src,
+        dest_host=dst,
+        request=GuaranteedRequest(clock_rate_bps=rate),
     )
 
 
@@ -52,10 +46,10 @@ def predicted_flow(
     bucket_bits=50_000,
 ):
     return FlowSpec(
-        flow_id=flow_id,
-        source=src,
-        destination=dst,
-        spec=PredictedServiceSpec(
+        name=flow_id,
+        source_host=src,
+        dest_host=dst,
+        request=PredictedRequest(
             token_rate_bps=85_000,
             bucket_depth_bits=bucket_bits,
             target_delay_seconds=target_delay,
@@ -205,12 +199,7 @@ class TestDatagramEstablishment:
     def test_trivial_grant(self, stack):
         __, __, signaling = stack
         grant = signaling.establish(
-            FlowSpec(
-                flow_id="d1",
-                source="Host-1",
-                destination="Host-5",
-                spec=DatagramServiceSpec(),
-            )
+            FlowSpec(name="d1", source_host="Host-1", dest_host="Host-5")
         )
         assert grant.service_class is ServiceClass.DATAGRAM
         assert grant.priority_class is None

@@ -14,8 +14,10 @@ from repro.scenario import (
     OutageSpec,
     PredictedRequest,
     ScenarioSpec,
+    SpecError,
     TopologySpec,
 )
+from repro.scenario.spec import FlowTable
 
 
 def minimal_spec(**overrides) -> ScenarioSpec:
@@ -115,6 +117,119 @@ class TestFlowSpec:
             PredictedRequest(
                 token_rate_bps=1, bucket_depth_bits=1, target_delay_seconds=0
             )
+
+
+class TestServiceRequests:
+    """The Section 8 interface: the only request types, checked where
+    they are made."""
+
+    def predicted(self, **overrides):
+        params = dict(
+            token_rate_bps=85_000,
+            bucket_depth_bits=50_000,
+            target_delay_seconds=0.3,
+            target_loss_rate=0.01,
+        )
+        params.update(overrides)
+        return PredictedRequest(**params)
+
+    def test_guaranteed_carries_only_clock_rate(self):
+        request = GuaranteedRequest(clock_rate_bps=170_000)
+        assert request.service_class is ServiceClass.GUARANTEED
+        # The class is not a field: the wire form is the rate alone.
+        assert request.to_dict() == {
+            "service": "guaranteed", "clock_rate_bps": 170_000,
+        }
+
+    @pytest.mark.parametrize("rate", [0, -1])
+    def test_guaranteed_rejects_nonpositive_rate(self, rate):
+        with pytest.raises(ValueError, match="clock rate"):
+            GuaranteedRequest(clock_rate_bps=rate)
+
+    def test_requests_are_immutable(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            GuaranteedRequest(clock_rate_bps=1000).clock_rate_bps = 2000
+
+    def test_predicted_carries_filter_and_target(self):
+        request = self.predicted()
+        assert request.service_class is ServiceClass.PREDICTED
+        assert (request.token_rate_bps, request.bucket_depth_bits) == (
+            85_000, 50_000,
+        )
+        assert request.target_delay_seconds == 0.3
+        assert PredictedRequest(1.0, 1.0, 1.0).target_loss_rate == 0.01
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("token_rate_bps", 0),
+            ("token_rate_bps", -1),
+            ("bucket_depth_bits", 0),
+            ("target_delay_seconds", 0),
+            ("target_loss_rate", -0.1),
+            ("target_loss_rate", 1.0),
+            ("target_loss_rate", 1.5),
+        ],
+    )
+    def test_predicted_rejects_bad_values(self, field, value):
+        with pytest.raises(ValueError):
+            self.predicted(**{field: value})
+
+    def test_zero_loss_rate_allowed(self):
+        # L = 0 is a legal (if demanding) request.
+        assert self.predicted(target_loss_rate=0.0).target_loss_rate == 0.0
+
+    def test_loss_rate_error_names_the_field(self):
+        with pytest.raises(ValueError, match=r"target_loss_rate must be in "
+                           r"\[0, 1\), got 1\.5"):
+            self.predicted(target_loss_rate=1.5)
+
+    def test_loss_rate_error_from_payload_names_the_path(self):
+        payload = minimal_spec(
+            flows=(FlowSpec("f0", "src-host", "dst-host",
+                            request=self.predicted()),),
+        ).to_dict()
+        payload["flows"][0]["request"]["target_loss_rate"] = 1.5
+        with pytest.raises(SpecError) as excinfo:
+            ScenarioSpec.from_dict(payload)
+        assert excinfo.value.path == "flows[0].request"
+        assert "target_loss_rate must be in [0, 1)" in excinfo.value.message
+
+
+class TestEstablishmentOrder:
+    """One order for both engines: ``establish_order`` first, then the
+    unlisted request-bearing flows in spec order."""
+
+    GUARANTEED = GuaranteedRequest(clock_rate_bps=100_000)
+
+    def spec(self, establish_order=None):
+        flows = tuple(
+            FlowSpec(name, "src-host", "dst-host",
+                     request=self.GUARANTEED if name != "d" else None)
+            for name in ("a", "b", "d", "c", "e")
+        )
+        return minimal_spec(flows=flows, establish_order=establish_order)
+
+    def names(self, spec):
+        return [spec.flows[i].name for i in spec.establishment_order()]
+
+    def test_spec_order_without_establish_order(self):
+        assert self.names(self.spec()) == ["a", "b", "c", "e"]
+
+    def test_partial_establish_order_is_served_first(self):
+        assert self.names(self.spec(("e", "b"))) == ["e", "b", "a", "c"]
+
+    def test_flows_without_a_request_are_skipped(self):
+        # Listed or not, a datagram flow never visits admission.
+        assert self.names(self.spec(("d", "c"))) == ["c", "a", "b", "e"]
+        assert minimal_spec().establishment_order() == []
+
+    def test_flow_table_gives_the_tuple_order(self):
+        spec = self.spec(("c", "d", "a"))
+        table = spec.replace(flows=FlowTable.of(spec.flows))
+        assert isinstance(table.flows, FlowTable)
+        assert table.establishment_order() == spec.establishment_order()
+        assert self.names(table) == ["c", "a", "b", "e"]
 
 
 class TestDisciplineSpec:

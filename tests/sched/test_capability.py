@@ -10,7 +10,7 @@ everything else refuses loudly.
 
 import pytest
 
-from repro.core.signaling import FlowEstablishmentError, SignalingAgent
+from repro.core.signaling import FlowEstablishmentError, install_clock_rate
 from repro.net.link import Link
 from repro.net.port import OutputPort
 from repro.sched.base import GuaranteedServiceUnsupported
@@ -98,18 +98,18 @@ class TestSignalingUsesCapability:
     def test_install_goes_through_capability(self, sim):
         scheduler = WfqScheduler(capacity_bps=1e6)
         port = self._port(sim, scheduler)
-        SignalingAgent._install_clock_rate(port, "f", RATE)
+        install_clock_rate(port, "f", RATE)
         assert scheduler.vt.is_registered("f")
 
     def test_incapable_scheduler_surfaces_establishment_error(self, sim):
         port = self._port(sim, StopAndGoScheduler(sim, frame_seconds=0.05))
         with pytest.raises(FlowEstablishmentError):
-            SignalingAgent._install_clock_rate(port, "f", RATE)
+            install_clock_rate(port, "f", RATE)
 
     def test_hrr_mixup_is_an_establishment_error(self, sim):
         """Pre-fix, this silently installed RATE as a slot count."""
         scheduler = HrrScheduler(sim, frame_seconds=0.05)
         port = self._port(sim, scheduler)
         with pytest.raises(FlowEstablishmentError):
-            SignalingAgent._install_clock_rate(port, "f", RATE)
+            install_clock_rate(port, "f", RATE)
         assert "f" not in scheduler._slots
