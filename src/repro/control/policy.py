@@ -37,7 +37,13 @@ class FlowRerouteStats:
     torn_down: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+        return {
+            "name": self.name,
+            "reroutes": self.reroutes,
+            "readmissions": self.readmissions,
+            "refusals": self.refusals,
+            "torn_down": self.torn_down,
+        }
 
 
 class TrackedFlow:

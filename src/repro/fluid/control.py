@@ -47,6 +47,10 @@ Semantics per transition:
   ledgered per flow (``no_route_drops`` in the control summary) and as
   ``failure_drops`` — the partition-edge drops of the packet switches.
 
+Each down-set's routes are resolved for the whole population once, and
+the policy is handed only the flows whose resolved path object differs
+from their current one: ``refresh`` leaves an unchanged path as it is.
+
 Transitions are replayed one at a time (a correlated multi-link outage
 reconverges once per link, like repeated ``fail_link`` calls), so the
 ``outages``/``restores``/``recomputes`` counters and per-flow
@@ -61,6 +65,8 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+from itertools import compress
+from operator import is_, is_not
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.control import (
@@ -315,32 +321,32 @@ class _PlanBuilder:
             for name, k in zip(self.names, flows.kind)
             if name in holders
         }
-        self._routes: Dict[frozenset, object] = {}
+        self._routes: Dict[frozenset, List[Optional[Tuple[int, ...]]]] = {}
 
     # -- path resolution ----------------------------------------------
-    def _router(self, down: frozenset):
-        """``f -> link path`` under ``down`` (None: unreachable), pure
-        in ``(down, f)``.  The all-up state returns the base path
-        objects themselves; an ECMP link-state view returns them too
+    def _resolve(self, down: frozenset) -> List[Optional[Tuple[int, ...]]]:
+        """Every flow's link path under ``down`` (None: unreachable),
+        once per down-set.  An ECMP view hands back the base path objects
         for every flow whose walk the mask leaves alone
-        (:meth:`~repro.net.fabric.EcmpPaths.masked`), so only flows
-        whose next-hop state changed cost a walk."""
+        (:meth:`~repro.net.fabric.EcmpPaths.masked`)."""
         if not down:
-            return self.base_paths.__getitem__
-        links = self._routes.get(down)
-        if links is None:
-            links = self._routes[down] = flow_routes(
+            return self.base_paths
+        paths = self._routes.get(down)
+        if paths is None:
+            links = flow_routes(
                 self.spec.topology, self.spec.ecmp_seed, down
             )[0]
-        srcs, dsts, names = self.srcs, self.dsts, self.names
 
-        def route(f: int) -> Optional[Tuple[int, ...]]:
-            try:
-                return links(srcs[f], dsts[f], names[f])
-            except RoutingError:
-                return None
+            def route(src, dst, name) -> Optional[Tuple[int, ...]]:
+                try:
+                    return links(src, dst, name)
+                except RoutingError:
+                    return None
 
-        return route
+            paths = self._routes[down] = list(
+                map(route, self.srcs, self.dsts, self.names)
+            )
+        return paths
 
     def _state(self, records, torn) -> PlanState:
         """The complete state after a transition: the records' current
@@ -365,8 +371,12 @@ class _PlanBuilder:
 
     # -- replay --------------------------------------------------------
     def build(self, transitions) -> FluidControlPlan:
-        # ``record.links`` is the flow's current link-index path.
-        records = list(map(TrackedFlow, self.names, self.base_paths))
+        base_paths, reserved = self.base_paths, self.reserved
+        records = list(map(TrackedFlow, self.names, base_paths))
+        # ``current[f]`` mirrors ``records[f].links``, the flow's current
+        # link-index path, so one pass finds the flows whose path moved.
+        current = list(base_paths)
+        flows = range(len(current))
         base_state = self.base_state
         state_cache: Dict[Tuple[frozenset, frozenset], PlanState] = {
             (frozenset(), frozenset()): base_state
@@ -374,9 +384,8 @@ class _PlanBuilder:
         down: set = set()
         torn: set = set()
         outages = restores = 0
-        base_paths, reserved = self.base_paths, self.reserved
-        # Under a non-empty down-set: flows resolved, and how many came
-        # back as the base path object itself.
+        # Under a non-empty down-set: live flows resolved, and how many
+        # came back as the base path object itself.
         resolved = inherited = 0
         raw: List[Tuple[float, PlanState, Dict[int, int]]] = []
 
@@ -389,22 +398,27 @@ class _PlanBuilder:
                 outages += 1
             dead = self.link_index[tr.link]
             down_key = frozenset(down)
-            route = self._router(down_key)
+            paths = self._resolve(down_key)
+            if down:
+                resolved += len(flows) - len(torn)
+                inherited += sum(map(is_, paths, base_paths)) - sum(
+                    paths[f] is base_paths[f] for f in torn
+                )
+            # Only moved paths reach ``refresh``; a path through the dead
+            # link always moves (the down-set's graph has no such link).
             flush: Dict[int, int] = {}
-            for f, record in enumerate(records):
+            for f in compress(flows, map(is_not, paths, current)):
+                record = records[f]
                 if record.torn_down:
                     continue
                 old = record.links
                 if not tr.up and old and dead in old:
                     flush.setdefault(f, dead)
-                new = route(f)
-                if down:
-                    inherited += new is base_paths[f]
-                    resolved += 1
                 outcome, _ = refresh(
-                    record, new, record.name in reserved,
+                    record, paths[f], record.name in reserved,
                     self._release, self._admit,
                 )
+                current[f] = record.links
                 if outcome is Refresh.TORN_DOWN:
                     # The flow stops generating; residual backlog flushes
                     # here, ledgered against the transitioning link.

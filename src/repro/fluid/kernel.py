@@ -6,7 +6,7 @@ whole stretches of simulated time collapse into one vectorised step
 whenever the model can prove the collapsed epochs are indistinguishable
 from stepping them one by one.
 
-Three coordinated mechanisms:
+Four coordinated mechanisms:
 
 * **CSR incidence** (:class:`CsrIncidence`) — the (flow, link) incidence
   is compiled once per link state into flat arrays, indices at the
@@ -28,6 +28,13 @@ Three coordinated mechanisms:
   (reassociation round-off, pinned ≤1e-9 by the property grid).  The
   moment any link would saturate, the kernel falls back to the exact
   single-epoch waterfill for that epoch.
+
+* **Tier width** — each view caches every tier's routed flows and
+  entries, so the single-epoch waterfill works over one tier (link
+  loads ``used`` stay one bincount over every entry), the buffer clamp
+  over the queued flows and the delay samples over the recorded flows'
+  entries.  Entries left out would add exact zeros and each per-flow
+  fold keeps its entry order: bit-for-bit the full-width solver.
 
 * **Block cursor** — an evaluated block stays on the kernel until its
   columns are spent (``_take_block``).  A congested or backlogged
@@ -198,7 +205,8 @@ class FluidKernel:
         self.size_bits = np.asarray(c.size_bits)
         self.realtime = np.asarray(c.realtime, dtype=bool)
         self.constant = self.duty >= 1.0
-        self.rec_idx = np.flatnonzero(np.asarray(c.record, dtype=bool))
+        self.record = np.asarray(c.record, dtype=bool)
+        self.rec_idx = np.flatnonzero(self.record)
 
         # -- preallocated run accumulators -----------------------------
         self.backlog = np.zeros(F)
@@ -250,36 +258,45 @@ class FluidKernel:
     # -- control plane: per-state views and boundary flushes -----------
     def _set_view(self, paths, fair, weight, noroute=(), inactive=()):
         """Swap in one link state's compiled view — the incidence (CSR
-        over its paths), routing masks, tier membership and discipline
-        classification, plus the index lists of no-route and torn-down
-        flows — built on first use and cached per state.  States are
-        interned and own their ``paths`` list, and the plan's all-up
-        state holds the compiled base list itself, so ``id(paths)``
-        names the state."""
+        over its paths), routing masks, per-tier waterfill slices,
+        recorded-flow entries and discipline classification, plus the
+        index lists of no-route and torn-down flows — built on first use
+        and cached per state.  States are interned and own their
+        ``paths`` list, and the plan's all-up state holds the compiled
+        base list itself, so ``id(paths)`` names the state."""
         view = self._views.get(id(paths))
         if view is None:
             csr = CsrIncidence(paths, self.L)
+            ef, el = csr.ef, csr.el
             routed = np.asarray([bool(p) for p in paths], dtype=bool)
             first_link = np.asarray(
                 [p[0] if p else 0 for p in paths], dtype=np.int64
             )
-            e_tier = self.tier[csr.ef]
+            e_tier = self.tier[ef]
+            e_lt = el * self.T + e_tier
+            # Per tier: its routed flows, and its entries (flow-major) as
+            # links and as positions among those flows; the same
+            # positions for the recorded flows' entries.
+            tiers = []
+            for t in range(self.T):
+                members = np.flatnonzero((self.tier == t) & routed)
+                te = np.flatnonzero(e_tier == t)
+                tiers.append(
+                    (members, el[te], np.searchsorted(members, ef[te]))
+                )
+            rec = np.flatnonzero(self.record[ef])
             view = self._views[id(paths)] = (
-                csr, routed, first_link,
-                [
-                    np.flatnonzero((self.tier == t) & routed)
-                    for t in range(self.T)
-                ],
-                csr.el * self.T + e_tier,
-                self.realtime[csr.ef],
+                csr, routed, np.flatnonzero(~routed), first_link, tiers,
+                e_lt, self.realtime[ef], e_lt[rec],
+                np.searchsorted(self.rec_idx, ef[rec]),
                 np.asarray(fair, dtype=bool),
                 np.asarray(weight),
                 np.asarray(noroute, dtype=np.int64),
                 np.asarray(inactive, dtype=np.int64),
             )
-        (self.csr, self.routed, self.first_link, self.tier_members,
-         self.e_lt, self.e_rt, self.fair, self.w_static,
-         self.nr_idx, self.zero_idx) = view
+        (self.csr, self.routed, self.unrouted, self.first_link,
+         self.tiers, self.e_lt, self.e_rt, self.rec_lt, self.rec_pos,
+         self.fair, self.w_static, self.nr_idx, self.zero_idx) = view
 
     def _apply_flush(self, flush) -> None:
         """Boundary flush: drop the listed flows' backlog, ledgered per
@@ -501,12 +518,9 @@ class FluidKernel:
         rate = np_.zeros(F)
         bottleneck = np_.full(F, -1, dtype=np_.int64)
         slack = self.caps.copy()
-        for t in range(T):
-            self._waterfill(
-                self.tier_members[t], demand, weight, rate, bottleneck,
-                slack,
-            )
-        rate[~self.routed] = demand[~self.routed]
+        for tier in self.tiers:
+            self._waterfill(tier, demand, weight, rate, bottleneck, slack)
+        rate[self.unrouted] = demand[self.unrouted]
 
         rate_entry = rate[csr.ef]
         used = np_.bincount(csr.el, weights=rate_entry, minlength=L)
@@ -520,12 +534,15 @@ class FluidKernel:
         self.generated += arrival
         self.delivered += served
 
-        queued = self.routed & (self.backlog > 0)
-        bn = np_.where(bottleneck >= 0, bottleneck, self.first_link)
+        queued = np_.flatnonzero(self.routed & (self.backlog > 0))
+        bn = bottleneck[queued]
+        bn = np_.where(bn >= 0, bn, self.first_link[queued])
+        tq = self.tier[queued]
+        backlog_q = self.backlog[queued]
+        # An empty bincount comes back int64 whatever its weights.
         q_lt = np_.bincount(
-            (bn * T + self.tier)[queued], weights=self.backlog[queued],
-            minlength=L * T,
-        ).astype(float).reshape(L, T)
+            bn * T + tq, weights=backlog_q, minlength=L * T
+        ).astype(float, copy=False).reshape(L, T)
         cum = np_.cumsum(q_lt, axis=1)
         keep = np_.clip(
             self.buffer_bits[:, None] - (cum - q_lt), 0.0, q_lt
@@ -534,14 +551,12 @@ class FluidKernel:
             scale = np_.where(
                 q_lt > 0, keep / np_.maximum(q_lt, 1e-300), 1.0
             )
-        flow_scale = np_.ones(F)
-        flow_scale[queued] = scale[bn[queued], self.tier[queued]]
-        shed = self.backlog * (1.0 - flow_scale)
-        self.backlog *= flow_scale
-        self.dropped += shed
+        flow_scale = scale[bn, tq]
+        shed = backlog_q * (1.0 - flow_scale)
+        self.backlog[queued] = backlog_q * flow_scale
+        self.dropped[queued] += shed
         self.link_drops += np_.bincount(
-            bn[queued], weights=(shed / self.size_bits)[queued],
-            minlength=L,
+            bn, weights=shed / self.size_bits[queued], minlength=L,
         )
         q_lt *= scale
         # What the clamp left queued, against the bound.
@@ -569,36 +584,38 @@ class FluidKernel:
             minlength=L,
         )
 
-        if self.rec_idx.size and self.t0s[e] >= self.warmup:
+        rec = self.rec_idx
+        if rec.size and self.t0s[e] >= self.warmup:
             shared = np_.bincount(
-                csr.ef, weights=cumwait_flat[self.e_lt], minlength=F
+                self.rec_pos, weights=cumwait_flat[self.rec_lt],
+                minlength=rec.size,
             )
+            rate_r = rate[rec]
             with np_.errstate(invalid="ignore", divide="ignore"):
                 isolated = np_.where(
-                    rate > 0,
-                    self.backlog / np_.maximum(rate, 1e-300),
+                    rate_r > 0,
+                    self.backlog[rec] / np_.maximum(rate_r, 1e-300),
                     0.0,
                 )
-            delay = np_.where(self.fair, isolated, shared)
-            self.rec_delays.append(delay[self.rec_idx])
-            self.rec_weights.append((served / self.size_bits)[self.rec_idx])
+            self.rec_delays.append(np_.where(self.fair[rec], isolated, shared))
+            self.rec_weights.append(served[rec] / self.size_bits[rec])
         self.events += F
         self.stats["epochs_single"] += 1
 
     # -- waterfill -------------------------------------------------------
-    def _waterfill(
-        self, members, demand, weight, rate, bottleneck, slack
-    ) -> None:
-        """Demand-bounded weighted max-min over one tier (vectorised;
-        identical algorithm to the pure backend's ``_waterfill_pure``)."""
+    def _waterfill(self, tier, demand, weight, rate, bottleneck, slack) -> None:
+        """Demand-bounded weighted max-min over one tier's ``(members,
+        entry links, entry positions)`` view slice (vectorised; identical
+        algorithm to the pure backend's ``_waterfill_pure``)."""
         np_ = np
-        csr = self.csr
-        F, L = self.F, self.L
-        ef, el = csr.ef, csr.el
+        ef, el, L = self.csr.ef, self.csr.el, self.L
         stats = self.stats
         stats["waterfill_calls"] += 1
-        active = np_.zeros(F, dtype=bool)
-        active[members] = (demand[members] > 0) & (weight[members] > 0)
+        members, tel, tpos = tier
+        if not members.size:
+            return
+        d_m, w_m = demand[members], weight[members]
+        active = (d_m > 0) & (w_m > 0)
         if not active.any():
             return
         max_rounds = _compile.MAX_ROUNDS
@@ -606,8 +623,8 @@ class FluidKernel:
         while rounds < max_rounds:
             rounds += 1
             stats["waterfill_rounds"] += 1
-            aw = np_.where(active, weight, 0.0)
-            wsum = np_.bincount(el, weights=aw[ef], minlength=L)
+            aw = np_.where(active, w_m, 0.0)
+            wsum = np_.bincount(tel, weights=aw[tpos], minlength=L)
             contended = wsum > 0
             if not contended.any():
                 return
@@ -616,28 +633,27 @@ class FluidKernel:
                     np_.maximum(slack[contended], 0.0) / wsum[contended]
                 )
             )
-            gap = demand - rate
-            hit = active & (gap <= lam * weight * (1 + 1e-12))
+            hit = active & (d_m - rate[members] <= lam * w_m * (1 + 1e-12))
             if hit.any():
-                rate[hit] = demand[hit]
+                rate[members[hit]] = d_m[hit]
                 active &= ~hit
             else:
-                rate += lam * aw
+                rate[members] += lam * aw
             used = np_.bincount(el, weights=rate[ef], minlength=L)
             slack[:] = self.caps - used
             # Saturation is a per-link fact: test it at link width and
             # gather the verdict, not both operands, per entry.
-            sat_entry = (slack <= self.eps)[el] & active[ef]
+            sat_entry = (slack <= self.eps)[tel] & active[tpos]
             if sat_entry.any():
-                frozen, first = first_saturated_links(ef, el, sat_entry)
-                bottleneck[frozen] = first
+                frozen, first = first_saturated_links(tpos, tel, sat_entry)
+                bottleneck[members[frozen]] = first
                 active[frozen] = False
             if not active.any():
                 return
         # Round cap exhausted: final demand-capped proportional fill.
         self.sim.waterfill_exhausted += int(active.sum())
-        aw = np_.where(active, weight, 0.0)
-        wsum = np_.bincount(el, weights=aw[ef], minlength=L)
+        aw = np_.where(active, w_m, 0.0)
+        wsum = np_.bincount(tel, weights=aw[tpos], minlength=L)
         contended = wsum > 0
         if contended.any():
             lam = float(
@@ -645,8 +661,9 @@ class FluidKernel:
                     np_.maximum(slack[contended], 0.0) / wsum[contended]
                 )
             )
-            rate[active] = np_.minimum(
-                demand[active], rate[active] + lam * weight[active]
+            live = members[active]
+            rate[live] = np_.minimum(
+                d_m[active], rate[live] + lam * w_m[active]
             )
 
     # ------------------------------------------------------------------

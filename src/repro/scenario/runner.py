@@ -119,7 +119,12 @@ class TcpStats:
     goodput_bps: float
 
     def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+        return {
+            "name": self.name,
+            "segments_sent": self.segments_sent,
+            "acks_sent": self.acks_sent,
+            "goodput_bps": self.goodput_bps,
+        }
 
 
 @dataclasses.dataclass(frozen=True)

@@ -90,7 +90,13 @@ class InvariantCheck:
     detail: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+        return {
+            "name": self.name,
+            "ok": self.ok,
+            "checked": self.checked,
+            "violations": self.violations,
+            "detail": self.detail,
+        }
 
     @classmethod
     def from_dict(cls, data) -> "InvariantCheck":

@@ -30,6 +30,7 @@ from repro.scenario.spec import (
     TopologySpec,
 )
 from repro.sim.randomness import RandomStreams
+from tests.conftest import plan_replay_spec
 
 BACKENDS = (
     pytest.param("numpy", marks=pytest.mark.skipif(
@@ -248,6 +249,55 @@ class TestPlanCompileCost:
             spec, spec.disciplines[0], FluidOptions(backend="pure")
         )
         assert pure.kernel_stats == stats
+
+
+class TestPlanReplay:
+    """The compiled plan of :func:`plan_replay_spec`, pinned whole: each
+    boundary's state paths, no-route and torn-down flows and flush list,
+    each flow's reroute counters, and the inherited/rewalked split.  It
+    reaches every branch of the shared policy — followers b0/b1 move,
+    holder g1 is re-admitted (twice: out and back), holder g2 is refused
+    and torn down, and ``far`` has no route, then heals."""
+
+    #: Links: 0 S-A->S-B, 1 S-B->S-C, 2 S-A->S-D, 3 S-D->S-C, 4 S-E->S-C.
+    VIA_B, VIA_D, FAR = (0, 1), (2, 3), (4,)
+    #: ``(time, state paths, noroute, inactive, flush)`` per boundary.
+    BOUNDARIES = (
+        (4.0, [VIA_D, VIA_D, (), VIA_D, VIA_D, VIA_D, VIA_D, FAR],
+         (), (2,), ((1, 0), (2, 0), (4, 0), (5, 0))),
+        (6.0, [VIA_D, VIA_D, (), VIA_D, VIA_D, VIA_D, VIA_D, ()],
+         (7,), (2,), ((7, 4),)),
+        (8.0, [VIA_D, VIA_D, (), VIA_D, VIA_D, VIA_D, VIA_D, FAR],
+         (), (2,), ()),
+        (10.0, [VIA_D, VIA_B, (), VIA_D, VIA_B, VIA_B, VIA_D, FAR],
+         (), (2,), ()),
+    )
+    #: ``(name, reroutes, readmissions, refusals, torn_down)`` per flow.
+    RECORDS = (
+        ("g0", 0, 0, 0, False), ("g1", 2, 2, 0, False),
+        ("g2", 0, 0, 1, True), ("g3", 0, 0, 0, False),
+        ("b0", 2, 0, 0, False), ("b1", 2, 0, 0, False),
+        ("b2", 0, 0, 0, False), ("far", 1, 0, 0, False),
+    )
+
+    def test_plan_is_pinned(self):
+        spec = plan_replay_spec()
+        sim = FluidSimulation(spec, spec.disciplines[0])
+        assert sim.paths == [
+            self.VIA_D, self.VIA_B, self.VIA_B, self.VIA_D,
+            self.VIA_B, self.VIA_B, self.VIA_D, self.FAR,
+        ]
+        plan = sim.control_plan
+        assert [
+            (b.time, b.state.paths, b.state.noroute, b.state.inactive,
+             b.flush)
+            for b in plan.boundaries
+        ] == list(self.BOUNDARIES)
+        assert [
+            dataclasses.astuple(record.stats()) for record in plan.records
+        ] == list(self.RECORDS)
+        assert plan.path_counts == (2, 20)
+        assert (plan.outages, plan.restores) == (2, 2)
 
 
 class TestPairedDraws:

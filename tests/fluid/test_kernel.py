@@ -32,6 +32,7 @@ from repro.fluid import compile as fluid_compile
 from repro.fluid import model as fluid_model
 from repro.scenario import DisciplineSpec, ScenarioBuilder, registry
 from repro.scenario.spec import OutageEvent, OutageSpec, TopologySpec
+from tests.conftest import plan_replay_spec
 
 pytestmark = pytest.mark.skipif(
     fluid_model._np is None, reason="numpy not installed"
@@ -119,6 +120,46 @@ class TestKernelVsPure:
             for (kd, kw), (pd, pw) in zip(krows, rows):
                 assert kd == pytest.approx(pd, rel=1e-9, abs=1e-12)
                 assert kw == pytest.approx(pw, rel=1e-9, abs=1e-12)
+
+
+class TestTierWidthWaterfill:
+    """The waterfill runs over one tier's flows and entries at a time.
+    On :func:`plan_replay_spec` two of CSZ's four tiers are empty, and
+    ``far`` has no route for 2 s while the rest of its tier is routed:
+    the kernel still agrees with the pure backend, and it calls the
+    waterfill and runs its rounds exactly as often as the full-width
+    waterfill did (964 calls, 608 rounds)."""
+
+    def test_agrees_with_pure_and_keeps_every_round(self):
+        spec = plan_replay_spec()
+        kernel, pure = (
+            FluidSimulation(
+                spec, spec.disciplines[0],
+                FluidOptions(backend=backend, epoch_seconds=0.05),
+            )
+            for backend in ("numpy", "pure")
+        )
+        assert kernel.compiled.num_tiers == 4
+        assert set(kernel.compiled.tier) == {0, 3}
+        assert [b.state.noroute for b in kernel.control_plan.boundaries] == [
+            (), (7,), (), ()
+        ]
+        kernel.run()
+        pure.run()
+        assert sum(kernel.dropped_bits) > 0  # the waterfill saturates
+        assert_flow_state_close(kernel, pure, rel=1e-9)
+        for x, y in zip(kernel.failure_drop_bits, pure.failure_drop_bits):
+            assert x == pytest.approx(y, rel=1e-9, abs=1e-6)
+        assert kernel.samples.keys() == pure.samples.keys()
+        for f, rows in pure.samples.items():
+            for (kd, kw), (pd, pw) in zip(kernel.samples[f], rows):
+                assert kd == pytest.approx(pd, rel=1e-9, abs=1e-12)
+                assert kw == pytest.approx(pw, rel=1e-9, abs=1e-12)
+        assert kernel.collect().control == pure.collect().control
+        stats = kernel.kernel_stats
+        assert (stats["waterfill_calls"], stats["waterfill_rounds"]) == (
+            964, 608
+        )
 
 
 class TestFusedBlockBitIdentity:
