@@ -12,22 +12,21 @@ Four coordinated mechanisms:
   is compiled once per link state into flat arrays, indices at the
   native ``intp`` width so that gathers and bincounts through them
   convert nothing: flow-major entry lists (``ef``/``el``, the bincount
-  currency) plus a link-major permutation (``lk_flow``) so per-link
-  per-epoch loads come out of one ``add.reduceat`` instead of a Python
-  rebuild per call.  Waterfill, backlog updates, and the accumulators
-  all share it.
+  currency) plus a link-major permutation (``lk_flow``/``lk_link``) so
+  per-link loads come out of one ``add.reduceat``.  Waterfill, backlog
+  updates, the congestion check and the accumulators all share it.
 
 * **Fused multi-epoch blocks** — the on/off phase grid for a block of
-  ``K`` epochs is evaluated as one ``(flows, K)`` array; per-link
-  offered load per epoch comes from one reduceat over the link-major
-  view.  Every *uncongested* prefix of the block (offered load strictly
-  under capacity on every link, entering backlog zero) is accumulated
-  in closed form: the waterfill provably assigns every flow its demand,
-  queues stay empty, and per-flow served bits equal the per-epoch
-  values bit-for-bit — only the accumulator *fold order* changes
-  (reassociation round-off, pinned ≤1e-9 by the property grid).  The
-  moment any link would saturate, the kernel falls back to the exact
-  single-epoch waterfill for that epoch.
+  ``K`` epochs is evaluated as one ``(flows, K)`` array, and one check
+  (:meth:`CsrIncidence.congested`: a screen of summed block peaks, then
+  an exact link-major pass over the links it cannot clear) finds the
+  first epoch any link would saturate, which runs the exact single-epoch
+  waterfill.  Every *uncongested* prefix (offered load strictly under
+  capacity on every link, entering backlog zero) is accumulated in
+  closed form: the waterfill provably assigns every flow its demand,
+  queues stay empty, and per-flow served bits equal the per-epoch values
+  bit-for-bit — only the accumulator *fold order* changes (reassociation
+  round-off, pinned ≤1e-9 by the property grid).
 
 * **Tier width** — each view caches every tier's routed flows and
   entries, so the single-epoch waterfill works over one tier (link
@@ -71,34 +70,31 @@ import numpy as np
 
 from repro.fluid import compile as _compile
 
-try:  # optional: C-speed load matrix for the congestion check
-    from scipy import sparse as _sparse
-except Exception:  # pragma: no cover - scipy is optional
-    _sparse = None
-
 #: Entry budget for one fused block: K is sized so the (entries, K)
 #: scratch stays around this many float64 cells (~64 MB), shrinking at
 #: 1M-flow incidences and growing at small ones.
 _BLOCK_ENTRY_BUDGET = 8_000_000
 _MAX_BLOCK_EPOCHS = 64
+#: Cells per row block of a transposed copy (~4x faster than one shot).
+_TRANSPOSE_CELLS = 16_384
 
 
 class CsrIncidence:
     """The (flow, link) incidence of one link state, as flat arrays.
 
     Built once per link-state view (:meth:`FluidKernel._set_view`) and
-    shared by the waterfill, the fused load check, and every accumulator
+    shared by the waterfill, the congestion check, and every accumulator
     update.  ``ef``/``el`` list the entries flow-major — ``ef[i]`` is
     the flow and ``el[i]`` the link of entry ``i`` — exactly the order
     the pure backend's nested loops visit, so bincounts over them
-    accumulate in the same sequence.  ``lk_flow`` is the link-major
-    permutation: the flows of link ``l``'s entries are
-    ``lk_flow[link_ptr[l]:link_ptr[l+1]]``.
+    accumulate in the same sequence.  ``lk_flow``/``lk_link`` are the
+    same entries link-major (flows ascending within a link), and
+    ``link_counts`` counts each link's entries.
     """
 
     __slots__ = (
-        "num_links", "ef", "el", "lk_flow", "nonempty_links",
-        "nonempty_starts", "matrix",
+        "num_links", "ef", "el", "lk_flow", "lk_link", "link_counts",
+        "nonempty_links", "nonempty_starts",
     )
 
     def __init__(self, paths, num_links: int):
@@ -119,23 +115,13 @@ class CsrIncidence:
         el = self.el
         order = np.argsort(el, kind="stable")
         self.lk_flow = self.ef[order]
-        link_counts = np.bincount(el, minlength=num_links)
-        link_ptr = np.zeros(num_links + 1, dtype=np.int64)
-        np.cumsum(link_counts, out=link_ptr[1:])
+        self.lk_link = el[order]
+        self.link_counts = np.bincount(el, minlength=num_links)
         # reduceat cannot express empty segments, so the load gather
         # runs over non-empty links only and scatters back.
-        self.nonempty_links = np.flatnonzero(link_counts > 0)
-        self.nonempty_starts = link_ptr[self.nonempty_links]
-        # Optional (link x flow) 0/1 sparse matrix: the congestion check
-        # only *compares* loads against capacity (with a 2*eps margin
-        # that dwarfs summation-order noise), so it may use whichever
-        # summation is fastest.  Result accumulators keep reduceat.
-        self.matrix = None
-        if _sparse is not None and total:
-            self.matrix = _sparse.csr_matrix(
-                (np.ones(total), (el, self.ef)),
-                shape=(num_links, F),
-            )
+        self.nonempty_links = np.flatnonzero(self.link_counts > 0)
+        starts = np.cumsum(self.link_counts) - self.link_counts
+        self.nonempty_starts = starts[self.nonempty_links]
 
     def link_loads(self, per_flow: np.ndarray) -> np.ndarray:
         """Per-link sums of a per-flow quantity, vectorised over the
@@ -150,14 +136,30 @@ class CsrIncidence:
             )
         return out
 
-    def approx_link_loads(self, per_flow: np.ndarray) -> np.ndarray:
-        """Per-link sums for *threshold checks only*: summation order is
-        unspecified (sparse matmul when scipy is present), accurate to
-        float64 round-off — far inside the congestion check's 2*eps
-        margin, but not the fold the result accumulators use."""
-        if self.matrix is not None:
-            return self.matrix @ per_flow
-        return self.link_loads(per_flow)
+    def congested(self, demand: np.ndarray, limit: np.ndarray) -> np.ndarray:
+        """Per column of ``demand`` (``(F, K)``), whether any link's load
+        exceeds its ``limit``: exactly ``np.any(self.link_loads(demand)
+        > limit[:, None], axis=0)``.  A link whose flows' block peaks sum
+        to at most its limit is cleared (each column folds addends no
+        larger in the same order, and rounding is monotone); an empty link
+        is hot only under a negative limit.  Hot links' entries reduce
+        link-major along the contiguous axis of their rows as ``(K, U)``."""
+        K = demand.shape[1]
+        hot = self.link_loads(demand.max(axis=1)) > limit
+        if (hot & (self.link_counts == 0)).any():
+            return np.ones(K, dtype=bool)
+        flows = self.lk_flow[hot[self.lk_link]]
+        counts = self.link_counts[hot]
+        mark = np.bincount(flows, minlength=demand.shape[0]) > 0
+        distinct = np.flatnonzero(mark)
+        rows = np.empty((K, distinct.size))  # their rows, transposed
+        step = max(_TRANSPOSE_CELLS // K, 1)
+        for i in range(0, distinct.size, step):
+            rows[:, i:i + step] = demand[distinct[i:i + step]].T
+        rank = np.cumsum(mark) - 1  # position among the distinct flows
+        gathered = np.take(rows, rank[flows], axis=1)
+        loads = np.add.reduceat(gathered, np.cumsum(counts) - counts, axis=1)
+        return np.any(loads > limit[hot], axis=1)
 
 
 def first_saturated_links(ef, el, sat_entry):
@@ -455,10 +457,7 @@ class FluidKernel:
             self._single_epoch(e0, arrival[:, 0])
             return e0 + 1
         demand = arrival / self.dts[None, e0:e1]
-        loads = self.csr.approx_link_loads(demand)
-        congested = np.any(
-            loads > (self.caps - 2.0 * self.eps)[:, None], axis=0
-        )
+        congested = self.csr.congested(demand, self.caps - 2.0 * self.eps)
         fused = int(np.argmax(congested)) if congested.any() else count
         if fused:
             self._ledger_noroute(shed, 0, fused)

@@ -409,6 +409,158 @@ class TestFirstSaturatedLinks:
         assert links.tolist() == old[old < L].tolist() == [2, 2, 5]
 
 
+class TestCongestionCheck:
+    """``CsrIncidence.congested`` is exactly ``np.any(csr.link_loads(
+    demand) > limit[:, None], axis=0)`` on every block.
+
+    Why a link the screen clears cannot be congested under the exact
+    fold: the screen sums each flow's block peak with ``link_loads``
+    itself, and ``add.reduceat`` folds a segment in one order whatever
+    the axis (1-D, axis 0 of the ``(entries, K)`` gather, or the
+    contiguous axis of the check's ``(K, entries)`` gather).  Every
+    column's load is therefore that same fold over addends no larger
+    than the peaks, and each rounded addition is monotone in both
+    operands, so the column's load is at most the peak sum: a peak sum
+    at or under the limit leaves no column over it.  The hot links'
+    exact loads are ``link_loads``' bit for bit, so the comparison is
+    the reference's, ties (strict ``>``) included.  Both fold facts are
+    pinned below, beside the drawn blocks.
+    """
+
+    @staticmethod
+    def incidence(gen_seed=1):
+        import numpy as np
+
+        from repro.fluid.kernel import CsrIncidence
+
+        spec = grid_spec(gen_seed)
+        compiled = FluidSimulation(
+            spec, spec.disciplines[0], FluidOptions(backend="numpy")
+        ).compiled
+        return CsrIncidence(compiled.paths, len(compiled.caps)), np
+
+    @staticmethod
+    def draw(csr, K, seed):
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+        F = int(csr.ef[-1]) + 1
+        peak = rng.uniform(0.5, 2.0, F)
+        on = rng.random((F, K)) < 0.6
+        return peak[:, None] * on * rng.uniform(0.25, 1.0, (F, K))
+
+    @staticmethod
+    def check(csr, demand, limit):
+        import numpy as np
+
+        got = csr.congested(demand, limit)
+        want = np.any(csr.link_loads(demand) > limit[:, None], axis=0)
+        assert got.dtype == bool and got.shape == (demand.shape[1],)
+        assert got.tolist() == want.tolist()
+        return got
+
+    @pytest.mark.parametrize("K", (1, 7, 64))
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_sparse_hot_fabric(self, K, seed):
+        """A 512-link fat-tree where the screen clears all but a few
+        links, each over its limit in some columns only."""
+        csr, np = self.incidence()
+        demand = self.draw(csr, K, seed)
+        loads = csr.link_loads(demand)
+        limit = csr.link_loads(demand.max(axis=1))  # clears every link
+        picked = np.random.default_rng(seed).choice(
+            csr.nonempty_links, 3, replace=False
+        )
+        limit[picked] = 0.999 * np.quantile(loads[picked], 0.9, axis=1)
+        hot = csr.link_loads(demand.max(axis=1)) > limit
+        assert 0 < hot.sum() <= 3
+        got = self.check(csr, demand, limit)
+        assert got.any() and (K == 1 or not got.all())
+
+    @pytest.mark.parametrize("K", (7, 64))
+    def test_all_hot(self, K):
+        """Every non-empty link fails the screen; a few are over their
+        limit in one column, the rest sit exactly at their busiest.
+        (At ``K = 1`` the peak is the column, so hot means over.)"""
+        csr, np = self.incidence(gen_seed=2)
+        demand = self.draw(csr, K, 3)
+        loads = csr.link_loads(demand)
+        limit = loads.max(axis=1)
+        busy = csr.nonempty_links
+        assert (csr.link_loads(demand.max(axis=1))[busy] > limit[busy]).all()
+        assert not self.check(csr, demand, limit).any()
+        picked = busy[:: max(busy.size // 5, 1)]
+        limit[picked] = np.nextafter(limit[picked], -np.inf)
+        assert self.check(csr, demand, limit).any()
+
+    def test_no_hot_link(self):
+        csr, np = self.incidence()
+        demand = self.draw(csr, 16, 4)
+        limit = csr.link_loads(demand.max(axis=1))
+        assert not self.check(csr, demand, limit).any()
+        assert not self.check(csr, demand, limit + 1.0).any()
+
+    # Dyadic demand: every sum is exact, so ties are ties.
+    PATHS = [(0, 1), (1,), (0, 2)]  # link 3 has no entries
+    DEMAND = [[1.0, 2.0, 0.5], [0.25, 1.0, 0.0], [0.5, 0.5, 0.5]]
+
+    @pytest.mark.parametrize(
+        "limit,expected",
+        [
+            # Link 0 is hot (peak sum 2.5) and ties column 0; link 1's
+            # peak sum ties its limit, so the screen clears it.
+            ((1.5, 3.0, 0.5, 0.0), [False, True, False]),
+            # Link 0's peak sum ties too: nothing is hot.
+            ((2.5, 3.0, 0.5, 0.0), [False, False, False]),
+            # Link 1 over in column 1 only.
+            ((2.5, 2.5, 0.5, 0.0), [False, True, False]),
+            # The empty link under a negative limit: zero load is over
+            # it in every column.
+            ((2.5, 3.0, 0.5, -1e-6), [True, True, True]),
+        ],
+    )
+    def test_ties_and_empty_links(self, limit, expected):
+        import numpy as np
+
+        from repro.fluid.kernel import CsrIncidence
+
+        csr = CsrIncidence(self.PATHS, 4)
+        demand = np.array(self.DEMAND)
+        limit = np.array(limit)
+        assert self.check(csr, demand, limit).tolist() == expected
+        for k in range(demand.shape[1]):  # K = 1
+            column = demand[:, k:k + 1]
+            assert self.check(csr, column, limit).tolist() == [expected[k]]
+
+    def test_screen_folds_like_every_column(self):
+        """A block whose every column is the peak loads each link with
+        exactly the screen's peak sum, on segments short and long
+        enough for every branch of NumPy's pairwise sum."""
+        from repro.fluid.kernel import CsrIncidence
+
+        csr, np = self.incidence()
+        star = [(0,)] * 1_000 + [(1, 0)] * 9 + [(2,)] * 129
+        for incidence in (csr, CsrIncidence(star, 3)):
+            peak = self.draw(incidence, 1, 5)[:, 0]
+            columns = np.repeat(peak[:, None], 5, axis=1)
+            by_column = incidence.link_loads(columns)
+            screen = incidence.link_loads(peak)
+            assert (by_column == screen[:, None]).all()
+
+    def test_reduceat_folds_alike_on_either_axis(self):
+        import numpy as np
+
+        rng = np.random.default_rng(6)
+        lengths = np.array([1, 5, 8, 9, 127, 128, 129, 300, 1_000])
+        starts = np.cumsum(lengths) - lengths
+        gathered = rng.random((int(lengths.sum()), 4)) * 1e3
+        rows = np.add.reduceat(gathered, starts, axis=0)
+        cols = np.add.reduceat(
+            np.ascontiguousarray(gathered.T), starts, axis=1
+        )
+        assert (rows == cols.T).all()
+
+
 class TestRecording:
     @pytest.mark.parametrize("backend", ["numpy", "pure"])
     def test_recording_flows_changes_no_aggregate(self, backend):

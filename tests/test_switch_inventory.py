@@ -8,8 +8,8 @@ argument.
 
 So is the fluid engine's option surface (``FluidOptions``'s fields) and
 its import graph: the façade loads no backend and no control plane until
-a run needs one, and the reference backend and the NumPy kernel never
-load each other.
+a run needs one, the reference backend and the NumPy kernel never load
+each other, and a fluid run loads no scipy.
 
 So is the code that assembles a network: ``TopologySpec.build`` in
 ``scenario/spec.py`` is the only place under ``src/`` that constructs a
@@ -88,6 +88,35 @@ def test_fluid_modules_load_only_what_they_use(module, absent, without_numpy):
            if without_numpy else "")
         + f"import {module}\n"
         + f"print([m for m in {absent!r} if m in sys.modules])\n"
+    )
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO_ROOT / "src")] + ([inherited] if inherited else [])
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", program], env=env, text=True,
+        capture_output=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_a_fluid_run_imports_no_scipy():
+    """The kernel's congestion check is NumPy on every host: compiling
+    and running a fluid spec loads no ``scipy`` module, even where scipy
+    is installed."""
+    pytest.importorskip("numpy")
+    program = (
+        "import sys\n"
+        "from repro.fluid import FluidOptions, FluidSimulation\n"
+        "from repro.scenario import registry\n"
+        "spec = registry.build('gen:fat-tree', gen_seed=1, k=4,\n"
+        "                      num_flows=200, duration=2.0, engine='fluid')\n"
+        "sim = FluidSimulation(spec, spec.disciplines[0],\n"
+        "                      FluidOptions(backend='numpy'))\n"
+        "sim.run().collect()\n"
+        "assert sim.kernel_stats['grid_columns'] > 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
